@@ -78,7 +78,6 @@ from .products import (
     commuting_projection_test,
     defect_dilation_test,
     pinv_factorization_test,
-    product_rep,
     single_defect_dilation,
     sufficient_intertwining_check,
 )

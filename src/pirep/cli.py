@@ -10,11 +10,14 @@ One executable with subcommands:
     shift    --n 2 --B 0,3 --M 64 --power 3 [--weights w.json]
     verify   --theorem T2.2 --trials 500 --seed 42 [--falsify] [--jobs N]
 
-Global flags (--tol-rank, --tol-eq, --tol-incl, --tensor-cap, --jobs) are
-accepted by every subcommand.  All output is deterministic JSON on stdout
-with numbers at 17 significant digits.  ``verify`` exits 0 iff the run
-produced zero violations; other subcommands exit 0 on success and 2 on
-usage or input errors.
+Global flags (--tol-rank, --tol-eq, --tol-incl, --tensor-cap, --indent) are
+accepted by every subcommand; --jobs belongs to ``verify`` alone.  All
+output is deterministic JSON on stdout with numbers at 17 significant
+digits.  ``classify`` and ``product`` print the six-way partial-isometry
+diagnostic; every other verdict is the triple-product rule alone.
+``verify`` exits 0 iff the run produced zero violations, 1 otherwise;
+every subcommand exits 2 on usage or input errors, malformed JSON
+included.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 
 from . import harness, powers, serialize, shifts, wold
 from .covrep import DEFAULT_TENSOR_CAP
-from .errors import NotApplicable, PirepError
+from .errors import NotApplicable, PirepError, UsageError
 from .numerics import Tolerance
 from .products import (
     ProductRep,
@@ -42,7 +45,6 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-eq", type=float, default=1e-8, help="relative residual cutoff for identities")
     parser.add_argument("--tol-incl", type=float, default=1e-8, help="absolute cutoff for subspace inclusions")
     parser.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP, help="tensor dimension cap")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     parser.add_argument("--indent", type=int, default=2, help="JSON indent (0 for compact)")
 
 
@@ -50,10 +52,16 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(rank_rel=args.tol_rank, eq_rel=args.tol_eq, incl_abs=args.tol_incl)
 
 
-def _load_rep(path: str, tol: Tolerance, tensor_cap: int):
+def _read_json(path: str):
     with open(path) as fh:
-        obj = json.load(fh)
-    rep = serialize.rep_from_json(obj, tol)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _load_rep(path: str, tol: Tolerance, tensor_cap: int):
+    rep = serialize.rep_from_json(_read_json(path), tol)
     rep.tensor_cap = tensor_cap
     return rep
 
@@ -142,11 +150,12 @@ def _cmd_shift(args) -> int:
     zero_set = frozenset(int(x) for x in args.B.split(",") if x != "") if args.B else frozenset()
     weights = {}
     if args.weights:
-        with open(args.weights) as fh:
-            raw = json.load(fh)
-        for key, value in raw.items():
-            i, m = key.split(",")
-            weights[(int(i), int(m))] = float(value)
+        try:
+            for key, value in _read_json(args.weights).items():
+                i, m = key.split(",")
+                weights[(int(i), int(m))] = float(value)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise UsageError(f"{args.weights}: malformed weights JSON: {exc}") from exc
     spec = shifts.WeightedShiftSpec(n=args.n, weights=weights, zero_set=zero_set, trunc=args.M)
     rep = shifts.build_shift(spec, tol)
     out = {
@@ -224,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--falsify", action="store_true")
     p.add_argument("--algebra", default="scalar", choices=["scalar", "two_block", "mixed"])
+    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     _common_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

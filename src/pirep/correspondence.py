@@ -166,9 +166,6 @@ class StarRepresentation:
             at += n
         return out
 
-    def basis_images(self):
-        return [self.apply(u) for u in self.algebra.basis()]
-
 
 class FdCorrespondence:
     """C*-correspondence over a finite-dimensional C*-algebra.
@@ -464,10 +461,6 @@ def interior_tensor(
 # ---------------------------------------------------------------------------
 
 
-def _space_corr(space: TensorSpace):
-    return space.corr
-
-
 def amplify(
     f: FdCorrespondence,
     x: np.ndarray,
@@ -476,7 +469,6 @@ def amplify(
     sigma: StarRepresentation,
     tol: Tolerance = DEFAULT_TOL,
     *,
-    check_covariance: bool = True,
     dim_cap: int | None = None,
 ):
     """Concrete matrix of I_F (x) X under F (x) (D (x) H) ~ (F (x) D) (x) H.
@@ -491,7 +483,7 @@ def amplify(
     x = as_matrix(x)
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
-    if check_covariance and not sigma.algebra.is_scalar:
+    if not sigma.algebra.is_scalar:
         for u in sigma.algebra.basis():
             resid = opnorm(x @ dom.induced_action(u) - cod.induced_action(u) @ x)
             if resid > tol.eq_rel * max(1.0, opnorm(x)):

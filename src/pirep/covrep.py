@@ -267,20 +267,33 @@ class CovariantRep:
     # -- classification -------------------------------------------------------
 
     def classify(self) -> ClassificationReport:
+        """The full six-way diagnostic; verdict-only callers use
+        is_partial_isometric or nx.is_contraction instead."""
         return classify_operator(self._tilde, self.tol)
 
     def is_partial_isometric(self) -> bool:
-        return self.classify().is_partial_isometric
+        return nx.is_partial_isometry(self._tilde, self.tol)
 
     # -- subspaces -------------------------------------------------------------
+    # unit scale floor throughout (lifts are O(1)); tilde_0 = I_H
 
     def kernel_subspace(self, m: int = 1) -> Subspace:
-        """N(tilde_m), inside space(m); unit scale floor (lifts are O(1))."""
-        return Subspace(nx.kernel_frame(self.tilde_power(m), self.tol, scale_floor=1.0))
+        """N(tilde_m), inside space(m)."""
+        if m == 0:
+            return Subspace.zero(self.h_dim)
+        return Subspace.kernel(self.tilde_power(m), self.tol)
+
+    def cokernel_subspace(self, m: int = 1) -> Subspace:
+        """N(tilde_m)^perp = R(tilde_m*), inside space(m)."""
+        if m == 0:
+            return Subspace.whole(self.h_dim)
+        return Subspace.span(herm(self.tilde_power(m)), self.tol)
 
     def range_subspace(self, m: int = 1) -> Subspace:
-        """R(tilde_m), inside H; unit scale floor."""
-        return Subspace(nx.range_frame(self.tilde_power(m), self.tol, scale_floor=1.0))
+        """R(tilde_m), inside H."""
+        if m == 0:
+            return Subspace.whole(self.h_dim)
+        return Subspace.span(self.tilde_power(m), self.tol)
 
     # -- restriction -------------------------------------------------------------
 
@@ -298,7 +311,7 @@ class CovariantRep:
                 raise DomainError(f"K is not sigma-invariant (algebra basis element {t})")
         p_k = k_sub.projector()
         amp_pk = self.amplified(p_k, 1, 0, 0)
-        e_tensor_k = Subspace(nx.range_frame(amp_pk, tol, scale_floor=1.0))
+        e_tensor_k = Subspace.span(amp_pk, tol)
         if not nx.is_subset(nx.image(self._tilde, e_tensor_k, tol), k_sub, tol):
             raise DomainError("tilde(E (x) K) is not contained in K")
         if not nx.is_subset(nx.image(herm(self._tilde), k_sub, tol), e_tensor_k, tol):

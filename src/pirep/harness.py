@@ -415,8 +415,8 @@ class TrialOutcome:
     detail: dict = field(default_factory=dict)
 
     @staticmethod
-    def ok(residual: float = 0.0, **detail) -> "TrialOutcome":
-        return TrialOutcome("ok", residual, detail)
+    def ok(residual: float = 0.0) -> "TrialOutcome":
+        return TrialOutcome("ok", residual)
 
     @staticmethod
     def violation(residual: float = 0.0, **detail) -> "TrialOutcome":
@@ -476,28 +476,26 @@ def _trial_product_commuting(rng, config: TrialConfig, tol: Tolerance) -> TrialO
     force = int(rng.integers(0, 4)) == 0
     rep1, rep2 = random_pi_pair(rng, config, tol, force_true_branch=force)
     res = commuting_projection_test(rep1, rep2, tol)
-    detail = {
-        "product_is_pi": res.product_is_pi,
-        "projections_commute": res.projections_commute,
-        "commutator_norm": res.commutator_norm,
-        "product_residual": res.product_residual,
-        "factors": [rep_to_json(rep1), rep_to_json(rep2)],
-    }
     residual = _margin(res.commutator_norm if res.projections_commute else 0.0,
                        res.product_residual if res.product_is_pi else 0.0)
     if res.product_is_pi != res.projections_commute:
-        return TrialOutcome.violation(residual, **detail)
-    return TrialOutcome.ok(residual, forced_true_branch=force)
+        return TrialOutcome.violation(
+            residual,
+            product_is_pi=res.product_is_pi,
+            projections_commute=res.projections_commute,
+            commutator_norm=res.commutator_norm,
+            product_residual=res.product_residual,
+            factors=[rep_to_json(rep1), rep_to_json(rep2)],
+        )
+    return TrialOutcome.ok(residual)
 
 
 def _trial_product_naive_pi(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     """Deliberately false claim: the product of two partial isometries is a
     partial isometry."""
     rep1, rep2 = random_pi_pair(rng, config, tol)
-    prod = ProductRep([rep1, rep2], tol)
-    t = prod.tilde
-    residual = opnorm(t @ herm(t) @ t - t)
-    if not nx.is_partial_isometry(t, tol):
+    residual, is_pi = nx.partial_isometry_residual(ProductRep([rep1, rep2], tol).tilde, tol)
+    if not is_pi:
         return TrialOutcome.violation(
             residual, factors=[rep_to_json(rep1), rep_to_json(rep2)]
         )
@@ -520,10 +518,10 @@ def _trial_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
         for _ in range(count - 1):
             factors.append(random_pi_rep(corr, sigma, rng, tol))
     report = chain_condition_test(factors, tol)
-    agree = report.cumulative_agree() and report.raw_agree_until_first_failure()
-    detail = {"report": report.to_dict(), "factors": [rep_to_json(f) for f in factors]}
-    if not agree:
-        return TrialOutcome.violation(0.0, **detail)
+    if not (report.cumulative_agree() and report.raw_agree_until_first_failure()):
+        return TrialOutcome.violation(
+            0.0, report=report.to_dict(), factors=[rep_to_json(f) for f in factors]
+        )
     return TrialOutcome.ok(0.0)
 
 
@@ -541,14 +539,14 @@ def _trial_pinv_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
         else:
             factors.append(random_pi_rep(corr, sigma, rng, tol))
     res = pinv_factorization_test(factors, tol)
-    detail = {
-        "is_pi": res.is_pi,
-        "pinv_factors_match": res.pinv_factors_match,
-        "chain_residual": res.chain_residual,
-        "factors": [rep_to_json(f) for f in factors],
-    }
     if res.is_pi != res.pinv_factors_match:
-        return TrialOutcome.violation(res.chain_residual, **detail)
+        return TrialOutcome.violation(
+            res.chain_residual,
+            is_pi=res.is_pi,
+            pinv_factors_match=res.pinv_factors_match,
+            chain_residual=res.chain_residual,
+            factors=[rep_to_json(f) for f in factors],
+        )
     return TrialOutcome.ok(res.chain_residual if res.is_pi else 0.0)
 
 
@@ -568,15 +566,15 @@ def _trial_defect_dilation(rng, config: TrialConfig, tol: Tolerance) -> TrialOut
     res = defect_dilation_test(rep1, rep2, tol)
     single = single_defect_dilation(rep1, tol)
     single_ok = nx.is_partial_isometry(single, tol)
-    detail = {
-        "m_is_pi": res.m_is_pi,
-        "rep1_is_pi": res.rep1_is_pi,
-        "single_dilation_is_pi": single_ok,
-        "factors": [rep_to_json(rep1), rep_to_json(rep2)],
-    }
     if res.m_is_pi != res.rep1_is_pi or not single_ok:
-        return TrialOutcome.violation(0.0, **detail)
-    return TrialOutcome.ok(0.0, forced_pi_first=force_pi_first)
+        return TrialOutcome.violation(
+            0.0,
+            m_is_pi=res.m_is_pi,
+            rep1_is_pi=res.rep1_is_pi,
+            single_dilation_is_pi=single_ok,
+            factors=[rep_to_json(rep1), rep_to_json(rep2)],
+        )
+    return TrialOutcome.ok(0.0)
 
 
 def _draw_power_rep(rng, config: TrialConfig, tol: Tolerance) -> CovariantRep:
@@ -787,7 +785,7 @@ def _trial_wold_pi(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     )
     if residual > tol.eq_rel:
         return TrialOutcome.violation(residual, result=out.to_dict(), instance=rep_to_json(rep))
-    return TrialOutcome.ok(residual, strict_hypotheses=strict)
+    return TrialOutcome.ok(residual)
 
 
 REGISTRY = {

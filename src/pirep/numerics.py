@@ -228,9 +228,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.frame @ herm(self.frame)
 
-    def orthonormality_residual(self) -> float:
-        return opnorm(herm(self.frame) @ self.frame - eye(self.dim))
-
     @staticmethod
     def whole(d: int) -> "Subspace":
         return Subspace(eye(d))
@@ -244,6 +241,11 @@ class Subspace:
         """Subspace spanned by the columns of a matrix (need not be
         orthonormal or independent)."""
         return Subspace(range_frame(columns, tol, scale_floor=1.0))
+
+    @staticmethod
+    def kernel(m, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+        """Kernel of an operator, with the same unit scale floor as span."""
+        return Subspace(kernel_frame(m, tol, scale_floor=1.0))
 
 
 def _check_same_ambient(s1: Subspace, s2: Subspace):
@@ -280,8 +282,7 @@ def ominus(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace
     _check_same_ambient(s1, s2)
     if not is_subset(s2, s1, tol):
         raise DomainError("ominus: second subspace is not contained in the first")
-    residue = s1.frame - s2.projector() @ s1.frame
-    return Subspace(range_frame(residue, tol, scale_floor=1.0))
+    return Subspace.span(s1.frame - s2.projector() @ s1.frame, tol)
 
 
 def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -295,7 +296,7 @@ def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         raise DimensionMismatch(
             f"operator domain {a.shape[1]} != subspace ambient {s.ambient_dim}"
         )
-    return Subspace(range_frame(a @ s.frame, tol, scale_floor=1.0))
+    return Subspace.span(a @ s.frame, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +304,9 @@ def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Decided by ||M M* M - M|| <= eq_rel * ||M||.
+def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """The triple-product residual ||M M* M - M|| and the partial-isometry
+    verdict residual <= eq_rel * ||M||.
 
     A matrix whose norm is below rank_rel on the unit scale is roundoff
     dust left by a cancellation; it is indistinguishable from the zero
@@ -312,19 +314,18 @@ def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     a = as_matrix(m)
     scale = opnorm(a)
-    if scale <= tol.rank_rel:
-        return True
-    return opnorm(a @ herm(a) @ a - a) <= tol.eq_rel * scale
+    residual = opnorm(a @ herm(a) @ a - a)
+    return residual, scale <= tol.rank_rel or residual <= tol.eq_rel * scale
+
+
+def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return partial_isometry_residual(m, tol)[1]
 
 
 def is_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     scale = max(1.0, opnorm(a)) ** 2
     return opnorm(herm(a) @ a - eye(a.shape[1])) <= tol.eq_rel * scale
-
-
-def is_coisometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return is_isometry(herm(as_matrix(m)), tol)
 
 
 def is_projection(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -339,6 +340,15 @@ def is_projection(m, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_contraction(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return opnorm(m) <= 1.0 + tol.eq_rel
+
+
+def running_conjunction(flags) -> list:
+    """[f1, f1 and f2, f1 and f2 and f3, ...] as plain bools."""
+    out, ok = [], True
+    for f in flags:
+        ok = ok and bool(f)
+        out.append(ok)
+    return out
 
 
 def partial_isometry_conditions(m, tol: Tolerance = DEFAULT_TOL) -> dict:
@@ -384,17 +394,17 @@ def partial_isometry_conditions(m, tol: Tolerance = DEFAULT_TOL) -> dict:
         g = herm(f) @ herm(x) @ x @ f
         return opnorm(g - eye(f.shape[1]))
 
+    triple, triple_ok = partial_isometry_residual(a, tol)
     residuals = {
         "norm_on_cokernel": frame_gram_residual(a),
         "adjoint_norm": frame_gram_residual(herm(a)),
-        "triple_product": opnorm(a @ herm(a) @ a - a),
+        "triple_product": triple,
         "initial_projection": opnorm(herm(a) @ a - range_projector(herm(a), tol)),
         "final_projection": opnorm(a @ herm(a) - range_projector(a, tol)),
         "pinv_is_adjoint": opnorm(pseudoinverse(a, tol) - herm(a)),
     }
-    budgets = {key: tol.eq_rel * scale for key in residuals}
-    budgets["triple_product"] = tol.eq_rel * opnorm(a)  # same rule as is_partial_isometry
-    verdicts = {key: residuals[key] <= budgets[key] for key in residuals}
+    verdicts = {key: residuals[key] <= tol.eq_rel * scale for key in residuals}
+    verdicts["triple_product"] = triple_ok
     return {
         "residuals": residuals,
         "verdicts": verdicts,

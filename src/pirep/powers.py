@@ -36,26 +36,13 @@ def _amplified_tilde(rep: CovariantRep, m: int) -> np.ndarray:
     return rep.amplified(rep.tilde, m - 1, 1, 0)
 
 
-def cokernel_subspace(rep: CovariantRep, m: int) -> Subspace:
-    """N(tilde_m)^perp inside space(m); tilde_0 = I makes m = 0 all of H."""
-    if m == 0:
-        return Subspace.whole(rep.h_dim)
-    return Subspace(nx.range_frame(herm(rep.tilde_power(m)), rep.tol, scale_floor=1.0))
-
-
-def kernel_subspace(rep: CovariantRep, m: int) -> Subspace:
-    if m == 0:
-        return Subspace.zero(rep.h_dim)
-    return Subspace(nx.kernel_frame(rep.tilde_power(m), rep.tol, scale_floor=1.0))
-
-
 def kernel_chain_condition(rep: CovariantRep, m: int) -> bool:
     """(I_{E^(m-1)} (x) tilde) N(tilde_m)^perp <= N(tilde_{m-1})^perp."""
     if m < 1:
         raise DimensionMismatch("kernel_chain_condition needs m >= 1")
     tol = rep.tol
-    moved = nx.image(_amplified_tilde(rep, m), cokernel_subspace(rep, m), tol)
-    return nx.is_subset(moved, cokernel_subspace(rep, m - 1), tol)
+    moved = nx.image(_amplified_tilde(rep, m), rep.cokernel_subspace(m), tol)
+    return nx.is_subset(moved, rep.cokernel_subspace(m - 1), tol)
 
 
 def range_invariance_condition(rep: CovariantRep, m: int) -> bool:
@@ -65,7 +52,7 @@ def range_invariance_condition(rep: CovariantRep, m: int) -> bool:
     tol = rep.tol
     final = rep.tilde @ herm(rep.tilde)
     amp = rep.amplified(final, m - 1, 0, 0)
-    kernel = kernel_subspace(rep, m - 1)
+    kernel = rep.kernel_subspace(m - 1)
     return nx.is_subset(nx.image(amp, kernel, tol), kernel, tol)
 
 
@@ -82,18 +69,10 @@ class PowerReport:
     residuals: list
 
     def cumulative_pi(self):
-        out, ok = [], True
-        for f in self.pi_flags:
-            ok = ok and bool(f)
-            out.append(ok)
-        return out
+        return nx.running_conjunction(self.pi_flags)
 
     def cumulative_chain(self):
-        out, ok = [], True
-        for f in self.chain_flags:
-            ok = ok and bool(f)
-            out.append(ok)
-        return out
+        return nx.running_conjunction(self.chain_flags)
 
     def to_dict(self):
         return {
@@ -117,9 +96,8 @@ def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
         return PowerReport(n_max, False, [], [], [], [])
     pi_flags, chain_flags, range_flags, residuals = [], [], [], []
     for m in range(1, n_max + 1):
-        tm = rep.tilde_power(m)
-        res = opnorm(tm @ herm(tm) @ tm - tm)
-        pi_flags.append(nx.is_partial_isometry(tm, tol))
+        res, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), tol)
+        pi_flags.append(is_pi)
         chain_flags.append(kernel_chain_condition(rep, m))
         range_flags.append(range_invariance_condition(rep, m))
         residuals.append(res)
@@ -140,7 +118,7 @@ def iterated_range(rep: CovariantRep, x: np.ndarray | None = None) -> Subspace:
     current = Subspace.whole(rep.h_dim)
     for _ in range(rep.h_dim + 1):
         amp = rep.amplified(current.projector(), 1, 0, 0)
-        nxt = Subspace(nx.range_frame(x @ amp, tol, scale_floor=1.0))
+        nxt = Subspace.span(x @ amp, tol)
         if nxt.dim == current.dim:
             return nxt
         current = nxt
@@ -157,7 +135,7 @@ def is_regular(rep: CovariantRep) -> bool:
     tol = rep.tol
     rinf = generalized_range(rep)
     amp = rep.amplified(rinf.projector(), 1, 0, 0)
-    e_tensor_rinf = Subspace(nx.range_frame(amp, tol, scale_floor=1.0))
+    e_tensor_rinf = Subspace.span(amp, tol)
     return nx.is_subset(rep.kernel_subspace(1), e_tensor_rinf, tol)
 
 
@@ -198,8 +176,8 @@ def generalized_inverse_check(
     if ok and is_regular(rep):
         for m in range(1, m_bound + 1):
             amp_s = rep.amplified(s, m, 0, 1)
-            moved = nx.image(amp_s, kernel_subspace(rep, m), tol)
-            if not nx.is_subset(moved, kernel_subspace(rep, m + 1), tol):
+            moved = nx.image(amp_s, rep.kernel_subspace(m), tol)
+            if not nx.is_subset(moved, rep.kernel_subspace(m + 1), tol):
                 break
             up_to = m
     return GeneralizedInverseReport(
@@ -276,12 +254,12 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
     tol = rep.tol
     if not rep.corr.is_full(tol):
         raise NotApplicable("correspondence is not full")
-    if not rep.classify().is_contractive:
+    if not nx.is_contraction(rep.tilde, tol):
         raise NotApplicable("representation is not contractive")
     hypothesis_ok = nx.is_partial_isometry(rep.tilde_power(k), tol)
     w = _amplified_tilde(rep, k)  # I_{E^(k-1)} (x) tilde : space(k) -> space(k-1)
-    n_k = kernel_subspace(rep, k)
-    n_w = Subspace(nx.kernel_frame(w, tol, scale_floor=1.0))
+    n_k = rep.kernel_subspace(k)
+    n_w = Subspace.kernel(w, tol)
     if not nx.is_subset(n_w, n_k, tol):
         raise NotApplicable(
             "numeric inconsistency: N(I (x) tilde) escapes N(tilde_k) beyond tolerance"
@@ -293,7 +271,7 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
         gram = herm(d_sub.frame) @ herm(w) @ w @ d_sub.frame
         iso_defect = opnorm(gram - eye(d_sub.dim))
         cond_a = iso_defect <= tol.eq_rel
-    img_cokernel = nx.image(w, cokernel_subspace(rep, k), tol)
+    img_cokernel = nx.image(w, rep.cokernel_subspace(k), tol)
     img_d = nx.image(w, d_sub, tol)
     ortho_defect = opnorm(herm(img_cokernel.frame) @ img_d.frame)
     cond_b = ortho_defect <= tol.incl_abs
@@ -325,13 +303,13 @@ def kernel_match_criterion(rep: CovariantRep, k: int) -> KernelMatchResult:
     tol = rep.tol
     if not rep.corr.is_full(tol):
         raise NotApplicable("correspondence is not full")
-    if not rep.classify().is_contractive:
+    if not nx.is_contraction(rep.tilde, tol):
         raise NotApplicable("representation is not contractive")
     if not nx.is_partial_isometry(rep.tilde_power(k), tol):
         raise NotApplicable(f"tilde_{k} is not a partial isometry")
     amp = rep.amplified(rep.tilde, 1, 1, 0)  # I_E (x) tilde : space(2) -> space(1)
-    n_amp = Subspace(nx.kernel_frame(amp, tol, scale_floor=1.0))
-    n_2 = kernel_subspace(rep, 2)
+    n_amp = Subspace.kernel(amp, tol)
+    n_2 = rep.kernel_subspace(2)
     applicable = nx.is_subset(n_amp, n_2, tol) and nx.is_subset(n_2, n_amp, tol)
     return KernelMatchResult(applicable=applicable, rep_is_pi=rep.is_partial_isometric())
 

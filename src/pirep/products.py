@@ -119,10 +119,6 @@ class ProductRep:
         return worst
 
 
-def product_rep(factors, tol: Tolerance | None = None, **kw) -> ProductRep:
-    return ProductRep(factors, tol, **kw)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -182,10 +178,9 @@ def commuting_projection_test(
     e_proj = herm(rep1.tilde) @ rep1.tilde
     f_proj = rep1.amplified(rep2.tilde @ herm(rep2.tilde), 1, 0, 0)
     commutator = opnorm(e_proj @ f_proj - f_proj @ e_proj)
-    t2 = prod.stage(2)
-    residual = opnorm(t2 @ herm(t2) @ t2 - t2)
+    residual, product_is_pi = nx.partial_isometry_residual(prod.stage(2), tol)
     return CommutingProjectionResult(
-        product_is_pi=nx.is_partial_isometry(t2, tol),
+        product_is_pi=product_is_pi,
         projections_commute=commutator <= tol.eq_rel,
         commutator_norm=commutator,
         product_residual=residual,
@@ -218,18 +213,11 @@ class ChainConditionReport:
     residuals: list
 
     def cumulative(self) -> dict:
-        def conj(flags):
-            out, ok = [], True
-            for f in flags:
-                ok = ok and bool(f)
-                out.append(ok)
-            return out
-
         return {
-            "stage_pi": conj(self.stage_pi),
-            "range_invariant": conj(self.range_invariant),
-            "domain_invariant": conj(self.domain_invariant),
-            "idempotent": conj(self.idempotent),
+            "stage_pi": nx.running_conjunction(self.stage_pi),
+            "range_invariant": nx.running_conjunction(self.range_invariant),
+            "domain_invariant": nx.running_conjunction(self.domain_invariant),
+            "idempotent": nx.running_conjunction(self.idempotent),
         }
 
     def cumulative_agree(self) -> bool:
@@ -271,14 +259,13 @@ def chain_condition_test(factors, tol: Tolerance | None = None) -> ChainConditio
         t_s = prod.stage(s)
         fac = factors[s]
         w_amp = prod.amplified(s, fac.tilde, fac.space(1), plain_space(prod.sigma))
-        t_next = prod.stage(s + 1)
-        pi_res = opnorm(t_next @ herm(t_next) @ t_next - t_next)
-        stage_pi.append(nx.is_partial_isometry(t_next, tol))
-        initial_range = Subspace(nx.range_frame(herm(t_s), tol, scale_floor=1.0))
+        pi_res, next_is_pi = nx.partial_isometry_residual(prod.stage(s + 1), tol)
+        stage_pi.append(next_is_pi)
+        initial_range = Subspace.span(herm(t_s), tol)
         final_w = fac.tilde @ herm(fac.tilde)
         amp_final_w = prod.amplified(s, final_w, plain_space(prod.sigma), plain_space(prod.sigma))
         range_inv.append(nx.is_subset(nx.image(amp_final_w, initial_range, tol), initial_range, tol))
-        w_range = Subspace(nx.range_frame(w_amp, tol, scale_floor=1.0))
+        w_range = Subspace.span(w_amp, tol)
         dom_inv.append(nx.is_subset(nx.image(herm(t_s) @ t_s, w_range, tol), w_range, tol))
         q = initial_range.projector() @ w_range.projector()
         idem_res = opnorm(q @ q - q)
@@ -341,7 +328,7 @@ def single_defect_dilation(rep: CovariantRep, tol: Tolerance | None = None) -> n
     """[[tilde, (I - tilde tilde*)^(1/2)], [0, 0]]: a partial isometry for
     every completely contractive representation."""
     tol = tol or rep.tol
-    if not rep.classify().is_contractive:
+    if not nx.is_contraction(rep.tilde, tol):
         raise DomainError("defect dilation needs a contractive representation")
     d = rep.h_dim
     defect = nx.psd_sqrt(eye(d) - rep.tilde @ herm(rep.tilde), tol)
@@ -358,7 +345,7 @@ def defect_dilation_test(
     is partially isometric."""
     tol = tol or rep1.tol
     for i, rep in enumerate((rep1, rep2)):
-        if not rep.classify().is_contractive:
+        if not nx.is_contraction(rep.tilde, tol):
             raise DomainError(f"factor {i + 1} is not contractive")
     prod = ProductRep([rep1, rep2], tol)
     d = rep1.h_dim

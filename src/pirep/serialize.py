@@ -5,8 +5,7 @@ Matrix schema, used repo-wide:
 
     {"rows": r, "cols": c, "data": [[re, im], ...]}
 
-with row-major data of length r*c.  A subspace serializes as its frame
-matrix.  All numbers are written as decimals with 17 significant digits
+with row-major data of length r*c.  All numbers are written as decimals with 17 significant digits
 and dict keys are sorted, so equal values serialize byte-identically.
 """
 
@@ -17,7 +16,7 @@ import numpy as np
 from .correspondence import FdCStarAlgebra, FdCorrespondence, StarRepresentation
 from .covrep import CovariantRep
 from .errors import UsageError
-from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix
 
 
 def format_number(x: float) -> str:
@@ -105,7 +104,7 @@ def _escape(s: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matrices and subspaces
+# matrices
 # ---------------------------------------------------------------------------
 
 
@@ -121,20 +120,12 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        if len(data) != rows * cols:
+            raise UsageError(f"matrix data length {len(data)} != {rows}*{cols}")
+        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        return flat.reshape(rows, cols)
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed matrix JSON: {exc}") from exc
-    if len(data) != rows * cols:
-        raise UsageError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
-
-
-def subspace_to_json(s: Subspace) -> dict:
-    return matrix_to_json(s.frame)
-
-
-def subspace_from_json(obj) -> Subspace:
-    return Subspace(matrix_from_json(obj))
 
 
 def tolerance_to_json(tol: Tolerance) -> dict:
@@ -168,7 +159,7 @@ def correspondence_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> FdCorresponde
                 gram[a, b] = matrix_from_json(obj["gram"][a][b])
         left = np.stack([matrix_from_json(m) for m in obj["left_action"]])
         right = np.stack([matrix_from_json(m) for m in obj["right_action"]])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed correspondence JSON: {exc}") from exc
     return FdCorrespondence(algebra, gram, left, right).validate(tol)
 
@@ -186,6 +177,6 @@ def rep_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> CovariantRep:
         corr = correspondence_from_json(obj["correspondence"], tol)
         sigma = StarRepresentation(corr.algebra, obj["multiplicities"])
         vs = [matrix_from_json(v) for v in obj["V"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed representation JSON: {exc}") from exc
     return CovariantRep(corr, sigma, vs, tol)

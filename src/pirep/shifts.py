@@ -124,6 +124,18 @@ def build_shift(spec: WeightedShiftSpec, tol: Tolerance = DEFAULT_TOL) -> Covari
     return CovariantRep(scalar_correspondence(spec.n), sigma, shift_matrices(spec), tol)
 
 
+def _faithful_window(spec: WeightedShiftSpec, k: int) -> range:
+    """spec.window(k), or WindowError naming the minimal truncation when
+    it is empty."""
+    window = spec.window(k)
+    if len(window) == 0:
+        raise WindowError(
+            f"truncation {spec.trunc} does not support power {k}",
+            minimal_trunc=minimal_trunc(spec.n, k),
+        )
+    return window
+
+
 def kernel_formula(spec: WeightedShiftSpec, i: int, k: int) -> list:
     """Predicted kernel indices of V_i^k on the faithful window:
 
@@ -138,12 +150,7 @@ def kernel_formula(spec: WeightedShiftSpec, i: int, k: int) -> list:
         raise DimensionMismatch(f"direction {i} out of 1..{spec.n}")
     if k < 1:
         raise DimensionMismatch("kernel formula needs k >= 1")
-    window = spec.window(k)
-    if len(window) == 0:
-        raise WindowError(
-            f"truncation {spec.trunc} does not support power {k}",
-            minimal_trunc=minimal_trunc(spec.n, k),
-        )
+    window = _faithful_window(spec, k)
     hits = []
     for m in window:
         for p in range(1, k + 1):
@@ -156,12 +163,7 @@ def kernel_formula(spec: WeightedShiftSpec, i: int, k: int) -> list:
 
 def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance = DEFAULT_TOL) -> list:
     """Oracle: kernel indices of the truncated matrix power V_i^k on W_k."""
-    window = spec.window(k)
-    if len(window) == 0:
-        raise WindowError(
-            f"truncation {spec.trunc} does not support power {k}",
-            minimal_trunc=minimal_trunc(spec.n, k),
-        )
+    window = _faithful_window(spec, k)
     v = shift_matrices(spec)[i - 1]
     power = np.linalg.matrix_power(v, k)
     return [m for m in window if np.linalg.norm(power[:, m]) <= tol.incl_abs]
@@ -215,12 +217,7 @@ def chain_inclusion_check(spec: WeightedShiftSpec, k: int, tol: Tolerance = DEFA
     """V_i(N(V_i^(k+1))^perp) <= N(V_i^k)^perp for every direction i,
     evaluated on the truncated matrices with the source restricted to the
     faithful window W_{k+1}."""
-    window = spec.window(k + 1)
-    if len(window) == 0:
-        raise WindowError(
-            f"truncation {spec.trunc} does not support power {k + 1}",
-            minimal_trunc=minimal_trunc(spec.n, k + 1),
-        )
+    window = _faithful_window(spec, k + 1)
     for v in shift_matrices(spec):
         p_k = np.linalg.matrix_power(v, k)
         p_k1 = p_k @ v

@@ -35,8 +35,7 @@ from .powers import is_regular, iterated_range
 def cauchy_dual(rep: CovariantRep) -> np.ndarray:
     """T' = T (T* T)^+.  Involutive on closed-range operators; equals T for
     partially isometric representations."""
-    t = rep.tilde
-    return t @ nx.pseudoinverse(herm(t) @ t, rep.tol)
+    return cauchy_dual_of_matrix(rep.tilde, rep.tol)
 
 
 def cauchy_dual_of_matrix(t: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -53,8 +52,8 @@ def is_bi_regular(rep: CovariantRep, n_max: int = 3) -> bool:
     dagger = nx.pseudoinverse(rep.tilde, tol)
     for n in range(1, n_max + 1):
         amp = rep.amplified(dagger, n, 0, 1)
-        kernel = Subspace(nx.kernel_frame(amp, tol, scale_floor=1.0))
-        chain_range = Subspace(nx.range_frame(rep.pinv_chain(n), tol, scale_floor=1.0))
+        kernel = Subspace.kernel(amp, tol)
+        chain_range = Subspace.span(rep.pinv_chain(n), tol)
         if not nx.is_subset(kernel, chain_range, tol):
             return False
     return True
@@ -66,8 +65,8 @@ def adjoint_regularity_check(rep: CovariantRep, n_max: int = 3) -> bool:
     tol = rep.tol
     for n in range(1, n_max + 1):
         amp = rep.amplified(herm(rep.tilde), n, 0, 1)
-        kernel = Subspace(nx.kernel_frame(amp, tol, scale_floor=1.0))
-        target = Subspace(nx.range_frame(herm(rep.tilde_power(n)), tol, scale_floor=1.0))
+        kernel = Subspace.kernel(amp, tol)
+        target = rep.cokernel_subspace(n)
         if not nx.is_subset(kernel, target, tol):
             return False
     return True
@@ -87,7 +86,7 @@ def generated_invariant_subspace(
     layer = w
     for _ in range(bound):
         amp = rep.amplified(layer.projector(), 1, 0, 0)
-        layer = Subspace(nx.range_frame(x @ amp, tol, scale_floor=1.0))
+        layer = Subspace.span(x @ amp, tol)
         grown = Subspace.span(np.hstack([total.frame, layer.frame]), tol)
         if grown.dim == total.dim:
             return total

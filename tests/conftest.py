@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pirep import numerics as nx
 from pirep.numerics import DEFAULT_TOL
 
 
@@ -22,6 +23,13 @@ def random_with_spectrum(rng, rows, cols, values) -> np.ndarray:
     s = np.zeros(k)
     s[: len(values)] = values[:k]
     return u @ (s[:, None] * w.conj().T)
+
+
+def assert_verdicts_match_classify(rep):
+    """The verdict-only paths give the verdicts of the six-way diagnostic."""
+    report = rep.classify()
+    assert rep.is_partial_isometric() == report.is_partial_isometric
+    assert nx.is_contraction(rep.tilde, rep.tol) == report.is_contractive
 
 
 @pytest.fixture

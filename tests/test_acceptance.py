@@ -19,7 +19,7 @@ from pirep.covrep import CovariantRep
 from pirep.harness import TrialConfig
 from pirep.numerics import DEFAULT_TOL as TOL
 
-from conftest import crandn, random_with_spectrum, rng_for
+from conftest import assert_verdicts_match_classify, crandn, random_with_spectrum, rng_for
 
 
 def _line(number, name):
@@ -177,6 +177,8 @@ def test_criterion_09_weighted_shifts():
         assert res.is_pi == res.weights_unit_off_zero_set, trial
         if res.is_pi:
             assert res.power_pi_up_to == spec.window_bound(cap=3), trial
+        if n == 3:  # H = 217
+            assert_verdicts_match_classify(sh.build_shift(spec, TOL))
     _line(9, "weighted shift kernels + criterion, 100 data sets")
 
 

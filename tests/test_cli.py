@@ -99,6 +99,9 @@ def test_shift_command(tmp_path, capsys):
     assert code == 0
     assert out["criterion"]["is_pi"] is True
     assert out["kernel_formula"]["i=1,k=1"] == [0, 3]  # zero set inside the window
+    for bad in ('{"1,x": 0.5}', '[0.5]', '{"1,1": '):
+        wfile.write_text(bad)
+        assert main(["shift", "--n", "2", "--M", "64", "--weights", str(wfile)]) == 2, bad
 
 
 def test_verify_command_exit_codes(capsys):
@@ -125,3 +128,19 @@ def test_verify_determinism_bytes(capsys):
 def test_missing_file_is_usage_error(capsys):
     code = main(["classify", "--rep", "/nonexistent/rep.json"])
     assert code == 2
+
+
+def test_malformed_matrix_entry_is_usage_error(rep_file, capsys):
+    obj = json.loads(open(rep_file).read())
+    obj["V"][0]["data"][0] = [1.0]  # an entry must be a [re, im] pair
+    with open(rep_file, "w") as fh:
+        json.dump(obj, fh)
+    assert main(["classify", "--rep", rep_file]) == 2
+    assert "malformed matrix JSON" in capsys.readouterr().err
+
+
+def test_invalid_json_rep_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    path.write_text('{"correspondence": ')
+    assert main(["classify", "--rep", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err

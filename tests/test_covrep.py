@@ -13,7 +13,7 @@ from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.errors import DomainError, InvalidRepresentation, ResourceLimit
 from pirep.numerics import Subspace
 
-from conftest import crandn, rng_for
+from conftest import assert_verdicts_match_classify, crandn, rng_for
 
 
 def scalar_rep(v_list, tol, d=None):
@@ -277,6 +277,37 @@ def test_classify_pinv_chain_adjoint_link(tol):
     rep = rep_from_tilde(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), tilde, tol)
     if rep.classify().is_partial_isometric:
         assert nx.opnorm(rep.pinv_chain(1) - rep.tilde.conj().T) <= tol.eq_rel
+
+
+def test_verdicts_match_classify_around_the_zero_cutoff(tol):
+    # a lift of norm <= rank_rel counts as the zero operator, which is a
+    # partial isometry; just above the cutoff a generic lift is not one
+    base = crandn(rng_for(25), 3, 6)
+    base = base / np.linalg.norm(base, 2)
+    sigma = StarRepresentation(SCALARS, [3])
+    for factor, expected in ((0.0, True), (0.5, True), (0.999, True), (1.001, False), (2.0, False)):
+        tilde = factor * tol.rank_rel * base
+        rep = rep_from_tilde(scalar_correspondence(2), sigma, tilde, tol)
+        assert rep.is_partial_isometric() == expected, factor
+        assert_verdicts_match_classify(rep)
+
+
+# ---------------------------------------------------------------------------
+# subspaces
+# ---------------------------------------------------------------------------
+
+
+def test_subspaces_at_power_zero(tol):
+    # tilde_0 = I_H: trivial kernel, cokernel and range all of H
+    rng = rng_for(26)
+    rep = scalar_rep([crandn(rng, 3, 3), crandn(rng, 3, 3)], tol)
+    kernel = rep.kernel_subspace(0)
+    assert kernel.dim == 0 and kernel.ambient_dim == 3
+    for sub in (rep.cokernel_subspace(0), rep.range_subspace(0)):
+        np.testing.assert_array_equal(sub.projector(), np.eye(3))
+    # m = 1: kernel and cokernel split E (x) H, the range is all of H
+    assert rep.kernel_subspace(1).dim + rep.cokernel_subspace(1).dim == rep.space(1).dim
+    assert rep.range_subspace(1).dim == 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from pirep.correspondence import SCALARS, StarRepresentation, scalar_corresponde
 from pirep.errors import UsageError
 from pirep.harness import TrialConfig
 
+from conftest import assert_verdicts_match_classify
+
 
 # ---------------------------------------------------------------------------
 # generators
@@ -19,6 +21,7 @@ def test_random_pi_rep_scalar(tol):
         scalar_correspondence(2), StarRepresentation(SCALARS, [4]), hz.rng_stream(1, 0), tol
     )
     assert rep.classify().is_partial_isometric
+    assert_verdicts_match_classify(rep)
 
 
 def test_random_pi_rep_zero_rank_allowed(tol):
@@ -27,6 +30,7 @@ def test_random_pi_rep_zero_rank_allowed(tol):
         scalar_correspondence(1), StarRepresentation(SCALARS, [2]), hz.rng_stream(2, 0), tol
     )
     assert rep_zero.classify().is_partial_isometric  # zero or not, always PI
+    assert_verdicts_match_classify(rep_zero)
 
 
 def test_random_pi_rep_two_block_covariance(tol):
@@ -34,6 +38,7 @@ def test_random_pi_rep_two_block_covariance(tol):
     rep = hz.random_pi_rep(corr, sigma, hz.rng_stream(2, 8), tol)
     assert rep.classify().is_partial_isometric
     assert rep.intertwining_residual() <= 1e-10
+    assert_verdicts_match_classify(rep)
 
 
 def test_random_contractive_rep_force_non_pi_margin(tol):
@@ -44,6 +49,8 @@ def test_random_contractive_rep_force_non_pi_margin(tol):
         t = rep.tilde
         residual = nx.opnorm(t @ nx.herm(t) @ t - t)
         assert residual >= 1e-4  # negative instances keep a separation margin
+        assert not rep.is_partial_isometric()
+        assert_verdicts_match_classify(rep)
 
 
 def test_structured_fixture_kinds(tol):
@@ -164,6 +171,23 @@ def test_rep_json_roundtrip(tol):
     back = sz.rep_from_json(sz.rep_to_json(rep), tol)
     assert nx.opnorm(back.tilde - rep.tilde) <= 1e-12
     assert back.sigma.multiplicities == rep.sigma.multiplicities
+
+
+def test_malformed_rep_json_is_usage_error(tol):
+    rep = hz.structured_fixture("coisometric_row", 11, tol, n=2, d=2)
+    for path, value in (
+        (("multiplicities",), ["x"]),
+        (("correspondence", "block_sizes"), ["x"]),
+        (("correspondence", "left_action"), [sz.matrix_to_json(np.eye(2)), sz.matrix_to_json(np.eye(3))]),
+        (("V", 0, "data", 0), [1.0]),
+    ):
+        obj = sz.rep_to_json(rep)
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(UsageError):
+            sz.rep_from_json(obj, tol)
 
 
 def test_dumps_is_deterministic_and_sorted():

@@ -111,14 +111,22 @@ def test_chain_equivalence_random_pi_reps(tol):
 # ---------------------------------------------------------------------------
 
 
+def assert_residuals_are_triple_products(rep, report):
+    for m, residual in enumerate(report.residuals, start=1):
+        tm = rep.tilde_power(m)
+        assert residual == nx.opnorm(tm @ nx.herm(tm) @ tm - tm), m
+
+
 def test_power_report_direct_sum_all_true(tol):
     rng = rng_for(53)
     shift = forward_shift(3)
     u = haar_unitary(rng, 2)
     v = np.block([[shift, np.zeros((3, 2))], [np.zeros((2, 3)), u]])
-    report = pw.power_report(scalar_rep([v], tol), 4)
+    rep = scalar_rep([v], tol)
+    report = pw.power_report(rep, 4)
     assert report.applicable
     assert all(report.pi_flags) and all(report.chain_flags) and all(report.range_flags)
+    assert_residuals_are_triple_products(rep, report)
 
 
 def test_power_report_chain_breaker(chain_breaker, tol):
@@ -127,6 +135,7 @@ def test_power_report_chain_breaker(chain_breaker, tol):
     assert report.pi_flags[0] and not report.pi_flags[1] and not report.pi_flags[2]
     assert report.chain_flags[0] and not report.chain_flags[1]
     assert report.cumulative_pi() == report.cumulative_chain()
+    assert_residuals_are_triple_products(chain_breaker, report)
 
 
 def test_power_report_not_applicable(tol):

@@ -6,11 +6,11 @@ from pirep.correspondence import SCALARS, StarRepresentation, scalar_corresponde
 from pirep.covrep import CovariantRep
 from pirep.errors import DimensionMismatch, NotApplicable
 from pirep.products import (
+    ProductRep,
     chain_condition_test,
     commuting_projection_test,
     defect_dilation_test,
     pinv_factorization_test,
-    product_rep,
     single_defect_dilation,
     sufficient_intertwining_check,
 )
@@ -51,14 +51,14 @@ def counterexample_pair(tol):
 def test_product_of_isometric_factors_is_isometric(tol):
     rng = rng_for(30)
     u1, u2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
-    prod = product_rep([one_dim_rep(u1, tol), one_dim_rep(u2, tol)], tol)
+    prod = ProductRep([one_dim_rep(u1, tol), one_dim_rep(u2, tol)], tol)
     assert nx.is_isometry(prod.stage(2), tol)
     np.testing.assert_allclose(prod.stage(2), u1 @ u2, atol=1e-12)
 
 
 def test_product_with_zero_factor_is_zero(tol):
     rng = rng_for(31)
-    prod = product_rep(
+    prod = ProductRep(
         [one_dim_rep(haar_unitary(rng, 2), tol), one_dim_rep(np.zeros((2, 2)), tol)], tol
     )
     np.testing.assert_allclose(prod.tilde, np.zeros((2, 2)))
@@ -66,7 +66,7 @@ def test_product_with_zero_factor_is_zero(tol):
 
 
 def test_counterexample_product_not_pi(counterexample_pair, tol):
-    prod = product_rep(list(counterexample_pair), tol)
+    prod = ProductRep(list(counterexample_pair), tol)
     s = np.linalg.svd(prod.stage(2), compute_uv=False)
     np.testing.assert_allclose(sorted(s, reverse=True), [1 / np.sqrt(2), 0.0], atol=1e-12)
     assert not nx.is_partial_isometry(prod.stage(2), tol)
@@ -75,7 +75,7 @@ def test_counterexample_product_not_pi(counterexample_pair, tol):
 def test_product_defining_formula(tol):
     rng = rng_for(32)
     factors = [one_dim_rep(crandn(rng, 3, 3) / 2, tol) for _ in range(3)]
-    prod = product_rep(factors, tol)
+    prod = ProductRep(factors, tol)
     assert prod.check_defining_formula(rng_for(33), samples=10) <= 1e-10
 
 
@@ -84,15 +84,15 @@ def test_product_requires_shared_sigma(tol):
     a = one_dim_rep(crandn(rng, 2, 2), tol)
     b = one_dim_rep(crandn(rng, 3, 3), tol)
     with pytest.raises(DimensionMismatch):
-        product_rep([a, b], tol)
+        ProductRep([a, b], tol)
 
 
 def test_product_associativity(tol):
     rng = rng_for(35)
     factors = [one_dim_rep(random_pi_matrix(rng, 3), tol) for _ in range(3)]
-    prod3 = product_rep(factors, tol)
-    pair_rep = product_rep(factors[:2], tol).as_rep()
-    nested = product_rep([pair_rep, factors[2]], tol)
+    prod3 = ProductRep(factors, tol)
+    pair_rep = ProductRep(factors[:2], tol).as_rep()
+    nested = ProductRep([pair_rep, factors[2]], tol)
     assert nx.opnorm(prod3.stage(3) - nested.stage(2)) <= 1e-10
 
 
@@ -106,7 +106,7 @@ def test_intertwining_unitary_second_factor(tol):
     rep1 = one_dim_rep(random_pi_matrix(rng, 3), tol)
     rep2 = one_dim_rep(haar_unitary(rng, 3), tol)
     assert sufficient_intertwining_check(rep1, rep2, tol) is True
-    assert product_rep([rep1, rep2], tol).as_rep().classify().is_partial_isometric
+    assert ProductRep([rep1, rep2], tol).as_rep().classify().is_partial_isometric
 
 
 def test_intertwining_zero_first_factor(tol):
@@ -114,13 +114,13 @@ def test_intertwining_zero_first_factor(tol):
     rep1 = one_dim_rep(np.zeros((2, 2)), tol)
     rep2 = one_dim_rep(random_pi_matrix(rng, 2), tol)
     assert sufficient_intertwining_check(rep1, rep2, tol) is True
-    assert nx.is_partial_isometry(product_rep([rep1, rep2], tol).tilde, tol)
+    assert nx.is_partial_isometry(ProductRep([rep1, rep2], tol).tilde, tol)
 
 
 def test_intertwining_fails_on_counterexample(counterexample_pair, tol):
     # sufficiency only: here the condition fails and the product is not PI
     assert sufficient_intertwining_check(*counterexample_pair, tol) is False
-    assert not nx.is_partial_isometry(product_rep(list(counterexample_pair), tol).tilde, tol)
+    assert not nx.is_partial_isometry(ProductRep(list(counterexample_pair), tol).tilde, tol)
 
 
 def test_intertwining_not_applicable(tol):
@@ -237,7 +237,7 @@ def test_pinv_factorization_counterexample(counterexample_pair, tol):
     res = pinv_factorization_test(list(counterexample_pair), tol)
     assert not res.is_pi and not res.pinv_factors_match
     # oracle: direct pseudoinverse comparison
-    prod = product_rep(list(counterexample_pair), tol)
+    prod = ProductRep(list(counterexample_pair), tol)
     t = prod.tilde
     chain = nx.pseudoinverse(counterexample_pair[1].tilde) @ nx.pseudoinverse(
         counterexample_pair[0].tilde
