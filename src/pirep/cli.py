@@ -61,9 +61,7 @@ def _read_json(path: str):
 
 
 def _load_rep(path: str, tol: Tolerance, tensor_cap: int):
-    rep = serialize.rep_from_json(_read_json(path), tol)
-    rep.tensor_cap = tensor_cap
-    return rep
+    return serialize.rep_from_json(_read_json(path), tol, tensor_cap=tensor_cap)
 
 
 def _emit(obj, args) -> None:

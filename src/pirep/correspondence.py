@@ -11,6 +11,10 @@ Index convention, fixed package-wide: in any tensor product the leftmost
 factor is the most significant index (row-major), so for the scalar algebra
 the interior tensor product E (x) H is the plain Kronecker ordering
 ``(basis_a (x) e_j) -> a * dim(H) + j`` with no permutation.
+
+``amplify`` builds no tensor space: F (x) dom and F (x) cod come from the
+representation objects (``CovariantRep``, ``ProductRep``), which build,
+cache and cap every tensor space.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .errors import (
     DimensionMismatch,
     IntertwinerError,
     InvalidCorrespondence,
-    ResourceLimit,
 )
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, eye, herm, opnorm
 
@@ -371,9 +374,12 @@ class TensorSpace:
     action_source: object = field(default=None, repr=False)
 
     @property
+    def module_dim(self) -> int:
+        return 1 if self.corr is None else self.corr.module_dim
+
+    @property
     def formal_dim(self) -> int:
-        n = 1 if self.corr is None else self.corr.module_dim
-        return n * self.h_dim
+        return self.module_dim * self.h_dim
 
     def apply_embed(self, v: np.ndarray) -> np.ndarray:
         return v if self.embed is None else self.embed @ v
@@ -462,47 +468,38 @@ def interior_tensor(
 
 
 def amplify(
-    f: FdCorrespondence,
     x: np.ndarray,
     dom: TensorSpace,
     cod: TensorSpace,
-    sigma: StarRepresentation,
+    big_dom: TensorSpace,
+    big_cod: TensorSpace,
     tol: Tolerance = DEFAULT_TOL,
-    *,
-    dim_cap: int | None = None,
-):
+) -> np.ndarray:
     """Concrete matrix of I_F (x) X under F (x) (D (x) H) ~ (F (x) D) (x) H.
 
     X must map ``dom`` to ``cod`` (either may be a tensor space or the
     plain space H) and intertwine the induced algebra actions; otherwise
     the amplification is ill-defined and IntertwinerError is raised.
 
-    Returns ``(matrix, big_dom, big_cod)`` where the big spaces are the
-    interior tensor products F (x) dom and F (x) cod.
+    ``big_dom`` and ``big_cod`` are the interior tensor products F (x) dom
+    and F (x) cod.  They are built and cached by the caller, which owns
+    the tensor-dimension cap; this function allocates no tensor space.
     """
     x = as_matrix(x)
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
-    if not sigma.algebra.is_scalar:
-        for u in sigma.algebra.basis():
+    algebra = big_dom.corr.algebra
+    if not algebra.is_scalar:
+        for u in algebra.basis():
             resid = opnorm(x @ dom.induced_action(u) - cod.induced_action(u) @ x)
             if resid > tol.eq_rel * max(1.0, opnorm(x)):
                 raise IntertwinerError(
                     f"operator does not intertwine the algebra actions (residual {resid:.3e})"
                 )
-
-    def big_space(side: TensorSpace) -> TensorSpace:
-        corr = f if side.corr is None else tensor_product(f, side.corr)
-        return interior_tensor(corr, sigma, tol)
-
-    big_dom = big_space(dom)
-    big_cod = big_space(cod)
-    if dim_cap is not None and max(big_dom.formal_dim, big_cod.formal_dim) > dim_cap:
-        raise ResourceLimit(
-            f"amplified tensor dimension {max(big_dom.formal_dim, big_cod.formal_dim)}"
-            f" exceeds the cap {dim_cap}"
-        )
-    nf = f.module_dim
+    # dim F = dim(F (x) D) / dim D, read off a side whose module is nonzero
+    nf = max(
+        big.module_dim // max(side.module_dim, 1) for big, side in ((big_dom, dom), (big_cod, cod))
+    )
     trivial = (
         dom.embed is None
         and cod.embed is None
@@ -510,8 +507,7 @@ def amplify(
         and big_cod.embed is None
     )
     if trivial:
-        return np.kron(eye(nf), x), big_dom, big_cod
+        return np.kron(eye(nf), x)
     y = cod.apply_lift(eye(cod.dim)) @ x @ dom.apply_embed(eye(dom.formal_dim))
     formal = np.kron(eye(nf), y)
-    mat = big_cod.apply_embed(formal @ big_dom.apply_lift(eye(big_dom.dim)))
-    return mat, big_dom, big_cod
+    return big_cod.apply_embed(formal @ big_dom.apply_lift(eye(big_dom.dim)))

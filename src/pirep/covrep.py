@@ -13,6 +13,11 @@ built by the defining composition
 
 and cached; representations are immutable apart from these idempotent
 caches, so concurrent readers are safe (duplicated fills are harmless).
+
+Every amplification reads its spaces from the ``space(m)`` cache, so
+tilde_m and the amplified operators share one coordinate system per power.
+``space(m)`` checks the tensor cap on N^m dim(H), from shapes, before the
+N^m x N^m Gram of E^(x m) is allocated.
 """
 
 from __future__ import annotations
@@ -40,6 +45,12 @@ from .errors import (
 from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix, eye, herm, opnorm
 
 DEFAULT_TENSOR_CAP = 2**18
+
+
+def check_tensor_cap(formal_dim: int, cap: int) -> None:
+    """Refuse a tensor space of the given formal dimension before it is built."""
+    if formal_dim > cap:
+        raise ResourceLimit(f"tensor space dimension {formal_dim} exceeds the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +150,8 @@ class CovariantRep:
         if m == 0:
             return plain_space(self.sigma)
         if m not in self._spaces:
-            corr = self.corr_power(m)
-            if corr.module_dim * self.sigma.h_dim > self.tensor_cap:
-                raise ResourceLimit(
-                    f"tensor space dimension {corr.module_dim * self.sigma.h_dim}"
-                    f" exceeds the cap {self.tensor_cap}"
-                )
-            self._spaces[m] = interior_tensor(corr, self.sigma, self.tol)
+            check_tensor_cap(self.corr.module_dim**m * self.h_dim, self.tensor_cap)
+            self._spaces[m] = interior_tensor(self.corr_power(m), self.sigma, self.tol)
         return self._spaces[m]
 
     @property
@@ -221,38 +227,28 @@ class CovariantRep:
         """prev @ (I_{E^(m-1)} (x) tilde), never materializing the block
         diagonal on the identity-coordinate fast path."""
         dom = self.space(1)
-        sm = self.space(m)  # enforces the cap
+        sm = self.space(m)
         sm1 = self.space(m - 1)
         if dom.embed is None and sm.embed is None and sm1.embed is None:
             k = self.corr_power(m - 1).module_dim
             d = self.h_dim
             blocks = [prev[:, j * d : (j + 1) * d] @ self._tilde for j in range(k)]
             return np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.complex128)
-        amp, _, _ = amplify(
-            self.corr_power(m - 1),
-            self._tilde,
-            dom,
-            self.space(0),
-            self.sigma,
-            self.tol,
-            dim_cap=self.tensor_cap,
-        )
-        return prev @ amp
+        return prev @ self.amplified(self._tilde, m - 1, 1, 0)
 
     def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> np.ndarray:
-        """I_{E^(x m)} (x) X for X : space(dom_power) -> space(cod_power)."""
+        """I_{E^(x m)} (x) X for X : space(dom_power) -> space(cod_power),
+        as a map space(m + dom_power) -> space(m + cod_power)."""
         if m == 0:
             return as_matrix(x)
-        mat, _, _ = amplify(
-            self.corr_power(m),
+        return amplify(
             x,
             self.space(dom_power),
             self.space(cod_power),
-            self.sigma,
+            self.space(m + dom_power),
+            self.space(m + cod_power),
             self.tol,
-            dim_cap=self.tensor_cap,
         )
-        return mat
 
     def pinv_chain(self, m: int) -> np.ndarray:
         """(I_{E^(m-1)} (x) pinv(tilde)) ... (I_E (x) pinv(tilde)) pinv(tilde)."""
@@ -373,6 +369,7 @@ def rep_from_tilde(
 ) -> CovariantRep:
     """Reconstruct (sigma, V) from a lift: V(xi_b) h = tilde(xi_b (x) h)."""
     tilde = as_matrix(tilde)
+    check_tensor_cap(corr.module_dim * sigma.h_dim, tensor_cap)
     space = interior_tensor(corr, sigma, tol)
     if tilde.shape != (sigma.h_dim, space.dim):
         raise DimensionMismatch(f"lift shape {tilde.shape} != ({sigma.h_dim}, {space.dim})")

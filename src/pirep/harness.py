@@ -31,6 +31,7 @@ from .correspondence import (
     FdCStarAlgebra,
     FdCorrespondence,
     StarRepresentation,
+    TensorSpace,
     diagonal_correspondence,
     interior_tensor,
     scalar_correspondence,
@@ -130,15 +131,15 @@ def draw_setting(rng: np.random.Generator, config: TrialConfig):
     return diagonal_correspondence(TWO_BLOCK, left, right), StarRepresentation(TWO_BLOCK, mults)
 
 
-def intertwiner_frame(corr: FdCorrespondence, sigma: StarRepresentation, tol: Tolerance) -> np.ndarray:
+def intertwiner_frame(space: TensorSpace, sigma: StarRepresentation, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis (as columns of vectorized matrices) of the space of
-    operators E (x) H -> H intertwining the induced actions."""
-    space = interior_tensor(corr, sigma, tol)
+    operators E (x) H -> H intertwining the induced actions, for
+    ``space`` = E (x) H."""
     d = sigma.h_dim
-    if corr.algebra.is_scalar:
+    if sigma.algebra.is_scalar:
         return eye(d * space.dim)
     rows = []
-    for u in corr.algebra.basis():
+    for u in sigma.algebra.basis():
         act = space.induced_action(u)
         sig = sigma.apply(u)
         rows.append(np.kron(act.T, eye(d)) - np.kron(eye(space.dim), sig))
@@ -152,7 +153,7 @@ def random_covariant_matrix(
     matrix.  Vectorization is column-stacked: X = reshape(space_dim, d).T."""
     space = interior_tensor(corr, sigma, tol)
     d = sigma.h_dim
-    frame = intertwiner_frame(corr, sigma, tol)
+    frame = intertwiner_frame(space, sigma, tol)
     coeff = crandn(rng, frame.shape[1])
     return (frame @ coeff).reshape(space.dim, d).T.copy()
 
@@ -358,7 +359,7 @@ def commuting_pi_pair(rng, config: TrialConfig, tol: Tolerance):
     if not corr2.algebra.is_scalar:
         # zero first factor: its initial projection commutes with anything
         rep2 = random_pi_rep(corr2, sigma, rng, tol)
-        zero = np.zeros((sigma.h_dim, interior_tensor(corr2, sigma, tol).dim), dtype=complex)
+        zero = np.zeros((sigma.h_dim, rep2.space(1).dim), dtype=complex)
         rep1 = rep_from_tilde(corr2, sigma, zero, tol)
         return rep1, rep2
     d = sigma.h_dim

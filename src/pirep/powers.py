@@ -29,19 +29,12 @@ from .errors import NotApplicable, DimensionMismatch
 from .numerics import Subspace, eye, herm, opnorm
 
 
-def _amplified_tilde(rep: CovariantRep, m: int) -> np.ndarray:
-    """I_{E^(m-1)} (x) tilde : space(m) -> space(m-1)."""
-    if m == 1:
-        return rep.tilde
-    return rep.amplified(rep.tilde, m - 1, 1, 0)
-
-
 def kernel_chain_condition(rep: CovariantRep, m: int) -> bool:
     """(I_{E^(m-1)} (x) tilde) N(tilde_m)^perp <= N(tilde_{m-1})^perp."""
     if m < 1:
         raise DimensionMismatch("kernel_chain_condition needs m >= 1")
     tol = rep.tol
-    moved = nx.image(_amplified_tilde(rep, m), rep.cokernel_subspace(m), tol)
+    moved = nx.image(rep.amplified(rep.tilde, m - 1, 1, 0), rep.cokernel_subspace(m), tol)
     return nx.is_subset(moved, rep.cokernel_subspace(m - 1), tol)
 
 
@@ -257,7 +250,7 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
     if not nx.is_contraction(rep.tilde, tol):
         raise NotApplicable("representation is not contractive")
     hypothesis_ok = nx.is_partial_isometry(rep.tilde_power(k), tol)
-    w = _amplified_tilde(rep, k)  # I_{E^(k-1)} (x) tilde : space(k) -> space(k-1)
+    w = rep.amplified(rep.tilde, k - 1, 1, 0)  # I_{E^(k-1)} (x) tilde : space(k) -> space(k-1)
     n_k = rep.kernel_subspace(k)
     n_w = Subspace.kernel(w, tol)
     if not nx.is_subset(n_w, n_k, tol):

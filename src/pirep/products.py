@@ -20,13 +20,14 @@ documented or raise NotApplicable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nx
 from .correspondence import FdCorrespondence, TensorSpace, amplify, interior_tensor, plain_space, tensor_product
-from .covrep import CovariantRep, DEFAULT_TENSOR_CAP, rep_from_tilde
+from .covrep import CovariantRep, DEFAULT_TENSOR_CAP, check_tensor_cap, rep_from_tilde
 from .errors import DimensionMismatch, DomainError, NotApplicable
 from .numerics import Subspace, Tolerance, eye, herm, opnorm
 
@@ -61,18 +62,36 @@ class ProductRep:
         return self._prefix_corr[i]
 
     def prefix_space(self, i: int) -> TensorSpace:
+        """(E_1 (x) ... (x) E_i) (x)_sigma H; i = 0 is H itself."""
         if i == 0:
             return plain_space(self.sigma)
         if i not in self._prefix_space:
-            self._prefix_space[i] = interior_tensor(self.prefix_corr(i), self.sigma, self.tol)
+            dims = [f.corr.module_dim for f in self.factors[:i]]
+            check_tensor_cap(math.prod(dims) * self.sigma.h_dim, self.tensor_cap)
+            # stage 1 is the first factor's lift, so it keeps that factor's space
+            self._prefix_space[i] = (
+                self.factors[0].space(1)
+                if i == 1
+                else interior_tensor(self.prefix_corr(i), self.sigma, self.tol)
+            )
         return self._prefix_space[i]
 
-    def amplified(self, i: int, x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> np.ndarray:
-        """I_{E_1 (x) ... (x) E_i} (x) X."""
-        mat, _, _ = amplify(
-            self.prefix_corr(i), x, dom, cod, self.sigma, self.tol, dim_cap=self.tensor_cap
+    def amplified(self, i: int, x: np.ndarray, dom_power: int, cod_power: int) -> np.ndarray:
+        """I_{E_1 (x) ... (x) E_i} (x) X for X : side(dom_power) -> side(cod_power),
+        where side 0 is H and side 1 is E_{i+1} (x) H; as a map
+        prefix_space(i + dom_power) -> prefix_space(i + cod_power)."""
+
+        def side(power: int) -> TensorSpace:
+            return self.factors[i].space(1) if power else plain_space(self.sigma)
+
+        return amplify(
+            x,
+            side(dom_power),
+            side(cod_power),
+            self.prefix_space(i + dom_power),
+            self.prefix_space(i + cod_power),
+            self.tol,
         )
-        return mat
 
     def stage(self, i: int) -> np.ndarray:
         """The lift of the product of the first i factors."""
@@ -80,9 +99,7 @@ class ProductRep:
             raise DimensionMismatch(f"stage index {i} out of range 1..{self.n}")
         if i not in self._stages:
             prev = self.stage(i - 1)
-            fac = self.factors[i - 1]
-            amp = self.amplified(i - 1, fac.tilde, fac.space(1), plain_space(self.sigma))
-            self._stages[i] = prev @ amp
+            self._stages[i] = prev @ self.amplified(i - 1, self.factors[i - 1].tilde, 1, 0)
         return self._stages[i]
 
     @property
@@ -138,7 +155,7 @@ def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep, tol: T
         return None
     prod = ProductRep([rep1, rep2], tol)
     final2 = rep2.tilde @ herm(rep2.tilde)
-    amp = prod.amplified(1, final2, plain_space(prod.sigma), plain_space(prod.sigma))
+    amp = prod.amplified(1, final2, 0, 0)
     lhs = rep1.tilde @ amp
     rhs = final2 @ rep1.tilde
     return opnorm(lhs - rhs) <= tol.eq_rel * max(1.0, opnorm(rep1.tilde))
@@ -258,12 +275,12 @@ def chain_condition_test(factors, tol: Tolerance | None = None) -> ChainConditio
     for s in range(1, prod.n):
         t_s = prod.stage(s)
         fac = factors[s]
-        w_amp = prod.amplified(s, fac.tilde, fac.space(1), plain_space(prod.sigma))
+        w_amp = prod.amplified(s, fac.tilde, 1, 0)
         pi_res, next_is_pi = nx.partial_isometry_residual(prod.stage(s + 1), tol)
         stage_pi.append(next_is_pi)
         initial_range = Subspace.span(herm(t_s), tol)
         final_w = fac.tilde @ herm(fac.tilde)
-        amp_final_w = prod.amplified(s, final_w, plain_space(prod.sigma), plain_space(prod.sigma))
+        amp_final_w = prod.amplified(s, final_w, 0, 0)
         range_inv.append(nx.is_subset(nx.image(amp_final_w, initial_range, tol), initial_range, tol))
         w_range = Subspace.span(w_amp, tol)
         dom_inv.append(nx.is_subset(nx.image(herm(t_s) @ t_s, w_range, tol), w_range, tol))
@@ -303,7 +320,7 @@ def pinv_factorization_test(factors, tol: Tolerance | None = None) -> PinvFactor
     for i in range(1, prod.n):
         fac = factors[i]
         dagger = nx.pseudoinverse(fac.tilde, tol)
-        amp = prod.amplified(i, dagger, plain_space(prod.sigma), fac.space(1))
+        amp = prod.amplified(i, dagger, 0, 1)
         chain = amp @ chain
     residual = opnorm(direct - chain)
     scale = max(1.0, opnorm(direct))
@@ -352,7 +369,7 @@ def defect_dilation_test(
     # amplification commutes with functional calculus, so
     # (I (x) (I - tilde2 tilde2*))^{1/2} = I (x) (I - tilde2 tilde2*)^{1/2}
     defect_root = nx.psd_sqrt(eye(d) - rep2.tilde @ herm(rep2.tilde), tol)
-    amp_root = prod.amplified(1, defect_root, plain_space(prod.sigma), plain_space(prod.sigma))
+    amp_root = prod.amplified(1, defect_root, 0, 0)
     top_left = prod.stage(2)
     top_right = rep1.tilde @ amp_root
     top = np.hstack([top_left, top_right])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correspondence import FdCStarAlgebra, FdCorrespondence, StarRepresentation
-from .covrep import CovariantRep
+from .covrep import DEFAULT_TENSOR_CAP, CovariantRep
 from .errors import UsageError
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix
 
@@ -172,11 +172,11 @@ def rep_to_json(rep: CovariantRep) -> dict:
     }
 
 
-def rep_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> CovariantRep:
+def rep_from_json(obj, tol: Tolerance = DEFAULT_TOL, *, tensor_cap: int = DEFAULT_TENSOR_CAP) -> CovariantRep:
     try:
         corr = correspondence_from_json(obj["correspondence"], tol)
         sigma = StarRepresentation(corr.algebra, obj["multiplicities"])
         vs = [matrix_from_json(v) for v in obj["V"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed representation JSON: {exc}") from exc
-    return CovariantRep(corr, sigma, vs, tol)
+    return CovariantRep(corr, sigma, vs, tol, tensor_cap=tensor_cap)

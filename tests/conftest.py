@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from pirep import correspondence, covrep, products
 from pirep import numerics as nx
 from pirep.numerics import DEFAULT_TOL
 
@@ -30,6 +33,30 @@ def assert_verdicts_match_classify(rep):
     report = rep.classify()
     assert rep.is_partial_isometric() == report.is_partial_isometric
     assert nx.is_contraction(rep.tilde, rep.tol) == report.is_contractive
+
+
+def _corr_key(c):
+    return c.algebra.block_sizes, c.gram.tobytes(), c.left_action.tobytes(), c.right_action.tobytes()
+
+
+def count_space_builds(monkeypatch) -> Counter:
+    """Count interior_tensor and tensor_product calls by the content of
+    their inputs, at every module that binds them."""
+    builds = Counter()
+    real_interior, real_product = correspondence.interior_tensor, correspondence.tensor_product
+
+    def interior_tensor(e, sigma, tol=DEFAULT_TOL):
+        builds[("interior_tensor", _corr_key(e), sigma.multiplicities, tol)] += 1
+        return real_interior(e, sigma, tol)
+
+    def tensor_product(e, f):
+        builds[("tensor_product", _corr_key(e), _corr_key(f))] += 1
+        return real_product(e, f)
+
+    for module in (correspondence, covrep, products):
+        monkeypatch.setattr(module, "interior_tensor", interior_tensor)
+        monkeypatch.setattr(module, "tensor_product", tensor_product)
+    return builds
 
 
 @pytest.fixture

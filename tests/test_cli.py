@@ -144,3 +144,14 @@ def test_invalid_json_rep_is_usage_error(tmp_path, capsys):
     path.write_text('{"correspondence": ')
     assert main(["classify", "--rep", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_tensor_cap_covers_the_first_tensor_space(rep_file, capsys):
+    # E (x) H of the 5-dim direct sum has formal dimension 5
+    for command in ("classify", "powers"):
+        assert main([command, "--rep", rep_file, "--tensor-cap", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tensor space dimension 5 exceeds the cap 1" in captured.err
+    code, out = run_cli(capsys, "classify", "--rep", rep_file, "--tensor-cap", "5")
+    assert code == 0 and out["is_partial_isometric"] is True

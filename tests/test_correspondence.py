@@ -261,6 +261,17 @@ def test_interior_tensor_associativity_dimensions(tol):
 # ---------------------------------------------------------------------------
 
 
+def amplify_over(f, x, dom, cod, sigma, tol):
+    """I_F (x) X with the big spaces F (x) dom and F (x) cod built here;
+    returns (matrix, big_dom, big_cod)."""
+
+    def big(side):
+        return interior_tensor(f if side.corr is None else tensor_product(f, side.corr), sigma, tol)
+
+    big_dom, big_cod = big(dom), big(cod)
+    return amplify(x, dom, cod, big_dom, big_cod, tol), big_dom, big_cod
+
+
 def test_amplify_scalar_is_kron(tol):
     sigma = StarRepresentation(SCALARS, [2])
     e = scalar_correspondence(2)
@@ -268,7 +279,7 @@ def test_amplify_scalar_is_kron(tol):
     x = crandn(rng_for(21), 2, 4)  # maps E (x) H -> H
     dom = interior_tensor(e, sigma, tol)
     cod = plain_space(sigma)
-    got, big_dom, big_cod = amplify(f, x, dom, cod, sigma, tol)
+    got, big_dom, big_cod = amplify_over(f, x, dom, cod, sigma, tol)
     np.testing.assert_allclose(got, np.kron(np.eye(2), x), atol=1e-14)
     assert big_dom.dim == 8 and big_cod.dim == 4
 
@@ -277,7 +288,7 @@ def test_amplify_identity_is_identity(tol):
     sigma = StarRepresentation(SCALARS, [3])
     e = scalar_correspondence(2)
     space = interior_tensor(e, sigma, tol)
-    got, _, _ = amplify(e, np.eye(space.dim), space, space, sigma, tol)
+    got, _, _ = amplify_over(e, np.eye(space.dim), space, space, sigma, tol)
     np.testing.assert_allclose(got, np.eye(2 * space.dim), atol=1e-14)
 
 
@@ -288,7 +299,7 @@ def test_amplify_covariance_required_on_block_algebra(tol):
     rng = rng_for(33)
     bad = crandn(rng, sigma.h_dim, space.dim)  # generic: not an intertwiner
     with pytest.raises(IntertwinerError):
-        amplify(e, bad, space, plain_space(sigma), sigma, tol)
+        amplify_over(e, bad, space, plain_space(sigma), sigma, tol)
 
 
 def test_amplify_block_case_matches_basis_chase(tol):
@@ -315,7 +326,7 @@ def test_amplify_block_case_matches_basis_chase(tol):
     for u in TWO_BLOCK.basis():
         assert nx.opnorm(x @ space_e.induced_action(u) - sigma.apply(u) @ x) < 1e-10
 
-    got, big_dom, big_cod = amplify(e, x, space_e, plain_space(sigma), sigma, tol)
+    got, big_dom, big_cod = amplify_over(e, x, space_e, plain_space(sigma), sigma, tol)
     n = e.module_dim
     for a in range(n):
         for b in range(n):
@@ -340,11 +351,11 @@ def test_amplify_respects_composition_and_adjoints(tol):
     space = interior_tensor(e, sigma, tol)
     x = crandn(rng, 3, space.dim)
     y = crandn(rng, space.dim, 3)
-    ix, _, _ = amplify(f, x, space, plain_space(sigma), sigma, tol)
-    iy, _, _ = amplify(f, y, plain_space(sigma), space, sigma, tol)
-    ixy, _, _ = amplify(f, x @ y, plain_space(sigma), plain_space(sigma), sigma, tol)
+    ix, _, _ = amplify_over(f, x, space, plain_space(sigma), sigma, tol)
+    iy, _, _ = amplify_over(f, y, plain_space(sigma), space, sigma, tol)
+    ixy, _, _ = amplify_over(f, x @ y, plain_space(sigma), plain_space(sigma), sigma, tol)
     np.testing.assert_allclose(ix @ iy, ixy, atol=1e-12)
-    ixh, _, _ = amplify(f, x.conj().T, plain_space(sigma), space, sigma, tol)
+    ixh, _, _ = amplify_over(f, x.conj().T, plain_space(sigma), space, sigma, tol)
     np.testing.assert_allclose(ix.conj().T, ixh, atol=1e-12)
 
 
@@ -353,4 +364,4 @@ def test_amplify_shape_mismatch(tol):
     e = scalar_correspondence(2)
     space = interior_tensor(e, sigma, tol)
     with pytest.raises(DimensionMismatch):
-        amplify(e, np.zeros((3, 3)), space, plain_space(sigma), sigma, tol)
+        amplify_over(e, np.zeros((3, 3)), space, plain_space(sigma), sigma, tol)

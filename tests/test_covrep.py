@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pirep import covrep
 from pirep import numerics as nx
 from pirep.correspondence import (
     SCALARS,
@@ -187,6 +188,24 @@ def test_tensor_cap_enforced(tol):
     )
     with pytest.raises(ResourceLimit):
         rep.tilde_power(3)
+
+
+def test_tensor_cap_checked_from_shapes(tol, monkeypatch):
+    # formal dimensions 3^m * 4: 12, 36, 108; the cap sits on 36
+    rng = rng_for(18)
+    vs = [crandn(rng, 4, 4) for _ in range(3)]
+    rep = CovariantRep(
+        scalar_correspondence(3), StarRepresentation(SCALARS, [4]), vs, tol, tensor_cap=36
+    )
+    assert rep.space(2).dim == 36
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor space built past the cap")
+
+    monkeypatch.setattr(covrep, "tensor_product", refuse)
+    monkeypatch.setattr(covrep, "interior_tensor", refuse)
+    with pytest.raises(ResourceLimit, match="tensor space dimension 108 exceeds the cap 36"):
+        rep.space(3)
 
 
 # ---------------------------------------------------------------------------

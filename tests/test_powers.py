@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import powers as pw
-from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
+from pirep.correspondence import (
+    SCALARS,
+    FdCStarAlgebra,
+    StarRepresentation,
+    diagonal_correspondence,
+    scalar_correspondence,
+)
 from pirep.covrep import CovariantRep
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
 
-from conftest import crandn, rng_for
+from conftest import count_space_builds, crandn, rng_for
 
 
 def scalar_rep(v_list, tol):
@@ -136,6 +143,21 @@ def test_power_report_chain_breaker(chain_breaker, tol):
     assert report.chain_flags[0] and not report.chain_flags[1]
     assert report.cumulative_pi() == report.cumulative_chain()
     assert_residuals_are_triple_products(chain_breaker, report)
+
+
+def test_power_report_builds_each_space_once(tol, monkeypatch):
+    # two-block algebra: every space has quotient coordinates, so every
+    # power goes through the general amplification path
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    rep = hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(61), tol, allow_zero=False)
+    builds = count_space_builds(monkeypatch)
+    report = pw.power_report(rep, 4)
+    assert report.applicable
+    # E^2..E^4 and their interior tensor products with H; E (x) H already exists
+    assert sum(key[0] == "interior_tensor" for key in builds) == 3
+    assert sum(key[0] == "tensor_product" for key in builds) == 3
+    assert set(builds.values()) == {1}
 
 
 def test_power_report_not_applicable(tol):

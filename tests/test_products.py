@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from pirep import harness as hz
 from pirep import numerics as nx
-from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
+from pirep import products
+from pirep.correspondence import (
+    SCALARS,
+    FdCStarAlgebra,
+    StarRepresentation,
+    diagonal_correspondence,
+    scalar_correspondence,
+)
 from pirep.covrep import CovariantRep
-from pirep.errors import DimensionMismatch, NotApplicable
+from pirep.errors import DimensionMismatch, NotApplicable, ResourceLimit
 from pirep.products import (
     ProductRep,
     chain_condition_test,
@@ -15,7 +23,7 @@ from pirep.products import (
     sufficient_intertwining_check,
 )
 
-from conftest import crandn, rng_for
+from conftest import count_space_builds, crandn, rng_for
 
 
 def one_dim_rep(v, tol):
@@ -208,6 +216,46 @@ def test_chain_counterexample_stage_flags(counterexample_pair, tol):
     assert not any(first)
     assert report.raw_agree_until_first_failure()
     assert report.cumulative_agree()
+
+
+def test_chain_condition_builds_each_space_once(tol, monkeypatch):
+    alg = FdCStarAlgebra([1, 1])
+    sigma = StarRepresentation(alg, [2, 1])
+    tags = [([0, 1], [1, 0]), ([0, 1, 1], [1, 1, 0]), ([1, 0], [1, 1])]
+    factors = [
+        hz.random_pi_rep(diagonal_correspondence(alg, left, right), sigma, rng_for(62, i), tol, allow_zero=False)
+        for i, (left, right) in enumerate(tags)
+    ]
+    builds = count_space_builds(monkeypatch)
+    report = chain_condition_test(factors, tol)
+    assert len(report.stage_pi) == 2
+    # E_1 (x) E_2 and E_1 (x) E_2 (x) E_3, and their interior tensor products
+    # with H; the factors' own spaces already exist
+    assert sum(key[0] == "interior_tensor" for key in builds) == 2
+    assert sum(key[0] == "tensor_product" for key in builds) == 2
+    assert set(builds.values()) == {1}
+
+
+def test_prefix_space_checks_the_cap_before_building(tol, monkeypatch):
+    # formal dimensions of the prefixes 2^i * 2: 4, 8, 16
+    rng = rng_for(63)
+    sigma = StarRepresentation(SCALARS, [2])
+    factors = [
+        CovariantRep(scalar_correspondence(2), sigma, [crandn(rng, 2, 2) for _ in range(2)], tol)
+        for _ in range(3)
+    ]
+    prod = ProductRep(factors, tol, tensor_cap=8)
+    prod.stage(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor space built past the cap")
+
+    monkeypatch.setattr(products, "tensor_product", refuse)
+    monkeypatch.setattr(products, "interior_tensor", refuse)
+    with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
+        prod.stage(3)
+    with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
+        prod.prefix_space(3)
 
 
 def test_chain_random_triples_cumulative_agree(tol):
