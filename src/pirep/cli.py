@@ -10,8 +10,11 @@ One executable with subcommands:
     shift    --n 2 --B 0,3 --M 64 --power 3 [--weights w.json]
     verify   --theorem T2.2 --trials 500 --seed 42 [--falsify] [--jobs N]
 
-Global flags (--tol-rank, --tol-eq, --tol-incl, --tensor-cap, --indent) are
-accepted by every subcommand; --jobs belongs to ``verify`` alone.  All
+Global flags (--tol-rank, --tol-eq, --tol-incl, --indent) are accepted by
+every subcommand.  --tensor-cap belongs to the subcommands that load a
+representation file (``classify``, ``product``, ``powers``, ``root``,
+``wold``) and --jobs to ``verify`` alone; elsewhere argparse refuses them
+with exit 2.  All
 output is deterministic JSON on stdout with numbers at 17 significant
 digits.  ``classify`` and ``product`` print the six-way partial-isometry
 diagnostic; every other verdict is the triple-product rule alone.
@@ -44,8 +47,12 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-rank", type=float, default=1e-10, help="relative singular-value cutoff")
     parser.add_argument("--tol-eq", type=float, default=1e-8, help="relative residual cutoff for identities")
     parser.add_argument("--tol-incl", type=float, default=1e-8, help="absolute cutoff for subspace inclusions")
-    parser.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP, help="tensor dimension cap")
     parser.add_argument("--indent", type=int, default=2, help="JSON indent (0 for compact)")
+
+
+def _rep_flags(parser: argparse.ArgumentParser):
+    _common_flags(parser)
+    parser.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP, help="tensor dimension cap")
 
 
 def _tolerance(args) -> Tolerance:
@@ -80,30 +87,30 @@ def _cmd_classify(args) -> int:
 def _cmd_product(args) -> int:
     tol = _tolerance(args)
     reps = [_load_rep(path, tol, args.tensor_cap) for path in args.reps]
-    prod = ProductRep(reps, tol, tensor_cap=args.tensor_cap)
+    prod = ProductRep(reps)
     out = {
         "n_factors": len(reps),
         "product_classification": prod.as_rep().classify().to_dict(),
     }
     if args.all_conditions:
         try:
-            out["chain_conditions"] = chain_condition_test(reps, tol).to_dict()
-            out["pinv_factorization"] = pinv_factorization_test(reps, tol).to_dict()
+            out["chain_conditions"] = chain_condition_test(reps).to_dict()
+            out["pinv_factorization"] = pinv_factorization_test(reps).to_dict()
         except NotApplicable as exc:
             out["chain_conditions"] = {"not_applicable": exc.reason}
         if len(reps) == 2:
             try:
-                out["commuting_projections"] = commuting_projection_test(*reps, tol).to_dict()
+                out["commuting_projections"] = commuting_projection_test(*reps).to_dict()
             except NotApplicable as exc:
                 out["commuting_projections"] = {"not_applicable": exc.reason}
-            sufficient = sufficient_intertwining_check(*reps, tol)
+            sufficient = sufficient_intertwining_check(*reps)
             out["sufficient_intertwining"] = (
                 {"not_applicable": "factors are not both partially isometric"}
                 if sufficient is None
                 else sufficient
             )
             try:
-                out["defect_dilation"] = defect_dilation_test(*reps, tol).to_dict()
+                out["defect_dilation"] = defect_dilation_test(*reps).to_dict()
             except PirepError as exc:
                 out["defect_dilation"] = {"not_applicable": str(exc)}
     _emit(out, args)
@@ -188,32 +195,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classification report for a representation")
     p.add_argument("--rep", required=True)
-    _common_flags(p)
+    _rep_flags(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("product", help="product criteria for a list of factors")
     p.add_argument("--reps", nargs="+", required=True)
     p.add_argument("--all-conditions", action="store_true")
-    _common_flags(p)
+    _rep_flags(p)
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("powers", help="per-power report")
     p.add_argument("--rep", required=True)
     p.add_argument("--nmax", type=int, default=4)
-    _common_flags(p)
+    _rep_flags(p)
     p.set_defaults(fn=_cmd_powers)
 
     p = sub.add_parser("root", help="root criterion at power k")
     p.add_argument("--rep", required=True)
     p.add_argument("--k", type=int, default=2)
-    _common_flags(p)
+    _rep_flags(p)
     p.set_defaults(fn=_cmd_root)
 
     p = sub.add_parser("wold", help="two-part orthogonal decomposition")
     p.add_argument("--rep", required=True)
     p.add_argument("--skip-hypotheses", action="store_true",
                    help="compute even when the strict hypotheses fail (truncated models)")
-    _common_flags(p)
+    _rep_flags(p)
     p.set_defaults(fn=_cmd_wold)
 
     p = sub.add_parser("shift", help="build a truncated weighted shift and run its criteria")

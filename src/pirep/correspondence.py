@@ -12,13 +12,18 @@ factor is the most significant index (row-major), so for the scalar algebra
 the interior tensor product E (x) H is the plain Kronecker ordering
 ``(basis_a (x) e_j) -> a * dim(H) + j`` with no permutation.
 
-``amplify`` builds no tensor space: F (x) dom and F (x) cod come from the
-representation objects (``CovariantRep``, ``ProductRep``), which build,
-cache and cap every tensor space.
+Correspondences are immutable (their structure arrays are read-only), so
+they carry the package's only tensor memos: ``e.tensor(f)`` builds E (x) F
+once per right factor F, and ``e.space(sigma, tol)`` builds E (x)_sigma H
+once per sigma and tolerance.  Both live exactly as long as ``e``.
+Representations and products read their tensor powers and spaces from
+these memos, after checking the tensor cap from shapes; ``amplify`` builds
+no tensor space.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +175,13 @@ class StarRepresentation:
         return out
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only complex copy."""
+    out = np.array(a, dtype=np.complex128)
+    out.setflags(write=False)
+    return out
+
+
 class FdCorrespondence:
     """C*-correspondence over a finite-dimensional C*-algebra.
 
@@ -179,13 +191,20 @@ class FdCorrespondence:
       right_action[t]     = matrix of xi -> xi . basis_t
 
     The module inner product is conjugate-linear in the first slot.
+
+    Immutable: the structure arrays are read-only copies, which is what
+    lets the tensor memos below live on the object.
     """
 
     def __init__(self, algebra: FdCStarAlgebra, gram, left_action, right_action):
         self.algebra = algebra
-        self.gram = np.asarray(gram, dtype=np.complex128)
-        self.left_action = np.asarray(left_action, dtype=np.complex128)
-        self.right_action = np.asarray(right_action, dtype=np.complex128)
+        self.gram = _read_only(gram)
+        self.left_action = _read_only(left_action)
+        self.right_action = _read_only(right_action)
+        # E (x) F per right factor F; the key is weak, so the memo forms no
+        # reference cycle even for F = E and drops E (x) F when F dies
+        self._tensor_memo = weakref.WeakKeyDictionary()
+        self._space_memo: dict = {}
         n = self.gram.shape[0]
         k = algebra.matrix_size
         if self.gram.shape != (n, n, k, k):
@@ -195,6 +214,23 @@ class FdCorrespondence:
         if self.right_action.shape != (algebra.dim, n, n):
             raise DimensionMismatch("right_action must be (dim A, N, N)")
         self.module_dim = n
+
+    def tensor(self, f: "FdCorrespondence") -> "FdCorrespondence":
+        """E (x) F, built by ``tensor_product`` once per right factor F."""
+        out = self._tensor_memo.get(f)
+        if out is None:
+            out = self._tensor_memo[f] = tensor_product(self, f)
+        return out
+
+    def space(self, sigma: StarRepresentation, tol: Tolerance = DEFAULT_TOL) -> "TensorSpace":
+        """E (x)_sigma H, built by ``interior_tensor`` once per sigma and
+        tolerance.  The space refers back to E through a weak proxy, so
+        the memo forms no reference cycle and dies with E."""
+        key = (sigma.algebra, sigma.multiplicities, tol)
+        out = self._space_memo.get(key)
+        if out is None:
+            out = self._space_memo[key] = interior_tensor(weakref.proxy(self), sigma, tol)
+        return out
 
     def left(self, a) -> np.ndarray:
         """Matrix of phi(a) on module coordinates."""
@@ -344,7 +380,7 @@ def tensor_power(e: FdCorrespondence, m: int) -> FdCorrespondence:
         return algebra_correspondence(e.algebra)
     out = e
     for _ in range(m - 1):
-        out = tensor_product(out, e)
+        out = out.tensor(e)
     return out
 
 
@@ -353,17 +389,19 @@ def tensor_power(e: FdCorrespondence, m: int) -> FdCorrespondence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorSpace:
     """Hilbert space E (x)_sigma H in an orthonormal coordinate system.
 
     ``embed`` maps formal vectors (module basis (x) H basis, length
     N * H_dim) to coordinates; ``lift`` is its Moore-Penrose section.
-    ``None`` for both means the coordinate system IS the formal basis
-    (scalar algebra with orthonormal module basis), in which case no
-    (N*H_dim)^2 matrix is ever materialized.
+    Both are read-only.  ``None`` for both means the coordinate system IS
+    the formal basis (scalar algebra with orthonormal module basis), in
+    which case no (N*H_dim)^2 matrix is ever materialized.
 
-    ``corr`` is None for the plain coefficient space H itself.
+    ``corr`` is None for the plain coefficient space H itself; a space
+    memoized by ``FdCorrespondence.space`` holds a weak proxy of its
+    correspondence.
     """
 
     corr: FdCorrespondence | None
@@ -445,10 +483,8 @@ def interior_tensor(
     big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     big = (big + herm(big)) / 2.0
     if big.size == 0:
-        return TensorSpace(corr=e, h_dim=d, dim=0,
-                           embed=np.zeros((0, 0), dtype=np.complex128),
-                           lift=np.zeros((0, 0), dtype=np.complex128),
-                           action_source=sigma)
+        empty = _read_only(np.zeros((0, 0)))
+        return TensorSpace(corr=e, h_dim=d, dim=0, embed=empty, lift=empty, action_source=sigma)
     w, v = np.linalg.eigh(big)
     top = float(w[-1]) if w.size else 0.0
     if w.size and w[0] < -10.0 * tol.eq_rel * max(1.0, top):
@@ -457,8 +493,8 @@ def interior_tensor(
     keep = w > cut
     lam = w[keep]
     basis = v[:, keep]
-    embed = np.sqrt(lam)[:, None] * herm(basis)
-    lift = basis / np.sqrt(lam)[None, :]
+    embed = _read_only(np.sqrt(lam)[:, None] * herm(basis))
+    lift = _read_only(basis / np.sqrt(lam)[None, :])
     return TensorSpace(corr=e, h_dim=d, dim=int(lam.size), embed=embed, lift=lift, action_source=sigma)
 
 
@@ -482,8 +518,8 @@ def amplify(
     the amplification is ill-defined and IntertwinerError is raised.
 
     ``big_dom`` and ``big_cod`` are the interior tensor products F (x) dom
-    and F (x) cod.  They are built and cached by the caller, which owns
-    the tensor-dimension cap; this function allocates no tensor space.
+    and F (x) cod, read by the caller from the correspondence memos after
+    its cap check; this function allocates no tensor space.
     """
     x = as_matrix(x)
     if x.shape != (cod.dim, dom.dim):

@@ -11,13 +11,15 @@ built by the defining composition
 
     tilde_m = tilde . (I_E (x) tilde) ... (I_{E^(m-1)} (x) tilde)
 
-and cached; representations are immutable apart from these idempotent
-caches, so concurrent readers are safe (duplicated fills are harmless).
+and cached; representations are immutable apart from this idempotent
+cache, so concurrent readers are safe (duplicated fills are harmless).
 
-Every amplification reads its spaces from the ``space(m)`` cache, so
-tilde_m and the amplified operators share one coordinate system per power.
-``space(m)`` checks the tensor cap on N^m dim(H), from shapes, before the
-N^m x N^m Gram of E^(x m) is allocated.
+A representation keeps no tensor space of its own: ``space(m)`` checks the
+tensor cap on N^m dim(H), from shapes, and then reads E^(x m) and
+E^(x m) (x)_sigma H from the correspondence memos (``FdCorrespondence.tensor``
+and ``.space``).  So tilde_m and every amplified operator share one
+coordinate system per power, and so do all representations over the same
+correspondence, sigma and tolerance.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from .correspondence import (
     StarRepresentation,
     TensorSpace,
     amplify,
-    interior_tensor,
     plain_space,
-    tensor_product,
+    tensor_power,
 )
 from .errors import (
     DimensionMismatch,
@@ -104,7 +105,7 @@ def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
 
 
 class CovariantRep:
-    """The pair (sigma, V) with its lift and cached tensor powers."""
+    """The pair (sigma, V) with its lift and cached lift powers."""
 
     def __init__(
         self,
@@ -113,7 +114,6 @@ class CovariantRep:
         v_on_basis,
         tol: Tolerance = DEFAULT_TOL,
         *,
-        validate: bool = True,
         tensor_cap: int = DEFAULT_TENSOR_CAP,
     ):
         if corr.algebra != sigma.algebra:
@@ -129,30 +129,23 @@ class CovariantRep:
                 f"need {corr.module_dim} matrices of shape ({d}, {d})"
             )
         self.v_on_basis = vs
-        self._spaces: dict[int, TensorSpace] = {}
-        self._corr_powers: dict[int, FdCorrespondence] = {1: corr}
         self._powers: dict[int, np.ndarray] = {}
         self._tilde = self._build_tilde()
-        if validate:
-            self._validate_covariance()
+        self._validate_covariance()
 
     # -- spaces -------------------------------------------------------------
 
     def corr_power(self, m: int) -> FdCorrespondence:
         if m < 1:
             raise DimensionMismatch("corr_power needs m >= 1")
-        if m not in self._corr_powers:
-            self._corr_powers[m] = tensor_product(self.corr_power(m - 1), self.corr)
-        return self._corr_powers[m]
+        return tensor_power(self.corr, m)
 
     def space(self, m: int) -> TensorSpace:
         """E^(x m) (x)_sigma H; m = 0 is H itself."""
         if m == 0:
             return plain_space(self.sigma)
-        if m not in self._spaces:
-            check_tensor_cap(self.corr.module_dim**m * self.h_dim, self.tensor_cap)
-            self._spaces[m] = interior_tensor(self.corr_power(m), self.sigma, self.tol)
-        return self._spaces[m]
+        check_tensor_cap(self.corr.module_dim**m * self.h_dim, self.tensor_cap)
+        return self.corr_power(m).space(self.sigma, self.tol)
 
     @property
     def h_dim(self) -> int:
@@ -370,7 +363,7 @@ def rep_from_tilde(
     """Reconstruct (sigma, V) from a lift: V(xi_b) h = tilde(xi_b (x) h)."""
     tilde = as_matrix(tilde)
     check_tensor_cap(corr.module_dim * sigma.h_dim, tensor_cap)
-    space = interior_tensor(corr, sigma, tol)
+    space = corr.space(sigma, tol)
     if tilde.shape != (sigma.h_dim, space.dim):
         raise DimensionMismatch(f"lift shape {tilde.shape} != ({sigma.h_dim}, {space.dim})")
     d = sigma.h_dim

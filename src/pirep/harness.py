@@ -33,7 +33,6 @@ from .correspondence import (
     StarRepresentation,
     TensorSpace,
     diagonal_correspondence,
-    interior_tensor,
     scalar_correspondence,
 )
 from .covrep import CovariantRep, rep_from_tilde
@@ -151,7 +150,7 @@ def random_covariant_matrix(
 ) -> np.ndarray:
     """Random element of the intertwiner space, as a dim(H) x dim(E (x) H)
     matrix.  Vectorization is column-stacked: X = reshape(space_dim, d).T."""
-    space = interior_tensor(corr, sigma, tol)
+    space = corr.space(sigma, tol)
     d = sigma.h_dim
     frame = intertwiner_frame(space, sigma, tol)
     coeff = crandn(rng, frame.shape[1])
@@ -476,7 +475,7 @@ def _margin(*values) -> float:
 def _trial_product_commuting(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     force = int(rng.integers(0, 4)) == 0
     rep1, rep2 = random_pi_pair(rng, config, tol, force_true_branch=force)
-    res = commuting_projection_test(rep1, rep2, tol)
+    res = commuting_projection_test(rep1, rep2)
     residual = _margin(res.commutator_norm if res.projections_commute else 0.0,
                        res.product_residual if res.product_is_pi else 0.0)
     if res.product_is_pi != res.projections_commute:
@@ -495,7 +494,7 @@ def _trial_product_naive_pi(rng, config: TrialConfig, tol: Tolerance) -> TrialOu
     """Deliberately false claim: the product of two partial isometries is a
     partial isometry."""
     rep1, rep2 = random_pi_pair(rng, config, tol)
-    residual, is_pi = nx.partial_isometry_residual(ProductRep([rep1, rep2], tol).tilde, tol)
+    residual, is_pi = nx.partial_isometry_residual(ProductRep([rep1, rep2]).tilde, tol)
     if not is_pi:
         return TrialOutcome.violation(
             residual, factors=[rep_to_json(rep1), rep_to_json(rep2)]
@@ -518,7 +517,7 @@ def _trial_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     else:
         for _ in range(count - 1):
             factors.append(random_pi_rep(corr, sigma, rng, tol))
-    report = chain_condition_test(factors, tol)
+    report = chain_condition_test(factors)
     if not (report.cumulative_agree() and report.raw_agree_until_first_failure()):
         return TrialOutcome.violation(
             0.0, report=report.to_dict(), factors=[rep_to_json(f) for f in factors]
@@ -539,7 +538,7 @@ def _trial_pinv_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
             factors.append(rep)
         else:
             factors.append(random_pi_rep(corr, sigma, rng, tol))
-    res = pinv_factorization_test(factors, tol)
+    res = pinv_factorization_test(factors)
     if res.is_pi != res.pinv_factors_match:
         return TrialOutcome.violation(
             res.chain_residual,
@@ -564,8 +563,8 @@ def _trial_defect_dilation(rng, config: TrialConfig, tol: Tolerance) -> TrialOut
     else:
         corr2 = corr
     rep2 = random_contractive_rep(corr2, sigma, rng, tol)
-    res = defect_dilation_test(rep1, rep2, tol)
-    single = single_defect_dilation(rep1, tol)
+    res = defect_dilation_test(rep1, rep2)
+    single = single_defect_dilation(rep1)
     single_ok = nx.is_partial_isometry(single, tol)
     if res.m_is_pi != res.rep1_is_pi or not single_ok:
         return TrialOutcome.violation(

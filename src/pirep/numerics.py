@@ -268,13 +268,16 @@ def ortho_complement(s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     return Subspace(kernel_frame(herm(s.frame), tol))
 
 
+def inclusion_defect(s1: Subspace, s2: Subspace) -> float:
+    """||(I - P2) F1||, formed from the frames as F1 - F2 (F2* F1) and
+    never through the d x d projector P2; 0.0 when S1 is zero."""
+    _check_same_ambient(s1, s2)
+    return opnorm(s1.frame - s2.frame @ (herm(s2.frame) @ s1.frame))
+
+
 def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """S1 <= S2 iff ||(I - P2) F1|| <= incl_abs."""
-    _check_same_ambient(s1, s2)
-    if s1.dim == 0:
-        return True
-    defect = s1.frame - s2.projector() @ s1.frame
-    return opnorm(defect) <= tol.incl_abs
+    return inclusion_defect(s1, s2) <= tol.incl_abs
 
 
 def ominus(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -26,16 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nx
-from .correspondence import FdCorrespondence, TensorSpace, amplify, interior_tensor, plain_space, tensor_product
-from .covrep import CovariantRep, DEFAULT_TENSOR_CAP, check_tensor_cap, rep_from_tilde
-from .errors import DimensionMismatch, DomainError, NotApplicable
-from .numerics import Subspace, Tolerance, eye, herm, opnorm
+from .correspondence import FdCorrespondence, TensorSpace, amplify, plain_space
+from .covrep import CovariantRep, check_tensor_cap, rep_from_tilde
+from .errors import DimensionMismatch, DomainError, NotApplicable, UsageError
+from .numerics import Subspace, eye, herm, opnorm
 
 
 class ProductRep:
-    """Ordered factors sharing the coefficient algebra, sigma, and H."""
+    """Ordered factors sharing the coefficient algebra, sigma, H, the
+    tolerance and the tensor cap; the product reads the last two from its
+    factors, so its spaces are theirs."""
 
-    def __init__(self, factors, tol: Tolerance | None = None, *, tensor_cap: int = DEFAULT_TENSOR_CAP):
+    def __init__(self, factors):
         factors = list(factors)
         if len(factors) < 2:
             raise DimensionMismatch("a product needs at least two factors")
@@ -43,13 +45,15 @@ class ProductRep:
         for f in factors[1:]:
             if f.sigma != first.sigma:
                 raise DimensionMismatch("factors must share sigma (algebra and multiplicities)")
+            if f.tol != first.tol:
+                raise UsageError("factors must share the tolerance")
+            if f.tensor_cap != first.tensor_cap:
+                raise UsageError("factors must share the tensor cap")
         self.factors = factors
         self.sigma = first.sigma
-        self.tol = tol or first.tol
-        self.tensor_cap = tensor_cap
-        self._prefix_corr: dict[int, FdCorrespondence] = {1: factors[0].corr}
-        self._prefix_space: dict[int, TensorSpace] = {}
-        self._stages: dict[int, np.ndarray] = {1: factors[0].tilde}
+        self.tol = first.tol
+        self.tensor_cap = first.tensor_cap
+        self._stages: dict[int, np.ndarray] = {1: first.tilde}
 
     @property
     def n(self) -> int:
@@ -57,24 +61,18 @@ class ProductRep:
 
     def prefix_corr(self, i: int) -> FdCorrespondence:
         """E_1 (x) ... (x) E_i."""
-        if i not in self._prefix_corr:
-            self._prefix_corr[i] = tensor_product(self.prefix_corr(i - 1), self.factors[i - 1].corr)
-        return self._prefix_corr[i]
+        out = self.factors[0].corr
+        for f in self.factors[1:i]:
+            out = out.tensor(f.corr)
+        return out
 
     def prefix_space(self, i: int) -> TensorSpace:
         """(E_1 (x) ... (x) E_i) (x)_sigma H; i = 0 is H itself."""
         if i == 0:
             return plain_space(self.sigma)
-        if i not in self._prefix_space:
-            dims = [f.corr.module_dim for f in self.factors[:i]]
-            check_tensor_cap(math.prod(dims) * self.sigma.h_dim, self.tensor_cap)
-            # stage 1 is the first factor's lift, so it keeps that factor's space
-            self._prefix_space[i] = (
-                self.factors[0].space(1)
-                if i == 1
-                else interior_tensor(self.prefix_corr(i), self.sigma, self.tol)
-            )
-        return self._prefix_space[i]
+        dims = [f.corr.module_dim for f in self.factors[:i]]
+        check_tensor_cap(math.prod(dims) * self.sigma.h_dim, self.tensor_cap)
+        return self.prefix_corr(i).space(self.sigma, self.tol)
 
     def amplified(self, i: int, x: np.ndarray, dom_power: int, cod_power: int) -> np.ndarray:
         """I_{E_1 (x) ... (x) E_i} (x) X for X : side(dom_power) -> side(cod_power),
@@ -141,7 +139,7 @@ class ProductRep:
 # ---------------------------------------------------------------------------
 
 
-def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep, tol: Tolerance | None = None):
+def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep):
     """Sufficient condition for the two-factor product to be partially
     isometric:
 
@@ -150,10 +148,10 @@ def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep, tol: T
     Returns True/False, or None when either factor is not partially
     isometric (the condition is then not applicable).
     """
-    tol = tol or rep1.tol
+    prod = ProductRep([rep1, rep2])
+    tol = prod.tol
     if not (rep1.is_partial_isometric() and rep2.is_partial_isometric()):
         return None
-    prod = ProductRep([rep1, rep2], tol)
     final2 = rep2.tilde @ herm(rep2.tilde)
     amp = prod.amplified(1, final2, 0, 0)
     lhs = rep1.tilde @ amp
@@ -179,18 +177,16 @@ class CommutingProjectionResult:
         }
 
 
-def commuting_projection_test(
-    rep1: CovariantRep, rep2: CovariantRep, tol: Tolerance | None = None
-) -> CommutingProjectionResult:
+def commuting_projection_test(rep1: CovariantRep, rep2: CovariantRep) -> CommutingProjectionResult:
     """Two partially isometric factors: the product lift is a partial
     isometry iff the initial projection of the first factor commutes with
     the amplified final projection of the second."""
-    tol = tol or rep1.tol
+    prod = ProductRep([rep1, rep2])
+    tol = prod.tol
     if not rep1.is_partial_isometric():
         raise NotApplicable("first factor is not partially isometric")
     if not rep2.is_partial_isometric():
         raise NotApplicable("second factor is not partially isometric")
-    prod = ProductRep([rep1, rep2], tol)
     # both projections act on E_1 (x) H
     e_proj = herm(rep1.tilde) @ rep1.tilde
     f_proj = rep1.amplified(rep2.tilde @ herm(rep2.tilde), 1, 0, 0)
@@ -262,15 +258,14 @@ class ChainConditionReport:
         }
 
 
-def chain_condition_test(factors, tol: Tolerance | None = None) -> ChainConditionReport:
+def chain_condition_test(factors) -> ChainConditionReport:
     """Evaluate the four equivalent stagewise conditions for a product of
     partially isometric factors."""
-    factors = list(factors)
-    tol = tol or factors[0].tol
+    prod = ProductRep(factors)
+    factors, tol = prod.factors, prod.tol
     for i, f in enumerate(factors):
         if not f.is_partial_isometric():
             raise NotApplicable(f"factor {i + 1} is not partially isometric")
-    prod = ProductRep(factors, tol)
     stage_pi, range_inv, dom_inv, idem, residuals = [], [], [], [], []
     for s in range(1, prod.n):
         t_s = prod.stage(s)
@@ -305,15 +300,14 @@ class PinvFactorizationResult:
         }
 
 
-def pinv_factorization_test(factors, tol: Tolerance | None = None) -> PinvFactorizationResult:
+def pinv_factorization_test(factors) -> PinvFactorizationResult:
     """The product lift is a partial isometry iff its Moore-Penrose inverse
     equals the reversed chain of amplified factor pseudoinverses."""
-    factors = list(factors)
-    tol = tol or factors[0].tol
+    prod = ProductRep(factors)
+    factors, tol = prod.factors, prod.tol
     for i, f in enumerate(factors):
         if not f.is_partial_isometric():
             raise NotApplicable(f"factor {i + 1} is not partially isometric")
-    prod = ProductRep(factors, tol)
     t_n = prod.tilde
     direct = nx.pseudoinverse(t_n, tol)
     chain = nx.pseudoinverse(factors[0].tilde, tol)
@@ -341,10 +335,10 @@ class DefectDilationResult:
         return {"m_is_pi": self.m_is_pi, "rep1_is_pi": self.rep1_is_pi}
 
 
-def single_defect_dilation(rep: CovariantRep, tol: Tolerance | None = None) -> np.ndarray:
+def single_defect_dilation(rep: CovariantRep) -> np.ndarray:
     """[[tilde, (I - tilde tilde*)^(1/2)], [0, 0]]: a partial isometry for
     every completely contractive representation."""
-    tol = tol or rep.tol
+    tol = rep.tol
     if not nx.is_contraction(rep.tilde, tol):
         raise DomainError("defect dilation needs a contractive representation")
     d = rep.h_dim
@@ -353,18 +347,16 @@ def single_defect_dilation(rep: CovariantRep, tol: Tolerance | None = None) -> n
     return np.vstack([top, np.zeros_like(top)])
 
 
-def defect_dilation_test(
-    rep1: CovariantRep, rep2: CovariantRep, tol: Tolerance | None = None
-) -> DefectDilationResult:
+def defect_dilation_test(rep1: CovariantRep, rep2: CovariantRep) -> DefectDilationResult:
     """Assemble
         M = [[T_2, tilde1 (I (x) (I - tilde2 tilde2*))^(1/2)], [0, 0]]
     for contractive factors; M is a partial isometry iff the first factor
     is partially isometric."""
-    tol = tol or rep1.tol
+    prod = ProductRep([rep1, rep2])
+    tol = prod.tol
     for i, rep in enumerate((rep1, rep2)):
         if not nx.is_contraction(rep.tilde, tol):
             raise DomainError(f"factor {i + 1} is not contractive")
-    prod = ProductRep([rep1, rep2], tol)
     d = rep1.h_dim
     # amplification commutes with functional calculus, so
     # (I (x) (I - tilde2 tilde2*))^{1/2} = I (x) (I - tilde2 tilde2*)^{1/2}

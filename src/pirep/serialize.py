@@ -124,7 +124,7 @@ def matrix_from_json(obj) -> np.ndarray:
             raise UsageError(f"matrix data length {len(data)} != {rows}*{cols}")
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
         return flat.reshape(rows, cols)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed matrix JSON: {exc}") from exc
 
 
@@ -159,7 +159,7 @@ def correspondence_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> FdCorresponde
                 gram[a, b] = matrix_from_json(obj["gram"][a][b])
         left = np.stack([matrix_from_json(m) for m in obj["left_action"]])
         right = np.stack([matrix_from_json(m) for m in obj["right_action"]])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed correspondence JSON: {exc}") from exc
     return FdCorrespondence(algebra, gram, left, right).validate(tol)
 
@@ -177,6 +177,6 @@ def rep_from_json(obj, tol: Tolerance = DEFAULT_TOL, *, tensor_cap: int = DEFAUL
         corr = correspondence_from_json(obj["correspondence"], tol)
         sigma = StarRepresentation(corr.algebra, obj["multiplicities"])
         vs = [matrix_from_json(v) for v in obj["V"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed representation JSON: {exc}") from exc
     return CovariantRep(corr, sigma, vs, tol, tensor_cap=tensor_cap)

@@ -93,7 +93,7 @@ def test_criterion_03_two_factor_commuting_projections():
 
     rep1 = _one_dim_rep(np.diag([1.0, 0.0]))
     rep2 = _one_dim_rep(np.array([[1.0, 0.0], [1.0, 0.0]]) / np.sqrt(2.0))
-    res = commuting_projection_test(rep1, rep2, TOL)
+    res = commuting_projection_test(rep1, rep2)
     assert not res.product_is_pi and not res.projections_commute
     _line(3, "product PI <=> projections commute, 500 trials + hand pair")
 

@@ -155,3 +155,18 @@ def test_tensor_cap_covers_the_first_tensor_space(rep_file, capsys):
         assert "tensor space dimension 5 exceeds the cap 1" in captured.err
     code, out = run_cli(capsys, "classify", "--rep", rep_file, "--tensor-cap", "5")
     assert code == 0 and out["is_partial_isometric"] is True
+
+
+def test_tensor_cap_only_where_a_representation_is_loaded(capsys):
+    # shift and verify build no representation from a file, so the flag
+    # would have no effect there: argparse refuses it like --jobs outside verify
+    for argv in (
+        ["shift", "--n", "2", "--B", "0,3", "--M", "20", "--power", "3", "--tensor-cap", "1"],
+        ["verify", "--theorem", "T3.2", "--trials", "5", "--tensor-cap", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tensor-cap 1" in captured.err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pirep import covrep
+from pirep import correspondence
 from pirep import numerics as nx
 from pirep.correspondence import (
     SCALARS,
@@ -202,8 +202,8 @@ def test_tensor_cap_checked_from_shapes(tol, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("tensor space built past the cap")
 
-    monkeypatch.setattr(covrep, "tensor_product", refuse)
-    monkeypatch.setattr(covrep, "interior_tensor", refuse)
+    monkeypatch.setattr(correspondence, "tensor_product", refuse)
+    monkeypatch.setattr(correspondence, "interior_tensor", refuse)
     with pytest.raises(ResourceLimit, match="tensor space dimension 108 exceeds the cap 36"):
         rep.space(3)
 

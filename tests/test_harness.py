@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_commuting_pair_construction(tol):
         rep1, rep2 = hz.commuting_pi_pair(hz.rng_stream(8, index), config, tol)
         from pirep.products import commuting_projection_test
 
-        res = commuting_projection_test(rep1, rep2, tol)
+        res = commuting_projection_test(rep1, rep2)
         assert res.projections_commute and res.product_is_pi, index
 
 
@@ -180,6 +182,12 @@ def test_malformed_rep_json_is_usage_error(tol):
         (("correspondence", "block_sizes"), ["x"]),
         (("correspondence", "left_action"), [sz.matrix_to_json(np.eye(2)), sz.matrix_to_json(np.eye(3))]),
         (("V", 0, "data", 0), [1.0]),
+        # infinite sizes once escaped as OverflowError from int()
+        (("multiplicities",), [math.inf]),
+        (("correspondence", "block_sizes"), [math.inf]),
+        (("correspondence", "module_dim"), -math.inf),
+        (("correspondence", "right_action", 0, "rows"), math.inf),
+        (("V", 1, "cols"), math.inf),
     ):
         obj = sz.rep_to_json(rep)
         target = obj

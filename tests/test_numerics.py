@@ -192,6 +192,25 @@ def test_is_subset_partial_order(seed, d):
         assert nx.is_subset(a, c, tol)
 
 
+def test_inclusion_defect_matches_the_projector_form():
+    # is_subset measures ||(I - P2) F1|| from the frames alone
+    rng = rng_for(71)
+    tol = nx.DEFAULT_TOL
+    pairs = []
+    for d in (1, 3, 6):
+        for k1 in range(d + 1):
+            for k2 in range(d + 1):
+                pairs.append((Subspace.span(crandn(rng, d, k1), tol), Subspace.span(crandn(rng, d, k2), tol)))
+        outer = Subspace.span(crandn(rng, d, d - 1), tol)
+        inner = Subspace.span(outer.frame @ crandn(rng, d - 1, max(d - 2, 0)), tol)
+        pairs += [(inner, outer), (outer, inner), (outer, nx.ortho_complement(outer, tol))]
+        pairs += [(Subspace.zero(d), outer), (outer, Subspace.zero(d)), (Subspace.zero(d), Subspace.zero(d))]
+    for s1, s2 in pairs:
+        expected = np.linalg.norm((np.eye(s1.ambient_dim) - s2.projector()) @ s1.frame, 2) if s1.dim else 0.0
+        assert abs(nx.inclusion_defect(s1, s2) - expected) <= 1e-13
+        assert nx.is_subset(s1, s2, tol) == (expected <= tol.incl_abs)
+
+
 def test_empty_subspace_everywhere(tol):
     z = Subspace.zero(3)
     assert nx.is_subset(z, z, tol)

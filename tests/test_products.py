@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from pirep import correspondence
 from pirep import harness as hz
 from pirep import numerics as nx
-from pirep import products
 from pirep.correspondence import (
     SCALARS,
     FdCStarAlgebra,
@@ -12,7 +12,8 @@ from pirep.correspondence import (
     scalar_correspondence,
 )
 from pirep.covrep import CovariantRep
-from pirep.errors import DimensionMismatch, NotApplicable, ResourceLimit
+from pirep.errors import DimensionMismatch, NotApplicable, PirepError, ResourceLimit
+from pirep.numerics import Tolerance
 from pirep.products import (
     ProductRep,
     chain_condition_test,
@@ -59,22 +60,20 @@ def counterexample_pair(tol):
 def test_product_of_isometric_factors_is_isometric(tol):
     rng = rng_for(30)
     u1, u2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
-    prod = ProductRep([one_dim_rep(u1, tol), one_dim_rep(u2, tol)], tol)
+    prod = ProductRep([one_dim_rep(u1, tol), one_dim_rep(u2, tol)])
     assert nx.is_isometry(prod.stage(2), tol)
     np.testing.assert_allclose(prod.stage(2), u1 @ u2, atol=1e-12)
 
 
 def test_product_with_zero_factor_is_zero(tol):
     rng = rng_for(31)
-    prod = ProductRep(
-        [one_dim_rep(haar_unitary(rng, 2), tol), one_dim_rep(np.zeros((2, 2)), tol)], tol
-    )
+    prod = ProductRep([one_dim_rep(haar_unitary(rng, 2), tol), one_dim_rep(np.zeros((2, 2)), tol)])
     np.testing.assert_allclose(prod.tilde, np.zeros((2, 2)))
     assert nx.is_partial_isometry(prod.tilde, tol)
 
 
 def test_counterexample_product_not_pi(counterexample_pair, tol):
-    prod = ProductRep(list(counterexample_pair), tol)
+    prod = ProductRep(list(counterexample_pair))
     s = np.linalg.svd(prod.stage(2), compute_uv=False)
     np.testing.assert_allclose(sorted(s, reverse=True), [1 / np.sqrt(2), 0.0], atol=1e-12)
     assert not nx.is_partial_isometry(prod.stage(2), tol)
@@ -83,7 +82,7 @@ def test_counterexample_product_not_pi(counterexample_pair, tol):
 def test_product_defining_formula(tol):
     rng = rng_for(32)
     factors = [one_dim_rep(crandn(rng, 3, 3) / 2, tol) for _ in range(3)]
-    prod = ProductRep(factors, tol)
+    prod = ProductRep(factors)
     assert prod.check_defining_formula(rng_for(33), samples=10) <= 1e-10
 
 
@@ -92,15 +91,25 @@ def test_product_requires_shared_sigma(tol):
     a = one_dim_rep(crandn(rng, 2, 2), tol)
     b = one_dim_rep(crandn(rng, 3, 3), tol)
     with pytest.raises(DimensionMismatch):
-        ProductRep([a, b], tol)
+        ProductRep([a, b])
+    # the product reads its tolerance and cap from the factors, so they must agree
+    v = [crandn(rng, 2, 2)]
+    sigma = StarRepresentation(SCALARS, [2])
+    looser = CovariantRep(scalar_correspondence(1), sigma, v, Tolerance(eq_rel=1e-6))
+    capped = CovariantRep(scalar_correspondence(1), sigma, v, tol, tensor_cap=100)
+    for other, what in ((looser, "tolerance"), (capped, "tensor cap")):
+        with pytest.raises(PirepError, match=f"factors must share the {what}"):
+            ProductRep([one_dim_rep(v[0], tol), other])
+        with pytest.raises(PirepError, match=f"factors must share the {what}"):
+            chain_condition_test([one_dim_rep(v[0], tol), other])
 
 
 def test_product_associativity(tol):
     rng = rng_for(35)
     factors = [one_dim_rep(random_pi_matrix(rng, 3), tol) for _ in range(3)]
-    prod3 = ProductRep(factors, tol)
-    pair_rep = ProductRep(factors[:2], tol).as_rep()
-    nested = ProductRep([pair_rep, factors[2]], tol)
+    prod3 = ProductRep(factors)
+    pair_rep = ProductRep(factors[:2]).as_rep()
+    nested = ProductRep([pair_rep, factors[2]])
     assert nx.opnorm(prod3.stage(3) - nested.stage(2)) <= 1e-10
 
 
@@ -113,28 +122,28 @@ def test_intertwining_unitary_second_factor(tol):
     rng = rng_for(36)
     rep1 = one_dim_rep(random_pi_matrix(rng, 3), tol)
     rep2 = one_dim_rep(haar_unitary(rng, 3), tol)
-    assert sufficient_intertwining_check(rep1, rep2, tol) is True
-    assert ProductRep([rep1, rep2], tol).as_rep().classify().is_partial_isometric
+    assert sufficient_intertwining_check(rep1, rep2) is True
+    assert ProductRep([rep1, rep2]).as_rep().classify().is_partial_isometric
 
 
 def test_intertwining_zero_first_factor(tol):
     rng = rng_for(37)
     rep1 = one_dim_rep(np.zeros((2, 2)), tol)
     rep2 = one_dim_rep(random_pi_matrix(rng, 2), tol)
-    assert sufficient_intertwining_check(rep1, rep2, tol) is True
-    assert nx.is_partial_isometry(ProductRep([rep1, rep2], tol).tilde, tol)
+    assert sufficient_intertwining_check(rep1, rep2) is True
+    assert nx.is_partial_isometry(ProductRep([rep1, rep2]).tilde, tol)
 
 
 def test_intertwining_fails_on_counterexample(counterexample_pair, tol):
     # sufficiency only: here the condition fails and the product is not PI
-    assert sufficient_intertwining_check(*counterexample_pair, tol) is False
-    assert not nx.is_partial_isometry(ProductRep(list(counterexample_pair), tol).tilde, tol)
+    assert sufficient_intertwining_check(*counterexample_pair) is False
+    assert not nx.is_partial_isometry(ProductRep(list(counterexample_pair)).tilde, tol)
 
 
 def test_intertwining_not_applicable(tol):
     rep1 = one_dim_rep(0.5 * np.eye(2), tol)
     rep2 = one_dim_rep(np.eye(2), tol)
-    assert sufficient_intertwining_check(rep1, rep2, tol) is None
+    assert sufficient_intertwining_check(rep1, rep2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +155,12 @@ def test_commuting_projections_coisometric_second(tol):
     rng = rng_for(38)
     rep1 = one_dim_rep(random_pi_matrix(rng, 3), tol)
     rep2 = one_dim_rep(haar_unitary(rng, 3), tol)  # final projection is I
-    res = commuting_projection_test(rep1, rep2, tol)
+    res = commuting_projection_test(rep1, rep2)
     assert res.product_is_pi and res.projections_commute
 
 
 def test_commuting_projections_counterexample(counterexample_pair, tol):
-    res = commuting_projection_test(*counterexample_pair, tol)
+    res = commuting_projection_test(*counterexample_pair)
     assert not res.product_is_pi and not res.projections_commute
     np.testing.assert_allclose(res.commutator_norm, 0.5, atol=1e-12)
 
@@ -166,7 +175,7 @@ def test_commuting_projections_random_pairs_agree(tol):
             rep2 = one_dim_rep(haar_unitary(rng, d), tol)  # forces the true branch
         else:
             rep2 = one_dim_rep(random_pi_matrix(rng, d), tol)
-        res = commuting_projection_test(rep1, rep2, tol)
+        res = commuting_projection_test(rep1, rep2)
         assert res.product_is_pi == res.projections_commute, trial
         both[res.product_is_pi] += 1
     assert both[True] > 0 and both[False] > 0  # both branches exercised
@@ -176,7 +185,7 @@ def test_commuting_projections_precondition(tol):
     rep1 = one_dim_rep(0.5 * np.eye(2), tol)
     rep2 = one_dim_rep(np.eye(2), tol)
     with pytest.raises(NotApplicable):
-        commuting_projection_test(rep1, rep2, tol)
+        commuting_projection_test(rep1, rep2)
 
 
 def test_commuting_projections_thousand_trials_both_algebras(tol):
@@ -200,7 +209,7 @@ def test_commuting_projections_thousand_trials_both_algebras(tol):
 def test_chain_all_isometric(tol):
     rng = rng_for(40)
     factors = [one_dim_rep(haar_unitary(rng, 3), tol) for _ in range(3)]
-    report = chain_condition_test(factors, tol)
+    report = chain_condition_test(factors)
     assert all(report.stage_pi) and all(report.range_invariant)
     assert all(report.domain_invariant) and all(report.idempotent)
 
@@ -209,7 +218,7 @@ def test_chain_counterexample_stage_flags(counterexample_pair, tol):
     rng = rng_for(41)
     rep1, rep2 = counterexample_pair
     rep3 = one_dim_rep(np.eye(2), tol)
-    report = chain_condition_test([rep1, rep2, rep3], tol)
+    report = chain_condition_test([rep1, rep2, rep3])
     # all four conditions fail together at the failing stage
     assert report.stage_pi[0] is False or report.stage_pi[0] == False  # noqa: E712
     first = [report.stage_pi[0], report.range_invariant[0], report.domain_invariant[0], report.idempotent[0]]
@@ -227,11 +236,30 @@ def test_chain_condition_builds_each_space_once(tol, monkeypatch):
         for i, (left, right) in enumerate(tags)
     ]
     builds = count_space_builds(monkeypatch)
-    report = chain_condition_test(factors, tol)
+    report = chain_condition_test(factors)
     assert len(report.stage_pi) == 2
     # E_1 (x) E_2 and E_1 (x) E_2 (x) E_3, and their interior tensor products
     # with H; the factors' own spaces already exist
     assert sum(key[0] == "interior_tensor" for key in builds) == 2
+    assert sum(key[0] == "tensor_product" for key in builds) == 2
+    assert set(builds.values()) == {1}
+
+
+def test_representations_and_products_share_each_space(tol, monkeypatch):
+    # two-block algebra: every space has quotient coordinates
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    sigma = StarRepresentation(alg, [2, 1])
+    builds = count_space_builds(monkeypatch)
+    a = hz.random_pi_rep(corr, sigma, rng_for(64, 0), tol, allow_zero=False)
+    b = hz.random_pi_rep(corr, sigma, rng_for(64, 1), tol, allow_zero=False)
+    prod = ProductRep([a, b])
+    prod.stage(2)
+    assert prod.as_rep().space(1).dim == a.space(2).dim
+    a.tilde_power(3)
+    # E (x) H, E^2 (x) H, E^3 (x) H and E^2, E^3, each built once across
+    # both representations, the product and the product's own representation
+    assert sum(key[0] == "interior_tensor" for key in builds) == 3
     assert sum(key[0] == "tensor_product" for key in builds) == 2
     assert set(builds.values()) == {1}
 
@@ -241,17 +269,19 @@ def test_prefix_space_checks_the_cap_before_building(tol, monkeypatch):
     rng = rng_for(63)
     sigma = StarRepresentation(SCALARS, [2])
     factors = [
-        CovariantRep(scalar_correspondence(2), sigma, [crandn(rng, 2, 2) for _ in range(2)], tol)
+        CovariantRep(
+            scalar_correspondence(2), sigma, [crandn(rng, 2, 2) for _ in range(2)], tol, tensor_cap=8
+        )
         for _ in range(3)
     ]
-    prod = ProductRep(factors, tol, tensor_cap=8)
+    prod = ProductRep(factors)
     prod.stage(2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("tensor space built past the cap")
 
-    monkeypatch.setattr(products, "tensor_product", refuse)
-    monkeypatch.setattr(products, "interior_tensor", refuse)
+    monkeypatch.setattr(correspondence, "tensor_product", refuse)
+    monkeypatch.setattr(correspondence, "interior_tensor", refuse)
     with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
         prod.stage(3)
     with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
@@ -263,7 +293,7 @@ def test_chain_random_triples_cumulative_agree(tol):
     for trial in range(60):
         d = int(rng.integers(2, 6))
         factors = [one_dim_rep(random_pi_matrix(rng, d), tol) for _ in range(3)]
-        report = chain_condition_test(factors, tol)
+        report = chain_condition_test(factors)
         assert report.cumulative_agree(), trial
         assert report.raw_agree_until_first_failure(), trial
 
@@ -276,16 +306,16 @@ def test_chain_random_triples_cumulative_agree(tol):
 def test_pinv_factorization_unitary(tol):
     rng = rng_for(43)
     factors = [one_dim_rep(haar_unitary(rng, 3), tol) for _ in range(2)]
-    res = pinv_factorization_test(factors, tol)
+    res = pinv_factorization_test(factors)
     assert res.is_pi and res.pinv_factors_match
     assert res.chain_residual <= 1e-10
 
 
 def test_pinv_factorization_counterexample(counterexample_pair, tol):
-    res = pinv_factorization_test(list(counterexample_pair), tol)
+    res = pinv_factorization_test(list(counterexample_pair))
     assert not res.is_pi and not res.pinv_factors_match
     # oracle: direct pseudoinverse comparison
-    prod = ProductRep(list(counterexample_pair), tol)
+    prod = ProductRep(list(counterexample_pair))
     t = prod.tilde
     chain = nx.pseudoinverse(counterexample_pair[1].tilde) @ nx.pseudoinverse(
         counterexample_pair[0].tilde
@@ -298,7 +328,7 @@ def test_pinv_factorization_random_pairs(tol):
     for trial in range(60):
         d = int(rng.integers(2, 6))
         factors = [one_dim_rep(random_pi_matrix(rng, d), tol) for _ in range(2)]
-        res = pinv_factorization_test(factors, tol)
+        res = pinv_factorization_test(factors)
         assert res.is_pi == res.pinv_factors_match, trial
 
 
@@ -314,7 +344,7 @@ def test_single_dilation_always_pi(tol):
         x = crandn(rng, d, d)
         x = x / max(1.0, nx.opnorm(x))
         rep = one_dim_rep(x, tol)
-        assert nx.is_partial_isometry(single_defect_dilation(rep, tol), tol)
+        assert nx.is_partial_isometry(single_defect_dilation(rep), tol)
 
 
 def test_defect_dilation_isometric_first(tol):
@@ -322,7 +352,7 @@ def test_defect_dilation_isometric_first(tol):
     rep1 = one_dim_rep(haar_unitary(rng, 3), tol)
     x = crandn(rng, 3, 3)
     rep2 = one_dim_rep(x / max(1.0, nx.opnorm(x)), tol)
-    res = defect_dilation_test(rep1, rep2, tol)
+    res = defect_dilation_test(rep1, rep2)
     assert res.m_is_pi and res.rep1_is_pi
 
 
@@ -330,7 +360,7 @@ def test_defect_dilation_scaled_isometry_first(tol):
     rng = rng_for(47)
     rep1 = one_dim_rep(0.5 * haar_unitary(rng, 3), tol)
     rep2 = one_dim_rep(haar_unitary(rng, 3), tol)
-    res = defect_dilation_test(rep1, rep2, tol)
+    res = defect_dilation_test(rep1, rep2)
     assert not res.m_is_pi and not res.rep1_is_pi
 
 
@@ -348,5 +378,5 @@ def test_defect_dilation_equivalence_random(tol):
         x2 = crandn(rng, d, d)
         rep1 = one_dim_rep(v1, tol)
         rep2 = one_dim_rep(x2 / max(1.0, nx.opnorm(x2)), tol)
-        res = defect_dilation_test(rep1, rep2, tol)
+        res = defect_dilation_test(rep1, rep2)
         assert res.m_is_pi == res.rep1_is_pi, trial
