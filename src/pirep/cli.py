@@ -159,7 +159,7 @@ def _cmd_shift(args) -> int:
             for key, value in _read_json(args.weights).items():
                 i, m = key.split(",")
                 weights[(int(i), int(m))] = float(value)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"{args.weights}: malformed weights JSON: {exc}") from exc
     spec = shifts.WeightedShiftSpec(n=args.n, weights=weights, zero_set=zero_set, trunc=args.M)
     rep = shifts.build_shift(spec, tol)

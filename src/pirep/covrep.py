@@ -6,37 +6,32 @@ module basis.  Its working avatar is the lift
 
     tilde :  E (x)_sigma H  ->  H,     tilde(xi (x) h) = V(xi) h,
 
-which intertwines the induced left action with sigma.  Tensor powers are
-built by the defining composition
+which intertwines the induced left action with sigma.
 
-    tilde_m = tilde . (I_E (x) tilde) ... (I_{E^(m-1)} (x) tilde)
+``LiftChain`` builds powers and products alike: for lifts W_i over E_i,
 
-and cached; representations are immutable apart from this idempotent
-cache, so concurrent readers are safe (duplicated fills are harmless).
+    T_1 = W_1,     T_i = T_{i-1} (I_{E_1 (x) ... (x) E_{i-1}} (x) W_i).
 
-A representation keeps no tensor space of its own: ``space(m)`` checks the
-tensor cap on N^m dim(H), from shapes, and then reads E^(x m) and
-E^(x m) (x)_sigma H from the correspondence memos (``FdCorrespondence.tensor``
-and ``.space``).  So tilde_m and every amplified operator share one
-coordinate system per power, and so do all representations over the same
-correspondence, sigma and tolerance.
+A representation is the chain whose every factor is itself (T_m is the
+power tilde_m); a product (``products.ProductRep``) is the chain of its
+factors.  The T_m are cached; chains are immutable apart from this
+idempotent cache, so concurrent readers are safe.  ``space(m)`` checks the
+tensor cap on dim(E_1) ... dim(E_m) dim(H) from shapes, then reads the
+space from the correspondence memos (``FdCorrespondence.tensor`` and
+``.space``), so all chains over the same correspondences, sigma and
+tolerance share one coordinate system per prefix.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nx
-from .correspondence import (
-    FdCorrespondence,
-    StarRepresentation,
-    TensorSpace,
-    amplify,
-    plain_space,
-    tensor_power,
-)
+from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplify, plain_space
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -104,8 +99,106 @@ def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
     )
 
 
-class CovariantRep:
-    """The pair (sigma, V) with its lift and cached lift powers."""
+class LiftChain:
+    """The chain of lifts W_i : E_i (x)_sigma H -> H sharing sigma, the
+    tolerance and the tensor cap.  ``_factors(start, stop)`` lists the
+    factors i = start+1..stop, each with ``corr`` E_i and lift ``tilde``
+    W_i; the list is built per call, so a representation that is its own
+    factor forms no reference cycle."""
+
+    def __init__(self, sigma: StarRepresentation, tol: Tolerance, tensor_cap: int):
+        self.sigma = sigma
+        self.tol = tol
+        self.tensor_cap = tensor_cap
+        self._powers: dict[int, np.ndarray] = {}
+
+    def _factors(self, start: int, stop: int) -> list:
+        raise NotImplementedError
+
+    @property
+    def h_dim(self) -> int:
+        return self.sigma.h_dim
+
+    # -- spaces -------------------------------------------------------------
+
+    def corr_power(self, m: int) -> FdCorrespondence:
+        """E_1 (x) ... (x) E_m, folded from the left through the memos."""
+        if m < 1:
+            raise DimensionMismatch("corr_power needs m >= 1")
+        return functools.reduce(FdCorrespondence.tensor, [f.corr for f in self._factors(0, m)])
+
+    def space(self, m: int) -> TensorSpace:
+        """(E_1 (x) ... (x) E_m) (x)_sigma H; m = 0 is H itself."""
+        return self._space(0, m)
+
+    def _space(self, start: int, stop: int) -> TensorSpace:
+        """(E_{start+1} (x) ... (x) E_stop) (x)_sigma H, after the cap check
+        from shapes; start = stop is H itself."""
+        if start == stop:
+            return plain_space(self.sigma)
+        corrs = [f.corr for f in self._factors(start, stop)]
+        check_tensor_cap(math.prod(e.module_dim for e in corrs) * self.h_dim, self.tensor_cap)
+        return functools.reduce(FdCorrespondence.tensor, corrs).space(self.sigma, self.tol)
+
+    # -- the chain -----------------------------------------------------------
+
+    def tilde_power(self, m: int) -> np.ndarray:
+        """T_m = T_{m-1} (I_{E_1 (x) ... (x) E_{m-1}} (x) W_m), T_1 = W_1.
+
+        When the three spaces involved have identity coordinates the
+        amplified factor is block diagonal, and T_{m-1} is multiplied by
+        it block by block instead of materializing it."""
+        if m < 1:
+            raise DimensionMismatch("tilde_power needs m >= 1")
+        if m in self._powers:
+            return self._powers[m]
+        (factor,) = self._factors(m - 1, m)
+        w = factor.tilde
+        if m == 1:
+            mat = w
+        else:
+            prev = self.tilde_power(m - 1)
+            side, big, small = self._space(m - 1, m), self.space(m), self.space(m - 1)
+            if side.embed is None and big.embed is None and small.embed is None:
+                d = self.h_dim
+                blocks = [prev[:, j * d : (j + 1) * d] @ w for j in range(small.module_dim)]
+                mat = np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.complex128)
+            else:
+                mat = prev @ self.amplified(w, m - 1, 1, 0)
+        self._powers[m] = mat
+        return mat
+
+    def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> np.ndarray:
+        """I_{E_1 (x) ... (x) E_m} (x) X for X : side(dom_power) -> side(cod_power),
+        where side(p) is (E_{m+1} (x) ... (x) E_{m+p}) (x)_sigma H; as a map
+        space(m + dom_power) -> space(m + cod_power)."""
+        if m == 0:
+            return as_matrix(x)
+        return amplify(
+            x,
+            self._space(m, m + dom_power),
+            self._space(m, m + cod_power),
+            self.space(m + dom_power),
+            self.space(m + cod_power),
+            self.tol,
+        )
+
+    def pinv_chain(self, m: int) -> np.ndarray:
+        """(I_{E_1 (x) ... (x) E_{m-1}} (x) W_m^+) ... (I_{E_1} (x) W_2^+) W_1^+,
+        taking one pseudoinverse per distinct factor."""
+        if m < 1:
+            raise DimensionMismatch("pinv_chain needs m >= 1")
+        factors = self._factors(0, m)
+        daggers = {f: nx.pseudoinverse(f.tilde, self.tol) for f in dict.fromkeys(factors)}
+        out = daggers[factors[0]]
+        for j in range(1, m):
+            out = self.amplified(daggers[factors[j]], j, 0, 1) @ out
+        return out
+
+
+class CovariantRep(LiftChain):
+    """The pair (sigma, V) with its lift; as a chain, every factor is the
+    representation itself, so ``tilde_power(m)`` is the m-th power."""
 
     def __init__(
         self,
@@ -118,10 +211,8 @@ class CovariantRep:
     ):
         if corr.algebra != sigma.algebra:
             raise DimensionMismatch("correspondence and representation algebras differ")
+        super().__init__(sigma, tol, tensor_cap)
         self.corr = corr
-        self.sigma = sigma
-        self.tol = tol
-        self.tensor_cap = tensor_cap
         d = sigma.h_dim
         vs = [as_matrix(v) for v in v_on_basis]
         if len(vs) != corr.module_dim or any(v.shape != (d, d) for v in vs):
@@ -129,29 +220,13 @@ class CovariantRep:
                 f"need {corr.module_dim} matrices of shape ({d}, {d})"
             )
         self.v_on_basis = vs
-        self._powers: dict[int, np.ndarray] = {}
         self._tilde = self._build_tilde()
         self._validate_covariance()
 
-    # -- spaces -------------------------------------------------------------
+    def _factors(self, start: int, stop: int) -> list:
+        return [self] * (stop - start)
 
-    def corr_power(self, m: int) -> FdCorrespondence:
-        if m < 1:
-            raise DimensionMismatch("corr_power needs m >= 1")
-        return tensor_power(self.corr, m)
-
-    def space(self, m: int) -> TensorSpace:
-        """E^(x m) (x)_sigma H; m = 0 is H itself."""
-        if m == 0:
-            return plain_space(self.sigma)
-        check_tensor_cap(self.corr.module_dim**m * self.h_dim, self.tensor_cap)
-        return self.corr_power(m).space(self.sigma, self.tol)
-
-    @property
-    def h_dim(self) -> int:
-        return self.sigma.h_dim
-
-    # -- the lift and its powers ---------------------------------------------
+    # -- the lift ---------------------------------------------------------------
 
     def _build_tilde(self) -> np.ndarray:
         space = self.space(1)
@@ -201,57 +276,6 @@ class CovariantRep:
     @property
     def tilde(self) -> np.ndarray:
         return self._tilde
-
-    def tilde_power(self, m: int) -> np.ndarray:
-        """tilde_m = tilde . (I_E (x) tilde) ... (I_{E^(m-1)} (x) tilde)."""
-        if m < 1:
-            raise DimensionMismatch("tilde_power needs m >= 1")
-        if m in self._powers:
-            return self._powers[m]
-        if m == 1:
-            mat = self._tilde
-        else:
-            prev = self.tilde_power(m - 1)
-            mat = self._compose_amplified(prev, m)
-        self._powers[m] = mat
-        return mat
-
-    def _compose_amplified(self, prev: np.ndarray, m: int) -> np.ndarray:
-        """prev @ (I_{E^(m-1)} (x) tilde), never materializing the block
-        diagonal on the identity-coordinate fast path."""
-        dom = self.space(1)
-        sm = self.space(m)
-        sm1 = self.space(m - 1)
-        if dom.embed is None and sm.embed is None and sm1.embed is None:
-            k = self.corr_power(m - 1).module_dim
-            d = self.h_dim
-            blocks = [prev[:, j * d : (j + 1) * d] @ self._tilde for j in range(k)]
-            return np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.complex128)
-        return prev @ self.amplified(self._tilde, m - 1, 1, 0)
-
-    def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> np.ndarray:
-        """I_{E^(x m)} (x) X for X : space(dom_power) -> space(cod_power),
-        as a map space(m + dom_power) -> space(m + cod_power)."""
-        if m == 0:
-            return as_matrix(x)
-        return amplify(
-            x,
-            self.space(dom_power),
-            self.space(cod_power),
-            self.space(m + dom_power),
-            self.space(m + cod_power),
-            self.tol,
-        )
-
-    def pinv_chain(self, m: int) -> np.ndarray:
-        """(I_{E^(m-1)} (x) pinv(tilde)) ... (I_E (x) pinv(tilde)) pinv(tilde)."""
-        if m < 1:
-            raise DimensionMismatch("pinv_chain needs m >= 1")
-        dagger = nx.pseudoinverse(self._tilde, self.tol)
-        out = dagger
-        for j in range(1, m):
-            out = self.amplified(dagger, j, 0, 1) @ out
-        return out
 
     # -- classification -------------------------------------------------------
 

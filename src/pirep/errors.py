@@ -37,7 +37,7 @@ class IntertwinerError(PirepError):
 
 
 class ResourceLimit(PirepError):
-    """A tensor-space dimension exceeded the configured cap."""
+    """A tensor-space dimension or a dense allocation would exceed its limit."""
 
 
 class WindowError(PirepError):

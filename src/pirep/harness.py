@@ -11,8 +11,10 @@ not errors.
 Instances are generated constructively, never by rejection alone: the
 partial-isometry generator projects singular values after restriction to
 the intertwiner space (spectral functions of T*T commute with the algebra
-action, so covariance survives the projection), and negative instances are
-separated from true ones by a configurable margin.
+action, so covariance survives the projection).  The only instances drawn
+at a margin are the forced non-partial isometries, whose top singular
+value lies in [0.25, 0.75]; ``TrialConfig.perturbation`` generates nothing
+and only bounds the tolerance ``verify`` accepts.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def random_contractive_rep(
     force_non_pi: bool = False,
 ) -> CovariantRep:
     """Random completely contractive representation (norm <= 1).  With
-    ``force_non_pi`` the top singular value is placed inside [0.2, 0.8],
+    ``force_non_pi`` the top singular value is placed inside [0.25, 0.75],
     separating the instance from every partial isometry by a margin."""
     x = random_covariant_matrix(corr, sigma, rng, tol)
     scale = opnorm(x)

@@ -6,8 +6,12 @@ same space, the stage operators are
 
     T_1 = tilde^(1),     T_i = T_{i-1} . (I_{E_1 (x) ... (x) E_{i-1}} (x) tilde^(i)),
 
-the lifts of the product representation on E_1 (x) ... (x) E_i.  The tests
-here decide when the stages are partial isometries: a sufficient
+the lifts of the product representation on E_1 (x) ... (x) E_i.  A
+``ProductRep`` is the ``covrep.LiftChain`` of its factors, the same chain
+that gives a representation its powers, so ``tilde_power(i)``, ``space(i)``,
+``amplified`` and ``pinv_chain`` mean the same for a product of n copies
+of one representation as for that representation.  The tests here decide
+when the stages are partial isometries: a sufficient
 intertwining identity, the commuting-projections equivalence for two
 factors, the four-condition chain equivalence for n factors, the
 pseudoinverse factorization equivalence, and the defect-dilation block
@@ -20,22 +24,22 @@ documented or raise NotApplicable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nx
-from .correspondence import FdCorrespondence, TensorSpace, amplify, plain_space
-from .covrep import CovariantRep, check_tensor_cap, rep_from_tilde
+from .covrep import CovariantRep, LiftChain, rep_from_tilde
 from .errors import DimensionMismatch, DomainError, NotApplicable, UsageError
 from .numerics import Subspace, eye, herm, opnorm
 
 
-class ProductRep:
+class ProductRep(LiftChain):
     """Ordered factors sharing the coefficient algebra, sigma, H, the
     tolerance and the tensor cap; the product reads the last two from its
-    factors, so its spaces are theirs."""
+    factors, so its spaces are theirs.  As a chain its lifts are the
+    factors' lifts, and ``tilde_power(i)`` is the lift of the product of
+    the first i factors."""
 
     def __init__(self, factors):
         factors = list(factors)
@@ -49,73 +53,34 @@ class ProductRep:
                 raise UsageError("factors must share the tolerance")
             if f.tensor_cap != first.tensor_cap:
                 raise UsageError("factors must share the tensor cap")
+        super().__init__(first.sigma, first.tol, first.tensor_cap)
         self.factors = factors
-        self.sigma = first.sigma
-        self.tol = first.tol
-        self.tensor_cap = first.tensor_cap
-        self._stages: dict[int, np.ndarray] = {1: first.tilde}
 
     @property
     def n(self) -> int:
         return len(self.factors)
 
-    def prefix_corr(self, i: int) -> FdCorrespondence:
-        """E_1 (x) ... (x) E_i."""
-        out = self.factors[0].corr
-        for f in self.factors[1:i]:
-            out = out.tensor(f.corr)
-        return out
-
-    def prefix_space(self, i: int) -> TensorSpace:
-        """(E_1 (x) ... (x) E_i) (x)_sigma H; i = 0 is H itself."""
-        if i == 0:
-            return plain_space(self.sigma)
-        dims = [f.corr.module_dim for f in self.factors[:i]]
-        check_tensor_cap(math.prod(dims) * self.sigma.h_dim, self.tensor_cap)
-        return self.prefix_corr(i).space(self.sigma, self.tol)
-
-    def amplified(self, i: int, x: np.ndarray, dom_power: int, cod_power: int) -> np.ndarray:
-        """I_{E_1 (x) ... (x) E_i} (x) X for X : side(dom_power) -> side(cod_power),
-        where side 0 is H and side 1 is E_{i+1} (x) H; as a map
-        prefix_space(i + dom_power) -> prefix_space(i + cod_power)."""
-
-        def side(power: int) -> TensorSpace:
-            return self.factors[i].space(1) if power else plain_space(self.sigma)
-
-        return amplify(
-            x,
-            side(dom_power),
-            side(cod_power),
-            self.prefix_space(i + dom_power),
-            self.prefix_space(i + cod_power),
-            self.tol,
-        )
-
-    def stage(self, i: int) -> np.ndarray:
-        """The lift of the product of the first i factors."""
-        if not 1 <= i <= self.n:
-            raise DimensionMismatch(f"stage index {i} out of range 1..{self.n}")
-        if i not in self._stages:
-            prev = self.stage(i - 1)
-            self._stages[i] = prev @ self.amplified(i - 1, self.factors[i - 1].tilde, 1, 0)
-        return self._stages[i]
+    def _factors(self, start: int, stop: int) -> list:
+        if not 0 <= start <= stop <= self.n:
+            raise DimensionMismatch(f"factors {start + 1}..{stop} out of range 1..{self.n}")
+        return self.factors[start:stop]
 
     @property
     def tilde(self) -> np.ndarray:
-        return self.stage(self.n)
+        return self.tilde_power(self.n)
 
     def as_rep(self, i: int | None = None) -> CovariantRep:
         """The product of the first i factors as a single representation."""
         i = self.n if i is None else i
         return rep_from_tilde(
-            self.prefix_corr(i), self.sigma, self.stage(i), self.tol, tensor_cap=self.tensor_cap
+            self.corr_power(i), self.sigma, self.tilde_power(i), self.tol, tensor_cap=self.tensor_cap
         )
 
     def check_defining_formula(self, rng: np.random.Generator, samples: int = 10) -> float:
-        """Worst residual of stage_n(xi_1 (x) ... (x) xi_n (x) h) =
+        """Worst residual of T_n(xi_1 (x) ... (x) xi_n (x) h) =
         V^(1)(xi_1) ... V^(n)(xi_n) h on random simple tensors."""
         worst = 0.0
-        space = self.prefix_space(self.n)
+        space = self.space(self.n)
         d = self.sigma.h_dim
         for _ in range(samples):
             xis = [
@@ -153,7 +118,7 @@ def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep):
     if not (rep1.is_partial_isometric() and rep2.is_partial_isometric()):
         return None
     final2 = rep2.tilde @ herm(rep2.tilde)
-    amp = prod.amplified(1, final2, 0, 0)
+    amp = prod.amplified(final2, 1, 0, 0)
     lhs = rep1.tilde @ amp
     rhs = final2 @ rep1.tilde
     return opnorm(lhs - rhs) <= tol.eq_rel * max(1.0, opnorm(rep1.tilde))
@@ -189,9 +154,9 @@ def commuting_projection_test(rep1: CovariantRep, rep2: CovariantRep) -> Commuti
         raise NotApplicable("second factor is not partially isometric")
     # both projections act on E_1 (x) H
     e_proj = herm(rep1.tilde) @ rep1.tilde
-    f_proj = rep1.amplified(rep2.tilde @ herm(rep2.tilde), 1, 0, 0)
+    f_proj = prod.amplified(rep2.tilde @ herm(rep2.tilde), 1, 0, 0)
     commutator = opnorm(e_proj @ f_proj - f_proj @ e_proj)
-    residual, product_is_pi = nx.partial_isometry_residual(prod.stage(2), tol)
+    residual, product_is_pi = nx.partial_isometry_residual(prod.tilde, tol)
     return CommutingProjectionResult(
         product_is_pi=product_is_pi,
         projections_commute=commutator <= tol.eq_rel,
@@ -268,14 +233,14 @@ def chain_condition_test(factors) -> ChainConditionReport:
             raise NotApplicable(f"factor {i + 1} is not partially isometric")
     stage_pi, range_inv, dom_inv, idem, residuals = [], [], [], [], []
     for s in range(1, prod.n):
-        t_s = prod.stage(s)
+        t_s = prod.tilde_power(s)
         fac = factors[s]
-        w_amp = prod.amplified(s, fac.tilde, 1, 0)
-        pi_res, next_is_pi = nx.partial_isometry_residual(prod.stage(s + 1), tol)
+        w_amp = prod.amplified(fac.tilde, s, 1, 0)
+        pi_res, next_is_pi = nx.partial_isometry_residual(prod.tilde_power(s + 1), tol)
         stage_pi.append(next_is_pi)
         initial_range = Subspace.span(herm(t_s), tol)
         final_w = fac.tilde @ herm(fac.tilde)
-        amp_final_w = prod.amplified(s, final_w, 0, 0)
+        amp_final_w = prod.amplified(final_w, s, 0, 0)
         range_inv.append(nx.is_subset(nx.image(amp_final_w, initial_range, tol), initial_range, tol))
         w_range = Subspace.span(w_amp, tol)
         dom_inv.append(nx.is_subset(nx.image(herm(t_s) @ t_s, w_range, tol), w_range, tol))
@@ -310,13 +275,7 @@ def pinv_factorization_test(factors) -> PinvFactorizationResult:
             raise NotApplicable(f"factor {i + 1} is not partially isometric")
     t_n = prod.tilde
     direct = nx.pseudoinverse(t_n, tol)
-    chain = nx.pseudoinverse(factors[0].tilde, tol)
-    for i in range(1, prod.n):
-        fac = factors[i]
-        dagger = nx.pseudoinverse(fac.tilde, tol)
-        amp = prod.amplified(i, dagger, 0, 1)
-        chain = amp @ chain
-    residual = opnorm(direct - chain)
+    residual = opnorm(direct - prod.pinv_chain(prod.n))
     scale = max(1.0, opnorm(direct))
     return PinvFactorizationResult(
         is_pi=nx.is_partial_isometry(t_n, tol),
@@ -361,8 +320,8 @@ def defect_dilation_test(rep1: CovariantRep, rep2: CovariantRep) -> DefectDilati
     # amplification commutes with functional calculus, so
     # (I (x) (I - tilde2 tilde2*))^{1/2} = I (x) (I - tilde2 tilde2*)^{1/2}
     defect_root = nx.psd_sqrt(eye(d) - rep2.tilde @ herm(rep2.tilde), tol)
-    amp_root = prod.amplified(1, defect_root, 0, 0)
-    top_left = prod.stage(2)
+    amp_root = prod.amplified(defect_root, 1, 0, 0)
+    top_left = prod.tilde
     top_right = rep1.tilde @ amp_root
     top = np.hstack([top_left, top_right])
     m = np.vstack([top, np.zeros_like(top)])

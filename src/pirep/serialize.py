@@ -150,15 +150,20 @@ def correspondence_to_json(e: FdCorrespondence) -> dict:
 
 def correspondence_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> FdCorrespondence:
     try:
-        algebra = FdCStarAlgebra(obj["block_sizes"])
-        n = int(obj["module_dim"])
+        # declared sizes must match the data before anything is built from them
+        sizes = [int(k) for k in obj["block_sizes"]]
+        n, dim = int(obj["module_dim"]), sum(k * k for k in sizes)
+        rows, left_data, right_data = obj["gram"], obj["left_action"], obj["right_action"]
+        if len(rows) != n or any(len(row) != n for row in rows) or not len(left_data) == len(right_data) == dim:
+            raise UsageError(f"declared sizes need a {n} x {n} gram and {dim} matrices per action list")
+        gram_data = [[matrix_from_json(m) for m in row] for row in rows]
+        algebra = FdCStarAlgebra(sizes)
         k = algebra.matrix_size
-        gram = np.zeros((n, n, k, k), dtype=np.complex128)
-        for a in range(n):
-            for b in range(n):
-                gram[a, b] = matrix_from_json(obj["gram"][a][b])
-        left = np.stack([matrix_from_json(m) for m in obj["left_action"]])
-        right = np.stack([matrix_from_json(m) for m in obj["right_action"]])
+        if any(g.shape != (k, k) for row in gram_data for g in row):
+            raise UsageError(f"gram entries must be {k} x {k} matrices")
+        gram = np.array(gram_data, dtype=np.complex128).reshape(n, n, k, k)
+        left = np.stack([matrix_from_json(m) for m in left_data])
+        right = np.stack([matrix_from_json(m) for m in right_data])
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed correspondence JSON: {exc}") from exc
     return FdCorrespondence(algebra, gram, left, right).validate(tol)

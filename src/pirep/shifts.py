@@ -24,8 +24,13 @@ import numpy as np
 from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
-from .errors import DimensionMismatch, WindowError
+from .errors import DimensionMismatch, ResourceLimit, WindowError
 from .numerics import DEFAULT_TOL, Tolerance, opnorm
+
+# Bytes of dense data a shift may need: n complex (M+1)^2 matrices and the n x n
+# structure arrays of C^n.  The largest shift in use (n = 3, M = 216) needs
+# 2.3 MB, and its criteria build lift powers n^k times wider than that.
+SHIFT_BYTES = 2**26
 
 
 def _max_offset(n: int, k: int) -> int:
@@ -62,14 +67,17 @@ class WeightedShiftSpec:
         for (i, m), w in dict(self.weights).items():
             if not (1 <= int(i) <= self.n) or int(m) < 0:
                 raise DimensionMismatch(f"weight index ({i}, {m}) out of range")
-            if w < 0:
-                raise DimensionMismatch("weights must be nonnegative")
+            if not 0 <= w < float("inf"):
+                raise DimensionMismatch("weights must be finite and nonnegative")
             clean[(int(i), int(m))] = float(w)
         object.__setattr__(self, "weights", clean)
         if self.trunc is None:
             object.__setattr__(self, "trunc", minimal_trunc(self.n, 3))
         elif self.trunc < 1:
             raise DimensionMismatch("truncation level must be >= 1")
+        need = 16 * self.n * (self.h_dim() ** 2 + 3 * self.n)
+        if need > SHIFT_BYTES:
+            raise ResourceLimit(f"the shift needs {need} bytes of dense matrices, over the budget {SHIFT_BYTES}")
 
     def weight(self, i: int, m: int) -> float:
         return self.weights.get((i, m), 1.0)

@@ -139,6 +139,31 @@ def test_malformed_matrix_entry_is_usage_error(rep_file, capsys):
     assert "malformed matrix JSON" in capsys.readouterr().err
 
 
+def test_declared_sizes_must_match_the_data(rep_file, capsys):
+    obj = json.loads(open(rep_file).read())
+    corr = obj["correspondence"]
+    for bad in ({**corr, "module_dim": 10**7, "gram": []}, {**corr, "block_sizes": [3000]}):
+        with open(rep_file, "w") as fh:
+            json.dump({**obj, "correspondence": bad}, fh)
+        assert main(["classify", "--rep", rep_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "declared sizes need" in captured.err
+
+
+def test_shift_allocation_checked_from_shapes(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("shift matrices allocated past the budget")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    # n = 1, M + 1 = 2^18 passes the tensor cap, but its matrix needs 1 TiB
+    for n, m in ((2, 10**8), (1, 2**18 - 1)):
+        assert main(["shift", "--n", str(n), "--M", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        need = 16 * n * ((m + 1) ** 2 + 3 * n)
+        assert f"the shift needs {need} bytes of dense matrices" in captured.err
+
+
 def test_invalid_json_rep_is_usage_error(tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text('{"correspondence": ')

@@ -1,4 +1,5 @@
-"""Fuzz the representation JSON reader and ``pirep classify --rep``.
+"""Fuzz the representation JSON reader, ``pirep classify --rep`` and the
+weights file of ``pirep shift``.
 
 Inputs are JSON trees with a wrong type or shape at any key: either a
 valid small representation with one value replaced or one key removed, or
@@ -7,6 +8,8 @@ value.  Sizes stay small (block sizes, module dimensions and
 multiplicities at most 3, generated lists at most 4 long), so no input
 allocates more than a few kilobytes.  The only allowed outcomes are a
 representation, or a ``PirepError`` that the CLI turns into exit 2.
+Weights files map ``"i,m"`` keys, well-formed or not, to arbitrary JSON
+values on shifts with M <= 20; ``pirep shift`` must exit 0 or 2.
 """
 
 import contextlib
@@ -149,3 +152,22 @@ def test_classify_exits_0_or_2(rep_path, tree):
 def test_valid_trees_load(tree):
     assert isinstance(sz.rep_from_json(tree, DEFAULT_TOL), CovariantRep)
 
+
+
+WEIGHT_KEY = st.builds("{},{}".format, st.integers(-1, 4), st.integers(-1, 22)) | st.text(max_size=4)
+WEIGHT_VALUE = NUMBER | st.sampled_from([1e308, 10**400, "nan", "1e999"]) | ANY_JSON
+WEIGHTS = st.dictionaries(WEIGHT_KEY, WEIGHT_VALUE, max_size=4) | ANY_JSON
+
+
+@FUZZ
+@given(weights=WEIGHTS, n=st.integers(1, 3), trunc=st.integers(1, 20))
+def test_shift_weights_exit_0_or_2(rep_path, weights, n, trunc):
+    rep_path.write_text(json.dumps(weights))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["shift", "--n", str(n), "--M", str(trunc), "--weights", str(rep_path)])
+    if code == 0:
+        assert "criterion" in json.loads(out.getvalue())
+    else:
+        assert code == 2
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

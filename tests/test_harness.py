@@ -177,6 +177,7 @@ def test_rep_json_roundtrip(tol):
 
 def test_malformed_rep_json_is_usage_error(tol):
     rep = hz.structured_fixture("coisometric_row", 11, tol, n=2, d=2)
+    corr = sz.correspondence_to_json(rep.corr)
     for path, value in (
         (("multiplicities",), ["x"]),
         (("correspondence", "block_sizes"), ["x"]),
@@ -188,6 +189,10 @@ def test_malformed_rep_json_is_usage_error(tol):
         (("correspondence", "module_dim"), -math.inf),
         (("correspondence", "right_action", 0, "rows"), math.inf),
         (("V", 1, "cols"), math.inf),
+        # declared sizes are checked against the data before anything is built:
+        # these once allocated a 10^7 x 10^7 gram and spent seconds on the algebra
+        (("correspondence",), {**corr, "module_dim": 10**7, "gram": []}),
+        (("correspondence", "block_sizes"), [3000]),
     ):
         obj = sz.rep_to_json(rep)
         target = obj

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -61,8 +64,8 @@ def test_product_of_isometric_factors_is_isometric(tol):
     rng = rng_for(30)
     u1, u2 = haar_unitary(rng, 3), haar_unitary(rng, 3)
     prod = ProductRep([one_dim_rep(u1, tol), one_dim_rep(u2, tol)])
-    assert nx.is_isometry(prod.stage(2), tol)
-    np.testing.assert_allclose(prod.stage(2), u1 @ u2, atol=1e-12)
+    assert nx.is_isometry(prod.tilde_power(2), tol)
+    np.testing.assert_allclose(prod.tilde_power(2), u1 @ u2, atol=1e-12)
 
 
 def test_product_with_zero_factor_is_zero(tol):
@@ -74,9 +77,9 @@ def test_product_with_zero_factor_is_zero(tol):
 
 def test_counterexample_product_not_pi(counterexample_pair, tol):
     prod = ProductRep(list(counterexample_pair))
-    s = np.linalg.svd(prod.stage(2), compute_uv=False)
+    s = np.linalg.svd(prod.tilde_power(2), compute_uv=False)
     np.testing.assert_allclose(sorted(s, reverse=True), [1 / np.sqrt(2), 0.0], atol=1e-12)
-    assert not nx.is_partial_isometry(prod.stage(2), tol)
+    assert not nx.is_partial_isometry(prod.tilde_power(2), tol)
 
 
 def test_product_defining_formula(tol):
@@ -110,7 +113,7 @@ def test_product_associativity(tol):
     prod3 = ProductRep(factors)
     pair_rep = ProductRep(factors[:2]).as_rep()
     nested = ProductRep([pair_rep, factors[2]])
-    assert nx.opnorm(prod3.stage(3) - nested.stage(2)) <= 1e-10
+    assert nx.opnorm(prod3.tilde_power(3) - nested.tilde_power(2)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,7 @@ def test_representations_and_products_share_each_space(tol, monkeypatch):
     a = hz.random_pi_rep(corr, sigma, rng_for(64, 0), tol, allow_zero=False)
     b = hz.random_pi_rep(corr, sigma, rng_for(64, 1), tol, allow_zero=False)
     prod = ProductRep([a, b])
-    prod.stage(2)
+    prod.tilde_power(2)
     assert prod.as_rep().space(1).dim == a.space(2).dim
     a.tilde_power(3)
     # E (x) H, E^2 (x) H, E^3 (x) H and E^2, E^3, each built once across
@@ -262,6 +265,70 @@ def test_representations_and_products_share_each_space(tol, monkeypatch):
     assert sum(key[0] == "interior_tensor" for key in builds) == 3
     assert sum(key[0] == "tensor_product" for key in builds) == 2
     assert set(builds.values()) == {1}
+
+
+def test_a_power_is_a_product(tol):
+    # one chain builds T_m for a representation and for m copies of it, so
+    # the two agree bitwise on both the block and the quotient coordinate
+    # path (multiplying by the materialized I (x) W once differed in the
+    # last bits for most scalar shapes with dim E = 2, 3)
+    rng = rng_for(65)
+    for trial in range(12):
+        if trial % 2:
+            left, right = rng.integers(0, 2, size=(2, int(rng.integers(1, 3)))).tolist()
+            corr = diagonal_correspondence(hz.TWO_BLOCK, left, right)
+            sigma = StarRepresentation(hz.TWO_BLOCK, [int(k) for k in rng.integers(1, 3, size=2)])
+        else:
+            corr = scalar_correspondence(int(rng.integers(2, 4)))
+            sigma = StarRepresentation(SCALARS, [int(rng.integers(2, 6))])
+        rep = hz.random_contractive_rep(corr, sigma, rng, tol)
+        for m in (2, 3, 4):
+            prod = ProductRep([rep] * m)
+            assert np.array_equal(prod.tilde_power(m), rep.tilde_power(m)), (trial, m)
+            assert np.array_equal(prod.pinv_chain(m), rep.pinv_chain(m)), (trial, m)
+
+
+def test_pinv_chain_takes_one_pseudoinverse_per_distinct_factor(tol, monkeypatch):
+    rng = rng_for(66)
+    sigma = StarRepresentation(SCALARS, [3])
+    a, b = (CovariantRep(scalar_correspondence(2), sigma, [crandn(rng, 3, 3) for _ in range(2)], tol) for _ in range(2))
+    svds = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    a.pinv_chain(4)
+    assert svds == [(3, 6)]
+    svds.clear()
+    ProductRep([a, b, a, b]).pinv_chain(4)
+    assert svds == [(3, 6), (3, 6)]
+
+
+def test_chains_are_freed_by_reference_counting(tol):
+    # no reference cycle between a representation, the product of it and
+    # the spaces they read, so both die as soon as the last name goes
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    sigma = StarRepresentation(alg, [2, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        a = hz.random_pi_rep(corr, sigma, rng_for(67, 0), tol, allow_zero=False)
+        b = hz.random_pi_rep(corr, sigma, rng_for(67, 1), tol, allow_zero=False)
+        prod = ProductRep([a, b, a])
+        prod.tilde_power(3)
+        prod.pinv_chain(3)
+        a.tilde_power(3)
+        a.pinv_chain(3)
+        chain_condition_test([a, b])
+        refs = [weakref.ref(x) for x in (a, b, prod)]
+        del a, b, prod
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_prefix_space_checks_the_cap_before_building(tol, monkeypatch):
@@ -275,7 +342,7 @@ def test_prefix_space_checks_the_cap_before_building(tol, monkeypatch):
         for _ in range(3)
     ]
     prod = ProductRep(factors)
-    prod.stage(2)
+    prod.tilde_power(2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("tensor space built past the cap")
@@ -283,9 +350,9 @@ def test_prefix_space_checks_the_cap_before_building(tol, monkeypatch):
     monkeypatch.setattr(correspondence, "tensor_product", refuse)
     monkeypatch.setattr(correspondence, "interior_tensor", refuse)
     with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
-        prod.stage(3)
+        prod.tilde_power(3)
     with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
-        prod.prefix_space(3)
+        prod.space(3)
 
 
 def test_chain_random_triples_cumulative_agree(tol):

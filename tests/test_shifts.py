@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from pirep import numerics as nx
 from pirep import shifts as sh
-from pirep.errors import DimensionMismatch, WindowError
+from pirep.errors import DimensionMismatch, ResourceLimit, WindowError
 from pirep.shifts import WeightedShiftSpec
 
 from conftest import rng_for
@@ -50,6 +52,14 @@ def test_spec_validation():
         WeightedShiftSpec(n=2, weights={(3, 0): 1.0})
     with pytest.raises(DimensionMismatch):
         WeightedShiftSpec(n=1, weights={(1, 0): -0.5})
+    for w in (math.nan, math.inf):
+        with pytest.raises(DimensionMismatch):
+            WeightedShiftSpec(n=1, weights={(1, 0): w})
+    # the byte budget is checked from n and M alone: a spec allocates nothing
+    d = math.isqrt(sh.SHIFT_BYTES // 16 - 3)
+    assert WeightedShiftSpec(n=1, trunc=d - 1).h_dim() == d
+    with pytest.raises(ResourceLimit, match=f"needs {16 * ((d + 1) ** 2 + 3)} bytes"):
+        WeightedShiftSpec(n=1, trunc=d)
 
 
 def test_build_shift_is_covariant_rep(tol):
