@@ -48,7 +48,6 @@ from .numerics import (
     is_contraction,
     is_isometry,
     is_partial_isometry,
-    is_projection,
     is_subset,
     kernel_frame,
     kernel_projector,

@@ -11,13 +11,14 @@ One executable with subcommands:
     verify   --theorem T2.2 --trials 500 --seed 42 [--falsify] [--jobs N]
 
 Global flags (--tol-rank, --tol-eq, --tol-incl, --indent) are accepted by
-every subcommand.  --tensor-cap belongs to the subcommands that load a
-representation file (``classify``, ``product``, ``powers``, ``root``,
-``wold``) and --jobs to ``verify`` alone; elsewhere argparse refuses them
-with exit 2.  All
-output is deterministic JSON on stdout with numbers at 17 significant
-digits.  ``classify`` and ``product`` print the six-way partial-isometry
-diagnostic; every other verdict is the triple-product rule alone.
+every subcommand, and --jobs by ``verify`` alone; elsewhere argparse
+refuses it with exit 2.  Every dense array that grows with a tensor power
+is checked against one byte budget (``numerics.DENSE_BYTES``) from its
+shape before it is allocated, so an input past it exits 2 naming the
+bytes it needs.  All output is deterministic JSON on stdout with numbers
+at 17 significant digits.  ``classify`` and ``product`` print the six-way
+partial-isometry diagnostic; every other verdict is the triple-product
+rule alone.
 ``verify`` exits 0 iff the run produced zero violations, 1 otherwise;
 every subcommand exits 2 on usage or input errors, malformed JSON
 included.
@@ -30,7 +31,6 @@ import json
 import sys
 
 from . import harness, powers, serialize, shifts, wold
-from .covrep import DEFAULT_TENSOR_CAP
 from .errors import NotApplicable, PirepError, UsageError
 from .numerics import Tolerance
 from .products import (
@@ -50,11 +50,6 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--indent", type=int, default=2, help="JSON indent (0 for compact)")
 
 
-def _rep_flags(parser: argparse.ArgumentParser):
-    _common_flags(parser)
-    parser.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP, help="tensor dimension cap")
-
-
 def _tolerance(args) -> Tolerance:
     return Tolerance(rank_rel=args.tol_rank, eq_rel=args.tol_eq, incl_abs=args.tol_incl)
 
@@ -67,8 +62,8 @@ def _read_json(path: str):
             raise UsageError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _load_rep(path: str, tol: Tolerance, tensor_cap: int):
-    return serialize.rep_from_json(_read_json(path), tol, tensor_cap=tensor_cap)
+def _load_rep(path: str, tol: Tolerance):
+    return serialize.rep_from_json(_read_json(path), tol)
 
 
 def _emit(obj, args) -> None:
@@ -79,14 +74,14 @@ def _emit(obj, args) -> None:
 
 def _cmd_classify(args) -> int:
     tol = _tolerance(args)
-    rep = _load_rep(args.rep, tol, args.tensor_cap)
+    rep = _load_rep(args.rep, tol)
     _emit(rep.classify().to_dict(), args)
     return 0
 
 
 def _cmd_product(args) -> int:
     tol = _tolerance(args)
-    reps = [_load_rep(path, tol, args.tensor_cap) for path in args.reps]
+    reps = [_load_rep(path, tol) for path in args.reps]
     prod = ProductRep(reps)
     out = {
         "n_factors": len(reps),
@@ -119,7 +114,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_powers(args) -> int:
     tol = _tolerance(args)
-    rep = _load_rep(args.rep, tol, args.tensor_cap)
+    rep = _load_rep(args.rep, tol)
     report = powers.power_report(rep, args.nmax)
     out = report.to_dict()
     out["generalized_range_dim"] = powers.generalized_range(rep).dim
@@ -130,7 +125,7 @@ def _cmd_powers(args) -> int:
 
 def _cmd_root(args) -> int:
     tol = _tolerance(args)
-    rep = _load_rep(args.rep, tol, args.tensor_cap)
+    rep = _load_rep(args.rep, tol)
     try:
         out = powers.root_criterion(rep, args.k).to_dict()
     except NotApplicable as exc:
@@ -141,7 +136,7 @@ def _cmd_root(args) -> int:
 
 def _cmd_wold(args) -> int:
     tol = _tolerance(args)
-    rep = _load_rep(args.rep, tol, args.tensor_cap)
+    rep = _load_rep(args.rep, tol)
     try:
         out = wold.wold_decompose(rep, check_hypotheses=not args.skip_hypotheses).to_dict()
     except NotApplicable as exc:
@@ -195,32 +190,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classification report for a representation")
     p.add_argument("--rep", required=True)
-    _rep_flags(p)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("product", help="product criteria for a list of factors")
     p.add_argument("--reps", nargs="+", required=True)
     p.add_argument("--all-conditions", action="store_true")
-    _rep_flags(p)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("powers", help="per-power report")
     p.add_argument("--rep", required=True)
     p.add_argument("--nmax", type=int, default=4)
-    _rep_flags(p)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_powers)
 
     p = sub.add_parser("root", help="root criterion at power k")
     p.add_argument("--rep", required=True)
     p.add_argument("--k", type=int, default=2)
-    _rep_flags(p)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_root)
 
     p = sub.add_parser("wold", help="two-part orthogonal decomposition")
     p.add_argument("--rep", required=True)
     p.add_argument("--skip-hypotheses", action="store_true",
                    help="compute even when the strict hypotheses fail (truncated models)")
-    _rep_flags(p)
+    _common_flags(p)
     p.set_defaults(fn=_cmd_wold)
 
     p = sub.add_parser("shift", help="build a truncated weighted shift and run its criteria")

@@ -17,8 +17,10 @@ they carry the package's only tensor memos: ``e.tensor(f)`` builds E (x) F
 once per right factor F, and ``e.space(sigma, tol)`` builds E (x)_sigma H
 once per sigma and tolerance.  Both live exactly as long as ``e``.
 Representations and products read their tensor powers and spaces from
-these memos, after checking the tensor cap from shapes; ``amplify`` builds
-no tensor space.
+these memos; ``amplify`` builds no tensor space.  ``StarRepresentation``,
+``tensor_product``, ``interior_tensor`` and ``amplify`` each check the
+bytes of their largest array from shapes, before allocating it
+(``numerics.check_bytes``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     IntertwinerError,
     InvalidCorrespondence,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, eye, herm, opnorm
+from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, as_matrix, check_bytes, eye, herm, opnorm
 
 
 class FdCStarAlgebra:
@@ -146,6 +148,7 @@ class StarRepresentation:
         self.algebra = algebra
         self.multiplicities = mults
         self.h_dim = sum(k * m for k, m in zip(algebra.block_sizes, mults))
+        check_bytes(ENTRY_BYTES * self.h_dim**2, f"sigma(a) on H of dimension {self.h_dim}")
 
     def __eq__(self, other):
         return (
@@ -361,6 +364,7 @@ def tensor_product(e: FdCorrespondence, f: FdCorrespondence) -> FdCorrespondence
         raise DimensionMismatch("tensor product requires a common coefficient algebra")
     ne, nf = e.module_dim, f.module_dim
     k = e.algebra.matrix_size
+    check_bytes(ENTRY_BYTES * (ne * nf * k) ** 2, f"the tensor product Gram of module dimension {ne * nf}")
     gram = np.zeros((ne * nf, ne * nf, k, k), dtype=np.complex128)
     for a in range(ne):
         for b in range(ne):
@@ -476,6 +480,7 @@ def interior_tensor(
     n = e.module_dim
     if _gram_is_standard(e):
         return TensorSpace(corr=e, h_dim=d, dim=n * d, embed=None, lift=None, action_source=sigma)
+    check_bytes(ENTRY_BYTES * (n * d) ** 2, f"the interior tensor Gram of formal dimension {n * d}")
     blocks = np.zeros((n, n, d, d), dtype=np.complex128)
     for a in range(n):
         for b in range(n):
@@ -518,12 +523,13 @@ def amplify(
     the amplification is ill-defined and IntertwinerError is raised.
 
     ``big_dom`` and ``big_cod`` are the interior tensor products F (x) dom
-    and F (x) cod, read by the caller from the correspondence memos after
-    its cap check; this function allocates no tensor space.
+    and F (x) cod, read by the caller from the correspondence memos; this
+    function allocates no tensor space.
     """
     x = as_matrix(x)
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
+    check_bytes(ENTRY_BYTES * big_cod.formal_dim * big_dom.formal_dim, "an amplification")
     algebra = big_dom.corr.algebra
     if not algebra.is_scalar:
         for u in algebra.basis():

@@ -15,38 +15,24 @@ which intertwines the induced left action with sigma.
 A representation is the chain whose every factor is itself (T_m is the
 power tilde_m); a product (``products.ProductRep``) is the chain of its
 factors.  The T_m are cached; chains are immutable apart from this
-idempotent cache, so concurrent readers are safe.  ``space(m)`` checks the
-tensor cap on dim(E_1) ... dim(E_m) dim(H) from shapes, then reads the
+idempotent cache, so concurrent readers are safe.  ``space(m)`` reads the
 space from the correspondence memos (``FdCorrespondence.tensor`` and
 ``.space``), so all chains over the same correspondences, sigma and
-tolerance share one coordinate system per prefix.
+tolerance share one coordinate system per prefix.  Each T_m is checked
+against the byte budget (``numerics.check_bytes``) before it is built.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nx
 from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplify, plain_space
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    InvalidRepresentation,
-    ResourceLimit,
-)
+from .errors import DimensionMismatch, DomainError, InvalidRepresentation
 from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix, eye, herm, opnorm
-
-DEFAULT_TENSOR_CAP = 2**18
-
-
-def check_tensor_cap(formal_dim: int, cap: int) -> None:
-    """Refuse a tensor space of the given formal dimension before it is built."""
-    if formal_dim > cap:
-        raise ResourceLimit(f"tensor space dimension {formal_dim} exceeds the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -100,16 +86,15 @@ def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
 
 
 class LiftChain:
-    """The chain of lifts W_i : E_i (x)_sigma H -> H sharing sigma, the
-    tolerance and the tensor cap.  ``_factors(start, stop)`` lists the
-    factors i = start+1..stop, each with ``corr`` E_i and lift ``tilde``
-    W_i; the list is built per call, so a representation that is its own
-    factor forms no reference cycle."""
+    """The chain of lifts W_i : E_i (x)_sigma H -> H sharing sigma and the
+    tolerance.  ``_factors(start, stop)`` lists the factors
+    i = start+1..stop, each with ``corr`` E_i and lift ``tilde`` W_i; the
+    list is built per call, so a representation that is its own factor
+    forms no reference cycle."""
 
-    def __init__(self, sigma: StarRepresentation, tol: Tolerance, tensor_cap: int):
+    def __init__(self, sigma: StarRepresentation, tol: Tolerance):
         self.sigma = sigma
         self.tol = tol
-        self.tensor_cap = tensor_cap
         self._powers: dict[int, np.ndarray] = {}
 
     def _factors(self, start: int, stop: int) -> list:
@@ -132,12 +117,10 @@ class LiftChain:
         return self._space(0, m)
 
     def _space(self, start: int, stop: int) -> TensorSpace:
-        """(E_{start+1} (x) ... (x) E_stop) (x)_sigma H, after the cap check
-        from shapes; start = stop is H itself."""
+        """(E_{start+1} (x) ... (x) E_stop) (x)_sigma H; start = stop is H itself."""
         if start == stop:
             return plain_space(self.sigma)
         corrs = [f.corr for f in self._factors(start, stop)]
-        check_tensor_cap(math.prod(e.module_dim for e in corrs) * self.h_dim, self.tensor_cap)
         return functools.reduce(FdCorrespondence.tensor, corrs).space(self.sigma, self.tol)
 
     # -- the chain -----------------------------------------------------------
@@ -152,6 +135,7 @@ class LiftChain:
             raise DimensionMismatch("tilde_power needs m >= 1")
         if m in self._powers:
             return self._powers[m]
+        nx.check_bytes(nx.ENTRY_BYTES * self.h_dim * self.space(m).dim, f"the lift power T_{m}")
         (factor,) = self._factors(m - 1, m)
         w = factor.tilde
         if m == 1:
@@ -206,12 +190,10 @@ class CovariantRep(LiftChain):
         sigma: StarRepresentation,
         v_on_basis,
         tol: Tolerance = DEFAULT_TOL,
-        *,
-        tensor_cap: int = DEFAULT_TENSOR_CAP,
     ):
         if corr.algebra != sigma.algebra:
             raise DimensionMismatch("correspondence and representation algebras differ")
-        super().__init__(sigma, tol, tensor_cap)
+        super().__init__(sigma, tol)
         self.corr = corr
         d = sigma.h_dim
         vs = [as_matrix(v) for v in v_on_basis]
@@ -333,12 +315,12 @@ class CovariantRep(LiftChain):
         compressed = [herm(f) @ v @ f for v in self.v_on_basis]
         if self.corr.algebra.is_scalar:
             sigma_k = StarRepresentation(self.corr.algebra, [k_sub.dim])
-            return CovariantRep(self.corr, sigma_k, compressed, tol, tensor_cap=self.tensor_cap)
+            return CovariantRep(self.corr, sigma_k, compressed, tol)
         sigma_mats = [herm(f) @ self.sigma.apply(a) @ f for a in self.corr.algebra.basis()]
         mults, w = _canonicalize_representation(self.corr.algebra, sigma_mats, tol)
         sigma_k = StarRepresentation(self.corr.algebra, mults)
         rotated = [herm(w) @ v @ w for v in compressed]
-        return CovariantRep(self.corr, sigma_k, rotated, tol, tensor_cap=self.tensor_cap)
+        return CovariantRep(self.corr, sigma_k, rotated, tol)
 
 
 def _canonicalize_representation(algebra, basis_mats, tol: Tolerance):
@@ -381,12 +363,9 @@ def rep_from_tilde(
     sigma: StarRepresentation,
     tilde: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-    *,
-    tensor_cap: int = DEFAULT_TENSOR_CAP,
 ) -> CovariantRep:
     """Reconstruct (sigma, V) from a lift: V(xi_b) h = tilde(xi_b (x) h)."""
     tilde = as_matrix(tilde)
-    check_tensor_cap(corr.module_dim * sigma.h_dim, tensor_cap)
     space = corr.space(sigma, tol)
     if tilde.shape != (sigma.h_dim, space.dim):
         raise DimensionMismatch(f"lift shape {tilde.shape} != ({sigma.h_dim}, {space.dim})")
@@ -396,4 +375,4 @@ def rep_from_tilde(
         formal = np.zeros((space.formal_dim, d), dtype=np.complex128)
         formal[b * d : (b + 1) * d] = np.eye(d)
         vs.append(tilde @ space.apply_embed(formal))
-    return CovariantRep(corr, sigma, vs, tol, tensor_cap=tensor_cap)
+    return CovariantRep(corr, sigma, vs, tol)

@@ -37,7 +37,8 @@ class IntertwinerError(PirepError):
 
 
 class ResourceLimit(PirepError):
-    """A tensor-space dimension or a dense allocation would exceed its limit."""
+    """A dense array would take more than ``numerics.DENSE_BYTES``; raised
+    from its shape, before it is allocated."""
 
 
 class WindowError(PirepError):

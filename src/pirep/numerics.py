@@ -12,6 +12,11 @@ every such decision is governed by a single :class:`Tolerance` value:
 * ``incl_abs``  -- a subspace inclusion ``S1 <= S2`` is accepted iff
   ``||(I - P2) F1|| <= incl_abs`` for an orthonormal frame F1 of S1.
 
+Every dense array that grows with a tensor power (Grams, lifts,
+amplifications, full kernel frames, sigma(a)) is checked against one byte
+budget, ``DENSE_BYTES``, from its shape and before it is allocated: the
+site that builds it calls :func:`check_bytes`.
+
 All values are immutable after construction; nothing here mutates its
 inputs.
 """
@@ -22,7 +27,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NumericFailure
+from .errors import DimensionMismatch, DomainError, NumericFailure, ResourceLimit
+
+# Bytes one dense array may take.  The largest array a claim, a CLI path or
+# the benchmark builds is 30 MB (an amplification on a 217-dimensional
+# shift); 2**30 still admits the 512 MB amplifications of a power report
+# on a shift with n = 3, M = 120 at n_max = 4.
+DENSE_BYTES = 2**30
+
+# Bytes per complex128 entry.
+ENTRY_BYTES = 16
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse an array of ``nbytes`` before it is allocated.  Reads
+    ``DENSE_BYTES`` at call time."""
+    if nbytes > DENSE_BYTES:
+        raise ResourceLimit(f"{what} needs {nbytes} bytes, over the budget {DENSE_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -81,16 +102,6 @@ def _svd(m: np.ndarray, full_matrices: bool):
         raise NumericFailure(f"SVD did not converge: {exc}", shape=m.shape) from exc
 
 
-def singular_values(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.size == 0:
-        return np.zeros(0)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"SVD did not converge: {exc}", shape=a.shape) from exc
-
-
 def rank_threshold(s: np.ndarray, shape, tol: Tolerance, scale_floor: float = 0.0) -> float:
     """Cutoff below which singular values are treated as zero.
 
@@ -103,12 +114,6 @@ def rank_threshold(s: np.ndarray, shape, tol: Tolerance, scale_floor: float = 0.
     if s.size == 0:
         return 0.0
     return tol.rank_rel * max(float(s[0]), scale_floor) * max(shape)
-
-
-def matrix_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    a = as_matrix(m)
-    s = singular_values(a)
-    return int(np.sum(s > rank_threshold(s, a.shape, tol)))
 
 
 def pseudoinverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -154,6 +159,7 @@ def range_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np
 def kernel_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the kernel of m."""
     a = as_matrix(m)
+    check_bytes(ENTRY_BYTES * a.shape[1] ** 2, "a kernel frame's full SVD")
     if a.size == 0:
         return eye(a.shape[1]) if a.shape[0] == 0 else np.zeros((a.shape[1], 0), dtype=np.complex128)
     _, s, vh = _svd(a, full_matrices=True)
@@ -329,16 +335,6 @@ def is_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     scale = max(1.0, opnorm(a)) ** 2
     return opnorm(herm(a) @ a - eye(a.shape[1])) <= tol.eq_rel * scale
-
-
-def is_projection(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    scale = max(1.0, opnorm(a)) ** 2
-    idempotent = opnorm(a @ a - a) <= tol.eq_rel * scale
-    selfadjoint = opnorm(a - herm(a)) <= tol.eq_rel * scale
-    return idempotent and selfadjoint
 
 
 def is_contraction(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -35,9 +35,9 @@ from .numerics import Subspace, eye, herm, opnorm
 
 
 class ProductRep(LiftChain):
-    """Ordered factors sharing the coefficient algebra, sigma, H, the
-    tolerance and the tensor cap; the product reads the last two from its
-    factors, so its spaces are theirs.  As a chain its lifts are the
+    """Ordered factors sharing the coefficient algebra, sigma, H and the
+    tolerance; the product reads the last two from its factors, so its
+    spaces are theirs.  As a chain its lifts are the
     factors' lifts, and ``tilde_power(i)`` is the lift of the product of
     the first i factors."""
 
@@ -51,9 +51,7 @@ class ProductRep(LiftChain):
                 raise DimensionMismatch("factors must share sigma (algebra and multiplicities)")
             if f.tol != first.tol:
                 raise UsageError("factors must share the tolerance")
-            if f.tensor_cap != first.tensor_cap:
-                raise UsageError("factors must share the tensor cap")
-        super().__init__(first.sigma, first.tol, first.tensor_cap)
+        super().__init__(first.sigma, first.tol)
         self.factors = factors
 
     @property
@@ -72,9 +70,7 @@ class ProductRep(LiftChain):
     def as_rep(self, i: int | None = None) -> CovariantRep:
         """The product of the first i factors as a single representation."""
         i = self.n if i is None else i
-        return rep_from_tilde(
-            self.corr_power(i), self.sigma, self.tilde_power(i), self.tol, tensor_cap=self.tensor_cap
-        )
+        return rep_from_tilde(self.corr_power(i), self.sigma, self.tilde_power(i), self.tol)
 
     def check_defining_formula(self, rng: np.random.Generator, samples: int = 10) -> float:
         """Worst residual of T_n(xi_1 (x) ... (x) xi_n (x) h) =

@@ -13,6 +13,11 @@ Truncation policy: every kernel or power statement is evaluated only on
 the faithful window W_k = { m : the whole orbit of e_m under k
 applications stays <= M }; outside it the truncated matrix no longer
 models the untruncated operator, and no claim is made there.
+
+A spec checks the bytes of its n shift matrices against the dense budget
+(``numerics.check_bytes``) from n and M alone, so building one allocates
+nothing; the lift powers its criteria build are checked where they are
+built.
 """
 
 from __future__ import annotations
@@ -24,13 +29,8 @@ import numpy as np
 from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
-from .errors import DimensionMismatch, ResourceLimit, WindowError
-from .numerics import DEFAULT_TOL, Tolerance, opnorm
-
-# Bytes of dense data a shift may need: n complex (M+1)^2 matrices and the n x n
-# structure arrays of C^n.  The largest shift in use (n = 3, M = 216) needs
-# 2.3 MB, and its criteria build lift powers n^k times wider than that.
-SHIFT_BYTES = 2**26
+from .errors import DimensionMismatch, WindowError
+from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes, opnorm
 
 
 def _max_offset(n: int, k: int) -> int:
@@ -75,9 +75,8 @@ class WeightedShiftSpec:
             object.__setattr__(self, "trunc", minimal_trunc(self.n, 3))
         elif self.trunc < 1:
             raise DimensionMismatch("truncation level must be >= 1")
-        need = 16 * self.n * (self.h_dim() ** 2 + 3 * self.n)
-        if need > SHIFT_BYTES:
-            raise ResourceLimit(f"the shift needs {need} bytes of dense matrices, over the budget {SHIFT_BYTES}")
+        # n complex (M+1)^2 matrices and the n x n structure arrays of C^n
+        check_bytes(ENTRY_BYTES * self.n * (self.h_dim() ** 2 + 3 * self.n), "the shift")
 
     def weight(self, i: int, m: int) -> float:
         return self.weights.get((i, m), 1.0)

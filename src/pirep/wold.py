@@ -50,12 +50,13 @@ def is_bi_regular(rep: CovariantRep, n_max: int = 3) -> bool:
         raise NotApplicable("representation is not regular")
     tol = rep.tol
     dagger = nx.pseudoinverse(rep.tilde, tol)
+    chain = dagger  # rep.pinv_chain(n), extended by one amplified factor per step
     for n in range(1, n_max + 1):
         amp = rep.amplified(dagger, n, 0, 1)
         kernel = Subspace.kernel(amp, tol)
-        chain_range = Subspace.span(rep.pinv_chain(n), tol)
-        if not nx.is_subset(kernel, chain_range, tol):
+        if not nx.is_subset(kernel, Subspace.span(chain, tol), tol):
             return False
+        chain = amp @ chain
     return True
 
 

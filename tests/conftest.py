@@ -62,3 +62,63 @@ def count_space_builds(monkeypatch) -> Counter:
 @pytest.fixture
 def tol():
     return DEFAULT_TOL
+
+
+def _admit(nbytes, what):
+    if nbytes > nx.DENSE_BYTES:
+        raise AssertionError(f"{what} allocated {nbytes} bytes past the budget {nx.DENSE_BYTES}")
+
+
+def _nbytes(shape, dtype) -> int:
+    return int(np.prod(shape)) * np.dtype(dtype).itemsize
+
+
+class _BudgetedLinalg:
+    def __getattr__(self, name):
+        return getattr(np.linalg, name)
+
+    def svd(self, a, full_matrices=True, compute_uv=True, **kwargs):
+        r, c = np.shape(a)[-2:]
+        if compute_uv:
+            _admit(_nbytes((max(r, c),) * 2 if full_matrices else (r, c), np.result_type(a)), "svd")
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def eigh(self, a, *args, **kwargs):
+        _admit(_nbytes(np.shape(a), np.result_type(a)), "eigh")
+        return np.linalg.eigh(a, *args, **kwargs)
+
+
+class _BudgetedNumpy:
+    """numpy whose allocators fail past ``numerics.DENSE_BYTES``: a site
+    that checks its bytes only after allocating shows up as an
+    AssertionError instead of a ResourceLimit."""
+
+    linalg = _BudgetedLinalg()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float, **kwargs):
+        _admit(_nbytes(shape, dtype), "zeros")
+        return np.zeros(shape, dtype, **kwargs)
+
+    def eye(self, n, m=None, k=0, dtype=float, **kwargs):
+        _admit(_nbytes((n, n if m is None else m), dtype), "eye")
+        return np.eye(n, m, k, dtype, **kwargs)
+
+    def kron(self, a, b):
+        _admit(np.size(a) * np.size(b) * np.result_type(a, b).itemsize, "kron")
+        return np.kron(a, b)
+
+    def hstack(self, arrays, **kwargs):
+        arrays = list(arrays)
+        _admit(sum(np.size(x) for x in arrays) * np.result_type(*arrays).itemsize, "hstack")
+        return np.hstack(arrays, **kwargs)
+
+
+def dense_budget(monkeypatch, nbytes: int, *modules) -> None:
+    """Lower the dense byte budget to ``nbytes`` and make the numpy of each
+    given module refuse any array past it."""
+    monkeypatch.setattr(nx, "DENSE_BYTES", nbytes)
+    for module in modules:
+        monkeypatch.setattr(module, "np", _BudgetedNumpy())

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pirep import harness as hz
+from pirep import numerics as nx
 from pirep import serialize as sz
 from pirep.cli import main
 from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from pirep.covrep import CovariantRep
+from pirep.errors import ResourceLimit
 from pirep.numerics import DEFAULT_TOL
 
 
@@ -155,13 +157,13 @@ def test_shift_allocation_checked_from_shapes(capsys, monkeypatch):
         raise AssertionError("shift matrices allocated past the budget")
 
     monkeypatch.setattr(np, "zeros", refuse)
-    # n = 1, M + 1 = 2^18 passes the tensor cap, but its matrix needs 1 TiB
+    # n = 1, M + 1 = 2^18 is a 1 TiB matrix
     for n, m in ((2, 10**8), (1, 2**18 - 1)):
         assert main(["shift", "--n", str(n), "--M", str(m)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         need = 16 * n * ((m + 1) ** 2 + 3 * n)
-        assert f"the shift needs {need} bytes of dense matrices" in captured.err
+        assert f"the shift needs {need} bytes, over the budget" in captured.err
 
 
 def test_invalid_json_rep_is_usage_error(tmp_path, capsys):
@@ -171,27 +173,64 @@ def test_invalid_json_rep_is_usage_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_tensor_cap_covers_the_first_tensor_space(rep_file, capsys):
-    # E (x) H of the 5-dim direct sum has formal dimension 5
-    for command in ("classify", "powers"):
-        assert main([command, "--rep", rep_file, "--tensor-cap", "1"]) == 2
+REP_COMMANDS = ("classify", "product", "powers", "root", "wold")
+
+
+def rep_argv(command, path):
+    return [command, "--reps", path, path] if command == "product" else [command, "--rep", path]
+
+
+def test_tensor_cap_covers_the_first_tensor_space(rep_file, capsys, monkeypatch):
+    # the byte budget that replaced the tensor cap: sigma(a) on the 5-dim
+    # direct sum takes 400 bytes, refused by every subcommand that loads it
+    monkeypatch.setattr(nx, "DENSE_BYTES", 16 * 5**2 - 1)
+    for command in REP_COMMANDS:
+        assert main(rep_argv(command, rep_file)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tensor space dimension 5 exceeds the cap 1" in captured.err
-    code, out = run_cli(capsys, "classify", "--rep", rep_file, "--tensor-cap", "5")
+        assert "H of dimension 5 needs 400 bytes, over the budget 399" in captured.err
+    monkeypatch.setattr(nx, "DENSE_BYTES", 16 * 5**2)
+    code, out = run_cli(capsys, "classify", "--rep", rep_file)
     assert code == 0 and out["is_partial_isometric"] is True
 
 
-def test_tensor_cap_only_where_a_representation_is_loaded(capsys):
-    # shift and verify build no representation from a file, so the flag
-    # would have no effect there: argparse refuses it like --jobs outside verify
+def test_tensor_cap_only_where_a_representation_is_loaded(rep_file, capsys):
+    # --tensor-cap is gone: every subcommand refuses it as unrecognized
     for argv in (
-        ["shift", "--n", "2", "--B", "0,3", "--M", "20", "--power", "3", "--tensor-cap", "1"],
-        ["verify", "--theorem", "T3.2", "--trials", "5", "--tensor-cap", "1"],
+        *(rep_argv(command, rep_file) for command in REP_COMMANDS),
+        ["shift", "--n", "2", "--B", "0,3", "--M", "20", "--power", "3"],
+        ["verify", "--theorem", "T3.2", "--trials", "5"],
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + ["--tensor-cap", "1"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --tensor-cap 1" in captured.err
+
+
+def test_oversized_multiplicity_exits_2_before_allocating(tmp_path, capsys):
+    # a file of under 300 bytes declaring dim H = 100000 on a zero module:
+    # sigma(a) alone would take 160 GB, so the reader refuses it from the
+    # declared size
+    empty = {"rows": 0, "cols": 0, "data": []}
+    tree = {
+        "correspondence": {
+            "block_sizes": [1, 1],
+            "module_dim": 0,
+            "gram": [],
+            "left_action": [empty, empty],
+            "right_action": [empty, empty],
+        },
+        "multiplicities": [100000, 0],
+        "V": [],
+    }
+    with pytest.raises(ResourceLimit, match="H of dimension 100000 needs 160000000000 bytes"):
+        sz.rep_from_json(tree, DEFAULT_TOL)
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(tree))
+    for command in REP_COMMANDS:
+        assert main(rep_argv(command, str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs 160000000000 bytes" in captured.err

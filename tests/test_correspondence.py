@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pirep import correspondence
 from pirep import numerics as nx
 from pirep.correspondence import (
     SCALARS,
@@ -15,9 +16,9 @@ from pirep.correspondence import (
     tensor_power,
     tensor_product,
 )
-from pirep.errors import DimensionMismatch, IntertwinerError, InvalidCorrespondence
+from pirep.errors import DimensionMismatch, IntertwinerError, InvalidCorrespondence, ResourceLimit
 
-from conftest import crandn, rng_for
+from conftest import crandn, dense_budget, rng_for
 
 
 TWO_BLOCK = FdCStarAlgebra([1, 1])
@@ -365,3 +366,55 @@ def test_amplify_shape_mismatch(tol):
     space = interior_tensor(e, sigma, tol)
     with pytest.raises(DimensionMismatch):
         amplify_over(e, np.zeros((3, 3)), space, plain_space(sigma), sigma, tol)
+
+
+# ---------------------------------------------------------------------------
+# the dense byte budget, checked from shapes before allocating
+# ---------------------------------------------------------------------------
+
+
+def test_star_representation_checks_its_bytes(monkeypatch):
+    # sigma(a) is h x h: h = 4 fits 256 bytes, h = 5 needs 400
+    dense_budget(monkeypatch, 16 * 4**2, correspondence, nx)
+    StarRepresentation(TWO_BLOCK, [2, 2]).apply(np.eye(2))
+    with pytest.raises(ResourceLimit, match="H of dimension 5 needs 400 bytes, over the budget 256"):
+        StarRepresentation(TWO_BLOCK, [3, 2])
+
+
+def test_tensor_product_checks_its_gram(monkeypatch):
+    # the Gram of E (x) F has (N_E N_F K)^2 entries: 6^2 fit, 7^2 do not
+    e1, e2, e3, e7 = (scalar_correspondence(n) for n in (1, 2, 3, 7))
+    e = two_block_fixture()
+    dense_budget(monkeypatch, 16 * 6**2, correspondence, nx)
+    assert tensor_product(e2, e3).module_dim == 6
+    with pytest.raises(ResourceLimit, match="module dimension 7 needs 784 bytes"):
+        tensor_product(e7, e1)
+    # K = 2 for the two-block algebra: (2 * 2 * 2)^2 entries
+    with pytest.raises(ResourceLimit, match="module dimension 4 needs 1024 bytes"):
+        tensor_product(e, e)
+
+
+def test_interior_tensor_checks_its_gram(monkeypatch, tol):
+    # the non-standard Gram and its eigh are (N d)^2: N = 2 with d = 2 fits,
+    # d = 3 does not; the standard path builds no Gram
+    e = two_block_fixture()
+    small, large = StarRepresentation(TWO_BLOCK, [1, 1]), StarRepresentation(TWO_BLOCK, [2, 1])
+    dense_budget(monkeypatch, 16 * 4**2, correspondence, nx)
+    interior_tensor(e, small, tol)
+    with pytest.raises(ResourceLimit, match="formal dimension 6 needs 576 bytes"):
+        interior_tensor(e, large, tol)
+    assert interior_tensor(scalar_correspondence(3), StarRepresentation(SCALARS, [4]), tol).dim == 12
+
+
+def test_amplify_checks_its_bytes(monkeypatch, tol):
+    # I_E (x) I over E (x)_sigma H with dim H = 3 is 12 x 12 in formal coordinates
+    e = two_block_fixture()
+    sigma = StarRepresentation(TWO_BLOCK, [2, 1])
+    space = interior_tensor(e, sigma, tol)
+    big = interior_tensor(tensor_product(e, e), sigma, tol)
+    x = np.eye(space.dim)
+    dense_budget(monkeypatch, 16 * 12**2, correspondence, nx)
+    assert amplify(x, space, space, big, big, tol).shape == (big.dim, big.dim)
+    dense_budget(monkeypatch, 16 * 12**2 - 1, correspondence, nx)
+    with pytest.raises(ResourceLimit, match="an amplification needs 2304 bytes"):
+        amplify(x, space, space, big, big, tol)

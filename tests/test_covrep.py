@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pirep import correspondence
+from pirep import correspondence, covrep
 from pirep import numerics as nx
 from pirep.correspondence import (
     SCALARS,
@@ -14,7 +14,7 @@ from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.errors import DomainError, InvalidRepresentation, ResourceLimit
 from pirep.numerics import Subspace
 
-from conftest import assert_verdicts_match_classify, crandn, rng_for
+from conftest import assert_verdicts_match_classify, crandn, dense_budget, rng_for
 
 
 def scalar_rep(v_list, tol, d=None):
@@ -180,32 +180,27 @@ def test_tilde_power_block_algebra_defining_formula(tol):
     np.testing.assert_allclose(t2, rep.tilde @ amp, atol=1e-10)
 
 
-def test_tensor_cap_enforced(tol):
+def test_tensor_cap_enforced(tol, monkeypatch):
+    # the byte budget that replaced the tensor cap refuses a lift power
     rng = rng_for(18)
-    vs = [crandn(rng, 4, 4) for _ in range(3)]
-    rep = CovariantRep(
-        scalar_correspondence(3), StarRepresentation(SCALARS, [4]), vs, tol, tensor_cap=40
-    )
+    vs = [crandn(rng, 4, 4) for _ in range(2)]
+    rep = CovariantRep(scalar_correspondence(2), StarRepresentation(SCALARS, [4]), vs, tol)
+    monkeypatch.setattr(nx, "DENSE_BYTES", 1024)
     with pytest.raises(ResourceLimit):
         rep.tilde_power(3)
 
 
 def test_tensor_cap_checked_from_shapes(tol, monkeypatch):
-    # formal dimensions 3^m * 4: 12, 36, 108; the cap sits on 36
+    # T_m is 4 x 2^m * 4: T_2 takes 1024 bytes, T_3 2048, and the Gram of
+    # E^(x 3) only 1024, so the budget sits between the two lift powers
     rng = rng_for(18)
-    vs = [crandn(rng, 4, 4) for _ in range(3)]
-    rep = CovariantRep(
-        scalar_correspondence(3), StarRepresentation(SCALARS, [4]), vs, tol, tensor_cap=36
-    )
-    assert rep.space(2).dim == 36
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("tensor space built past the cap")
-
-    monkeypatch.setattr(correspondence, "tensor_product", refuse)
-    monkeypatch.setattr(correspondence, "interior_tensor", refuse)
-    with pytest.raises(ResourceLimit, match="tensor space dimension 108 exceeds the cap 36"):
-        rep.space(3)
+    vs = [crandn(rng, 4, 4) for _ in range(2)]
+    rep = CovariantRep(scalar_correspondence(2), StarRepresentation(SCALARS, [4]), vs, tol)
+    dense_budget(monkeypatch, 1024, covrep, correspondence, nx)
+    assert rep.tilde_power(2).shape == (4, 16)
+    with pytest.raises(ResourceLimit, match="the lift power T_3 needs 2048 bytes, over the budget 1024"):
+        rep.tilde_power(3)
+    assert rep.space(3).dim == 32
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ valid small representation with one value replaced or one key removed, or
 a tree whose every key holds a well-typed value or an arbitrary JSON
 value.  Sizes stay small (block sizes, module dimensions and
 multiplicities at most 3, generated lists at most 4 long), so no input
-allocates more than a few kilobytes.  The only allowed outcomes are a
-representation, or a ``PirepError`` that the CLI turns into exit 2.
+allocates more than a few kilobytes, except that multiplicities may also
+be drawn at 2^20 or more.  Those declare a space whose sigma(a) alone is
+past the dense byte budget, so they are refused before anything of that
+size is allocated.  The only allowed outcomes are a representation, or a
+``PirepError`` that the CLI turns into exit 2.
 Weights files map ``"i,m"`` keys, well-formed or not, to arbitrary JSON
 values on shifts with M <= 20; ``pirep shift`` must exit 0 or 2.
 """
@@ -25,10 +28,11 @@ from pirep import serialize as sz
 from pirep.cli import main
 from pirep.correspondence import SCALARS, StarRepresentation, diagonal_correspondence, scalar_correspondence
 from pirep.covrep import CovariantRep
-from pirep.errors import PirepError
+from pirep.errors import PirepError, ResourceLimit
 from pirep.numerics import DEFAULT_TOL
 
 SIZE = st.integers(-1, 3)
+HUGE = st.integers(2**20, 2**40)
 NUMBER = st.integers(-3, 3) | st.floats(-3.5, 3.5) | st.sampled_from([math.nan, math.inf, -math.inf])
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | NUMBER | st.text(max_size=3),
@@ -65,7 +69,7 @@ TYPED_REP = st.fixed_dictionaries(
                 }
             )
         ),
-        "multiplicities": typed_or_any(small_lists(SIZE)),
+        "multiplicities": typed_or_any(small_lists(SIZE | HUGE)),
         "V": typed_or_any(small_lists(MATRIX)),
     }
 )
@@ -115,7 +119,16 @@ def mutated_rep_json(draw):
     return tree
 
 
-REP_TREES = mutated_rep_json() | TYPED_REP
+@st.composite
+def oversized_rep_json(draw):
+    """A valid representation with one multiplicity raised to 2^20 or more."""
+    tree = draw(valid_rep_json())
+    mults = tree["multiplicities"]
+    mults[draw(st.integers(0, len(mults) - 1))] = draw(HUGE)
+    return tree
+
+
+REP_TREES = mutated_rep_json() | oversized_rep_json() | TYPED_REP
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +158,13 @@ def test_classify_exits_0_or_2(rep_path, tree):
     else:
         assert code == 2
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@FUZZ
+@given(tree=oversized_rep_json())
+def test_oversized_multiplicities_are_refused(tree):
+    with pytest.raises(ResourceLimit, match="needs [0-9]+ bytes, over the budget"):
+        sz.rep_from_json(tree, DEFAULT_TOL)
 
 
 @FUZZ

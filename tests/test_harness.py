@@ -141,6 +141,18 @@ def test_counterexample_replay(tol):
         assert abs(outcome.residual - ce["residual"]) <= 1e-12
 
 
+def test_counterexample_with_legacy_perturbation_key_replays(tol):
+    # reports written before TrialConfig lost its perturbation field carry
+    # the key in each counterexample's config; replay ignores it
+    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), falsify=True)
+    ce = dict(report.counterexamples[0])
+    ce["config"] = dict(ce["config"], perturbation=1e-3)
+    assert hz.TrialConfig.from_dict(ce["config"]) == report.config
+    outcome = hz.replay_counterexample(ce)
+    assert outcome.status == "violation"
+    assert abs(outcome.residual - ce["residual"]) <= 1e-12
+
+
 def test_determinism_across_jobs(tol):
     one = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=1)
     again = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=1)
@@ -151,8 +163,11 @@ def test_determinism_across_jobs(tol):
 
 
 def test_verify_rejects_tiny_perturbation(tol):
-    with pytest.raises(UsageError):
-        hz.verify("T2.2", TrialConfig(master_seed=1, trials=2, perturbation=1e-8))
+    # verify refuses an equality cutoff looser than MAX_EQ_REL
+    config = TrialConfig(master_seed=1, trials=2)
+    with pytest.raises(UsageError, match="eq_rel"):
+        hz.verify("T2.2", config, nx.Tolerance(eq_rel=2 * hz.MAX_EQ_REL))
+    assert hz.verify("T2.2", config, nx.Tolerance(eq_rel=hz.MAX_EQ_REL)).trials_run == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirep import numerics as nx
-from pirep.errors import DimensionMismatch, DomainError
+from pirep.errors import DimensionMismatch, DomainError, ResourceLimit
 from pirep.numerics import Subspace, Tolerance
 
-from conftest import crandn, random_with_spectrum, rng_for
+from conftest import crandn, dense_budget, random_with_spectrum, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +231,6 @@ def test_predicates_trivial_cases(tol):
     # oracle: singular values of the 2x2 are {1, 0}
     np.testing.assert_allclose(np.linalg.svd(v, compute_uv=False), [1.0, 0.0], atol=1e-12)
     assert nx.is_partial_isometry(v, tol)
-    assert nx.is_projection(np.diag([1.0, 0.0]), tol)
-    assert not nx.is_projection(np.diag([1.0, 0.5]), tol)
     assert nx.is_contraction(np.eye(2), tol)
     assert not nx.is_contraction(1.5 * np.eye(2), tol)
     assert nx.is_isometry(np.eye(3)[:, :2], tol)
@@ -286,3 +284,26 @@ def test_tolerance_validation():
 def test_non_finite_entries_rejected():
     with pytest.raises(DomainError):
         nx.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the dense byte budget
+# ---------------------------------------------------------------------------
+
+
+def test_check_bytes_reads_the_budget_at_call_time(monkeypatch):
+    nx.check_bytes(nx.DENSE_BYTES, "an array at the budget")
+    monkeypatch.setattr(nx, "DENSE_BYTES", 100)
+    nx.check_bytes(100, "an array at the budget")
+    with pytest.raises(ResourceLimit, match="an array needs 101 bytes, over the budget 100"):
+        nx.check_bytes(101, "an array")
+
+
+def test_kernel_frame_checks_its_full_svd(monkeypatch, tol):
+    # the full SVD of an r x c matrix builds a c x c V: c = 4 fits 256 bytes,
+    # c = 5 does not, with rows or without
+    dense_budget(monkeypatch, 16 * 4**2, nx)
+    for rows in (0, 2):
+        assert nx.kernel_frame(np.ones((rows, 4)), tol).shape[0] == 4
+        with pytest.raises(ResourceLimit, match="needs 400 bytes, over the budget 256"):
+            nx.kernel_frame(np.ones((rows, 5)), tol)

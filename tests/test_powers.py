@@ -216,7 +216,7 @@ def test_regular_iff_surjective_in_finite_dim(tol):
         if trial % 2:
             tilde[-1] = 0.0  # force a range defect
         rep = rep_from_tilde(scalar_correspondence(n), StarRepresentation(SCALARS, [d]), tilde, tol)
-        surjective = nx.matrix_rank(tilde, tol) == d
+        surjective = nx.range_frame(tilde, tol).shape[1] == d
         assert pw.is_regular(rep) == surjective, trial
 
 

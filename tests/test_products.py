@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pirep import correspondence
+from pirep import correspondence, covrep
 from pirep import harness as hz
 from pirep import numerics as nx
 from pirep.correspondence import (
@@ -27,7 +27,7 @@ from pirep.products import (
     sufficient_intertwining_check,
 )
 
-from conftest import count_space_builds, crandn, rng_for
+from conftest import count_space_builds, crandn, dense_budget, rng_for
 
 
 def one_dim_rep(v, tol):
@@ -95,16 +95,14 @@ def test_product_requires_shared_sigma(tol):
     b = one_dim_rep(crandn(rng, 3, 3), tol)
     with pytest.raises(DimensionMismatch):
         ProductRep([a, b])
-    # the product reads its tolerance and cap from the factors, so they must agree
+    # the product reads its tolerance from the factors, so they must agree
     v = [crandn(rng, 2, 2)]
     sigma = StarRepresentation(SCALARS, [2])
     looser = CovariantRep(scalar_correspondence(1), sigma, v, Tolerance(eq_rel=1e-6))
-    capped = CovariantRep(scalar_correspondence(1), sigma, v, tol, tensor_cap=100)
-    for other, what in ((looser, "tolerance"), (capped, "tensor cap")):
-        with pytest.raises(PirepError, match=f"factors must share the {what}"):
-            ProductRep([one_dim_rep(v[0], tol), other])
-        with pytest.raises(PirepError, match=f"factors must share the {what}"):
-            chain_condition_test([one_dim_rep(v[0], tol), other])
+    with pytest.raises(PirepError, match="factors must share the tolerance"):
+        ProductRep([one_dim_rep(v[0], tol), looser])
+    with pytest.raises(PirepError, match="factors must share the tolerance"):
+        chain_condition_test([one_dim_rep(v[0], tol), looser])
 
 
 def test_product_associativity(tol):
@@ -332,26 +330,20 @@ def test_chains_are_freed_by_reference_counting(tol):
 
 
 def test_prefix_space_checks_the_cap_before_building(tol, monkeypatch):
-    # formal dimensions of the prefixes 2^i * 2: 4, 8, 16
+    # the Gram of the prefix E_1 (x) E_2 (x) E_3 has (2^3)^2 entries, 1024
+    # bytes, past a budget of 1023 that every array of the first two stages fits
     rng = rng_for(63)
     sigma = StarRepresentation(SCALARS, [2])
     factors = [
-        CovariantRep(
-            scalar_correspondence(2), sigma, [crandn(rng, 2, 2) for _ in range(2)], tol, tensor_cap=8
-        )
+        CovariantRep(scalar_correspondence(2), sigma, [crandn(rng, 2, 2) for _ in range(2)], tol)
         for _ in range(3)
     ]
     prod = ProductRep(factors)
+    dense_budget(monkeypatch, 1023, covrep, correspondence, nx)
     prod.tilde_power(2)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("tensor space built past the cap")
-
-    monkeypatch.setattr(correspondence, "tensor_product", refuse)
-    monkeypatch.setattr(correspondence, "interior_tensor", refuse)
-    with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
+    with pytest.raises(ResourceLimit, match="module dimension 8 needs 1024 bytes, over the budget 1023"):
         prod.tilde_power(3)
-    with pytest.raises(ResourceLimit, match="tensor space dimension 16 exceeds the cap 8"):
+    with pytest.raises(ResourceLimit, match="module dimension 8 needs 1024 bytes, over the budget 1023"):
         prod.space(3)
 
 

@@ -8,7 +8,7 @@ from pirep import shifts as sh
 from pirep.errors import DimensionMismatch, ResourceLimit, WindowError
 from pirep.shifts import WeightedShiftSpec
 
-from conftest import rng_for
+from conftest import dense_budget, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def test_weight_override_entry(tol):
     assert v1[3, 1] == 0.5  # V_1 e_1 = 0.5 e_3
 
 
-def test_spec_validation():
+def test_spec_validation(monkeypatch):
     with pytest.raises(DimensionMismatch):
         WeightedShiftSpec(n=0)
     with pytest.raises(DimensionMismatch):
@@ -56,9 +56,10 @@ def test_spec_validation():
         with pytest.raises(DimensionMismatch):
             WeightedShiftSpec(n=1, weights={(1, 0): w})
     # the byte budget is checked from n and M alone: a spec allocates nothing
-    d = math.isqrt(sh.SHIFT_BYTES // 16 - 3)
+    dense_budget(monkeypatch, 2**16, sh)
+    d = math.isqrt(2**16 // 16 - 3)
     assert WeightedShiftSpec(n=1, trunc=d - 1).h_dim() == d
-    with pytest.raises(ResourceLimit, match=f"needs {16 * ((d + 1) ** 2 + 3)} bytes"):
+    with pytest.raises(ResourceLimit, match=f"the shift needs {16 * ((d + 1) ** 2 + 3)} bytes"):
         WeightedShiftSpec(n=1, trunc=d)
 
 

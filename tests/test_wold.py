@@ -173,6 +173,25 @@ def test_wold_unitary_trivial(tol):
     assert out.dual_gap <= 1e-10
 
 
+def test_bi_regular_takes_one_pseudoinverse(tol, monkeypatch):
+    # the pseudoinverse chain is extended one amplified factor per power,
+    # so the lift is pseudo-inverted once, not once per power as well
+    rng = rng_for(89)
+    rep = scalar_rep(
+        [haar_unitary(rng, 3) / np.sqrt(2), haar_unitary(rng, 3) / np.sqrt(2)], tol
+    )
+    calls = []
+    real = nx.pseudoinverse
+
+    def counting(m, tol=nx.DEFAULT_TOL):
+        calls.append(np.shape(m))
+        return real(m, tol)
+
+    monkeypatch.setattr(nx, "pseudoinverse", counting)
+    assert wold.is_bi_regular(rep, n_max=3)
+    assert calls == [(3, 6)]
+
+
 def test_wold_strictly_regular_coisometric_row(tol):
     rng = rng_for(89)
     rep = scalar_rep(
@@ -237,7 +256,7 @@ def test_wold_block_algebra_surjective_pi(tol):
     found = 0
     for index in range(40):
         rep = hz.random_pi_rep(e, sigma, hz.rng_stream(93, index), tol)
-        if nx.matrix_rank(rep.tilde, tol) < rep.h_dim:
+        if nx.range_frame(rep.tilde, tol).shape[1] < rep.h_dim:
             continue
         found += 1
         out = wold.wold_decompose(rep)
