@@ -24,7 +24,7 @@ from .correspondence import (
     tensor_power,
     tensor_product,
 )
-from .covrep import ClassificationReport, CovariantRep, classify_operator, rep_from_tilde
+from .covrep import CovariantRep, rep_from_tilde
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -41,23 +41,21 @@ from .errors import (
 from .harness import TrialConfig, VerificationReport, structured_fixture, theorem_ids, verify
 from .numerics import (
     DEFAULT_TOL,
+    ClassificationReport,
     Subspace,
     Tolerance,
+    classify_operator,
     image,
     intersect,
     is_contraction,
-    is_isometry,
     is_partial_isometry,
     is_subset,
     kernel_frame,
-    kernel_projector,
     ominus,
     ortho_complement,
-    partial_isometry_conditions,
     pseudoinverse,
     psd_sqrt,
     range_frame,
-    range_projector,
 )
 from .powers import (
     PowerReport,

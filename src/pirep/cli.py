@@ -12,13 +12,14 @@ One executable with subcommands:
 
 Global flags (--tol-rank, --tol-eq, --tol-incl, --indent) are accepted by
 every subcommand, and --jobs by ``verify`` alone; elsewhere argparse
-refuses it with exit 2.  Every dense array that grows with a tensor power
-is checked against one byte budget (``numerics.DENSE_BYTES``) from its
-shape before it is allocated, so an input past it exits 2 naming the
-bytes it needs.  All output is deterministic JSON on stdout with numbers
-at 17 significant digits.  ``classify`` and ``product`` print the six-way
-partial-isometry diagnostic; every other verdict is the triple-product
-rule alone.
+refuses it with exit 2.  --indent takes 0 to 8; any other value exits 2.
+Every dense array that grows with a tensor power is checked against one
+byte budget (``numerics.DENSE_BYTES``) from its shape before it is
+allocated, so an input past it exits 2 naming the bytes it needs.  All output is deterministic JSON on stdout with numbers
+at 17 significant digits.  ``classify`` and ``product`` print
+``numerics.classify_operator`` of the lift (for ``product``, of the
+product's lift ``ProductRep.tilde``), with the six-way partial-isometry
+diagnostic; every other verdict is the triple-product rule alone.
 ``verify`` exits 0 iff the run produced zero violations, 1 otherwise;
 every subcommand exits 2 on usage or input errors, malformed JSON
 included.
@@ -32,7 +33,7 @@ import sys
 
 from . import harness, powers, serialize, shifts, wold
 from .errors import NotApplicable, PirepError, UsageError
-from .numerics import Tolerance
+from .numerics import Tolerance, classify_operator
 from .products import (
     ProductRep,
     chain_condition_test,
@@ -47,7 +48,8 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-rank", type=float, default=1e-10, help="relative singular-value cutoff")
     parser.add_argument("--tol-eq", type=float, default=1e-8, help="relative residual cutoff for identities")
     parser.add_argument("--tol-incl", type=float, default=1e-8, help="absolute cutoff for subspace inclusions")
-    parser.add_argument("--indent", type=int, default=2, help="JSON indent (0 for compact)")
+    parser.add_argument("--indent", type=int, default=2, choices=range(9), metavar="{0..8}",
+                        help="JSON indent, 0 to 8 (0 for compact)")
 
 
 def _tolerance(args) -> Tolerance:
@@ -85,7 +87,7 @@ def _cmd_product(args) -> int:
     prod = ProductRep(reps)
     out = {
         "n_factors": len(reps),
-        "product_classification": prod.as_rep().classify().to_dict(),
+        "product_classification": classify_operator(prod.tilde, prod.tol).to_dict(),
     }
     if args.all_conditions:
         try:

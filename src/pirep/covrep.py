@@ -1,5 +1,6 @@
 """Covariant representations, their lifted operators, tensor powers,
-pseudoinverse chains, classification, and reducing-subspace restriction.
+pseudoinverse chains, and reducing-subspace restriction.  ``classify``
+reads the lift's classification from ``numerics.classify_operator``.
 
 A covariant pair (sigma, V) is stored through the matrices V(xi_a) on the
 module basis.  Its working avatar is the lift
@@ -25,64 +26,14 @@ against the byte budget (``numerics.check_bytes``) before it is built.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nx
 from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplify, plain_space
+from .correspondence import intertwining_residual
 from .errors import DimensionMismatch, DomainError, InvalidRepresentation
 from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix, eye, herm, opnorm
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Verdicts plus the residuals of all six partial-isometry conditions.
-
-    The partial-isometry verdict is the triple-product condition
-    ||T T* T - T|| <= eq_rel ||T||; the remaining five are diagnostics.
-    ``consistent`` is False when the six disagree beyond tolerance, which
-    is reported, never silently resolved.
-    """
-
-    is_contractive: bool
-    is_isometric: bool
-    is_partial_isometric: bool
-    norm: float
-    isometry_residual: float
-    condition_residuals: dict
-    condition_verdicts: dict
-    consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "is_contractive": self.is_contractive,
-            "is_isometric": self.is_isometric,
-            "is_partial_isometric": self.is_partial_isometric,
-            "norm": self.norm,
-            "isometry_residual": self.isometry_residual,
-            "condition_residuals": dict(self.condition_residuals),
-            "condition_verdicts": dict(self.condition_verdicts),
-            "consistent": self.consistent,
-        }
-
-
-def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
-    """Classification of a bare operator (used on lifts and their powers)."""
-    a = as_matrix(m)
-    conditions = nx.partial_isometry_conditions(a, tol)
-    norm = opnorm(a)
-    iso_res = opnorm(herm(a) @ a - eye(a.shape[1]))
-    return ClassificationReport(
-        is_contractive=norm <= 1.0 + tol.eq_rel,
-        is_isometric=iso_res <= tol.eq_rel * max(1.0, norm) ** 2,
-        is_partial_isometric=conditions["verdicts"]["triple_product"],
-        norm=norm,
-        isometry_residual=iso_res,
-        condition_residuals=conditions["residuals"],
-        condition_verdicts=conditions["verdicts"],
-        consistent=conditions["unanimous"],
-    )
 
 
 class LiftChain:
@@ -218,16 +169,17 @@ class CovariantRep(LiftChain):
         return formal if space.lift is None else formal @ space.lift
 
     def _validate_covariance(self):
+        if self.corr.module_dim == 0:
+            return  # no module vectors: every covariance axiom holds vacuously
         tol = self.tol
         scale = max([1.0] + [opnorm(v) for v in self.v_on_basis])
         if not self.corr.algebra.is_scalar:
             basis = self.corr.algebra.basis()
-            for a in basis:
+            sigma_of = [self.sigma.apply(u) for u in basis]
+            for a, sa in zip(basis, sigma_of):
                 la = self.corr.left(a)
-                sa = self.sigma.apply(a)
-                for c in basis:
+                for c, sc in zip(basis, sigma_of):
                     rc = self.corr.right(c)
-                    sc = self.sigma.apply(c)
                     w = la @ rc
                     for b in range(self.corr.module_dim):
                         lhs = sum(w[y, b] * self.v_on_basis[y] for y in range(self.corr.module_dim))
@@ -244,16 +196,7 @@ class CovariantRep(LiftChain):
 
     def intertwining_residual(self) -> float:
         """Residual of tilde (phi(a) (x) I) = sigma(a) tilde over the algebra basis."""
-        if self.corr.algebra.is_scalar:
-            return 0.0
-        space = self.space(1)
-        worst = 0.0
-        for a in self.corr.algebra.basis():
-            worst = max(
-                worst,
-                opnorm(self._tilde @ space.induced_action(a) - self.sigma.apply(a) @ self._tilde),
-            )
-        return worst
+        return intertwining_residual(self._tilde, self.space(1), plain_space(self.sigma))
 
     @property
     def tilde(self) -> np.ndarray:
@@ -261,10 +204,10 @@ class CovariantRep(LiftChain):
 
     # -- classification -------------------------------------------------------
 
-    def classify(self) -> ClassificationReport:
+    def classify(self) -> nx.ClassificationReport:
         """The full six-way diagnostic; verdict-only callers use
         is_partial_isometric or nx.is_contraction instead."""
-        return classify_operator(self._tilde, self.tol)
+        return nx.classify_operator(self._tilde, self.tol)
 
     def is_partial_isometric(self) -> bool:
         return nx.is_partial_isometry(self._tilde, self.tol)

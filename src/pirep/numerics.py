@@ -1,7 +1,7 @@
 """Dense complex linear algebra with an explicit tolerance discipline.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Every
-rank, projector, pseudoinverse, and subspace-inclusion decision made
+rank, frame, pseudoinverse, and subspace-inclusion decision made
 anywhere in the package reduces to the primitives in this module, and
 every such decision is governed by a single :class:`Tolerance` value:
 
@@ -16,6 +16,10 @@ Every dense array that grows with a tensor power (Grams, lifts,
 amplifications, full kernel frames, sigma(a)) is checked against one byte
 budget, ``DENSE_BYTES``, from its shape and before it is allocated: the
 site that builds it calls :func:`check_bytes`.
+
+:func:`classify_operator` is the one classification of an operator: the
+contraction and isometry verdicts plus the six-way partial-isometry
+diagnostic, whose frames, rank and pseudoinverse come from one thin SVD.
 
 All values are immutable after construction; nothing here mutates its
 inputs.
@@ -127,7 +131,11 @@ def pseudoinverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     u, s, vh = _svd(a, full_matrices=False)
-    cut = rank_threshold(s, a.shape, tol)
+    return _pinv_from_svd(u, s, vh, rank_threshold(s, a.shape, tol))
+
+
+def _pinv_from_svd(u, s, vh, cut: float) -> np.ndarray:
+    """V diag(1/s) U* over the singular values above the cutoff."""
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return herm(vh) @ (inv[:, None] * herm(u))
 
@@ -165,18 +173,6 @@ def kernel_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> n
     _, s, vh = _svd(a, full_matrices=True)
     r = int(np.sum(s > rank_threshold(s, a.shape, tol, scale_floor)))
     return herm(vh)[:, r:]
-
-
-def range_projector(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the range of m.  Equals m @ pinv(m)."""
-    f = range_frame(m, tol)
-    return f @ herm(f)
-
-
-def kernel_projector(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the kernel of m."""
-    f = kernel_frame(m, tol)
-    return f @ herm(f)
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -331,12 +327,6 @@ def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return partial_isometry_residual(m, tol)[1]
 
 
-def is_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    scale = max(1.0, opnorm(a)) ** 2
-    return opnorm(herm(a) @ a - eye(a.shape[1])) <= tol.eq_rel * scale
-
-
 def is_contraction(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return opnorm(m) <= 1.0 + tol.eq_rel
 
@@ -350,62 +340,109 @@ def running_conjunction(flags) -> list:
     return out
 
 
-def partial_isometry_conditions(m, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Residuals and verdicts for the six equivalent characterizations of
-    a partial isometry.
+_CONDITIONS = (
+    "norm_on_cokernel",
+    "adjoint_norm",
+    "triple_product",
+    "initial_projection",
+    "final_projection",
+    "pinv_is_adjoint",
+)
 
-    Keys:
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    """Verdicts plus the residuals of all six partial-isometry conditions.
+
+    The partial-isometry verdict is the triple-product condition
+    ||T T* T - T|| <= eq_rel ||T||; the remaining five are diagnostics.
+    ``consistent`` is False when the six disagree beyond tolerance, which
+    is reported, never silently resolved.
+
+    Condition keys:
       ``norm_on_cokernel``   isometric on the orthocomplement of the kernel
       ``adjoint_norm``       the adjoint is isometric on its cokernel
-      ``triple_product``     M M* M = M
-      ``initial_projection`` M* M is the projection onto R(M*)
-      ``final_projection``   M M* is the projection onto R(M)
-      ``pinv_is_adjoint``    pinv(M) = M*
+      ``triple_product``     T T* T = T
+      ``initial_projection`` T* T is the projection onto R(T*)
+      ``final_projection``   T T* is the projection onto R(T)
+      ``pinv_is_adjoint``    pinv(T) = T*
+    """
 
-    Returns a dict with ``residuals``, ``verdicts``, and ``unanimous``.
+    is_contractive: bool
+    is_isometric: bool
+    is_partial_isometric: bool
+    norm: float
+    isometry_residual: float
+    condition_residuals: dict
+    condition_verdicts: dict
+    consistent: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "is_contractive": self.is_contractive,
+            "is_isometric": self.is_isometric,
+            "is_partial_isometric": self.is_partial_isometric,
+            "norm": self.norm,
+            "isometry_residual": self.isometry_residual,
+            "condition_residuals": dict(self.condition_residuals),
+            "condition_verdicts": dict(self.condition_verdicts),
+            "consistent": self.consistent,
+        }
+
+
+def _frame_gram_residual(x: np.ndarray, f: np.ndarray) -> float:
+    """||F* X* X F - I|| for an orthonormal frame F of N(X)^perp."""
+    if f.shape[1] == 0:
+        return 0.0
+    g = herm(f) @ herm(x) @ x @ f
+    return opnorm(g - eye(f.shape[1]))
+
+
+def _frames_and_pinv(a: np.ndarray, tol: Tolerance) -> tuple:
+    """Orthonormal frames of R(A) and R(A*) and the pseudoinverse of a
+    nonempty A, all from one thin SVD cut as ``range_frame`` and
+    ``pseudoinverse`` cut it."""
+    u, s, vh = _svd(a, full_matrices=False)
+    cut = rank_threshold(s, a.shape, tol)
+    r = int(np.sum(s > cut))
+    return u[:, :r], herm(vh[:r]), _pinv_from_svd(u, s, vh, cut)
+
+
+def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
+    """Contraction, isometry and the six-way partial-isometry diagnostic.
+
+    ||M|| is computed once.  The frames of R(M) and R(M*), the rank and
+    the pseudoinverse all come from one thin SVD of M, cut at the same
+    ``rank_threshold`` as ``range_frame`` and ``pseudoinverse``; the
+    verdict itself is ``partial_isometry_residual``.
     """
     a = as_matrix(m)
     norm = opnorm(a)
+    iso_res = opnorm(herm(a) @ a - eye(a.shape[1]))
     if norm <= tol.rank_rel:
         # numerically the zero operator: every characterization holds
+        residuals = dict.fromkeys(_CONDITIONS, 0.0)
+        verdicts = dict.fromkeys(_CONDITIONS, True)
+    else:
+        final, initial, pinv = _frames_and_pinv(a, tol)  # initial spans R(M*) = N(M)^perp
+        triple, triple_ok = partial_isometry_residual(a, tol)
         residuals = {
-            key: 0.0
-            for key in (
-                "norm_on_cokernel",
-                "adjoint_norm",
-                "triple_product",
-                "initial_projection",
-                "final_projection",
-                "pinv_is_adjoint",
-            )
+            "norm_on_cokernel": _frame_gram_residual(a, initial),
+            "adjoint_norm": _frame_gram_residual(herm(a), final),
+            "triple_product": triple,
+            "initial_projection": opnorm(herm(a) @ a - initial @ herm(initial)),
+            "final_projection": opnorm(a @ herm(a) - final @ herm(final)),
+            "pinv_is_adjoint": opnorm(pinv - herm(a)),
         }
-        return {
-            "residuals": residuals,
-            "verdicts": {key: True for key in residuals},
-            "unanimous": True,
-        }
-    scale = max(1.0, norm)
-
-    def frame_gram_residual(x):
-        f = range_frame(herm(x), tol)  # orthonormal frame of N(x)^perp
-        if f.shape[1] == 0:
-            return 0.0
-        g = herm(f) @ herm(x) @ x @ f
-        return opnorm(g - eye(f.shape[1]))
-
-    triple, triple_ok = partial_isometry_residual(a, tol)
-    residuals = {
-        "norm_on_cokernel": frame_gram_residual(a),
-        "adjoint_norm": frame_gram_residual(herm(a)),
-        "triple_product": triple,
-        "initial_projection": opnorm(herm(a) @ a - range_projector(herm(a), tol)),
-        "final_projection": opnorm(a @ herm(a) - range_projector(a, tol)),
-        "pinv_is_adjoint": opnorm(pseudoinverse(a, tol) - herm(a)),
-    }
-    verdicts = {key: residuals[key] <= tol.eq_rel * scale for key in residuals}
-    verdicts["triple_product"] = triple_ok
-    return {
-        "residuals": residuals,
-        "verdicts": verdicts,
-        "unanimous": len(set(verdicts.values())) <= 1,
-    }
+        verdicts = {key: residuals[key] <= tol.eq_rel * max(1.0, norm) for key in residuals}
+        verdicts["triple_product"] = triple_ok
+    return ClassificationReport(
+        is_contractive=norm <= 1.0 + tol.eq_rel,
+        is_isometric=iso_res <= tol.eq_rel * max(1.0, norm) ** 2,
+        is_partial_isometric=verdicts["triple_product"],
+        norm=norm,
+        isometry_residual=iso_res,
+        condition_residuals=residuals,
+        condition_verdicts=verdicts,
+        consistent=len(set(verdicts.values())) <= 1,
+    )

@@ -30,7 +30,7 @@ from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
-from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes, opnorm
+from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes, herm, opnorm
 
 
 def _max_offset(n: int, k: int) -> int:
@@ -231,8 +231,8 @@ def chain_inclusion_check(spec: WeightedShiftSpec, k: int, tol: Tolerance = DEFA
         sources = [m for m in window if np.linalg.norm(p_k1[:, m]) > tol.incl_abs]
         if not sources:
             continue
-        kernel_proj = nx.kernel_projector(p_k, tol)
+        f = nx.kernel_frame(p_k, tol)
         moved = v[:, sources]
-        if opnorm(kernel_proj @ moved) > tol.incl_abs:
+        if opnorm(f @ (herm(f) @ moved)) > tol.incl_abs:
             return False
     return True

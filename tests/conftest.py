@@ -5,6 +5,7 @@ import pytest
 
 from pirep import correspondence
 from pirep import numerics as nx
+from pirep.correspondence import FdCorrespondence, FdCStarAlgebra, StarRepresentation
 from pirep.numerics import DEFAULT_TOL
 
 
@@ -57,6 +58,31 @@ def count_space_builds(monkeypatch) -> Counter:
     monkeypatch.setattr(correspondence, "interior_tensor", interior_tensor)
     monkeypatch.setattr(correspondence, "tensor_product", tensor_product)
     return builds
+
+
+def count_sigma_work(monkeypatch) -> dict:
+    """Count FdCStarAlgebra.basis and StarRepresentation.apply calls."""
+    counts = {"basis": 0, "apply": 0}
+    real_basis, real_apply = FdCStarAlgebra.basis, StarRepresentation.apply
+
+    def basis(self):
+        counts["basis"] += 1
+        return real_basis(self)
+
+    def apply(self, a):
+        counts["apply"] += 1
+        return real_apply(self, a)
+
+    monkeypatch.setattr(FdCStarAlgebra, "basis", basis)
+    monkeypatch.setattr(StarRepresentation, "apply", apply)
+    return counts
+
+
+def empty_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:
+    """The zero module over the algebra."""
+    k, n = algebra.matrix_size, algebra.dim
+    action = np.zeros((n, 0, 0))
+    return FdCorrespondence(algebra, np.zeros((0, 0, k, k)), action, action)
 
 
 @pytest.fixture

@@ -47,8 +47,8 @@ def test_criterion_01_six_way_equivalence():
         if not forced:
             values[int(rng.integers(0, k))] = rng.uniform(0.2, 0.8)
         m = random_with_spectrum(rng, rows, cols, values)
-        conditions = nx.partial_isometry_conditions(m, TOL)
-        if not conditions["unanimous"]:
+        report = nx.classify_operator(m, TOL)
+        if not report.consistent:
             disagreements += 1
             continue
         expected = forced or bool(
@@ -56,7 +56,7 @@ def test_criterion_01_six_way_equivalence():
         )
         if not forced:
             expected = False
-        assert conditions["verdicts"]["triple_product"] == expected, trial
+        assert report.condition_verdicts["triple_product"] == expected, trial
     assert disagreements == 0
     _line(1, "six-way partial-isometry equivalence, 1000 matrices")
 

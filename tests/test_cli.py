@@ -234,3 +234,16 @@ def test_oversized_multiplicity_exits_2_before_allocating(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "needs 160000000000 bytes" in captured.err
+
+
+def test_indent_is_range_checked(rep_file, capsys):
+    for indent in ("0", "8"):
+        assert main(["classify", "--rep", rep_file, "--indent", indent]) == 0
+        assert json.loads(capsys.readouterr().out)["consistent"] is True
+    for indent in ("-1", "9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--rep", rep_file, "--indent", indent])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--indent" in captured.err

@@ -11,6 +11,7 @@ from pirep.correspondence import (
     amplify,
     diagonal_correspondence,
     interior_tensor,
+    intertwining_residual,
     plain_space,
     scalar_correspondence,
     tensor_power,
@@ -18,7 +19,7 @@ from pirep.correspondence import (
 )
 from pirep.errors import DimensionMismatch, IntertwinerError, InvalidCorrespondence, ResourceLimit
 
-from conftest import crandn, dense_budget, rng_for
+from conftest import count_sigma_work, crandn, dense_budget, empty_correspondence, rng_for
 
 
 TWO_BLOCK = FdCStarAlgebra([1, 1])
@@ -418,3 +419,29 @@ def test_amplify_checks_its_bytes(monkeypatch, tol):
     dense_budget(monkeypatch, 16 * 12**2 - 1, correspondence, nx)
     with pytest.raises(ResourceLimit, match="an amplification needs 2304 bytes"):
         amplify(x, space, space, big, big, tol)
+
+
+def test_empty_module_validates_without_work(monkeypatch, tol):
+    # every axiom holds vacuously on a zero module, so none is evaluated:
+    # no basis matrices for the 80 blocks, no N^2 pairs of them
+    e = empty_correspondence(FdCStarAlgebra([1] * 80))
+    counts = count_sigma_work(monkeypatch)
+    assert e.validate(tol) is e
+    assert counts == {"basis": 0, "apply": 0}
+
+
+def test_intertwining_residual_is_the_worst_matrix_unit(tol):
+    e = two_block_fixture()
+    sigma = StarRepresentation(TWO_BLOCK, [2, 1])
+    space, h = interior_tensor(e, sigma, tol), plain_space(sigma)
+    x = crandn(rng_for(34), sigma.h_dim, space.dim)  # generic: not an intertwiner
+    brute = max(
+        nx.opnorm(x @ space.induced_action(u) - sigma.apply(u) @ x) for u in TWO_BLOCK.basis()
+    )
+    assert intertwining_residual(x, space, h) == brute > 0.1
+    empty_space = interior_tensor(empty_correspondence(TWO_BLOCK), sigma, tol)
+    assert intertwining_residual(np.zeros((sigma.h_dim, 0)), empty_space, h) == 0.0
+    # the scalar algebra: every operator intertwines
+    scalar = StarRepresentation(SCALARS, [2])
+    scalar_space = interior_tensor(scalar_correspondence(2), scalar, tol)
+    assert intertwining_residual(crandn(rng_for(35), 2, 4), scalar_space, plain_space(scalar)) == 0.0

@@ -11,10 +11,18 @@ from pirep.correspondence import (
     scalar_correspondence,
 )
 from pirep.covrep import CovariantRep, rep_from_tilde
+from pirep.shifts import WeightedShiftSpec, build_shift
 from pirep.errors import DomainError, InvalidRepresentation, ResourceLimit
 from pirep.numerics import Subspace
 
-from conftest import assert_verdicts_match_classify, crandn, dense_budget, rng_for
+from conftest import (
+    assert_verdicts_match_classify,
+    count_sigma_work,
+    crandn,
+    dense_budget,
+    empty_correspondence,
+    rng_for,
+)
 
 
 def scalar_rep(v_list, tol, d=None):
@@ -443,3 +451,48 @@ def test_restrict_block_algebra_nontrivial_summand(tol):
         atol=1e-10,
     )
     assert sub.classify().is_partial_isometric == small.classify().is_partial_isometric
+
+
+def test_empty_module_rep_builds_without_sigma(monkeypatch, tol):
+    # covariance and intertwining hold vacuously on a zero module: no
+    # 500 x 500 sigma(a) is built
+    alg = FdCStarAlgebra([1, 1])
+    e = empty_correspondence(alg)
+    counts = count_sigma_work(monkeypatch)
+    rep = CovariantRep(e, StarRepresentation(alg, [500, 0]), [], tol)
+    assert rep.tilde.shape == (500, 0)
+    assert counts == {"basis": 0, "apply": 0}
+
+
+def test_building_a_rep_applies_sigma_once_per_basis_element(monkeypatch, tol):
+    alg = FdCStarAlgebra([1, 1])
+    e = diagonal_correspondence(alg, left_tags=[0], right_tags=[0])
+    sigma = StarRepresentation(alg, [3, 0])
+    v = [crandn(rng_for(6), 3, 3)]
+    CovariantRep(e, sigma, v, tol)  # memoizes E (x)_sigma H
+    counts = count_sigma_work(monkeypatch)
+    CovariantRep(e, sigma, v, tol)
+    # sigma(u) once per matrix unit for the covariance check, serving as
+    # both sigma(a) and sigma(c), and once more in the intertwining residual
+    assert counts["apply"] == 2 * alg.dim
+
+
+def test_classify_takes_one_factorization(monkeypatch, tol):
+    # the lift of the n = 3, trunc = 216 shift is 217 x 651; one SVD computes
+    # singular vectors, the rest are norms
+    rep = build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
+    assert rep.tilde.shape == (217, 651)
+    real_svd, computes_uv = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        out = real_svd(a, *args, **kwargs)
+        computes_uv.append(isinstance(out, tuple))  # (U, S, Vh) only when vectors are computed
+        return out
+
+    # np.linalg.norm(., 2) calls the svd of numpy's inner linalg module
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", svd)
+    report = rep.classify()
+    assert report.is_partial_isometric and report.consistent
+    assert computes_uv.count(True) == 1
+    assert len(computes_uv) <= 10

@@ -56,35 +56,39 @@ def test_pinv_involution_property(rows, cols, seed, drop):
 
 
 # ---------------------------------------------------------------------------
-# projectors
+# range and kernel frames, as the projectors F F* they define
 # ---------------------------------------------------------------------------
+
+
+def _projector(f):
+    return f @ nx.herm(f)
 
 
 def test_projectors_zero_operator(tol):
     z = np.zeros((2, 2))
-    np.testing.assert_allclose(nx.range_projector(z), np.zeros((2, 2)))
-    np.testing.assert_allclose(nx.kernel_projector(z), np.eye(2))
+    np.testing.assert_allclose(_projector(nx.range_frame(z)), np.zeros((2, 2)))
+    np.testing.assert_allclose(_projector(nx.kernel_frame(z)), np.eye(2))
 
 
 def test_projectors_rank_one_nilpotent(tol):
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(nx.range_projector(m), np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(nx.kernel_projector(m), np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(_projector(nx.range_frame(m)), np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(_projector(nx.kernel_frame(m)), np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_projectors_idempotent_selfadjoint_rank2_seed11(tol):
     m = random_with_spectrum(rng_for(11), 5, 5, [1.3, 0.4, 0.0, 0.0, 0.0])
-    for p in (nx.range_projector(m, tol), nx.kernel_projector(m, tol)):
+    for p in (_projector(nx.range_frame(m, tol)), _projector(nx.kernel_frame(m, tol))):
         assert nx.opnorm(p @ p - p) <= 1e-10
         assert nx.opnorm(p - nx.herm(p)) <= 1e-10
-    assert nx.opnorm(nx.range_projector(m, tol) - m @ nx.pseudoinverse(m, tol)) <= 1e-10
+    assert nx.opnorm(_projector(nx.range_frame(m, tol)) - m @ nx.pseudoinverse(m, tol)) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_range_plus_adjoint_kernel_is_identity(rows, cols, seed):
     m = crandn(rng_for(seed), rows, cols)
-    total = nx.range_projector(m) + nx.kernel_projector(nx.herm(m))
+    total = _projector(nx.range_frame(m)) + _projector(nx.kernel_frame(nx.herm(m)))
     assert nx.opnorm(total - np.eye(rows)) <= 1e-10
 
 
@@ -233,13 +237,13 @@ def test_predicates_trivial_cases(tol):
     assert nx.is_partial_isometry(v, tol)
     assert nx.is_contraction(np.eye(2), tol)
     assert not nx.is_contraction(1.5 * np.eye(2), tol)
-    assert nx.is_isometry(np.eye(3)[:, :2], tol)
+    assert nx.classify_operator(np.eye(3)[:, :2], tol).is_isometric
 
 
 def test_zero_matrix_is_partial_isometry(tol):
-    conditions = nx.partial_isometry_conditions(np.zeros((3, 2)), tol)
-    assert conditions["unanimous"]
-    assert all(conditions["verdicts"].values())
+    report = nx.classify_operator(np.zeros((3, 2)), tol)
+    assert report.consistent
+    assert all(report.condition_verdicts.values())
 
 
 @pytest.mark.parametrize("forced", [True, False])
@@ -257,10 +261,10 @@ def test_six_conditions_agree(forced, tol):
             values = (rng.random(k) < 0.6).astype(float)
             values[int(rng.integers(0, k))] = rng.uniform(0.2, 0.8)
         m = random_with_spectrum(rng, rows, cols, values)
-        conditions = nx.partial_isometry_conditions(m, tol)
-        assert conditions["unanimous"], (trial, values, conditions["residuals"])
+        report = nx.classify_operator(m, tol)
+        assert report.consistent, (trial, values, report.condition_residuals)
         expected = bool(np.all((values < 0.1) | (np.abs(values - 1.0) < 0.1)))
-        assert conditions["verdicts"]["triple_product"] == expected
+        assert report.condition_verdicts["triple_product"] == expected
         # sampled version of the norm-preservation condition: 100 random
         # unit vectors in N(M)^perp
         f = nx.range_frame(nx.herm(m), tol)
@@ -270,6 +274,31 @@ def test_six_conditions_agree(forced, tol):
             preserved = bool(np.all(np.abs(np.linalg.norm(m @ x, axis=0) - 1.0) <= 1e-6))
             if forced:
                 assert preserved == expected
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_deficient", "zero"])
+def test_classification_factors_match_the_primitives(kind, tol):
+    # the one thin SVD behind classify_operator gives range_frame's frame and
+    # pseudoinverse's matrix bit for bit, and a frame of R(M*) spanning
+    # what range_frame(M*) spans
+    rng = rng_for(303)
+    for trial in range(30):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if kind == "random":
+            m = crandn(rng, rows, cols)
+        elif kind == "rank_deficient":
+            m = random_with_spectrum(rng, rows + 2, cols + 2, [1.5, 0.3])
+        else:
+            m = np.zeros((rows, cols), dtype=complex)
+        final, initial, pinv = nx._frames_and_pinv(m, tol)
+        np.testing.assert_array_equal(final, nx.range_frame(m, tol))
+        np.testing.assert_array_equal(pinv, nx.pseudoinverse(m, tol))
+        corange = nx.range_frame(nx.herm(m), tol)
+        assert initial.shape == corange.shape, trial
+        assert nx.opnorm(nx.herm(initial) @ initial - np.eye(initial.shape[1])) <= 1e-12
+        assert nx.opnorm(initial @ nx.herm(initial) - corange @ nx.herm(corange)) <= 1e-12
+        scale = max(1.0, nx.opnorm(m)) * max(1.0, nx.opnorm(pinv))
+        assert max(nx.penrose_residuals(m, pinv, tol).values()) <= 1e-10 * scale, trial
 
 
 def test_tolerance_validation():
