@@ -25,6 +25,7 @@ bytes of their largest array from shapes, before allocating it
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 
@@ -35,7 +36,18 @@ from .errors import (
     IntertwinerError,
     InvalidCorrespondence,
 )
-from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, as_matrix, check_bytes, eye, herm, opnorm
+from .numerics import (
+    DEFAULT_TOL,
+    ENTRY_BYTES,
+    Tolerance,
+    as_matrix,
+    check_bytes,
+    eye,
+    herm,
+    identity_holds,
+    norm_within,
+    opnorm,
+)
 
 
 class FdCStarAlgebra:
@@ -273,14 +285,13 @@ class FdCorrespondence:
             if np.abs(lhs - rhs).max(initial=0.0) > tol.eq_rel * scale:
                 raise InvalidCorrespondence(f"right action incompatible with gram (basis {t})")
         # phi unital
-        if opnorm(self.left(self.algebra.identity()) - eye(n)) > tol.eq_rel:
+        if not norm_within(self.left(self.algebra.identity()) - eye(n), tol.eq_rel):
             raise InvalidCorrespondence("left action is not unital")
         # phi multiplicative and adjointable w.r.t. the gram
         for s, a in enumerate(basis):
             for t, b in enumerate(basis):
                 lhs = self.left_action[s] @ self.left_action[t]
-                rhs = self.left(a @ b)
-                if opnorm(lhs - rhs) > tol.eq_rel * max(1.0, opnorm(lhs)):
+                if not identity_holds(lhs - self.left(a @ b), lambda: opnorm(lhs), tol):
                     raise InvalidCorrespondence("left action is not multiplicative")
             la = self.left_action[s]
             lstar = self.left(herm(a))
@@ -510,16 +521,20 @@ def interior_tensor(
 # ---------------------------------------------------------------------------
 
 
+def _intertwining_gaps(x: np.ndarray, dom: TensorSpace, cod: TensorSpace):
+    """X dom.induced_action(u) - cod.induced_action(u) X over the matrix
+    units u; none on the scalar algebra and for an empty X."""
+    algebra = dom.action_source.algebra
+    if algebra.is_scalar or x.size == 0:
+        return
+    for u in algebra.basis():
+        yield x @ dom.induced_action(u) - cod.induced_action(u) @ x
+
+
 def intertwining_residual(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> float:
     """max over the matrix units u of ||X dom.induced_action(u) - cod.induced_action(u) X||
     for X : dom -> cod; 0.0 on the scalar algebra and for an empty X."""
-    algebra = dom.action_source.algebra
-    if algebra.is_scalar or x.size == 0:
-        return 0.0
-    worst = 0.0
-    for u in algebra.basis():
-        worst = max(worst, opnorm(x @ dom.induced_action(u) - cod.induced_action(u) @ x))
-    return worst
+    return max((opnorm(gap) for gap in _intertwining_gaps(x, dom, cod)), default=0.0)
 
 
 def amplify(
@@ -544,11 +559,11 @@ def amplify(
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
     check_bytes(ENTRY_BYTES * big_cod.formal_dim * big_dom.formal_dim, "an amplification")
-    resid = intertwining_residual(x, dom, cod)
-    # a residual at most eq_rel passes whatever ||X|| is, so ||X|| is taken only past it
-    if resid > tol.eq_rel and resid > tol.eq_rel * max(1.0, opnorm(x)):
+    x_norm = functools.cache(lambda: opnorm(x))
+    if not all(identity_holds(gap, x_norm, tol) for gap in _intertwining_gaps(x, dom, cod)):
         raise IntertwinerError(
-            f"operator does not intertwine the algebra actions (residual {resid:.3e})"
+            "operator does not intertwine the algebra actions"
+            f" (residual {intertwining_residual(x, dom, cod):.3e})"
         )
     # dim F = dim(F (x) D) / dim D, read off a side whose module is nonzero
     nf = max(
@@ -562,6 +577,11 @@ def amplify(
     )
     if trivial:
         return np.kron(eye(nf), x)
-    y = cod.apply_lift(eye(cod.dim)) @ x @ dom.apply_embed(eye(dom.formal_dim))
+    # the report bits depend on this order: (lift_cod X) embed_dom, kron, then big_dom's lift
+    y = cod.apply_lift(x)
+    if dom.embed is not None:
+        y = y @ dom.embed
     formal = np.kron(eye(nf), y)
-    return big_cod.apply_embed(formal @ big_dom.apply_lift(eye(big_dom.dim)))
+    if big_dom.lift is not None:
+        formal = formal @ big_dom.lift
+    return big_cod.apply_embed(formal)

@@ -169,30 +169,29 @@ class CovariantRep(LiftChain):
         return formal if space.lift is None else formal @ space.lift
 
     def _validate_covariance(self):
-        if self.corr.module_dim == 0:
-            return  # no module vectors: every covariance axiom holds vacuously
+        if self.corr.module_dim == 0 or self.corr.algebra.is_scalar:
+            return  # no module vectors, or the scalar algebra: every axiom holds
         tol = self.tol
-        scale = max([1.0] + [opnorm(v) for v in self.v_on_basis])
-        if not self.corr.algebra.is_scalar:
-            basis = self.corr.algebra.basis()
-            sigma_of = [self.sigma.apply(u) for u in basis]
-            for a, sa in zip(basis, sigma_of):
-                la = self.corr.left(a)
-                for c, sc in zip(basis, sigma_of):
-                    rc = self.corr.right(c)
-                    w = la @ rc
-                    for b in range(self.corr.module_dim):
-                        lhs = sum(w[y, b] * self.v_on_basis[y] for y in range(self.corr.module_dim))
-                        rhs = sa @ self.v_on_basis[b] @ sc
-                        if opnorm(lhs - rhs) > tol.eq_rel * max(1.0, scale):
-                            raise InvalidRepresentation(
-                                "bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails"
-                            )
-        resid = self.intertwining_residual()
-        if resid > tol.eq_rel * max(1.0, scale):
-            raise InvalidRepresentation(
-                f"lift does not intertwine the left action (residual {resid:.3e})"
-            )
+        scale = functools.cache(lambda: max(opnorm(v) for v in self.v_on_basis))
+        basis = self.corr.algebra.basis()
+        sigma_of = [self.sigma.apply(u) for u in basis]
+        for a, sa in zip(basis, sigma_of):
+            la = self.corr.left(a)
+            for c, sc in zip(basis, sigma_of):
+                rc = self.corr.right(c)
+                w = la @ rc
+                for b in range(self.corr.module_dim):
+                    lhs = sum(w[y, b] * self.v_on_basis[y] for y in range(self.corr.module_dim))
+                    if not nx.identity_holds(lhs - sa @ self.v_on_basis[b] @ sc, scale, tol):
+                        raise InvalidRepresentation(
+                            "bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails"
+                        )
+        space = self.space(1)
+        for u, su in zip(basis, sigma_of):
+            if not nx.identity_holds(self._tilde @ space.induced_action(u) - su @ self._tilde, scale, tol):
+                raise InvalidRepresentation(
+                    f"lift does not intertwine the left action (residual {self.intertwining_residual():.3e})"
+                )
 
     def intertwining_residual(self) -> float:
         """Residual of tilde (phi(a) (x) I) = sigma(a) tilde over the algebra basis."""

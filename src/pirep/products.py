@@ -115,9 +115,7 @@ def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep):
         return None
     final2 = rep2.tilde @ herm(rep2.tilde)
     amp = prod.amplified(final2, 1, 0, 0)
-    lhs = rep1.tilde @ amp
-    rhs = final2 @ rep1.tilde
-    return opnorm(lhs - rhs) <= tol.eq_rel * max(1.0, opnorm(rep1.tilde))
+    return nx.identity_holds(rep1.tilde @ amp - final2 @ rep1.tilde, lambda: opnorm(rep1.tilde), tol)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
-from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes, herm, opnorm
+from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes, herm
 
 
 def _max_offset(n: int, k: int) -> int:
@@ -233,6 +233,6 @@ def chain_inclusion_check(spec: WeightedShiftSpec, k: int, tol: Tolerance = DEFA
             continue
         f = nx.kernel_frame(p_k, tol)
         moved = v[:, sources]
-        if opnorm(f @ (herm(f) @ moved)) > tol.incl_abs:
+        if not nx.norm_within(f @ (herm(f) @ moved), tol.incl_abs):
             return False
     return True

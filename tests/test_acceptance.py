@@ -19,7 +19,7 @@ from pirep.covrep import CovariantRep
 from pirep.harness import TrialConfig
 from pirep.numerics import DEFAULT_TOL as TOL
 
-from conftest import assert_verdicts_match_classify, crandn, random_with_spectrum, rng_for
+from conftest import assert_verdicts_match_classify, crandn, penrose_residuals, random_with_spectrum, rng_for
 
 
 def _line(number, name):
@@ -76,7 +76,7 @@ def test_criterion_02_moore_penrose():
             m = u @ (s[:, None] * vh)
         pinv = nx.pseudoinverse(m, TOL)
         bound = 1e-10 * max(nx.opnorm(m), 1e-300)
-        for name, residual in nx.penrose_residuals(m, pinv).items():
+        for name, residual in penrose_residuals(m, pinv).items():
             assert residual <= bound, (trial, name, residual, bound)
     _line(2, "Moore-Penrose residuals <= 1e-10 * norm, 500 matrices")
 

@@ -6,7 +6,7 @@ from pirep import numerics as nx
 from pirep.errors import DimensionMismatch, DomainError, ResourceLimit
 from pirep.numerics import Subspace, Tolerance
 
-from conftest import crandn, dense_budget, random_with_spectrum, rng_for
+from conftest import crandn, dense_budget, penrose_residuals, random_with_spectrum, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_pinv_penrose_residuals_random_seed7(tol):
     # oracle: direct evaluation of the four defining identities
     m = crandn(rng_for(7), 4, 3)
     x = nx.pseudoinverse(m, tol)
-    for name, res in nx.penrose_residuals(m, x).items():
+    for name, res in penrose_residuals(m, x).items():
         assert res <= 1e-10, name
 
 
@@ -298,7 +298,143 @@ def test_classification_factors_match_the_primitives(kind, tol):
         assert nx.opnorm(nx.herm(initial) @ initial - np.eye(initial.shape[1])) <= 1e-12
         assert nx.opnorm(initial @ nx.herm(initial) - corange @ nx.herm(corange)) <= 1e-12
         scale = max(1.0, nx.opnorm(m)) * max(1.0, nx.opnorm(pinv))
-        assert max(nx.penrose_residuals(m, pinv, tol).values()) <= 1e-10 * scale, trial
+        assert max(penrose_residuals(m, pinv).values()) <= 1e-10 * scale, trial
+
+
+# ---------------------------------------------------------------------------
+# the norm screen: Frobenius bounds, exact opnorm only near the cutoff
+# ---------------------------------------------------------------------------
+
+# 0.5x, 0.999x, 1.001x and 2x a cutoff are decided by the bounds or by
+# opnorm; 1 -/+ 1e-7 lies inside the widened band and must take opnorm
+FAR = (0.5, 0.999, 1.001, 2.0)
+NEAR = (1.0 - 1e-7, 1.0 + 1e-7)
+
+
+def _shapes(rng) -> dict:
+    """Unit-norm scalar, rank-deficient and wide matrices, and zero and
+    empty ones."""
+    out = {
+        "scalar": np.array([[0.6 - 0.8j]]),
+        "rank_deficient": random_with_spectrum(rng, 6, 5, [1.0, 0.4]),
+        "wide": crandn(rng, 3, 9),
+        "zero": np.zeros((4, 3), dtype=complex),
+        "empty": np.zeros((3, 0), dtype=complex),
+    }
+    return {k: m / nx.opnorm(m) if m.any() else m for k, m in out.items()}
+
+
+def _count_opnorm(monkeypatch) -> list:
+    calls = []
+    real = nx.opnorm
+
+    def opnorm(m):
+        calls.append(1)
+        return real(m)
+
+    monkeypatch.setattr(nx, "opnorm", opnorm)
+    return calls
+
+
+def _exact_partial_isometry(m, tol) -> bool:
+    scale = nx.opnorm(m)
+    return scale <= tol.rank_rel or nx.opnorm(m @ nx.herm(m) @ m - m) <= tol.eq_rel * scale
+
+
+def _pi_inputs(rng, tol):
+    """(kind, t, near, matrix): the triple-product residual at t * eq_rel * ||M||
+    (one singular value 1 + delta beside ones), and ||M|| at t * rank_rel."""
+    for t in FAR + NEAR:
+        near = t in NEAR
+        delta = np.sqrt(1.0 + t * tol.eq_rel) - 1.0  # (1+d)((1+d)^2 - 1) = t eq_rel (1+d)
+        top = 1.0 + delta
+        yield "scalar", t, near, np.array([[top]], dtype=complex)
+        yield "rank_deficient", t, near, random_with_spectrum(rng, 6, 5, [top, 1.0])
+        yield "wide", t, near, random_with_spectrum(rng, 3, 9, [top, 1.0, 1.0])
+        yield "dust", t, near, t * tol.rank_rel * random_with_spectrum(rng, 4, 4, [1.0, 0.5])
+    yield "zero", 1.0, False, np.zeros((4, 3), dtype=complex)
+    yield "empty", 1.0, False, np.zeros((3, 0), dtype=complex)
+
+
+def _subset_inputs(rng, tol):
+    """(kind, t, near, S1, S2): S1 leaves S2 = span(e1, e2, e3) in C^6 by
+    principal angles whose sines are t * incl_abs * spectrum, both rotated
+    by one unitary; then a zero gap and an empty S1."""
+    q, _ = np.linalg.qr(crandn(rng, 6, 6))
+    s2 = Subspace(q[:, :3])
+    spectra = {"scalar": [1.0], "rank_deficient": [1.0, 0.4, 0.0], "wide": [1.0, 1.0, 1.0]}
+    for t in FAR + NEAR:
+        for kind, spectrum in spectra.items():
+            sines = t * tol.incl_abs * np.array(spectrum)
+            f = np.zeros((6, len(spectrum)), dtype=complex)
+            for j, sn in enumerate(sines):
+                f[j, j], f[3 + j, j] = np.sqrt(1.0 - sn**2), sn
+            yield kind, t, t in NEAR, Subspace(q @ f), s2
+    yield "zero", 1.0, False, Subspace(np.eye(6)[:, :2]), Subspace(np.eye(6)[:, :3])
+    yield "empty", 1.0, False, Subspace.zero(6), s2
+
+
+def test_norm_within_is_the_exact_comparison(monkeypatch, tol):
+    # differential: the screened verdict equals opnorm(m) <= cutoff on every
+    # input, and an input within 1e-7 of the cutoff is decided by opnorm
+    cases = []
+    for cutoff in (1.0 + tol.eq_rel, tol.incl_abs, tol.eq_rel * 3.0):
+        for kind, unit in _shapes(rng_for(404)).items():
+            for t in FAR + NEAR:
+                m = t * cutoff * unit
+                cases.append((kind, t, cutoff, m, nx.opnorm(m) <= cutoff))
+    calls = _count_opnorm(monkeypatch)
+    for kind, t, cutoff, m, want in cases:
+        calls.clear()
+        assert nx.norm_within(m, cutoff) == want, (kind, t, cutoff)
+        if t in NEAR and m.any():
+            assert calls, (kind, t, cutoff)
+        if kind == "scalar" and t in (0.5, 2.0):
+            assert not calls, (kind, t, cutoff)  # ||M||_F = ||M||: the bounds decide
+        if cutoff == 1.0 + tol.eq_rel:
+            assert nx.is_contraction(m, tol) == want, (kind, t)
+
+
+def test_identity_holds_takes_the_scale_only_past_eq_rel(tol):
+    # opnorm(gap) <= eq_rel * max(1, scale), with scale() called exactly when
+    # the gap is past eq_rel
+    unit = _shapes(rng_for(407))["wide"]
+    for scale in (0.5, 3.0):
+        cutoff = tol.eq_rel * max(1.0, scale)
+        for t in FAR + NEAR:
+            gap = t * cutoff * unit
+            calls = []
+            got = nx.identity_holds(gap, lambda: calls.append(1) or scale, tol)
+            assert got == (nx.opnorm(gap) <= cutoff), (scale, t)
+            assert bool(calls) == (nx.opnorm(gap) > tol.eq_rel), (scale, t)
+
+
+def test_partial_isometry_screen_is_the_exact_rule(monkeypatch, tol):
+    rng = rng_for(405)
+    inputs = list(_pi_inputs(rng, tol))
+    expected = [_exact_partial_isometry(m, tol) for *_, m in inputs]
+    residuals = [nx.opnorm(m @ nx.herm(m) @ m - m) for *_, m in inputs]
+    assert True in expected and False in expected
+    calls = _count_opnorm(monkeypatch)
+    for (kind, t, near, m), want, residual in zip(inputs, expected, residuals):
+        calls.clear()
+        assert nx.is_partial_isometry(m, tol) == want, (kind, t)
+        if near:
+            assert calls, (kind, t)
+        assert nx.partial_isometry_residual(m, tol) == (residual, want), (kind, t)
+
+
+def test_subset_screen_is_the_exact_rule(monkeypatch, tol):
+    rng = rng_for(406)
+    inputs = list(_subset_inputs(rng, tol))
+    expected = [nx.inclusion_defect(s1, s2) <= tol.incl_abs for *_, s1, s2 in inputs]
+    assert True in expected and False in expected
+    calls = _count_opnorm(monkeypatch)
+    for (kind, t, near, s1, s2), want in zip(inputs, expected):
+        calls.clear()
+        assert nx.is_subset(s1, s2, tol) == want, (kind, t)
+        if near:
+            assert calls, (kind, t)
 
 
 def test_tolerance_validation():
