@@ -17,15 +17,39 @@ they carry the package's only tensor memos: ``e.tensor(f)`` builds E (x) F
 once per right factor F, and ``e.space(sigma, tol)`` builds E (x)_sigma H
 once per sigma and tolerance.  Both live exactly as long as ``e``.
 Representations and products read their tensor powers and spaces from
-these memos; ``amplify`` builds no tensor space.  ``StarRepresentation``,
-``tensor_product``, ``interior_tensor`` and ``amplify`` each check the
-bytes of their largest array from shapes, before allocating it
-(``numerics.check_bytes``).
+these memos; ``amplify`` builds no tensor space.
+
+sigma and the module actions are linear maps on stacks of algebra
+elements: ``StarRepresentation.apply``, ``FdCorrespondence.left``,
+``FdCStarAlgebra.coords`` and ``TensorSpace.induced_action`` take one
+element or a stack (..., K, K), and ``FdCStarAlgebra.basis()`` is
+one read-only (dim A, K, K) stack.  So ``interior_tensor`` applies sigma
+once to the whole (N, N, K, K) Gram, ``tensor_product`` sends all N_E^2
+Gram entries through phi_F in one stacked product and through F's Gram in
+one contraction, and every per-basis check reads one stack of actions.
+Each block a_i (x) I_m of sigma(a) is the broadcast multiply that np.kron
+itself performs (``numerics.kron_eye``), so it equals the per-element
+kron bit for bit, signed zeros included.  With coordinates kept
+contiguous, a stacked (1, dim A) x (dim A, N^2) product runs the same
+BLAS kernel per element as a single one, so for dim A >= 2 the stacked
+Gram equals the per-entry one bit for bit.  Over the scalar algebra the
+per-entry form multiplied a Gram coordinate c by phi(1) on numpy's
+scalar-times-vector path, which rounds a complex product differently;
+the two differ only when phi(1) is not exactly the identity, by at most
+one rounding of c * phi(1) per entry carried through F's Gram.  The
+tests in tests/test_correspondence.py compare every stacked form with
+the per-entry loops.
+
+``StarRepresentation``, ``FdCStarAlgebra.basis``, phi, the induced
+actions, ``tensor_product``, ``interior_tensor`` and ``amplify`` each
+check the bytes of their largest array, stacks included, from shapes
+before allocating it (``numerics.check_bytes``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -33,6 +57,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     IntertwinerError,
     InvalidCorrespondence,
 )
@@ -43,8 +68,10 @@ from .numerics import (
     as_matrix,
     check_bytes,
     eye,
+    eye_kron,
     herm,
     identity_holds,
+    kron_eye,
     norm_within,
     opnorm,
 )
@@ -71,11 +98,10 @@ class FdCStarAlgebra:
             offsets.append((start, start + k))
             start += k
         self._block_ranges = tuple(offsets)
-        self._unit_positions = []
-        for (lo, _), k in zip(self._block_ranges, sizes):
-            for p in range(k):
-                for q in range(k):
-                    self._unit_positions.append((lo + p, lo + q))
+        # row and column of each matrix unit, in basis order
+        self._unit_rows = np.concatenate([np.repeat(np.arange(lo, hi), hi - lo) for lo, hi in offsets])
+        self._unit_cols = np.concatenate([np.tile(np.arange(lo, hi), hi - lo) for lo, hi in offsets])
+        self._basis = None
 
     def __eq__(self, other):
         return isinstance(other, FdCStarAlgebra) and self.block_sizes == other.block_sizes
@@ -93,36 +119,37 @@ class FdCStarAlgebra:
     def identity(self) -> np.ndarray:
         return eye(self.matrix_size)
 
-    def basis(self):
-        """Matrix units as concrete block-diagonal matrices."""
-        out = []
-        for r, c in self._unit_positions:
-            u = np.zeros((self.matrix_size, self.matrix_size), dtype=np.complex128)
-            u[r, c] = 1.0
-            out.append(u)
-        return out
+    def basis(self) -> np.ndarray:
+        """The matrix units as one read-only (dim, K, K) stack, built once."""
+        if self._basis is None:
+            k = self.matrix_size
+            check_bytes(ENTRY_BYTES * self.dim * k * k, f"the {self.dim} matrix units of size {k}")
+            units = np.zeros((self.dim, k, k), dtype=np.complex128)
+            units[np.arange(self.dim), self._unit_rows, self._unit_cols] = 1.0
+            units.setflags(write=False)
+            self._basis = units
+        return self._basis
 
-    def coords(self, a) -> np.ndarray:
-        """Coordinates of an algebra element in the matrix-unit basis."""
-        a = as_matrix(a)
-        if a.shape != (self.matrix_size, self.matrix_size):
-            raise DimensionMismatch(f"element shape {a.shape} != {self.matrix_size}")
-        return np.array([a[r, c] for r, c in self._unit_positions])
-
-    def from_coords(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128)
-        a = np.zeros((self.matrix_size, self.matrix_size), dtype=np.complex128)
-        for value, (r, c) in zip(v, self._unit_positions):
-            a[r, c] = value
+    def _elements(self, a) -> np.ndarray:
+        """An element or a stack (..., K, K) of elements as a finite
+        complex array."""
+        a = np.asarray(a, dtype=np.complex128)
+        if a.ndim < 2:
+            a = as_matrix(a)
+        k = self.matrix_size
+        if a.shape[-2:] != (k, k):
+            raise DimensionMismatch(f"element shape {a.shape[-2:]} != ({k}, {k})")
+        if a.size and not np.all(np.isfinite(a)):
+            raise DomainError("algebra element has non-finite entries")
         return a
 
-    def off_block_mass(self, a) -> float:
-        """Norm of the part of a matrix outside the block-diagonal support."""
-        a = as_matrix(a)
-        mask = np.ones_like(a)
-        for lo, hi in self._block_ranges:
-            mask[lo:hi, lo:hi] = 0.0
-        return opnorm(a * mask)
+    def coords(self, a) -> np.ndarray:
+        """Coordinates in the matrix-unit basis of an element, or of each
+        element of a stack: shape (..., dim).  Contiguous, so a stacked
+        product with it runs the same BLAS kernel per element as a single
+        one."""
+        a = self._elements(a)
+        return np.ascontiguousarray(a[..., self._unit_rows, self._unit_cols])
 
     def central_projection(self, i: int) -> np.ndarray:
         lo, hi = self._block_ranges[i]
@@ -173,19 +200,20 @@ class StarRepresentation:
         return f"StarRepresentation({self.algebra!r}, mult={self.multiplicities})"
 
     def apply(self, a) -> np.ndarray:
-        a = as_matrix(a)
-        blocks = []
-        for i, (k, m) in enumerate(zip(self.algebra.block_sizes, self.multiplicities)):
-            if m == 0:
-                continue
-            blocks.append(np.kron(self.algebra.block(a, i), np.eye(m)))
-        if not blocks:
-            return np.zeros((0, 0), dtype=np.complex128)
-        out = np.zeros((self.h_dim, self.h_dim), dtype=np.complex128)
+        """sigma(a) for an element a, or for each element of a stack
+        (..., K, K): shape (..., H_dim, H_dim).  Each block a_i (x) I_m is
+        ``numerics.kron_eye``, the multiply np.kron does, so the result is
+        np.kron's bit for bit."""
+        a = self.algebra._elements(a)
+        lead = a.shape[:-2]
+        h = self.h_dim
+        check_bytes(ENTRY_BYTES * math.prod(lead) * h * h, f"sigma of {math.prod(lead)} elements on H of dimension {h}")
+        out = np.zeros(lead + (h, h), dtype=np.complex128)
         at = 0
-        for b in blocks:
-            n = b.shape[0]
-            out[at : at + n, at : at + n] = b
+        for (lo, hi), m in zip(self.algebra._block_ranges, self.multiplicities):
+            n = (hi - lo) * m
+            if n:
+                out[..., at : at + n, at : at + n] = kron_eye(a[..., lo:hi, lo:hi], m)
             at += n
         return out
 
@@ -200,10 +228,11 @@ def _read_only(a) -> np.ndarray:
 class FdCorrespondence:
     """C*-correspondence over a finite-dimensional C*-algebra.
 
-    Structure data on a module basis xi_1..xi_N:
+    Structure data on a module basis xi_1..xi_N, for the matrix units
+    u_t = algebra.basis()[t]:
       gram[a, b]          = <xi_a, xi_b>  in A   (shape (N, N, K, K))
-      left_action[t]      = matrix of phi(basis_t) on module coordinates
-      right_action[t]     = matrix of xi -> xi . basis_t
+      left_action[t]      = matrix of phi(u_t) on module coordinates
+      right_action[t]     = matrix of xi -> xi . u_t
 
     The module inner product is conjugate-linear in the first slot.
 
@@ -248,13 +277,14 @@ class FdCorrespondence:
         return out
 
     def left(self, a) -> np.ndarray:
-        """Matrix of phi(a) on module coordinates."""
+        """Matrix of phi(a) on module coordinates, for an element or each
+        element of a stack (..., K, K): one stacked (1, dim A) x (dim A, N^2)
+        product per element."""
         c = self.algebra.coords(a)
-        return np.tensordot(c, self.left_action, axes=(0, 0))
-
-    def right(self, a) -> np.ndarray:
-        c = self.algebra.coords(a)
-        return np.tensordot(c, self.right_action, axes=(0, 0))
+        lead, n = c.shape[:-1], self.module_dim
+        check_bytes(ENTRY_BYTES * math.prod(lead) * n * n, f"phi of {math.prod(lead)} elements on module dimension {n}")
+        out = c[..., None, :] @ self.left_action.reshape(self.algebra.dim, n * n)
+        return out.reshape(lead + (n, n))
 
     def gram_as_block_matrix(self) -> np.ndarray:
         """The (N*K) x (N*K) scalar matrix [ <xi_a, xi_b> ]_{a,b}."""
@@ -303,10 +333,7 @@ class FdCorrespondence:
 
     def is_full(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True iff the inner products <xi_a, xi_b> span the whole algebra."""
-        n = self.module_dim
-        rows = np.array(
-            [self.algebra.coords(self.gram[a, b]) for a in range(n) for b in range(n)]
-        )
+        rows = self.algebra.coords(self.gram).reshape(-1, self.algebra.dim)
         if rows.size == 0:
             return self.algebra.dim == 0
         s = np.linalg.svd(rows, compute_uv=False)
@@ -370,22 +397,22 @@ def diagonal_correspondence(algebra: FdCStarAlgebra, left_tags, right_tags) -> F
 def tensor_product(e: FdCorrespondence, f: FdCorrespondence) -> FdCorrespondence:
     """Tensor product of correspondences over the same algebra.
 
-    Gram: <xi (x) eta, xi' (x) eta'> = <eta, <xi, xi'> . eta'>; the left
-    action acts on the first factor, the right action on the last.
+    Gram: <xi (x) eta, xi' (x) eta'> = <eta, phi(<xi, xi'>) eta'>; the left
+    action acts on the first factor, the right action on the last.  The
+    N_E^2 Gram entries go through phi_F in one stacked product and through
+    F's Gram in one contraction, and each action stack is one kron
+    broadcast; every entry equals the per-entry evaluation bit for bit
+    when dim A >= 2 (see tests/test_correspondence.py).
     """
     if e.algebra != f.algebra:
         raise DimensionMismatch("tensor product requires a common coefficient algebra")
     ne, nf = e.module_dim, f.module_dim
     k = e.algebra.matrix_size
     check_bytes(ENTRY_BYTES * (ne * nf * k) ** 2, f"the tensor product Gram of module dimension {ne * nf}")
-    gram = np.zeros((ne * nf, ne * nf, k, k), dtype=np.complex128)
-    for a in range(ne):
-        for b in range(ne):
-            lg = f.left(e.gram[a, b])  # N_F x N_F
-            block = np.einsum("cxij,xd->cdij", f.gram, lg)
-            gram[a * nf : (a + 1) * nf, b * nf : (b + 1) * nf] = block
-    left = np.stack([np.kron(e.left_action[t], np.eye(nf)) for t in range(e.algebra.dim)])
-    right = np.stack([np.kron(np.eye(ne), f.right_action[t]) for t in range(f.algebra.dim)])
+    acted = f.left(e.gram)  # phi_F(<xi_a, xi_b>), (N_E, N_E, N_F, N_F)
+    gram = np.einsum("cxij,abxd->acbdij", f.gram, acted).reshape(ne * nf, ne * nf, k, k)
+    left = kron_eye(e.left_action, nf)
+    right = eye_kron(ne, f.right_action)
     return FdCorrespondence(e.algebra, gram, left, right)
 
 
@@ -449,10 +476,14 @@ class TensorSpace:
 
     def induced_action(self, a) -> np.ndarray:
         """The operator phi(a) (x) I_H compressed to the coordinates (or
-        sigma(a) itself for the plain space)."""
+        sigma(a) itself for the plain space), for an element or each
+        element of a stack (..., K, K); callers pass the whole basis."""
         if self.corr is None:
             return self.action_source.apply(a)
-        formal = np.kron(self.corr.left(a), eye(self.h_dim))
+        phi = self.corr.left(a)
+        count, n = math.prod(phi.shape[:-2]), self.formal_dim
+        check_bytes(ENTRY_BYTES * count * n * n, f"the induced actions of {count} elements on formal dimension {n}")
+        formal = kron_eye(phi, self.h_dim)
         if self.embed is None:
             return formal
         return self.embed @ formal @ self.lift
@@ -493,16 +524,13 @@ def interior_tensor(
     n = e.module_dim
     if _gram_is_standard(e):
         return TensorSpace(corr=e, h_dim=d, dim=n * d, embed=None, lift=None, action_source=sigma)
-    check_bytes(ENTRY_BYTES * (n * d) ** 2, f"the interior tensor Gram of formal dimension {n * d}")
-    blocks = np.zeros((n, n, d, d), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            blocks[a, b] = sigma.apply(e.gram[a, b])
-    big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    big = (big + herm(big)) / 2.0
-    if big.size == 0:
+    if n * d == 0:
         empty = _read_only(np.zeros((0, 0)))
         return TensorSpace(corr=e, h_dim=d, dim=0, embed=empty, lift=empty, action_source=sigma)
+    check_bytes(ENTRY_BYTES * (n * d) ** 2, f"the interior tensor Gram of formal dimension {n * d}")
+    blocks = sigma.apply(e.gram)  # sigma(<xi_a, xi_b>), (N, N, d, d)
+    big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    big = (big + herm(big)) / 2.0
     w, v = np.linalg.eigh(big)
     top = float(w[-1]) if w.size else 0.0
     if w.size and w[0] < -10.0 * tol.eq_rel * max(1.0, top):
@@ -527,8 +555,9 @@ def _intertwining_gaps(x: np.ndarray, dom: TensorSpace, cod: TensorSpace):
     algebra = dom.action_source.algebra
     if algebra.is_scalar or x.size == 0:
         return
-    for u in algebra.basis():
-        yield x @ dom.induced_action(u) - cod.induced_action(u) @ x
+    basis = algebra.basis()
+    for act_dom, act_cod in zip(dom.induced_action(basis), cod.induced_action(basis)):
+        yield x @ act_dom - act_cod @ x
 
 
 def intertwining_residual(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> float:
@@ -576,12 +605,12 @@ def amplify(
         and big_cod.embed is None
     )
     if trivial:
-        return np.kron(eye(nf), x)
+        return eye_kron(nf, x)
     # the report bits depend on this order: (lift_cod X) embed_dom, kron, then big_dom's lift
     y = cod.apply_lift(x)
     if dom.embed is not None:
         y = y @ dom.embed
-    formal = np.kron(eye(nf), y)
+    formal = eye_kron(nf, y)
     if big_dom.lift is not None:
         formal = formal @ big_dom.lift
     return big_cod.apply_embed(formal)

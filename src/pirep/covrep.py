@@ -174,11 +174,10 @@ class CovariantRep(LiftChain):
         tol = self.tol
         scale = functools.cache(lambda: max(opnorm(v) for v in self.v_on_basis))
         basis = self.corr.algebra.basis()
-        sigma_of = [self.sigma.apply(u) for u in basis]
-        for a, sa in zip(basis, sigma_of):
-            la = self.corr.left(a)
-            for c, sc in zip(basis, sigma_of):
-                rc = self.corr.right(c)
+        sigma_of = self.sigma.apply(basis)
+        # left_action[t] and right_action[t] are the actions of the matrix unit u_t
+        for la, sa in zip(self.corr.left_action, sigma_of):
+            for rc, sc in zip(self.corr.right_action, sigma_of):
                 w = la @ rc
                 for b in range(self.corr.module_dim):
                     lhs = sum(w[y, b] * self.v_on_basis[y] for y in range(self.corr.module_dim))
@@ -186,9 +185,8 @@ class CovariantRep(LiftChain):
                         raise InvalidRepresentation(
                             "bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails"
                         )
-        space = self.space(1)
-        for u, su in zip(basis, sigma_of):
-            if not nx.identity_holds(self._tilde @ space.induced_action(u) - su @ self._tilde, scale, tol):
+        for act, su in zip(self.space(1).induced_action(basis), sigma_of):
+            if not nx.identity_holds(self._tilde @ act - su @ self._tilde, scale, tol):
                 raise InvalidRepresentation(
                     f"lift does not intertwine the left action (residual {self.intertwining_residual():.3e})"
                 )
@@ -243,8 +241,9 @@ class CovariantRep(LiftChain):
         tol = self.tol
         if k_sub.ambient_dim != self.h_dim:
             raise DimensionMismatch("subspace does not live on H")
-        for t, a in enumerate(self.corr.algebra.basis()):
-            if not nx.is_subset(nx.image(self.sigma.apply(a), k_sub, tol), k_sub, tol):
+        sigma_of = self.sigma.apply(self.corr.algebra.basis())
+        for t, sa in enumerate(sigma_of):
+            if not nx.is_subset(nx.image(sa, k_sub, tol), k_sub, tol):
                 raise DomainError(f"K is not sigma-invariant (algebra basis element {t})")
         p_k = k_sub.projector()
         amp_pk = self.amplified(p_k, 1, 0, 0)
@@ -258,20 +257,20 @@ class CovariantRep(LiftChain):
         if self.corr.algebra.is_scalar:
             sigma_k = StarRepresentation(self.corr.algebra, [k_sub.dim])
             return CovariantRep(self.corr, sigma_k, compressed, tol)
-        sigma_mats = [herm(f) @ self.sigma.apply(a) @ f for a in self.corr.algebra.basis()]
-        mults, w = _canonicalize_representation(self.corr.algebra, sigma_mats, tol)
+        mults, w = _canonicalize_representation(self.corr.algebra, herm(f) @ sigma_of @ f, tol)
         sigma_k = StarRepresentation(self.corr.algebra, mults)
         rotated = [herm(w) @ v @ w for v in compressed]
         return CovariantRep(self.corr, sigma_k, rotated, tol)
 
 
 def _canonicalize_representation(algebra, basis_mats, tol: Tolerance):
-    """Unitary W with W* sigma'(a) W in the canonical (+)_i a_i (x) I form.
+    """Unitary W with W* sigma'(a) W in the canonical (+)_i a_i (x) I form,
+    from the (dim A, r, r) stack ``basis_mats`` of sigma' on the matrix units.
 
     Standard matrix-unit argument: an orthonormal basis of the range of
     sigma'(e^{(i)}_{11}) generates the block through sigma'(e^{(i)}_{p1}).
     """
-    r = basis_mats[0].shape[0] if basis_mats else 0
+    r = basis_mats.shape[-1]
 
     def mat_of(a):
         coords = algebra.coords(a)

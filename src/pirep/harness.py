@@ -137,12 +137,13 @@ def intertwiner_frame(space: TensorSpace, sigma: StarRepresentation, tol: Tolera
     d = sigma.h_dim
     if sigma.algebra.is_scalar:
         return eye(d * space.dim)
-    rows = []
-    for u in sigma.algebra.basis():
-        act = space.induced_action(u)
-        sig = sigma.apply(u)
-        rows.append(np.kron(act.T, eye(d)) - np.kron(eye(space.dim), sig))
-    return nx.kernel_frame(np.vstack(rows), tol)
+    basis = sigma.algebra.basis()
+    n = d * space.dim
+    nx.check_bytes(nx.ENTRY_BYTES * len(basis) * n * n, f"the intertwiner constraints on dimension {n}")
+    acts = space.induced_action(basis)
+    # per matrix unit u: kron(act(u)^T, I_d) - kron(I, sigma(u)), stacked as rows
+    rows = nx.kron_eye(acts.transpose(0, 2, 1), d) - nx.eye_kron(space.dim, sigma.apply(basis))
+    return nx.kernel_frame(rows.reshape(len(basis) * n, n), tol)
 
 
 def random_covariant_matrix(
@@ -184,7 +185,7 @@ def random_pi_rep(
         if scale > 0:
             x = x / scale * 1.2  # typical spread puts values on both sides of 1/2
         tilde = spectral_remap(x, lambda s: 1.0 if s >= 0.5 else 0.0)
-        if allow_zero or opnorm(tilde) > 0.5:
+        if allow_zero or not nx.norm_within(tilde, 0.5):
             return rep_from_tilde(corr, sigma, tilde, tol)
     raise DomainError("covariant projection degenerated to zero repeatedly")
 
@@ -220,7 +221,7 @@ def coisometric_covariant_rep(
     x = random_covariant_matrix(corr, sigma, rng, tol)
     tilde = spectral_remap(x, lambda s: 1.0)
     rep = rep_from_tilde(corr, sigma, tilde, tol)
-    if opnorm(tilde @ herm(tilde) - eye(sigma.h_dim)) <= tol.eq_rel:
+    if nx.norm_within(tilde @ herm(tilde) - eye(sigma.h_dim), tol.eq_rel):
         return rep
     return None
 

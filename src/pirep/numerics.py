@@ -13,9 +13,10 @@ every such decision is governed by a single :class:`Tolerance` value:
   ``||(I - P2) F1|| <= incl_abs`` for an orthonormal frame F1 of S1.
 
 Every dense array that grows with a tensor power (Grams, lifts,
-amplifications, full kernel frames, sigma(a)) is checked against one byte
-budget, ``DENSE_BYTES``, from its shape and before it is allocated: the
-site that builds it calls :func:`check_bytes`.
+amplifications, full kernel frames, sigma(a) and stacks of it and of the
+induced actions) is checked against one byte budget, ``DENSE_BYTES``,
+from its shape and before it is allocated: the site that builds it calls
+:func:`check_bytes`.
 
 :func:`classify_operator` is the one classification of an operator: the
 contraction and isometry verdicts plus the six-way partial-isometry
@@ -155,6 +156,24 @@ def identity_holds(gap, scale, tol: Tolerance) -> bool:
 
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
+
+
+# np.kron(a, b) is the broadcast product multiply(a[:, None, :, None],
+# b[None, :, None, :]) reshaped; the two helpers below write that same
+# multiply, in the same operand order, for a whole stack at once, so each
+# matrix of the result equals np.kron bit for bit, signed zeros included.
+
+
+def kron_eye(a: np.ndarray, m: int) -> np.ndarray:
+    """``np.kron(x, I_m)`` for every matrix x of a stack (..., r, c)."""
+    r, c = a.shape[-2:]
+    return (a[..., :, None, :, None] * np.eye(m)[:, None, :]).reshape(a.shape[:-2] + (r * m, c * m))
+
+
+def eye_kron(m: int, a: np.ndarray) -> np.ndarray:
+    """``np.kron(I_m, x)`` for every matrix x of a stack (..., r, c)."""
+    r, c = a.shape[-2:]
+    return (np.eye(m)[:, None, :, None] * a[..., None, :, None, :]).reshape(a.shape[:-2] + (m * r, m * c))
 
 
 def _svd(m: np.ndarray, full_matrices: bool):

@@ -164,7 +164,11 @@ def generalized_inverse_check(
     t = rep.tilde
     res_s = opnorm(s @ t @ s - s)
     res_t = opnorm(t @ s @ t - t)
-    ok = res_s <= tol.eq_rel * max(1.0, opnorm(s)) and res_t <= tol.eq_rel * max(1.0, opnorm(t))
+
+    def within(res, m):  # res <= eq_rel * max(1, ||m||), taking ||m|| only past eq_rel
+        return res <= tol.eq_rel or res <= tol.eq_rel * max(1.0, opnorm(m))
+
+    ok = within(res_s, s) and within(res_t, t)
     up_to = 0
     if ok and is_regular(rep):
         for m in range(1, m_bound + 1):

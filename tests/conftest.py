@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pirep import correspondence
 from pirep import numerics as nx
 from pirep.correspondence import FdCorrespondence, FdCStarAlgebra, StarRepresentation
+from pirep.errors import InvalidCorrespondence
 from pirep.numerics import DEFAULT_TOL
 
 
@@ -27,6 +29,11 @@ def random_with_spectrum(rng, rows, cols, values) -> np.ndarray:
     s = np.zeros(k)
     s[: len(values)] = values[:k]
     return u @ (s[:, None] * w.conj().T)
+
+
+def from_coords(alg: FdCStarAlgebra, v) -> np.ndarray:
+    """The algebra element with the given matrix-unit coordinates."""
+    return np.tensordot(np.asarray(v, dtype=np.complex128), alg.basis(), axes=1)
 
 
 def penrose_residuals(m, pinv) -> dict:
@@ -75,8 +82,11 @@ def count_space_builds(monkeypatch) -> Counter:
 
 
 def count_sigma_work(monkeypatch) -> dict:
-    """Count FdCStarAlgebra.basis and StarRepresentation.apply calls."""
-    counts = {"basis": 0, "apply": 0}
+    """Count FdCStarAlgebra.basis calls, StarRepresentation.apply calls
+    ("apply_calls") and the algebra elements sigma is applied to ("apply":
+    one per call on an element, the product of the leading dimensions per
+    call on a stack)."""
+    counts = {"basis": 0, "apply": 0, "apply_calls": 0}
     real_basis, real_apply = FdCStarAlgebra.basis, StarRepresentation.apply
 
     def basis(self):
@@ -84,12 +94,84 @@ def count_sigma_work(monkeypatch) -> dict:
         return real_basis(self)
 
     def apply(self, a):
-        counts["apply"] += 1
+        counts["apply_calls"] += 1
+        counts["apply"] += math.prod(np.shape(a)[:-2])
         return real_apply(self, a)
 
     monkeypatch.setattr(FdCStarAlgebra, "basis", basis)
     monkeypatch.setattr(StarRepresentation, "apply", apply)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# per-entry oracles: sigma, interior_tensor and tensor_product evaluated one
+# algebra element at a time, as the package did before it acted on stacks
+# ---------------------------------------------------------------------------
+
+
+def kron_apply(sigma: StarRepresentation, a) -> np.ndarray:
+    """sigma(a) for one element, one np.kron per block."""
+    a = nx.as_matrix(a)
+    alg = sigma.algebra
+    out = np.zeros((sigma.h_dim, sigma.h_dim), dtype=np.complex128)
+    at = 0
+    for i, m in enumerate(sigma.multiplicities):
+        if m == 0:
+            continue
+        b = np.kron(alg.block(a, i), np.eye(m))
+        out[at : at + b.shape[0], at : at + b.shape[0]] = b
+        at += b.shape[0]
+    return out
+
+
+def left_by_entries(e: FdCorrespondence, a) -> np.ndarray:
+    """phi(a) for one element: its coordinates contracted with the left action."""
+    return np.tensordot(e.algebra.coords(a), e.left_action, axes=(0, 0))
+
+
+def induced_action_by_entries(space, u) -> np.ndarray:
+    """phi(u) (x) I_H on the coordinates of ``space``, for one element."""
+    formal = np.kron(left_by_entries(space.corr, u), nx.eye(space.h_dim))
+    return formal if space.embed is None else space.embed @ formal @ space.lift
+
+
+def interior_tensor_by_entries(e: FdCorrespondence, sigma: StarRepresentation, tol=DEFAULT_TOL):
+    """(dim, embed, lift) of E (x)_sigma H from one sigma per Gram entry;
+    embed and lift are None on the identity-coordinate path."""
+    n, d = e.module_dim, sigma.h_dim
+    if e.algebra.is_scalar and np.array_equal(e.gram, np.eye(n).reshape(n, n, 1, 1)):
+        return n * d, None, None
+    blocks = np.zeros((n, n, d, d), dtype=np.complex128)
+    for a in range(n):
+        for b in range(n):
+            blocks[a, b] = kron_apply(sigma, e.gram[a, b])
+    big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    big = (big + nx.herm(big)) / 2.0
+    if big.size == 0:
+        return 0, np.zeros((0, 0)), np.zeros((0, 0))
+    w, v = np.linalg.eigh(big)
+    top = float(w[-1])
+    if w[0] < -10.0 * tol.eq_rel * max(1.0, top):
+        raise InvalidCorrespondence("interior tensor gram is not positive")
+    keep = w > tol.rank_rel * max(top, 0.0) * (n * d)
+    lam, basis = w[keep], v[:, keep]
+    return int(lam.size), np.sqrt(lam)[:, None] * nx.herm(basis), basis / np.sqrt(lam)[None, :]
+
+
+def tensor_product_by_entries(e: FdCorrespondence, f: FdCorrespondence):
+    """(gram, left_action, right_action) of E (x) F, one Gram block and one
+    kron per entry."""
+    ne, nf = e.module_dim, f.module_dim
+    k = e.algebra.matrix_size
+    gram = np.zeros((ne * nf, ne * nf, k, k), dtype=np.complex128)
+    for a in range(ne):
+        for b in range(ne):
+            acted = np.tensordot(e.algebra.coords(e.gram[a, b]), f.left_action, axes=(0, 0))
+            block = np.einsum("cxij,xd->cdij", f.gram, acted)
+            gram[a * nf : (a + 1) * nf, b * nf : (b + 1) * nf] = block
+    left = np.stack([np.kron(e.left_action[t], np.eye(nf)) for t in range(e.algebra.dim)])
+    right = np.stack([np.kron(np.eye(ne), f.right_action[t]) for t in range(f.algebra.dim)])
+    return gram, left, right
 
 
 def empty_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pirep import correspondence
 from pirep import numerics as nx
 from pirep.correspondence import (
     SCALARS,
+    FdCorrespondence,
     FdCStarAlgebra,
     StarRepresentation,
     algebra_correspondence,
@@ -19,7 +22,18 @@ from pirep.correspondence import (
 )
 from pirep.errors import DimensionMismatch, IntertwinerError, InvalidCorrespondence, ResourceLimit
 
-from conftest import count_sigma_work, crandn, dense_budget, empty_correspondence, rng_for
+from conftest import (
+    count_sigma_work,
+    crandn,
+    dense_budget,
+    empty_correspondence,
+    from_coords,
+    induced_action_by_entries,
+    interior_tensor_by_entries,
+    kron_apply,
+    rng_for,
+    tensor_product_by_entries,
+)
 
 
 TWO_BLOCK = FdCStarAlgebra([1, 1])
@@ -42,11 +56,7 @@ def test_algebra_basics():
     basis = alg.basis()
     assert len(basis) == 5
     ident = alg.identity()
-    np.testing.assert_allclose(alg.from_coords(alg.coords(ident)), ident)
-    assert alg.off_block_mass(ident) == 0.0
-    bad = np.zeros((3, 3))
-    bad[0, 2] = 1.0
-    assert alg.off_block_mass(bad) > 0.5
+    np.testing.assert_allclose(from_coords(alg, alg.coords(ident)), ident)
 
 
 def test_algebra_rejects_bad_sizes():
@@ -62,8 +72,8 @@ def test_star_representation_is_unital_homomorphism(tol):
     assert sigma.h_dim == 2 * 2 + 1 * 3
     rng = rng_for(5)
     for _ in range(5):
-        a = alg.from_coords(crandn(rng, alg.dim))
-        b = alg.from_coords(crandn(rng, alg.dim))
+        a = from_coords(alg, crandn(rng, alg.dim))
+        b = from_coords(alg, crandn(rng, alg.dim))
         np.testing.assert_allclose(
             sigma.apply(a) @ sigma.apply(b), sigma.apply(a @ b), atol=1e-12
         )
@@ -183,8 +193,8 @@ def test_interior_tensor_of_algebra_module_has_h_dim(tol):
     # inner products agree with <sigma(a) h, sigma(b) g>
     rng = rng_for(12)
     for _ in range(5):
-        a = alg.from_coords(crandn(rng, alg.dim))
-        b = alg.from_coords(crandn(rng, alg.dim))
+        a = from_coords(alg, crandn(rng, alg.dim))
+        b = from_coords(alg, crandn(rng, alg.dim))
         h = crandn(rng, sigma.h_dim)
         g = crandn(rng, sigma.h_dim)
         lhs = np.vdot(
@@ -256,6 +266,117 @@ def test_interior_tensor_associativity_dimensions(tol):
             for _ in range(m):
                 dim, act = iterate_once(fixture, dim, act)
             assert direct == dim, (type(fixture), m)
+
+
+# ---------------------------------------------------------------------------
+# sigma and the module actions on stacks, against the per-entry oracles
+# ---------------------------------------------------------------------------
+
+
+def random_correspondence(alg, n, rng):
+    """Generic complex structure data over ``alg``: the positive Gram
+    <xi_a, xi_b> = x_a* x_b of random elements x_a, and random actions (so
+    not a valid correspondence, which tensor_product and interior_tensor
+    do not need)."""
+    xs = np.stack([from_coords(alg, crandn(rng, alg.dim)) for _ in range(n)])
+    gram = np.conj(xs.transpose(0, 2, 1))[:, None] @ xs[None, :]
+    return FdCorrespondence(alg, gram, crandn(rng, alg.dim, n, n), crandn(rng, alg.dim, n, n))
+
+
+def test_stacked_sigma_is_kron_bit_for_bit():
+    # every matrix of sigma(stack) has the bytes of the per-element kron,
+    # signed zeros included
+    rng = rng_for(60)
+    for alg, mults in ((FdCStarAlgebra([2, 1]), [2, 3]), (TWO_BLOCK, [0, 3]), (TWO_BLOCK, [2, 0])):
+        sigma = StarRepresentation(alg, mults)
+        stack = crandn(rng, 4, 3, alg.matrix_size, alg.matrix_size)
+        stack[0, 0] = -0.0
+        stack[1, 2, 0, 0] = complex(-0.0, 0.0)
+        got = sigma.apply(stack)
+        assert got.shape == (4, 3, sigma.h_dim, sigma.h_dim)
+        for idx in np.ndindex(4, 3):
+            want = kron_apply(sigma, stack[idx])
+            assert got[idx].tobytes() == want.tobytes(), (mults, idx)
+        assert sigma.apply(stack[2, 1]).tobytes() == kron_apply(sigma, stack[2, 1]).tobytes()
+
+
+def _power_family(e, top):
+    """E, E (x) E, ..., E^(x top) through the memos."""
+    return [tensor_power(e, m) for m in range(1, top + 1)]
+
+
+def _interior_cases():
+    rng = rng_for(61)
+    two = FdCStarAlgebra([2, 1])
+    yield _power_family(scalar_correspondence(3), 2), StarRepresentation(SCALARS, [2])
+    yield [random_correspondence(SCALARS, 3, rng)], StarRepresentation(SCALARS, [3])
+    yield _power_family(two_block_fixture(), 3), StarRepresentation(TWO_BLOCK, [2, 1])
+    yield _power_family(two_block_fixture(), 2), StarRepresentation(TWO_BLOCK, [0, 3])
+    yield _power_family(algebra_correspondence(two), 2), StarRepresentation(two, [1, 2])
+    # random actions are no *-homomorphism, so the powers of these would
+    # have no positive Gram
+    yield [random_correspondence(two, 3, rng)], StarRepresentation(two, [2, 1])
+    yield [random_correspondence(TWO_BLOCK, 3, rng)], StarRepresentation(TWO_BLOCK, [1, 2])
+
+
+def test_interior_tensor_and_induced_actions_match_the_per_entry_oracle(tol):
+    for family, sigma in _interior_cases():
+        for e in family:
+            space = interior_tensor(e, sigma, tol)
+            dim, embed, lift = interior_tensor_by_entries(e, sigma, tol)
+            assert space.dim == dim
+            if embed is None:
+                assert space.embed is None and space.lift is None
+            else:
+                assert np.array_equal(space.embed, embed) and np.array_equal(space.lift, lift)
+            basis = e.algebra.basis()
+            actions = space.induced_action(basis)
+            assert actions.shape == (e.algebra.dim, space.dim, space.dim)
+            for t, u in enumerate(basis):
+                assert np.array_equal(actions[t], induced_action_by_entries(space, u)), (e.module_dim, t)
+
+
+def _product_cases():
+    rng = rng_for(62)
+    two, three = FdCStarAlgebra([2, 1]), FdCStarAlgebra([1, 1, 1])
+    yield scalar_correspondence(2), scalar_correspondence(3)
+    for e in (two_block_fixture(), algebra_correspondence(two), algebra_correspondence(TWO_BLOCK)):
+        yield e, e
+        yield e.tensor(e), e
+    for alg in (TWO_BLOCK, two, three):
+        e, f = random_correspondence(alg, 3, rng), random_correspondence(alg, 2, rng)
+        yield e, f
+        yield tensor_product(e, f), e
+
+
+def test_tensor_product_matches_the_per_entry_oracle():
+    for e, f in _product_cases():
+        ef = tensor_product(e, f)
+        gram, left, right = tensor_product_by_entries(e, f)
+        assert np.array_equal(ef.gram, gram), (e.algebra, e.module_dim, f.module_dim)
+        assert np.array_equal(ef.left_action, left)
+        assert np.array_equal(ef.right_action, right)
+
+
+def test_tensor_product_over_scalars_is_within_one_rounding_per_product():
+    # over the scalar algebra with a generic complex Gram, the per-entry
+    # phi_F(<xi_a, xi_b>) is numpy's scalar-times-vector path, which rounds
+    # a complex product differently from the stacked product.  Each side
+    # rounds c * L within sqrt(5) u |c| |L|, and the Gram contraction
+    # sum_x g_x (c L_x) then rounds within (nf - 1 + sqrt(5)) u per term on
+    # each side, so the sides differ by at most (2 nf + 8) u S with
+    # S = sum_x |g_x| |c| |L_x|.  The action stacks stay exact.
+    u = 2.0**-53
+    rng = rng_for(63)
+    for ne, nf in ((1, 1), (2, 3), (4, 2), (3, 5)):
+        e, f = random_correspondence(SCALARS, ne, rng), random_correspondence(SCALARS, nf, rng)
+        ef = tensor_product(e, f)
+        gram, left, right = tensor_product_by_entries(e, f)
+        assert np.array_equal(ef.left_action, left) and np.array_equal(ef.right_action, right)
+        c = np.abs(e.gram[:, :, 0, 0])
+        g = np.abs(f.gram[:, :, 0, 0])
+        s = np.einsum("cx,ab,xd->acbd", g, c, np.abs(f.left_action[0])).reshape(ne * nf, ne * nf)
+        assert np.all(np.abs(ef.gram[..., 0, 0] - gram[..., 0, 0]) <= (2 * nf + 8) * u * s), (ne, nf)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +542,44 @@ def test_amplify_checks_its_bytes(monkeypatch, tol):
         amplify(x, space, space, big, big, tol)
 
 
+def test_stacks_are_refused_before_they_are_built(monkeypatch, tol):
+    # multiplicities (60, 60): H has dimension 120 and E (x)_sigma H formal
+    # dimension 240.  One sigma(a) and the interior Gram fit the budget; the
+    # induced actions of the two matrix units and sigma of five elements do
+    # not, and each is refused from its shape before anything is allocated
+    e = two_block_fixture()
+    sigma = StarRepresentation(TWO_BLOCK, [60, 60])
+    space = interior_tensor(e, sigma, tol)
+    budget = 16 * 240**2
+    dense_budget(monkeypatch, budget, correspondence, nx)
+    assert sigma.apply(TWO_BLOCK.basis()).shape == (2, 120, 120)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="2 elements on formal dimension 240 needs 1843200 bytes"):
+            space.induced_action(TWO_BLOCK.basis())
+        with pytest.raises(ResourceLimit, match="sigma of 5 elements on H of dimension 120 needs 1152000 bytes"):
+            sigma.apply(np.zeros((5, 2, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget // 8
+
+
+def test_interior_tensor_applies_sigma_once_to_the_whole_gram(monkeypatch, tol):
+    e = tensor_product(two_block_fixture(), two_block_fixture())
+    sigma = StarRepresentation(TWO_BLOCK, [2, 1])
+    counts = count_sigma_work(monkeypatch)
+    interior_tensor(e, sigma, tol)
+    assert counts == {"basis": 0, "apply": e.module_dim**2, "apply_calls": 1}
+
+
 def test_empty_module_validates_without_work(monkeypatch, tol):
     # every axiom holds vacuously on a zero module, so none is evaluated:
     # no basis matrices for the 80 blocks, no N^2 pairs of them
     e = empty_correspondence(FdCStarAlgebra([1] * 80))
     counts = count_sigma_work(monkeypatch)
     assert e.validate(tol) is e
-    assert counts == {"basis": 0, "apply": 0}
+    assert counts == {"basis": 0, "apply": 0, "apply_calls": 0}
 
 
 def test_intertwining_residual_is_the_worst_matrix_unit(tol):

@@ -461,7 +461,7 @@ def test_empty_module_rep_builds_without_sigma(monkeypatch, tol):
     counts = count_sigma_work(monkeypatch)
     rep = CovariantRep(e, StarRepresentation(alg, [500, 0]), [], tol)
     assert rep.tilde.shape == (500, 0)
-    assert counts == {"basis": 0, "apply": 0}
+    assert counts == {"basis": 0, "apply": 0, "apply_calls": 0}
 
 
 def test_building_a_rep_applies_sigma_once_per_basis_element(monkeypatch, tol):

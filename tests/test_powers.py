@@ -232,6 +232,22 @@ def test_gen_inverse_pinv_always(tol):
     assert res.is_gen_inverse
 
 
+def test_gen_inverse_takes_each_scale_only_past_eq_rel(monkeypatch, tol):
+    # the verdict is res <= eq_rel * max(1, ||m||) for (res_s, S) and
+    # (res_t, tilde); a norm is taken only for a residual past eq_rel
+    rng = rng_for(63)
+    rep = scalar_rep(coisometric_row(rng, 2, 3), tol)
+    calls = []
+    real = pw.opnorm
+    monkeypatch.setattr(pw, "opnorm", lambda m: calls.append(np.shape(m)) or real(m))
+    assert pw.generalized_inverse_check(rep, nx.herm(rep.tilde), m_bound=1).is_gen_inverse
+    assert len(calls) == 2  # the two residuals
+    calls.clear()
+    # S = 2 tilde*: S tilde S - S = 2 tilde*, so res_s = 2 > eq_rel * ||S||
+    assert not pw.generalized_inverse_check(rep, 2.0 * nx.herm(rep.tilde), m_bound=1).is_gen_inverse
+    assert len(calls) == 3  # the two residuals, then ||S||, which settles it
+
+
 def test_gen_inverse_zero_rejected(tol):
     rng = rng_for(59)
     rep = scalar_rep([haar_unitary(rng, 2)], tol)
