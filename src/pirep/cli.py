@@ -22,7 +22,7 @@ product's lift ``ProductRep.tilde``), with the six-way partial-isometry
 diagnostic; every other verdict is the triple-product rule alone.
 ``verify`` exits 0 iff the run produced zero violations, 1 otherwise;
 every subcommand exits 2 on usage or input errors, malformed JSON
-included.
+included, and so do ``powers --nmax`` below 1 and ``root --k`` below 2.
 """
 
 from __future__ import annotations

@@ -84,6 +84,8 @@ class TrialConfig:
             raise UsageError("need at least one trial")
         if self.algebra_shape not in ("scalar", "two_block", "mixed"):
             raise UsageError(f"unknown algebra shape {self.algebra_shape!r}")
+        if self.n_max < 1:
+            raise UsageError("n_max must be at least 1")
 
     def to_dict(self) -> dict:
         return {

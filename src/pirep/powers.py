@@ -9,9 +9,12 @@ isometric representation,
 
 with T_0 = I_H, so the m = 1 instances are vacuous.  (b) and (c) are
 equivalent for every m unconditionally; (a) and (b) are equivalent as
-conjunctions over m.  The root side goes the other way: from a partial
-isometry T_k, k >= 2, back to T, through an isometry condition and an
-orthogonality condition on the amplified lift.
+conjunctions over m.  Both are decided on cokernels N(T_j)^perp =
+R(T_j*), frames of at most dim H columns: (c) through the equivalent
+A N^perp <= N^perp for the self-adjoint A = I (x) T T*, so a power
+report builds no kernel frame.  The root side goes the other way: from
+a partial isometry T_k, k >= 2, back to T, through an isometry
+condition and an orthogonality condition on the amplified lift.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -39,14 +42,31 @@ def kernel_chain_condition(rep: CovariantRep, m: int) -> bool:
 
 
 def range_invariance_condition(rep: CovariantRep, m: int) -> bool:
-    """(I_{E^(m-1)} (x) tilde tilde*) N(tilde_{m-1}) <= N(tilde_{m-1})."""
+    """(I_{E^(m-1)} (x) tilde tilde*) N(tilde_{m-1}) <= N(tilde_{m-1}),
+    decided on the cokernel: A = I (x) tilde tilde* is self-adjoint, so
+    A N <= N iff A N^perp <= N^perp, and N^perp = R(tilde_{m-1}*) has at
+    most dim H columns where N has nearly all of space(m-1).
+
+    Error argument.  Let beta = ||(I - P_N) A P_N|| = ||P_N A (I - P_N)||
+    (A is self-adjoint).  Either side's verdict compares with incl_abs
+    the sine of the largest principal angle between an image and its
+    subspace.  That sine is at most beta / s, with s the smallest
+    singular value the image keeps (above its rank cut rank_rel *
+    max(sigma_0, 1) * dim), and at least beta / ||A|| unless the cut
+    drops the direction beta is attained on.  So the kernel and cokernel
+    sides agree outside a band from that cut up to incl_abs: they split
+    only when one image keeps a direction that A barely reaches.  On a
+    projection of C^4 whose invariant line is tilted by eps, the kernel
+    side accepts up to eps = 1e-8 (its sine is eps) while the cokernel
+    side rejects from eps = 1e-9 (it keeps a direction of singular value
+    eps, almost inside N, once eps is past the cut 4e-10)."""
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
     tol = rep.tol
     final = rep.tilde @ herm(rep.tilde)
     amp = rep.amplified(final, m - 1, 0, 0)
-    kernel = rep.kernel_subspace(m - 1)
-    return nx.is_subset(nx.image(amp, kernel, tol), kernel, tol)
+    cokernel = rep.cokernel_subspace(m - 1)
+    return nx.is_subset(nx.image(amp, cokernel, tol), cokernel, tol)
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,8 @@ def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
 
     Marked not applicable when the representation itself is not partially
     isometric (the power criteria presuppose it)."""
+    if n_max < 1:
+        raise DimensionMismatch("power_report needs n_max >= 1")
     tol = rep.tol
     applicable = rep.is_partial_isometric()
     if not applicable:

@@ -30,7 +30,7 @@ from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
-from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes, herm
+from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes
 
 
 def _max_offset(n: int, k: int) -> int:
@@ -218,21 +218,3 @@ def shift_pi_criterion(
             else:
                 break
     return ShiftCriterionReport(is_pi=is_pi, weights_unit_off_zero_set=unit, power_pi_up_to=up_to)
-
-
-def chain_inclusion_check(spec: WeightedShiftSpec, k: int, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """V_i(N(V_i^(k+1))^perp) <= N(V_i^k)^perp for every direction i,
-    evaluated on the truncated matrices with the source restricted to the
-    faithful window W_{k+1}."""
-    window = _faithful_window(spec, k + 1)
-    for v in shift_matrices(spec):
-        p_k = np.linalg.matrix_power(v, k)
-        p_k1 = p_k @ v
-        sources = [m for m in window if np.linalg.norm(p_k1[:, m]) > tol.incl_abs]
-        if not sources:
-            continue
-        f = nx.kernel_frame(p_k, tol)
-        moved = v[:, sources]
-        if not nx.norm_within(f @ (herm(f) @ moved), tol.incl_abs):
-            return False
-    return True

@@ -60,19 +60,6 @@ def is_bi_regular(rep: CovariantRep, n_max: int = 3) -> bool:
     return True
 
 
-def adjoint_regularity_check(rep: CovariantRep, n_max: int = 3) -> bool:
-    """Companion fact for regular representations: the adjoint satisfies
-    N(I_{E^(x n)} (x) T*) <= R(tilde_n*) for n <= n_max."""
-    tol = rep.tol
-    for n in range(1, n_max + 1):
-        amp = rep.amplified(herm(rep.tilde), n, 0, 1)
-        kernel = Subspace.kernel(amp, tol)
-        target = rep.cokernel_subspace(n)
-        if not nx.is_subset(kernel, target, tol):
-            return False
-    return True
-
-
 def generated_invariant_subspace(
     rep: CovariantRep, x: np.ndarray, w: Subspace, bound: int | None = None
 ) -> Subspace:

@@ -69,6 +69,16 @@ def test_powers_command(rep_file, capsys):
     assert out["regular"] is False
 
 
+def test_powers_refuses_nmax_below_one(rep_file, capsys):
+    # like root --k 1: no power m >= 1 is asked for, so there is nothing to report
+    for nmax in ("0", "-1"):
+        assert main(["powers", "--rep", rep_file, "--nmax", nmax]) == 2, nmax
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "power_report needs n_max >= 1" in captured.err
+    assert main(["root", "--rep", rep_file, "--k", "1"]) == 2
+
+
 def test_root_command(rep_file, capsys):
     code, out = run_cli(capsys, "root", "--rep", rep_file, "--k", "2")
     assert code == 0

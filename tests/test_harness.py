@@ -153,6 +153,17 @@ def test_counterexample_with_legacy_perturbation_key_replays(tol):
     assert abs(outcome.residual - ce["residual"]) <= 1e-12
 
 
+def test_trial_config_refuses_nmax_below_one():
+    for n_max in (0, -1):
+        with pytest.raises(UsageError, match="n_max"):
+            TrialConfig(n_max=n_max)
+    # a replayed counterexample's config can set it too
+    config = dict(TrialConfig(master_seed=3, trials=2).to_dict(), n_max=0)
+    with pytest.raises(UsageError, match="n_max"):
+        hz.TrialConfig.from_dict(config)
+    assert TrialConfig(n_max=1).n_max == 1
+
+
 def test_determinism_across_jobs(tol):
     one = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=1)
     again = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=1)

@@ -4,6 +4,7 @@ import pytest
 from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import powers as pw
+from pirep import shifts as sh
 from pirep.correspondence import (
     SCALARS,
     FdCStarAlgebra,
@@ -15,7 +16,7 @@ from pirep.covrep import CovariantRep
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
 
-from conftest import count_space_builds, crandn, rng_for
+from conftest import count_space_builds, crandn, range_invariance_by_kernels, rng_for
 
 
 def scalar_rep(v_list, tol):
@@ -113,6 +114,49 @@ def test_chain_equivalence_random_pi_reps(tol):
             )
 
 
+def test_range_invariance_matches_the_kernel_side_oracle(tol):
+    # A = I (x) tilde tilde* is self-adjoint, so A N <= N iff A N^perp <= N^perp;
+    # the harness's power draws and margin-separated non-PI contractions on
+    # both algebras, and a shift wide enough that its kernels are most of space(m-1)
+    reps = []
+    for shape in ("scalar", "two_block"):
+        config = hz.TrialConfig(algebra_shape=shape)
+        for index in range(25):
+            reps.append(hz._draw_power_rep(hz.rng_stream(70, index), config, tol))
+            rng = hz.rng_stream(71, index)
+            corr, sigma = hz.draw_setting(rng, config)
+            reps.append(hz.random_contractive_rep(corr, sigma, rng, tol, force_non_pi=True))
+    reps.append(sh.build_shift(sh.WeightedShiftSpec(n=2, trunc=64), tol))
+    verdicts = set()
+    for index, rep in enumerate(reps):
+        for m in (1, 2, 3, 4):
+            verdict = pw.range_invariance_condition(rep, m)
+            assert verdict == range_invariance_by_kernels(rep, m), (index, m)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def tilted_projection_rep(eps, tol):
+    """V: e0 -> 0, e1 -> cos(eps) e0 + sin(eps) e1, e2 -> e2, e3 -> e3.
+    V V* projects C^4 onto a range whose line through e0 is tilted by
+    eps, and N(V) = span{e0}."""
+    v = np.zeros((4, 4), dtype=complex)
+    v[0, 1], v[1, 1] = np.cos(eps), np.sin(eps)
+    v[2, 2] = v[3, 3] = 1.0
+    return scalar_rep([v], tol)
+
+
+def test_range_invariance_band_on_a_tilted_projection(tol):
+    # the kernel side's sine is eps; the cokernel side keeps a direction of
+    # singular value eps lying almost in N once eps passes its rank cut
+    # rank_rel * 1 * 4 = 4e-10, and then its sine is about 1
+    for eps, kernel_side, cokernel_side in ((1e-13, True, True), (1e-9, True, False), (1e-5, False, False)):
+        rep = tilted_projection_rep(eps, tol)
+        assert rep.is_partial_isometric()
+        assert range_invariance_by_kernels(rep, 2) is kernel_side, eps
+        assert pw.range_invariance_condition(rep, 2) is cokernel_side, eps
+
+
 # ---------------------------------------------------------------------------
 # power report
 # ---------------------------------------------------------------------------
@@ -158,6 +202,17 @@ def test_power_report_builds_each_space_once(tol, monkeypatch):
     assert sum(key[0] == "interior_tensor" for key in builds) == 3
     assert sum(key[0] == "tensor_product" for key in builds) == 3
     assert set(builds.values()) == {1}
+
+
+def test_power_report_builds_no_kernel_frame(tol, monkeypatch):
+    # every condition is decided on cokernels, frames of at most dim H columns
+    rep = sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol)
+    calls = []
+    real = nx.kernel_frame
+    monkeypatch.setattr(nx, "kernel_frame", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    report = pw.power_report(rep, 4)
+    assert report.range_flags == report.chain_flags == [True] * 4
+    assert calls == []
 
 
 def test_power_report_not_applicable(tol):

@@ -8,7 +8,7 @@ from pirep import shifts as sh
 from pirep.errors import DimensionMismatch, ResourceLimit, WindowError
 from pirep.shifts import WeightedShiftSpec
 
-from conftest import dense_budget, rng_for
+from conftest import chain_inclusion_check, dense_budget, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +190,14 @@ def test_criterion_equivalence_random(tol):
 
 
 def test_chain_inclusion_pure_shift(tol):
-    assert sh.chain_inclusion_check(WeightedShiftSpec(n=1, trunc=8), k=1, tol=tol)
-    assert sh.chain_inclusion_check(WeightedShiftSpec(n=1, trunc=8), k=2, tol=tol)
+    assert chain_inclusion_check(WeightedShiftSpec(n=1, trunc=8), k=1, tol=tol)
+    assert chain_inclusion_check(WeightedShiftSpec(n=1, trunc=8), k=2, tol=tol)
 
 
 def test_chain_inclusion_with_zero_set(tol):
     spec = WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64)
     for k in (1, 2):
-        assert sh.chain_inclusion_check(spec, k, tol)
+        assert chain_inclusion_check(spec, k, tol)
 
 
 def test_chain_inclusion_random_sweep(tol):
@@ -207,12 +207,12 @@ def test_chain_inclusion_random_sweep(tol):
         b = frozenset(int(x) for x in rng.integers(0, 10, size=rng.integers(0, 5)))
         spec = WeightedShiftSpec(n=n, zero_set=b, trunc=max(sh.minimal_trunc(n, 3), 32))
         for k in (1, 2):
-            assert sh.chain_inclusion_check(spec, k, tol), (trial, n, sorted(b), k)
+            assert chain_inclusion_check(spec, k, tol), (trial, n, sorted(b), k)
 
 
 def test_chain_inclusion_window_error(tol):
     with pytest.raises(WindowError):
-        sh.chain_inclusion_check(WeightedShiftSpec(n=3, trunc=4), k=3, tol=tol)
+        chain_inclusion_check(WeightedShiftSpec(n=3, trunc=4), k=3, tol=tol)
 
 
 # ---------------------------------------------------------------------------

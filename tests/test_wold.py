@@ -8,7 +8,7 @@ from pirep.covrep import CovariantRep
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
 
-from conftest import crandn, rng_for
+from conftest import adjoint_regularity_check, crandn, rng_for
 
 
 def scalar_rep(v_list, tol):
@@ -120,7 +120,7 @@ def test_adjoint_regularity_for_regular_reps(tol):
         scalar_rep([haar_unitary(rng, 2) / np.sqrt(2), haar_unitary(rng, 2) / np.sqrt(2)], tol),
     ]
     for rep in reps:
-        assert wold.adjoint_regularity_check(rep, n_max=3)
+        assert adjoint_regularity_check(rep, n_max=3)
 
 
 # ---------------------------------------------------------------------------
