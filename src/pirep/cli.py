@@ -119,8 +119,9 @@ def _cmd_powers(args) -> int:
     rep = _load_rep(args.rep, tol)
     report = powers.power_report(rep, args.nmax)
     out = report.to_dict()
-    out["generalized_range_dim"] = powers.generalized_range(rep).dim
-    out["regular"] = powers.is_regular(rep)
+    rinf = powers.generalized_range(rep)
+    out["generalized_range_dim"] = rinf.dim
+    out["regular"] = powers._is_regular_over(rep, rinf)
     _emit(out, args)
     return 0
 

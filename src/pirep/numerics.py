@@ -220,10 +220,18 @@ def _pinv_from_svd(u, s, vh, cut: float) -> np.ndarray:
 def range_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the range of m."""
     a = as_matrix(m)
+    return _range_frame_cut_as(a, a.shape, tol, scale_floor)
+
+
+def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
+    """Orthonormal column basis of the range of ``a``, cut as a matrix of
+    ``shape``: rank_rel * max(sigma_0, scale_floor) * max(shape).  A thin
+    spanning set that stands in for a wider matrix with the same range
+    keeps that matrix's cutoff."""
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
     u, s, _ = _svd(a, full_matrices=False)
-    r = int(np.sum(s > rank_threshold(s, a.shape, tol, scale_floor)))
+    r = int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))
     return u[:, :r]
 
 

@@ -17,6 +17,15 @@ satisfying the decomposition identities.  ``wold_decompose`` therefore
 takes ``check_hypotheses``; with the default True it refuses (naming the
 failed predicate), with False it computes the decomposition and reports
 the hypothesis flags alongside.
+
+Each layer of a generated subspace is X(E (x) L) for the layer L before
+it, spanned from the frame F of L by the N*k columns
+space(1).apply_embed(I_N (x) F) and cut as the dense X(I (x) P_L) would
+be (powers._span_e_tensor; the powers module docstring gives why the span
+is the same in quotient coordinates for a sigma-reducing L, and the error
+argument).  ``wold_decompose`` takes Rinf(T) once: it decides
+regularity, the regularity that bi-regularity presupposes, and the dual
+side's residual.
 """
 
 from __future__ import annotations
@@ -29,7 +38,10 @@ from . import numerics as nx
 from .covrep import CovariantRep
 from .errors import NotApplicable
 from .numerics import Subspace, Tolerance, eye, herm, opnorm
-from .powers import is_regular, iterated_range
+from .powers import _is_regular_over, _span_e_tensor, generalized_range, is_regular, iterated_range
+
+# Depth of the bi-regularity inclusions that is_bi_regular and wold_decompose check.
+_BI_REGULAR_N_MAX = 3
 
 
 def cauchy_dual(rep: CovariantRep) -> np.ndarray:
@@ -43,11 +55,16 @@ def cauchy_dual_of_matrix(t: np.ndarray, tol: Tolerance) -> np.ndarray:
     return t @ nx.pseudoinverse(herm(t) @ t, tol)
 
 
-def is_bi_regular(rep: CovariantRep, n_max: int = 3) -> bool:
+def is_bi_regular(rep: CovariantRep, n_max: int = _BI_REGULAR_N_MAX) -> bool:
     """Regular, and N(I_{E^(x n)} (x) T^+) <= R(chain of amplified T^+)
     for n <= n_max."""
     if not is_regular(rep):
         raise NotApplicable("representation is not regular")
+    return _pinv_chain_inclusions(rep, n_max)
+
+
+def _pinv_chain_inclusions(rep: CovariantRep, n_max: int) -> bool:
+    """The inclusions of is_bi_regular past regularity."""
     tol = rep.tol
     dagger = nx.pseudoinverse(rep.tilde, tol)
     chain = dagger  # rep.pinv_chain(n), extended by one amplified factor per step
@@ -66,15 +83,16 @@ def generated_invariant_subspace(
     """[W]_X: the span of the images X_m(E^(x m) (x) W) over m >= 0, where
     X_m composes X with its amplifications (X_0 = I).  Computed by the
     recursion T_m = X(E (x) T_{m-1}); the span can only grow, so it
-    stabilizes within dim H steps."""
+    stabilizes within dim H steps.  Each layer is spanned from the frame of
+    the one before (see powers._span_e_tensor), so W must be
+    sigma-reducing and X an intertwiner."""
     tol = rep.tol
     x = nx.as_matrix(x)
     bound = rep.h_dim if bound is None else bound
     total = w
     layer = w
     for _ in range(bound):
-        amp = rep.amplified(layer.projector(), 1, 0, 0)
-        layer = Subspace.span(x @ amp, tol)
+        layer = _span_e_tensor(rep, layer, x)
         grown = Subspace.span(np.hstack([total.frame, layer.frame]), tol)
         if grown.dim == total.dim:
             return total
@@ -124,10 +142,8 @@ class WoldDecomposition:
         }
 
 
-def _wold_side(rep: CovariantRep, generator: np.ndarray, residual_of: np.ndarray, w: Subspace, bound) -> WoldResult:
-    tol = rep.tol
+def _wold_side(rep: CovariantRep, generator: np.ndarray, residual: Subspace, w: Subspace, bound) -> WoldResult:
     generated = generated_invariant_subspace(rep, generator, w, bound)
-    residual = iterated_range(rep, residual_of)
     ortho = opnorm(herm(generated.frame) @ residual.frame)
     total = generated.projector() + residual.projector()
     return WoldResult(
@@ -154,10 +170,11 @@ def wold_decompose(
     t = rep.tilde
     t_dual = cauchy_dual(rep)
     pi = rep.is_partial_isometric()
-    regular = is_regular(rep)
+    rinf = generalized_range(rep)  # R^infty(T): regularity and the dual side's residual
+    regular = _is_regular_over(rep, rinf)
     bi_regular = None
     if regular:
-        bi_regular = is_bi_regular(rep)
+        bi_regular = _pinv_chain_inclusions(rep, _BI_REGULAR_N_MAX)
     if check_hypotheses:
         if not regular:
             raise NotApplicable("representation is not regular")
@@ -166,8 +183,8 @@ def wold_decompose(
                 "representation is neither bi-regular nor partially isometric"
             )
     wandering = nx.ortho_complement(rep.range_subspace(1), tol)
-    primal = _wold_side(rep, t, t_dual, wandering, bound)
-    dual = _wold_side(rep, t_dual, t, wandering, bound)
+    primal = _wold_side(rep, t, iterated_range(rep, t_dual), wandering, bound)
+    dual = _wold_side(rep, t_dual, rinf, wandering, bound)
     return WoldDecomposition(
         primal=primal,
         dual=dual,

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from pirep import correspondence
+from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import shifts
-from pirep.correspondence import FdCorrespondence, FdCStarAlgebra, StarRepresentation
+from pirep.correspondence import SCALARS, FdCorrespondence, FdCStarAlgebra, StarRepresentation, scalar_correspondence
+from pirep.covrep import rep_from_tilde
 from pirep.errors import InvalidCorrespondence
 from pirep.numerics import DEFAULT_TOL, Subspace
 
@@ -218,6 +220,67 @@ def adjoint_regularity_check(rep, n_max: int) -> bool:
         if not nx.is_subset(kernel, rep.cokernel_subspace(n), rep.tol):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# dense-amplification oracles: the subspace iterations by their definition,
+# each step the span of X(I (x) P) through the space(1) x space(1)
+# amplification of the projector P onto the current subspace
+# ---------------------------------------------------------------------------
+
+
+def iterated_range_by_amplification(rep, x=None) -> Subspace:
+    """The fixed point of S -> X(E (x) S) that powers.iterated_range computes."""
+    x = rep.tilde if x is None else x
+    current = Subspace.whole(rep.h_dim)
+    for _ in range(rep.h_dim + 1):
+        nxt = Subspace.span(x @ rep.amplified(current.projector(), 1, 0, 0), rep.tol)
+        if nxt.dim == current.dim:
+            return nxt
+        current = nxt
+    return current
+
+
+def generated_subspace_by_amplification(rep, x, w: Subspace) -> Subspace:
+    """[W]_X as wold.generated_invariant_subspace computes it."""
+    total = layer = w
+    for _ in range(rep.h_dim):
+        layer = Subspace.span(x @ rep.amplified(layer.projector(), 1, 0, 0), rep.tol)
+        grown = Subspace.span(np.hstack([total.frame, layer.frame]), rep.tol)
+        if grown.dim == total.dim:
+            return total
+        total = grown
+    return total
+
+
+def subspace_iteration_reps(tol) -> list:
+    """Representations for the oracle comparisons: random scalar
+    contractions, shift (+) unitary models, the regular fixtures, and, in
+    quotient coordinates, two-block draws and scalar reps over a generic
+    complex Gram (whose kept eigenvalues are not 1)."""
+    rng = rng_for(94)
+    reps = []
+    for _ in range(8):
+        d, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        tilde = crandn(rng, d, n * d)
+        reps.append(rep_from_tilde(scalar_correspondence(n), StarRepresentation(SCALARS, [d]), tilde / nx.opnorm(tilde), tol))
+    for q, u_dim in ((3, 2), (6, 3), (12, 4)):
+        reps.append(hz.shift_plus_unitary_fixture(rng, tol, q=q, u_dim=u_dim))
+    for index in range(6):
+        reps.append(hz.regular_fixture(rng, tol, want_pi=bool(index % 2)))
+    config = hz.TrialConfig(algebra_shape="two_block")
+    for index in range(8):
+        corr, sigma = hz.draw_setting(hz.rng_stream(95, index), config)
+        draw = hz.random_pi_rep if index % 2 else hz.random_contractive_rep
+        reps.append(draw(corr, sigma, hz.rng_stream(96, index), tol))
+    for n, d in ((2, 3), (3, 2)):
+        g = crandn(rng, n, n)
+        g = (g @ nx.herm(g) + 0.5 * np.eye(n)).reshape(n, n, 1, 1)
+        act = np.eye(n, dtype=np.complex128).reshape(1, n, n)
+        corr = FdCorrespondence(SCALARS, g, act, act.copy())
+        for draw in (hz.random_pi_rep, hz.random_contractive_rep):
+            reps.append(draw(corr, StarRepresentation(SCALARS, [d]), rng, tol))
+    return reps
 
 
 def empty_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:

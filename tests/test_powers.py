@@ -16,7 +16,14 @@ from pirep.covrep import CovariantRep
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
 
-from conftest import count_space_builds, crandn, range_invariance_by_kernels, rng_for
+from conftest import (
+    count_space_builds,
+    crandn,
+    iterated_range_by_amplification,
+    range_invariance_by_kernels,
+    rng_for,
+    subspace_iteration_reps,
+)
 
 
 def scalar_rep(v_list, tol):
@@ -215,6 +222,16 @@ def test_power_report_builds_no_kernel_frame(tol, monkeypatch):
     assert calls == []
 
 
+def test_power_report_spans_each_cokernel_once(tol, monkeypatch):
+    # the cokernel of tilde_m serves condition (b) at m and m + 1 and (c) at m + 1
+    rep = sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol)
+    spanned = []
+    real = CovariantRep.cokernel_subspace
+    monkeypatch.setattr(CovariantRep, "cokernel_subspace", lambda self, m=1: spanned.append(m) or real(self, m))
+    pw.power_report(rep, 4)
+    assert sorted(spanned) == [0, 1, 2, 3, 4]
+
+
 def test_power_report_not_applicable(tol):
     report = pw.power_report(scalar_rep([0.5 * np.eye(2)], tol), 3)
     assert not report.applicable and report.pi_flags == []
@@ -273,6 +290,66 @@ def test_regular_iff_surjective_in_finite_dim(tol):
         rep = rep_from_tilde(scalar_correspondence(n), StarRepresentation(SCALARS, [d]), tilde, tol)
         surjective = nx.range_frame(tilde, tol).shape[1] == d
         assert pw.is_regular(rep) == surjective, trial
+
+
+def test_iterated_range_matches_the_dense_oracle(tol):
+    # X(E (x) S) spanned from the frame of S against the span of the dense
+    # X(I (x) P_S), step by step to the fixed point, for X = tilde and its
+    # Cauchy dual; on scalar, shift (+) unitary, regular and quotient-coordinate reps
+    from pirep.wold import cauchy_dual
+
+    dims = set()
+    for index, rep in enumerate(subspace_iteration_reps(tol)):
+        for x in (None, cauchy_dual(rep)):
+            got = pw.iterated_range(rep, x)
+            want = iterated_range_by_amplification(rep, x)
+            assert got.dim == want.dim, index
+            assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+            dims.add(0 < got.dim < rep.h_dim)
+    assert dims == {True, False}
+
+
+def test_e_tensor_spans_match_the_dense_amplification(tol):
+    # E (x) S inside space(1), as is_regular builds it for S = R^infty, is the
+    # range of the amplified projector I (x) P_S
+    quotient = 0
+    for index, rep in enumerate(subspace_iteration_reps(tol)):
+        quotient += rep.space(1).embed is not None
+        for s in (pw.generalized_range(rep), rep.range_subspace(1), nx.ortho_complement(rep.range_subspace(1), tol)):
+            got = pw._span_e_tensor(rep, s, None)
+            want = Subspace.span(rep.amplified(s.projector(), 1, 0, 0), tol)
+            assert got.dim == want.dim, index
+            assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+    assert quotient >= 8
+
+
+def test_thin_span_keeps_the_dense_rank_cut(tol):
+    # X(E (x) span{e0}) is spanned by 3 columns with singular values 1 and
+    # 4.5e-10, between the cut of that 2 x 3 matrix (3e-10) and the cut of
+    # the dense 2 x 6 X(I (x) P) it stands for (6e-10): both drop it
+    v0 = np.diag([1.0, 0.0]).astype(complex)
+    v1 = np.zeros((2, 2), dtype=complex)
+    v1[1, 0] = 4.5e-10
+    rep = scalar_rep([v0, v1, np.zeros((2, 2))], tol)
+    s = Subspace(np.eye(2, 1, dtype=complex))
+    dense = Subspace.span(rep.tilde @ rep.amplified(s.projector(), 1, 0, 0), tol)
+    assert pw._span_e_tensor(rep, s, rep.tilde).dim == dense.dim == 1
+
+
+def test_subspace_iterations_build_no_amplification(tol, monkeypatch):
+    from pirep import covrep, wold
+
+    calls = []
+    real = covrep.amplify
+    monkeypatch.setattr(covrep, "amplify", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    rep = hz.random_contractive_rep(corr, StarRepresentation(alg, [2, 3]), rng_for(97), tol)
+    assert rep.space(1).embed is not None
+    pw.iterated_range(rep)
+    pw.is_regular(rep)
+    wold.generated_invariant_subspace(rep, rep.tilde, nx.ortho_complement(rep.range_subspace(1), tol))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

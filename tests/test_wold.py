@@ -8,7 +8,13 @@ from pirep.covrep import CovariantRep
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
 
-from conftest import adjoint_regularity_check, crandn, rng_for
+from conftest import (
+    adjoint_regularity_check,
+    crandn,
+    generated_subspace_by_amplification,
+    rng_for,
+    subspace_iteration_reps,
+)
 
 
 def scalar_rep(v_list, tol):
@@ -157,6 +163,23 @@ def test_generated_stabilizes_quickly(tol):
     assert got.dim == 5
 
 
+def test_generated_matches_the_dense_oracle(tol):
+    # each layer X(E (x) L) spanned from the frame of L against the span of
+    # the dense X(I (x) P_L), from the wandering subspace, for X = tilde and
+    # its Cauchy dual; on scalar, shift (+) unitary, regular and
+    # quotient-coordinate reps
+    dims = set()
+    for index, rep in enumerate(subspace_iteration_reps(tol)):
+        w = nx.ortho_complement(rep.range_subspace(1), tol)
+        for x in (rep.tilde, wold.cauchy_dual(rep)):
+            got = wold.generated_invariant_subspace(rep, x, w)
+            want = generated_subspace_by_amplification(rep, x, w)
+            assert got.dim == want.dim, index
+            assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+            dims.add(0 < got.dim < rep.h_dim)
+    assert dims == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # the decomposition
 # ---------------------------------------------------------------------------
@@ -191,6 +214,29 @@ def test_bi_regular_takes_one_pseudoinverse(tol, monkeypatch):
     monkeypatch.setattr(nx, "pseudoinverse", counting)
     assert wold.is_bi_regular(rep, n_max=3)
     assert calls == [(3, 6)]
+
+
+def test_wold_takes_the_generalized_range_once(tol, monkeypatch):
+    # R^infty(tilde) decides regularity, bi-regularity's regularity and the
+    # dual side's residual; the primal side's residual is R^infty(T')
+    from pirep import powers
+
+    rng = rng_for(89)
+    rep = scalar_rep(
+        [haar_unitary(rng, 3) / np.sqrt(2), haar_unitary(rng, 3) / np.sqrt(2)], tol
+    )
+    calls = []
+    real = powers.iterated_range
+
+    def counting(rep_, x=None):
+        calls.append("tilde" if x is None or x is rep.tilde else "other")
+        return real(rep_, x)
+
+    monkeypatch.setattr(powers, "iterated_range", counting)
+    monkeypatch.setattr(wold, "iterated_range", counting)
+    out = wold.wold_decompose(rep)
+    assert out.regular and out.bi_regular
+    assert sorted(calls) == ["other", "tilde"]
 
 
 def test_wold_strictly_regular_coisometric_row(tol):
