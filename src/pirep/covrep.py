@@ -81,7 +81,9 @@ class LiftChain:
 
         When the three spaces involved have identity coordinates the
         amplified factor is block diagonal, and T_{m-1} is multiplied by
-        it block by block instead of materializing it."""
+        it block by block instead of materializing it, over the nonzero
+        columns of T_{m-1} only (``numerics._live_lines``; the terms of
+        its zero columns are exact zeros)."""
         if m < 1:
             raise DimensionMismatch("tilde_power needs m >= 1")
         if m in self._powers:
@@ -95,9 +97,12 @@ class LiftChain:
             prev = self.tilde_power(m - 1)
             side, big, small = self._space(m - 1, m), self.space(m), self.space(m - 1)
             if side.embed is None and big.embed is None and small.embed is None:
-                d = self.h_dim
-                blocks = [prev[:, j * d : (j + 1) * d] @ w for j in range(small.module_dim)]
-                mat = np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.complex128)
+                d, width = self.h_dim, w.shape[1]
+                _, live = nx._live_lines(prev)
+                mat = np.zeros((d, small.module_dim * width), dtype=np.complex128)
+                for j in range(small.module_dim):
+                    keep = slice(None) if live is None else live[j * d : (j + 1) * d]
+                    mat[:, j * width : (j + 1) * width] = prev[:, j * d : (j + 1) * d][:, keep] @ w[keep]
             else:
                 mat = prev @ self.amplified(w, m - 1, 1, 0)
         self._powers[m] = mat

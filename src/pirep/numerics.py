@@ -40,6 +40,28 @@ overflow, is not screened.  No reported value comes from the screen:
 every residual, norm and defect that a report or the CLI prints is an
 exact ``opnorm``.
 
+Every factorization, every norm and the products of the
+partial-isometry verdict and of the lift powers first drop the
+exactly-zero rows and columns of an array of at least
+``_DEFLATE_MIN_SIZE`` entries (:func:`_live_lines`), so a lift power,
+h x N**m h of rank at most h, is factored at its rank and not its width.
+This is exact: deleting zero rows and columns changes no nonzero
+singular value, rank, range, kernel (beyond the unit vectors of the zero
+columns, which the kernel gets back), pseudoinverse (zero rows and
+columns scatter back), norm or defect T T* T - T (zero wherever T has a
+zero row or column).  Every rank cut stays the one of the original
+shape.  A floating-point product only loses exact-zero terms, so where
+each entry is a sum of at most one nonzero term, as in every product of
+weighted-shift matrices, the product is the dense one bit for bit, and
+the shift verdicts and power-report residuals with it; elsewhere it may
+round in another order, within the dense product's own error bound.
+LAPACK is backward stable on the smaller matrix, with an error bound in
+its (smaller) dimensions.  The Frobenius screen's lower bound
+``||A||_F / sqrt(min(shape))`` stays valid for the compressed shape.
+Below the gate nothing is scanned and the dense path runs as it is: on a
+2-core x86 host with one BLAS thread the scan costs about 7 us at 72
+entries (11% of a thin SVD) and 20 us at 4,096 (2%).
+
 All values are immutable after construction; nothing here mutates its
 inputs.
 """
@@ -97,7 +119,9 @@ def as_matrix(m) -> np.ndarray:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    # the sum is finite unless an entry is not or the sum overflows;
+    # only then is every entry tested
+    if a.size and not np.isfinite(a.sum()) and not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     return a
 
@@ -107,9 +131,50 @@ def herm(m: np.ndarray) -> np.ndarray:
     return np.conj(m.T)
 
 
+# Entries from which an array is scanned for exactly-zero rows and columns
+# (see the module docstring); below it the scan costs more than it saves.
+_DEFLATE_MIN_SIZE = 4096
+
+
+def _live_lines(a: np.ndarray) -> tuple:
+    """Boolean masks of the rows and of the columns of ``a`` that hold a
+    nonzero entry, each None when it would keep every line or when ``a``
+    has fewer than _DEFLATE_MIN_SIZE entries."""
+    if a.size < _DEFLATE_MIN_SIZE:
+        return None, None
+    nonzero = a != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    return (None if rows.all() else rows), (None if cols.all() else cols)
+
+
+def _ix(rows, cols) -> tuple:
+    """Index of the submatrix on the kept rows and columns (None keeps all)."""
+    if rows is None or cols is None:
+        return (slice(None) if rows is None else rows), (slice(None) if cols is None else cols)
+    return np.ix_(rows, cols)
+
+
+def _deflate(a: np.ndarray) -> tuple:
+    """(core, rows, cols): ``a`` without its exactly-zero rows and columns
+    (a view of all of ``a`` when nothing is dropped), and the masks of
+    :func:`_live_lines`."""
+    rows, cols = _live_lines(a)
+    return a[_ix(rows, cols)], rows, cols
+
+
+def _scatter(x: np.ndarray, shape, rows, cols) -> np.ndarray:
+    """``x`` placed on the given rows and columns of a zero matrix of
+    ``shape``; ``x`` itself when both masks are None."""
+    if rows is None and cols is None:
+        return x
+    out = np.zeros(shape, dtype=np.complex128)
+    out[_ix(rows, cols)] = x
+    return out
+
+
 def opnorm(m) -> float:
     """Spectral norm; 0.0 for empty matrices."""
-    a = as_matrix(m)
+    a, _, _ = _deflate(as_matrix(m))
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -205,10 +270,11 @@ def pseudoinverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     up to roundoff on the retained singular values.
     """
     a = as_matrix(m)
-    if a.size == 0:
+    core, rows, cols = _deflate(a)
+    if core.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    u, s, vh = _svd(a, full_matrices=False)
-    return _pinv_from_svd(u, s, vh, rank_threshold(s, a.shape, tol))
+    u, s, vh = _svd(core, full_matrices=False)
+    return _scatter(_pinv_from_svd(u, s, vh, rank_threshold(s, a.shape, tol)), a.shape[::-1], cols, rows)
 
 
 def _pinv_from_svd(u, s, vh, cut: float) -> np.ndarray:
@@ -228,22 +294,33 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
     ``shape``: rank_rel * max(sigma_0, scale_floor) * max(shape).  A thin
     spanning set that stands in for a wider matrix with the same range
     keeps that matrix's cutoff."""
-    if a.size == 0:
+    core, rows, _ = _deflate(a)
+    if core.size == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    u, s, _ = _svd(a, full_matrices=False)
+    u, s, _ = _svd(core, full_matrices=False)
     r = int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))
-    return u[:, :r]
+    return _scatter(u[:, :r], (a.shape[0], r), rows, None)
 
 
 def kernel_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the kernel of m."""
     a = as_matrix(m)
     check_bytes(ENTRY_BYTES * a.shape[1] ** 2, "a kernel frame's full SVD")
-    if a.size == 0:
-        return eye(a.shape[1]) if a.shape[0] == 0 else np.zeros((a.shape[1], 0), dtype=np.complex128)
-    _, s, vh = _svd(a, full_matrices=True)
-    r = int(np.sum(s > rank_threshold(s, a.shape, tol, scale_floor)))
-    return herm(vh)[:, r:]
+    core, _, cols = _deflate(a)
+    if core.size == 0:
+        inner = eye(core.shape[1]) if core.shape[0] == 0 else np.zeros((core.shape[1], 0), dtype=np.complex128)
+    else:
+        _, s, vh = _svd(core, full_matrices=True)
+        r = int(np.sum(s > rank_threshold(s, a.shape, tol, scale_floor)))
+        inner = herm(vh)[:, r:]
+    if cols is None:
+        return inner
+    # the kernel of the core on the live columns, then the unit vectors of the zero columns
+    zero_cols = np.flatnonzero(~cols)
+    frame = np.zeros((a.shape[1], inner.shape[1] + zero_cols.size), dtype=np.complex128)
+    frame[cols, : inner.shape[1]] = inner
+    frame[zero_cols, inner.shape[1] + np.arange(zero_cols.size)] = 1.0
+    return frame
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -377,6 +454,9 @@ def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         raise DimensionMismatch(
             f"operator domain {a.shape[1]} != subspace ambient {s.ambient_dim}"
         )
+    # the product is taken on the whole of m: on the power report's wide
+    # amplifications, copying their nonzero part first cost the time it
+    # saved; the span still drops the product's zero rows
     return Subspace.span(a @ s.frame, tol)
 
 
@@ -393,7 +473,7 @@ def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
     """
-    a = as_matrix(m)
+    a, _, _ = _deflate(as_matrix(m))
     residual = opnorm(a @ herm(a) @ a - a)
     return residual, _partial_isometry_verdict(a, (residual, residual), lambda: residual, tol)
 
@@ -401,7 +481,7 @@ def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
 def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
-    a = as_matrix(m)
+    a, _, _ = _deflate(as_matrix(m))
     defect = a @ herm(a) @ a - a
     return _partial_isometry_verdict(a, _norm_bounds(defect), lambda: opnorm(defect), tol)
 
@@ -495,10 +575,15 @@ def _frames_and_pinv(a: np.ndarray, tol: Tolerance) -> tuple:
     """Orthonormal frames of R(A) and R(A*) and the pseudoinverse of a
     nonempty A, all from one thin SVD cut as ``range_frame`` and
     ``pseudoinverse`` cut it."""
-    u, s, vh = _svd(a, full_matrices=False)
+    core, rows, cols = _deflate(a)
+    u, s, vh = _svd(core, full_matrices=False)
     cut = rank_threshold(s, a.shape, tol)
     r = int(np.sum(s > cut))
-    return u[:, :r], herm(vh[:r]), _pinv_from_svd(u, s, vh, cut)
+    return (
+        _scatter(u[:, :r], (a.shape[0], r), rows, None),
+        _scatter(herm(vh[:r]), (a.shape[1], r), cols, None),
+        _scatter(_pinv_from_svd(u, s, vh, cut), a.shape[::-1], cols, rows),
+    )
 
 
 def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:

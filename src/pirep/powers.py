@@ -274,7 +274,8 @@ def regular_pi_iff_power_pi(rep: CovariantRep, bound: int = 4) -> RegularPowerRe
     is_pi = rep.is_partial_isometric()
     up_to = 0
     for m in range(1, bound + 1):
-        if nx.is_partial_isometry(rep.tilde_power(m), tol):
+        # the first power is the lift, whose verdict is is_pi
+        if (is_pi if m == 1 else nx.is_partial_isometry(rep.tilde_power(m), tol)):
             up_to = m
         else:
             break

@@ -113,16 +113,18 @@ def shift_matrices(spec: WeightedShiftSpec) -> list:
     """The truncated matrices V_1..V_n.  Source indices whose image falls
     beyond the truncation give zero columns (tracked by the window, not
     errors)."""
+    return [_shift_matrix(spec, i) for i in range(1, spec.n + 1)]
+
+
+def _shift_matrix(spec: WeightedShiftSpec, i: int) -> np.ndarray:
+    """The truncated matrix V_i."""
     d = spec.h_dim()
-    out = []
-    for i in range(1, spec.n + 1):
-        v = np.zeros((d, d), dtype=np.complex128)
-        for m in range(d):
-            t = spec.n * m + i
-            if t <= spec.trunc:
-                v[t, m] = spec.weight(i, m) * spec.alpha(m)
-        out.append(v)
-    return out
+    v = np.zeros((d, d), dtype=np.complex128)
+    for m in range(d):
+        t = spec.n * m + i
+        if t <= spec.trunc:
+            v[t, m] = spec.weight(i, m) * spec.alpha(m)
+    return v
 
 
 def build_shift(spec: WeightedShiftSpec, tol: Tolerance = DEFAULT_TOL) -> CovariantRep:
@@ -169,11 +171,16 @@ def kernel_formula(spec: WeightedShiftSpec, i: int, k: int) -> list:
 
 
 def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Oracle: kernel indices of the truncated matrix power V_i^k on W_k."""
+    """Oracle: kernel indices of the truncated matrix power V_i^k on W_k,
+    from its window columns V_i(...(V_i V_i[:, W_k])).  Every entry of a
+    product of shift matrices is a single product of weights, so these
+    columns are those of the dense power up to the order of that product."""
     window = _faithful_window(spec, k)
-    v = shift_matrices(spec)[i - 1]
-    power = np.linalg.matrix_power(v, k)
-    return [m for m in window if np.linalg.norm(power[:, m]) <= tol.incl_abs]
+    v = _shift_matrix(spec, i)
+    power = v[:, window]
+    for _ in range(k - 1):
+        power = v @ power
+    return [m for m, column in zip(window, power.T) if np.linalg.norm(column) <= tol.incl_abs]
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,8 @@ def shift_pi_criterion(
     if is_pi:
         bound = spec.window_bound(cap=power_cap)
         for k in range(1, bound + 1):
-            if nx.is_partial_isometry(rep.tilde_power(k), tol):
+            # the first power is the lift, whose verdict is is_pi
+            if k == 1 or nx.is_partial_isometry(rep.tilde_power(k), tol):
                 up_to = k
             else:
                 break

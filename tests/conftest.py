@@ -283,6 +283,84 @@ def subspace_iteration_reps(tol) -> list:
     return reps
 
 
+# ---------------------------------------------------------------------------
+# dense oracles: the numerics primitives and the lift power on the whole
+# array, with no exactly-zero row or column dropped
+# ---------------------------------------------------------------------------
+
+
+def dense_opnorm(m) -> float:
+    a = nx.as_matrix(m)
+    return 0.0 if a.size == 0 else float(np.linalg.norm(a, 2))
+
+
+def dense_range_frame(m, tol=DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
+    a = nx.as_matrix(m)
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : int(np.sum(s > nx.rank_threshold(s, a.shape, tol, scale_floor)))]
+
+
+def dense_kernel_frame(m, tol=DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
+    a = nx.as_matrix(m)
+    if a.size == 0:
+        return nx.eye(a.shape[1]) if a.shape[0] == 0 else np.zeros((a.shape[1], 0), dtype=np.complex128)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return nx.herm(vh)[:, int(np.sum(s > nx.rank_threshold(s, a.shape, tol, scale_floor))) :]
+
+
+def dense_pseudoinverse(m, tol=DEFAULT_TOL) -> np.ndarray:
+    a = nx.as_matrix(m)
+    if a.size == 0:
+        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    return nx._pinv_from_svd(u, s, vh, nx.rank_threshold(s, a.shape, tol))
+
+
+def dense_frames_and_pinv(m, tol=DEFAULT_TOL) -> tuple:
+    """The frames of R(A) and R(A*) and the pseudoinverse, from one SVD."""
+    a = nx.as_matrix(m)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    cut = nx.rank_threshold(s, a.shape, tol)
+    r = int(np.sum(s > cut))
+    return u[:, :r], nx.herm(vh[:r]), nx._pinv_from_svd(u, s, vh, cut)
+
+
+def dense_pi_residual(m) -> float:
+    """||M M* M - M|| of the whole matrix."""
+    a = nx.as_matrix(m)
+    return dense_opnorm(a @ nx.herm(a) @ a - a)
+
+
+def dense_pi_verdict(m, tol=DEFAULT_TOL) -> bool:
+    scale = dense_opnorm(m)
+    return scale <= tol.rank_rel or dense_pi_residual(m) <= tol.eq_rel * scale
+
+
+def dense_image(m, s: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    return Subspace(dense_range_frame(nx.as_matrix(m) @ s.frame, tol, 1.0))
+
+
+def dense_tilde_power(rep, m: int) -> np.ndarray:
+    """T_m of a representation in identity coordinates, each block of
+    T_{m-1} times the whole lift."""
+    t, d = rep.tilde, rep.h_dim
+    for _ in range(m - 1):
+        t = np.hstack([t[:, j * d : (j + 1) * d] @ rep.tilde for j in range(t.shape[1] // d)])
+    return t
+
+
+def planted_zero_lines(rng, shape, core_shape, values) -> np.ndarray:
+    """A matrix of ``shape`` that is zero outside a random ``core_shape``
+    submatrix with the given singular values."""
+    out = np.zeros(shape, dtype=np.complex128)
+    rows = np.sort(rng.choice(shape[0], core_shape[0], replace=False))
+    cols = np.sort(rng.choice(shape[1], core_shape[1], replace=False))
+    out[np.ix_(rows, cols)] = random_with_spectrum(rng, *core_shape, values)
+    return out
+
+
 def empty_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:
     """The zero module over the algebra."""
     k, n = algebra.matrix_size, algebra.dim

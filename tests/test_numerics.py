@@ -6,7 +6,22 @@ from pirep import numerics as nx
 from pirep.errors import DimensionMismatch, DomainError, ResourceLimit
 from pirep.numerics import Subspace, Tolerance
 
-from conftest import crandn, dense_budget, penrose_residuals, random_with_spectrum, rng_for
+from conftest import (
+    crandn,
+    dense_budget,
+    dense_frames_and_pinv,
+    dense_image,
+    dense_kernel_frame,
+    dense_opnorm,
+    dense_pi_residual,
+    dense_pi_verdict,
+    dense_pseudoinverse,
+    dense_range_frame,
+    penrose_residuals,
+    planted_zero_lines,
+    random_with_spectrum,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +461,123 @@ def test_tolerance_validation():
         Tolerance(eq_rel=-1e-9)
 
 
+# as_matrix decides finiteness from the sum of the entries first; numpy
+# warns when that sum overflows or meets a non-finite entry
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def test_non_finite_entries_rejected():
-    with pytest.raises(DomainError):
-        nx.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+        with pytest.raises(DomainError):
+            nx.as_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError):  # among finite entries that overflow the sum
+            nx.as_matrix(np.array([[1e308, 1e308, bad]]))
+
+
+@np.errstate(over="ignore")
+def test_finite_entries_whose_sum_overflows_pass():
+    for row in ([1e308, 1e308], [-1e308, -1e308], [complex(1.0, 1e308), complex(1.0, 1e308)]):
+        a = nx.as_matrix(np.array([row]))
+        assert a.shape == (1, 2) and np.isfinite(a).all()
+
+
+# ---------------------------------------------------------------------------
+# dropping exactly-zero rows and columns
+# ---------------------------------------------------------------------------
+
+# Wedin's bound for a matrix of norm 1 whose smallest kept singular value is
+# 0.1: each computed subspace is within (rows + cols) * 2**-53 * 10 of the
+# exact one in principal-angle sine, 2e-13 for 190 lines, on either path.
+DEFLATED_BOUND = 1e-12
+
+
+def planted_cases(seed: int) -> list:
+    """Matrices of at least the gate's size with planted zero rows and
+    columns around a rank-deficient core of singular values in [0.1, 1]."""
+    rng = rng_for(seed)
+    cases = []
+    for shape, core in (((70, 120), (50, 90)), ((120, 70), (100, 40)), ((64, 64), (60, 61)), ((40, 300), (40, 150))):
+        k = int(rng.integers(1, min(core)))
+        cases.append(planted_zero_lines(rng, shape, core, np.linspace(1.0, 0.1, k)))
+    return cases
+
+
+def projector_gap(f, g) -> float:
+    return dense_opnorm(f @ nx.herm(f) - g @ nx.herm(g))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_deflated_primitives_match_the_dense_forms(seed, tol):
+    for a in planted_cases(300 + seed):
+        assert a.size >= nx._DEFLATE_MIN_SIZE
+        rows, cols = nx._live_lines(a)
+        assert rows is not None or cols is not None
+        rank = dense_range_frame(a, tol).shape[1]
+        for floor in (0.0, 1.0):
+            frame = nx.range_frame(a, tol, floor)
+            assert frame.shape[1] == rank
+            assert dense_opnorm(nx.herm(frame) @ frame - np.eye(rank)) <= DEFLATED_BOUND
+            assert projector_gap(frame, dense_range_frame(a, tol, floor)) <= DEFLATED_BOUND
+            kernel = nx.kernel_frame(a, tol, floor)
+            assert kernel.shape == (a.shape[1], a.shape[1] - rank)
+            assert dense_opnorm(nx.herm(kernel) @ kernel - np.eye(kernel.shape[1])) <= DEFLATED_BOUND
+            assert dense_opnorm(a @ kernel) <= DEFLATED_BOUND
+            assert projector_gap(kernel, dense_kernel_frame(a, tol, floor)) <= DEFLATED_BOUND
+        pinv = nx.pseudoinverse(a, tol)
+        assert dense_opnorm(pinv - dense_pseudoinverse(a, tol)) <= 10 * DEFLATED_BOUND
+        for name, res in penrose_residuals(a, pinv).items():
+            assert res <= DEFLATED_BOUND, name
+        assert abs(nx.opnorm(a) - dense_opnorm(a)) <= DEFLATED_BOUND
+        residual, verdict = nx.partial_isometry_residual(a, tol)
+        assert abs(residual - dense_pi_residual(a)) <= DEFLATED_BOUND
+        assert verdict == nx.is_partial_isometry(a, tol) == dense_pi_verdict(a, tol)
+        final, initial, pinv_c = nx._frames_and_pinv(a, tol)
+        dense_final, dense_initial, dense_pinv = dense_frames_and_pinv(a, tol)
+        assert projector_gap(final, dense_final) <= DEFLATED_BOUND
+        assert projector_gap(initial, dense_initial) <= DEFLATED_BOUND
+        assert dense_opnorm(pinv_c - dense_pinv) <= 10 * DEFLATED_BOUND
+        s = Subspace(dense_range_frame(crandn(rng_for(seed), a.shape[1], 7)))
+        got, want = nx.image(a, s, tol), dense_image(a, s, tol)
+        assert got.dim == want.dim and projector_gap(got.frame, want.frame) <= DEFLATED_BOUND
+
+
+def test_deflation_keeps_the_cut_of_the_original_shape(tol):
+    # a singular value between the cuts of the compressed shape (core 4 x 4)
+    # and of the whole one (100 x 100) counts as zero, as on the dense path
+    a = np.zeros((100, 100), dtype=np.complex128)
+    a[:4, :4] = np.diag([1.0, 0.5, 0.2, 1e-9])
+    assert nx.range_frame(a, tol).shape[1] == 3 == dense_range_frame(a, tol).shape[1]
+    assert nx.kernel_frame(a, tol).shape[1] == 97
+    assert [f.shape[1] for f in nx._frames_and_pinv(a, tol)[:2]] == [3, 3]
+    np.testing.assert_array_equal(np.abs(nx.pseudoinverse(a, tol)[:4, :4]), np.diag([1.0, 2.0, 5.0, 0.0]))
+
+
+def test_all_zero_matrices_past_the_gate(tol):
+    a = np.zeros((64, 80), dtype=np.complex128)
+    assert nx.opnorm(a) == 0.0
+    assert nx.range_frame(a, tol).shape == (64, 0)
+    np.testing.assert_array_equal(nx.kernel_frame(a, tol), np.eye(80))
+    np.testing.assert_array_equal(nx.pseudoinverse(a, tol), np.zeros((80, 64)))
+    assert nx.partial_isometry_residual(a, tol) == (0.0, True) and nx.is_partial_isometry(a, tol)
+    assert nx.image(a, Subspace.whole(80), tol).dim == 0
+
+
+def test_below_the_gate_the_dense_path_runs_bit_for_bit(tol):
+    rng = rng_for(310)
+    for shape, core in (((6, 12), (4, 9)), ((12, 6), (10, 3)), ((40, 90), (30, 70))):
+        k = min(core) - 1
+        a = planted_zero_lines(rng, shape, core, np.linspace(1.0, 0.1, k))
+        assert a.size < nx._DEFLATE_MIN_SIZE and nx._live_lines(a) == (None, None)
+        for floor in (0.0, 1.0):
+            assert nx.range_frame(a, tol, floor).tobytes() == dense_range_frame(a, tol, floor).tobytes()
+            assert nx.kernel_frame(a, tol, floor).tobytes() == dense_kernel_frame(a, tol, floor).tobytes()
+        assert nx.pseudoinverse(a, tol).tobytes() == dense_pseudoinverse(a, tol).tobytes()
+        assert nx.opnorm(a) == dense_opnorm(a)
+        assert nx.partial_isometry_residual(a, tol)[0] == dense_pi_residual(a)
+        for got, want in zip(nx._frames_and_pinv(a, tol), dense_frames_and_pinv(a, tol)):
+            assert got.tobytes() == want.tobytes()
+        s = Subspace(dense_range_frame(crandn(rng, shape[1], 3)))
+        assert nx.image(a, s, tol).frame.tobytes() == dense_image(a, s, tol).frame.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pirep.numerics import Subspace
 from conftest import (
     count_space_builds,
     crandn,
+    dense_pi_residual,
     iterated_range_by_amplification,
     range_invariance_by_kernels,
     rng_for,
@@ -170,9 +171,15 @@ def test_range_invariance_band_on_a_tilted_projection(tol):
 
 
 def assert_residuals_are_triple_products(rep, report):
+    """Each residual is the dense ||T_m T_m* T_m - T_m||: bit for bit below
+    the deflation gate, and within test_numerics.DEFLATED_BOUND past it."""
     for m, residual in enumerate(report.residuals, start=1):
         tm = rep.tilde_power(m)
-        assert residual == nx.opnorm(tm @ nx.herm(tm) @ tm - tm), m
+        dense = dense_pi_residual(tm)
+        if tm.size < nx._DEFLATE_MIN_SIZE:
+            assert residual == dense, m
+        else:
+            assert abs(residual - dense) <= 1e-12, m
 
 
 def test_power_report_direct_sum_all_true(tol):
@@ -184,6 +191,14 @@ def test_power_report_direct_sum_all_true(tol):
     report = pw.power_report(rep, 4)
     assert report.applicable
     assert all(report.pi_flags) and all(report.chain_flags) and all(report.range_flags)
+    assert_residuals_are_triple_products(rep, report)
+
+
+def test_power_report_residuals_on_a_deflated_shift(tol):
+    rep = sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol)
+    report = pw.power_report(rep, 3)
+    assert rep.tilde_power(1).size >= nx._DEFLATE_MIN_SIZE
+    assert all(report.pi_flags)
     assert_residuals_are_triple_products(rep, report)
 
 
@@ -406,6 +421,22 @@ def test_regular_pi_gives_all_powers(tol):
     rep = scalar_rep(coisometric_row(rng, 2, 3), tol)
     res = pw.regular_pi_iff_power_pi(rep, bound=4)
     assert res.is_pi and res.is_power_pi_up_to == 4
+
+
+def count_pi_verdicts(monkeypatch) -> list:
+    calls = []
+    real = nx.is_partial_isometry
+    monkeypatch.setattr(nx, "is_partial_isometry", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def test_regular_criterion_takes_the_lift_verdict_once(tol, monkeypatch):
+    # the lift's verdict serves is_pi and the first power: one verdict per power
+    rep = scalar_rep(coisometric_row(rng_for(61), 2, 3), tol)
+    calls = count_pi_verdicts(monkeypatch)
+    res = pw.regular_pi_iff_power_pi(rep, bound=4)
+    assert res.is_pi and res.is_power_pi_up_to == 4
+    assert len(calls) == 4
 
 
 def test_regular_non_pi_contraction(tol):

@@ -8,7 +8,14 @@ from pirep import shifts as sh
 from pirep.errors import DimensionMismatch, ResourceLimit, WindowError
 from pirep.shifts import WeightedShiftSpec
 
-from conftest import chain_inclusion_check, dense_budget, rng_for
+from conftest import (
+    chain_inclusion_check,
+    dense_budget,
+    dense_opnorm,
+    dense_pi_residual,
+    dense_tilde_power,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +140,33 @@ def test_kernel_formula_matches_bruteforce(tol):
                 )
 
 
+def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
+    # the window columns of V_i^k equal those of np.linalg.matrix_power bit
+    # for bit when each orbit meets at most one weight other than 1 (a product
+    # with 1 is exact); with more, the weights multiply in another order
+    rng = rng_for(72)
+    for trial in range(40):
+        n = int(rng.integers(1, 4))
+        b = frozenset(int(x) for x in rng.integers(0, 12, size=rng.integers(0, 5)))
+        weights = {}
+        for _ in range(1 if trial % 2 else int(rng.integers(2, 30))):
+            weights[(int(rng.integers(1, n + 1)), int(rng.integers(0, 20)))] = float(rng.uniform(0.0, 1.7))
+        spec = WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=max(sh.minimal_trunc(n, 3), n**3 * 8))
+        for k in (1, 2, 3):
+            window = list(spec.window(k))
+            for i in range(1, n + 1):
+                dense = np.linalg.matrix_power(sh.shift_matrices(spec)[i - 1], k)[:, window]
+                want = [m for m, column in zip(window, dense.T) if np.linalg.norm(column) <= tol.incl_abs]
+                assert sh.brute_force_kernel(spec, i, k, tol) == want, (trial, i, k)
+                power = sh._shift_matrix(spec, i)[:, window]
+                for _ in range(k - 1):
+                    power = sh._shift_matrix(spec, i) @ power
+                if len(weights) == 1:
+                    assert power.tobytes() == dense.tobytes(), (trial, i, k)
+                else:
+                    np.testing.assert_allclose(power, dense, rtol=4 * 2.0**-53, atol=0.0)
+
+
 def test_kernel_formula_window_error():
     spec = WeightedShiftSpec(n=3, trunc=5)
     with pytest.raises(WindowError) as err:
@@ -182,6 +216,66 @@ def test_criterion_equivalence_random(tol):
         assert res.is_pi == res.weights_unit_off_zero_set, (trial, spec.to_dict())
         if res.is_pi:
             assert res.power_pi_up_to == spec.window_bound(cap=3)
+
+
+def shift_lift_specs() -> list:
+    """Shifts of the benchmark's sizes: n = 2 and 3 at truncation 8 n^3,
+    unit weights or one broken weight, with and without a zero set."""
+    specs = []
+    for n in (2, 3):
+        trunc = max(sh.minimal_trunc(n, 3), 8 * n**3)
+        specs.append(WeightedShiftSpec(n=n, trunc=trunc))
+        specs.append(WeightedShiftSpec(n=n, zero_set={0, 4, 9}, trunc=trunc))
+        specs.append(WeightedShiftSpec(n=n, weights={(1, 2): 0.6}, zero_set={5}, trunc=trunc))
+    return specs
+
+
+def test_shift_lift_powers_and_verdicts_are_the_dense_ones(tol):
+    # every entry of a product of shift matrices is a one-term sum, so
+    # skipping exactly-zero columns and rows changes no bit
+    for spec in shift_lift_specs():
+        rep = sh.build_shift(spec, tol)
+        for m in (1, 2, 3):
+            tm = rep.tilde_power(m)
+            assert tm.tobytes() == dense_tilde_power(rep, m).tobytes(), (spec.to_dict(), m)
+            residual, verdict = nx.partial_isometry_residual(tm, tol)
+            dense, scale = dense_pi_residual(tm), dense_opnorm(tm)
+            assert residual == dense, (spec.to_dict(), m)
+            dense_verdict = scale <= tol.rank_rel or dense <= tol.eq_rel * scale
+            assert verdict == nx.is_partial_isometry(tm, tol) == dense_verdict, (spec.to_dict(), m)
+
+
+def test_shift_criterion_factors_no_array_wider_than_the_rank(tol, monkeypatch):
+    # the n = 3, trunc 216 shift: T_3 is 217 x 5859 with 204 nonzero columns;
+    # no SVD and no partial-isometry product sees more than 217 columns
+    widths = []
+    real_svd, real_verdict = np.linalg.svd, nx._partial_isometry_verdict
+
+    def svd(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return real_svd(a, *args, **kwargs)
+
+    def verdict(a, *args):
+        widths.append(a.shape[1])
+        return real_verdict(a, *args)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)  # np.linalg.norm(a, 2) calls this one
+    monkeypatch.setattr(nx, "_partial_isometry_verdict", verdict)
+    spec = WeightedShiftSpec(n=3, trunc=216)
+    res = sh.shift_pi_criterion(spec, tol, power_cap=3)
+    assert res.is_pi and res.power_pi_up_to == 3
+    assert widths and max(widths) <= 217
+
+
+def test_shift_criterion_takes_the_lift_verdict_once(tol, monkeypatch):
+    # rep.is_partial_isometric() is the first power's verdict: three powers, three verdicts
+    calls = []
+    real = nx.is_partial_isometry
+    monkeypatch.setattr(nx, "is_partial_isometry", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    res = sh.shift_pi_criterion(WeightedShiftSpec(n=2, trunc=64), tol, power_cap=3)
+    assert res.is_pi and res.power_pi_up_to == 3
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
