@@ -46,7 +46,6 @@ from .numerics import (
     Tolerance,
     classify_operator,
     image,
-    intersect,
     is_contraction,
     is_partial_isometry,
     is_subset,

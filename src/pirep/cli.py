@@ -22,7 +22,8 @@ product's lift ``ProductRep.tilde``), with the six-way partial-isometry
 diagnostic; every other verdict is the triple-product rule alone.
 ``verify`` exits 0 iff the run produced zero violations, 1 otherwise;
 every subcommand exits 2 on usage or input errors, malformed JSON
-included, and so do ``powers --nmax`` below 1 and ``root --k`` below 2.
+included, and so do ``powers --nmax`` below 1, ``root --k`` below 2,
+``shift --power`` below 1 and a non-finite or non-positive --tol-*.
 """
 
 from __future__ import annotations

@@ -40,15 +40,19 @@ one rounding of c * phi(1) per entry carried through F's Gram.  The
 tests in tests/test_correspondence.py compare every stacked form with
 the per-entry loops.
 
+``amplify`` returns I_F (x) X as an operator (``numerics.Amplification``)
+that is applied block by block and never built; only its ``to_dense``
+forms the matrix.
+
 ``StarRepresentation``, ``FdCStarAlgebra.basis``, phi, the induced
-actions, ``tensor_product``, ``interior_tensor`` and ``amplify`` each
-check the bytes of their largest array, stacks included, from shapes
-before allocating it (``numerics.check_bytes``).
+actions, ``tensor_product``, ``interior_tensor`` and an amplification's
+applications and ``to_dense`` each check the bytes of their largest
+array, stacks included, from shapes before allocating it
+(``numerics.check_bytes``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -64,6 +68,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     ENTRY_BYTES,
+    Amplification,
     Tolerance,
     as_matrix,
     check_bytes,
@@ -573,8 +578,11 @@ def amplify(
     big_dom: TensorSpace,
     big_cod: TensorSpace,
     tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """Concrete matrix of I_F (x) X under F (x) (D (x) H) ~ (F (x) D) (x) H.
+) -> Amplification:
+    """I_F (x) X under F (x) (D (x) H) ~ (F (x) D) (x) H, as an operator
+    ``big_cod.embed (I_F (x) lift_cod X embed_dom) big_dom.lift`` that is
+    applied block by block (``numerics.Amplification``; its ``to_dense``
+    builds the matrix).
 
     X must map ``dom`` to ``cod`` (either may be a tensor space or the
     plain space H) and intertwine the induced algebra actions; otherwise
@@ -587,30 +595,15 @@ def amplify(
     x = as_matrix(x)
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
-    check_bytes(ENTRY_BYTES * big_cod.formal_dim * big_dom.formal_dim, "an amplification")
-    x_norm = functools.cache(lambda: opnorm(x))
-    if not all(identity_holds(gap, x_norm, tol) for gap in _intertwining_gaps(x, dom, cod)):
+    if not all(identity_holds(gap, lambda: opnorm(x), tol) for gap in _intertwining_gaps(x, dom, cod)):
         raise IntertwinerError(
             "operator does not intertwine the algebra actions"
             f" (residual {intertwining_residual(x, dom, cod):.3e})"
         )
     # dim F = dim(F (x) D) / dim D, read off a side whose module is nonzero
-    nf = max(
-        big.module_dim // max(side.module_dim, 1) for big, side in ((big_dom, dom), (big_cod, cod))
-    )
-    trivial = (
-        dom.embed is None
-        and cod.embed is None
-        and big_dom.embed is None
-        and big_cod.embed is None
-    )
-    if trivial:
-        return eye_kron(nf, x)
-    # the report bits depend on this order: (lift_cod X) embed_dom, kron, then big_dom's lift
+    nf = max(big_dom.module_dim // max(dom.module_dim, 1), big_cod.module_dim // max(cod.module_dim, 1))
+    # the report bits depend on this order: (lift_cod X) embed_dom
     y = cod.apply_lift(x)
     if dom.embed is not None:
         y = y @ dom.embed
-    formal = eye_kron(nf, y)
-    if big_dom.lift is not None:
-        formal = formal @ big_dom.lift
-    return big_cod.apply_embed(formal)
+    return Amplification(y, nf, big_cod.embed, big_dom.lift)

@@ -21,6 +21,12 @@ space from the correspondence memos (``FdCorrespondence.tensor`` and
 ``.space``), so all chains over the same correspondences, sigma and
 tolerance share one coordinate system per prefix.  Each T_m is checked
 against the byte budget (``numerics.check_bytes``) before it is built.
+
+``amplified`` returns I (x) X as an operator for every m, m = 0
+included (``numerics.Amplification``): it is applied block by block,
+from the left to a frame or from the right to a matrix, and T_m is
+T_{m-1} applied to it from the right.  ``pinv_chain`` applies it too;
+only ``restrict``, which spans its whole range, calls ``to_dense``.
 """
 
 from __future__ import annotations
@@ -77,43 +83,27 @@ class LiftChain:
     # -- the chain -----------------------------------------------------------
 
     def tilde_power(self, m: int) -> np.ndarray:
-        """T_m = T_{m-1} (I_{E_1 (x) ... (x) E_{m-1}} (x) W_m), T_1 = W_1.
-
-        When the three spaces involved have identity coordinates the
-        amplified factor is block diagonal, and T_{m-1} is multiplied by
-        it block by block instead of materializing it, over the nonzero
-        columns of T_{m-1} only (``numerics._live_lines``; the terms of
-        its zero columns are exact zeros)."""
+        """T_m = T_{m-1} (I_{E_1 (x) ... (x) E_{m-1}} (x) W_m), T_1 = W_1,
+        with the amplified factor applied block by block from the right
+        (``numerics.Amplification``: over the nonzero columns of T_{m-1}
+        only)."""
         if m < 1:
             raise DimensionMismatch("tilde_power needs m >= 1")
         if m in self._powers:
             return self._powers[m]
         nx.check_bytes(nx.ENTRY_BYTES * self.h_dim * self.space(m).dim, f"the lift power T_{m}")
         (factor,) = self._factors(m - 1, m)
-        w = factor.tilde
-        if m == 1:
-            mat = w
-        else:
-            prev = self.tilde_power(m - 1)
-            side, big, small = self._space(m - 1, m), self.space(m), self.space(m - 1)
-            if side.embed is None and big.embed is None and small.embed is None:
-                d, width = self.h_dim, w.shape[1]
-                _, live = nx._live_lines(prev)
-                mat = np.zeros((d, small.module_dim * width), dtype=np.complex128)
-                for j in range(small.module_dim):
-                    keep = slice(None) if live is None else live[j * d : (j + 1) * d]
-                    mat[:, j * width : (j + 1) * width] = prev[:, j * d : (j + 1) * d][:, keep] @ w[keep]
-            else:
-                mat = prev @ self.amplified(w, m - 1, 1, 0)
+        mat = factor.tilde if m == 1 else self.tilde_power(m - 1) @ self.amplified(factor.tilde, m - 1, 1, 0)
         self._powers[m] = mat
         return mat
 
-    def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> np.ndarray:
+    def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> nx.Amplification:
         """I_{E_1 (x) ... (x) E_m} (x) X for X : side(dom_power) -> side(cod_power),
-        where side(p) is (E_{m+1} (x) ... (x) E_{m+p}) (x)_sigma H; as a map
-        space(m + dom_power) -> space(m + cod_power)."""
+        where side(p) is (E_{m+1} (x) ... (x) E_{m+p}) (x)_sigma H; as an
+        operator space(m + dom_power) -> space(m + cod_power), applied
+        block by block (``to_dense`` builds its matrix)."""
         if m == 0:
-            return as_matrix(x)
+            return nx.Amplification(as_matrix(x), 1, None, None)
         return amplify(
             x,
             self._space(m, m + dom_power),
@@ -251,8 +241,7 @@ class CovariantRep(LiftChain):
             if not nx.is_subset(nx.image(sa, k_sub, tol), k_sub, tol):
                 raise DomainError(f"K is not sigma-invariant (algebra basis element {t})")
         p_k = k_sub.projector()
-        amp_pk = self.amplified(p_k, 1, 0, 0)
-        e_tensor_k = Subspace.span(amp_pk, tol)
+        e_tensor_k = Subspace.span(self.amplified(p_k, 1, 0, 0).to_dense(), tol)
         if not nx.is_subset(nx.image(self._tilde, e_tensor_k, tol), k_sub, tol):
             raise DomainError("tilde(E (x) K) is not contained in K")
         if not nx.is_subset(nx.image(herm(self._tilde), k_sub, tol), e_tensor_k, tol):

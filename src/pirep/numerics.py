@@ -12,11 +12,13 @@ every such decision is governed by a single :class:`Tolerance` value:
 * ``incl_abs``  -- a subspace inclusion ``S1 <= S2`` is accepted iff
   ``||(I - P2) F1|| <= incl_abs`` for an orthonormal frame F1 of S1.
 
-Every dense array that grows with a tensor power (Grams, lifts,
-amplifications, full kernel frames, sigma(a) and stacks of it and of the
-induced actions) is checked against one byte budget, ``DENSE_BYTES``,
-from its shape and before it is allocated: the site that builds it calls
-:func:`check_bytes`.
+Every dense array that grows with a tensor power (Grams, lifts, the
+products an :class:`Amplification` forms and its ``to_dense``, full
+kernel frames, sigma(a) and stacks of it and of the induced actions) is
+checked against one byte budget, ``DENSE_BYTES``, from its shape and
+before it is allocated: the site that builds it calls :func:`check_bytes`.
+An amplification I (x) X is an operator applied block by block, so no
+caller builds it unless it takes a kernel or span of the whole map.
 
 :func:`classify_operator` is the one classification of an operator: the
 contraction and isometry verdicts plus the six-way partial-isometry
@@ -31,7 +33,7 @@ band.  The error argument: the computed Frobenius norm is the square
 root of a dot product of n <= 2 * DENSE_BYTES / ENTRY_BYTES real terms,
 so its relative error is at most n * 2**-53 / 2, below 1e-8 for any
 array the byte budget admits and below 1e-9 for the largest array a
-claim or the benchmark builds (30 MB); LAPACK's largest singular value
+claim or the benchmark builds (20 MB); LAPACK's largest singular value
 is backward stable, with a relative error of at most rows * cols *
 2**-53, below 1e-8 for any array the budget admits.  Outside the band
 the screened verdict is therefore the exact one.  A Frobenius norm
@@ -75,10 +77,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericFailure, ResourceLimit
 
-# Bytes one dense array may take.  The largest array a claim, a CLI path or
-# the benchmark builds is 30 MB (an amplification on a 217-dimensional
-# shift); 2**30 still admits the 512 MB amplifications of a power report
-# on a shift with n = 3, M = 120 at n_max = 4.
+# Bytes one dense array may take.  The largest array a claim or the
+# benchmark builds is 20 MB (the lift power T_3 of the n = 3, M = 216
+# shift, 217 x 5,859); 2**30 admits the 61 MB T_4 of the power report on
+# that shift at n_max = 4, whose amplifications are applied block by block.
 DENSE_BYTES = 2**30
 
 # Bytes per complex128 entry.
@@ -103,8 +105,8 @@ class Tolerance:
     def __post_init__(self):
         for name in ("rank_rel", "eq_rel", "incl_abs"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise DomainError(f"tolerance {name} must be strictly positive")
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"tolerance {name} must be finite and strictly positive")
         if not self.rank_rel < 1.0:
             raise DomainError("rank_rel must be < 1")
 
@@ -239,6 +241,87 @@ def eye_kron(m: int, a: np.ndarray) -> np.ndarray:
     """``np.kron(I_m, x)`` for every matrix x of a stack (..., r, c)."""
     r, c = a.shape[-2:]
     return (np.eye(m)[:, None, :, None] * a[..., None, :, None, :]).reshape(a.shape[:-2] + (m * r, m * c))
+
+
+class Amplification:
+    """The linear map ``left (I_n (x) block) right``, applied block by
+    block and never built.
+
+    ``block`` is p x q; ``left`` (rows x n p) and ``right`` (n q x cols)
+    are the outer coordinate maps, None for the identity.  ``A @ F`` is
+    right, then one stacked product of ``block`` with the n row blocks,
+    then left.  ``M @ A`` is left, then one stacked product of the n
+    column blocks with ``block``, then right; when the column blocks
+    have exactly-zero columns (``_live_lines``) each block is multiplied
+    over its nonzero columns only, since the terms of the zero ones are
+    exact zeros.  A stacked product runs the same BLAS kernel per block
+    as a loop of block products, so the two equal each other bit for bit.
+    Each application checks the bytes of its largest array from shapes
+    before allocating it; ``to_dense`` is the only place the matrix is
+    built.
+    """
+
+    __slots__ = ("block", "n", "left", "right", "shape")
+    __array_ufunc__ = None  # ndarray @ A defers to __rmatmul__
+
+    def __init__(self, block: np.ndarray, n: int, left: np.ndarray | None, right: np.ndarray | None):
+        self.block, self.n, self.left, self.right = block, n, left, right
+        p, q = block.shape
+        self.shape = (n * p if left is None else left.shape[0], n * q if right is None else right.shape[1])
+
+    def _check_application(self, count: int) -> None:
+        nbytes = ENTRY_BYTES * count * self.n * max(self.block.shape)
+        check_bytes(nbytes, f"an amplification applied to {count} vectors")
+
+    def __matmul__(self, f) -> np.ndarray:
+        f = np.asarray(f)
+        if f.ndim != 2 or f.shape[0] != self.shape[1]:
+            raise DimensionMismatch(f"amplification of shape {self.shape} applied to shape {f.shape}")
+        k = f.shape[1]
+        self._check_application(k)
+        p, q = self.block.shape
+        g = f if self.right is None else self.right @ f
+        out = np.matmul(self.block, g.reshape(self.n, q, k)).reshape(self.n * p, k)
+        return out if self.left is None else self.left @ out
+
+    def __rmatmul__(self, m) -> np.ndarray:
+        m = np.asarray(m)
+        if m.ndim != 2 or m.shape[1] != self.shape[0]:
+            raise DimensionMismatch(f"shape {m.shape} applied to an amplification of shape {self.shape}")
+        r = m.shape[0]
+        self._check_application(r)
+        p, q = self.block.shape
+        g = m if self.left is None else m @ self.left
+        _, live = _live_lines(g)
+        if live is None:
+            blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self.block)
+            out = blocks.transpose(1, 0, 2).reshape(r, self.n * q)
+        else:
+            out = np.zeros((r, self.n * q), dtype=np.complex128)
+            for j in range(self.n):
+                keep = live[j * p : (j + 1) * p]
+                out[:, j * q : (j + 1) * q] = g[:, j * p : (j + 1) * p][:, keep] @ self.block[keep]
+        return out if self.right is None else out @ self.right
+
+    @property
+    def adjoint(self) -> "Amplification":
+        """right* (I_n (x) block*) left*."""
+        return Amplification(
+            herm(self.block),
+            self.n,
+            None if self.right is None else herm(self.right),
+            None if self.left is None else herm(self.left),
+        )
+
+    def to_dense(self) -> np.ndarray:
+        """The matrix, for the callers that take a kernel or span of the
+        whole map; its bytes are checked in formal coordinates first."""
+        p, q = self.block.shape
+        check_bytes(ENTRY_BYTES * self.n**2 * p * q, "an amplification")
+        formal = eye_kron(self.n, self.block)
+        if self.right is not None:
+            formal = formal @ self.right
+        return formal if self.left is None else self.left @ formal
 
 
 def _svd(m: np.ndarray, full_matrices: bool):
@@ -405,15 +488,6 @@ def _check_same_ambient(s1: Subspace, s2: Subspace):
         )
 
 
-def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Intersection, computed from the kernel of the stacked orthogonal
-    complements [(I - P1); (I - P2)]."""
-    _check_same_ambient(s1, s2)
-    d = s1.ambient_dim
-    stacked = np.vstack([eye(d) - s1.projector(), eye(d) - s2.projector()])
-    return Subspace(kernel_frame(stacked, tol))
-
-
 def ortho_complement(s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     return Subspace(kernel_frame(herm(s.frame), tol))
 
@@ -444,19 +518,19 @@ def ominus(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace
 
 
 def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Image of the subspace under the operator: R(M @ frame).
+    """Image of the subspace under the operator, a matrix or an
+    ``Amplification``: R(M @ frame).
 
     Directions whose singular value is pure roundoff dust (below
     rank_rel * dim on the unit scale) are dropped; see rank_threshold.
     """
-    a = as_matrix(m)
+    a = m if isinstance(m, Amplification) else as_matrix(m)
     if a.shape[1] != s.ambient_dim:
         raise DimensionMismatch(
             f"operator domain {a.shape[1]} != subspace ambient {s.ambient_dim}"
         )
-    # the product is taken on the whole of m: on the power report's wide
-    # amplifications, copying their nonzero part first cost the time it
-    # saved; the span still drops the product's zero rows
+    # an amplification is applied block by block; a matrix is multiplied
+    # whole, and the span drops the product's zero rows
     return Subspace.span(a @ s.frame, tol)
 
 

@@ -16,6 +16,14 @@ report builds no kernel frame.  The root side goes the other way: from
 a partial isometry T_k, k >= 2, back to T, through an isometry
 condition and an orthogonality condition on the amplified lift.
 
+I (x) T and I (x) T T* are operators (``numerics.Amplification``)
+applied to the cokernel frames block by block, so a power report builds
+no amplification either: in identity coordinates each block product
+drops only exact-zero terms, and in quotient coordinates the product is
+associated as embed ((I (x) Y) (lift F)); README "Numeric policy" gives
+the error bound.  The root and kernel-match criteria take kernels of the
+whole amplified lift and build it (``to_dense``).
+
 The generalized range R^infty, the fixed point of S -> X(E (x) S), and
 regularity's E (x) R^infty span E (x) S from the frame F (h x k) of S:
 the N*k columns space(1).apply_embed(I_N (x) F), the coordinates of
@@ -326,7 +334,7 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
     if not nx.is_contraction(rep.tilde, tol):
         raise NotApplicable("representation is not contractive")
     hypothesis_ok = nx.is_partial_isometry(rep.tilde_power(k), tol)
-    w = rep.amplified(rep.tilde, k - 1, 1, 0)  # I_{E^(k-1)} (x) tilde : space(k) -> space(k-1)
+    w = rep.amplified(rep.tilde, k - 1, 1, 0).to_dense()  # I_{E^(k-1)} (x) tilde : space(k) -> space(k-1)
     n_k = rep.kernel_subspace(k)
     n_w = Subspace.kernel(w, tol)
     if not nx.is_subset(n_w, n_k, tol):
@@ -376,7 +384,7 @@ def kernel_match_criterion(rep: CovariantRep, k: int) -> KernelMatchResult:
         raise NotApplicable("representation is not contractive")
     if not nx.is_partial_isometry(rep.tilde_power(k), tol):
         raise NotApplicable(f"tilde_{k} is not a partial isometry")
-    amp = rep.amplified(rep.tilde, 1, 1, 0)  # I_E (x) tilde : space(2) -> space(1)
+    amp = rep.amplified(rep.tilde, 1, 1, 0).to_dense()  # I_E (x) tilde : space(2) -> space(1)
     n_amp = Subspace.kernel(amp, tol)
     n_2 = rep.kernel_subspace(2)
     applicable = nx.is_subset(n_amp, n_2, tol) and nx.is_subset(n_2, n_amp, tol)

@@ -204,7 +204,9 @@ def shift_pi_criterion(
     the lift is a partial isometry iff w_{i,m} = 1 for every m outside the
     zero set (weights over the zero set are annihilated and play no role).
     A partially isometric shift is certified power-partially-isometric up
-    to the window-supported bound."""
+    to the window-supported bound, capped at ``power_cap`` >= 1."""
+    if power_cap < 1:
+        raise DimensionMismatch("shift criterion needs power_cap >= 1")
     rep = build_shift(spec, tol)
     is_pi = rep.is_partial_isometric()
     unit = True

@@ -69,7 +69,7 @@ def _pinv_chain_inclusions(rep: CovariantRep, n_max: int) -> bool:
     dagger = nx.pseudoinverse(rep.tilde, tol)
     chain = dagger  # rep.pinv_chain(n), extended by one amplified factor per step
     for n in range(1, n_max + 1):
-        amp = rep.amplified(dagger, n, 0, 1)
+        amp = rep.amplified(dagger, n, 0, 1).to_dense()
         kernel = Subspace.kernel(amp, tol)
         if not nx.is_subset(kernel, Subspace.span(chain, tol), tol):
             return False

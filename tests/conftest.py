@@ -10,7 +10,7 @@ from pirep import numerics as nx
 from pirep import shifts
 from pirep.correspondence import SCALARS, FdCorrespondence, FdCStarAlgebra, StarRepresentation, scalar_correspondence
 from pirep.covrep import rep_from_tilde
-from pirep.errors import InvalidCorrespondence
+from pirep.errors import DimensionMismatch, InvalidCorrespondence
 from pirep.numerics import DEFAULT_TOL, Subspace
 
 
@@ -215,7 +215,7 @@ def adjoint_regularity_check(rep, n_max: int) -> bool:
     """For regular representations: N(I_{E^(x n)} (x) T*) <= R(tilde_n*)
     for n <= n_max."""
     for n in range(1, n_max + 1):
-        amp = rep.amplified(nx.herm(rep.tilde), n, 0, 1)
+        amp = rep.amplified(nx.herm(rep.tilde), n, 0, 1).to_dense()
         kernel = Subspace.kernel(amp, rep.tol)
         if not nx.is_subset(kernel, rep.cokernel_subspace(n), rep.tol):
             return False
@@ -366,6 +366,76 @@ def empty_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:
     k, n = algebra.matrix_size, algebra.dim
     action = np.zeros((n, 0, 0))
     return FdCorrespondence(algebra, np.zeros((0, 0, k, k)), action, action)
+
+
+# ---------------------------------------------------------------------------
+# the dense amplification: I (x) X as a matrix, built the way amplify built
+# it before amplifications were applied block by block
+# ---------------------------------------------------------------------------
+
+
+def dense_amplified(rep, x, m: int, dom_power: int, cod_power: int) -> np.ndarray:
+    """The matrix of rep.amplified(x, m, dom_power, cod_power):
+    big_cod.embed (I_F (x) (lift_cod X) embed_dom) big_dom.lift, with
+    np.kron for the identity factor."""
+    x = nx.as_matrix(x)
+    if m == 0:
+        return x
+    dom, cod = rep._space(m, m + dom_power), rep._space(m, m + cod_power)
+    big_dom, big_cod = rep.space(m + dom_power), rep.space(m + cod_power)
+    nf = max(big.module_dim // max(side.module_dim, 1) for big, side in ((big_dom, dom), (big_cod, cod)))
+    y = cod.apply_lift(x)
+    if dom.embed is not None:
+        y = y @ dom.embed
+    formal = np.kron(np.eye(nf), y)
+    if big_dom.lift is not None:
+        formal = formal @ big_dom.lift
+    return big_cod.apply_embed(formal)
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers: statements with no caller in the package
+# ---------------------------------------------------------------------------
+
+
+def intersect(s1: Subspace, s2: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    """Intersection, computed from the kernel of the stacked orthogonal
+    complements [(I - P1); (I - P2)]."""
+    if s1.ambient_dim != s2.ambient_dim:
+        raise DimensionMismatch(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
+    d = s1.ambient_dim
+    stacked = np.vstack([nx.eye(d) - s1.projector(), nx.eye(d) - s2.projector()])
+    return Subspace(nx.kernel_frame(stacked, tol))
+
+
+def product_as_rep(prod, i=None):
+    """The product of the first i factors (all by default) as a single
+    representation."""
+    i = prod.n if i is None else i
+    return rep_from_tilde(prod.corr_power(i), prod.sigma, prod.tilde_power(i), prod.tol)
+
+
+def defining_formula_residual(prod, rng: np.random.Generator, samples: int) -> float:
+    """Worst residual of T_n(xi_1 (x) ... (x) xi_n (x) h) =
+    V^(1)(xi_1) ... V^(n)(xi_n) h on random simple tensors."""
+    worst = 0.0
+    space = prod.space(prod.n)
+    d = prod.sigma.h_dim
+    for _ in range(samples):
+        xis = [
+            (rng.standard_normal(f.corr.module_dim) + 1j * rng.standard_normal(f.corr.module_dim))
+            for f in prod.factors
+        ]
+        h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        formal = xis[0]
+        for xi in xis[1:]:
+            formal = np.kron(formal, xi)
+        lhs = prod.tilde @ space.coords_of_simple(formal, h)
+        rhs = h
+        for f, xi in zip(reversed(prod.factors), reversed(xis)):
+            rhs = sum(c * v for c, v in zip(xi, f.v_on_basis)) @ rhs
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
 
 
 @pytest.fixture

@@ -116,6 +116,25 @@ def test_shift_command(tmp_path, capsys):
         assert main(["shift", "--n", "2", "--M", "64", "--weights", str(wfile)]) == 2, bad
 
 
+def test_shift_refuses_power_below_one(capsys):
+    # like powers --nmax 0: no power k >= 1 is asked for, so there is nothing to certify
+    for power in ("0", "-1"):
+        assert main(["shift", "--n", "2", "--B", "0,3", "--M", "64", "--power", power]) == 2, power
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "shift criterion needs power_cap >= 1" in captured.err
+
+
+def test_infinite_tolerances_exit_2(rep_file, capsys):
+    # an infinite cutoff would accept every identity and inclusion vacuously
+    for flag in ("--tol-rank", "--tol-eq", "--tol-incl"):
+        for argv in (["shift", "--n", "2"], ["classify", "--rep", rep_file]):
+            assert main([*argv, flag, "inf"]) == 2, (argv, flag)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "must be finite and strictly positive" in captured.err
+
+
 def test_verify_command_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--theorem", "T2.2", "--trials", "25", "--seed", "7")
     assert code == 0

@@ -386,13 +386,13 @@ def test_tensor_product_over_scalars_is_within_one_rounding_per_product():
 
 def amplify_over(f, x, dom, cod, sigma, tol):
     """I_F (x) X with the big spaces F (x) dom and F (x) cod built here;
-    returns (matrix, big_dom, big_cod)."""
+    returns (its dense matrix, big_dom, big_cod)."""
 
     def big(side):
         return interior_tensor(f if side.corr is None else tensor_product(f, side.corr), sigma, tol)
 
     big_dom, big_cod = big(dom), big(cod)
-    return amplify(x, dom, cod, big_dom, big_cod, tol), big_dom, big_cod
+    return amplify(x, dom, cod, big_dom, big_cod, tol).to_dense(), big_dom, big_cod
 
 
 def test_amplify_scalar_is_kron(tol):
@@ -536,10 +536,10 @@ def test_amplify_checks_its_bytes(monkeypatch, tol):
     big = interior_tensor(tensor_product(e, e), sigma, tol)
     x = np.eye(space.dim)
     dense_budget(monkeypatch, 16 * 12**2, correspondence, nx)
-    assert amplify(x, space, space, big, big, tol).shape == (big.dim, big.dim)
+    assert amplify(x, space, space, big, big, tol).to_dense().shape == (big.dim, big.dim)
     dense_budget(monkeypatch, 16 * 12**2 - 1, correspondence, nx)
     with pytest.raises(ResourceLimit, match="an amplification needs 2304 bytes"):
-        amplify(x, space, space, big, big, tol)
+        amplify(x, space, space, big, big, tol).to_dense()
 
 
 def test_stacks_are_refused_before_they_are_built(monkeypatch, tol):

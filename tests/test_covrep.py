@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from pirep import correspondence, covrep
+from pirep import harness as hz
 from pirep import numerics as nx
 from pirep.correspondence import (
     SCALARS,
+    FdCorrespondence,
     FdCStarAlgebra,
     StarRepresentation,
     diagonal_correspondence,
@@ -19,8 +21,10 @@ from conftest import (
     assert_verdicts_match_classify,
     count_sigma_work,
     crandn,
+    dense_amplified,
     dense_budget,
     empty_correspondence,
+    planted_zero_lines,
     rng_for,
 )
 
@@ -151,6 +155,121 @@ def test_semigroup_law(tol):
         amp = rep.amplified(rep.tilde_power(k), m, k, 0)
         rhs = rep.tilde_power(m) @ amp
         assert nx.opnorm(lhs - rhs) <= 1e-10, (m, k)
+
+
+# ---------------------------------------------------------------------------
+# amplifications as operators
+# ---------------------------------------------------------------------------
+
+
+def amplification_reps(tol) -> list:
+    """(label, rep): identity coordinates (scalar), and quotient coordinates
+    over the two-block algebra and over a generic complex Gram."""
+    rng = rng_for(161)
+    scalar = rep_from_tilde(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), crandn(rng, 3, 6) / 3, tol)
+    config = hz.TrialConfig(algebra_shape="two_block", module_dim_range=(2, 2))
+    corr, sigma = hz.draw_setting(hz.rng_stream(162, 1), config)
+    two_block = hz.random_contractive_rep(corr, sigma, rng, tol)
+    g = crandn(rng, 2, 2)
+    gram = (g @ nx.herm(g) + 0.5 * np.eye(2)).reshape(2, 2, 1, 1)
+    act = np.eye(2, dtype=np.complex128).reshape(1, 2, 2)
+    corr = FdCorrespondence(SCALARS, gram, act, act.copy())
+    generic = hz.random_contractive_rep(corr, StarRepresentation(SCALARS, [2]), rng, tol)
+    return [("scalar", scalar), ("two_block", two_block), ("complex_gram", generic)]
+
+
+def _norm_or_one(a) -> float:
+    return 1.0 if a is None else nx.opnorm(a)
+
+
+def application_bound(amp, other) -> float:
+    """Rounding bound on left (I (x) block) right applied to ``other``,
+    against the same product with the dense matrix: each of the at most
+    four products on either side is off by at most its inner dimension
+    times 2**-53 times the norms of its factors."""
+    inner = sum(amp.shape) + amp.n * sum(amp.block.shape)
+    norms = _norm_or_one(amp.left) * nx.opnorm(amp.block) * _norm_or_one(amp.right)
+    return 4 * inner * 2.0**-53 * norms * nx.opnorm(other)
+
+
+def blocks_times(dense, n, f):
+    """I_n (x) X times F, one product per diagonal block of the dense matrix."""
+    p, q = dense.shape[0] // n, dense.shape[1] // n
+    return np.vstack([dense[j * p : (j + 1) * p, j * q : (j + 1) * q] @ f[j * q : (j + 1) * q] for j in range(n)])
+
+
+def times_blocks(g, dense, n):
+    """G times I_n (x) X, one product per diagonal block of the dense matrix."""
+    p, q = dense.shape[0] // n, dense.shape[1] // n
+    return np.hstack([g[:, j * p : (j + 1) * p] @ dense[j * p : (j + 1) * p, j * q : (j + 1) * q] for j in range(n)])
+
+
+@pytest.mark.parametrize("label", ["scalar", "two_block", "complex_gram"])
+def test_amplification_operator_matches_the_dense_matrix(label, tol):
+    # identity coordinates (scalar) bit for bit against the dense matrix's
+    # blocks; quotient coordinates within application_bound of the dense
+    # products, for m = 0..3 and X going down (E (x) H -> H, E^2 (x) H -> H),
+    # up (H -> E (x) H) and across (H -> H)
+    rep = dict(amplification_reps(tol))[label]
+    assert (rep.space(1).embed is None) == (label == "scalar")
+    rng = rng_for(163)
+    t = rep.tilde
+    cases = [(t, 1, 0), (rep.tilde_power(2), 2, 0), (nx.herm(t), 0, 1), (t @ nx.herm(t), 0, 0)]
+    for m in range(4):
+        for x, dom_power, cod_power in cases:
+            amp = rep.amplified(x, m, dom_power, cod_power)
+            dense = dense_amplified(rep, x, m, dom_power, cod_power)
+            key = (m, dom_power, cod_power)
+            assert amp.shape == dense.shape and amp.adjoint.shape == dense.shape[::-1], key
+            assert np.array_equal(amp.to_dense(), dense), key
+            f = crandn(rng, dense.shape[1], 3)
+            g = crandn(rng, 4, dense.shape[0])
+            adj_dense = nx.herm(dense)
+            pairs = [
+                (amp @ f, dense @ f, blocks_times(dense, amp.n, f), application_bound(amp, f)),
+                (g @ amp, g @ dense, times_blocks(g, dense, amp.n), application_bound(amp, g)),
+                (amp.adjoint @ nx.herm(g), adj_dense @ nx.herm(g), blocks_times(adj_dense, amp.n, nx.herm(g)),
+                 application_bound(amp, g)),
+                (nx.herm(f) @ amp.adjoint, nx.herm(f) @ adj_dense, times_blocks(nx.herm(f), adj_dense, amp.n),
+                 application_bound(amp, f)),
+            ]
+            for got, want, blockwise, bound in pairs:
+                assert nx.opnorm(got - want) <= bound, key
+                if label == "scalar":
+                    assert np.array_equal(got, blockwise), key
+            if label == "scalar":
+                assert np.array_equal(amp.adjoint.to_dense(), adj_dense), key
+            else:
+                assert nx.opnorm(amp.adjoint.to_dense() - adj_dense) <= application_bound(amp, np.eye(1)), key
+
+
+def test_amplification_applied_from_the_right_skips_zero_columns(tol):
+    # past the deflation gate a column block is multiplied over its nonzero
+    # columns only; the dropped terms are exact zeros
+    rep = dict(amplification_reps(tol))["scalar"]
+    amp = rep.amplified(rep.tilde, 3, 1, 0)  # 8 blocks of 3 x 6
+    g = planted_zero_lines(rng_for(164), (200, amp.shape[0]), (150, 10), np.ones(10))
+    assert nx._live_lines(g)[1] is not None
+    dense = dense_amplified(rep, rep.tilde, 3, 1, 0)
+    assert nx.opnorm(g @ amp - g @ dense) <= application_bound(amp, g)
+
+
+def test_amplification_applications_check_their_bytes(monkeypatch, tol):
+    # an application is refused from shapes before it allocates; the dense
+    # matrix keeps its own check
+    rep = dict(amplification_reps(tol))["two_block"]
+    amp = rep.amplified(rep.tilde, 2, 1, 0)
+    per_vector = 16 * amp.n * max(amp.block.shape)
+    rows, cols = amp.shape
+    dense_budget(monkeypatch, 5 * per_vector, nx)
+    assert (amp @ np.ones((cols, 5))).shape == (rows, 5)
+    assert (np.ones((5, rows)) @ amp).shape == (5, cols)
+    with pytest.raises(ResourceLimit, match=f"an amplification applied to 6 vectors needs {6 * per_vector} bytes"):
+        amp @ np.ones((cols, 6))
+    with pytest.raises(ResourceLimit, match=f"an amplification applied to 6 vectors needs {6 * per_vector} bytes"):
+        np.ones((6, rows)) @ amp
+    with pytest.raises(ResourceLimit, match="an amplification needs"):
+        amp.to_dense()
 
 
 def test_tilde_power_block_algebra_defining_formula(tol):

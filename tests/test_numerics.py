@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from conftest import (
     dense_pi_verdict,
     dense_pseudoinverse,
     dense_range_frame,
+    intersect,
     penrose_residuals,
     planted_zero_lines,
     random_with_spectrum,
@@ -151,7 +154,7 @@ def _coordinate_subspace(d, indices):
 def test_intersect_coordinate_planes(tol):
     s1 = _coordinate_subspace(3, [0, 1])
     s2 = _coordinate_subspace(3, [1, 2])
-    got = nx.intersect(s1, s2, tol)
+    got = intersect(s1, s2, tol)
     assert got.dim == 1
     np.testing.assert_allclose(got.projector(), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
@@ -170,7 +173,7 @@ def test_ominus_requires_nesting(tol):
 
 def test_ambient_mismatch_raises(tol):
     with pytest.raises(DimensionMismatch):
-        nx.intersect(Subspace.whole(2), Subspace.whole(3), tol)
+        intersect(Subspace.whole(2), Subspace.whole(3), tol)
 
 
 def test_intersect_matches_alternating_projections_seed3(tol):
@@ -183,7 +186,7 @@ def test_intersect_matches_alternating_projections_seed3(tol):
     for _ in range(10_000):
         alt = p1 @ alt @ p2  # converges to the projector onto the intersection
         alt = (alt + nx.herm(alt)) / 2.0
-    got = nx.intersect(s1, s2, tol).projector()
+    got = intersect(s1, s2, tol).projector()
     # 1e-3: the oracle's own convergence rate is set by the principal angles
     assert nx.opnorm(got - alt) <= 1e-3
 
@@ -233,7 +236,7 @@ def test_inclusion_defect_matches_the_projector_form():
 def test_empty_subspace_everywhere(tol):
     z = Subspace.zero(3)
     assert nx.is_subset(z, z, tol)
-    assert nx.intersect(z, Subspace.whole(3), tol).dim == 0
+    assert intersect(z, Subspace.whole(3), tol).dim == 0
     assert nx.image(np.eye(3), z, tol).dim == 0
     assert nx.ortho_complement(z, tol).dim == 3
 
@@ -459,6 +462,11 @@ def test_tolerance_validation():
         Tolerance(rank_rel=2.0)
     with pytest.raises(DomainError):
         Tolerance(eq_rel=-1e-9)
+    # an infinite cutoff would make every identity or inclusion hold
+    for name in ("rank_rel", "eq_rel", "incl_abs"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"tolerance {name} must be finite"):
+                Tolerance(**{name: value})
 
 
 # as_matrix decides finiteness from the sum of the entries first; numpy

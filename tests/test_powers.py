@@ -237,6 +237,42 @@ def test_power_report_builds_no_kernel_frame(tol, monkeypatch):
     assert calls == []
 
 
+def power_report_reps(tol) -> list:
+    """A scalar, a two-block and a shift representation, all partially
+    isometric; built afresh on each call."""
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    return [
+        hz.random_pi_rep(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), rng_for(165), tol, allow_zero=False),
+        hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(166), tol, allow_zero=False),
+        sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol),
+    ]
+
+
+def test_power_report_builds_no_amplification(tol, monkeypatch):
+    # conditions (b) and (c) apply I (x) tilde and I (x) tilde tilde* block
+    # by block, and the lift powers multiply by I (x) tilde from the right:
+    # nothing builds a dense amplification, in identity or quotient coordinates
+    from pirep import correspondence
+
+    want = [pw.power_report(rep, 4).to_dict() for rep in power_report_reps(tol)]
+    reps = power_report_reps(tol)
+    for rep in reps:
+        for m in range(5):
+            rep.space(m)  # the tensor spaces, built before the patch (tensor_product uses eye_kron)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense amplification was built")
+
+    monkeypatch.setattr(nx.Amplification, "to_dense", refuse)
+    monkeypatch.setattr(nx, "eye_kron", refuse)
+    monkeypatch.setattr(correspondence, "eye_kron", refuse)
+    got = [pw.power_report(rep, 4).to_dict() for rep in reps]
+    assert got == want
+    assert all(report["applicable"] for report in got)
+    assert any(rep.space(1).embed is not None for rep in reps)
+
+
 def test_power_report_spans_each_cokernel_once(tol, monkeypatch):
     # the cokernel of tilde_m serves condition (b) at m and m + 1 and (c) at m + 1
     rep = sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol)
@@ -332,7 +368,7 @@ def test_e_tensor_spans_match_the_dense_amplification(tol):
         quotient += rep.space(1).embed is not None
         for s in (pw.generalized_range(rep), rep.range_subspace(1), nx.ortho_complement(rep.range_subspace(1), tol)):
             got = pw._span_e_tensor(rep, s, None)
-            want = Subspace.span(rep.amplified(s.projector(), 1, 0, 0), tol)
+            want = Subspace.span(rep.amplified(s.projector(), 1, 0, 0).to_dense(), tol)
             assert got.dim == want.dim, index
             assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
     assert quotient >= 8

@@ -27,7 +27,7 @@ from pirep.products import (
     sufficient_intertwining_check,
 )
 
-from conftest import count_space_builds, crandn, dense_budget, rng_for
+from conftest import count_space_builds, crandn, defining_formula_residual, dense_budget, product_as_rep, rng_for
 
 
 def one_dim_rep(v, tol):
@@ -86,7 +86,7 @@ def test_product_defining_formula(tol):
     rng = rng_for(32)
     factors = [one_dim_rep(crandn(rng, 3, 3) / 2, tol) for _ in range(3)]
     prod = ProductRep(factors)
-    assert prod.check_defining_formula(rng_for(33), samples=10) <= 1e-10
+    assert defining_formula_residual(prod, rng_for(33), samples=10) <= 1e-10
 
 
 def test_product_requires_shared_sigma(tol):
@@ -109,7 +109,7 @@ def test_product_associativity(tol):
     rng = rng_for(35)
     factors = [one_dim_rep(random_pi_matrix(rng, 3), tol) for _ in range(3)]
     prod3 = ProductRep(factors)
-    pair_rep = ProductRep(factors[:2]).as_rep()
+    pair_rep = product_as_rep(ProductRep(factors[:2]))
     nested = ProductRep([pair_rep, factors[2]])
     assert nx.opnorm(prod3.tilde_power(3) - nested.tilde_power(2)) <= 1e-10
 
@@ -124,7 +124,7 @@ def test_intertwining_unitary_second_factor(tol):
     rep1 = one_dim_rep(random_pi_matrix(rng, 3), tol)
     rep2 = one_dim_rep(haar_unitary(rng, 3), tol)
     assert sufficient_intertwining_check(rep1, rep2) is True
-    assert ProductRep([rep1, rep2]).as_rep().classify().is_partial_isometric
+    assert product_as_rep(ProductRep([rep1, rep2])).classify().is_partial_isometric
 
 
 def test_intertwining_zero_first_factor(tol):
@@ -256,7 +256,7 @@ def test_representations_and_products_share_each_space(tol, monkeypatch):
     b = hz.random_pi_rep(corr, sigma, rng_for(64, 1), tol, allow_zero=False)
     prod = ProductRep([a, b])
     prod.tilde_power(2)
-    assert prod.as_rep().space(1).dim == a.space(2).dim
+    assert product_as_rep(prod).space(1).dim == a.space(2).dim
     a.tilde_power(3)
     # E (x) H, E^2 (x) H, E^3 (x) H and E^2, E^3, each built once across
     # both representations, the product and the product's own representation

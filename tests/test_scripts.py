@@ -74,3 +74,28 @@ def test_report_diff_compares_directories_by_file_name(tmp_path):
     (tmp_path / "new" / "b.json").write_text("{}")
     done = run_script("report_diff.py", str(tmp_path / "old"), str(tmp_path / "new"))
     assert done.returncode == 1 and "files:" in done.stdout, done.stdout
+
+
+def test_cli_report_set_lists_249_invocations(tmp_path):
+    done = run_script("cli_report_set.py", str(tmp_path / "set"), "--list")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(done.stdout.strip().splitlines()) == 249
+    assert not (tmp_path / "set").exists()
+
+
+def test_cli_report_set_runs_one_rep_file(tmp_path):
+    out = tmp_path / "set"
+    done = run_script("cli_report_set.py", str(out), "--only", "scalar_pair0_a")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(list((out / "reps").glob("*.json"))) == 38
+    records = sorted(out.glob("*.json"))
+    assert [r.name.split("_", 1)[1] for r in records] == [
+        f"{command}_scalar_pair0_a.json" for command in ("classify", "powers3", "powers4", "root", "wold", "wold_skip")
+    ]
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["argv"][record["argv"].index("--rep") + 1] == "reps/scalar_pair0_a.json"
+        assert record["exit"] == 0, record["stderr"]
+        assert isinstance(record["stdout"], dict)
+    same = run_script("report_diff.py", str(out), str(out))
+    assert same.returncode == 0 and "documents 6, structural differences 0" in same.stdout, same.stdout

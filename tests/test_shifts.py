@@ -283,6 +283,16 @@ def test_shift_criterion_takes_the_lift_verdict_once(tol, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def test_power_report_at_n_max_4_on_the_n3_trunc216_shift(tol):
+    # dense, I_{E^3} (x) tilde would be 5,859 x 17,577 (1.6 GB, over the
+    # budget); applied block by block the report fits the default budget
+    from pirep import powers as pw
+
+    report = pw.power_report(sh.build_shift(WeightedShiftSpec(n=3, trunc=216), tol), 4)
+    assert report.applicable
+    assert report.pi_flags == report.chain_flags == report.range_flags == [True] * 4
+
+
 def test_chain_inclusion_pure_shift(tol):
     assert chain_inclusion_check(WeightedShiftSpec(n=1, trunc=8), k=1, tol=tol)
     assert chain_inclusion_check(WeightedShiftSpec(n=1, trunc=8), k=2, tol=tol)
