@@ -4,7 +4,7 @@ harness generators at fixed seeds, and the output of 249 ``pirep``
 invocations on them.
 
 Usage:
-    python scripts/cli_report_set.py OUT_DIR [--only NAME] [--list]
+    python scripts/cli_report_set.py OUT_DIR
 
 The rep files go to OUT_DIR/reps/.  Each invocation runs the CLI in its
 own process (``python -m pirep.cli``, one BLAS thread, working directory
@@ -16,8 +16,6 @@ code, stdout (parsed when it is JSON) and stderr, so that
 compares two sets: exit codes, messages and report structure must be
 identical, and only float leaves may move.  The package run is the one
 ``import pirep`` finds, and the CLI processes import that same package.
-``--only NAME`` runs just the invocations that read the single rep file
-NAME (without .json); ``--list`` prints the run list and runs nothing.
 """
 
 import argparse
@@ -121,8 +119,21 @@ def invocations(names) -> list:
     return runs
 
 
-def run(out: pathlib.Path, argv: list, env: dict) -> dict:
-    """argv, exit code, stdout and stderr of one CLI process."""
+def write_reps(out: pathlib.Path, reps: dict) -> None:
+    (out / "reps").mkdir(parents=True, exist_ok=True)
+    for name, rep in reps.items():
+        (out / "reps" / f"{name}.json").write_text(serialize.dumps(serialize.rep_to_json(rep)))
+
+
+def cli_env() -> dict:
+    """One BLAS thread, and the package that ``import pirep`` found."""
+    package_root = str(pathlib.Path(pirep.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def run(out: pathlib.Path, stem: str, argv: list, env: dict) -> dict:
+    """Run one CLI process in OUT_DIR and save its argv, exit code, stdout
+    and stderr as OUT_DIR/<stem>.json."""
     done = subprocess.run(
         [sys.executable, "-m", "pirep.cli", *argv], cwd=out, env=env, capture_output=True, text=True, timeout=900
     )
@@ -130,33 +141,21 @@ def run(out: pathlib.Path, argv: list, env: dict) -> dict:
         stdout = json.loads(done.stdout)
     except json.JSONDecodeError:
         stdout = done.stdout
-    return {"argv": argv, "exit": done.returncode, "stdout": stdout, "stderr": done.stderr}
+    record = {"argv": argv, "exit": done.returncode, "stdout": stdout, "stderr": done.stderr}
+    (out / f"{stem}.json").write_text(json.dumps(record, indent=1) + "\n")
+    return record
 
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out")
-    parser.add_argument("--only", default=None, help="run only the invocations of this one rep file")
-    parser.add_argument("--list", action="store_true", help="print the run list and run nothing")
-    args = parser.parse_args(argv)
+    out = pathlib.Path(parser.parse_args(argv).out)
     reps = rep_files()
-    runs = [(f"{index:03d}_{label}", names, cmd) for index, (label, names, cmd) in enumerate(invocations(reps))]
-    if args.only is not None:
-        if args.only not in reps:
-            parser.error(f"no rep file {args.only!r}")
-        runs = [r for r in runs if r[1] == [args.only]]
-    if args.list:
-        for stem, _, cmd in runs:
-            print(f"{stem}: pirep {' '.join(cmd)}")
-        return 0
-    out = pathlib.Path(args.out)
-    (out / "reps").mkdir(parents=True, exist_ok=True)
-    for name, rep in reps.items():
-        (out / "reps" / f"{name}.json").write_text(serialize.dumps(serialize.rep_to_json(rep)))
-    package_root = str(pathlib.Path(pirep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    for stem, _, cmd in runs:
-        (out / f"{stem}.json").write_text(json.dumps(run(out, cmd, env), indent=1) + "\n")
+    write_reps(out, reps)
+    runs = invocations(reps)
+    env = cli_env()
+    for index, (label, _, cmd) in enumerate(runs):
+        run(out, f"{index:03d}_{label}", cmd, env)
     print(f"rep files {len(reps)}, invocations {len(runs)}")
     return 0
 

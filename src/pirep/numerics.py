@@ -303,16 +303,6 @@ class Amplification:
                 out[:, j * q : (j + 1) * q] = g[:, j * p : (j + 1) * p][:, keep] @ self.block[keep]
         return out if self.right is None else out @ self.right
 
-    @property
-    def adjoint(self) -> "Amplification":
-        """right* (I_n (x) block*) left*."""
-        return Amplification(
-            herm(self.block),
-            self.n,
-            None if self.right is None else herm(self.right),
-            None if self.left is None else herm(self.left),
-        )
-
     def to_dense(self) -> np.ndarray:
         """The matrix, for the callers that take a kernel or span of the
         whole map; its bytes are checked in formal coordinates first."""

@@ -10,7 +10,7 @@ from pirep import numerics as nx
 from pirep import shifts
 from pirep.correspondence import SCALARS, FdCorrespondence, FdCStarAlgebra, StarRepresentation, scalar_correspondence
 from pirep.covrep import rep_from_tilde
-from pirep.errors import DimensionMismatch, InvalidCorrespondence
+from pirep.errors import InvalidCorrespondence
 from pirep.numerics import DEFAULT_TOL, Subspace
 
 
@@ -188,7 +188,7 @@ def range_invariance_by_kernels(rep, m: int) -> bool:
     decided on the kernel itself; powers.range_invariance_condition decides
     the equivalent inclusion on the cokernel."""
     final = rep.tilde @ nx.herm(rep.tilde)
-    amp = rep.amplified(final, m - 1, 0, 0)
+    amp = rep.amplified(final, m - 1, 0, 0).to_dense()
     kernel = rep.kernel_subspace(m - 1)
     return nx.is_subset(nx.image(amp, kernel, rep.tol), kernel, rep.tol)
 
@@ -234,7 +234,7 @@ def iterated_range_by_amplification(rep, x=None) -> Subspace:
     x = rep.tilde if x is None else x
     current = Subspace.whole(rep.h_dim)
     for _ in range(rep.h_dim + 1):
-        nxt = Subspace.span(x @ rep.amplified(current.projector(), 1, 0, 0), rep.tol)
+        nxt = Subspace.span(x @ rep.amplified(current.projector(), 1, 0, 0).to_dense(), rep.tol)
         if nxt.dim == current.dim:
             return nxt
         current = nxt
@@ -245,7 +245,7 @@ def generated_subspace_by_amplification(rep, x, w: Subspace) -> Subspace:
     """[W]_X as wold.generated_invariant_subspace computes it."""
     total = layer = w
     for _ in range(rep.h_dim):
-        layer = Subspace.span(x @ rep.amplified(layer.projector(), 1, 0, 0), rep.tol)
+        layer = Subspace.span(x @ rep.amplified(layer.projector(), 1, 0, 0).to_dense(), rep.tol)
         grown = Subspace.span(np.hstack([total.frame, layer.frame]), rep.tol)
         if grown.dim == total.dim:
             return total
@@ -401,8 +401,7 @@ def dense_amplified(rep, x, m: int, dom_power: int, cod_power: int) -> np.ndarra
 def intersect(s1: Subspace, s2: Subspace, tol=DEFAULT_TOL) -> Subspace:
     """Intersection, computed from the kernel of the stacked orthogonal
     complements [(I - P1); (I - P2)]."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
+    nx._check_same_ambient(s1, s2)
     d = s1.ambient_dim
     stacked = np.vstack([nx.eye(d) - s1.projector(), nx.eye(d) - s2.projector()])
     return Subspace(nx.kernel_frame(stacked, tol))

@@ -152,7 +152,7 @@ def test_semigroup_law(tol):
     rep = scalar_rep(vs, tol)
     for m, k in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
         lhs = rep.tilde_power(m + k)
-        amp = rep.amplified(rep.tilde_power(k), m, k, 0)
+        amp = rep.amplified(rep.tilde_power(k), m, k, 0).to_dense()
         rhs = rep.tilde_power(m) @ amp
         assert nx.opnorm(lhs - rhs) <= 1e-10, (m, k)
 
@@ -220,27 +220,18 @@ def test_amplification_operator_matches_the_dense_matrix(label, tol):
             amp = rep.amplified(x, m, dom_power, cod_power)
             dense = dense_amplified(rep, x, m, dom_power, cod_power)
             key = (m, dom_power, cod_power)
-            assert amp.shape == dense.shape and amp.adjoint.shape == dense.shape[::-1], key
+            assert amp.shape == dense.shape, key
             assert np.array_equal(amp.to_dense(), dense), key
             f = crandn(rng, dense.shape[1], 3)
             g = crandn(rng, 4, dense.shape[0])
-            adj_dense = nx.herm(dense)
             pairs = [
                 (amp @ f, dense @ f, blocks_times(dense, amp.n, f), application_bound(amp, f)),
                 (g @ amp, g @ dense, times_blocks(g, dense, amp.n), application_bound(amp, g)),
-                (amp.adjoint @ nx.herm(g), adj_dense @ nx.herm(g), blocks_times(adj_dense, amp.n, nx.herm(g)),
-                 application_bound(amp, g)),
-                (nx.herm(f) @ amp.adjoint, nx.herm(f) @ adj_dense, times_blocks(nx.herm(f), adj_dense, amp.n),
-                 application_bound(amp, f)),
             ]
             for got, want, blockwise, bound in pairs:
                 assert nx.opnorm(got - want) <= bound, key
                 if label == "scalar":
                     assert np.array_equal(got, blockwise), key
-            if label == "scalar":
-                assert np.array_equal(amp.adjoint.to_dense(), adj_dense), key
-            else:
-                assert nx.opnorm(amp.adjoint.to_dense() - adj_dense) <= application_bound(amp, np.eye(1)), key
 
 
 def test_amplification_applied_from_the_right_skips_zero_columns(tol):
@@ -303,7 +294,7 @@ def test_tilde_power_block_algebra_defining_formula(tol):
                 rhs = rep.v_on_basis[a] @ rep.v_on_basis[b] @ h
                 np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     # semigroup law through the general amplification path
-    amp = rep.amplified(rep.tilde, 1, 1, 0)
+    amp = rep.amplified(rep.tilde, 1, 1, 0).to_dense()
     np.testing.assert_allclose(t2, rep.tilde @ amp, atol=1e-10)
 
 

@@ -172,8 +172,15 @@ def test_ominus_requires_nesting(tol):
 
 
 def test_ambient_mismatch_raises(tol):
-    with pytest.raises(DimensionMismatch):
-        intersect(Subspace.whole(2), Subspace.whole(3), tol)
+    two, three = Subspace.whole(2), Subspace.whole(3)
+    for check in (
+        lambda: nx.is_subset(two, three, tol),
+        lambda: nx.inclusion_defect(two, three),
+        lambda: nx.ominus(three, two, tol),
+        lambda: intersect(two, three, tol),
+    ):
+        with pytest.raises(DimensionMismatch):
+            check()
 
 
 def test_intersect_matches_alternating_projections_seed3(tol):

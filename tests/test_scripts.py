@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run against the package in ``src``."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -15,6 +16,13 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=600,
     )
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_run_verification_writes_every_report(tmp_path):
@@ -76,25 +84,27 @@ def test_report_diff_compares_directories_by_file_name(tmp_path):
     assert done.returncode == 1 and "files:" in done.stdout, done.stdout
 
 
-def test_cli_report_set_lists_249_invocations(tmp_path):
-    done = run_script("cli_report_set.py", str(tmp_path / "set"), "--list")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert len(done.stdout.strip().splitlines()) == 249
-    assert not (tmp_path / "set").exists()
+def test_cli_report_set_lists_249_invocations():
+    script = load_script("cli_report_set.py")
+    reps = script.rep_files()
+    assert len(reps) == 38 and len(script.invocations(reps)) == 249
 
 
 def test_cli_report_set_runs_one_rep_file(tmp_path):
+    script = load_script("cli_report_set.py")
+    name = "scalar_pair0_a"
+    reps = script.rep_files()
     out = tmp_path / "set"
-    done = run_script("cli_report_set.py", str(out), "--only", "scalar_pair0_a")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert len(list((out / "reps").glob("*.json"))) == 38
-    records = sorted(out.glob("*.json"))
-    assert [r.name.split("_", 1)[1] for r in records] == [
-        f"{command}_scalar_pair0_a.json" for command in ("classify", "powers3", "powers4", "root", "wold", "wold_skip")
+    script.write_reps(out, {name: reps[name]})
+    runs = [(label, argv) for label, names, argv in script.invocations(reps) if names == [name]]
+    assert [label for label, _ in runs] == [
+        f"{command}_{name}" for command in ("classify", "powers3", "powers4", "root", "wold", "wold_skip")
     ]
-    for path in records:
-        record = json.loads(path.read_text())
-        assert record["argv"][record["argv"].index("--rep") + 1] == "reps/scalar_pair0_a.json"
+    env = script.cli_env()
+    for label, argv in runs:
+        record = script.run(out, label, argv, env)
+        assert json.loads((out / f"{label}.json").read_text()) == record
+        assert record["argv"][record["argv"].index("--rep") + 1] == f"reps/{name}.json"
         assert record["exit"] == 0, record["stderr"]
         assert isinstance(record["stdout"], dict)
     same = run_script("report_diff.py", str(out), str(out))
