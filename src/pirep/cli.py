@@ -23,7 +23,8 @@ diagnostic; every other verdict is the triple-product rule alone.
 ``verify`` exits 0 iff the run produced zero violations, 1 otherwise;
 every subcommand exits 2 on usage or input errors, malformed JSON
 included, and so do ``powers --nmax`` below 1, ``root --k`` below 2,
-``shift --power`` below 1 and a non-finite or non-positive --tol-*.
+``shift --power`` below 1, a ``shift --B`` entry that is not a
+nonnegative integer and a non-finite or non-positive --tol-*.
 """
 
 from __future__ import annotations
@@ -151,7 +152,10 @@ def _cmd_wold(args) -> int:
 
 def _cmd_shift(args) -> int:
     tol = _tolerance(args)
-    zero_set = frozenset(int(x) for x in args.B.split(",") if x != "") if args.B else frozenset()
+    try:
+        zero_set = frozenset(int(x) for x in args.B.split(",") if x != "")
+    except ValueError as exc:
+        raise UsageError(f"--B: malformed zero set: {exc}") from exc
     weights = {}
     if args.weights:
         try:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -458,7 +458,7 @@ class TensorSpace:
     dim: int
     embed: np.ndarray | None
     lift: np.ndarray | None
-    action_source: object = field(default=None, repr=False)
+    action_source: object
 
     @property
     def module_dim(self) -> int:

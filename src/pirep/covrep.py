@@ -1,6 +1,6 @@
-"""Covariant representations, their lifted operators, tensor powers,
-pseudoinverse chains, and reducing-subspace restriction.  ``classify``
-reads the lift's classification from ``numerics.classify_operator``.
+"""Covariant representations, their lifted operators, tensor powers and
+pseudoinverse chains.  ``classify`` reads the lift's classification from
+``numerics.classify_operator``.
 
 A covariant pair (sigma, V) is stored through the matrices V(xi_a) on the
 module basis.  Its working avatar is the lift
@@ -25,8 +25,7 @@ against the byte budget (``numerics.check_bytes``) before it is built.
 ``amplified`` returns I (x) X as an operator for every m, m = 0
 included (``numerics.Amplification``): it is applied block by block,
 from the left to a frame or from the right to a matrix, and T_m is
-T_{m-1} applied to it from the right.  ``pinv_chain`` applies it too;
-only ``restrict``, which spans its whole range, calls ``to_dense``.
+T_{m-1} applied to it from the right.  ``pinv_chain`` applies it too.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ import numpy as np
 from . import numerics as nx
 from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplify, plain_space
 from .correspondence import intertwining_residual
-from .errors import DimensionMismatch, DomainError, InvalidRepresentation
-from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix, eye, herm, opnorm
+from .errors import DimensionMismatch, InvalidRepresentation
+from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix, herm, opnorm
 
 
 class LiftChain:
@@ -207,90 +206,23 @@ class CovariantRep(LiftChain):
     # -- subspaces -------------------------------------------------------------
     # unit scale floor throughout (lifts are O(1)); tilde_0 = I_H
 
-    def kernel_subspace(self, m: int = 1) -> Subspace:
+    def kernel_subspace(self, m: int) -> Subspace:
         """N(tilde_m), inside space(m)."""
         if m == 0:
             return Subspace.zero(self.h_dim)
         return Subspace.kernel(self.tilde_power(m), self.tol)
 
-    def cokernel_subspace(self, m: int = 1) -> Subspace:
+    def cokernel_subspace(self, m: int) -> Subspace:
         """N(tilde_m)^perp = R(tilde_m*), inside space(m)."""
         if m == 0:
             return Subspace.whole(self.h_dim)
         return Subspace.span(herm(self.tilde_power(m)), self.tol)
 
-    def range_subspace(self, m: int = 1) -> Subspace:
+    def range_subspace(self, m: int) -> Subspace:
         """R(tilde_m), inside H."""
         if m == 0:
             return Subspace.whole(self.h_dim)
         return Subspace.span(self.tilde_power(m), self.tol)
-
-    # -- restriction -------------------------------------------------------------
-
-    def restrict(self, k_sub: Subspace) -> "CovariantRep":
-        """Compression to a reducing subspace.
-
-        K must satisfy sigma(a) K <= K, tilde(E (x) K) <= K and
-        tilde*(K) <= E (x) K; the failing inclusion is named otherwise.
-        """
-        tol = self.tol
-        if k_sub.ambient_dim != self.h_dim:
-            raise DimensionMismatch("subspace does not live on H")
-        sigma_of = self.sigma.apply(self.corr.algebra.basis())
-        for t, sa in enumerate(sigma_of):
-            if not nx.is_subset(nx.image(sa, k_sub, tol), k_sub, tol):
-                raise DomainError(f"K is not sigma-invariant (algebra basis element {t})")
-        p_k = k_sub.projector()
-        e_tensor_k = Subspace.span(self.amplified(p_k, 1, 0, 0).to_dense(), tol)
-        if not nx.is_subset(nx.image(self._tilde, e_tensor_k, tol), k_sub, tol):
-            raise DomainError("tilde(E (x) K) is not contained in K")
-        if not nx.is_subset(nx.image(herm(self._tilde), k_sub, tol), e_tensor_k, tol):
-            raise DomainError("tilde*(K) is not contained in E (x) K")
-        f = k_sub.frame
-        compressed = [herm(f) @ v @ f for v in self.v_on_basis]
-        if self.corr.algebra.is_scalar:
-            sigma_k = StarRepresentation(self.corr.algebra, [k_sub.dim])
-            return CovariantRep(self.corr, sigma_k, compressed, tol)
-        mults, w = _canonicalize_representation(self.corr.algebra, herm(f) @ sigma_of @ f, tol)
-        sigma_k = StarRepresentation(self.corr.algebra, mults)
-        rotated = [herm(w) @ v @ w for v in compressed]
-        return CovariantRep(self.corr, sigma_k, rotated, tol)
-
-
-def _canonicalize_representation(algebra, basis_mats, tol: Tolerance):
-    """Unitary W with W* sigma'(a) W in the canonical (+)_i a_i (x) I form,
-    from the (dim A, r, r) stack ``basis_mats`` of sigma' on the matrix units.
-
-    Standard matrix-unit argument: an orthonormal basis of the range of
-    sigma'(e^{(i)}_{11}) generates the block through sigma'(e^{(i)}_{p1}).
-    """
-    r = basis_mats.shape[-1]
-
-    def mat_of(a):
-        coords = algebra.coords(a)
-        out = np.zeros((r, r), dtype=np.complex128)
-        for c, m in zip(coords, basis_mats):
-            if c != 0:
-                out = out + c * m
-        return out
-
-    mults = []
-    columns = []
-    for i, k in enumerate(algebra.block_sizes):
-        e11 = mat_of(algebra.unit(i, 0, 0))
-        g = nx.range_frame(e11, tol)
-        m_i = g.shape[1]
-        mults.append(m_i)
-        for p in range(k):
-            ep1 = mat_of(algebra.unit(i, p, 0))
-            for t in range(m_i):
-                columns.append(ep1 @ g[:, t])
-    w = np.column_stack(columns) if columns else np.zeros((r, 0), dtype=np.complex128)
-    if w.shape != (r, r):
-        raise DomainError("compression is not a representation of the canonical form")
-    if opnorm(herm(w) @ w - eye(r)) > 100 * tol.eq_rel:
-        raise DomainError("canonicalizing frame failed to be unitary")
-    return mults, w
 
 
 def rep_from_tilde(

@@ -8,10 +8,8 @@ class PirepError(Exception):
 class NumericFailure(PirepError):
     """A matrix decomposition failed to converge."""
 
-    def __init__(self, message, shape=None):
-        if shape is not None:
-            message = f"{message} (matrix shape {shape[0]}x{shape[1]})"
-        super().__init__(message)
+    def __init__(self, message, shape):
+        super().__init__(f"{message} (matrix shape {shape[0]}x{shape[1]})")
         self.shape = shape
 
 
@@ -45,10 +43,8 @@ class WindowError(PirepError):
     """The truncation level of a weighted shift does not support the
     requested power; carries the minimal sufficient level."""
 
-    def __init__(self, message, minimal_trunc=None):
-        if minimal_trunc is not None:
-            message = f"{message} (minimal sufficient truncation: {minimal_trunc})"
-        super().__init__(message)
+    def __init__(self, message, minimal_trunc):
+        super().__init__(f"{message} (minimal sufficient truncation: {minimal_trunc})")
         self.minimal_trunc = minimal_trunc
 
 

@@ -38,7 +38,7 @@ from .correspondence import (
     scalar_correspondence,
 )
 from .covrep import CovariantRep, rep_from_tilde
-from .errors import DomainError, NotApplicable, UsageError
+from .errors import NotApplicable, UsageError
 from .numerics import DEFAULT_TOL, Tolerance, eye, herm, opnorm
 from .products import (
     ProductRep,
@@ -99,7 +99,7 @@ class TrialConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "TrialConfig":
-        """Inverse of to_dict; a legacy ``perturbation`` key is ignored."""
+        """Inverse of to_dict; keys that to_dict does not write are ignored."""
         return TrialConfig(
             master_seed=int(obj["master_seed"]),
             trials=int(obj["trials"]),
@@ -171,25 +171,17 @@ def spectral_remap(x: np.ndarray, fn) -> np.ndarray:
 
 
 def random_pi_rep(
-    corr: FdCorrespondence,
-    sigma: StarRepresentation,
-    rng: np.random.Generator,
-    tol: Tolerance,
-    *,
-    allow_zero: bool = True,
-    retries: int = 8,
+    corr: FdCorrespondence, sigma: StarRepresentation, rng: np.random.Generator, tol: Tolerance
 ) -> CovariantRep:
     """Random partially isometric representation: draw a covariant matrix,
-    then project singular values to {0, 1} (threshold 1/2)."""
-    for _ in range(retries):
-        x = random_covariant_matrix(corr, sigma, rng, tol)
-        scale = opnorm(x)
-        if scale > 0:
-            x = x / scale * 1.2  # typical spread puts values on both sides of 1/2
-        tilde = spectral_remap(x, lambda s: 1.0 if s >= 0.5 else 0.0)
-        if allow_zero or not nx.norm_within(tilde, 0.5):
-            return rep_from_tilde(corr, sigma, tilde, tol)
-    raise DomainError("covariant projection degenerated to zero repeatedly")
+    then project singular values to {0, 1} (threshold 1/2).  The zero lift
+    is a possible draw."""
+    x = random_covariant_matrix(corr, sigma, rng, tol)
+    scale = opnorm(x)
+    if scale > 0:
+        x = x / scale * 1.2  # typical spread puts values on both sides of 1/2
+    tilde = spectral_remap(x, lambda s: 1.0 if s >= 0.5 else 0.0)
+    return rep_from_tilde(corr, sigma, tilde, tol)
 
 
 def random_contractive_rep(
@@ -218,14 +210,16 @@ def random_contractive_rep(
 def coisometric_covariant_rep(
     corr: FdCorrespondence, sigma: StarRepresentation, rng: np.random.Generator, tol: Tolerance
 ) -> CovariantRep | None:
-    """Covariant lift with tilde tilde* = I (all singular values 1, full
-    row rank), or None when the intertwiner space admits none."""
+    """Covariant lift with tilde tilde* = I, or None when the drawn
+    covariant matrix X has rank below dim H.  At full row rank, setting
+    every singular value to 1 gives the polar part (X X*)^(-1/2) X, which
+    keeps covariance; below it, the remap would also lift zero singular
+    values and break covariance."""
     x = random_covariant_matrix(corr, sigma, rng, tol)
-    tilde = spectral_remap(x, lambda s: 1.0)
-    rep = rep_from_tilde(corr, sigma, tilde, tol)
-    if nx.norm_within(tilde @ herm(tilde) - eye(sigma.h_dim), tol.eq_rel):
-        return rep
-    return None
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    if np.count_nonzero(s > nx.rank_threshold(s, x.shape, tol, 1.0)) < sigma.h_dim:
+        return None
+    return rep_from_tilde(corr, sigma, u @ vh, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +230,9 @@ def coisometric_covariant_rep(
 def structured_fixture(kind: str, seed: int, tol: Tolerance = DEFAULT_TOL, **params) -> CovariantRep:
     """Named fixtures realizing the standard models.
 
-    Kinds: "unitary", "isometric" (same thing in finite dimensions),
-    "truncated_shift", "weighted_shift", "coisometric_row",
-    "invertible_contraction", "direct_sum", "perturbed_pi".
+    Kinds: "unitary", "truncated_shift", "coisometric_row",
+    "invertible_contraction", and "direct_sum" of such parts.  Weighted
+    shifts come from ``shifts.build_shift``.
     """
     rng = rng_stream(seed, 0)
     return _structured(kind, rng, tol, params)
@@ -252,7 +246,7 @@ def _scalar_rep(vs, tol):
 
 
 def _structured(kind: str, rng, tol: Tolerance, params: dict) -> CovariantRep:
-    if kind in ("unitary", "isometric"):
+    if kind == "unitary":
         # a lift of shape d x (n d) is isometric only for n = 1, where a
         # finite-dimensional isometry is already unitary
         d = int(params.get("d", 3))
@@ -260,11 +254,6 @@ def _structured(kind: str, rng, tol: Tolerance, params: dict) -> CovariantRep:
     if kind == "truncated_shift":
         d = int(params.get("d", 4))
         return _scalar_rep([np.diag([1.0] * (d - 1), -1).astype(complex)], tol)
-    if kind == "weighted_shift":
-        spec = params.get("spec") or sh.WeightedShiftSpec(
-            n=int(params.get("n", 2)), trunc=params.get("trunc")
-        )
-        return sh.build_shift(spec, tol)
     if kind == "coisometric_row":
         n = int(params.get("n", 2))
         d = int(params.get("d", 3))
@@ -292,21 +281,6 @@ def _structured(kind: str, rng, tol: Tolerance, params: dict) -> CovariantRep:
                 at += p.h_dim
             vs.append(v)
         return _scalar_rep(vs, tol)
-    if kind == "perturbed_pi":
-        eps = float(params.get("eps", 1e-2))
-        base = params.get("base")
-        if base is None:
-            n = int(params.get("n", 1))
-            d = int(params.get("d", 3))
-            base = random_pi_rep(
-                scalar_correspondence(n),
-                StarRepresentation(SCALARS, [d]),
-                rng,
-                tol,
-                allow_zero=False,
-            )
-        tilde = (1.0 + eps) * base.tilde
-        return rep_from_tilde(base.corr, base.sigma, tilde, tol)
     raise UsageError(f"unknown fixture kind {kind!r}")
 
 

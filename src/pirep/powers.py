@@ -100,12 +100,13 @@ def range_invariance_condition(rep: CovariantRep, m: int) -> bool:
     eps, almost inside N, once eps is past the cut 4e-10)."""
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
-    return _range_invariance(rep, m, rep.cokernel_subspace(m - 1))
+    return _range_invariance(rep, m, rep.tilde @ herm(rep.tilde), rep.cokernel_subspace(m - 1))
 
 
-def _range_invariance(rep: CovariantRep, m: int, prev_cokernel: Subspace) -> bool:
-    """range_invariance_condition on the given cokernel of tilde_{m-1}."""
-    amp = rep.amplified(rep.tilde @ herm(rep.tilde), m - 1, 0, 0)
+def _range_invariance(rep: CovariantRep, m: int, tt_star: np.ndarray, prev_cokernel: Subspace) -> bool:
+    """range_invariance_condition with tilde tilde* given as ``tt_star``,
+    on the given cokernel of tilde_{m-1}."""
+    amp = rep.amplified(tt_star, m - 1, 0, 0)
     return nx.is_subset(nx.image(amp, prev_cokernel, rep.tol), prev_cokernel, rep.tol)
 
 
@@ -150,13 +151,14 @@ def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
     if not applicable:
         return PowerReport(n_max, False, [], [], [], [])
     pi_flags, chain_flags, range_flags, residuals = [], [], [], []
+    tt_star = rep.tilde @ herm(rep.tilde)
     prev_cokernel = rep.cokernel_subspace(0)  # each cokernel is spanned once, for m and for m + 1
     for m in range(1, n_max + 1):
         res, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), tol)
         pi_flags.append(is_pi)
         cokernel = rep.cokernel_subspace(m)
         chain_flags.append(_kernel_chain(rep, m, cokernel, prev_cokernel))
-        range_flags.append(_range_invariance(rep, m, prev_cokernel))
+        range_flags.append(_range_invariance(rep, m, tt_star, prev_cokernel))
         residuals.append(res)
         prev_cokernel = cokernel
     return PowerReport(n_max, True, pi_flags, chain_flags, range_flags, residuals)
@@ -225,9 +227,7 @@ class GeneralizedInverseReport:
         }
 
 
-def generalized_inverse_check(
-    rep: CovariantRep, s: np.ndarray, m_bound: int = 3
-) -> GeneralizedInverseReport:
+def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) -> GeneralizedInverseReport:
     """Check S tilde S = S and tilde S tilde = tilde for S : H -> E (x) H;
     for a regular representation with a generalized inverse, also verify
     the kernel-step inclusions

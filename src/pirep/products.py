@@ -24,7 +24,7 @@ documented or raise NotApplicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,9 +254,8 @@ def pinv_factorization_test(factors) -> PinvFactorizationResult:
 
 @dataclass(frozen=True)
 class DefectDilationResult:
-    matrix: np.ndarray = field(repr=False)
-    m_is_pi: bool = False
-    rep1_is_pi: bool = False
+    m_is_pi: bool
+    rep1_is_pi: bool
 
     def to_dict(self):
         return {"m_is_pi": self.m_is_pi, "rep1_is_pi": self.rep1_is_pi}
@@ -294,7 +293,6 @@ def defect_dilation_test(rep1: CovariantRep, rep2: CovariantRep) -> DefectDilati
     top = np.hstack([top_left, top_right])
     m = np.vstack([top, np.zeros_like(top)])
     return DefectDilationResult(
-        matrix=m,
         m_is_pi=nx.is_partial_isometry(m, tol),
         rep1_is_pi=rep1.is_partial_isometric(),
     )

@@ -33,16 +33,12 @@ from .errors import DimensionMismatch, WindowError
 from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes
 
 
-def _max_offset(n: int, k: int) -> int:
-    """Largest index offset an orbit of length k can accumulate (all i = n)."""
+def minimal_trunc(n: int, k: int) -> int:
+    """Smallest truncation level whose window supports power k: the largest
+    index offset an orbit of length k can accumulate (all i = n)."""
     if n == 1:
         return k
     return n * (n**k - 1) // (n - 1)
-
-
-def minimal_trunc(n: int, k: int) -> int:
-    """Smallest truncation level whose window supports power k."""
-    return _max_offset(n, k)
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,8 @@ class WeightedShiftSpec:
         if self.n < 1:
             raise DimensionMismatch("need n >= 1 shift directions")
         object.__setattr__(self, "zero_set", frozenset(int(m) for m in self.zero_set))
+        if any(m < 0 for m in self.zero_set):
+            raise DimensionMismatch(f"zero set index {min(self.zero_set)} out of range")
         clean = {}
         for (i, m), w in dict(self.weights).items():
             if not (1 <= int(i) <= self.n) or int(m) < 0:
@@ -90,7 +88,7 @@ class WeightedShiftSpec:
     def window(self, k: int) -> range:
         """Faithful window W_k: source indices whose k-step orbit stays
         within the truncation."""
-        top = (self.trunc - _max_offset(self.n, k)) // (self.n**k)
+        top = (self.trunc - minimal_trunc(self.n, k)) // (self.n**k)
         return range(0, max(top, -1) + 1)
 
     def window_bound(self, cap: int | None = None) -> int:

@@ -55,12 +55,12 @@ def cauchy_dual_of_matrix(t: np.ndarray, tol: Tolerance) -> np.ndarray:
     return t @ nx.pseudoinverse(herm(t) @ t, tol)
 
 
-def is_bi_regular(rep: CovariantRep, n_max: int = _BI_REGULAR_N_MAX) -> bool:
+def is_bi_regular(rep: CovariantRep) -> bool:
     """Regular, and N(I_{E^(x n)} (x) T^+) <= R(chain of amplified T^+)
-    for n <= n_max."""
+    for n <= _BI_REGULAR_N_MAX."""
     if not is_regular(rep):
         raise NotApplicable("representation is not regular")
-    return _pinv_chain_inclusions(rep, n_max)
+    return _pinv_chain_inclusions(rep, _BI_REGULAR_N_MAX)
 
 
 def _pinv_chain_inclusions(rep: CovariantRep, n_max: int) -> bool:
@@ -77,9 +77,7 @@ def _pinv_chain_inclusions(rep: CovariantRep, n_max: int) -> bool:
     return True
 
 
-def generated_invariant_subspace(
-    rep: CovariantRep, x: np.ndarray, w: Subspace, bound: int | None = None
-) -> Subspace:
+def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) -> Subspace:
     """[W]_X: the span of the images X_m(E^(x m) (x) W) over m >= 0, where
     X_m composes X with its amplifications (X_0 = I).  Computed by the
     recursion T_m = X(E (x) T_{m-1}); the span can only grow, so it
@@ -88,10 +86,9 @@ def generated_invariant_subspace(
     sigma-reducing and X an intertwiner."""
     tol = rep.tol
     x = nx.as_matrix(x)
-    bound = rep.h_dim if bound is None else bound
     total = w
     layer = w
-    for _ in range(bound):
+    for _ in range(rep.h_dim):
         layer = _span_e_tensor(rep, layer, x)
         grown = Subspace.span(np.hstack([total.frame, layer.frame]), tol)
         if grown.dim == total.dim:
@@ -142,8 +139,8 @@ class WoldDecomposition:
         }
 
 
-def _wold_side(rep: CovariantRep, generator: np.ndarray, residual: Subspace, w: Subspace, bound) -> WoldResult:
-    generated = generated_invariant_subspace(rep, generator, w, bound)
+def _wold_side(rep: CovariantRep, generator: np.ndarray, residual: Subspace, w: Subspace) -> WoldResult:
+    generated = generated_invariant_subspace(rep, generator, w)
     ortho = opnorm(herm(generated.frame) @ residual.frame)
     total = generated.projector() + residual.projector()
     return WoldResult(
@@ -155,9 +152,7 @@ def _wold_side(rep: CovariantRep, generator: np.ndarray, residual: Subspace, w: 
     )
 
 
-def wold_decompose(
-    rep: CovariantRep, bound: int | None = None, *, check_hypotheses: bool = True
-) -> WoldDecomposition:
+def wold_decompose(rep: CovariantRep, *, check_hypotheses: bool = True) -> WoldDecomposition:
     """Compute both forms of the decomposition.
 
     With ``check_hypotheses`` (default), requires bi-regularity for the
@@ -183,8 +178,8 @@ def wold_decompose(
                 "representation is neither bi-regular nor partially isometric"
             )
     wandering = nx.ortho_complement(rep.range_subspace(1), tol)
-    primal = _wold_side(rep, t, iterated_range(rep, t_dual), wandering, bound)
-    dual = _wold_side(rep, t_dual, rinf, wandering, bound)
+    primal = _wold_side(rep, t, iterated_range(rep, t_dual), wandering)
+    dual = _wold_side(rep, t_dual, rinf, wandering)
     return WoldDecomposition(
         primal=primal,
         dual=dual,

@@ -116,6 +116,16 @@ def test_shift_command(tmp_path, capsys):
         assert main(["shift", "--n", "2", "--M", "64", "--weights", str(wfile)]) == 2, bad
 
 
+def test_shift_zero_set_must_be_nonnegative_integers(capsys):
+    # a malformed --B is an input error (exit 2), not "violations found"
+    # (exit 1); a negative entry would name a zero set no index can match
+    for zero_set in ("a", "1,,x", "0,1.5", "-3", "2,-1"):
+        assert main(["shift", "--n", "2", "--B", zero_set, "--M", "64"]) == 2, zero_set
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err, zero_set
+
+
 def test_shift_refuses_power_below_one(capsys):
     # like powers --nmax 0: no power k >= 1 is asked for, so there is nothing to certify
     for power in ("0", "-1"):

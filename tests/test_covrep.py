@@ -14,8 +14,7 @@ from pirep.correspondence import (
 )
 from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.shifts import WeightedShiftSpec, build_shift
-from pirep.errors import DomainError, InvalidRepresentation, ResourceLimit
-from pirep.numerics import Subspace
+from pirep.errors import InvalidRepresentation, ResourceLimit
 
 from conftest import (
     assert_verdicts_match_classify,
@@ -440,127 +439,6 @@ def test_subspaces_at_power_zero(tol):
     # m = 1: kernel and cokernel split E (x) H, the range is all of H
     assert rep.kernel_subspace(1).dim + rep.cokernel_subspace(1).dim == rep.space(1).dim
     assert rep.range_subspace(1).dim == 3
-
-
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-
-def test_restrict_whole_space(tol):
-    rng = rng_for(24)
-    rep = scalar_rep([crandn(rng, 3, 3) / 2 for _ in range(2)], tol)
-    sub = rep.restrict(Subspace.whole(3))
-    np.testing.assert_allclose(sub.tilde, rep.tilde, atol=1e-12)
-
-
-def test_restrict_zero_space(tol):
-    rng = rng_for(25)
-    rep = scalar_rep([crandn(rng, 3, 3) / 2 for _ in range(2)], tol)
-    sub = rep.restrict(Subspace.zero(3))
-    assert sub.h_dim == 0
-
-
-def test_restrict_direct_sum_extracts_block(tol):
-    # shift (+) unitary; the unitary summand reduces and restricts isometrically
-    rng = rng_for(26)
-    shift = np.diag([1.0] * 2, -1)
-    u = haar_unitary(rng, 2)
-    v = np.block([[shift, np.zeros((3, 2))], [np.zeros((2, 3)), u]])
-    rep = scalar_rep([v], tol)
-    frame = np.zeros((5, 2), dtype=complex)
-    frame[3, 0] = 1.0
-    frame[4, 1] = 1.0
-    sub = rep.restrict(Subspace(frame))
-    assert sub.classify().is_isometric
-    np.testing.assert_allclose(sub.tilde, u, atol=1e-12)  # oracle: block extraction
-
-
-def test_restrict_partial_isometric_stays_partial_isometric(tol):
-    rng = rng_for(27)
-    shift = np.diag([1.0] * 2, -1)
-    u = haar_unitary(rng, 2)
-    v = np.block([[shift, np.zeros((3, 2))], [np.zeros((2, 3)), u]])
-    rep = scalar_rep([v], tol)
-    assert rep.classify().is_partial_isometric
-    frame = np.zeros((5, 3), dtype=complex)
-    frame[0, 0] = frame[1, 1] = frame[2, 2] = 1.0
-    sub = rep.restrict(Subspace(frame))
-    assert sub.classify().is_partial_isometric
-
-
-def test_restrict_rejects_non_reducing(tol):
-    shift = np.diag([1.0] * 2, -1)
-    rep = scalar_rep([shift], tol)
-    frame = np.zeros((3, 1), dtype=complex)
-    frame[1, 0] = 1.0  # span{e1}: not invariant for the shift
-    with pytest.raises(DomainError):
-        rep.restrict(Subspace(frame))
-
-
-def test_restrict_block_algebra_recanonicalizes(tol):
-    alg = FdCStarAlgebra([1, 1])
-    e = diagonal_correspondence(alg, left_tags=[0, 1], right_tags=[0, 1])
-    sigma = StarRepresentation(alg, [2, 2])
-    zero = [np.zeros((4, 4)), np.zeros((4, 4))]
-    rep = CovariantRep(e, sigma, zero, tol)
-    frame = np.zeros((4, 2), dtype=complex)
-    frame[0, 0] = 1.0
-    frame[2, 1] = 1.0  # one copy of each block
-    sub = rep.restrict(Subspace(frame))
-    assert sub.sigma.multiplicities == (1, 1)
-    assert sub.h_dim == 2
-
-
-def test_restrict_to_single_block_gives_zero_multiplicity(tol):
-    alg = FdCStarAlgebra([1, 1])
-    e = diagonal_correspondence(alg, left_tags=[0, 1], right_tags=[0, 1])
-    sigma = StarRepresentation(alg, [2, 2])
-    rep = CovariantRep(e, sigma, [np.zeros((4, 4)), np.zeros((4, 4))], tol)
-    frame = np.zeros((4, 1), dtype=complex)
-    frame[0, 0] = 1.0  # inside the first block only
-    sub = rep.restrict(Subspace(frame))
-    assert sub.sigma.multiplicities == (1, 0)
-    assert sub.h_dim == 1
-
-
-def test_restrict_block_algebra_nontrivial_summand(tol):
-    # pad a covariant block representation with a zero summand (doubling
-    # the multiplicities); compressing back to the original copy must
-    # recover the same operator up to the canonicalizing unitary
-    alg = FdCStarAlgebra([1, 1])
-    e = diagonal_correspondence(alg, left_tags=[0, 1], right_tags=[0, 1])
-    sigma = StarRepresentation(alg, [2, 1])
-    from pirep.correspondence import interior_tensor
-
-    space = interior_tensor(e, sigma, tol)
-    rng = rng_for(28)
-    rows = []
-    for u in alg.basis():
-        rows.append(
-            np.kron(space.induced_action(u).T, np.eye(sigma.h_dim))
-            - np.kron(np.eye(space.dim), sigma.apply(u))
-        )
-    kernel = nx.kernel_frame(np.vstack(rows), tol)
-    tilde = (kernel @ crandn(rng, kernel.shape[1])).reshape(space.dim, sigma.h_dim).T.copy()
-    tilde = tilde / max(1.0, nx.opnorm(tilde))
-    small = rep_from_tilde(e, sigma, tilde, tol)
-
-    # big space with multiplicities (4, 2): first copy occupies coordinates
-    # 0..1 of the first block and 4 of the second
-    big_sigma = StarRepresentation(alg, [4, 2])
-    embed = np.zeros((6, 3), dtype=complex)
-    embed[0, 0] = embed[1, 1] = embed[4, 2] = 1.0
-    big_vs = [embed @ v @ embed.conj().T for v in small.v_on_basis]
-    big = CovariantRep(e, big_sigma, big_vs, tol)
-    sub = big.restrict(Subspace(embed))
-    assert sub.sigma.multiplicities == (2, 1)
-    np.testing.assert_allclose(
-        np.linalg.svd(sub.tilde, compute_uv=False),
-        np.linalg.svd(small.tilde, compute_uv=False),
-        atol=1e-10,
-    )
-    assert sub.classify().is_partial_isometric == small.classify().is_partial_isometric
 
 
 def test_empty_module_rep_builds_without_sigma(monkeypatch, tol):

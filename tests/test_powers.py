@@ -216,7 +216,7 @@ def test_power_report_builds_each_space_once(tol, monkeypatch):
     # power goes through the general amplification path
     alg = FdCStarAlgebra([1, 1])
     corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
-    rep = hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(61), tol, allow_zero=False)
+    rep = hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(61), tol)
     builds = count_space_builds(monkeypatch)
     report = pw.power_report(rep, 4)
     assert report.applicable
@@ -243,8 +243,8 @@ def power_report_reps(tol) -> list:
     alg = FdCStarAlgebra([1, 1])
     corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
     return [
-        hz.random_pi_rep(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), rng_for(165), tol, allow_zero=False),
-        hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(166), tol, allow_zero=False),
+        hz.random_pi_rep(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), rng_for(165), tol),
+        hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(166), tol),
         sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol),
     ]
 
@@ -411,7 +411,7 @@ def test_subspace_iterations_build_no_amplification(tol, monkeypatch):
 def test_gen_inverse_pinv_always(tol):
     rng = rng_for(58)
     rep = scalar_rep([crandn(rng, 3, 3) / 2 for _ in range(2)], tol)
-    res = pw.generalized_inverse_check(rep, nx.pseudoinverse(rep.tilde, tol))
+    res = pw.generalized_inverse_check(rep, nx.pseudoinverse(rep.tilde, tol), m_bound=3)
     assert res.is_gen_inverse
 
 
@@ -434,7 +434,7 @@ def test_gen_inverse_takes_each_scale_only_past_eq_rel(monkeypatch, tol):
 def test_gen_inverse_zero_rejected(tol):
     rng = rng_for(59)
     rep = scalar_rep([haar_unitary(rng, 2)], tol)
-    res = pw.generalized_inverse_check(rep, np.zeros((2, 2)))
+    res = pw.generalized_inverse_check(rep, np.zeros((2, 2)), m_bound=3)
     assert not res.is_gen_inverse
 
 

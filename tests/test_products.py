@@ -233,7 +233,7 @@ def test_chain_condition_builds_each_space_once(tol, monkeypatch):
     sigma = StarRepresentation(alg, [2, 1])
     tags = [([0, 1], [1, 0]), ([0, 1, 1], [1, 1, 0]), ([1, 0], [1, 1])]
     factors = [
-        hz.random_pi_rep(diagonal_correspondence(alg, left, right), sigma, rng_for(62, i), tol, allow_zero=False)
+        hz.random_pi_rep(diagonal_correspondence(alg, left, right), sigma, rng_for(62, i), tol)
         for i, (left, right) in enumerate(tags)
     ]
     builds = count_space_builds(monkeypatch)
@@ -252,8 +252,8 @@ def test_representations_and_products_share_each_space(tol, monkeypatch):
     corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
     sigma = StarRepresentation(alg, [2, 1])
     builds = count_space_builds(monkeypatch)
-    a = hz.random_pi_rep(corr, sigma, rng_for(64, 0), tol, allow_zero=False)
-    b = hz.random_pi_rep(corr, sigma, rng_for(64, 1), tol, allow_zero=False)
+    a = hz.random_pi_rep(corr, sigma, rng_for(64, 0), tol)
+    b = hz.random_pi_rep(corr, sigma, rng_for(64, 1), tol)
     prod = ProductRep([a, b])
     prod.tilde_power(2)
     assert product_as_rep(prod).space(1).dim == a.space(2).dim
@@ -314,8 +314,8 @@ def test_chains_are_freed_by_reference_counting(tol):
     gc.collect()
     gc.disable()
     try:
-        a = hz.random_pi_rep(corr, sigma, rng_for(67, 0), tol, allow_zero=False)
-        b = hz.random_pi_rep(corr, sigma, rng_for(67, 1), tol, allow_zero=False)
+        a = hz.random_pi_rep(corr, sigma, rng_for(67, 0), tol)
+        b = hz.random_pi_rep(corr, sigma, rng_for(67, 1), tol)
         prod = ProductRep([a, b, a])
         prod.tilde_power(3)
         prod.pinv_chain(3)

@@ -59,6 +59,8 @@ def test_spec_validation(monkeypatch):
         WeightedShiftSpec(n=2, weights={(3, 0): 1.0})
     with pytest.raises(DimensionMismatch):
         WeightedShiftSpec(n=1, weights={(1, 0): -0.5})
+    with pytest.raises(DimensionMismatch, match="zero set index -3"):
+        WeightedShiftSpec(n=2, zero_set={0, -3})
     for w in (math.nan, math.inf):
         with pytest.raises(DimensionMismatch):
             WeightedShiftSpec(n=1, weights={(1, 0): w})

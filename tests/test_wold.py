@@ -114,7 +114,7 @@ def test_bi_regular_invertible_contraction_bruteforce(tol):
     u, s, vh = np.linalg.svd(crandn(rng, 3, 3), full_matrices=False)
     v = u @ ((0.3 + 0.6 * s / s.max())[:, None] * vh)
     rep = scalar_rep([v], tol)
-    assert wold.is_bi_regular(rep, n_max=3)
+    assert wold.is_bi_regular(rep)
     dagger = nx.pseudoinverse(rep.tilde, tol)
     assert nx.kernel_frame(dagger, tol).shape[1] == 0
 
@@ -159,7 +159,7 @@ def test_generated_shift_orbit(tol):
 def test_generated_stabilizes_quickly(tol):
     rep = scalar_rep([forward_shift(5)], tol)
     seed = Subspace(np.eye(5, 1).astype(complex))
-    got = wold.generated_invariant_subspace(rep, rep.tilde, seed, bound=5)
+    got = wold.generated_invariant_subspace(rep, rep.tilde, seed)
     assert got.dim == 5
 
 
@@ -212,7 +212,7 @@ def test_bi_regular_takes_one_pseudoinverse(tol, monkeypatch):
         return real(m, tol)
 
     monkeypatch.setattr(nx, "pseudoinverse", counting)
-    assert wold.is_bi_regular(rep, n_max=3)
+    assert wold.is_bi_regular(rep)
     assert calls == [(3, 6)]
 
 
