@@ -8,8 +8,10 @@ OLD and NEW are two JSON files, or two directories whose ``*.json`` files
 are compared by name.  Every key, list length, bool, int, string, null and
 non-finite float must be identical, and so must the file names; only
 finite float leaves may differ.  Each structural difference is printed
-with its path, then the largest |new - old| over the float leaves.  Exits
-0 when the structure is identical and 1 otherwise.
+with its path; then, when a float leaf moved, the path and both values of
+the one with the largest |new - old| and how many of the float leaves
+moved; then a summary line with the largest |new - old|.  Exits 0 when
+the structure is identical and 1 otherwise.
 """
 
 import json
@@ -18,27 +20,27 @@ import pathlib
 import sys
 
 
-def compare(old, new, path: str, issues: list) -> float:
-    """Largest |new - old| over the float leaves; structural differences
-    are appended to ``issues``."""
+def compare(old, new, path: str, issues: list, floats: list) -> None:
+    """Append each structural difference to ``issues`` and each pair of
+    finite float leaves to ``floats`` as (|new - old|, path, old, new)."""
     if type(old) is not type(new):
         issues.append(f"{path}: {type(old).__name__} {old!r} vs {type(new).__name__} {new!r}")
-        return 0.0
-    if isinstance(old, dict):
+    elif isinstance(old, dict):
         if list(old) != list(new):
             issues.append(f"{path}: keys {list(old)} vs {list(new)}")
-            return 0.0
-        return max((compare(old[k], new[k], f"{path}.{k}", issues) for k in old), default=0.0)
-    if isinstance(old, list):
+            return
+        for k in old:
+            compare(old[k], new[k], f"{path}.{k}", issues, floats)
+    elif isinstance(old, list):
         if len(old) != len(new):
             issues.append(f"{path}: length {len(old)} vs {len(new)}")
-            return 0.0
-        return max((compare(a, b, f"{path}[{i}]", issues) for i, (a, b) in enumerate(zip(old, new))), default=0.0)
-    if isinstance(old, float) and math.isfinite(old) and math.isfinite(new):
-        return abs(new - old)
-    if old != new and not (isinstance(old, float) and math.isnan(old) and math.isnan(new)):
+            return
+        for i, (a, b) in enumerate(zip(old, new)):
+            compare(a, b, f"{path}[{i}]", issues, floats)
+    elif isinstance(old, float) and math.isfinite(old) and math.isfinite(new):
+        floats.append((abs(new - old), path, old, new))
+    elif old != new and not (isinstance(old, float) and math.isnan(old) and math.isnan(new)):
         issues.append(f"{path}: {old!r} vs {new!r}")
-    return 0.0
 
 
 def load_pairs(old: pathlib.Path, new: pathlib.Path, issues: list) -> list:
@@ -60,11 +62,16 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    issues = []
+    issues, floats = [], []
     pairs = load_pairs(pathlib.Path(argv[0]), pathlib.Path(argv[1]), issues)
-    delta = max((compare(a, b, name, issues) for name, a, b in pairs), default=0.0)
+    for name, a, b in pairs:
+        compare(a, b, name, issues, floats)
     for issue in issues:
         print(f"structural: {issue}")
+    delta, path, old, new = max(floats, key=lambda leaf: leaf[0], default=(0.0, None, None, None))
+    if delta > 0.0:
+        print(f"largest |delta| at {path}: {old!r} -> {new!r}")
+        print(f"float leaves moved: {sum(leaf[0] > 0.0 for leaf in floats)} of {len(floats)}")
     print(f"documents {len(pairs)}, structural differences {len(issues)}, max |delta| over float leaves {delta:.3g}")
     return 1 if issues else 0
 

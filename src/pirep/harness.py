@@ -299,7 +299,7 @@ def shift_plus_unitary_fixture(rng, tol: Tolerance, q: int | None = None, u_dim:
     return _scalar_rep([v], tol)
 
 
-def regular_fixture(rng, tol: Tolerance, *, want_pi: bool = True) -> CovariantRep:
+def regular_fixture(rng, tol: Tolerance, *, want_pi: bool) -> CovariantRep:
     """Genuinely regular representation (lift onto): coisometric rows and
     unitaries for the partially isometric flavor, invertible contractions
     otherwise."""
@@ -889,6 +889,8 @@ def verify(
         raise UsageError(f"claim {theorem_id} has no falsification variant")
     if tol.eq_rel > MAX_EQ_REL:
         raise UsageError(f"verify needs eq_rel <= {MAX_EQ_REL} for clean separation")
+    if jobs < 1:
+        raise UsageError(f"verify needs jobs >= 1, got {jobs}")
 
     def run(index: int) -> TrialOutcome:
         return fn(rng_stream(config.master_seed, index), config, tol)

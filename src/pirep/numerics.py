@@ -42,27 +42,46 @@ overflow, is not screened.  No reported value comes from the screen:
 every residual, norm and defect that a report or the CLI prints is an
 exact ``opnorm``.
 
-Every factorization, every norm and the products of the
-partial-isometry verdict and of the lift powers first drop the
-exactly-zero rows and columns of an array of at least
-``_DEFLATE_MIN_SIZE`` entries (:func:`_live_lines`), so a lift power,
-h x N**m h of rank at most h, is factored at its rank and not its width.
-This is exact: deleting zero rows and columns changes no nonzero
-singular value, rank, range, kernel (beyond the unit vectors of the zero
-columns, which the kernel gets back), pseudoinverse (zero rows and
-columns scatter back), norm or defect T T* T - T (zero wherever T has a
-zero row or column).  Every rank cut stays the one of the original
-shape.  A floating-point product only loses exact-zero terms, so where
-each entry is a sum of at most one nonzero term, as in every product of
-weighted-shift matrices, the product is the dense one bit for bit, and
-the shift verdicts and power-report residuals with it; elsewhere it may
-round in another order, within the dense product's own error bound.
-LAPACK is backward stable on the smaller matrix, with an error bound in
-its (smaller) dimensions.  The Frobenius screen's lower bound
+Every factorization (:func:`opnorm`, :func:`pseudoinverse`, the range
+and kernel frames, and the frames and pseudoinverse of
+:func:`classify_operator`) of an array of at least ``_DEFLATE_MIN_SIZE``
+entries first splits off its exactly-zero rows and columns and its
+isolated entries, each the only nonzero of its row and of its column
+(:func:`_deflate`, :class:`_SplitSVD`).  After permuting rows and
+columns the array is diag(v_1, ..., v_k) (+) core (+) 0, so its SVD is
+the union of the parts' SVDs: an isolated entry v at (i, j) is the
+singular value |v| with left vector e_i and right vector conj(v)/|v| e_j,
+its pseudoinverse entry at (j, i) is 1/v, zero columns are kernel
+vectors, and LAPACK factors only the core.  The singular values are
+merged in descending order and every rank cut stays the one of the
+original shape, rank_rel * max(largest sigma overall, scale_floor) *
+max(shape).  The error argument: |v| is within one ulp of the exact
+modulus (exact for real v) and 1/v within a few ulps (correctly rounded
+for real v), where a dense SVD is within (rows + cols) * 2**-53 * ||A||;
+the isolated directions are exact unit vectors; and LAPACK is backward
+stable on the core, with an error bound in the core's (smaller)
+dimensions and norm.  So a lift power, h x N**m h of rank at most h, is
+factored at its rank and not its width, and a monomial matrix (at most
+one nonzero per row and per column: a weighted shift's lift, its powers
+and the frames they span) is factored with no LAPACK call at all.  Unit
+vectors stay unit vectors under products of monomial matrices, since
+each entry of such a product has at most one nonzero term, so the next
+step splits again.
+
+The products of the partial-isometry verdict and of the lift powers drop
+only the exactly-zero rows and columns (:func:`_live_lines`).  This is
+exact: it changes no norm or defect T T* T - T (zero wherever T has a
+zero row or column).  A floating-point product only loses exact-zero
+terms, so where each entry is a sum of at most one nonzero term, as in
+every product of weighted-shift matrices, the product is the dense one
+bit for bit, and the shift verdicts and power-report residuals with it;
+elsewhere it may round in another order, within the dense product's own
+error bound.  The Frobenius screen's lower bound
 ``||A||_F / sqrt(min(shape))`` stays valid for the compressed shape.
 Below the gate nothing is scanned and the dense path runs as it is: on a
-2-core x86 host with one BLAS thread the scan costs about 7 us at 72
-entries (11% of a thin SVD) and 20 us at 4,096 (2%).
+2-core x86 host with one BLAS thread the zero-line scan costs about 7 us
+at 72 entries (11% of a thin SVD), and the split's scan about 45 us at
+4,096 dense entries (3%).
 
 All values are immutable after construction; nothing here mutates its
 inputs.
@@ -134,7 +153,8 @@ def herm(m: np.ndarray) -> np.ndarray:
 
 
 # Entries from which an array is scanned for exactly-zero rows and columns
-# (see the module docstring); below it the scan costs more than it saves.
+# and for isolated entries (see the module docstring); below it the scan
+# costs more than it saves.
 _DEFLATE_MIN_SIZE = 4096
 
 
@@ -156,12 +176,29 @@ def _ix(rows, cols) -> tuple:
     return np.ix_(rows, cols)
 
 
+_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128))
+
+
 def _deflate(a: np.ndarray) -> tuple:
-    """(core, rows, cols): ``a`` without its exactly-zero rows and columns
-    (a view of all of ``a`` when nothing is dropped), and the masks of
-    :func:`_live_lines`."""
-    rows, cols = _live_lines(a)
-    return a[_ix(rows, cols)], rows, cols
+    """(core, rows, cols, (i, j, v)): ``a`` without its exactly-zero rows
+    and columns and without its isolated entries, the only nonzero of
+    their row and of their column (a view of all of ``a`` when nothing is
+    dropped); the masks of the core's rows and columns, each None when it
+    keeps every line; and the rows, columns and values of the isolated
+    entries.  Below _DEFLATE_MIN_SIZE entries ``a`` is not scanned."""
+    if a.size < _DEFLATE_MIN_SIZE:
+        return a, None, None, _NO_ENTRIES
+    nonzero = a != 0
+    row_count, col_count = nonzero.sum(axis=1), nonzero.sum(axis=0)
+    single = np.flatnonzero(row_count == 1)
+    j = nonzero[single].argmax(axis=1)
+    alone = col_count[j] == 1
+    i, j = single[alone], j[alone]
+    rows, cols = row_count > 0, col_count > 0
+    rows[i] = False
+    cols[j] = False
+    rows, cols = (None if rows.all() else rows), (None if cols.all() else cols)
+    return a[_ix(rows, cols)], rows, cols, (i, j, a[i, j])
 
 
 def _scatter(x: np.ndarray, shape, rows, cols) -> np.ndarray:
@@ -176,10 +213,11 @@ def _scatter(x: np.ndarray, shape, rows, cols) -> np.ndarray:
 
 def opnorm(m) -> float:
     """Spectral norm; 0.0 for empty matrices."""
-    a, _, _ = _deflate(as_matrix(m))
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    core, _, _, (_, _, v) = _deflate(as_matrix(m))
+    top = float(np.abs(v).max(initial=0.0))
+    if core.size:
+        top = max(top, float(_svd(core, False, compute_uv=False)[0]))
+    return top
 
 
 # Relative slack that widens both Frobenius bounds of norm_within; far
@@ -314,9 +352,9 @@ class Amplification:
         return formal if self.left is None else self.left @ formal
 
 
-def _svd(m: np.ndarray, full_matrices: bool):
+def _svd(m: np.ndarray, full_matrices: bool, compute_uv: bool = True):
     try:
-        return np.linalg.svd(m, full_matrices=full_matrices)
+        return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}", shape=m.shape) from exc
 
@@ -335,6 +373,74 @@ def rank_threshold(s: np.ndarray, shape, tol: Tolerance, scale_floor: float = 0.
     return tol.rank_rel * max(float(s[0]), scale_floor) * max(shape)
 
 
+class _SplitSVD:
+    """The thin (or full) SVD of ``a`` with its zero lines and isolated
+    entries split off (:func:`_deflate`): an isolated entry v at (i, j) is
+    the singular value |v| with left vector e_i and right vector
+    conj(v)/|v| e_j, and LAPACK factors only the core (u, core_s, vh).
+    ``s`` holds every singular value in descending order; ``order[t]`` is
+    where ``s[t]`` came from, isolated entry p < k or core value p - k, for
+    the k isolated entries (None when there are none: ``s`` is the
+    core's)."""
+
+    def __init__(self, a: np.ndarray, full_matrices: bool = False):
+        self.shape = a.shape
+        core, self.rows, self.cols, (self.i, self.j, self.v) = _deflate(a)
+        if core.size:
+            self.u, self.core_s, self.vh = _svd(core, full_matrices)
+        else:
+            p, q = core.shape
+            self.u, self.core_s = np.zeros((p, 0), dtype=np.complex128), np.zeros(0)
+            self.vh = eye(q) if full_matrices else np.zeros((0, q), dtype=np.complex128)
+        self.s, self.order = self.core_s, None
+        if self.v.size:
+            merged = np.concatenate([np.abs(self.v), self.core_s])
+            self.order = np.argsort(-merged, kind="stable")
+            self.s = merged[self.order]
+
+    def cut(self, shape, tol: Tolerance, scale_floor: float = 0.0) -> tuple:
+        """(cutoff, rank): ``rank_threshold`` over every singular value,
+        at ``shape``."""
+        cut = rank_threshold(self.s, shape, tol, scale_floor)
+        return cut, int(np.sum(self.s > cut))
+
+    def left(self, r: int) -> np.ndarray:
+        """The first r left singular vectors, a frame of R(A) at rank r."""
+        if self.order is None:
+            return _scatter(self.u[:, :r], (self.shape[0], r), self.rows, None)
+        return _frame(self.shape[0], self.i, np.ones(self.i.size), self.rows, self.u, self.order[:r])
+
+    def right(self, r: int) -> np.ndarray:
+        """The first r right singular vectors, a frame of R(A*) at rank r."""
+        if self.order is None:
+            return _scatter(herm(self.vh[:r]), (self.shape[1], r), self.cols, None)
+        phases = np.conj(self.v) / np.abs(self.v)
+        return _frame(self.shape[1], self.j, phases, self.cols, herm(self.vh), self.order[:r])
+
+    def pinv(self, cut: float) -> np.ndarray:
+        """The pseudoinverse over the singular values above ``cut``: the
+        core's V diag(1/s) U* scattered back, and 1/v at (j, i) for each
+        kept isolated entry."""
+        out = _scatter(_pinv_from_svd(self.u, self.core_s, self.vh, cut), self.shape[::-1], self.cols, self.rows)
+        if self.order is not None:
+            kept = np.abs(self.v) > cut
+            out[self.j[kept], self.i[kept]] = 1.0 / self.v[kept]
+        return out
+
+
+def _frame(n: int, lone: np.ndarray, units: np.ndarray, mask, vectors: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """The n x len(picks) frame whose column c, for p = picks[c], is
+    units[p] e_{lone[p]} when p < k = len(lone) and column p - k of
+    ``vectors`` on the rows of ``mask`` otherwise."""
+    k = lone.size
+    out = np.zeros((n, picks.size), dtype=np.complex128)
+    at = np.arange(picks.size)
+    mine = picks < k
+    out[lone[picks[mine]], at[mine]] = units[picks[mine]]
+    out[_ix(mask, at[~mine])] = vectors[:, picks[~mine] - k]
+    return out
+
+
 def pseudoinverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the rank_rel cutoff.
 
@@ -343,11 +449,8 @@ def pseudoinverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     up to roundoff on the retained singular values.
     """
     a = as_matrix(m)
-    core, rows, cols = _deflate(a)
-    if core.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    u, s, vh = _svd(core, full_matrices=False)
-    return _scatter(_pinv_from_svd(u, s, vh, rank_threshold(s, a.shape, tol)), a.shape[::-1], cols, rows)
+    split = _SplitSVD(a)
+    return split.pinv(split.cut(a.shape, tol)[0])
 
 
 def _pinv_from_svd(u, s, vh, cut: float) -> np.ndarray:
@@ -367,32 +470,28 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
     ``shape``: rank_rel * max(sigma_0, scale_floor) * max(shape).  A thin
     spanning set that stands in for a wider matrix with the same range
     keeps that matrix's cutoff."""
-    core, rows, _ = _deflate(a)
-    if core.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    u, s, _ = _svd(core, full_matrices=False)
-    r = int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))
-    return _scatter(u[:, :r], (a.shape[0], r), rows, None)
+    split = _SplitSVD(a)
+    return split.left(split.cut(shape, tol, scale_floor)[1])
 
 
 def kernel_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the kernel of m."""
     a = as_matrix(m)
     check_bytes(ENTRY_BYTES * a.shape[1] ** 2, "a kernel frame's full SVD")
-    core, _, cols = _deflate(a)
-    if core.size == 0:
-        inner = eye(core.shape[1]) if core.shape[0] == 0 else np.zeros((core.shape[1], 0), dtype=np.complex128)
-    else:
-        _, s, vh = _svd(core, full_matrices=True)
-        r = int(np.sum(s > rank_threshold(s, a.shape, tol, scale_floor)))
-        inner = herm(vh)[:, r:]
-    if cols is None:
+    split = _SplitSVD(a, full_matrices=True)
+    cut, _ = split.cut(a.shape, tol, scale_floor)
+    # an empty core's vh is the identity of its columns, the whole kernel
+    inner = herm(split.vh[int(np.sum(split.core_s > cut)) :]) if split.core_s.size else split.vh
+    if split.cols is None:
         return inner
-    # the kernel of the core on the live columns, then the unit vectors of the zero columns
-    zero_cols = np.flatnonzero(~cols)
-    frame = np.zeros((a.shape[1], inner.shape[1] + zero_cols.size), dtype=np.complex128)
-    frame[cols, : inner.shape[1]] = inner
-    frame[zero_cols, inner.shape[1] + np.arange(zero_cols.size)] = 1.0
+    # the kernel of the core on its columns, then the unit vectors of the
+    # zero columns and of the columns of isolated entries cut as zero
+    dead = ~split.cols
+    dead[split.j[np.abs(split.v) > cut]] = False
+    dead = np.flatnonzero(dead)
+    frame = np.zeros((a.shape[1], inner.shape[1] + dead.size), dtype=np.complex128)
+    frame[split.cols, : inner.shape[1]] = inner
+    frame[dead, inner.shape[1] + np.arange(dead.size)] = 1.0
     return frame
 
 
@@ -520,7 +619,7 @@ def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
             f"operator domain {a.shape[1]} != subspace ambient {s.ambient_dim}"
         )
     # an amplification is applied block by block; a matrix is multiplied
-    # whole, and the span drops the product's zero rows
+    # whole, and the span splits off the product's zero lines and isolated entries
     return Subspace.span(a @ s.frame, tol)
 
 
@@ -537,7 +636,8 @@ def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
     """
-    a, _, _ = _deflate(as_matrix(m))
+    a = as_matrix(m)
+    a = a[_ix(*_live_lines(a))]
     residual = opnorm(a @ herm(a) @ a - a)
     return residual, _partial_isometry_verdict(a, (residual, residual), lambda: residual, tol)
 
@@ -545,7 +645,8 @@ def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
 def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
-    a, _, _ = _deflate(as_matrix(m))
+    a = as_matrix(m)
+    a = a[_ix(*_live_lines(a))]
     defect = a @ herm(a) @ a - a
     return _partial_isometry_verdict(a, _norm_bounds(defect), lambda: opnorm(defect), tol)
 
@@ -639,15 +740,9 @@ def _frames_and_pinv(a: np.ndarray, tol: Tolerance) -> tuple:
     """Orthonormal frames of R(A) and R(A*) and the pseudoinverse of a
     nonempty A, all from one thin SVD cut as ``range_frame`` and
     ``pseudoinverse`` cut it."""
-    core, rows, cols = _deflate(a)
-    u, s, vh = _svd(core, full_matrices=False)
-    cut = rank_threshold(s, a.shape, tol)
-    r = int(np.sum(s > cut))
-    return (
-        _scatter(u[:, :r], (a.shape[0], r), rows, None),
-        _scatter(herm(vh[:r]), (a.shape[1], r), cols, None),
-        _scatter(_pinv_from_svd(u, s, vh, cut), a.shape[::-1], cols, rows),
-    )
+    split = _SplitSVD(a)
+    cut, r = split.cut(a.shape, tol)
+    return split.left(r), split.right(r), split.pinv(cut)
 
 
 def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:

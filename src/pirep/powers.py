@@ -272,7 +272,7 @@ class RegularPowerResult:
         return {"is_pi": self.is_pi, "is_power_pi_up_to": self.is_power_pi_up_to}
 
 
-def regular_pi_iff_power_pi(rep: CovariantRep, bound: int = 4) -> RegularPowerResult:
+def regular_pi_iff_power_pi(rep: CovariantRep, bound: int) -> RegularPowerResult:
     """For regular representations, partial isometry of the lift is
     equivalent to all powers being partial isometries; reports the largest
     certified power."""

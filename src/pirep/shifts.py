@@ -196,7 +196,7 @@ class ShiftCriterionReport:
 
 
 def shift_pi_criterion(
-    spec: WeightedShiftSpec, tol: Tolerance = DEFAULT_TOL, power_cap: int = 3
+    spec: WeightedShiftSpec, tol: Tolerance = DEFAULT_TOL, *, power_cap: int
 ) -> ShiftCriterionReport:
     """Evaluate both sides of the shift criterion on the faithful window:
     the lift is a partial isometry iff w_{i,m} = 1 for every m outside the

@@ -40,16 +40,17 @@ def from_coords(alg: FdCStarAlgebra, v) -> np.ndarray:
 
 
 def penrose_residuals(m, pinv) -> dict:
-    """Spectral-norm residuals of the four Moore-Penrose identities."""
+    """Spectral-norm residuals of the four Moore-Penrose identities, each
+    norm taken by dense LAPACK."""
     a = nx.as_matrix(m)
     x = nx.as_matrix(pinv)
     ax = a @ x
     xa = x @ a
     return {
-        "AXA": nx.opnorm(a @ xa - a),
-        "XAX": nx.opnorm(x @ ax - x),
-        "AX_selfadjoint": nx.opnorm(ax - nx.herm(ax)),
-        "XA_selfadjoint": nx.opnorm(xa - nx.herm(xa)),
+        "AXA": dense_opnorm(a @ xa - a),
+        "XAX": dense_opnorm(x @ ax - x),
+        "AX_selfadjoint": dense_opnorm(ax - nx.herm(ax)),
+        "XA_selfadjoint": dense_opnorm(xa - nx.herm(xa)),
     }
 
 
@@ -351,13 +352,20 @@ def dense_tilde_power(rep, m: int) -> np.ndarray:
     return t
 
 
-def planted_zero_lines(rng, shape, core_shape, values) -> np.ndarray:
+def planted_zero_lines(rng, shape, core_shape, values, isolated=()) -> np.ndarray:
     """A matrix of ``shape`` that is zero outside a random ``core_shape``
-    submatrix with the given singular values."""
+    submatrix with the given singular values and, on rows and columns the
+    core does not use, one isolated entry of random phase for each modulus
+    in ``isolated``."""
     out = np.zeros(shape, dtype=np.complex128)
     rows = np.sort(rng.choice(shape[0], core_shape[0], replace=False))
     cols = np.sort(rng.choice(shape[1], core_shape[1], replace=False))
     out[np.ix_(rows, cols)] = random_with_spectrum(rng, *core_shape, values)
+    if len(isolated):
+        k = len(isolated)
+        i = rng.permutation(np.setdiff1d(np.arange(shape[0]), rows))[:k]
+        j = rng.permutation(np.setdiff1d(np.arange(shape[1]), cols))[:k]
+        out[i, j] = np.asarray(isolated) * np.exp(2j * np.pi * rng.random(k))
     return out
 
 

@@ -166,6 +166,15 @@ def test_verify_determinism_bytes(capsys):
     assert blob1 == blob2
 
 
+def test_verify_refuses_jobs_below_one(capsys):
+    # no worker would run a trial: an input error (exit 2), not a serial run
+    for jobs in ("0", "-1"):
+        assert main(["verify", "--theorem", "T2.2", "--trials", "2", "--jobs", jobs]) == 2, jobs
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"verify needs jobs >= 1, got {jobs}" in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["classify", "--rep", "/nonexistent/rep.json"])
     assert code == 2

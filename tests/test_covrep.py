@@ -466,21 +466,35 @@ def test_building_a_rep_applies_sigma_once_per_basis_element(monkeypatch, tol):
 
 
 def test_classify_takes_one_factorization(monkeypatch, tol):
-    # the lift of the n = 3, trunc = 216 shift is 217 x 651; one SVD computes
-    # singular vectors, the rest are norms
-    rep = build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
-    assert rep.tilde.shape == (217, 651)
+    # the lift of the n = 3, trunc = 216 shift is 217 x 651; one split SVD
+    # computes singular vectors, the rest are norms.  Every entry of the lift
+    # is isolated, so LAPACK factors nothing; conjugated by a random unitary
+    # the lift is dense and one LAPACK SVD computes singular vectors
+    shift = build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
+    u = haar_unitary(rng_for(320), 217)
+    conjugated = scalar_rep([u @ v @ nx.herm(u) for v in shift.v_on_basis], tol)
     real_svd, computes_uv = np.linalg.svd, []
+    real_split, factorizations = nx._SplitSVD, []
 
     def svd(a, *args, **kwargs):
         out = real_svd(a, *args, **kwargs)
         computes_uv.append(isinstance(out, tuple))  # (U, S, Vh) only when vectors are computed
         return out
 
+    def split(a, *args, **kwargs):
+        factorizations.append(a.shape)
+        return real_split(a, *args, **kwargs)
+
     # np.linalg.norm(., 2) calls the svd of numpy's inner linalg module
     for module in (np.linalg, np.linalg._linalg):
         monkeypatch.setattr(module, "svd", svd)
-    report = rep.classify()
-    assert report.is_partial_isometric and report.consistent
-    assert computes_uv.count(True) == 1
-    assert len(computes_uv) <= 10
+    monkeypatch.setattr(nx, "_SplitSVD", split)
+    for rep, lapack_factorizations in ((shift, 0), (conjugated, 1)):
+        assert rep.tilde.shape == (217, 651)
+        computes_uv.clear()
+        factorizations.clear()
+        report = rep.classify()
+        assert report.is_partial_isometric and report.consistent
+        assert factorizations == [(217, 651)]
+        assert computes_uv.count(True) == lapack_factorizations
+        assert len(computes_uv) <= 10

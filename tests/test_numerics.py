@@ -596,6 +596,110 @@ def test_below_the_gate_the_dense_path_runs_bit_for_bit(tol):
 
 
 # ---------------------------------------------------------------------------
+# splitting off isolated entries
+# ---------------------------------------------------------------------------
+
+
+def isolated_cases(seed: int) -> list:
+    """Matrices of at least the gate's size with isolated entries of random
+    phase and the given moduli, zero lines, and a dense core of rank k with
+    singular values in [0.1, 1]; the largest singular value is an isolated
+    entry in two of them, and ties one in another."""
+    rng = rng_for(seed)
+    cases = []
+    for shape, core, moduli in (
+        ((70, 120), (30, 50), [2.0, 1.0, 0.3, 0.05]),
+        ((120, 70), (40, 20), rng.uniform(0.1, 1.0, 25)),
+        ((64, 64), (20, 21), [1.0] * 10 + [1e-3]),
+        ((40, 300), (10, 100), [1.5, 0.5]),
+    ):
+        k = int(rng.integers(1, min(core)))
+        cases.append(planted_zero_lines(rng, shape, core, np.linspace(1.0, 0.1, k), moduli))
+    return cases
+
+
+def sigma_bound(a) -> float:
+    """Two backward-stable SVDs of a (the split one and dense LAPACK) agree
+    on each singular value to (rows + cols) * 2**-53 * ||a|| apiece."""
+    return 2 * sum(a.shape) * 2**-53 * dense_opnorm(a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_primitives_match_dense_lapack(seed, tol):
+    for a in isolated_cases(340 + seed):
+        assert a.size >= nx._DEFLATE_MIN_SIZE
+        core, _, _, (i, j, v) = nx._deflate(a)
+        assert i.size and core.size and np.array_equal(a[i, j], v)
+        dense_s, split_s = np.linalg.svd(a, compute_uv=False), nx._SplitSVD(a).s
+        assert split_s.size < dense_s.size and np.all(dense_s[split_s.size :] <= sigma_bound(a))
+        assert np.abs(split_s - dense_s[: split_s.size]).max() <= sigma_bound(a)
+        assert abs(nx.opnorm(a) - dense_opnorm(a)) <= sigma_bound(a)
+        for floor in (0.0, 1.0):
+            frame, want = nx.range_frame(a, tol, floor), dense_range_frame(a, tol, floor)
+            assert frame.shape == want.shape
+            assert dense_opnorm(nx.herm(frame) @ frame - np.eye(frame.shape[1])) <= DEFLATED_BOUND
+            assert projector_gap(frame, want) <= DEFLATED_BOUND
+            # every isolated entry is kept, as the exact unit vector of its row
+            units = frame[:, np.count_nonzero(frame, axis=0) == 1]
+            assert sorted(np.flatnonzero(units.any(axis=1))) == sorted(i)
+            assert set(units[units != 0]) == {1.0}
+            kernel, want = nx.kernel_frame(a, tol, floor), dense_kernel_frame(a, tol, floor)
+            assert kernel.shape == want.shape
+            assert dense_opnorm(nx.herm(kernel) @ kernel - np.eye(kernel.shape[1])) <= DEFLATED_BOUND
+            assert projector_gap(kernel, want) <= DEFLATED_BOUND
+        pinv, want = nx.pseudoinverse(a, tol), dense_pseudoinverse(a, tol)
+        assert np.array_equal(pinv[j, i], 1.0 / v)
+        # ||A+ - B+|| <= 2 ||A+||^2 ||A - B|| for equal ranks
+        assert dense_opnorm(pinv - want) <= 2 * dense_opnorm(want) ** 2 * sigma_bound(a)
+        scale = (1.0 + dense_opnorm(a)) * (1.0 + dense_opnorm(pinv))
+        for name, res in penrose_residuals(a, pinv).items():
+            assert res <= DEFLATED_BOUND * scale**2, name
+        final, initial, pinv_c = nx._frames_and_pinv(a, tol)
+        dense_final, dense_initial, _ = dense_frames_and_pinv(a, tol)
+        assert final.shape == dense_final.shape and initial.shape == dense_initial.shape
+        # the frames pair up as singular vectors: A = U_r diag(s_r) V_r* up to the cut values
+        kept = nx._SplitSVD(a).s[: final.shape[1]]
+        assert dense_opnorm((final * kept) @ nx.herm(initial) - a) <= sigma_bound(a)
+        assert projector_gap(final, dense_final) <= DEFLATED_BOUND
+        assert projector_gap(initial, dense_initial) <= DEFLATED_BOUND
+        assert np.array_equal(final, nx.range_frame(a, tol)) and np.array_equal(pinv_c, pinv)
+        s = Subspace(dense_range_frame(crandn(rng_for(seed), a.shape[1], 7)))
+        got, want = nx.image(a, s, tol), dense_image(a, s, tol)
+        assert got.dim == want.dim and projector_gap(got.frame, want.frame) <= DEFLATED_BOUND
+
+
+@pytest.mark.parametrize("top", [1.0, 4.0])
+def test_isolated_entries_beside_the_cut_are_cut_as_on_the_dense_path(top, tol):
+    # sigma_max = top is the core's (1) or an isolated entry's (4), so both
+    # floors cut at rank_rel * top * 120; one isolated entry sits at half
+    # the cut, one at twice it
+    shape = (80, 120)
+    cut = tol.rank_rel * top * max(shape)
+    moduli = [0.5 * cut, 2.0 * cut] + ([top] if top > 1.0 else [])
+    a = planted_zero_lines(rng_for(350), shape, (30, 40), np.linspace(1.0, 0.1, 10), moduli)
+    rank = 11 + (top > 1.0)
+    ((i_small, j_small),) = np.argwhere(np.isclose(np.abs(a), 0.5 * cut, rtol=1e-9, atol=0.0))
+    ((i_big, j_big),) = np.argwhere(np.isclose(np.abs(a), 2.0 * cut, rtol=1e-9, atol=0.0))
+    # the dense kernel and pseudoinverse resolve a direction of singular
+    # value 2 * cut only to Wedin's (rows + cols) * 2**-53 * ||A|| / (2 * cut)
+    wedin = sum(shape) * 2**-53 * top / (2.0 * cut)
+    for floor in (0.0, 1.0):
+        frame = nx.range_frame(a, tol, floor)
+        assert frame.shape[1] == rank == dense_range_frame(a, tol, floor).shape[1]
+        assert frame[i_big][frame[i_big] != 0].tolist() == [1.0] and not frame[i_small].any()
+        kernel, want = nx.kernel_frame(a, tol, floor), dense_kernel_frame(a, tol, floor)
+        assert kernel.shape == want.shape == (120, 120 - rank)
+        assert any(np.array_equal(col, np.eye(120)[j_small]) for col in kernel.T)
+        assert not kernel[j_big].any()
+        assert projector_gap(kernel, want) <= wedin
+    pinv, want = nx.pseudoinverse(a, tol), dense_pseudoinverse(a, tol)
+    assert pinv[j_big, i_big] == 1.0 / a[i_big, j_big] and pinv[j_small, i_small] == 0.0
+    assert dense_opnorm(pinv - want) <= wedin * dense_opnorm(want)
+    final, initial, pinv_c = nx._frames_and_pinv(a, tol)
+    assert final.shape[1] == initial.shape[1] == rank and np.array_equal(pinv_c, pinv)
+
+
+# ---------------------------------------------------------------------------
 # the dense byte budget
 # ---------------------------------------------------------------------------
 

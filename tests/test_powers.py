@@ -485,7 +485,7 @@ def test_regular_non_pi_contraction(tol):
 
 def test_regular_criterion_not_applicable(tol):
     with pytest.raises(NotApplicable):
-        pw.regular_pi_iff_power_pi(scalar_rep([backward_shift(3)], tol))
+        pw.regular_pi_iff_power_pi(scalar_rep([backward_shift(3)], tol), bound=4)
 
 
 def test_unitary_both_true(tol):

@@ -184,14 +184,14 @@ def test_kernel_formula_window_error():
 def test_unit_weights_always_pi(tol):
     for b in (frozenset(), frozenset({0}), frozenset({1, 4})):
         spec = WeightedShiftSpec(n=2, zero_set=b)
-        res = sh.shift_pi_criterion(spec, tol)
+        res = sh.shift_pi_criterion(spec, tol, power_cap=3)
         assert res.is_pi and res.weights_unit_off_zero_set
         assert res.power_pi_up_to >= 2
 
 
 def test_offending_weight_breaks_pi(tol):
     spec = WeightedShiftSpec(n=1, weights={(1, 2): 0.7}, trunc=10)
-    res = sh.shift_pi_criterion(spec, tol)
+    res = sh.shift_pi_criterion(spec, tol, power_cap=3)
     assert not res.is_pi and not res.weights_unit_off_zero_set
     # oracle: classify the truncated lift directly
     assert not sh.build_shift(spec, tol).is_partial_isometric()
@@ -199,7 +199,7 @@ def test_offending_weight_breaks_pi(tol):
 
 def test_weights_on_zero_set_are_irrelevant(tol):
     spec = WeightedShiftSpec(n=2, weights={(1, 0): 7.5, (2, 0): 0.1}, zero_set={0}, trunc=30)
-    res = sh.shift_pi_criterion(spec, tol)
+    res = sh.shift_pi_criterion(spec, tol, power_cap=3)
     assert res.is_pi and res.weights_unit_off_zero_set
 
 
@@ -214,7 +214,7 @@ def test_criterion_equivalence_random(tol):
             m = int(rng.integers(0, 4))
             weights[(int(rng.integers(1, n + 1)), m)] = float(rng.uniform(0.3, 0.9))
         spec = WeightedShiftSpec(n=n, weights=weights, zero_set=b)
-        res = sh.shift_pi_criterion(spec, tol)
+        res = sh.shift_pi_criterion(spec, tol, power_cap=3)
         assert res.is_pi == res.weights_unit_off_zero_set, (trial, spec.to_dict())
         if res.is_pi:
             assert res.power_pi_up_to == spec.window_bound(cap=3)
@@ -268,6 +268,27 @@ def test_shift_criterion_factors_no_array_wider_than_the_rank(tol, monkeypatch):
     res = sh.shift_pi_criterion(spec, tol, power_cap=3)
     assert res.is_pi and res.power_pi_up_to == 3
     assert widths and max(widths) <= 217
+
+
+def test_shift_lifts_take_no_svd(tol, monkeypatch):
+    # every entry of the n = 3, trunc 216 shift lift (217 x 651) and of its
+    # T_3 (217 x 5,859) is isolated, alone in its row and its column, so
+    # their norms, contraction verdicts and cokernel frames factor nothing
+    rep = sh.build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
+    lifts = [rep.tilde, rep.tilde_power(3)]
+    shapes, real_svd = [], nx._svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "_svd", svd)
+    for t in lifts:
+        rank = int(np.count_nonzero(t))
+        assert nx.opnorm(t) == 1.0 and nx.is_contraction(t, tol)
+        frame = nx.range_frame(nx.herm(t), tol)
+        assert frame.shape == (t.shape[1], rank) and np.count_nonzero(frame) == rank
+    assert shapes == []
 
 
 def test_shift_criterion_takes_the_lift_verdict_once(tol, monkeypatch):
