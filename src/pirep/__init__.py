@@ -38,7 +38,7 @@ from .errors import (
     UsageError,
     WindowError,
 )
-from .harness import TrialConfig, VerificationReport, structured_fixture, theorem_ids, verify
+from .harness import TrialConfig, VerificationReport, theorem_ids, verify
 from .numerics import (
     DEFAULT_TOL,
     ClassificationReport,

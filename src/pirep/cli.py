@@ -24,7 +24,8 @@ diagnostic; every other verdict is the triple-product rule alone.
 every subcommand exits 2 on usage or input errors, malformed JSON
 included, and so do ``powers --nmax`` below 1, ``root --k`` below 2,
 ``shift --power`` below 1, a ``shift --B`` entry that is not a
-nonnegative integer and a non-finite or non-positive --tol-*.
+nonnegative integer, a ``verify --seed`` outside [0, 2**64) and a
+non-finite or non-positive --tol-*.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 
 from . import harness, powers, serialize, shifts, wold
 from .errors import NotApplicable, PirepError, UsageError
-from .numerics import Tolerance, classify_operator
+from .numerics import DEFAULT_TOL, Tolerance, classify_operator
 from .products import (
     ProductRep,
     chain_condition_test,
@@ -47,9 +48,12 @@ from .products import (
 
 
 def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol-rank", type=float, default=1e-10, help="relative singular-value cutoff")
-    parser.add_argument("--tol-eq", type=float, default=1e-8, help="relative residual cutoff for identities")
-    parser.add_argument("--tol-incl", type=float, default=1e-8, help="absolute cutoff for subspace inclusions")
+    parser.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
+                        help="relative singular-value cutoff")
+    parser.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_rel,
+                        help="relative residual cutoff for identities")
+    parser.add_argument("--tol-incl", type=float, default=DEFAULT_TOL.incl_abs,
+                        help="absolute cutoff for subspace inclusions")
     parser.add_argument("--indent", type=int, default=2, choices=range(9), metavar="{0..8}",
                         help="JSON indent, 0 to 8 (0 for compact)")
 
@@ -102,12 +106,10 @@ def _cmd_product(args) -> int:
                 out["commuting_projections"] = commuting_projection_test(*reps).to_dict()
             except NotApplicable as exc:
                 out["commuting_projections"] = {"not_applicable": exc.reason}
-            sufficient = sufficient_intertwining_check(*reps)
-            out["sufficient_intertwining"] = (
-                {"not_applicable": "factors are not both partially isometric"}
-                if sufficient is None
-                else sufficient
-            )
+            try:
+                out["sufficient_intertwining"] = sufficient_intertwining_check(*reps)
+            except NotApplicable as exc:
+                out["sufficient_intertwining"] = {"not_applicable": exc.reason}
             try:
                 out["defect_dilation"] = defect_dilation_test(*reps).to_dict()
             except PirepError as exc:

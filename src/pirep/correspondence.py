@@ -66,7 +66,6 @@ from .errors import (
     InvalidCorrespondence,
 )
 from .numerics import (
-    DEFAULT_TOL,
     ENTRY_BYTES,
     Amplification,
     Tolerance,
@@ -166,13 +165,6 @@ class FdCStarAlgebra:
         lo, hi = self._block_ranges[i]
         return as_matrix(a)[lo:hi, lo:hi]
 
-    def unit(self, i: int, p: int, q: int) -> np.ndarray:
-        """Matrix unit e^{(i)}_{pq}."""
-        lo, _ = self._block_ranges[i]
-        u = np.zeros((self.matrix_size, self.matrix_size), dtype=np.complex128)
-        u[lo + p, lo + q] = 1.0
-        return u
-
 
 SCALARS = FdCStarAlgebra([1])
 
@@ -271,7 +263,7 @@ class FdCorrespondence:
             out = self._tensor_memo[f] = tensor_product(self, f)
         return out
 
-    def space(self, sigma: StarRepresentation, tol: Tolerance = DEFAULT_TOL) -> "TensorSpace":
+    def space(self, sigma: StarRepresentation, tol: Tolerance) -> "TensorSpace":
         """E (x)_sigma H, built by ``interior_tensor`` once per sigma and
         tolerance.  The space refers back to E through a weak proxy, so
         the memo forms no reference cycle and dies with E."""
@@ -296,7 +288,7 @@ class FdCorrespondence:
         n, k = self.module_dim, self.algebra.matrix_size
         return self.gram.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL):
+    def validate(self, tol: Tolerance):
         """Check the Hilbert-bimodule axioms on the structure data."""
         n = self.module_dim
         if n == 0:
@@ -336,7 +328,7 @@ class FdCorrespondence:
                 raise InvalidCorrespondence("left action is not adjointable w.r.t. the gram")
         return self
 
-    def is_full(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_full(self, tol: Tolerance) -> bool:
         """True iff the inner products <xi_a, xi_b> span the whole algebra."""
         rows = self.algebra.coords(self.gram).reshape(-1, self.algebra.dim)
         if rows.size == 0:
@@ -510,7 +502,7 @@ def _gram_is_standard(e: FdCorrespondence) -> bool:
 def interior_tensor(
     e: FdCorrespondence,
     sigma: StarRepresentation,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> TensorSpace:
     """Build E (x)_sigma H: put the semi-inner product
     <xi (x) h, eta (x) g> = <h, sigma(<xi, eta>) g> on the formal tensor
@@ -577,7 +569,7 @@ def amplify(
     cod: TensorSpace,
     big_dom: TensorSpace,
     big_cod: TensorSpace,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> Amplification:
     """I_F (x) X under F (x) (D (x) H) ~ (F (x) D) (x) H, as an operator
     ``big_cod.embed (I_F (x) lift_cod X embed_dom) big_dom.lift`` that is

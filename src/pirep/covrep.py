@@ -38,7 +38,7 @@ from . import numerics as nx
 from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplify, plain_space
 from .correspondence import intertwining_residual
 from .errors import DimensionMismatch, InvalidRepresentation
-from .numerics import DEFAULT_TOL, Subspace, Tolerance, as_matrix, herm, opnorm
+from .numerics import Subspace, Tolerance, as_matrix, herm, opnorm
 
 
 class LiftChain:
@@ -134,7 +134,7 @@ class CovariantRep(LiftChain):
         corr: FdCorrespondence,
         sigma: StarRepresentation,
         v_on_basis,
-        tol: Tolerance = DEFAULT_TOL,
+        tol: Tolerance,
     ):
         if corr.algebra != sigma.algebra:
             raise DimensionMismatch("correspondence and representation algebras differ")
@@ -229,7 +229,7 @@ def rep_from_tilde(
     corr: FdCorrespondence,
     sigma: StarRepresentation,
     tilde: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> CovariantRep:
     """Reconstruct (sigma, V) from a lift: V(xi_b) h = tilde(xi_b (x) h)."""
     tilde = as_matrix(tilde)

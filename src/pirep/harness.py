@@ -39,7 +39,7 @@ from .correspondence import (
 )
 from .covrep import CovariantRep, rep_from_tilde
 from .errors import NotApplicable, UsageError
-from .numerics import DEFAULT_TOL, Tolerance, eye, herm, opnorm
+from .numerics import Record, Tolerance, eye, herm, opnorm
 from .products import (
     ProductRep,
     chain_condition_test,
@@ -48,7 +48,7 @@ from .products import (
     pinv_factorization_test,
     single_defect_dilation,
 )
-from .serialize import rep_to_json, tolerance_to_json
+from .serialize import rep_to_json
 
 TWO_BLOCK = FdCStarAlgebra([1, 1])
 
@@ -69,7 +69,7 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(Record):
     """Shared knobs for instance generation."""
 
     master_seed: int = 0
@@ -80,22 +80,14 @@ class TrialConfig:
     n_max: int = 4
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 2**64:
+            raise UsageError(f"master seed must be in [0, 2**64), got {self.master_seed}")
         if self.trials < 1:
             raise UsageError("need at least one trial")
         if self.algebra_shape not in ("scalar", "two_block", "mixed"):
             raise UsageError(f"unknown algebra shape {self.algebra_shape!r}")
         if self.n_max < 1:
             raise UsageError("n_max must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "trials": self.trials,
-            "h_dim_range": list(self.h_dim_range),
-            "module_dim_range": list(self.module_dim_range),
-            "algebra_shape": self.algebra_shape,
-            "n_max": self.n_max,
-        }
 
     @staticmethod
     def from_dict(obj: dict) -> "TrialConfig":
@@ -227,17 +219,6 @@ def coisometric_covariant_rep(
 # ---------------------------------------------------------------------------
 
 
-def structured_fixture(kind: str, seed: int, tol: Tolerance = DEFAULT_TOL, **params) -> CovariantRep:
-    """Named fixtures realizing the standard models.
-
-    Kinds: "unitary", "truncated_shift", "coisometric_row",
-    "invertible_contraction", and "direct_sum" of such parts.  Weighted
-    shifts come from ``shifts.build_shift``.
-    """
-    rng = rng_stream(seed, 0)
-    return _structured(kind, rng, tol, params)
-
-
 def _scalar_rep(vs, tol):
     d = vs[0].shape[0]
     return CovariantRep(
@@ -245,43 +226,28 @@ def _scalar_rep(vs, tol):
     )
 
 
-def _structured(kind: str, rng, tol: Tolerance, params: dict) -> CovariantRep:
-    if kind == "unitary":
-        # a lift of shape d x (n d) is isometric only for n = 1, where a
-        # finite-dimensional isometry is already unitary
-        d = int(params.get("d", 3))
-        return _scalar_rep([haar_unitary(rng, d)], tol)
-    if kind == "truncated_shift":
-        d = int(params.get("d", 4))
-        return _scalar_rep([np.diag([1.0] * (d - 1), -1).astype(complex)], tol)
-    if kind == "coisometric_row":
-        n = int(params.get("n", 2))
-        d = int(params.get("d", 3))
-        return _scalar_rep([haar_unitary(rng, d) / np.sqrt(n) for _ in range(n)], tol)
-    if kind == "invertible_contraction":
-        d = int(params.get("d", 3))
-        u, s, vh = np.linalg.svd(crandn(rng, d, d), full_matrices=False)
-        v = u @ ((0.3 + 0.6 * s / s.max())[:, None] * vh)
-        return _scalar_rep([v], tol)
-    if kind == "direct_sum":
-        parts = [
-            _structured(sub_kind, rng, tol, sub_params)
-            for sub_kind, sub_params in params["parts"]
-        ]
-        n = parts[0].corr.module_dim
-        if any(p.corr.module_dim != n for p in parts):
-            raise UsageError("direct_sum needs parts with a common module dimension")
-        total = sum(p.h_dim for p in parts)
-        vs = []
-        for i in range(n):
-            v = np.zeros((total, total), dtype=np.complex128)
-            at = 0
-            for p in parts:
-                v[at : at + p.h_dim, at : at + p.h_dim] = p.v_on_basis[i]
-                at += p.h_dim
-            vs.append(v)
-        return _scalar_rep(vs, tol)
-    raise UsageError(f"unknown fixture kind {kind!r}")
+def unitary_fixture(rng, tol: Tolerance, d: int) -> CovariantRep:
+    """A Haar unitary on C^d over E = C.  A lift of shape d x (n d) is
+    isometric only for n = 1, where a finite-dimensional isometry is
+    already unitary."""
+    return _scalar_rep([haar_unitary(rng, d)], tol)
+
+
+def truncated_shift_fixture(tol: Tolerance, d: int) -> CovariantRep:
+    """The forward shift on C^d over E = C."""
+    return _scalar_rep([np.diag([1.0] * (d - 1), -1).astype(complex)], tol)
+
+
+def coisometric_row_fixture(rng, tol: Tolerance, n: int, d: int) -> CovariantRep:
+    """A row of n Haar unitaries on C^d scaled by 1/sqrt(n), over E = C^n."""
+    return _scalar_rep([haar_unitary(rng, d) / np.sqrt(n) for _ in range(n)], tol)
+
+
+def invertible_contraction_fixture(rng, tol: Tolerance, d: int) -> CovariantRep:
+    """An invertible contraction on C^d over E = C, its singular values in
+    [0.3, 0.9]."""
+    u, s, vh = np.linalg.svd(crandn(rng, d, d), full_matrices=False)
+    return _scalar_rep([u @ ((0.3 + 0.6 * s / s.max())[:, None] * vh)], tol)
 
 
 def shift_plus_unitary_fixture(rng, tol: Tolerance, q: int | None = None, u_dim: int | None = None) -> CovariantRep:
@@ -306,11 +272,11 @@ def regular_fixture(rng, tol: Tolerance, *, want_pi: bool) -> CovariantRep:
     if want_pi:
         pick = int(rng.integers(0, 3))
         if pick == 0:
-            return _structured("unitary", rng, tol, {"d": int(rng.integers(2, 6))})
+            return unitary_fixture(rng, tol, int(rng.integers(2, 6)))
         n = int(rng.integers(2, 4)) if pick == 1 else 2
         d = int(rng.integers(2, 5))
-        return _structured("coisometric_row", rng, tol, {"n": n, "d": d})
-    return _structured("invertible_contraction", rng, tol, {"d": int(rng.integers(2, 6))})
+        return coisometric_row_fixture(rng, tol, n, d)
+    return invertible_contraction_fixture(rng, tol, int(rng.integers(2, 6)))
 
 
 def power_pi_fixture(rng, tol: Tolerance) -> CovariantRep:
@@ -319,7 +285,7 @@ def power_pi_fixture(rng, tol: Tolerance) -> CovariantRep:
     if pick == 0:
         return shift_plus_unitary_fixture(rng, tol)
     if pick == 1:
-        return _structured("truncated_shift", rng, tol, {"d": int(rng.integers(2, 6))})
+        return truncated_shift_fixture(tol, int(rng.integers(2, 6)))
     spec = sh.WeightedShiftSpec(
         n=int(rng.integers(1, 3)),
         zero_set=frozenset(int(x) for x in rng.integers(0, 6, size=rng.integers(0, 3))),
@@ -365,10 +331,8 @@ def commuting_pi_pair(rng, config: TrialConfig, tol: Tolerance):
     return rep1, rep2
 
 
-def random_pi_pair(rng, config: TrialConfig, tol: Tolerance, *, force_true_branch: bool = False):
+def random_pi_pair(rng, config: TrialConfig, tol: Tolerance):
     """Two partially isometric factors on a common (sigma, H)."""
-    if force_true_branch:
-        return commuting_pi_pair(rng, config, tol)
     corr_a, sigma = draw_setting(rng, config)
     rep_a = random_pi_rep(corr_a, sigma, rng, tol)
     if corr_a.algebra.is_scalar:
@@ -405,7 +369,7 @@ class TrialOutcome:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     theorem_id: str
     description: str
     falsify: bool
@@ -416,20 +380,6 @@ class VerificationReport:
     hypothesis_skips: int
     max_residual: float
     counterexamples: list
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "description": self.description,
-            "falsify": self.falsify,
-            "config": self.config.to_dict(),
-            "tolerance": tolerance_to_json(self.tolerance),
-            "trials_run": self.trials_run,
-            "equivalence_violations": self.equivalence_violations,
-            "hypothesis_skips": self.hypothesis_skips,
-            "max_residual": self.max_residual,
-            "counterexamples": list(self.counterexamples),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +401,7 @@ def _margin(*values) -> float:
 
 def _trial_product_commuting(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     force = int(rng.integers(0, 4)) == 0
-    rep1, rep2 = random_pi_pair(rng, config, tol, force_true_branch=force)
+    rep1, rep2 = (commuting_pi_pair if force else random_pi_pair)(rng, config, tol)
     res = commuting_projection_test(rep1, rep2)
     residual = _margin(res.commutator_norm if res.projections_commute else 0.0,
                        res.product_residual if res.product_is_pi else 0.0)
@@ -511,7 +461,7 @@ def _trial_pinv_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
             n = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
             rep = random_pi_rep(scalar_correspondence(n), sigma, rng, tol)
             if int(rng.integers(0, 4)) == 0 and n == 1:
-                rep = _structured("unitary", rng, tol, {"d": sigma.h_dim})  # true branch
+                rep = unitary_fixture(rng, tol, sigma.h_dim)  # true branch
             factors.append(rep)
         else:
             factors.append(random_pi_rep(corr, sigma, rng, tol))
@@ -871,7 +821,7 @@ MAX_EQ_REL = 1e-5
 def verify(
     theorem_id: str,
     config: TrialConfig,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
     *,
     jobs: int = 1,
     falsify: bool = False,
@@ -936,7 +886,7 @@ def verify(
     )
 
 
-def replay_counterexample(counterexample: dict, tol: Tolerance = DEFAULT_TOL) -> TrialOutcome:
+def replay_counterexample(counterexample: dict, tol: Tolerance) -> TrialOutcome:
     """Re-run the embedded (master seed, trial index) and return the fresh
     outcome; a genuine counterexample reproduces its violation."""
     theorem_id = counterexample["theorem_id"]

@@ -3,7 +3,8 @@
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Every
 rank, frame, pseudoinverse, and subspace-inclusion decision made
 anywhere in the package reduces to the primitives in this module, and
-every such decision is governed by a single :class:`Tolerance` value:
+every such decision is governed by a single :class:`Tolerance` value,
+which every function takes from its caller:
 
 * ``rank_rel``  -- a singular value sigma counts as zero iff
   ``sigma <= rank_rel * sigma_max * max(rows, cols)``,
@@ -90,7 +91,7 @@ inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,9 +114,32 @@ def check_bytes(nbytes: int, what: str) -> None:
         raise ResourceLimit(f"{what} needs {nbytes} bytes, over the budget {DENSE_BYTES}")
 
 
+class Record:
+    """Base of the frozen dataclasses whose JSON is their fields, in order:
+    lists and tuples become lists, and dicts and nested records are
+    converted entry by entry."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
-class Tolerance:
-    """Numeric policy shared by all decision procedures."""
+class Tolerance(Record):
+    """Numeric policy shared by all decision procedures.  Every function
+    that decides takes it from its caller; these field defaults are the
+    one statement of the default policy, ``DEFAULT_TOL``."""
 
     rank_rel: float = 1e-10
     eq_rel: float = 1e-8
@@ -441,7 +465,7 @@ def _frame(n: int, lone: np.ndarray, units: np.ndarray, mask, vectors: np.ndarra
     return out
 
 
-def pseudoinverse(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pseudoinverse(m, tol: Tolerance) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the rank_rel cutoff.
 
     The result satisfies the four defining identities
@@ -459,7 +483,7 @@ def _pinv_from_svd(u, s, vh, cut: float) -> np.ndarray:
     return herm(vh) @ (inv[:, None] * herm(u))
 
 
-def range_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
+def range_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the range of m."""
     a = as_matrix(m)
     return _range_frame_cut_as(a, a.shape, tol, scale_floor)
@@ -474,7 +498,7 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
     return split.left(split.cut(shape, tol, scale_floor)[1])
 
 
-def kernel_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
+def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the kernel of m."""
     a = as_matrix(m)
     check_bytes(ENTRY_BYTES * a.shape[1] ** 2, "a kernel frame's full SVD")
@@ -495,7 +519,7 @@ def kernel_frame(m, tol: Tolerance = DEFAULT_TOL, scale_floor: float = 0.0) -> n
     return frame
 
 
-def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(m, tol: Tolerance) -> np.ndarray:
     """Self-adjoint PSD square root of a self-adjoint PSD matrix.
 
     Eigenvalues in ``[-eq_rel*||M||, 0)`` are clamped to zero (roundoff
@@ -559,13 +583,13 @@ class Subspace:
         return Subspace(np.zeros((d, 0), dtype=np.complex128))
 
     @staticmethod
-    def span(columns, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+    def span(columns, tol: Tolerance) -> "Subspace":
         """Subspace spanned by the columns of a matrix (need not be
         orthonormal or independent)."""
         return Subspace(range_frame(columns, tol, scale_floor=1.0))
 
     @staticmethod
-    def kernel(m, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+    def kernel(m, tol: Tolerance) -> "Subspace":
         """Kernel of an operator, with the same unit scale floor as span."""
         return Subspace(kernel_frame(m, tol, scale_floor=1.0))
 
@@ -577,7 +601,7 @@ def _check_same_ambient(s1: Subspace, s2: Subspace):
         )
 
 
-def ortho_complement(s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def ortho_complement(s: Subspace, tol: Tolerance) -> Subspace:
     return Subspace(kernel_frame(herm(s.frame), tol))
 
 
@@ -593,12 +617,12 @@ def inclusion_defect(s1: Subspace, s2: Subspace) -> float:
     return opnorm(_inclusion_gap(s1, s2))
 
 
-def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
     """S1 <= S2 iff ||(I - P2) F1|| <= incl_abs."""
     return norm_within(_inclusion_gap(s1, s2), tol.incl_abs)
 
 
-def ominus(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def ominus(s1: Subspace, s2: Subspace, tol: Tolerance) -> Subspace:
     """S1 (-) S2 for nested S2 <= S1."""
     _check_same_ambient(s1, s2)
     if not is_subset(s2, s1, tol):
@@ -606,7 +630,7 @@ def ominus(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace
     return Subspace.span(s1.frame - s2.projector() @ s1.frame, tol)
 
 
-def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def image(m, s: Subspace, tol: Tolerance) -> Subspace:
     """Image of the subspace under the operator, a matrix or an
     ``Amplification``: R(M @ frame).
 
@@ -628,7 +652,7 @@ def image(m, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
+def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     """The triple-product residual ||M M* M - M|| and the partial-isometry
     verdict residual <= eq_rel * ||M||.
 
@@ -642,7 +666,7 @@ def partial_isometry_residual(m, tol: Tolerance = DEFAULT_TOL) -> tuple:
     return residual, _partial_isometry_verdict(a, (residual, residual), lambda: residual, tol)
 
 
-def is_partial_isometry(m, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_partial_isometry(m, tol: Tolerance) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
     a = as_matrix(m)
@@ -665,7 +689,7 @@ def _partial_isometry_verdict(a: np.ndarray, residual_bounds: tuple, residual, t
     return scale <= tol.rank_rel or residual() <= tol.eq_rel * scale
 
 
-def is_contraction(m, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_contraction(m, tol: Tolerance) -> bool:
     return norm_within(m, 1.0 + tol.eq_rel)
 
 
@@ -689,7 +713,7 @@ _CONDITIONS = (
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Verdicts plus the residuals of all six partial-isometry conditions.
 
     The partial-isometry verdict is the triple-product condition
@@ -715,18 +739,6 @@ class ClassificationReport:
     condition_verdicts: dict
     consistent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "is_contractive": self.is_contractive,
-            "is_isometric": self.is_isometric,
-            "is_partial_isometric": self.is_partial_isometric,
-            "norm": self.norm,
-            "isometry_residual": self.isometry_residual,
-            "condition_residuals": dict(self.condition_residuals),
-            "condition_verdicts": dict(self.condition_verdicts),
-            "consistent": self.consistent,
-        }
-
 
 def _frame_gram_residual(x: np.ndarray, f: np.ndarray) -> float:
     """||F* X* X F - I|| for an orthonormal frame F of N(X)^perp."""
@@ -745,7 +757,7 @@ def _frames_and_pinv(a: np.ndarray, tol: Tolerance) -> tuple:
     return split.left(r), split.right(r), split.pinv(cut)
 
 
-def classify_operator(m, tol: Tolerance = DEFAULT_TOL) -> ClassificationReport:
+def classify_operator(m, tol: Tolerance) -> ClassificationReport:
     """Contraction, isometry and the six-way partial-isometry diagnostic.
 
     ||M|| is computed once.  The frames of R(M) and R(M*), the rank and

@@ -63,7 +63,7 @@ import numpy as np
 from . import numerics as nx
 from .covrep import CovariantRep
 from .errors import NotApplicable, DimensionMismatch
-from .numerics import Subspace, eye, herm, opnorm
+from .numerics import Record, Subspace, eye, herm, opnorm
 
 
 def kernel_chain_condition(rep: CovariantRep, m: int) -> bool:
@@ -111,7 +111,7 @@ def _range_invariance(rep: CovariantRep, m: int, tt_star: np.ndarray, prev_coker
 
 
 @dataclass(frozen=True)
-class PowerReport:
+class PowerReport(Record):
     """Per-power partial-isometry flags and the two chain conditions,
     certified up to the stated bound."""
 
@@ -127,16 +127,6 @@ class PowerReport:
 
     def cumulative_chain(self):
         return nx.running_conjunction(self.chain_flags)
-
-    def to_dict(self):
-        return {
-            "n_max": self.n_max,
-            "applicable": self.applicable,
-            "pi_flags": list(self.pi_flags),
-            "chain_flags": list(self.chain_flags),
-            "range_flags": list(self.range_flags),
-            "residuals": list(self.residuals),
-        }
 
 
 def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
@@ -214,17 +204,10 @@ def _is_regular_over(rep: CovariantRep, rinf: Subspace) -> bool:
 
 
 @dataclass(frozen=True)
-class GeneralizedInverseReport:
+class GeneralizedInverseReport(Record):
     is_gen_inverse: bool
     identity_residuals: dict
     lemma_holds_up_to: int
-
-    def to_dict(self):
-        return {
-            "is_gen_inverse": self.is_gen_inverse,
-            "identity_residuals": dict(self.identity_residuals),
-            "lemma_holds_up_to": self.lemma_holds_up_to,
-        }
 
 
 def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) -> GeneralizedInverseReport:
@@ -264,12 +247,9 @@ def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) ->
 
 
 @dataclass(frozen=True)
-class RegularPowerResult:
+class RegularPowerResult(Record):
     is_pi: bool
     is_power_pi_up_to: int
-
-    def to_dict(self):
-        return {"is_pi": self.is_pi, "is_power_pi_up_to": self.is_power_pi_up_to}
 
 
 def regular_pi_iff_power_pi(rep: CovariantRep, bound: int) -> RegularPowerResult:
@@ -296,7 +276,7 @@ def regular_pi_iff_power_pi(rep: CovariantRep, bound: int) -> RegularPowerResult
 
 
 @dataclass(frozen=True)
-class RootCriterionResult:
+class RootCriterionResult(Record):
     """Root test data: with T_k a partial isometry (hypothesis_ok), the
     representation is partially isometric iff the amplified lift is
     isometric on D = N(T_k) (-) N(I (x) T) (cond_a) and maps N(T_k)^perp
@@ -308,16 +288,6 @@ class RootCriterionResult:
     rep_is_pi: bool
     isometry_defect: float
     orthogonality_defect: float
-
-    def to_dict(self):
-        return {
-            "hypothesis_ok": self.hypothesis_ok,
-            "cond_a": self.cond_a,
-            "cond_b": self.cond_b,
-            "rep_is_pi": self.rep_is_pi,
-            "isometry_defect": self.isometry_defect,
-            "orthogonality_defect": self.orthogonality_defect,
-        }
 
 
 def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
@@ -363,12 +333,9 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
 
 
 @dataclass(frozen=True)
-class KernelMatchResult:
+class KernelMatchResult(Record):
     applicable: bool
     rep_is_pi: bool
-
-    def to_dict(self):
-        return {"applicable": self.applicable, "rep_is_pi": self.rep_is_pi}
 
 
 def kernel_match_criterion(rep: CovariantRep, k: int) -> KernelMatchResult:

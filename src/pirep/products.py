@@ -17,9 +17,8 @@ factors, the four-condition chain equivalence for n factors, the
 pseudoinverse factorization equivalence, and the defect-dilation block
 matrix.
 
-Hypothesis failure is a distinct tri-state outcome, never conflated with a
-false conclusion: functions either return None ("not applicable") where
-documented or raise NotApplicable.
+Hypothesis failure is a distinct outcome, never conflated with a false
+conclusion: a criterion whose hypotheses fail raises NotApplicable.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from . import numerics as nx
 from .covrep import CovariantRep, LiftChain
 from .errors import DimensionMismatch, DomainError, NotApplicable, UsageError
-from .numerics import Subspace, eye, herm, opnorm
+from .numerics import Record, Subspace, eye, herm, opnorm
 
 
 class ProductRep(LiftChain):
@@ -79,34 +78,24 @@ def sufficient_intertwining_check(rep1: CovariantRep, rep2: CovariantRep):
 
         tilde1 (I (x) tilde2 tilde2*) = tilde2 tilde2* tilde1.
 
-    Returns True/False, or None when either factor is not partially
-    isometric (the condition is then not applicable).
+    Raises NotApplicable when either factor is not partially isometric.
     """
     prod = ProductRep([rep1, rep2])
     tol = prod.tol
     if not (rep1.is_partial_isometric() and rep2.is_partial_isometric()):
-        return None
+        raise NotApplicable("factors are not both partially isometric")
     final2 = rep2.tilde @ herm(rep2.tilde)
     amp = prod.amplified(final2, 1, 0, 0)
     return nx.identity_holds(rep1.tilde @ amp - final2 @ rep1.tilde, lambda: opnorm(rep1.tilde), tol)
 
 
 @dataclass(frozen=True)
-class CommutingProjectionResult:
+class CommutingProjectionResult(Record):
     product_is_pi: bool
     projections_commute: bool
     commutator_norm: float
     product_residual: float
     ef_norm: float  # ||E F||; idempotents of norm 1 + eps are borderline, so report it
-
-    def to_dict(self):
-        return {
-            "product_is_pi": self.product_is_pi,
-            "projections_commute": self.projections_commute,
-            "commutator_norm": self.commutator_norm,
-            "product_residual": self.product_residual,
-            "ef_norm": self.ef_norm,
-        }
 
 
 def commuting_projection_test(rep1: CovariantRep, rep2: CovariantRep) -> CommutingProjectionResult:
@@ -135,7 +124,7 @@ def commuting_projection_test(rep1: CovariantRep, rep2: CovariantRep) -> Commuti
 
 
 @dataclass(frozen=True)
-class ChainConditionReport:
+class ChainConditionReport(Record):
     """Per-stage data for the four-condition product criterion.
 
     Stage s (1-based, s = 1..n-1) concerns appending factor s+1 to the
@@ -181,14 +170,7 @@ class ChainConditionReport:
         return True
 
     def to_dict(self):
-        return {
-            "stage_pi": list(self.stage_pi),
-            "range_invariant": list(self.range_invariant),
-            "domain_invariant": list(self.domain_invariant),
-            "idempotent": list(self.idempotent),
-            "cumulative": self.cumulative(),
-            "residuals": list(self.residuals),
-        }
+        return dict(super().to_dict(), cumulative=self.cumulative())
 
 
 def chain_condition_test(factors) -> ChainConditionReport:
@@ -220,17 +202,10 @@ def chain_condition_test(factors) -> ChainConditionReport:
 
 
 @dataclass(frozen=True)
-class PinvFactorizationResult:
+class PinvFactorizationResult(Record):
     is_pi: bool
     pinv_factors_match: bool
     chain_residual: float
-
-    def to_dict(self):
-        return {
-            "is_pi": self.is_pi,
-            "pinv_factors_match": self.pinv_factors_match,
-            "chain_residual": self.chain_residual,
-        }
 
 
 def pinv_factorization_test(factors) -> PinvFactorizationResult:
@@ -253,12 +228,9 @@ def pinv_factorization_test(factors) -> PinvFactorizationResult:
 
 
 @dataclass(frozen=True)
-class DefectDilationResult:
+class DefectDilationResult(Record):
     m_is_pi: bool
     rep1_is_pi: bool
-
-    def to_dict(self):
-        return {"m_is_pi": self.m_is_pi, "rep1_is_pi": self.rep1_is_pi}
 
 
 def single_defect_dilation(rep: CovariantRep) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .correspondence import FdCStarAlgebra, FdCorrespondence, StarRepresentation
 from .covrep import CovariantRep
 from .errors import UsageError
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix
+from .numerics import Tolerance, as_matrix
 
 
 def format_number(x: float) -> str:
@@ -128,10 +128,6 @@ def matrix_from_json(obj) -> np.ndarray:
         raise UsageError(f"malformed matrix JSON: {exc}") from exc
 
 
-def tolerance_to_json(tol: Tolerance) -> dict:
-    return {"rank_rel": tol.rank_rel, "eq_rel": tol.eq_rel, "incl_abs": tol.incl_abs}
-
-
 # ---------------------------------------------------------------------------
 # correspondences and representations
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def correspondence_to_json(e: FdCorrespondence) -> dict:
     }
 
 
-def correspondence_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> FdCorrespondence:
+def correspondence_from_json(obj, tol: Tolerance) -> FdCorrespondence:
     try:
         # declared sizes must match the data before anything is built from them
         sizes = [int(k) for k in obj["block_sizes"]]
@@ -177,7 +173,7 @@ def rep_to_json(rep: CovariantRep) -> dict:
     }
 
 
-def rep_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> CovariantRep:
+def rep_from_json(obj, tol: Tolerance) -> CovariantRep:
     try:
         corr = correspondence_from_json(obj["correspondence"], tol)
         sigma = StarRepresentation(corr.algebra, obj["multiplicities"])

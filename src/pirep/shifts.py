@@ -30,7 +30,7 @@ from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
-from .numerics import DEFAULT_TOL, ENTRY_BYTES, Tolerance, check_bytes
+from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes
 
 
 def minimal_trunc(n: int, k: int) -> int:
@@ -125,7 +125,7 @@ def _shift_matrix(spec: WeightedShiftSpec, i: int) -> np.ndarray:
     return v
 
 
-def build_shift(spec: WeightedShiftSpec, tol: Tolerance = DEFAULT_TOL) -> CovariantRep:
+def build_shift(spec: WeightedShiftSpec, tol: Tolerance) -> CovariantRep:
     """The covariant representation of E = C^n on C^{M+1} given by the data."""
     sigma = StarRepresentation(SCALARS, [spec.h_dim()])
     return CovariantRep(scalar_correspondence(spec.n), sigma, shift_matrices(spec), tol)
@@ -168,7 +168,7 @@ def kernel_formula(spec: WeightedShiftSpec, i: int, k: int) -> list:
     return hits
 
 
-def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance = DEFAULT_TOL) -> list:
+def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance) -> list:
     """Oracle: kernel indices of the truncated matrix power V_i^k on W_k,
     from its window columns V_i(...(V_i V_i[:, W_k])).  Every entry of a
     product of shift matrices is a single product of weights, so these
@@ -182,21 +182,14 @@ def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance =
 
 
 @dataclass(frozen=True)
-class ShiftCriterionReport:
+class ShiftCriterionReport(Record):
     is_pi: bool
     weights_unit_off_zero_set: bool
     power_pi_up_to: int
 
-    def to_dict(self):
-        return {
-            "is_pi": self.is_pi,
-            "weights_unit_off_zero_set": self.weights_unit_off_zero_set,
-            "power_pi_up_to": self.power_pi_up_to,
-        }
-
 
 def shift_pi_criterion(
-    spec: WeightedShiftSpec, tol: Tolerance = DEFAULT_TOL, *, power_cap: int
+    spec: WeightedShiftSpec, tol: Tolerance, *, power_cap: int
 ) -> ShiftCriterionReport:
     """Evaluate both sides of the shift criterion on the faithful window:
     the lift is a partial isometry iff w_{i,m} = 1 for every m outside the

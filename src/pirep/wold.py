@@ -37,7 +37,7 @@ import numpy as np
 from . import numerics as nx
 from .covrep import CovariantRep
 from .errors import NotApplicable
-from .numerics import Subspace, Tolerance, eye, herm, opnorm
+from .numerics import Record, Subspace, Tolerance, eye, herm, opnorm
 from .powers import _is_regular_over, _span_e_tensor, generalized_range, is_regular, iterated_range
 
 # Depth of the bi-regularity inclusions that is_bi_regular and wold_decompose check.
@@ -98,7 +98,7 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
 
 
 @dataclass(frozen=True)
-class WoldResult:
+class WoldResult(Record):
     """One side of the decomposition: wandering part, the subspace it
     generates, the residual generalized range, and the defect norms of
     orthogonality and completeness."""
@@ -120,23 +120,13 @@ class WoldResult:
 
 
 @dataclass(frozen=True)
-class WoldDecomposition:
+class WoldDecomposition(Record):
     primal: WoldResult  # generated under T, residual of T'
     dual: WoldResult  # generated under T', residual of T
     is_partial_isometric: bool
     regular: bool
     bi_regular: bool | None
     dual_gap: float  # ||T' - T||; zero for partial isometries
-
-    def to_dict(self):
-        return {
-            "primal": self.primal.to_dict(),
-            "dual": self.dual.to_dict(),
-            "is_partial_isometric": self.is_partial_isometric,
-            "regular": self.regular,
-            "bi_regular": self.bi_regular,
-            "dual_gap": self.dual_gap,
-        }
 
 
 def _wold_side(rep: CovariantRep, generator: np.ndarray, residual: Subspace, w: Subspace) -> WoldResult:

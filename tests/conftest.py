@@ -9,7 +9,7 @@ from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import shifts
 from pirep.correspondence import SCALARS, FdCorrespondence, FdCStarAlgebra, StarRepresentation, scalar_correspondence
-from pirep.covrep import rep_from_tilde
+from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.errors import InvalidCorrespondence
 from pirep.numerics import DEFAULT_TOL, Subspace
 
@@ -443,6 +443,22 @@ def defining_formula_residual(prod, rng: np.random.Generator, samples: int) -> f
             rhs = sum(c * v for c, v in zip(xi, f.v_on_basis)) @ rhs
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
+
+
+def direct_sum(parts, tol):
+    """The block-diagonal sum of scalar representations over a common E = C^n."""
+    n = parts[0].corr.module_dim
+    assert all(p.corr.module_dim == n for p in parts), "direct_sum needs a common module dimension"
+    total = sum(p.h_dim for p in parts)
+    vs = []
+    for i in range(n):
+        v = np.zeros((total, total), dtype=np.complex128)
+        at = 0
+        for p in parts:
+            v[at : at + p.h_dim, at : at + p.h_dim] = p.v_on_basis[i]
+            at += p.h_dim
+        vs.append(v)
+    return CovariantRep(scalar_correspondence(n), StarRepresentation(SCALARS, [total]), vs, tol)
 
 
 @pytest.fixture

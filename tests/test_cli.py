@@ -1,23 +1,28 @@
+import argparse
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import pirep
 from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import serialize as sz
-from pirep.cli import main
+from pirep.cli import build_parser, main
 from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from pirep.covrep import CovariantRep
 from pirep.errors import ResourceLimit
 from pirep.numerics import DEFAULT_TOL
 
+from conftest import direct_sum
+
 
 @pytest.fixture
 def rep_file(tmp_path):
-    rng = hz.rng_stream(100, 0)
-    rep = hz.structured_fixture("direct_sum", 100, DEFAULT_TOL,
-                                parts=[("truncated_shift", {"d": 3}), ("unitary", {"d": 2})])
+    parts = [hz.truncated_shift_fixture(DEFAULT_TOL, 3), hz.unitary_fixture(hz.rng_stream(100, 0), DEFAULT_TOL, 2)]
+    rep = direct_sum(parts, DEFAULT_TOL)
     path = tmp_path / "rep.json"
     path.write_text(sz.dumps(sz.rep_to_json(rep)))
     return str(path)
@@ -58,6 +63,23 @@ def test_product_command_all_conditions(pi_pair_files, capsys):
     assert out["commuting_projections"]["projections_commute"] is False
     assert out["sufficient_intertwining"] is False
     assert out["pinv_factorization"]["is_pi"] is False
+
+
+def test_product_command_reports_not_applicable_criteria(tmp_path, capsys):
+    # a contraction that is no partial isometry as the first factor: every
+    # criterion that presupposes partially isometric factors says so
+    sigma = StarRepresentation(SCALARS, [2])
+    paths = []
+    for name, v in (("half.json", 0.5 * np.eye(2)), ("one.json", np.eye(2))):
+        rep = CovariantRep(scalar_correspondence(1), sigma, [v.astype(complex)], DEFAULT_TOL)
+        (tmp_path / name).write_text(sz.dumps(sz.rep_to_json(rep)))
+        paths.append(str(tmp_path / name))
+    code, out = run_cli(capsys, "product", "--reps", *paths, "--all-conditions")
+    assert code == 0
+    assert out["sufficient_intertwining"] == {"not_applicable": "factors are not both partially isometric"}
+    assert out["commuting_projections"] == {"not_applicable": "first factor is not partially isometric"}
+    assert out["chain_conditions"] == {"not_applicable": "factor 1 is not partially isometric"}
+    assert out["defect_dilation"] == {"m_is_pi": False, "rep1_is_pi": False}
 
 
 def test_powers_command(rep_file, capsys):
@@ -173,6 +195,39 @@ def test_verify_refuses_jobs_below_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"verify needs jobs >= 1, got {jobs}" in captured.err
+
+
+def test_verify_refuses_a_seed_outside_64_bits(capsys):
+    # the trial streams key Philox with the seed in the high 64 bits; a
+    # seed outside them is an input error (exit 2), not a violation (exit 1)
+    for seed in ("-1", str(2**64)):
+        assert main(["verify", "--theorem", "T2.2", "--trials", "2", "--seed", seed]) == 2, seed
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "master seed must be in [0, 2**64)" in captured.err
+    assert main(["verify", "--theorem", "T2.2", "--trials", "1", "--seed", str(2**64 - 1)]) == 0
+
+
+def test_tolerance_policy_is_stated_once():
+    # every function takes its tolerance from the caller, so no parameter
+    # of the package defaults to DEFAULT_TOL, and the CLI's defaults are its fields
+    defaulted = []
+    for path in sorted(pathlib.Path(pirep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
+                    if "DEFAULT_TOL" in ast.unparse(default):
+                        defaulted.append(f"{path.name}:{default.lineno}")
+    assert defaulted == []
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags = {a.dest: a.default for a in sub._actions if a.dest.startswith("tol_")}
+                assert flags == {
+                    "tol_rank": DEFAULT_TOL.rank_rel,
+                    "tol_eq": DEFAULT_TOL.eq_rel,
+                    "tol_incl": DEFAULT_TOL.incl_abs,
+                }
 
 
 def test_missing_file_is_usage_error(capsys):

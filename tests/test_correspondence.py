@@ -98,11 +98,11 @@ def test_diagonal_correspondence_validates(tol):
     two_block_fixture().validate(tol)
 
 
-def test_is_full():
-    assert scalar_correspondence(4).is_full()
-    assert two_block_fixture().is_full()
+def test_is_full(tol):
+    assert scalar_correspondence(4).is_full(tol)
+    assert two_block_fixture().is_full(tol)
     one_sided = diagonal_correspondence(TWO_BLOCK, left_tags=[0, 0], right_tags=[0, 0])
-    assert not one_sided.is_full()
+    assert not one_sided.is_full(tol)
     # oracle: rank of the vectorized gram entries
     rows = np.array(
         [TWO_BLOCK.coords(one_sided.gram[a, b]) for a in range(2) for b in range(2)]

@@ -10,7 +10,7 @@ from pirep.correspondence import SCALARS, StarRepresentation, scalar_corresponde
 from pirep.errors import UsageError
 from pirep.harness import TrialConfig
 
-from conftest import assert_verdicts_match_classify
+from conftest import assert_verdicts_match_classify, direct_sum
 
 
 # ---------------------------------------------------------------------------
@@ -56,20 +56,16 @@ def test_random_contractive_rep_force_non_pi_margin(tol):
 
 
 def test_structured_fixture_kinds(tol):
-    unitary = hz.structured_fixture("unitary", 5, tol, d=3)
+    unitary = hz.unitary_fixture(hz.rng_stream(5, 0), tol, 3)
     assert unitary.classify().is_isometric
-    shift = hz.structured_fixture("truncated_shift", 5, tol, d=4)
+    shift = hz.truncated_shift_fixture(tol, 4)
     assert shift.classify().is_partial_isometric
-    row = hz.structured_fixture("coisometric_row", 5, tol, n=2, d=3)
+    row = hz.coisometric_row_fixture(hz.rng_stream(5, 0), tol, 2, 3)
     assert nx.opnorm(row.tilde @ nx.herm(row.tilde) - np.eye(3)) <= 1e-10
-    inv = hz.structured_fixture("invertible_contraction", 5, tol, d=3)
+    inv = hz.invertible_contraction_fixture(hz.rng_stream(5, 0), tol, 3)
     assert inv.classify().is_contractive and not inv.classify().is_partial_isometric
-    dsum = hz.structured_fixture(
-        "direct_sum", 5, tol, parts=[("truncated_shift", {"d": 3}), ("unitary", {"d": 2})]
-    )
+    dsum = direct_sum([hz.truncated_shift_fixture(tol, 3), hz.unitary_fixture(hz.rng_stream(5, 0), tol, 2)], tol)
     assert dsum.h_dim == 5 and dsum.classify().is_partial_isometric
-    with pytest.raises(UsageError):
-        hz.structured_fixture("nonsense", 5, tol)
 
 
 def test_coisometric_two_block_draws_return_none_or_a_coisometry(tol):
@@ -112,13 +108,13 @@ def test_commuting_pair_construction(tol):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_unknown_id():
+def test_verify_unknown_id(tol):
     with pytest.raises(UsageError):
-        hz.verify("T9.9", TrialConfig(master_seed=1, trials=2))
+        hz.verify("T9.9", TrialConfig(master_seed=1, trials=2), tol)
 
 
 def test_verify_runs_and_reports(tol):
-    report = hz.verify("T2.2", TrialConfig(master_seed=11, trials=40))
+    report = hz.verify("T2.2", TrialConfig(master_seed=11, trials=40), tol)
     assert report.trials_run == 40
     assert report.equivalence_violations == 0
     payload = sz.dumps(report.to_dict())
@@ -127,23 +123,23 @@ def test_verify_runs_and_reports(tol):
 
 def test_verify_all_claims_smoke(tol):
     for theorem_id in hz.theorem_ids():
-        report = hz.verify(theorem_id, TrialConfig(master_seed=13, trials=12))
+        report = hz.verify(theorem_id, TrialConfig(master_seed=13, trials=12), tol)
         assert report.equivalence_violations == 0, (theorem_id, report.counterexamples[:1])
         assert report.hypothesis_skips < report.trials_run, theorem_id
 
 
 def test_falsification_finds_counterexample(tol):
-    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=100), falsify=True)
+    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=100), tol, falsify=True)
     assert report.equivalence_violations >= 1
     first = report.counterexamples[0]["trial_index"]
     assert first < 10  # expected almost immediately
 
 
 def test_counterexample_replay(tol):
-    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=50), falsify=True)
+    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=50), tol, falsify=True)
     assert report.counterexamples
     for ce in report.counterexamples[:3]:
-        outcome = hz.replay_counterexample(ce)
+        outcome = hz.replay_counterexample(ce, tol)
         assert outcome.status == "violation"
         assert abs(outcome.residual - ce["residual"]) <= 1e-12
 
@@ -151,13 +147,25 @@ def test_counterexample_replay(tol):
 def test_counterexample_with_legacy_perturbation_key_replays(tol):
     # reports written before TrialConfig lost its perturbation field carry
     # the key in each counterexample's config; replay ignores it
-    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), falsify=True)
+    report = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), tol, falsify=True)
     ce = dict(report.counterexamples[0])
     ce["config"] = dict(ce["config"], perturbation=1e-3)
     assert hz.TrialConfig.from_dict(ce["config"]) == report.config
-    outcome = hz.replay_counterexample(ce)
+    outcome = hz.replay_counterexample(ce, tol)
     assert outcome.status == "violation"
     assert abs(outcome.residual - ce["residual"]) <= 1e-12
+
+
+def test_trial_config_refuses_a_seed_outside_64_bits(tol):
+    for seed in (-1, 2**64):
+        with pytest.raises(UsageError, match="master seed"):
+            TrialConfig(master_seed=seed)
+    assert TrialConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    # a replayed counterexample with such a seed is refused before any trial runs
+    config = dict(TrialConfig(master_seed=3, trials=2).to_dict(), master_seed=-1)
+    ce = {"theorem_id": "T2.2", "falsify": True, "master_seed": -1, "trial_index": 0, "config": config}
+    with pytest.raises(UsageError, match="master seed"):
+        hz.replay_counterexample(ce, tol)
 
 
 def test_trial_config_refuses_nmax_below_one():
@@ -172,9 +180,9 @@ def test_trial_config_refuses_nmax_below_one():
 
 
 def test_determinism_across_jobs(tol):
-    one = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=1)
-    again = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=1)
-    parallel = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), jobs=4)
+    one = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), tol, jobs=1)
+    again = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), tol, jobs=1)
+    parallel = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), tol, jobs=4)
     blob = sz.dumps(one.to_dict())
     assert blob == sz.dumps(again.to_dict())
     assert blob == sz.dumps(parallel.to_dict())
@@ -209,7 +217,7 @@ def test_rep_json_roundtrip(tol):
 
 
 def test_malformed_rep_json_is_usage_error(tol):
-    rep = hz.structured_fixture("coisometric_row", 11, tol, n=2, d=2)
+    rep = hz.coisometric_row_fixture(hz.rng_stream(11, 0), tol, 2, 2)
     corr = sz.correspondence_to_json(rep.corr)
     for path, value in (
         (("multiplicities",), ["x"]),

@@ -33,11 +33,11 @@ from conftest import (
 
 
 def test_pinv_identity(tol):
-    np.testing.assert_allclose(nx.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(nx.pseudoinverse(np.eye(3), tol), np.eye(3), atol=1e-14)
 
 
 def test_pinv_diagonal_support(tol):
-    got = nx.pseudoinverse(np.diag([2.0, 0.0]))
+    got = nx.pseudoinverse(np.diag([2.0, 0.0]), tol)
     np.testing.assert_allclose(got, np.diag([0.5, 0.0]), atol=1e-14)
 
 
@@ -50,8 +50,8 @@ def test_pinv_penrose_residuals_random_seed7(tol):
 
 
 def test_pinv_zero_and_empty(tol):
-    np.testing.assert_allclose(nx.pseudoinverse(np.zeros((2, 2))), np.zeros((2, 2)))
-    assert nx.pseudoinverse(np.zeros((3, 0))).shape == (0, 3)
+    np.testing.assert_allclose(nx.pseudoinverse(np.zeros((2, 2)), tol), np.zeros((2, 2)))
+    assert nx.pseudoinverse(np.zeros((3, 0)), tol).shape == (0, 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -69,7 +69,7 @@ def test_pinv_involution_property(rows, cols, seed, drop):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         s[max(0, len(s) - drop):] = 0.0
         m = u @ (s[:, None] * vh)
-    back = nx.pseudoinverse(nx.pseudoinverse(m))
+    back = nx.pseudoinverse(nx.pseudoinverse(m, nx.DEFAULT_TOL), nx.DEFAULT_TOL)
     assert nx.opnorm(back - m) <= nx.DEFAULT_TOL.eq_rel * max(nx.opnorm(m), 1e-12)
 
 
@@ -84,14 +84,14 @@ def _projector(f):
 
 def test_projectors_zero_operator(tol):
     z = np.zeros((2, 2))
-    np.testing.assert_allclose(_projector(nx.range_frame(z)), np.zeros((2, 2)))
-    np.testing.assert_allclose(_projector(nx.kernel_frame(z)), np.eye(2))
+    np.testing.assert_allclose(_projector(nx.range_frame(z, tol)), np.zeros((2, 2)))
+    np.testing.assert_allclose(_projector(nx.kernel_frame(z, tol)), np.eye(2))
 
 
 def test_projectors_rank_one_nilpotent(tol):
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(_projector(nx.range_frame(m)), np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(_projector(nx.kernel_frame(m)), np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(_projector(nx.range_frame(m, tol)), np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(_projector(nx.kernel_frame(m, tol)), np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_projectors_idempotent_selfadjoint_rank2_seed11(tol):
@@ -106,7 +106,7 @@ def test_projectors_idempotent_selfadjoint_rank2_seed11(tol):
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_range_plus_adjoint_kernel_is_identity(rows, cols, seed):
     m = crandn(rng_for(seed), rows, cols)
-    total = _projector(nx.range_frame(m)) + _projector(nx.kernel_frame(nx.herm(m)))
+    total = _projector(nx.range_frame(m, nx.DEFAULT_TOL)) + _projector(nx.kernel_frame(nx.herm(m), nx.DEFAULT_TOL))
     assert nx.opnorm(total - np.eye(rows)) <= 1e-10
 
 
@@ -116,8 +116,8 @@ def test_range_plus_adjoint_kernel_is_identity(rows, cols, seed):
 
 
 def test_psd_sqrt_identity_and_diag(tol):
-    np.testing.assert_allclose(nx.psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(nx.psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(nx.psd_sqrt(np.eye(3), tol), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(nx.psd_sqrt(np.diag([4.0, 0.0]), tol), np.diag([2.0, 0.0]), atol=1e-12)
 
 
 def test_psd_sqrt_defect_of_row(tol):
@@ -131,12 +131,12 @@ def test_psd_sqrt_defect_of_row(tol):
 
 def test_psd_sqrt_rejects_materially_negative(tol):
     with pytest.raises(DomainError):
-        nx.psd_sqrt(np.diag([1.0, -0.5]))
+        nx.psd_sqrt(np.diag([1.0, -0.5]), tol)
 
 
 def test_psd_sqrt_rejects_non_selfadjoint(tol):
     with pytest.raises(DomainError):
-        nx.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        nx.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]), tol)
 
 
 # ---------------------------------------------------------------------------
