@@ -15,12 +15,11 @@ which intertwines the induced left action with sigma.
 
 A representation is the chain whose every factor is itself (T_m is the
 power tilde_m); a product (``products.ProductRep``) is the chain of its
-factors.  The T_m are cached; chains are immutable apart from this
-idempotent cache, so concurrent readers are safe.  ``space(m)`` reads the
-space from the correspondence memos (``FdCorrespondence.tensor`` and
-``.space``), so all chains over the same correspondences, sigma and
-tolerance share one coordinate system per prefix.  Each T_m is checked
-against the byte budget (``numerics.check_bytes``) before it is built.
+factors.  Each chain memoizes its T_m and cokernels (see ``LiftChain``).
+``space(m)`` reads the space from the correspondence memos
+(``FdCorrespondence.tensor`` and ``.space``), so all chains over the same
+correspondences, sigma and tolerance share one coordinate system per
+prefix.  Each T_m is checked against the byte budget before it is built.
 
 ``amplified`` returns I (x) X as an operator for every m, m = 0
 included (``numerics.Amplification``): it is applied block by block,
@@ -46,12 +45,19 @@ class LiftChain:
     tolerance.  ``_factors(start, stop)`` lists the factors
     i = start+1..stop, each with ``corr`` E_i and lift ``tilde`` W_i; the
     list is built per call, so a representation that is its own factor
-    forms no reference cycle."""
+    forms no reference cycle.
+
+    One memo per chain holds each T_m and each cokernel N(T_m)^perp =
+    R(T_m*) (at most dim H columns, so no more bytes than T_m), spanned
+    once however many stage conditions read it.  Its arrays are read-only,
+    so the chain is immutable apart from this idempotent memo and
+    concurrent readers are safe.  Kernels (nearly all of space(m)) and
+    ranges (what ``wold`` reads, redone on every rerun) are not memoized."""
 
     def __init__(self, sigma: StarRepresentation, tol: Tolerance):
         self.sigma = sigma
         self.tol = tol
-        self._powers: dict[int, np.ndarray] = {}
+        self._memo: dict = {}
 
     def _factors(self, start: int, stop: int) -> list:
         raise NotImplementedError
@@ -59,6 +65,14 @@ class LiftChain:
     @property
     def h_dim(self) -> int:
         return self.sigma.h_dim
+
+    def _memoized(self, key, build):
+        """build(), once per key, with its array (a Subspace's frame) made read-only."""
+        if key not in self._memo:
+            value = build()
+            (value.frame if isinstance(value, Subspace) else value).setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
 
     # -- spaces -------------------------------------------------------------
 
@@ -88,13 +102,12 @@ class LiftChain:
         only)."""
         if m < 1:
             raise DimensionMismatch("tilde_power needs m >= 1")
-        if m in self._powers:
-            return self._powers[m]
+        return self._memoized(("power", m), lambda: self._build_power(m))
+
+    def _build_power(self, m: int) -> np.ndarray:
         nx.check_bytes(nx.ENTRY_BYTES * self.h_dim * self.space(m).dim, f"the lift power T_{m}")
         (factor,) = self._factors(m - 1, m)
-        mat = factor.tilde if m == 1 else self.tilde_power(m - 1) @ self.amplified(factor.tilde, m - 1, 1, 0)
-        self._powers[m] = mat
-        return mat
+        return factor.tilde if m == 1 else self.tilde_power(m - 1) @ self.amplified(factor.tilde, m - 1, 1, 0)
 
     def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> nx.Amplification:
         """I_{E_1 (x) ... (x) E_m} (x) X for X : side(dom_power) -> side(cod_power),
@@ -124,6 +137,27 @@ class LiftChain:
             out = self.amplified(daggers[factors[j]], j, 0, 1) @ out
         return out
 
+    # -- subspaces -------------------------------------------------------------
+    # unit scale floor throughout (lifts are O(1)); T_0 = I_H
+
+    def kernel_subspace(self, m: int) -> Subspace:
+        """N(T_m), inside space(m); not memoized."""
+        if m == 0:
+            return Subspace.zero(self.h_dim)
+        return Subspace.kernel(self.tilde_power(m), self.tol)
+
+    def cokernel_subspace(self, m: int) -> Subspace:
+        """N(T_m)^perp = R(T_m*), inside space(m); memoized."""
+        if m == 0:
+            return self._memoized(("cokernel", 0), lambda: Subspace.whole(self.h_dim))
+        return self._memoized(("cokernel", m), lambda: Subspace.span(herm(self.tilde_power(m)), self.tol))
+
+    def range_subspace(self, m: int) -> Subspace:
+        """R(T_m), inside H; not memoized."""
+        if m == 0:
+            return Subspace.whole(self.h_dim)
+        return Subspace.span(self.tilde_power(m), self.tol)
+
 
 class CovariantRep(LiftChain):
     """The pair (sigma, V) with its lift; as a chain, every factor is the
@@ -147,20 +181,16 @@ class CovariantRep(LiftChain):
                 f"need {corr.module_dim} matrices of shape ({d}, {d})"
             )
         self.v_on_basis = vs
-        self._tilde = self._build_tilde()
+        formal = np.hstack(vs) if vs else np.zeros((d, 0), dtype=np.complex128)  # column (b, j) is V(xi_b) e_j
+        lift = self.space(1).lift
+        self._tilde = formal if lift is None else formal @ lift
+        self._tilde.setflags(write=False)
         self._validate_covariance()
 
     def _factors(self, start: int, stop: int) -> list:
         return [self] * (stop - start)
 
     # -- the lift ---------------------------------------------------------------
-
-    def _build_tilde(self) -> np.ndarray:
-        space = self.space(1)
-        if not self.v_on_basis:
-            return np.zeros((self.h_dim, space.dim), dtype=np.complex128)
-        formal = np.hstack(self.v_on_basis)  # column (b, j) is V(xi_b) e_j
-        return formal if space.lift is None else formal @ space.lift
 
     def _validate_covariance(self):
         if self.corr.module_dim == 0 or self.corr.algebra.is_scalar:
@@ -202,27 +232,6 @@ class CovariantRep(LiftChain):
 
     def is_partial_isometric(self) -> bool:
         return nx.is_partial_isometry(self._tilde, self.tol)
-
-    # -- subspaces -------------------------------------------------------------
-    # unit scale floor throughout (lifts are O(1)); tilde_0 = I_H
-
-    def kernel_subspace(self, m: int) -> Subspace:
-        """N(tilde_m), inside space(m)."""
-        if m == 0:
-            return Subspace.zero(self.h_dim)
-        return Subspace.kernel(self.tilde_power(m), self.tol)
-
-    def cokernel_subspace(self, m: int) -> Subspace:
-        """N(tilde_m)^perp = R(tilde_m*), inside space(m)."""
-        if m == 0:
-            return Subspace.whole(self.h_dim)
-        return Subspace.span(herm(self.tilde_power(m)), self.tol)
-
-    def range_subspace(self, m: int) -> Subspace:
-        """R(tilde_m), inside H."""
-        if m == 0:
-            return Subspace.whole(self.h_dim)
-        return Subspace.span(self.tilde_power(m), self.tol)
 
 
 def rep_from_tilde(

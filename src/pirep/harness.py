@@ -352,15 +352,15 @@ def random_pi_pair(rng, config: TrialConfig, tol: Tolerance):
 @dataclass(frozen=True)
 class TrialOutcome:
     status: str  # "ok" | "violation" | "skip"
-    residual: float = 0.0
+    residual: float
     detail: dict = field(default_factory=dict)
 
     @staticmethod
-    def ok(residual: float = 0.0) -> "TrialOutcome":
+    def ok(residual: float) -> "TrialOutcome":
         return TrialOutcome("ok", residual)
 
     @staticmethod
-    def violation(residual: float = 0.0, **detail) -> "TrialOutcome":
+    def violation(residual: float, **detail) -> "TrialOutcome":
         return TrialOutcome("violation", residual, detail)
 
     @staticmethod
@@ -395,16 +395,12 @@ class ClaimEntry:
     falsify_trial: object = None
 
 
-def _margin(*values) -> float:
-    return float(max([0.0, *values]))
-
-
 def _trial_product_commuting(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     force = int(rng.integers(0, 4)) == 0
     rep1, rep2 = (commuting_pi_pair if force else random_pi_pair)(rng, config, tol)
     res = commuting_projection_test(rep1, rep2)
-    residual = _margin(res.commutator_norm if res.projections_commute else 0.0,
-                       res.product_residual if res.product_is_pi else 0.0)
+    residual = float(max(res.commutator_norm if res.projections_commute else 0.0,
+                         res.product_residual if res.product_is_pi else 0.0))
     if res.product_is_pi != res.projections_commute:
         return TrialOutcome.violation(
             residual,
@@ -818,6 +814,17 @@ def theorem_ids() -> list:
 MAX_EQ_REL = 1e-5
 
 
+def _claim(theorem_id: str, falsify: bool):
+    """The registered entry and its trial; an unknown id or a missing falsification variant is refused."""
+    if theorem_id not in REGISTRY:
+        raise UsageError(f"unknown claim id {theorem_id!r}; known: {', '.join(theorem_ids())}")
+    entry = REGISTRY[theorem_id]
+    fn = entry.falsify_trial if falsify else entry.trial
+    if fn is None:
+        raise UsageError(f"claim {theorem_id} has no falsification variant")
+    return entry, fn
+
+
 def verify(
     theorem_id: str,
     config: TrialConfig,
@@ -831,12 +838,7 @@ def verify(
     Deterministic: identical (theorem_id, config, tolerance, falsify)
     produce identical reports regardless of ``jobs``.
     """
-    if theorem_id not in REGISTRY:
-        raise UsageError(f"unknown claim id {theorem_id!r}; known: {', '.join(theorem_ids())}")
-    entry = REGISTRY[theorem_id]
-    fn = entry.falsify_trial if falsify else entry.trial
-    if fn is None:
-        raise UsageError(f"claim {theorem_id} has no falsification variant")
+    entry, fn = _claim(theorem_id, falsify)
     if tol.eq_rel > MAX_EQ_REL:
         raise UsageError(f"verify needs eq_rel <= {MAX_EQ_REL} for clean separation")
     if jobs < 1:
@@ -888,10 +890,13 @@ def verify(
 
 def replay_counterexample(counterexample: dict, tol: Tolerance) -> TrialOutcome:
     """Re-run the embedded (master seed, trial index) and return the fresh
-    outcome; a genuine counterexample reproduces its violation."""
-    theorem_id = counterexample["theorem_id"]
-    entry = REGISTRY[theorem_id]
-    fn = entry.falsify_trial if counterexample.get("falsify") else entry.trial
+    outcome; a genuine counterexample reproduces its violation.  A seed
+    or trial index that does not fit the embedded config is refused."""
+    _, fn = _claim(counterexample["theorem_id"], bool(counterexample.get("falsify")))
     config = TrialConfig.from_dict(counterexample["config"])
-    rng = rng_stream(counterexample["master_seed"], counterexample["trial_index"])
-    return fn(rng, config, tol)
+    if counterexample["master_seed"] != config.master_seed:
+        raise UsageError(f"master seed {counterexample['master_seed']!r} differs from the config's")
+    index = counterexample["trial_index"]
+    if not (isinstance(index, int) and 0 <= index < config.trials):
+        raise UsageError(f"trial index {index!r} is outside [0, {config.trials})")
+    return fn(rng_stream(config.master_seed, index), config, tol)

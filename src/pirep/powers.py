@@ -12,9 +12,13 @@ equivalent for every m unconditionally; (a) and (b) are equivalent as
 conjunctions over m.  Both are decided on cokernels N(T_j)^perp =
 R(T_j*), frames of at most dim H columns: (c) through the equivalent
 A N^perp <= N^perp for the self-adjoint A = I (x) T T*, so a power
-report builds no kernel frame.  The root side goes the other way: from
-a partial isometry T_k, k >= 2, back to T, through an isometry
-condition and an orthogonality condition on the amplified lift.
+report builds no kernel frame; each is spanned once per chain, in its
+memo (``covrep.LiftChain``).  T_m is the product of m copies of T, so (b)
+and (c) take any chain, its m-th factor in place of T: (c) on a product
+is the range-invariance stage of ``products.chain_condition_test``.  The
+root side goes the other way: from a partial isometry T_k, k >= 2, back
+to T, through an isometry and an orthogonality condition on the
+amplified lift.
 
 I (x) T and I (x) T T* are operators (``numerics.Amplification``)
 applied to the cokernel frames block by block, so a power report builds
@@ -61,28 +65,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .covrep import CovariantRep
+from .covrep import CovariantRep, LiftChain
 from .errors import NotApplicable, DimensionMismatch
 from .numerics import Record, Subspace, eye, herm, opnorm
 
 
-def kernel_chain_condition(rep: CovariantRep, m: int) -> bool:
-    """(I_{E^(m-1)} (x) tilde) N(tilde_m)^perp <= N(tilde_{m-1})^perp."""
+def kernel_chain_condition(chain: LiftChain, m: int) -> bool:
+    """(I_{E_1 (x) ... (x) E_{m-1}} (x) W_m) N(T_m)^perp <= N(T_{m-1})^perp,
+    on the chain's memoized cokernels; for a representation, W_m = tilde."""
     if m < 1:
         raise DimensionMismatch("kernel_chain_condition needs m >= 1")
-    return _kernel_chain(rep, m, rep.cokernel_subspace(m), rep.cokernel_subspace(m - 1))
+    (factor,) = chain._factors(m - 1, m)
+    moved = nx.image(chain.amplified(factor.tilde, m - 1, 1, 0), chain.cokernel_subspace(m), chain.tol)
+    return nx.is_subset(moved, chain.cokernel_subspace(m - 1), chain.tol)
 
 
-def _kernel_chain(rep: CovariantRep, m: int, cokernel: Subspace, prev_cokernel: Subspace) -> bool:
-    """kernel_chain_condition on the given cokernels of tilde_m and tilde_{m-1}."""
-    moved = nx.image(rep.amplified(rep.tilde, m - 1, 1, 0), cokernel, rep.tol)
-    return nx.is_subset(moved, prev_cokernel, rep.tol)
-
-
-def range_invariance_condition(rep: CovariantRep, m: int) -> bool:
-    """(I_{E^(m-1)} (x) tilde tilde*) N(tilde_{m-1}) <= N(tilde_{m-1}),
-    decided on the cokernel: A = I (x) tilde tilde* is self-adjoint, so
-    A N <= N iff A N^perp <= N^perp, and N^perp = R(tilde_{m-1}*) has at
+def range_invariance_condition(chain: LiftChain, m: int) -> bool:
+    """(I_{E_1 (x) ... (x) E_{m-1}} (x) W_m W_m*) N(T_{m-1}) <= N(T_{m-1}),
+    decided on the memoized cokernel: A = I (x) W_m W_m* is self-adjoint,
+    so A N <= N iff A N^perp <= N^perp, and N^perp = R(T_{m-1}*) has at
     most dim H columns where N has nearly all of space(m-1).
 
     Error argument.  Let beta = ||(I - P_N) A P_N|| = ||P_N A (I - P_N)||
@@ -100,14 +101,10 @@ def range_invariance_condition(rep: CovariantRep, m: int) -> bool:
     eps, almost inside N, once eps is past the cut 4e-10)."""
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
-    return _range_invariance(rep, m, rep.tilde @ herm(rep.tilde), rep.cokernel_subspace(m - 1))
-
-
-def _range_invariance(rep: CovariantRep, m: int, tt_star: np.ndarray, prev_cokernel: Subspace) -> bool:
-    """range_invariance_condition with tilde tilde* given as ``tt_star``,
-    on the given cokernel of tilde_{m-1}."""
-    amp = rep.amplified(tt_star, m - 1, 0, 0)
-    return nx.is_subset(nx.image(amp, prev_cokernel, rep.tol), prev_cokernel, rep.tol)
+    (factor,) = chain._factors(m - 1, m)
+    amp = chain.amplified(factor.tilde @ herm(factor.tilde), m - 1, 0, 0)
+    prev_cokernel = chain.cokernel_subspace(m - 1)
+    return nx.is_subset(nx.image(amp, prev_cokernel, chain.tol), prev_cokernel, chain.tol)
 
 
 @dataclass(frozen=True)
@@ -136,21 +133,15 @@ def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
     isometric (the power criteria presuppose it)."""
     if n_max < 1:
         raise DimensionMismatch("power_report needs n_max >= 1")
-    tol = rep.tol
-    applicable = rep.is_partial_isometric()
-    if not applicable:
+    if not rep.is_partial_isometric():
         return PowerReport(n_max, False, [], [], [], [])
     pi_flags, chain_flags, range_flags, residuals = [], [], [], []
-    tt_star = rep.tilde @ herm(rep.tilde)
-    prev_cokernel = rep.cokernel_subspace(0)  # each cokernel is spanned once, for m and for m + 1
     for m in range(1, n_max + 1):
-        res, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), tol)
+        res, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), rep.tol)
         pi_flags.append(is_pi)
-        cokernel = rep.cokernel_subspace(m)
-        chain_flags.append(_kernel_chain(rep, m, cokernel, prev_cokernel))
-        range_flags.append(_range_invariance(rep, m, tt_star, prev_cokernel))
+        chain_flags.append(kernel_chain_condition(rep, m))
+        range_flags.append(range_invariance_condition(rep, m))
         residuals.append(res)
-        prev_cokernel = cokernel
     return PowerReport(n_max, True, pi_flags, chain_flags, range_flags, residuals)
 
 
@@ -258,16 +249,19 @@ def regular_pi_iff_power_pi(rep: CovariantRep, bound: int) -> RegularPowerResult
     certified power."""
     if not is_regular(rep):
         raise NotApplicable("representation is not regular")
-    tol = rep.tol
     is_pi = rep.is_partial_isometric()
+    return RegularPowerResult(is_pi=is_pi, is_power_pi_up_to=power_pi_up_to(rep, is_pi, bound))
+
+
+def power_pi_up_to(rep: CovariantRep, is_pi: bool, bound: int) -> int:
+    """The largest k <= bound with T_1, ..., T_k partial isometries (or 0);
+    ``is_pi`` is the caller's verdict on T_1, the lift."""
     up_to = 0
-    for m in range(1, bound + 1):
-        # the first power is the lift, whose verdict is is_pi
-        if (is_pi if m == 1 else nx.is_partial_isometry(rep.tilde_power(m), tol)):
-            up_to = m
-        else:
+    for k in range(1, bound + 1):
+        if not (is_pi if k == 1 else nx.is_partial_isometry(rep.tilde_power(k), rep.tol)):
             break
-    return RegularPowerResult(is_pi=is_pi, is_power_pi_up_to=up_to)
+        up_to = k
+    return up_to
 
 
 # ---------------------------------------------------------------------------

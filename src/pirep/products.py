@@ -31,6 +31,7 @@ from . import numerics as nx
 from .covrep import CovariantRep, LiftChain
 from .errors import DimensionMismatch, DomainError, NotApplicable, UsageError
 from .numerics import Record, Subspace, eye, herm, opnorm
+from .powers import range_invariance_condition
 
 
 class ProductRep(LiftChain):
@@ -184,14 +185,11 @@ def chain_condition_test(factors) -> ChainConditionReport:
     stage_pi, range_inv, dom_inv, idem, residuals = [], [], [], [], []
     for s in range(1, prod.n):
         t_s = prod.tilde_power(s)
-        fac = factors[s]
-        w_amp = prod.amplified(fac.tilde, s, 1, 0)
+        w_amp = prod.amplified(factors[s].tilde, s, 1, 0)
         pi_res, next_is_pi = nx.partial_isometry_residual(prod.tilde_power(s + 1), tol)
         stage_pi.append(next_is_pi)
-        initial_range = Subspace.span(herm(t_s), tol)
-        final_w = fac.tilde @ herm(fac.tilde)
-        amp_final_w = prod.amplified(final_w, s, 0, 0)
-        range_inv.append(nx.is_subset(nx.image(amp_final_w, initial_range, tol), initial_range, tol))
+        initial_range = prod.cokernel_subspace(s)
+        range_inv.append(range_invariance_condition(prod, s + 1))
         w_range = Subspace.span(w_amp.to_dense(), tol)
         dom_inv.append(nx.is_subset(nx.image(herm(t_s) @ t_s, w_range, tol), w_range, tol))
         q = initial_range.projector() @ w_range.projector()

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
 from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes
+from .powers import power_pi_up_to
 
 
 def minimal_trunc(n: int, k: int) -> int:
@@ -91,10 +91,10 @@ class WeightedShiftSpec:
         top = (self.trunc - minimal_trunc(self.n, k)) // (self.n**k)
         return range(0, max(top, -1) + 1)
 
-    def window_bound(self, cap: int | None = None) -> int:
-        """Largest k with a nonempty window (optionally capped)."""
+    def window_bound(self, cap: int) -> int:
+        """Largest k <= cap with a nonempty window."""
         k = 0
-        while len(self.window(k + 1)) > 0 and (cap is None or k < cap):
+        while k < cap and len(self.window(k + 1)) > 0:
             k += 1
         return k
 
@@ -209,13 +209,5 @@ def shift_pi_criterion(
                 continue
             if abs(spec.weight(i, m) - 1.0) > tol.eq_rel:
                 unit = False
-    up_to = 0
-    if is_pi:
-        bound = spec.window_bound(cap=power_cap)
-        for k in range(1, bound + 1):
-            # the first power is the lift, whose verdict is is_pi
-            if k == 1 or nx.is_partial_isometry(rep.tilde_power(k), tol):
-                up_to = k
-            else:
-                break
+    up_to = power_pi_up_to(rep, is_pi, spec.window_bound(power_cap))
     return ShiftCriterionReport(is_pi=is_pi, weights_unit_off_zero_set=unit, power_pi_up_to=up_to)

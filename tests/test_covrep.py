@@ -441,6 +441,15 @@ def test_subspaces_at_power_zero(tol):
     assert rep.range_subspace(1).dim == 3
 
 
+def test_memoized_arrays_are_read_only(tol):
+    # the chain caches T_m and the cokernels, so a caller cannot write into them
+    rep = rep_from_tilde(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), crandn(rng_for(27), 3, 6) / 3, tol)
+    for array in (rep.tilde, rep.tilde_power(2), rep.cokernel_subspace(1).frame):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert rep.cokernel_subspace(1) is rep.cokernel_subspace(1)
+
+
 def test_empty_module_rep_builds_without_sigma(monkeypatch, tol):
     # covariance and intertwining hold vacuously on a zero module: no
     # 500 x 500 sigma(a) is built

@@ -156,6 +156,21 @@ def test_counterexample_with_legacy_perturbation_key_replays(tol):
     assert abs(outcome.residual - ce["residual"]) <= 1e-12
 
 
+def test_replay_refuses_a_counterexample_that_does_not_fit_its_config(tol):
+    # hand-edited counterexamples end in UsageError, not in numpy's or the registry's errors
+    ce = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), tol, falsify=True).counterexamples[0]
+    for edit, match in (
+        ({"trial_index": -1}, "trial index"),
+        ({"trial_index": 10}, "trial index"),
+        ({"master_seed": 2**64}, "master seed"),
+        ({"master_seed": 22}, "master seed"),
+        ({"theorem_id": "X9.9"}, "unknown claim id"),
+        ({"theorem_id": "P3.1"}, "no falsification variant"),
+    ):
+        with pytest.raises(UsageError, match=match):
+            hz.replay_counterexample(dict(ce, **edit), tol)
+
+
 def test_trial_config_refuses_a_seed_outside_64_bits(tol):
     for seed in (-1, 2**64):
         with pytest.raises(UsageError, match="master seed"):

@@ -15,6 +15,7 @@ from pirep.correspondence import (
 from pirep.covrep import CovariantRep
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
+from pirep.products import chain_condition_test
 
 from conftest import (
     count_space_builds,
@@ -273,14 +274,62 @@ def test_power_report_builds_no_amplification(tol, monkeypatch):
     assert any(rep.space(1).embed is not None for rep in reps)
 
 
+def record_spans(monkeypatch) -> list:
+    """Every matrix Subspace.span is called on, from here on."""
+    spanned = []
+    real = Subspace.span
+    monkeypatch.setattr(Subspace, "span", staticmethod(lambda columns, tol: spanned.append(columns) or real(columns, tol)))
+    return spanned
+
+
+def cokernel_span_counts(rep, spanned: list, n: int) -> list:
+    """How often herm(tilde_m) was spanned, for m = 1..n."""
+    counts = []
+    for m in range(1, n + 1):
+        target = nx.herm(rep.tilde_power(m))
+        counts.append(sum(a.shape == target.shape and np.array_equal(a, target) for a in spanned))
+    return counts
+
+
 def test_power_report_spans_each_cokernel_once(tol, monkeypatch):
     # the cokernel of tilde_m serves condition (b) at m and m + 1 and (c) at m + 1
     rep = sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol)
-    spanned = []
-    real = CovariantRep.cokernel_subspace
-    monkeypatch.setattr(CovariantRep, "cokernel_subspace", lambda self, m=1: spanned.append(m) or real(self, m))
+    spanned = record_spans(monkeypatch)
     pw.power_report(rep, 4)
-    assert sorted(spanned) == [0, 1, 2, 3, 4]
+    assert cokernel_span_counts(rep, spanned, 4) == [1, 1, 1, 1]
+
+
+def test_public_predicates_span_each_cokernel_once(tol, monkeypatch):
+    # as the P3.1 trial calls them: both conditions at every m, on one chain
+    spanned = record_spans(monkeypatch)
+    for rep in (
+        sh.build_shift(sh.WeightedShiftSpec(n=2, zero_set={0, 3}, trunc=64), tol),
+        hz.random_pi_rep(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), rng_for(167), tol),
+    ):
+        spanned.clear()
+        for m in range(1, 5):
+            pw.kernel_chain_condition(rep, m)
+            pw.range_invariance_condition(rep, m)
+        assert cokernel_span_counts(rep, spanned, 4) == [1, 1, 1, 1]
+
+
+def test_product_of_copies_has_the_power_report_flags(chain_breaker, tol):
+    # T_m is the product of m copies of the representation, so the product
+    # criterion's stage s is the power report's m = s + 1
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    reps = [
+        chain_breaker,
+        hz.random_pi_rep(scalar_correspondence(2), StarRepresentation(SCALARS, [3]), rng_for(168), tol),
+        hz.random_pi_rep(corr, StarRepresentation(alg, [2, 2]), rng_for(169), tol),
+    ]
+    for rep in reps:
+        report = pw.power_report(rep, 4)
+        chain = chain_condition_test([rep] * 4)
+        assert report.applicable
+        assert chain.stage_pi == report.pi_flags[1:]
+        assert chain.range_invariant == report.range_flags[1:]
+    assert not all(pw.power_report(chain_breaker, 4).pi_flags)
 
 
 def test_power_report_not_applicable(tol):
