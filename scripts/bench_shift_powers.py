@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Time ``power_report`` and ``classify`` on weighted shifts and write the
+numbers, with the machine and numpy/BLAS configuration, as JSON.
+
+Usage:
+    python scripts/bench_shift_powers.py OUT.json
+
+Each case runs in its own Python process, with one BLAS thread, against the
+package in this checkout's ``src``, three times; the record keeps every
+wall time (of the call alone, not of the import or of building the shift),
+the fastest, and the largest max RSS of the three processes.  The cases:
+``power_report`` on (n, trunc, n_max) = (2, 120, 4), (3, 216, 4),
+(2, 500, 4), (2, 1000, 3) and (2, 1000, 4), and ``classify`` on the
+n = 3, trunc 216 shift.  A case whose process fails is recorded with the
+last line of its error output.  To compare two commits, run the script
+in a checkout of each.
+"""
+
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+CASES = [
+    {"kind": "power_report", "n": 2, "trunc": 120, "n_max": 4},
+    {"kind": "power_report", "n": 3, "trunc": 216, "n_max": 4},
+    {"kind": "power_report", "n": 2, "trunc": 500, "n_max": 4},
+    {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 3},
+    {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 4},
+    {"kind": "classify", "n": 3, "trunc": 216},
+]
+
+REPEATS = 3
+
+# Runs in the child: builds the shift, times the call, prints one JSON line.
+CHILD = """
+import json, resource, sys, time
+from pirep import powers, shifts
+from pirep.numerics import DEFAULT_TOL
+case = json.loads(sys.argv[1])
+rep = shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
+start = time.perf_counter()
+if case["kind"] == "power_report":
+    result = powers.power_report(rep, case["n_max"]).to_dict()
+else:
+    result = rep.classify().to_dict()
+wall = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "max_rss_mb": rss, "result": result}))
+"""
+
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_once(case: dict) -> dict:
+    """One process running ``case``: its wall time, max RSS and result, or
+    the last line of its error output."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_THREAD)
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case)], capture_output=True, text=True, env=env)
+    if done.returncode != 0:
+        return {"error": (done.stderr.strip().splitlines() or ["exit %d" % done.returncode])[-1]}
+    return json.loads(done.stdout)
+
+
+def measure(case: dict, repeats: int) -> dict:
+    first = run_once(case)
+    if "error" in first:
+        return {"case": case, **first}
+    runs = [first] + [run_once(case) for _ in range(repeats - 1)]
+    if any(run["result"] != runs[0]["result"] for run in runs):
+        raise RuntimeError(f"{case}: the repeats disagree")
+    return {
+        "case": case,
+        "wall_s": [round(run["wall_s"], 4) for run in runs],
+        "best_wall_s": round(min(run["wall_s"] for run in runs), 4),
+        "max_rss_mb": round(max(run["max_rss_mb"] for run in runs), 1),
+        "result": runs[0]["result"],
+    }
+
+
+def _cpu_model() -> str:
+    try:
+        for line in pathlib.Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "machine": {
+            "platform": platform.platform(),
+            "cpu": _cpu_model(),
+            "cpu_count": os.cpu_count(),
+        },
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas_threads": 1,
+    }
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = {**environment(), "repeats": REPEATS, "cases": [measure(case, REPEATS) for case in CASES]}
+    pathlib.Path(argv[0]).write_text(json.dumps(out, indent=2) + "\n")
+    for record in out["cases"]:
+        if "error" in record:
+            print(record["case"], record["error"])
+        else:
+            print(record["case"], f"{record['best_wall_s']:.3f} s", f"{record['max_rss_mb']:.0f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -91,15 +91,21 @@ class TrialConfig(Record):
 
     @staticmethod
     def from_dict(obj: dict) -> "TrialConfig":
-        """Inverse of to_dict; keys that to_dict does not write are ignored."""
-        return TrialConfig(
-            master_seed=int(obj["master_seed"]),
-            trials=int(obj["trials"]),
-            h_dim_range=tuple(obj["h_dim_range"]),
-            module_dim_range=tuple(obj["module_dim_range"]),
-            algebra_shape=obj["algebra_shape"],
-            n_max=int(obj["n_max"]),
-        )
+        """Inverse of to_dict; keys that to_dict does not write are ignored,
+        and anything but an object with every key is a UsageError."""
+        try:
+            return TrialConfig(
+                master_seed=int(obj["master_seed"]),
+                trials=int(obj["trials"]),
+                h_dim_range=tuple(obj["h_dim_range"]),
+                module_dim_range=tuple(obj["module_dim_range"]),
+                algebra_shape=obj["algebra_shape"],
+                n_max=int(obj["n_max"]),
+            )
+        except KeyError as exc:
+            raise UsageError(f"trial config lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad trial config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +822,7 @@ MAX_EQ_REL = 1e-5
 
 def _claim(theorem_id: str, falsify: bool):
     """The registered entry and its trial; an unknown id or a missing falsification variant is refused."""
-    if theorem_id not in REGISTRY:
+    if not isinstance(theorem_id, str) or theorem_id not in REGISTRY:
         raise UsageError(f"unknown claim id {theorem_id!r}; known: {', '.join(theorem_ids())}")
     entry = REGISTRY[theorem_id]
     fn = entry.falsify_trial if falsify else entry.trial
@@ -891,7 +897,13 @@ def verify(
 def replay_counterexample(counterexample: dict, tol: Tolerance) -> TrialOutcome:
     """Re-run the embedded (master seed, trial index) and return the fresh
     outcome; a genuine counterexample reproduces its violation.  A seed
-    or trial index that does not fit the embedded config is refused."""
+    or trial index that does not fit the embedded config is refused, and
+    so is anything but an object with every key that ``verify`` writes."""
+    if not isinstance(counterexample, dict):
+        raise UsageError(f"a counterexample must be an object, got {type(counterexample).__name__}")
+    missing = [k for k in ("theorem_id", "master_seed", "trial_index", "config") if k not in counterexample]
+    if missing:
+        raise UsageError(f"counterexample lacks {', '.join(missing)}")
     _, fn = _claim(counterexample["theorem_id"], bool(counterexample.get("falsify")))
     config = TrialConfig.from_dict(counterexample["config"])
     if counterexample["master_seed"] != config.master_seed:

@@ -84,6 +84,30 @@ Below the gate nothing is scanned and the dense path runs as it is: on a
 at 72 entries (11% of a thin SVD), and the split's scan about 45 us at
 4,096 dense entries (3%).
 
+A product with an operand that is monomial along it is a gather
+(:func:`matmul`): when every column of B holds at most one nonzero, v_j
+in row r_j, A B is A[:, r] * v; when every row of A holds at most one
+nonzero, u_i in column c_i, it is u[:, None] * B[c]; otherwise it is
+``np.matmul``.  The sites: both products of the inclusion gap, the triple
+product of the partial-isometry verdict and residual, T T* in the
+range-invariance condition, the products of :func:`classify_operator`,
+and an :class:`Amplification` applied to a frame with such columns or
+with such a block.  The same gate applies: only an operand of at least
+_DEFLATE_MIN_SIZE entries is scanned, once (``_nonzero_lines``, the scan
+of the deflation; an ``Operand`` and its adjoint share it), so below the
+gate every product is the dense one as before.  The scan counts the
+nonzeros of each line only when there are at most max(rows, cols) of
+them: an array with more is monomial neither way.  The error argument: each
+entry of such a product has at most one nonzero term.  For real-valued
+entries (complex128 with zero imaginary parts: every shift, its lift,
+powers and frames) a product of two entries is correctly rounded and
+the zero terms add exact zeros, so the gather equals the GEMM bit for
+bit, up to the sign of an exact zero.  For complex entries the gather is
+one rounded complex multiply per entry, within sqrt(5) * 2**-53 *
+|a_ir| |v_j| of the exact product; BLAS's one-term sum is within the
+same bound but may round differently (its complex kernel need not
+multiply as numpy does), so the two can differ by up to twice that.
+
 All values are immutable after construction; nothing here mutates its
 inputs.
 """
@@ -182,14 +206,41 @@ def herm(m: np.ndarray) -> np.ndarray:
 _DEFLATE_MIN_SIZE = 4096
 
 
-def _live_lines(a: np.ndarray) -> tuple:
+def _nonzero_lines(a: np.ndarray) -> tuple | None:
+    """(nonzero, row_count, col_count): the mask of the nonzero entries of
+    an array of at least _DEFLATE_MIN_SIZE entries and their number in
+    each row and in each column, counted only when there are at most
+    max(rows, cols) of them (so every monomial array is counted) and None
+    otherwise; None below the gate, where nothing is scanned.  The one
+    scan behind _live_lines, _deflate and Operand."""
+    if a.size < _DEFLATE_MIN_SIZE:
+        return None
+    nonzero = a != 0
+    if np.count_nonzero(nonzero) > max(a.shape):
+        return nonzero, None, None
+    i, j = _coordinates(nonzero)
+    return nonzero, np.bincount(i, minlength=a.shape[0]), np.bincount(j, minlength=a.shape[1])
+
+
+def _coordinates(nonzero: np.ndarray) -> tuple:
+    """np.nonzero of a 2-d mask, found on the flattened mask (several
+    times faster for a few nonzeros in a large mask)."""
+    return np.divmod(np.flatnonzero(nonzero), nonzero.shape[1])
+
+
+def _live_lines(a: np.ndarray, lines=None) -> tuple:
     """Boolean masks of the rows and of the columns of ``a`` that hold a
     nonzero entry, each None when it would keep every line or when ``a``
-    has fewer than _DEFLATE_MIN_SIZE entries."""
-    if a.size < _DEFLATE_MIN_SIZE:
+    has fewer than _DEFLATE_MIN_SIZE entries; ``lines`` is a's scan when
+    it is already taken."""
+    lines = _nonzero_lines(a) if lines is None else lines
+    if lines is None:
         return None, None
-    nonzero = a != 0
-    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    nonzero, row_count, col_count = lines
+    if row_count is None:
+        rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    else:
+        rows, cols = row_count > 0, col_count > 0
     return (None if rows.all() else rows), (None if cols.all() else cols)
 
 
@@ -210,10 +261,12 @@ def _deflate(a: np.ndarray) -> tuple:
     dropped); the masks of the core's rows and columns, each None when it
     keeps every line; and the rows, columns and values of the isolated
     entries.  Below _DEFLATE_MIN_SIZE entries ``a`` is not scanned."""
-    if a.size < _DEFLATE_MIN_SIZE:
+    lines = _nonzero_lines(a)
+    if lines is None:
         return a, None, None, _NO_ENTRIES
-    nonzero = a != 0
-    row_count, col_count = nonzero.sum(axis=1), nonzero.sum(axis=0)
+    nonzero, row_count, col_count = lines
+    if row_count is None:
+        row_count, col_count = nonzero.sum(axis=1), nonzero.sum(axis=0)
     single = np.flatnonzero(row_count == 1)
     j = nonzero[single].argmax(axis=1)
     alone = col_count[j] == 1
@@ -233,6 +286,101 @@ def _scatter(x: np.ndarray, shape, rows, cols) -> np.ndarray:
     out = np.zeros(shape, dtype=np.complex128)
     out[_ix(rows, cols)] = x
     return out
+
+
+class Operand:
+    """A factor of :func:`matmul`: a matrix, or its conjugate transpose
+    ``Operand(a).H``, which is formed only where a dense product needs it.
+    Past _DEFLATE_MIN_SIZE entries the array is scanned once, on
+    construction (``_nonzero_lines``), and an operand and its adjoint
+    share that scan: the column counts of herm(a) are the row counts of a."""
+
+    __slots__ = ("array", "adjoint", "lines")
+
+    def __init__(self, a: np.ndarray):
+        self.array, self.adjoint, self.lines = a, False, _nonzero_lines(a)
+
+    @property
+    def H(self) -> "Operand":
+        return _operand_of(self.array, not self.adjoint, self.lines)
+
+    def dense(self) -> np.ndarray:
+        return herm(self.array) if self.adjoint else self.array
+
+    def live(self) -> "Operand":
+        """The matrix without its exactly-zero rows and columns, its scan
+        cut from this one's (``_live_lines``); not for an adjoint."""
+        if self.lines is None:
+            return self
+        rows, cols = _live_lines(self.array, self.lines)
+        if rows is None and cols is None:
+            return self
+        nonzero, row_count, col_count = self.lines
+        if row_count is not None:
+            row_count = row_count if rows is None else row_count[rows]
+            col_count = col_count if cols is None else col_count[cols]
+        return _operand_of(self.array[_ix(rows, cols)], False, (nonzero[_ix(rows, cols)], row_count, col_count))
+
+    def single_entries(self, of_columns: bool) -> tuple | None:
+        """(index, value) when every column (``of_columns``) or every row
+        of the operand holds at most one nonzero: line l has its nonzero
+        at index[l] with value value[l], and a zero line has index 0 and
+        value 0.  None otherwise, and below the gate."""
+        if self.lines is None or self.lines[1] is None:
+            return None
+        nonzero, row_count, col_count = self.lines
+        by_columns = of_columns != self.adjoint  # a column of herm(a) is a row of a
+        if (col_count if by_columns else row_count).max(initial=0) > 1:
+            return None
+        i, j = _coordinates(nonzero)
+        line, other = (j, i) if by_columns else (i, j)
+        index = np.zeros(nonzero.shape[1 if by_columns else 0], dtype=np.intp)
+        value = np.zeros(index.size, dtype=np.complex128)
+        index[line] = other
+        value[line] = np.conj(self.array[i, j]) if self.adjoint else self.array[i, j]
+        return index, value
+
+    def columns(self, index: np.ndarray) -> np.ndarray:
+        """The operand's columns at ``index``."""
+        return herm(self.array[index]) if self.adjoint else self.array[:, index]
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """The operand's rows at ``index``."""
+        return herm(self.array[:, index]) if self.adjoint else self.array[index]
+
+
+def _operand_of(a: np.ndarray, adjoint: bool, lines) -> Operand:
+    """An Operand with its scan given, not taken."""
+    out = object.__new__(Operand)
+    out.array, out.adjoint, out.lines = a, adjoint, lines
+    return out
+
+
+def matmul(a, b) -> np.ndarray:
+    """``a @ b`` for matrices or Operands, as a gather when one side is
+    monomial along the product (see the module docstring): when every
+    column of b holds at most one nonzero, v_j in row r_j, it is
+    a[:, r] * v; when every row of a holds at most one nonzero, u_i in
+    column c_i, it is u[:, None] * b[c]; otherwise ``np.matmul``.  Only an
+    operand of at least _DEFLATE_MIN_SIZE entries is scanned, b first, and
+    a plain array only when the product reaches it."""
+    if type(b) is not Operand:
+        b = Operand(b)
+    single = b.single_entries(of_columns=True)
+    if single is not None:
+        index, value = single
+        out = a.columns(index) if type(a) is Operand else a[:, index]
+        out *= value  # the gather is a fresh array
+        return out
+    if type(a) is not Operand:
+        a = Operand(a)
+    single = a.single_entries(of_columns=False)
+    if single is not None:
+        index, value = single
+        out = b.rows(index)
+        out *= value[:, None]
+        return out
+    return np.matmul(a.dense(), b.dense())
 
 
 def opnorm(m) -> float:
@@ -318,6 +466,11 @@ class Amplification:
     over its nonzero columns only, since the terms of the zero ones are
     exact zeros.  A stacked product runs the same BLAS kernel per block
     as a loop of block products, so the two equal each other bit for bit.
+    When the vectors of ``A @ F`` (or the columns of ``block`` in
+    ``M @ A``) hold at most one nonzero each, the product is a gather
+    instead, as in :func:`matmul`: each column of F picks one column of
+    ``block`` and scales it into its row block, and each column of
+    ``block`` picks one live column of each column block of M.
     Each application checks the bytes of its largest array from shapes
     before allocating it; ``to_dense`` is the only place the matrix is
     built.
@@ -343,7 +496,19 @@ class Amplification:
         self._check_application(k)
         p, q = self.block.shape
         g = f if self.right is None else self.right @ f
-        out = np.matmul(self.block, g.reshape(self.n, q, k)).reshape(self.n * p, k)
+        single = Operand(g).single_entries(of_columns=True)
+        if single is None:
+            out = np.matmul(self.block, g.reshape(self.n, q, k)).reshape(self.n * p, k)
+        else:
+            # column c of g is v_c e_(b q + t): its image is v_c times
+            # column t of the block, placed in row block b
+            at, v = single
+            b, t = np.divmod(at, q)
+            out = np.zeros((self.n, p, k), dtype=np.complex128)
+            columns = self.block[:, t]
+            columns *= v
+            out[b, :, np.arange(k)] = columns.T
+            out = out.reshape(self.n * p, k)
         return out if self.left is None else self.left @ out
 
     def __rmatmul__(self, m) -> np.ndarray:
@@ -355,7 +520,21 @@ class Amplification:
         p, q = self.block.shape
         g = m if self.left is None else m @ self.left
         _, live = _live_lines(g)
-        if live is None:
+        single = Operand(self.block).single_entries(of_columns=True)
+        if single is not None:
+            # column t of the block is w_t e_s: column t of output block b is
+            # w_t times column s of input block b, gathered where w_t != 0
+            # and that column is live
+            s, w = single
+            live = np.ones(self.n * p, dtype=bool) if live is None else live
+            t = np.flatnonzero(w)
+            b, at = np.nonzero(live.reshape(self.n, p)[:, s[t]])
+            t = t[at]
+            out = np.zeros((r, self.n * q), dtype=np.complex128)
+            columns = g[:, b * p + s[t]]
+            columns *= w[t]
+            out[:, b * q + t] = columns
+        elif live is None:
             blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self.block)
             out = blocks.transpose(1, 0, 2).reshape(r, self.n * q)
         else:
@@ -609,7 +788,8 @@ def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
     """(I - P2) F1, formed from the frames as F1 - F2 (F2* F1) and never
     through the d x d projector P2."""
     _check_same_ambient(s1, s2)
-    return s1.frame - s2.frame @ (herm(s2.frame) @ s1.frame)
+    f2 = Operand(s2.frame)
+    return s1.frame - matmul(f2, matmul(f2.H, s1.frame))
 
 
 def inclusion_defect(s1: Subspace, s2: Subspace) -> float:
@@ -660,19 +840,22 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
     """
-    a = as_matrix(m)
-    a = a[_ix(*_live_lines(a))]
-    residual = opnorm(a @ herm(a) @ a - a)
-    return residual, _partial_isometry_verdict(a, (residual, residual), lambda: residual, tol)
+    a = Operand(as_matrix(m)).live()
+    residual = opnorm(_triple_defect(a))
+    return residual, _partial_isometry_verdict(a.array, (residual, residual), lambda: residual, tol)
 
 
 def is_partial_isometry(m, tol: Tolerance) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
-    a = as_matrix(m)
-    a = a[_ix(*_live_lines(a))]
-    defect = a @ herm(a) @ a - a
-    return _partial_isometry_verdict(a, _norm_bounds(defect), lambda: opnorm(defect), tol)
+    a = Operand(as_matrix(m)).live()
+    defect = _triple_defect(a)
+    return _partial_isometry_verdict(a.array, _norm_bounds(defect), lambda: opnorm(defect), tol)
+
+
+def _triple_defect(a: Operand) -> np.ndarray:
+    """A A* A - A, multiplied in that order."""
+    return matmul(matmul(a, a.H), a) - a.array
 
 
 def _partial_isometry_verdict(a: np.ndarray, residual_bounds: tuple, residual, tol: Tolerance) -> bool:
@@ -740,12 +923,12 @@ class ClassificationReport(Record):
     consistent: bool
 
 
-def _frame_gram_residual(x: np.ndarray, f: np.ndarray) -> float:
+def _frame_gram_residual(x: Operand, f: Operand) -> float:
     """||F* X* X F - I|| for an orthonormal frame F of N(X)^perp."""
-    if f.shape[1] == 0:
+    k = f.array.shape[1]
+    if k == 0:
         return 0.0
-    g = herm(f) @ herm(x) @ x @ f
-    return opnorm(g - eye(f.shape[1]))
+    return opnorm(matmul(matmul(matmul(f.H, x.H), x), f) - eye(k))
 
 
 def _frames_and_pinv(a: np.ndarray, tol: Tolerance) -> tuple:
@@ -767,7 +950,9 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
     """
     a = as_matrix(m)
     norm = opnorm(a)
-    iso_res = opnorm(herm(a) @ a - eye(a.shape[1]))
+    op = Operand(a)
+    gram = matmul(op.H, op)
+    iso_res = opnorm(gram - eye(a.shape[1]))
     if norm <= tol.rank_rel:
         # numerically the zero operator: every characterization holds
         residuals = dict.fromkeys(_CONDITIONS, 0.0)
@@ -775,12 +960,13 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
     else:
         final, initial, pinv = _frames_and_pinv(a, tol)  # initial spans R(M*) = N(M)^perp
         triple, triple_ok = partial_isometry_residual(a, tol)
+        final, initial = Operand(final), Operand(initial)
         residuals = {
-            "norm_on_cokernel": _frame_gram_residual(a, initial),
-            "adjoint_norm": _frame_gram_residual(herm(a), final),
+            "norm_on_cokernel": _frame_gram_residual(op, initial),
+            "adjoint_norm": _frame_gram_residual(op.H, final),
             "triple_product": triple,
-            "initial_projection": opnorm(herm(a) @ a - initial @ herm(initial)),
-            "final_projection": opnorm(a @ herm(a) - final @ herm(final)),
+            "initial_projection": opnorm(gram - matmul(initial, initial.H)),
+            "final_projection": opnorm(matmul(op, op.H) - matmul(final, final.H)),
             "pinv_is_adjoint": opnorm(pinv - herm(a)),
         }
         verdicts = {key: residuals[key] <= tol.eq_rel * max(1.0, norm) for key in residuals}

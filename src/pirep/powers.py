@@ -102,7 +102,8 @@ def range_invariance_condition(chain: LiftChain, m: int) -> bool:
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
     (factor,) = chain._factors(m - 1, m)
-    amp = chain.amplified(factor.tilde @ herm(factor.tilde), m - 1, 0, 0)
+    tilde = nx.Operand(factor.tilde)
+    amp = chain.amplified(nx.matmul(tilde, tilde.H), m - 1, 0, 0)
     prev_cokernel = chain.cokernel_subspace(m - 1)
     return nx.is_subset(nx.image(amp, prev_cokernel, chain.tol), prev_cokernel, chain.tol)
 

@@ -171,6 +171,30 @@ def test_replay_refuses_a_counterexample_that_does_not_fit_its_config(tol):
             hz.replay_counterexample(dict(ce, **edit), tol)
 
 
+def test_replay_refuses_a_counterexample_that_is_not_an_object_with_every_key(tol):
+    # a missing key, a non-object counterexample or config, and a config
+    # missing a key or holding a value of the wrong kind all end in UsageError
+    ce = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), tol, falsify=True).counterexamples[0]
+    bad = [{}, None, [ce], "T2.2", dict(ce, theorem_id=["T2.2"]), dict(ce, config=None), dict(ce, config=[1, 2])]
+    bad += [{k: v for k, v in ce.items() if k != key} for key in ("theorem_id", "master_seed", "trial_index", "config")]
+    for key in ce["config"]:
+        bad.append(dict(ce, config={k: v for k, v in ce["config"].items() if k != key}))
+    bad += [dict(ce, config=dict(ce["config"], trials=None)), dict(ce, config=dict(ce["config"], h_dim_range=5))]
+    bad.append(dict(ce, config=dict(ce["config"], trials="ten")))
+    for counterexample in bad:
+        with pytest.raises(UsageError):
+            hz.replay_counterexample(counterexample, tol)
+    assert hz.replay_counterexample(ce, tol).status == "violation"
+
+
+def test_trial_config_from_dict_refuses_what_is_not_a_config():
+    config = TrialConfig(master_seed=3, trials=2).to_dict()
+    for obj in (None, [config], {k: v for k, v in config.items() if k != "n_max"}, dict(config, trials=None)):
+        with pytest.raises(UsageError):
+            TrialConfig.from_dict(obj)
+    assert TrialConfig.from_dict(config) == TrialConfig(master_seed=3, trials=2)
+
+
 def test_trial_config_refuses_a_seed_outside_64_bits(tol):
     for seed in (-1, 2**64):
         with pytest.raises(UsageError, match="master seed"):

@@ -720,3 +720,124 @@ def test_kernel_frame_checks_its_full_svd(monkeypatch, tol):
         assert nx.kernel_frame(np.ones((rows, 4)), tol).shape[0] == 4
         with pytest.raises(ResourceLimit, match="needs 400 bytes, over the budget 256"):
             nx.kernel_frame(np.ones((rows, 5)), tol)
+
+
+# ---------------------------------------------------------------------------
+# products with monomial operands
+# ---------------------------------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def monomial(rng, rows, cols, by_columns, complex_entries=False) -> np.ndarray:
+    """A rows x cols matrix with at most one nonzero in every column
+    (by_columns) or in every row, some lines left zero."""
+    a = np.zeros((rows, cols), dtype=np.complex128)
+    lines, slots = (cols, rows) if by_columns else (rows, cols)
+    for line in rng.choice(lines, size=lines * 3 // 4, replace=False):
+        value = rng.standard_normal() + (1j * rng.standard_normal() if complex_entries else 0.0)
+        at = (rng.integers(slots), line) if by_columns else (line, rng.integers(slots))
+        a[at] = value
+    return a
+
+
+def real_valued(rng, rows, cols) -> np.ndarray:
+    return rng.standard_normal((rows, cols)).astype(np.complex128)
+
+
+def same_bits_up_to_zero_sign(got, want) -> bool:
+    # adding +0.0 turns -0.0 into +0.0 and leaves every other value alone
+    return got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def count_dense_products(monkeypatch) -> list:
+    calls, real = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def count_scans(monkeypatch) -> list:
+    """The shapes of the arrays _nonzero_lines scans (past the gate)."""
+    scans, real = [], nx._nonzero_lines
+
+    def scan(a):
+        lines = real(a)
+        if lines is not None:
+            scans.append(a.shape)
+        return lines
+
+    monkeypatch.setattr(nx, "_nonzero_lines", scan)
+    return scans
+
+
+def test_matmul_gathers_real_monomial_operands_bit_for_bit(monkeypatch):
+    rng = rng_for(330)
+    dense = count_dense_products(monkeypatch)
+    for _ in range(3):
+        right = monomial(rng, 120, 90, by_columns=True)  # zero columns and rows included
+        left = monomial(rng, 90, 120, by_columns=False)
+        assert right.size >= nx._DEFLATE_MIN_SIZE and not right[:, ~right.any(axis=0)].any()
+        wide, tall = real_valued(rng, 40, 120), real_valued(rng, 120, 40)
+        cases = [
+            (wide, right, wide @ right),  # columns of the right factor
+            (left, tall, left @ tall),  # rows of the left factor
+            (nx.Operand(tall).H, right, nx.herm(tall) @ right),
+            (nx.Operand(right).H, tall, nx.herm(right) @ tall),
+            (wide, nx.Operand(left).H, wide @ nx.herm(left)),
+            (nx.Operand(right).H, right, nx.herm(right) @ right),
+            (left, nx.Operand(left).H, left @ nx.herm(left)),
+        ]
+        for a, b, want in cases:
+            assert same_bits_up_to_zero_sign(nx.matmul(a, b), want)
+    assert dense == []
+
+
+def test_matmul_on_complex_monomial_operands_rounds_once_per_entry():
+    # each entry is one complex multiply, within sqrt(5) * 2**-53 * |a| |b|
+    # of the exact product; the GEMM's one-term sum is within the same bound,
+    # so the two differ by at most twice that
+    from fractions import Fraction
+
+    rng = rng_for(331)
+    right = monomial(rng, 100, 60, by_columns=True, complex_entries=True)
+    left = monomial(rng, 60, 100, by_columns=False, complex_entries=True)
+    other = crandn(rng, 30, 100)
+    bound = math.sqrt(5.0) * UNIT_ROUNDOFF
+    for a, b in ((other, right), (left, other.T.copy())):
+        got, gemm, scale = nx.matmul(a, b), a @ b, np.abs(a) @ np.abs(b)
+        assert np.all(np.abs(got - gemm) <= 2 * bound * scale)
+        for i, j in zip(*np.nonzero(scale)):
+            exact = [0, 0]
+            terms = np.flatnonzero(a[i] * b[:, j])
+            assert terms.size == 1
+            for x, y in zip(a[i, terms], b[terms, j]):
+                xr, xi, yr, yi = (Fraction(float(t)) for t in (x.real, x.imag, y.real, y.imag))
+                exact[0] += xr * yr - xi * yi
+                exact[1] += xr * yi + xi * yr
+            error = abs(complex(Fraction(got[i, j].real) - exact[0], Fraction(got[i, j].imag) - exact[1]))
+            assert error <= bound * scale[i, j]
+
+
+def test_matmul_takes_np_matmul_for_dense_operands_and_below_the_gate(monkeypatch):
+    rng = rng_for(332)
+    dense = count_dense_products(monkeypatch)
+    scans = count_scans(monkeypatch)
+    a, b = crandn(rng, 70, 80), crandn(rng, 80, 60)
+    assert nx.matmul(a, b).tobytes() == (a @ b).tobytes() and len(dense) == 1
+    assert scans == [(80, 60), (70, 80)]  # b first, then a, each once
+    # below the gate nothing is scanned, monomial or not
+    small = monomial(rng, 40, 30, by_columns=True)
+    assert small.size < nx._DEFLATE_MIN_SIZE
+    scans.clear()
+    assert nx.matmul(a[:, :40], small).tobytes() == (a[:, :40] @ small).tobytes()
+    assert len(dense) == 2 and scans == []
+
+
+def test_an_operand_and_its_adjoint_share_one_scan(monkeypatch):
+    rng = rng_for(333)
+    a = monomial(rng, 90, 120, by_columns=False)
+    scans = count_scans(monkeypatch)
+    op = nx.Operand(a)
+    assert same_bits_up_to_zero_sign(nx.matmul(op, op.H), a @ nx.herm(a))
+    assert same_bits_up_to_zero_sign(nx.matmul(op.H, op), nx.herm(a) @ a)
+    assert scans == [(90, 120)]

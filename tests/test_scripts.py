@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -119,3 +121,17 @@ def test_cli_report_set_runs_one_rep_file(tmp_path):
         assert isinstance(record["stdout"], dict)
     same = run_script("report_diff.py", str(out), str(out))
     assert same.returncode == 0 and "documents 6, structural differences 0" in same.stdout, same.stdout
+
+
+def test_bench_shift_powers_times_the_smallest_case():
+    script = load_script("bench_shift_powers.py")
+    smallest = script.CASES[0]
+    assert smallest == {"kind": "power_report", "n": 2, "trunc": 120, "n_max": 4}
+    record = script.measure(smallest, 1)
+    assert record["case"] == smallest and len(record["wall_s"]) == 1
+    assert 0 < record["best_wall_s"] == record["wall_s"][0] and record["max_rss_mb"] > 0
+    assert record["result"]["applicable"] and record["result"]["pi_flags"] == [True] * 4
+    env = script.environment()
+    assert env["numpy"] == np.__version__ and env["blas_threads"] == 1 and env["machine"]["cpu_count"]
+    usage = run_script("bench_shift_powers.py")
+    assert usage.returncode == 2 and "Usage" in usage.stderr

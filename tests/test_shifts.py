@@ -6,10 +6,12 @@ import pytest
 from pirep import numerics as nx
 from pirep import shifts as sh
 from pirep.errors import DimensionMismatch, ResourceLimit, WindowError
+from pirep.numerics import Subspace
 from pirep.shifts import WeightedShiftSpec
 
 from conftest import (
     chain_inclusion_check,
+    dense_amplified,
     dense_budget,
     dense_opnorm,
     dense_pi_residual,
@@ -299,6 +301,86 @@ def test_shift_criterion_takes_the_lift_verdict_once(tol, monkeypatch):
     res = sh.shift_pi_criterion(WeightedShiftSpec(n=2, trunc=64), tol, power_cap=3)
     assert res.is_pi and res.power_pi_up_to == 3
     assert len(calls) == 3
+
+
+def count_gathers(monkeypatch) -> tuple:
+    """(gathers, dense): the monomial operands matmul and the amplifications
+    found, and the np.matmul calls made."""
+    gathers, dense = [], []
+    real_single, real_matmul = nx.Operand.single_entries, np.matmul
+
+    def single_entries(self, of_columns):
+        out = real_single(self, of_columns)
+        if out is not None:
+            gathers.append(self.array.shape)
+        return out
+
+    monkeypatch.setattr(nx.Operand, "single_entries", single_entries)
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: dense.append(1) or real_matmul(*args, **kwargs))
+    return gathers, dense
+
+
+def test_shift_lifts_powers_and_frames_take_the_gather_at_every_site(tol, monkeypatch):
+    # the n = 3, trunc 216 shift: the lift, T_2, T_3 and their cokernel frames
+    # are monomial, so every listed product is a gather and none a GEMM
+    from pirep import powers as pw
+
+    rep = sh.build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
+    powers = {m: rep.tilde_power(m) for m in (1, 2, 3)}
+    frames = {m: rep.cokernel_subspace(m) for m in (0, 1, 2, 3)}
+    gathers, dense = count_gathers(monkeypatch)
+
+    def site(expected, run):
+        gathers.clear()
+        dense.clear()
+        out = run()
+        assert len(gathers) == expected and dense == [], (expected, gathers, len(dense))
+        return out
+
+    for m in (1, 2, 3):
+        tm, frame = powers[m], frames[m].frame
+        amp = rep.amplified(rep.tilde, m - 1, 1, 0)
+        if m > 1:
+            built = site(1, lambda: powers[m - 1] @ amp)  # __rmatmul__: the block
+            assert built.tobytes() == tm.tobytes()
+        moved = site(1, lambda: amp @ frame)  # __matmul__: the frame
+        assert np.array_equal(moved, dense_amplified(rep, rep.tilde, m - 1, 1, 0) @ frame)
+        gap = site(2, lambda: nx._inclusion_gap(Subspace(moved), frames[m - 1]))
+        assert not gap.any()
+        assert site(2, lambda: nx.partial_isometry_residual(tm, tol)) == (dense_pi_residual(tm), True)
+        assert site(2, lambda: nx.is_partial_isometry(tm, tol))
+        # T T*, the image of the cokernel under I (x) T T*, and its inclusion
+        assert site(4, lambda: pw.range_invariance_condition(rep, m))
+    # the lift's classification: T*T and T T* (2), F F* for its two frames
+    # (2), the two frame Grams F* X* X F (6) and the triple product (2)
+    report = site(12, lambda: nx.classify_operator(rep.tilde, tol))
+    assert report.is_partial_isometric and report.consistent
+
+
+def test_a_conjugated_shift_takes_the_dense_path_to_the_same_power_flags(tol, monkeypatch):
+    # conjugated by a Haar unitary the lift is dense: no operand but the
+    # identity frame of H (the cokernel of T_0) is monomial, and the power
+    # report's flags are those of the shift
+    from pirep import harness as hz
+    from pirep import powers as pw
+    from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
+    from pirep.covrep import CovariantRep
+
+    gathers, dense = count_gathers(monkeypatch)
+    specs = [WeightedShiftSpec(n=2, zero_set={0, 4, 9}, trunc=64), WeightedShiftSpec(n=2, weights={(1, 2): 0.6}, trunc=64)]
+    for spec in specs:
+        shift = sh.build_shift(spec, tol)
+        u = hz.haar_unitary(rng_for(334), shift.h_dim)
+        sigma = StarRepresentation(SCALARS, [shift.h_dim])
+        conjugated = CovariantRep(scalar_correspondence(2), sigma, [u @ v @ nx.herm(u) for v in shift.v_on_basis], tol)
+        want = pw.power_report(shift, 3)
+        gathers.clear()
+        dense.clear()
+        got = pw.power_report(conjugated, 3)
+        assert set(gathers) <= {(shift.h_dim, shift.h_dim)}
+        assert len(dense) > 0 if want.applicable else not got.applicable
+        for key in ("applicable", "pi_flags", "chain_flags", "range_flags"):
+            assert getattr(got, key) == getattr(want, key), (spec.to_dict(), key)
 
 
 # ---------------------------------------------------------------------------
