@@ -69,6 +69,8 @@ from .numerics import (
     ENTRY_BYTES,
     Amplification,
     Tolerance,
+    _eigh,
+    _svd,
     as_matrix,
     check_bytes,
     eye,
@@ -76,8 +78,10 @@ from .numerics import (
     herm,
     identity_holds,
     kron_eye,
-    norm_within,
+    materially_negative,
     opnorm,
+    rank_threshold,
+    residual_holds,
 )
 
 
@@ -296,23 +300,25 @@ class FdCorrespondence:
         scale = max(1.0, float(np.abs(self.gram).max(initial=0.0)))
         # Hermitian A-valued Gram
         flip = np.conj(self.gram.transpose(1, 0, 3, 2))
-        if np.abs(self.gram - flip).max(initial=0.0) > tol.eq_rel * scale:
+        if not residual_holds(np.abs(self.gram - flip).max(initial=0.0), scale, tol):
             raise InvalidCorrespondence("gram is not Hermitian as an A-valued matrix")
         # positivity of the scalar block matrix
         big = self.gram_as_block_matrix()
         if big.size:
-            w = np.linalg.eigvalsh((big + herm(big)) / 2.0)
-            if w.size and w[0] < -10.0 * tol.eq_rel * max(1.0, float(w[-1])):
-                raise InvalidCorrespondence(f"gram block matrix has negative eigenvalue {w[0]:.3e}")
+            w = _eigh((big + herm(big)) / 2.0, vectors=False)
+            if w.size and materially_negative(w[0], float(w[-1]), tol):
+                raise InvalidCorrespondence(
+                    f"gram block matrix is not positive semidefinite: eigenvalues {w[0]:.3e} to {w[-1]:.3e}"
+                )
         basis = self.algebra.basis()
         # right compatibility  <xi_a, xi_b . c> = <xi_a, xi_b> c
         for t, c in enumerate(basis):
             lhs = np.einsum("xb,axij->abij", self.right_action[t], self.gram)
             rhs = np.einsum("abij,jk->abik", self.gram, c)
-            if np.abs(lhs - rhs).max(initial=0.0) > tol.eq_rel * scale:
+            if not residual_holds(np.abs(lhs - rhs).max(initial=0.0), scale, tol):
                 raise InvalidCorrespondence(f"right action incompatible with gram (basis {t})")
         # phi unital
-        if not norm_within(self.left(self.algebra.identity()) - eye(n), tol.eq_rel):
+        if not identity_holds(self.left(self.algebra.identity()) - eye(n), lambda: 1.0, tol):  # ||I|| = 1
             raise InvalidCorrespondence("left action is not unital")
         # phi multiplicative and adjointable w.r.t. the gram
         for s, a in enumerate(basis):
@@ -324,7 +330,7 @@ class FdCorrespondence:
             lstar = self.left(herm(a))
             lhs = np.einsum("xp,xqij->pqij", np.conj(la), self.gram)
             rhs = np.einsum("yq,pyij->pqij", lstar, self.gram)
-            if np.abs(lhs - rhs).max(initial=0.0) > tol.eq_rel * scale:
+            if not residual_holds(np.abs(lhs - rhs).max(initial=0.0), scale, tol):
                 raise InvalidCorrespondence("left action is not adjointable w.r.t. the gram")
         return self
 
@@ -333,8 +339,8 @@ class FdCorrespondence:
         rows = self.algebra.coords(self.gram).reshape(-1, self.algebra.dim)
         if rows.size == 0:
             return self.algebra.dim == 0
-        s = np.linalg.svd(rows, compute_uv=False)
-        cut = tol.rank_rel * (s[0] if s.size else 0.0) * max(rows.shape)
+        s = _svd(rows, False, compute_uv=False)
+        cut = rank_threshold(s, rows.shape, tol)
         return int(np.sum(s > cut)) == self.algebra.dim
 
 
@@ -528,12 +534,12 @@ def interior_tensor(
     blocks = sigma.apply(e.gram)  # sigma(<xi_a, xi_b>), (N, N, d, d)
     big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     big = (big + herm(big)) / 2.0
-    w, v = np.linalg.eigh(big)
-    top = float(w[-1]) if w.size else 0.0
-    if w.size and w[0] < -10.0 * tol.eq_rel * max(1.0, top):
-        raise InvalidCorrespondence(f"interior tensor gram has negative eigenvalue {w[0]:.3e}")
-    cut = tol.rank_rel * max(top, 0.0) * (n * d)
-    keep = w > cut
+    w, v = _eigh(big, vectors=True)
+    if materially_negative(w[0], float(w[-1]), tol):
+        raise InvalidCorrespondence(
+            f"interior tensor gram is not positive semidefinite: eigenvalues {w[0]:.3e} to {w[-1]:.3e}"
+        )
+    keep = w > rank_threshold(w[::-1], big.shape, tol)
     lam = w[keep]
     basis = v[:, keep]
     embed = _read_only(np.sqrt(lam)[:, None] * herm(basis))

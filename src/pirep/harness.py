@@ -673,24 +673,20 @@ def _trial_orthogonality_remark(rng, config: TrialConfig, tol: Tolerance) -> Tri
     return TrialOutcome.ok(0.0)
 
 
-def _wold_identities_ok(side, tol: Tolerance) -> bool:
-    return side.orthogonality_defect <= tol.eq_rel and side.direct_sum_residual <= tol.eq_rel
-
-
 def _trial_wold_bi_regular(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     rep = regular_fixture(rng, tol, want_pi=bool(rng.integers(0, 2)))
     try:
         out = wd.wold_decompose(rep)
     except NotApplicable as exc:
         return TrialOutcome.skip(str(exc))
-    ok = _wold_identities_ok(out.primal, tol) and _wold_identities_ok(out.dual, tol)
-    residual = max(
+    residuals = (
         out.primal.direct_sum_residual,
         out.dual.direct_sum_residual,
         out.primal.orthogonality_defect,
         out.dual.orthogonality_defect,
     )
-    if not ok:
+    residual = max(residuals)
+    if not all(nx.residual_holds(x, 1.0, tol) for x in residuals):
         return TrialOutcome.violation(residual, result=out.to_dict(), instance=rep_to_json(rep))
     return TrialOutcome.ok(residual)
 
@@ -712,7 +708,7 @@ def _trial_wold_pi(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
         opnorm(out.primal.generated.projector() - out.dual.generated.projector()),
         opnorm(out.primal.residual.projector() - out.dual.residual.projector()),
     )
-    if residual > tol.eq_rel:
+    if not nx.residual_holds(residual, 1.0, tol):
         return TrialOutcome.violation(residual, result=out.to_dict(), instance=rep_to_json(rep))
     return TrialOutcome.ok(residual)
 

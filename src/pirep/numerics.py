@@ -1,17 +1,33 @@
 """Dense complex linear algebra with an explicit tolerance discipline.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Every
-rank, frame, pseudoinverse, and subspace-inclusion decision made
-anywhere in the package reduces to the primitives in this module, and
-every such decision is governed by a single :class:`Tolerance` value,
-which every function takes from its caller:
+thresholded verdict of the package is decided in this module, under a
+single :class:`Tolerance` value that every function takes from its
+caller; no other module reads a field of it to decide.  One seam per
+kind of decision:
 
-* ``rank_rel``  -- a singular value sigma counts as zero iff
-  ``sigma <= rank_rel * sigma_max * max(rows, cols)``,
-* ``eq_rel``    -- operator identities ``A == B`` are accepted iff
-  ``||A - B|| <= eq_rel * scale`` in spectral norm,
-* ``incl_abs``  -- a subspace inclusion ``S1 <= S2`` is accepted iff
-  ``||(I - P2) F1|| <= incl_abs`` for an orthonormal frame F1 of S1.
+* rank cut -- :func:`rank_threshold` (``_SplitSVD.cut``): a singular
+  value sigma counts as zero iff
+  ``sigma <= rank_rel * max(sigma_max, scale_floor) * max(rows, cols)``;
+* identity -- :func:`identity_holds` on the gap A - B, or
+  :func:`residual_holds` on a residual already computed: accepted iff
+  ``||A - B|| <= eq_rel * max(1, scale)``;
+* inclusion -- :func:`is_subset`, or :func:`defect_within` on a defect
+  already computed: ``S1 <= S2`` iff ``||(I - P2) F1|| <= incl_abs`` for
+  an orthonormal frame F1 of S1;
+* negativity floor -- :func:`materially_negative`: a matrix meant to be
+  positive semidefinite is refused iff its lowest eigenvalue is below
+  ``-10 * eq_rel * max(1, scale)``;
+* contraction -- :func:`is_contraction`: ``||T|| <= 1 + eq_rel``;
+* partial isometry -- :func:`is_partial_isometry` and
+  :func:`partial_isometry_residual`: ``||T T* T - T|| <= eq_rel * ||T||``,
+  or ``||T|| <= rank_rel``.
+
+The seams on values already computed (``residual_holds``,
+``defect_within``, ``materially_negative``) accept no NaN and no cutoff
+that overflowed to infinity; the seams on matrices take only finite
+ones (:func:`as_matrix`).  The norms are spectral unless a caller states
+otherwise.
 
 Every dense array that grows with a tensor power (Grams, lifts, the
 products an :class:`Amplification` forms and its ``to_dense``, full
@@ -431,6 +447,30 @@ def identity_holds(gap, scale, tol: Tolerance) -> bool:
     return norm_within(a, tol.eq_rel) or norm_within(a, tol.eq_rel * max(1.0, scale()))
 
 
+# The seams below decide on values already computed.  None accepts a NaN
+# (``max(scale, 1.0)`` keeps a NaN scale, and every comparison with NaN is
+# False), nor a cutoff that overflowed: an infinite scale decides nothing.
+
+
+def residual_holds(residual: float, scale: float, tol: Tolerance) -> bool:
+    """An identity with computed residual holds:
+    ``residual <= eq_rel * max(1.0, scale)``."""
+    return bool(residual <= tol.eq_rel * max(scale, 1.0) < math.inf)
+
+
+def defect_within(defect: float, tol: Tolerance) -> bool:
+    """A computed inclusion or orthogonality defect is negligible:
+    ``defect <= incl_abs``."""
+    return bool(defect <= tol.incl_abs)
+
+
+def materially_negative(lowest: float, scale: float, tol: Tolerance) -> bool:
+    """The lowest eigenvalue of a matrix meant to be positive semidefinite
+    lies below the roundoff floor ``-10 * eq_rel * max(1.0, scale)``; a
+    NaN counts as negative."""
+    return not lowest >= -10.0 * tol.eq_rel * max(scale, 1.0) > -math.inf
+
+
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
@@ -560,6 +600,15 @@ def _svd(m: np.ndarray, full_matrices: bool, compute_uv: bool = True):
         return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}", shape=m.shape) from exc
+
+
+def _eigh(m: np.ndarray, vectors: bool):
+    """``np.linalg.eigh`` of a Hermitian matrix, or ``eigvalsh`` without
+    ``vectors``."""
+    try:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"eigh did not converge: {exc}", shape=m.shape) from exc
 
 
 def rank_threshold(s: np.ndarray, shape, tol: Tolerance, scale_floor: float = 0.0) -> float:
@@ -710,14 +759,10 @@ def psd_sqrt(m, tol: Tolerance) -> np.ndarray:
     if a.size == 0:
         return a.copy()
     scale = opnorm(a)
-    if opnorm(a - herm(a)) > tol.eq_rel * max(scale, 1.0):
+    if not residual_holds(opnorm(a - herm(a)), scale, tol):
         raise DomainError("psd_sqrt: input is not self-adjoint within tolerance")
-    sym = (a + herm(a)) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"eigh did not converge: {exc}", shape=a.shape) from exc
-    if w.size and w[0] < -10.0 * tol.eq_rel * max(scale, 1.0):
+    w, v = _eigh((a + herm(a)) / 2.0, vectors=True)
+    if w.size and materially_negative(w[0], scale, tol):
         raise DomainError(f"psd_sqrt: materially negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ herm(v)
@@ -872,8 +917,13 @@ def _partial_isometry_verdict(a: np.ndarray, residual_bounds: tuple, residual, t
     return scale <= tol.rank_rel or residual() <= tol.eq_rel * scale
 
 
+def _contraction_cutoff(tol: Tolerance) -> float:
+    return 1.0 + tol.eq_rel
+
+
 def is_contraction(m, tol: Tolerance) -> bool:
-    return norm_within(m, 1.0 + tol.eq_rel)
+    """``opnorm(m) <= 1 + eq_rel``."""
+    return norm_within(m, _contraction_cutoff(tol))
 
 
 def running_conjunction(flags) -> list:
@@ -969,11 +1019,11 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
             "final_projection": opnorm(matmul(op, op.H) - matmul(final, final.H)),
             "pinv_is_adjoint": opnorm(pinv - herm(a)),
         }
-        verdicts = {key: residuals[key] <= tol.eq_rel * max(1.0, norm) for key in residuals}
+        verdicts = {key: residual_holds(residuals[key], norm, tol) for key in residuals}
         verdicts["triple_product"] = triple_ok
     return ClassificationReport(
-        is_contractive=norm <= 1.0 + tol.eq_rel,
-        is_isometric=iso_res <= tol.eq_rel * max(1.0, norm) ** 2,
+        is_contractive=norm <= _contraction_cutoff(tol),
+        is_isometric=residual_holds(iso_res, norm**2, tol),
         is_partial_isometric=verdicts["triple_product"],
         norm=norm,
         isometry_residual=iso_res,

@@ -218,11 +218,11 @@ def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) ->
     t = rep.tilde
     res_s = opnorm(s @ t @ s - s)
     res_t = opnorm(t @ s @ t - t)
-
-    def within(res, m):  # res <= eq_rel * max(1, ||m||), taking ||m|| only past eq_rel
-        return res <= tol.eq_rel or res <= tol.eq_rel * max(1.0, opnorm(m))
-
-    ok = within(res_s, s) and within(res_t, t)
+    # the cutoff is at least eq_rel, so ||S|| and ||tilde|| are taken only past it
+    ok = all(
+        nx.residual_holds(res, 1.0, tol) or nx.residual_holds(res, opnorm(m), tol)
+        for res, m in ((res_s, s), (res_t, t))
+    )
     up_to = 0
     if ok and is_regular(rep):
         for m in range(1, m_bound + 1):
@@ -312,11 +312,11 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
     else:
         gram = herm(d_sub.frame) @ herm(w) @ w @ d_sub.frame
         iso_defect = opnorm(gram - eye(d_sub.dim))
-        cond_a = iso_defect <= tol.eq_rel
+        cond_a = nx.residual_holds(iso_defect, 1.0, tol)
     img_cokernel = nx.image(w, rep.cokernel_subspace(k), tol)
     img_d = nx.image(w, d_sub, tol)
     ortho_defect = opnorm(herm(img_cokernel.frame) @ img_d.frame)
-    cond_b = ortho_defect <= tol.incl_abs
+    cond_b = nx.defect_within(ortho_defect, tol)
     return RootCriterionResult(
         hypothesis_ok=hypothesis_ok,
         cond_a=cond_a,

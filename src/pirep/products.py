@@ -117,7 +117,7 @@ def commuting_projection_test(rep1: CovariantRep, rep2: CovariantRep) -> Commuti
     residual, product_is_pi = nx.partial_isometry_residual(prod.tilde, tol)
     return CommutingProjectionResult(
         product_is_pi=product_is_pi,
-        projections_commute=commutator <= tol.eq_rel,
+        projections_commute=nx.residual_holds(commutator, 1.0, tol),
         commutator_norm=commutator,
         product_residual=residual,
         ef_norm=opnorm(ef),
@@ -194,7 +194,7 @@ def chain_condition_test(factors) -> ChainConditionReport:
         dom_inv.append(nx.is_subset(nx.image(herm(t_s) @ t_s, w_range, tol), w_range, tol))
         q = initial_range.projector() @ w_range.projector()
         idem_res = opnorm(q @ q - q)
-        idem.append(idem_res <= tol.eq_rel)
+        idem.append(nx.residual_holds(idem_res, 1.0, tol))
         residuals.append({"stage_pi": pi_res, "idempotent": idem_res})
     return ChainConditionReport(stage_pi, range_inv, dom_inv, idem, residuals)
 
@@ -217,10 +217,9 @@ def pinv_factorization_test(factors) -> PinvFactorizationResult:
     t_n = prod.tilde
     direct = nx.pseudoinverse(t_n, tol)
     residual = opnorm(direct - prod.pinv_chain(prod.n))
-    scale = max(1.0, opnorm(direct))
     return PinvFactorizationResult(
         is_pi=nx.is_partial_isometry(t_n, tol),
-        pinv_factors_match=residual <= tol.eq_rel * scale,
+        pinv_factors_match=nx.residual_holds(residual, opnorm(direct), tol),
         chain_residual=residual,
     )
 

@@ -29,7 +29,7 @@ import numpy as np
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
-from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes
+from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes, defect_within, residual_holds
 from .powers import power_pi_up_to
 
 
@@ -178,7 +178,7 @@ def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance) 
     power = v[:, window]
     for _ in range(k - 1):
         power = v @ power
-    return [m for m, column in zip(window, power.T) if np.linalg.norm(column) <= tol.incl_abs]
+    return [m for m, column in zip(window, power.T) if defect_within(np.linalg.norm(column), tol)]
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def shift_pi_criterion(
                 continue  # zero column regardless of the weight
             if m in spec.zero_set:
                 continue
-            if abs(spec.weight(i, m) - 1.0) > tol.eq_rel:
+            if not residual_holds(abs(spec.weight(i, m) - 1.0), 1.0, tol):
                 unit = False
     up_to = power_pi_up_to(rep, is_pi, spec.window_bound(power_cap))
     return ShiftCriterionReport(is_pi=is_pi, weights_unit_off_zero_set=unit, power_pi_up_to=up_to)

@@ -230,6 +230,63 @@ def test_tolerance_policy_is_stated_once():
                 }
 
 
+# The reads of a Tolerance field outside numerics that make no verdict:
+# the CLI's flag defaults and verify's input check, each read once.
+TOLERANCE_READS_OUTSIDE_NUMERICS = [
+    ("cli.py", "_common_flags", "DEFAULT_TOL.eq_rel"),
+    ("cli.py", "_common_flags", "DEFAULT_TOL.incl_abs"),
+    ("cli.py", "_common_flags", "DEFAULT_TOL.rank_rel"),
+    ("harness.py", "verify", "tol.eq_rel"),
+]
+
+
+def _tolerance_reads(node, function=None):
+    """(innermost function enclosing it or None, source) of every read of
+    a Tolerance field under ``node``."""
+    if isinstance(node, ast.Attribute) and node.attr in ("rank_rel", "eq_rel", "incl_abs"):
+        yield function, ast.unparse(node)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _tolerance_reads(child, function)
+
+
+def test_only_numerics_reads_the_tolerance_fields():
+    # every thresholded verdict is decided by a numerics seam, so no other
+    # module writes a cutoff formula of its own
+    reads = [
+        (path.name, *read)
+        for path in sorted(pathlib.Path(pirep.__file__).parent.glob("*.py"))
+        if path.name != "numerics.py"
+        for read in _tolerance_reads(ast.parse(path.read_text()))
+    ]
+    assert sorted(reads) == TOLERANCE_READS_OUTSIDE_NUMERICS
+
+
+def _refused_overflow(tree, tmp_path, capsys) -> str:
+    """Classify a rep file whose Gram entry [0][0] is 1e308; returns stderr."""
+    tree["correspondence"]["gram"][0][0]["data"][0] = [1e308, 0.0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(tree))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["classify", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_a_gram_that_overflows_is_refused(tmp_path, capsys):
+    # (G + G*) / 2 overflows: on the scalar algebra its eigenvalue is inf,
+    # and the positivity floor -10 eq_rel inf decides nothing
+    tree = sz.rep_to_json(hz.truncated_shift_fixture(DEFAULT_TOL, 3))
+    assert "eigenvalues inf to inf" in _refused_overflow(tree, tmp_path, capsys)
+    # on the two-block algebra the eigenvalues are NaN
+    rep, _ = hz.random_pi_pair(hz.rng_stream(1615, 100), hz.TrialConfig(algebra_shape="two_block"), DEFAULT_TOL)
+    tree = sz.rep_to_json(rep)
+    assert tree["correspondence"]["gram"][0][0]["data"][0] == [1.0, 0.0]
+    assert "eigenvalues nan to nan" in _refused_overflow(tree, tmp_path, capsys)
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["classify", "--rep", "/nonexistent/rep.json"])
     assert code == 2

@@ -20,7 +20,7 @@ from pirep.correspondence import (
     tensor_power,
     tensor_product,
 )
-from pirep.errors import DimensionMismatch, IntertwinerError, InvalidCorrespondence, ResourceLimit
+from pirep.errors import DimensionMismatch, IntertwinerError, InvalidCorrespondence, NumericFailure, ResourceLimit
 
 from conftest import (
     count_sigma_work,
@@ -597,3 +597,22 @@ def test_intertwining_residual_is_the_worst_matrix_unit(tol):
     scalar = StarRepresentation(SCALARS, [2])
     scalar_space = interior_tensor(scalar_correspondence(2), scalar, tol)
     assert intertwining_residual(crandn(rng_for(35), 2, 4), scalar_space, plain_space(scalar)) == 0.0
+
+
+@pytest.mark.parametrize("lapack", ["svd", "eigvalsh", "eigh"])
+def test_lapack_failures_are_numeric_failures(monkeypatch, lapack, tol):
+    # is_full takes an SVD, validate an eigvalsh, and the non-standard
+    # interior tensor an eigh; a call that does not converge is typed
+    e, sigma = two_block_fixture(), StarRepresentation(TWO_BLOCK, [1, 1])
+    run = {
+        "svd": lambda: e.is_full(tol),
+        "eigvalsh": lambda: e.validate(tol),
+        "eigh": lambda: interior_tensor(e, sigma, tol),
+    }[lapack]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, lapack, fail)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        run()

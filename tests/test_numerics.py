@@ -434,6 +434,34 @@ def test_identity_holds_takes_the_scale_only_past_eq_rel(tol):
             assert bool(calls) == (nx.opnorm(gap) > tol.eq_rel), (scale, t)
 
 
+# Each scalar seam as (accepts(value, scale, tol), its cutoff at a scale
+# already floored to 1, the side on which values are refused); a value
+# that is not materially negative is accepted.
+SCALAR_SEAMS = {
+    "residual_holds": (nx.residual_holds, lambda scale, tol: tol.eq_rel * scale, math.inf),
+    "defect_within": (lambda v, scale, tol: nx.defect_within(v, tol), lambda scale, tol: tol.incl_abs, math.inf),
+    "materially_negative": (
+        lambda v, scale, tol: not nx.materially_negative(v, scale, tol),
+        lambda scale, tol: -10.0 * tol.eq_rel * scale,
+        -math.inf,
+    ),
+}
+
+
+@pytest.mark.parametrize("seam", sorted(SCALAR_SEAMS))
+def test_scalar_seams_accept_at_the_cutoff_and_nothing_past_it(seam, tol):
+    accepts, cutoff, refused = SCALAR_SEAMS[seam]
+    for scale, floored in ((0.25, 1.0), (1.0, 1.0), (3.0, 3.0)):
+        at = cutoff(floored, tol)
+        assert accepts(at, scale, tol) is True, scale
+        assert accepts(np.nextafter(at, refused), scale, tol) is False, scale
+        assert accepts(math.nan, scale, tol) is False, scale
+    if seam != "defect_within":
+        # a NaN or infinite scale decides nothing
+        for scale in (math.nan, math.inf):
+            assert accepts(0.0, scale, tol) is False, scale
+
+
 def test_partial_isometry_screen_is_the_exact_rule(monkeypatch, tol):
     rng = rng_for(405)
     inputs = list(_pi_inputs(rng, tol))
