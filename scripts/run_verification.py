@@ -4,7 +4,7 @@ claim; optionally dump the JSON reports.
 
 Usage:
     python scripts/run_verification.py [--trials 200] [--seed 42]
-                                       [--jobs 4] [--out reports/]
+                                       [--algebra mixed] [--out reports/]
 """
 
 import argparse
@@ -21,7 +21,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--algebra", default="mixed", choices=["scalar", "two_block", "mixed"])
     parser.add_argument("--out", type=str, default=None, help="directory for JSON reports")
     args = parser.parse_args()
@@ -37,7 +36,7 @@ def main() -> int:
             master_seed=args.seed, trials=args.trials, algebra_shape=args.algebra
         )
         start = time.perf_counter()
-        report = harness.verify(theorem_id, config, DEFAULT_TOL, jobs=args.jobs)
+        report = harness.verify(theorem_id, config, DEFAULT_TOL)
         elapsed = time.perf_counter() - start
         status = "ok" if report.equivalence_violations == 0 else "VIOLATIONS"
         print(
@@ -57,7 +56,6 @@ def main() -> int:
         "T2.2",
         harness.TrialConfig(master_seed=args.seed, trials=100),
         DEFAULT_TOL,
-        jobs=args.jobs,
         falsify=True,
     )
     found = falsified.equivalence_violations

@@ -8,11 +8,10 @@ One executable with subcommands:
     root     --rep rep.json --k 3
     wold     --rep rep.json [--skip-hypotheses]
     shift    --n 2 --B 0,3 --M 64 --power 3 [--weights w.json]
-    verify   --theorem T2.2 --trials 500 --seed 42 [--falsify] [--jobs N]
+    verify   --theorem T2.2 --trials 500 --seed 42 [--falsify]
 
 Global flags (--tol-rank, --tol-eq, --tol-incl, --indent) are accepted by
-every subcommand, and --jobs by ``verify`` alone; elsewhere argparse
-refuses it with exit 2.  --indent takes 0 to 8; any other value exits 2.
+every subcommand.  --indent takes 0 to 8; any other value exits 2.
 Every dense array that grows with a tensor power is checked against one
 byte budget (``numerics.DENSE_BYTES``) from its shape before it is
 allocated, so an input past it exits 2 naming the bytes it needs.  All output is deterministic JSON on stdout with numbers
@@ -186,7 +185,7 @@ def _cmd_shift(args) -> int:
 def _cmd_verify(args) -> int:
     tol = _tolerance(args)
     config = harness.TrialConfig(master_seed=args.seed, trials=args.trials, algebra_shape=args.algebra)
-    report = harness.verify(args.theorem, config, tol, jobs=args.jobs, falsify=args.falsify)
+    report = harness.verify(args.theorem, config, tol, falsify=args.falsify)
     _emit(report.to_dict(), args)
     return 0 if report.equivalence_violations == 0 else 1
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--falsify", action="store_true")
     p.add_argument("--algebra", default="scalar", choices=["scalar", "two_block", "mixed"])
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     _common_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -305,7 +305,7 @@ class FdCorrespondence:
         # positivity of the scalar block matrix
         big = self.gram_as_block_matrix()
         if big.size:
-            w = _eigh((big + herm(big)) / 2.0, vectors=False)
+            w = _eigh(big, vectors=False)
             if w.size and materially_negative(w[0], float(w[-1]), tol):
                 raise InvalidCorrespondence(
                     f"gram block matrix is not positive semidefinite: eigenvalues {w[0]:.3e} to {w[-1]:.3e}"
@@ -533,7 +533,6 @@ def interior_tensor(
     check_bytes(ENTRY_BYTES * (n * d) ** 2, f"the interior tensor Gram of formal dimension {n * d}")
     blocks = sigma.apply(e.gram)  # sigma(<xi_a, xi_b>), (N, N, d, d)
     big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    big = (big + herm(big)) / 2.0
     w, v = _eigh(big, vectors=True)
     if materially_negative(w[0], float(w[-1]), tol):
         raise InvalidCorrespondence(

@@ -88,6 +88,15 @@ class TrialConfig(Record):
             raise UsageError(f"unknown algebra shape {self.algebra_shape!r}")
         if self.n_max < 1:
             raise UsageError("n_max must be at least 1")
+        for name in ("h_dim_range", "module_dim_range"):
+            bounds = getattr(self, name)
+            if not (
+                isinstance(bounds, tuple)
+                and len(bounds) == 2
+                and all(isinstance(b, int) for b in bounds)
+                and 0 <= bounds[0] <= bounds[1]
+            ):
+                raise UsageError(f"{name} must be two integers 0 <= lo <= hi, got {bounds!r}")
 
     @staticmethod
     def from_dict(obj: dict) -> "TrialConfig":
@@ -838,7 +847,10 @@ def verify(
     """Run the registered claim over ``config.trials`` seeded trials.
 
     Deterministic: identical (theorem_id, config, tolerance, falsify)
-    produce identical reports regardless of ``jobs``.
+    produce identical reports regardless of ``jobs``.  ``jobs`` and its
+    thread pool gain nothing on matrices this small; they stay only while
+    the benchmark workloads pass ``jobs=1``, and go once those calls drop
+    it (ROADMAP items 8, then 7).
     """
     entry, fn = _claim(theorem_id, falsify)
     if tol.eq_rel > MAX_EQ_REL:

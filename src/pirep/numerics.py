@@ -85,7 +85,8 @@ vectors stay unit vectors under products of monomial matrices, since
 each entry of such a product has at most one nonzero term, so the next
 step splits again.
 
-The products of the partial-isometry verdict and of the lift powers drop
+The products of the partial-isometry verdict, and the gather of an
+:class:`Amplification` with a monomial block applied from the right, drop
 only the exactly-zero rows and columns (:func:`_live_lines`).  This is
 exact: it changes no norm or defect T T* T - T (zero wherever T has a
 zero row or column).  A floating-point product only loses exact-zero
@@ -100,20 +101,20 @@ Below the gate nothing is scanned and the dense path runs as it is: on a
 at 72 entries (11% of a thin SVD), and the split's scan about 45 us at
 4,096 dense entries (3%).
 
-A product with an operand that is monomial along it is a gather
-(:func:`matmul`): when every column of B holds at most one nonzero, v_j
-in row r_j, A B is A[:, r] * v; when every row of A holds at most one
-nonzero, u_i in column c_i, it is u[:, None] * B[c]; otherwise it is
-``np.matmul``.  The sites: both products of the inclusion gap, the triple
-product of the partial-isometry verdict and residual, T T* in the
-range-invariance condition, the products of :func:`classify_operator`,
-and an :class:`Amplification` applied to a frame with such columns or
-with such a block.  The same gate applies: only an operand of at least
+A product whose right factor has at most one nonzero per column is a
+gather (:func:`matmul`): when every column of B holds at most one
+nonzero, v_j in row r_j, A B is A[:, r] * v; otherwise it is
+``np.matmul``.  Only the right factor is ever scanned.  The sites: both
+products of the inclusion gap, the triple product of the
+partial-isometry verdict and residual, T T* in the range-invariance
+condition, the products of :func:`classify_operator`, and an
+:class:`Amplification` applied to a frame with such columns or with such
+a block.  The same gate applies: only an operand of at least
 _DEFLATE_MIN_SIZE entries is scanned, once (``_nonzero_lines``, the scan
 of the deflation; an ``Operand`` and its adjoint share it), so below the
 gate every product is the dense one as before.  The scan counts the
 nonzeros of each line only when there are at most max(rows, cols) of
-them: an array with more is monomial neither way.  The error argument: each
+them: an array with more has a column with two.  The error argument: each
 entry of such a product has at most one nonzero term.  For real-valued
 entries (complex128 with zero imaginary parts: every shift, its lift,
 powers and frames) a product of two entries is correctly rounded and
@@ -337,15 +338,15 @@ class Operand:
             col_count = col_count if cols is None else col_count[cols]
         return _operand_of(self.array[_ix(rows, cols)], False, (nonzero[_ix(rows, cols)], row_count, col_count))
 
-    def single_entries(self, of_columns: bool) -> tuple | None:
-        """(index, value) when every column (``of_columns``) or every row
-        of the operand holds at most one nonzero: line l has its nonzero
-        at index[l] with value value[l], and a zero line has index 0 and
-        value 0.  None otherwise, and below the gate."""
+    def single_entries(self) -> tuple | None:
+        """(index, value) when every column of the operand holds at most
+        one nonzero: column l has its nonzero at row index[l] with value
+        value[l], and a zero column has index 0 and value 0.  None
+        otherwise, below the gate, and for an operand built unscanned."""
         if self.lines is None or self.lines[1] is None:
             return None
         nonzero, row_count, col_count = self.lines
-        by_columns = of_columns != self.adjoint  # a column of herm(a) is a row of a
+        by_columns = not self.adjoint  # a column of herm(a) is a row of a
         if (col_count if by_columns else row_count).max(initial=0) > 1:
             return None
         i, j = _coordinates(nonzero)
@@ -360,10 +361,6 @@ class Operand:
         """The operand's columns at ``index``."""
         return herm(self.array[index]) if self.adjoint else self.array[:, index]
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """The operand's rows at ``index``."""
-        return herm(self.array[:, index]) if self.adjoint else self.array[index]
-
 
 def _operand_of(a: np.ndarray, adjoint: bool, lines) -> Operand:
     """An Operand with its scan given, not taken."""
@@ -373,30 +370,19 @@ def _operand_of(a: np.ndarray, adjoint: bool, lines) -> Operand:
 
 
 def matmul(a, b) -> np.ndarray:
-    """``a @ b`` for matrices or Operands, as a gather when one side is
-    monomial along the product (see the module docstring): when every
-    column of b holds at most one nonzero, v_j in row r_j, it is
-    a[:, r] * v; when every row of a holds at most one nonzero, u_i in
-    column c_i, it is u[:, None] * b[c]; otherwise ``np.matmul``.  Only an
-    operand of at least _DEFLATE_MIN_SIZE entries is scanned, b first, and
-    a plain array only when the product reaches it."""
+    """``a @ b`` for matrices or Operands: when every column of b holds at
+    most one nonzero, v_j in row r_j, the gather a[:, r] * v (see the
+    module docstring), and ``np.matmul`` otherwise.  Only b is scanned,
+    and only from _DEFLATE_MIN_SIZE entries; a is never scanned."""
     if type(b) is not Operand:
         b = Operand(b)
-    single = b.single_entries(of_columns=True)
+    single = b.single_entries()
     if single is not None:
         index, value = single
         out = a.columns(index) if type(a) is Operand else a[:, index]
         out *= value  # the gather is a fresh array
         return out
-    if type(a) is not Operand:
-        a = Operand(a)
-    single = a.single_entries(of_columns=False)
-    if single is not None:
-        index, value = single
-        out = b.rows(index)
-        out *= value[:, None]
-        return out
-    return np.matmul(a.dense(), b.dense())
+    return np.matmul(a.dense() if type(a) is Operand else a, b.dense())
 
 
 def opnorm(m) -> float:
@@ -501,16 +487,15 @@ class Amplification:
     are the outer coordinate maps, None for the identity.  ``A @ F`` is
     right, then one stacked product of ``block`` with the n row blocks,
     then left.  ``M @ A`` is left, then one stacked product of the n
-    column blocks with ``block``, then right; when the column blocks
-    have exactly-zero columns (``_live_lines``) each block is multiplied
-    over its nonzero columns only, since the terms of the zero ones are
-    exact zeros.  A stacked product runs the same BLAS kernel per block
-    as a loop of block products, so the two equal each other bit for bit.
-    When the vectors of ``A @ F`` (or the columns of ``block`` in
-    ``M @ A``) hold at most one nonzero each, the product is a gather
-    instead, as in :func:`matmul`: each column of F picks one column of
-    ``block`` and scales it into its row block, and each column of
-    ``block`` picks one live column of each column block of M.
+    column blocks with ``block``, then right.  A stacked product runs the
+    same BLAS kernel per block as a loop of block products, so the two
+    equal each other bit for bit.  When the vectors of ``A @ F`` (or the
+    columns of ``block`` in ``M @ A``) hold at most one nonzero each, the
+    product is a gather instead, as in :func:`matmul`: each column of F
+    picks one column of ``block`` and scales it into its row block, and
+    each column of ``block`` picks one column of each column block of M,
+    skipping the exactly-zero columns (``_live_lines``), whose terms are
+    exact zeros.
     Each application checks the bytes of its largest array from shapes
     before allocating it; ``to_dense`` is the only place the matrix is
     built.
@@ -536,7 +521,7 @@ class Amplification:
         self._check_application(k)
         p, q = self.block.shape
         g = f if self.right is None else self.right @ f
-        single = Operand(g).single_entries(of_columns=True)
+        single = Operand(g).single_entries()
         if single is None:
             out = np.matmul(self.block, g.reshape(self.n, q, k)).reshape(self.n * p, k)
         else:
@@ -559,13 +544,13 @@ class Amplification:
         self._check_application(r)
         p, q = self.block.shape
         g = m if self.left is None else m @ self.left
-        _, live = _live_lines(g)
-        single = Operand(self.block).single_entries(of_columns=True)
+        single = Operand(self.block).single_entries()
         if single is not None:
             # column t of the block is w_t e_s: column t of output block b is
             # w_t times column s of input block b, gathered where w_t != 0
             # and that column is live
             s, w = single
+            _, live = _live_lines(g)
             live = np.ones(self.n * p, dtype=bool) if live is None else live
             t = np.flatnonzero(w)
             b, at = np.nonzero(live.reshape(self.n, p)[:, s[t]])
@@ -574,14 +559,9 @@ class Amplification:
             columns = g[:, b * p + s[t]]
             columns *= w[t]
             out[:, b * q + t] = columns
-        elif live is None:
+        else:
             blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self.block)
             out = blocks.transpose(1, 0, 2).reshape(r, self.n * q)
-        else:
-            out = np.zeros((r, self.n * q), dtype=np.complex128)
-            for j in range(self.n):
-                keep = live[j * p : (j + 1) * p]
-                out[:, j * q : (j + 1) * q] = g[:, j * p : (j + 1) * p][:, keep] @ self.block[keep]
         return out if self.right is None else out @ self.right
 
     def to_dense(self) -> np.ndarray:
@@ -602,11 +582,18 @@ def _svd(m: np.ndarray, full_matrices: bool, compute_uv: bool = True):
         raise NumericFailure(f"SVD did not converge: {exc}", shape=m.shape) from exc
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2, formed as M / 2 + M* / 2: the same bits outside the
+    subnormal range, and no overflow for entries near the float maximum."""
+    return m / 2.0 + herm(m) / 2.0
+
+
 def _eigh(m: np.ndarray, vectors: bool):
-    """``np.linalg.eigh`` of a Hermitian matrix, or ``eigvalsh`` without
-    ``vectors``."""
+    """``np.linalg.eigh`` of the Hermitian part of ``m``, or ``eigvalsh``
+    without ``vectors``."""
+    h = _hermitian_part(m)
     try:
-        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"eigh did not converge: {exc}", shape=m.shape) from exc
 
@@ -761,12 +748,11 @@ def psd_sqrt(m, tol: Tolerance) -> np.ndarray:
     scale = opnorm(a)
     if not residual_holds(opnorm(a - herm(a)), scale, tol):
         raise DomainError("psd_sqrt: input is not self-adjoint within tolerance")
-    w, v = _eigh((a + herm(a)) / 2.0, vectors=True)
+    w, v = _eigh(a, vectors=True)
     if w.size and materially_negative(w[0], scale, tol):
         raise DomainError(f"psd_sqrt: materially negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ herm(v)
-    return (root + herm(root)) / 2.0
+    return _hermitian_part((v * np.sqrt(w)) @ herm(v))
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +819,7 @@ def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
     """(I - P2) F1, formed from the frames as F1 - F2 (F2* F1) and never
     through the d x d projector P2."""
     _check_same_ambient(s1, s2)
-    f2 = Operand(s2.frame)
+    f2 = _operand_of(s2.frame, False, None)  # only ever a left factor: not scanned
     return s1.frame - matmul(f2, matmul(f2.H, s1.frame))
 
 

@@ -151,12 +151,12 @@ def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
 # ---------------------------------------------------------------------------
 
 
-def iterated_range(rep: CovariantRep, x: np.ndarray | None = None) -> Subspace:
+def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     """Intersection of the nested ranges R(X_m), computed by the fixed-point
     iteration S -> X(E (x) S); stabilizes within dim H steps because the
     ranges are decreasing.  X must intertwine the left action with sigma
     (tilde and its Cauchy dual do), so that every S is sigma-reducing."""
-    x = rep.tilde if x is None else nx.as_matrix(x)
+    x = nx.as_matrix(x)
     current = Subspace.whole(rep.h_dim)
     for _ in range(rep.h_dim + 1):
         nxt = _span_e_tensor(rep, current, x)
@@ -182,7 +182,7 @@ def _span_e_tensor(rep: CovariantRep, s: Subspace, x: np.ndarray | None) -> Subs
 
 def generalized_range(rep: CovariantRep) -> Subspace:
     """R^infty: the intersection of the ranges of all tensor powers."""
-    return iterated_range(rep)
+    return iterated_range(rep, rep.tilde)
 
 
 def is_regular(rep: CovariantRep) -> bool:

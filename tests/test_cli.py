@@ -182,19 +182,22 @@ def test_verify_determinism_bytes(capsys):
     argv = ["verify", "--theorem", "R2.4", "--trials", "20", "--seed", "5", "--indent", "0"]
     code1 = main(list(argv))
     blob1 = capsys.readouterr().out
-    code2 = main(list(argv) + ["--jobs", "4"])
+    code2 = main(list(argv))
     blob2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert blob1 == blob2
 
 
 def test_verify_refuses_jobs_below_one(capsys):
-    # no worker would run a trial: an input error (exit 2), not a serial run
-    for jobs in ("0", "-1"):
-        assert main(["verify", "--theorem", "T2.2", "--trials", "2", "--jobs", jobs]) == 2, jobs
+    # --jobs is gone: argparse refuses it as unrecognized, with exit 2
+    # (the library's jobs >= 1 check is test_harness.py's)
+    for jobs in ("0", "-1", "1", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "T2.2", "--trials", "2", "--jobs", jobs])
+        assert exc.value.code == 2, jobs
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"verify needs jobs >= 1, got {jobs}" in captured.err
+        assert f"unrecognized arguments: --jobs {jobs}" in captured.err
 
 
 def test_verify_refuses_a_seed_outside_64_bits(capsys):
@@ -263,28 +266,53 @@ def test_only_numerics_reads_the_tolerance_fields():
     assert sorted(reads) == TOLERANCE_READS_OUTSIDE_NUMERICS
 
 
-def _refused_overflow(tree, tmp_path, capsys) -> str:
-    """Classify a rep file whose Gram entry [0][0] is 1e308; returns stderr."""
-    tree["correspondence"]["gram"][0][0]["data"][0] = [1e308, 0.0]
-    path = tmp_path / "overflow.json"
+def _classify_tree(tree, tmp_path, capsys) -> tuple:
+    """(exit code, stdout, stderr) of ``classify`` on a rep tree, with
+    numpy's overflow warnings silenced."""
+    path = tmp_path / "big_gram.json"
     path.write_text(json.dumps(tree))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["classify", "--rep", str(path)]) == 2
+        code = main(["classify", "--rep", str(path)])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    return captured.err
+    return code, captured.out, captured.err
+
+
+def _two_block_tree(index: int) -> dict:
+    rep, _ = hz.random_pi_pair(hz.rng_stream(1615, index), hz.TrialConfig(algebra_shape="two_block"), DEFAULT_TOL)
+    return sz.rep_to_json(rep)
+
+
+def test_a_gram_near_the_float_maximum_is_accepted(tmp_path, capsys):
+    # the Hermitian part is formed as G / 2 + G* / 2, which does not
+    # overflow: the scalar Gram [[1e308]] is positive, and the lift, of norm
+    # 1e-154, is the zero operator under the rank_rel rule
+    tree = sz.rep_to_json(hz.truncated_shift_fixture(DEFAULT_TOL, 3))
+    tree["correspondence"]["gram"][0][0]["data"][0] = [1e308, 0.0]
+    code, out, err = _classify_tree(tree, tmp_path, capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["norm"] <= DEFAULT_TOL.rank_rel
+    assert report["is_partial_isometric"] and report["consistent"]
+    # one such entry in a two-block Gram, whose eigenvalues used to be NaN
+    tree = _two_block_tree(100)
+    assert tree["correspondence"]["gram"][0][0]["data"][0] == [1.0, 0.0]
+    tree["correspondence"]["gram"][0][0]["data"][0] = [1e308, 0.0]
+    code, out, err = _classify_tree(tree, tmp_path, capsys)
+    assert code == 0 and err == "" and json.loads(out)["consistent"]
 
 
 def test_a_gram_that_overflows_is_refused(tmp_path, capsys):
-    # (G + G*) / 2 overflows: on the scalar algebra its eigenvalue is inf,
-    # and the positivity floor -10 eq_rel inf decides nothing
-    tree = sz.rep_to_json(hz.truncated_shift_fixture(DEFAULT_TOL, 3))
-    assert "eigenvalues inf to inf" in _refused_overflow(tree, tmp_path, capsys)
-    # on the two-block algebra the eigenvalues are NaN
-    rep, _ = hz.random_pi_pair(hz.rng_stream(1615, 100), hz.TrialConfig(algebra_shape="two_block"), DEFAULT_TOL)
-    tree = sz.rep_to_json(rep)
-    assert tree["correspondence"]["gram"][0][0]["data"][0] == [1.0, 0.0]
-    assert "eigenvalues nan to nan" in _refused_overflow(tree, tmp_path, capsys)
+    # a Gram with every entry 1e308 has an eigenvalue past the float
+    # maximum: it is inf, and the positivity floor -10 eq_rel inf decides
+    # nothing; on the scalar C^2 and on the two-block algebra
+    rep, _ = hz.random_pi_pair(hz.rng_stream(1615, 0), hz.TrialConfig(module_dim_range=(2, 2)), DEFAULT_TOL)
+    for tree in (sz.rep_to_json(rep), _two_block_tree(101)):
+        for row in tree["correspondence"]["gram"]:
+            for element in row:
+                element["data"] = [[1e308, 0.0]] * len(element["data"])
+        code, out, err = _classify_tree(tree, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert "gram block matrix is not positive semidefinite: eigenvalues 0.000e+00 to inf" in err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -234,14 +234,29 @@ def test_amplification_operator_matches_the_dense_matrix(label, tol):
 
 
 def test_amplification_applied_from_the_right_skips_zero_columns(tol):
-    # past the deflation gate a column block is multiplied over its nonzero
-    # columns only; the dropped terms are exact zeros
+    # the exactly-zero columns of M contribute exact zeros to M @ A: a
+    # monomial block's gather skips them, and a dense block, as here, takes
+    # the stacked product over all columns; both stay within the dense bound
     rep = dict(amplification_reps(tol))["scalar"]
     amp = rep.amplified(rep.tilde, 3, 1, 0)  # 8 blocks of 3 x 6
     g = planted_zero_lines(rng_for(164), (200, amp.shape[0]), (150, 10), np.ones(10))
     assert nx._live_lines(g)[1] is not None
     dense = dense_amplified(rep, rep.tilde, 3, 1, 0)
     assert nx.opnorm(g @ amp - g @ dense) <= application_bound(amp, g)
+
+
+def test_amplification_with_a_dense_block_scans_no_live_columns(tol, monkeypatch):
+    # only the monomial-block gather reads the live columns of M: with a
+    # dense block M @ A is the stacked product, and M is not scanned
+    rep = dict(amplification_reps(tol))["scalar"]
+    amp = rep.amplified(rep.tilde, 3, 1, 0)
+    g = planted_zero_lines(rng_for(165), (200, amp.shape[0]), (150, 10), np.ones(10))
+    want = dense_amplified(rep, rep.tilde, 3, 1, 0)
+    calls, real = [], nx._live_lines
+    monkeypatch.setattr(nx, "_live_lines", lambda *args: calls.append(1) or real(*args))
+    got = g @ amp
+    assert calls == []
+    assert nx.opnorm(got - g @ want) <= application_bound(amp, g)
 
 
 def test_amplification_applications_check_their_bytes(monkeypatch, tol):

@@ -218,6 +218,26 @@ def test_trial_config_refuses_nmax_below_one():
     assert TrialConfig(n_max=1).n_max == 1
 
 
+def test_trial_config_refuses_malformed_ranges(tol):
+    # anything but two integers 0 <= lo <= hi is a UsageError, also in a
+    # hand-edited counterexample, where it used to end in numpy's errors
+    ce = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), tol, falsify=True).counterexamples[0]
+    for name in ("h_dim_range", "module_dim_range"):
+        for bounds in ([6, 2], [1], ["a", 2], [-1, 2], [1, 2, 3], [1.5, 2]):
+            with pytest.raises(UsageError, match=name):
+                TrialConfig(**{name: tuple(bounds)})
+            with pytest.raises(UsageError, match=name):
+                hz.replay_counterexample(dict(ce, config=dict(ce["config"], **{name: bounds})), tol)
+    assert TrialConfig(h_dim_range=(0, 0), module_dim_range=(2, 2)).h_dim_range == (0, 0)
+    assert hz.replay_counterexample(ce, tol).status == "violation"
+
+
+def test_verify_refuses_jobs_below_one(tol):
+    for jobs in (0, -1):
+        with pytest.raises(UsageError, match=f"verify needs jobs >= 1, got {jobs}"):
+            hz.verify("T2.2", TrialConfig(master_seed=1, trials=2), tol, jobs=jobs)
+
+
 def test_determinism_across_jobs(tol):
     one = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), tol, jobs=1)
     again = hz.verify("T2.2", TrialConfig(master_seed=42, trials=30), tol, jobs=1)

@@ -808,16 +808,19 @@ def test_matmul_gathers_real_monomial_operands_bit_for_bit(monkeypatch):
         wide, tall = real_valued(rng, 40, 120), real_valued(rng, 120, 40)
         cases = [
             (wide, right, wide @ right),  # columns of the right factor
-            (left, tall, left @ tall),  # rows of the left factor
             (nx.Operand(tall).H, right, nx.herm(tall) @ right),
-            (nx.Operand(right).H, tall, nx.herm(right) @ tall),
             (wide, nx.Operand(left).H, wide @ nx.herm(left)),
             (nx.Operand(right).H, right, nx.herm(right) @ right),
             (left, nx.Operand(left).H, left @ nx.herm(left)),
         ]
         for a, b, want in cases:
             assert same_bits_up_to_zero_sign(nx.matmul(a, b), want)
-    assert dense == []
+        assert dense == []
+        # a monomial left factor is not gathered: the product is the GEMM
+        for a, b, want in ((left, tall, left @ tall), (nx.Operand(right).H, tall, nx.herm(right) @ tall)):
+            assert nx.matmul(a, b).tobytes() == want.tobytes()
+        assert len(dense) == 2
+        dense.clear()
 
 
 def test_matmul_on_complex_monomial_operands_rounds_once_per_entry():
@@ -852,13 +855,25 @@ def test_matmul_takes_np_matmul_for_dense_operands_and_below_the_gate(monkeypatc
     scans = count_scans(monkeypatch)
     a, b = crandn(rng, 70, 80), crandn(rng, 80, 60)
     assert nx.matmul(a, b).tobytes() == (a @ b).tobytes() and len(dense) == 1
-    assert scans == [(80, 60), (70, 80)]  # b first, then a, each once
+    assert scans == [(80, 60)]  # b once; a is never scanned
     # below the gate nothing is scanned, monomial or not
     small = monomial(rng, 40, 30, by_columns=True)
     assert small.size < nx._DEFLATE_MIN_SIZE
     scans.clear()
     assert nx.matmul(a[:, :40], small).tobytes() == (a[:, :40] @ small).tobytes()
     assert len(dense) == 2 and scans == []
+
+
+def test_inclusion_gap_scans_only_its_right_factors(monkeypatch):
+    # F1 - F2 (F2* F1): F1 and F2* F1 are right factors and are scanned;
+    # F2 is only ever a left factor and is not
+    rng = rng_for(335)
+    rows = rng.permutation(120)
+    f1, f2 = np.eye(120, dtype=complex)[:, rows[:80]], np.eye(120, dtype=complex)[:, rows[30:]]
+    scans = count_scans(monkeypatch)
+    gap = nx._inclusion_gap(nx.Subspace(f1), nx.Subspace(f2))
+    assert scans == [(120, 80), (90, 80)]
+    assert same_bits_up_to_zero_sign(gap, f1 - f2 @ (nx.herm(f2) @ f1))
 
 
 def test_an_operand_and_its_adjoint_share_one_scan(monkeypatch):

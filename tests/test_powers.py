@@ -400,7 +400,7 @@ def test_iterated_range_matches_the_dense_oracle(tol):
 
     dims = set()
     for index, rep in enumerate(subspace_iteration_reps(tol)):
-        for x in (None, cauchy_dual(rep)):
+        for x in (rep.tilde, cauchy_dual(rep)):
             got = pw.iterated_range(rep, x)
             want = iterated_range_by_amplification(rep, x)
             assert got.dim == want.dim, index
@@ -446,7 +446,7 @@ def test_subspace_iterations_build_no_amplification(tol, monkeypatch):
     corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
     rep = hz.random_contractive_rep(corr, StarRepresentation(alg, [2, 3]), rng_for(97), tol)
     assert rep.space(1).embed is not None
-    pw.iterated_range(rep)
+    pw.iterated_range(rep, rep.tilde)
     pw.is_regular(rep)
     wold.generated_invariant_subspace(rep, rep.tilde, nx.ortho_complement(rep.range_subspace(1), tol))
     assert calls == []

@@ -41,7 +41,7 @@ def test_wold_shift_demo_runs():
 
 # A ratchet: a change that adds a settable value raises this ceiling and
 # says why in CHANGES.md; a change that removes some may lower it.
-SETTABLE_VALUES_CEILING = 74
+SETTABLE_VALUES_CEILING = 72
 
 
 def test_settable_values_prints_a_total():
