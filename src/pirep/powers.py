@@ -156,7 +156,7 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     iteration S -> X(E (x) S); stabilizes within dim H steps because the
     ranges are decreasing.  X must intertwine the left action with sigma
     (tilde and its Cauchy dual do), so that every S is sigma-reducing."""
-    x = nx.as_matrix(x)
+    x = _intertwiner(rep, x)
     current = Subspace.whole(rep.h_dim)
     for _ in range(rep.h_dim + 1):
         nxt = _span_e_tensor(rep, current, x)
@@ -166,18 +166,33 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     return current
 
 
-def _span_e_tensor(rep: CovariantRep, s: Subspace, x: np.ndarray | None) -> Subspace:
-    """E (x) S inside space(1), or its image X(E (x) S) when X is given,
-    spanned by the N*k columns space(1).apply_embed(I_N (x) F) for the
-    frame F of S and cut as the dense X(I (x) P_S) with dim(E (x) H)
-    columns (see the module docstring).  S must be sigma-reducing."""
+def _intertwiner(rep: CovariantRep, x) -> np.ndarray:
+    """``x`` as a matrix, refused unless it maps E (x) H to H."""
+    x = nx.as_matrix(x)
+    want = (rep.h_dim, rep.space(1).dim)
+    if x.shape != want:
+        raise DimensionMismatch(f"X must map E (x) H to H, shape {want}, got shape {x.shape}")
+    return x
+
+
+def _e_tensor_columns(rep: CovariantRep, frame: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+    """The N*k columns space(1).apply_embed(I_N (x) F) that span E (x) S
+    for the frame F (h x k) of S, or their images under X when X is
+    given."""
     space = rep.space(1)
     n = space.module_dim
-    nx.check_bytes(nx.ENTRY_BYTES * space.formal_dim * n * s.dim, "a spanning set of E (x) S")
-    columns = space.apply_embed(nx.eye_kron(n, s.frame))
-    if x is not None:
-        columns = x @ columns
-    return Subspace(nx._range_frame_cut_as(columns, (columns.shape[0], space.dim), rep.tol, 1.0))
+    nx.check_bytes(nx.ENTRY_BYTES * space.formal_dim * n * frame.shape[1], "a spanning set of E (x) S")
+    columns = space.apply_embed(frame if n == 1 else nx.eye_kron(n, frame))
+    return columns if x is None else x @ columns
+
+
+def _span_e_tensor(rep: CovariantRep, s: Subspace, x: np.ndarray | None) -> Subspace:
+    """E (x) S inside space(1), or its image X(E (x) S) when X is given,
+    spanned by ``_e_tensor_columns`` and cut as the dense X(I (x) P_S)
+    with dim(E (x) H) columns (see the module docstring).  S must be
+    sigma-reducing."""
+    columns = _e_tensor_columns(rep, s.frame, x)
+    return Subspace(nx._range_frame_cut_as(columns, (columns.shape[0], rep.space(1).dim), rep.tol, 1.0))
 
 
 def generalized_range(rep: CovariantRep) -> Subspace:

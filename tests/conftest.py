@@ -256,9 +256,11 @@ def generated_subspace_by_amplification(rep, x, w: Subspace) -> Subspace:
 
 def subspace_iteration_reps(tol) -> list:
     """Representations for the oracle comparisons: random scalar
-    contractions, shift (+) unitary models, the regular fixtures, and, in
-    quotient coordinates, two-block draws and scalar reps over a generic
-    complex Gram (whose kept eigenvalues are not 1)."""
+    contractions, shift (+) unitary models, the regular fixtures, in
+    quotient coordinates two-block draws and scalar reps over a generic
+    complex Gram (whose kept eigenvalues are not 1), and a shift (+)
+    unitary conjugated by a Haar unitary, U V U*, where no entry is
+    isolated."""
     rng = rng_for(94)
     reps = []
     for _ in range(8):
@@ -281,6 +283,9 @@ def subspace_iteration_reps(tol) -> list:
         corr = FdCorrespondence(SCALARS, g, act, act.copy())
         for draw in (hz.random_pi_rep, hz.random_contractive_rep):
             reps.append(draw(corr, StarRepresentation(SCALARS, [d]), rng, tol))
+    u = hz.haar_unitary(rng, 11)
+    v = u @ hz.shift_plus_unitary_fixture(rng, tol, q=8, u_dim=3).tilde @ nx.herm(u)
+    reps.append(rep_from_tilde(scalar_correspondence(1), StarRepresentation(SCALARS, [11]), v, tol))
     return reps
 
 

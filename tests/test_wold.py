@@ -5,7 +5,7 @@ from pirep import numerics as nx
 from pirep import wold
 from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from pirep.covrep import CovariantRep
-from pirep.errors import NotApplicable
+from pirep.errors import DimensionMismatch, NotApplicable
 from pirep.numerics import Subspace
 
 from conftest import (
@@ -178,6 +178,23 @@ def test_generated_matches_the_dense_oracle(tol):
             assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
             dims.add(0 < got.dim < rep.h_dim)
     assert dims == {True, False}
+
+
+def test_subspace_iterations_refuse_operands_of_the_wrong_shape(tol):
+    # X must map E (x) H to H and W must lie in H; anything else is a typed
+    # error raised before the first product
+    from pirep import harness as hz
+    from pirep import powers
+
+    rep = hz.shift_plus_unitary_fixture(rng_for(90), tol, q=3, u_dim=2)
+    h = rep.h_dim
+    w = nx.ortho_complement(rep.range_subspace(1), tol)
+    with pytest.raises(DimensionMismatch, match="E \\(x\\) H to H"):
+        powers.iterated_range(rep, np.eye(h + 1))
+    with pytest.raises(DimensionMismatch, match="E \\(x\\) H to H"):
+        wold.generated_invariant_subspace(rep, np.eye(h + 1), w)
+    with pytest.raises(DimensionMismatch, match="subspace of H"):
+        wold.generated_invariant_subspace(rep, rep.tilde, Subspace.whole(h + 1))
 
 
 # ---------------------------------------------------------------------------
