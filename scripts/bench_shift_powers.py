@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time ``power_report`` and ``classify`` on weighted shifts and write the
-numbers, with the machine and numpy/BLAS configuration, as JSON.
+"""Time ``power_report`` and ``classify`` on weighted shifts, and
+``wold_decompose`` on shift (+) unitary models, and write the numbers,
+with the machine and numpy/BLAS configuration, as JSON.
 
 Usage:
     python scripts/bench_shift_powers.py OUT.json
@@ -10,10 +11,13 @@ package in this checkout's ``src``, three times; the record keeps every
 wall time (of the call alone, not of the import or of building the shift),
 the fastest, and the largest max RSS of the three processes.  The cases:
 ``power_report`` on (n, trunc, n_max) = (2, 120, 4), (3, 216, 4),
-(2, 500, 4), (2, 1000, 3) and (2, 1000, 4), and ``classify`` on the
-n = 3, trunc 216 shift.  A case whose process fails is recorded with the
-last line of its error output.  To compare two commits, run the script
-in a checkout of each.
+(2, 500, 4), (2, 1000, 3) and (2, 1000, 4); ``classify`` on the
+n = 3, trunc 216 shift; and ``wold_decompose``
+(``check_hypotheses=False``) on the forward shift of size q (+) a Haar
+unitary of size u = 20 for q = 60 and q = 200
+(``harness.shift_plus_unitary_fixture``, seed 0).  A case whose process
+fails is recorded with the last line of its error output.  To compare
+two commits, run the script in a checkout of each.
 """
 
 import json
@@ -34,6 +38,8 @@ CASES = [
     {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 3},
     {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 4},
     {"kind": "classify", "n": 3, "trunc": 216},
+    {"kind": "wold", "q": 60, "u": 20},
+    {"kind": "wold", "q": 200, "u": 20},
 ]
 
 REPEATS = 3
@@ -41,13 +47,19 @@ REPEATS = 3
 # Runs in the child: builds the shift, times the call, prints one JSON line.
 CHILD = """
 import json, resource, sys, time
-from pirep import powers, shifts
+import numpy as np
+from pirep import harness, powers, shifts, wold
 from pirep.numerics import DEFAULT_TOL
 case = json.loads(sys.argv[1])
-rep = shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
+if case["kind"] == "wold":
+    rep = harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
+else:
+    rep = shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
 start = time.perf_counter()
 if case["kind"] == "power_report":
     result = powers.power_report(rep, case["n_max"]).to_dict()
+elif case["kind"] == "wold":
+    result = wold.wold_decompose(rep, check_hypotheses=False).to_dict()
 else:
     result = rep.classify().to_dict()
 wall = time.perf_counter() - start

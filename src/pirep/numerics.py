@@ -96,10 +96,14 @@ bit for bit, and the shift verdicts and power-report residuals with it;
 elsewhere it may round in another order, within the dense product's own
 error bound.  The Frobenius screen's lower bound
 ``||A||_F / sqrt(min(shape))`` stays valid for the compressed shape.
-Below the gate nothing is scanned and the dense path runs as it is: on a
-2-core x86 host with one BLAS thread the zero-line scan costs about 7 us
-at 72 entries (11% of a thin SVD), and the split's scan about 45 us at
-4,096 dense entries (3%).
+Below the gate nothing is scanned and the dense path runs as it is.  On
+a 2-core x86 host with one BLAS thread the zero-line scan costs about
+7 us at 72 entries (11% of a thin SVD), and the split's scan of a dense
+array 20-30 us at 1,024 entries: 7-10% of the thin SVD of a 32 x 32
+matrix and 29% of that of an 80 x 13 frame.  A thin frame whose entries
+are isolated (a weighted shift's, down to 80 x 13) saves its SVD
+outright, and about 2% of the arrays of a claim battery have 1,024 to
+4,095 entries, so the gate sits at 1,024.
 
 A product whose right factor has at most one nonzero per column is a
 gather (:func:`matmul`): when every column of B holds at most one
@@ -220,7 +224,7 @@ def herm(m: np.ndarray) -> np.ndarray:
 # Entries from which an array is scanned for exactly-zero rows and columns
 # and for isolated entries (see the module docstring); below it the scan
 # costs more than it saves.
-_DEFLATE_MIN_SIZE = 4096
+_DEFLATE_MIN_SIZE = 1024
 
 
 def _nonzero_lines(a: np.ndarray) -> tuple | None:

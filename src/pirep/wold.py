@@ -115,7 +115,6 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
     step factors only the residual of those N * dim B columns against the
     frame so far; the span stabilizes within dim H steps.  W must be
     sigma-reducing and X an intertwiner (see the module docstring)."""
-    tol = rep.tol
     x = _intertwiner(rep, x)
     if w.ambient_dim != rep.h_dim:
         raise DimensionMismatch(f"W must be a subspace of H (dim {rep.h_dim}), got ambient dim {w.ambient_dim}")
@@ -125,7 +124,7 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
         for _ in range(2):  # classical Gram-Schmidt, twice
             residual = residual - total @ (herm(total) @ residual)
         stacked = (rep.h_dim, total.shape[1] + rep.space(1).dim)
-        block = nx._range_frame_cut_as(residual, stacked, tol, 1.0)
+        block = nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0)
         if block.shape[1] == 0:
             break
         total = np.hstack([total, block])

@@ -607,10 +607,14 @@ def test_all_zero_matrices_past_the_gate(tol):
 
 def test_below_the_gate_the_dense_path_runs_bit_for_bit(tol):
     rng = rng_for(310)
-    for shape, core in (((6, 12), (4, 9)), ((12, 6), (10, 3)), ((40, 90), (30, 70))):
+    for shape, core in (((6, 12), (4, 9)), ((12, 6), (10, 3)), ((30, 34), (22, 26))):
         k = min(core) - 1
         a = planted_zero_lines(rng, shape, core, np.linspace(1.0, 0.1, k))
         assert a.size < nx._DEFLATE_MIN_SIZE and nx._live_lines(a) == (None, None)
+        # one zero column more and the 30 x 35 case is past the gate: scanned
+        wider = np.hstack([a, np.zeros((shape[0], 1))])
+        assert (wider.size >= nx._DEFLATE_MIN_SIZE) == (shape == (30, 34))
+        assert (nx._live_lines(wider)[1] is not None) == (shape == (30, 34))
         for floor in (0.0, 1.0):
             assert nx.range_frame(a, tol, floor).tobytes() == dense_range_frame(a, tol, floor).tobytes()
             assert nx.kernel_frame(a, tol, floor).tobytes() == dense_kernel_frame(a, tol, floor).tobytes()
@@ -853,14 +857,16 @@ def test_matmul_takes_np_matmul_for_dense_operands_and_below_the_gate(monkeypatc
     rng = rng_for(332)
     dense = count_dense_products(monkeypatch)
     scans = count_scans(monkeypatch)
-    a, b = crandn(rng, 70, 80), crandn(rng, 80, 60)
+    # b is just past the gate (1,040 entries) and just below it (1,000)
+    a, b = crandn(rng, 70, 40), crandn(rng, 40, 26)
+    assert b.size >= nx._DEFLATE_MIN_SIZE
     assert nx.matmul(a, b).tobytes() == (a @ b).tobytes() and len(dense) == 1
-    assert scans == [(80, 60)]  # b once; a is never scanned
+    assert scans == [(40, 26)]  # b once; a is never scanned
     # below the gate nothing is scanned, monomial or not
-    small = monomial(rng, 40, 30, by_columns=True)
+    small = monomial(rng, 40, 25, by_columns=True)
     assert small.size < nx._DEFLATE_MIN_SIZE
     scans.clear()
-    assert nx.matmul(a[:, :40], small).tobytes() == (a[:, :40] @ small).tobytes()
+    assert nx.matmul(a, small).tobytes() == (a @ small).tobytes()
     assert len(dense) == 2 and scans == []
 
 

@@ -131,6 +131,10 @@ def test_bench_shift_powers_times_the_smallest_case():
     assert record["case"] == smallest and len(record["wall_s"]) == 1
     assert 0 < record["best_wall_s"] == record["wall_s"][0] and record["max_rss_mb"] > 0
     assert record["result"]["applicable"] and record["result"]["pi_flags"] == [True] * 4
+    wold = script.CASES[-2]
+    assert wold == {"kind": "wold", "q": 60, "u": 20}
+    primal = script.measure(wold, 1)["result"]["primal"]
+    assert (primal["wandering_dim"], primal["generated_dim"], primal["residual_dim"]) == (1, 60, 20)
     env = script.environment()
     assert env["numpy"] == np.__version__ and env["blas_threads"] == 1 and env["machine"]["cpu_count"]
     usage = run_script("bench_shift_powers.py")

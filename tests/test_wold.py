@@ -197,6 +197,28 @@ def test_subspace_iterations_refuse_operands_of_the_wrong_shape(tol):
         wold.generated_invariant_subspace(rep, rep.tilde, Subspace.whole(h + 1))
 
 
+def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch):
+    # on the q = 60, u = 20 shift (+) unitary every shift direction is an
+    # isolated entry of its frame, so LAPACK sees only the 20 x 20 unitary
+    # core, and each generated step factors only the residual of its new
+    # columns: one column here (N = 1, and the span grows one dimension per
+    # step), never the stacked 80 x k frame
+    from pirep import harness as hz
+
+    rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
+    shapes = []
+    real = nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, *args, **kwargs: shapes.append(m.shape) or real(m, *args, **kwargs))
+    out = wold.wold_decompose(rep, check_hypotheses=False)
+    assert all(max(shape) <= 20 or shape == (80, 1) for shape in shapes), sorted(set(shapes))
+    # per side, 59 residuals grow the span from the wandering line to 60
+    # dimensions and one more, of rank 0, stops it
+    assert shapes.count((80, 1)) == 2 * 60
+    for side in (out.primal, out.dual):
+        assert (side.generated.dim, side.residual.dim) == (60, 20)
+        assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the decomposition
 # ---------------------------------------------------------------------------
