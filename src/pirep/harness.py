@@ -8,13 +8,14 @@ evaluates both sides of the registered equivalence or implication, and
 collects violations as replayable counterexamples.  Violations are data,
 not errors.
 
-Instances are generated constructively, never by rejection alone: the
-partial-isometry generator projects singular values after restriction to
-the intertwiner space (spectral functions of T*T commute with the algebra
-action, so covariance survives the projection).  The only instances drawn
-at a margin are the forced non-partial isometries, whose top singular
-value lies in [0.25, 0.75]; ``verify`` refuses an ``eq_rel`` above
-``MAX_EQ_REL``.
+Instances are generated constructively, never by rejection alone: a
+covariant matrix is a Gaussian masked entrywise to the 0/1 pattern that
+covariance imposes on the formal space (the scalar algebra imposes none),
+and the partial-isometry generator projects its singular values (spectral
+functions of T*T commute with the algebra action, so covariance survives
+the projection).  The only instances drawn at a margin are the forced
+non-partial isometries, whose top singular value lies in [0.25, 0.75];
+``verify`` refuses an ``eq_rel`` above ``MAX_EQ_REL``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .correspondence import (
     FdCStarAlgebra,
     FdCorrespondence,
     StarRepresentation,
-    TensorSpace,
     diagonal_correspondence,
     scalar_correspondence,
 )
@@ -139,32 +139,29 @@ def draw_setting(rng: np.random.Generator, config: TrialConfig):
     return diagonal_correspondence(TWO_BLOCK, left, right), StarRepresentation(TWO_BLOCK, mults)
 
 
-def intertwiner_frame(space: TensorSpace, sigma: StarRepresentation, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis (as columns of vectorized matrices) of the space of
-    operators E (x) H -> H intertwining the induced actions, for
-    ``space`` = E (x) H."""
-    d = sigma.h_dim
-    if sigma.algebra.is_scalar:
-        return eye(d * space.dim)
-    basis = sigma.algebra.basis()
-    n = d * space.dim
-    nx.check_bytes(nx.ENTRY_BYTES * len(basis) * n * n, f"the intertwiner constraints on dimension {n}")
-    acts = space.induced_action(basis)
-    # per matrix unit u: kron(act(u)^T, I_d) - kron(I, sigma(u)), stacked as rows
-    rows = nx.kron_eye(acts.transpose(0, 2, 1), d) - nx.eye_kron(space.dim, sigma.apply(basis))
-    return nx.kernel_frame(rows.reshape(len(basis) * n, n), tol)
-
-
 def random_covariant_matrix(
     corr: FdCorrespondence, sigma: StarRepresentation, rng: np.random.Generator, tol: Tolerance
 ) -> np.ndarray:
-    """Random element of the intertwiner space, as a dim(H) x dim(E (x) H)
-    matrix.  Vectorization is column-stacked: X = reshape(space_dim, d).T."""
+    """Standard complex Gaussian on the intertwiner space, as a dim(H) x
+    dim(E (x) H) matrix, drawn without a factorization.  Over the scalar
+    algebra every matrix intertwines; the draw is column-stacked,
+    X = reshape(space_dim, d).T.  Otherwise the draw covers commutative
+    algebras (all blocks 1 x 1) and <xi_b, xi_b> = p_{r_b},
+    phi(a) xi_b = a_{l_b} xi_b, as ``draw_setting`` makes them.  There
+    covariance is exactly V_b = sigma(p_{l_b}) V_b sigma(p_{r_b}) for the
+    formal-space V, so a Gaussian V is masked to that 0/1 pattern and read
+    as X = V lift, isotropic as the Gram blocks are projections.  On any
+    other algebra X is not covariant, and ``CovariantRep`` refuses it."""
     space = corr.space(sigma, tol)
     d = sigma.h_dim
-    frame = intertwiner_frame(space, sigma, tol)
-    coeff = crandn(rng, frame.shape[1])
-    return (frame @ coeff).reshape(space.dim, d).T.copy()
+    if sigma.algebra.is_scalar:
+        return crandn(rng, d * space.dim).reshape(space.dim, d).T.copy()
+    counts = np.repeat(sigma.multiplicities, sigma.algebra.block_sizes)  # repeats diag(a) to diag(sigma(a))
+    on_h = np.repeat(np.diagonal(sigma.algebra.basis(), axis1=1, axis2=2), counts, axis=1)  # diag sigma(p_j)
+    left = (on_h.T @ np.diagonal(corr.left_action, axis1=1, axis2=2)).real  # [i in sigma(p_{l_b})]
+    right = np.repeat(np.einsum("bbjj->bj", corr.gram), counts, axis=1).real  # [k in sigma(p_{r_b})]
+    g = crandn(rng, d, corr.module_dim * d)
+    return (g * (left[:, :, None] * right[None]).reshape(g.shape)) @ space.lift
 
 
 def spectral_remap(x: np.ndarray, fn) -> np.ndarray:
@@ -173,7 +170,7 @@ def spectral_remap(x: np.ndarray, fn) -> np.ndarray:
     x = nx.as_matrix(x)
     if x.size == 0:
         return x.copy()
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    u, s, vh = nx._svd(x, False)
     return u @ (np.array([fn(v) for v in s])[:, None] * vh)
 
 
@@ -223,7 +220,7 @@ def coisometric_covariant_rep(
     keeps covariance; below it, the remap would also lift zero singular
     values and break covariance."""
     x = random_covariant_matrix(corr, sigma, rng, tol)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    u, s, vh = nx._svd(x, False)
     if np.count_nonzero(s > nx.rank_threshold(s, x.shape, tol, 1.0)) < sigma.h_dim:
         return None
     return rep_from_tilde(corr, sigma, u @ vh, tol)
@@ -261,7 +258,7 @@ def coisometric_row_fixture(rng, tol: Tolerance, n: int, d: int) -> CovariantRep
 def invertible_contraction_fixture(rng, tol: Tolerance, d: int) -> CovariantRep:
     """An invertible contraction on C^d over E = C, its singular values in
     [0.3, 0.9]."""
-    u, s, vh = np.linalg.svd(crandn(rng, d, d), full_matrices=False)
+    u, s, vh = nx._svd(crandn(rng, d, d), False)
     return _scalar_rep([u @ ((0.3 + 0.6 * s / s.max())[:, None] * vh)], tol)
 
 
@@ -850,7 +847,7 @@ def verify(
     produce identical reports regardless of ``jobs``.  ``jobs`` and its
     thread pool gain nothing on matrices this small; they stay only while
     the benchmark workloads pass ``jobs=1``, and go once those calls drop
-    it (ROADMAP items 8, then 7).
+    it (ROADMAP item 8).
     """
     entry, fn = _claim(theorem_id, falsify)
     if tol.eq_rel > MAX_EQ_REL:

@@ -266,6 +266,26 @@ def test_only_numerics_reads_the_tolerance_fields():
     assert sorted(reads) == TOLERANCE_READS_OUTSIDE_NUMERICS
 
 
+def _lapack_calls(path) -> list:
+    """Source of every call of an ``svd``, ``eigh`` or ``eigvalsh`` in a
+    module, through any name or attribute."""
+    return [
+        ast.unparse(node.func)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("svd", "eigh", "eigvalsh")
+    ]
+
+
+def test_only_numerics_calls_the_lapack_factorizations():
+    # one seam, so a LinAlgError is always typed and a collector wrapping
+    # numerics sees every factorization
+    modules = sorted(pathlib.Path(pirep.__file__).parent.glob("*.py"))
+    calls = {path.name: _lapack_calls(path) for path in modules}
+    assert sorted(calls.pop("numerics.py")) == ["np.linalg.eigh", "np.linalg.eigvalsh", "np.linalg.svd"]
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
 def _classify_tree(tree, tmp_path, capsys) -> tuple:
     """(exit code, stdout, stderr) of ``classify`` on a rep tree, with
     numpy's overflow warnings silenced."""

@@ -6,7 +6,8 @@ import pytest
 from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import serialize as sz
-from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
+from pirep.correspondence import SCALARS, StarRepresentation, diagonal_correspondence, scalar_correspondence
+from pirep.covrep import rep_from_tilde
 from pirep.errors import UsageError
 from pirep.harness import TrialConfig
 
@@ -91,6 +92,63 @@ def test_spectral_remap_preserves_intertwining(tol):
     space = interior_tensor(corr, sigma, tol)
     for u in corr.algebra.basis():
         assert nx.opnorm(y @ space.induced_action(u) - sigma.apply(u) @ y) <= 1e-10
+
+
+def _two_block_draws(tol) -> list:
+    config = TrialConfig(algebra_shape="two_block", h_dim_range=(2, 12), module_dim_range=(1, 3))
+    draws = []
+    for stream in range(60):
+        corr, sigma = hz.draw_setting(hz.rng_stream(2600, stream), config)
+        draws.append(hz.random_covariant_matrix(corr, sigma, hz.rng_stream(2601, stream), tol))
+    return draws
+
+
+def test_two_block_draws_do_not_depend_on_the_deflation_gate(tol, monkeypatch):
+    # the draw takes no factorization, so how numerics splits one cannot
+    # change the instance a seed gives
+    monkeypatch.setattr(nx, "_DEFLATE_MIN_SIZE", 1024)
+    split = _two_block_draws(tol)
+    monkeypatch.setattr(nx, "_DEFLATE_MIN_SIZE", 2**40)
+    whole = _two_block_draws(tol)
+    assert [x.tobytes() for x in split] == [x.tobytes() for x in whole]
+
+
+def _intertwiner_constraints(space, sigma) -> np.ndarray:
+    """The reference for the intertwiner space: X intertwines iff these
+    rows, kron(act(u)^T, I_d) - kron(I, sigma(u)) over the matrix units u,
+    annihilate its column-stacked vec(X)."""
+    d, basis = sigma.h_dim, sigma.algebra.basis()
+    acts = space.induced_action(basis)
+    rows = nx.kron_eye(acts.transpose(0, 2, 1), d) - nx.eye_kron(space.dim, sigma.apply(basis))
+    return rows.reshape(len(basis) * d * space.dim, d * space.dim)
+
+
+@pytest.mark.parametrize(
+    "left, right, mults",
+    [
+        ([0, 1], [1, 0], [2, 2]),
+        ([0, 0, 1], [1, 0, 1], [1, 3]),
+        ([1], [1], [2, 1]),
+        ([0, 1], [0, 0], [3, 2]),
+        ([0], [1], [0, 2]),  # sigma(p_0) = 0: the intertwiner space is {0}
+    ],
+)
+def test_two_block_draws_are_masked_gaussians_on_the_intertwiner_space(tol, left, right, mults):
+    corr = diagonal_correspondence(hz.TWO_BLOCK, left, right)
+    sigma = StarRepresentation(hz.TWO_BLOCK, mults)
+    space = corr.space(sigma, tol)
+    on_block = [np.repeat(np.arange(2) == j, mults) for j in range(2)]  # diag sigma(p_j)
+    constraints = _intertwiner_constraints(space, sigma)
+    dim = nx.kernel_frame(constraints, tol).shape[1]
+    draws = []
+    for stream in range(dim + 2):
+        x = hz.random_covariant_matrix(corr, sigma, hz.rng_stream(2602, stream), tol)
+        for b, v in enumerate(rep_from_tilde(corr, sigma, x, tol).v_on_basis):
+            assert not np.any(v[~np.outer(on_block[left[b]], on_block[right[b]])])
+        draws.append(x.reshape(-1, order="F"))
+    draws = np.array(draws).T
+    assert nx.opnorm(constraints @ draws) <= 1e-12 * max(1.0, nx.opnorm(draws))
+    assert nx.range_frame(draws, tol).shape[1] == dim
 
 
 def test_commuting_pair_construction(tol):
