@@ -54,7 +54,7 @@ def main() -> int:
     # sanity: the engine must refute a deliberately false claim
     falsified = harness.verify(
         "T2.2",
-        harness.TrialConfig(master_seed=args.seed, trials=100),
+        harness.TrialConfig(master_seed=args.seed, trials=100, algebra_shape=args.algebra),
         DEFAULT_TOL,
         falsify=True,
     )

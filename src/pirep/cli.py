@@ -14,7 +14,8 @@ Global flags (--tol-rank, --tol-eq, --tol-incl, --indent) are accepted by
 every subcommand.  --indent takes 0 to 8; any other value exits 2.
 Every dense array that grows with a tensor power is checked against one
 byte budget (``numerics.DENSE_BYTES``) from its shape before it is
-allocated, so an input past it exits 2 naming the bytes it needs.  All output is deterministic JSON on stdout with numbers
+allocated, so an input past it exits 2 naming the bytes it needs (and a
+MemoryError exits 2 as well).  All output is deterministic JSON on stdout with numbers
 at 17 significant digits.  ``classify`` and ``product`` print
 ``numerics.classify_operator`` of the lift (for ``product``, of the
 product's lift ``ProductRep.tilde``), with the six-way partial-isometry
@@ -253,11 +254,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PirepError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (PirepError, FileNotFoundError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")  # a MemoryError may carry no message
         return 2
 
 

@@ -180,8 +180,9 @@ class CovariantRep(LiftChain):
             raise DimensionMismatch(
                 f"need {corr.module_dim} matrices of shape ({d}, {d})"
             )
-        self.v_on_basis = vs
         formal = np.hstack(vs) if vs else np.zeros((d, 0), dtype=np.complex128)  # column (b, j) is V(xi_b) e_j
+        formal.setflags(write=False)
+        self.v_on_basis = tuple(formal[:, b * d : (b + 1) * d] for b in range(len(vs)))  # not the caller's arrays
         lift = self.space(1).lift
         self._tilde = formal if lift is None else formal @ lift
         self._tilde.setflags(write=False)

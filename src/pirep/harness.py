@@ -8,14 +8,16 @@ evaluates both sides of the registered equivalence or implication, and
 collects violations as replayable counterexamples.  Violations are data,
 not errors.
 
-Instances are generated constructively, never by rejection alone: a
+Instances are generated constructively, never by rejection alone, and
+take no frame factorization, so each is a function of the seed alone: a
 covariant matrix is a Gaussian masked entrywise to the 0/1 pattern that
 covariance imposes on the formal space (the scalar algebra imposes none),
-and the partial-isometry generator projects its singular values (spectral
+the partial-isometry generator projects its singular values (spectral
 functions of T*T commute with the algebra action, so covariance survives
-the projection).  The only instances drawn at a margin are the forced
-non-partial isometries, whose top singular value lies in [0.25, 0.75];
-``verify`` refuses an ``eq_rel`` above ``MAX_EQ_REL``.
+the projection), and T2.2's commuting pair takes polar parts of Gaussians
+projected onto the two halves of E_1 (x) H.  The only instances drawn at a
+margin are the forced non-partial isometries, whose top singular value
+lies in [0.25, 0.75]; ``verify`` refuses an ``eq_rel`` above ``MAX_EQ_REL``.
 """
 
 from __future__ import annotations
@@ -307,8 +309,8 @@ def power_pi_fixture(rng, tol: Tolerance) -> CovariantRep:
 
 
 def commuting_pi_pair(rng, config: TrialConfig, tol: Tolerance):
-    """Partially isometric pair built so the two projections commute
-    (the true branch of the two-factor criterion)."""
+    """Partially isometric pair built so the two projections commute (the
+    true branch of the two-factor criterion), from Gaussians alone."""
     corr2, sigma = draw_setting(rng, config)
     if not corr2.algebra.is_scalar:
         # zero first factor: its initial projection commutes with anything
@@ -320,24 +322,16 @@ def commuting_pi_pair(rng, config: TrialConfig, tol: Tolerance):
     n1 = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
     corr1 = scalar_correspondence(n1)
     rep2 = random_pi_rep(corr2, sigma, rng, tol)
-    # split E_1 (x) H along the amplified final projection of the second
-    # factor's lift and pick the initial space inside the two halves
-    f_proj = np.kron(eye(n1), rep2.tilde @ herm(rep2.tilde))
-    f_frame = nx.range_frame(f_proj, tol, scale_floor=1.0)
-    f_comp = nx.kernel_frame(f_proj, tol, scale_floor=1.0)
-    pieces = []
-    if f_frame.shape[1]:
-        k1 = int(rng.integers(0, f_frame.shape[1] + 1))
-        if k1:
-            pieces.append(f_frame @ nx.range_frame(crandn(rng, f_frame.shape[1], k1), tol))
-    if f_comp.shape[1]:
-        k2 = int(rng.integers(0, f_comp.shape[1] + 1))
-        if k2:
-            pieces.append(f_comp @ nx.range_frame(crandn(rng, f_comp.shape[1], k2), tol))
-    frame = np.hstack(pieces) if pieces else np.zeros((n1 * d, 0), dtype=complex)
-    if frame.shape[1] > d:
-        frame = frame[:, :d]
-    iso = nx.range_frame(crandn(rng, d, max(frame.shape[1], 1)), tol)[:, : frame.shape[1]]
+    # I (x) F, F = tilde_2 tilde_2* of rank ||tilde_2||_F^2 (its singular values are 0 or 1),
+    # splits E_1 (x) H: projected Gaussians span Haar subspaces of the two halves, and the
+    # polar part of a Gaussian is a Haar isometry
+    f = rep2.tilde @ herm(rep2.tilde)
+    r = round(np.linalg.norm(rep2.tilde) ** 2)
+    k1 = min(int(rng.integers(0, n1 * r + 1)), d)
+    k2 = min(int(rng.integers(0, n1 * (d - r) + 1)), d - k1)
+    halves = [nx.Amplification(p, n1, None, None) @ crandn(rng, n1 * d, k) for p, k in ((f, k1), (eye(d) - f, k2))]
+    frame = spectral_remap(np.hstack(halves), lambda s: 1.0)
+    iso = spectral_remap(crandn(rng, d, k1 + k2), lambda s: 1.0)
     tilde = iso @ herm(frame)
     rep1 = rep_from_tilde(corr1, sigma, tilde, tol)
     return rep1, rep2

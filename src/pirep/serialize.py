@@ -117,9 +117,17 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _integers(obj, key: str, listed: bool):
+    """obj[key], refused unless a JSON integer (no bool, float or string) or, if ``listed``, a list of them."""
+    value = obj[key]
+    if listed != isinstance(value, list) or any(type(v) is not int for v in (value if listed else [value])):
+        raise UsageError(f"{key} must be {'a list of integers' if listed else 'an integer'}, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = _integers(obj, "rows", False), _integers(obj, "cols", False), obj["data"]
         if len(data) != rows * cols:
             raise UsageError(f"matrix data length {len(data)} != {rows}*{cols}")
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
@@ -147,8 +155,8 @@ def correspondence_to_json(e: FdCorrespondence) -> dict:
 def correspondence_from_json(obj, tol: Tolerance) -> FdCorrespondence:
     try:
         # declared sizes must match the data before anything is built from them
-        sizes = [int(k) for k in obj["block_sizes"]]
-        n, dim = int(obj["module_dim"]), sum(k * k for k in sizes)
+        sizes = _integers(obj, "block_sizes", True)
+        n, dim = _integers(obj, "module_dim", False), sum(k * k for k in sizes)
         rows, left_data, right_data = obj["gram"], obj["left_action"], obj["right_action"]
         if len(rows) != n or any(len(row) != n for row in rows) or not len(left_data) == len(right_data) == dim:
             raise UsageError(f"declared sizes need a {n} x {n} gram and {dim} matrices per action list")
@@ -176,7 +184,7 @@ def rep_to_json(rep: CovariantRep) -> dict:
 def rep_from_json(obj, tol: Tolerance) -> CovariantRep:
     try:
         corr = correspondence_from_json(obj["correspondence"], tol)
-        sigma = StarRepresentation(corr.algebra, obj["multiplicities"])
+        sigma = StarRepresentation(corr.algebra, _integers(obj, "multiplicities", True))
         vs = [matrix_from_json(v) for v in obj["V"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed representation JSON: {exc}") from exc

@@ -200,14 +200,12 @@ def shift_pi_criterion(
         raise DimensionMismatch("shift criterion needs power_cap >= 1")
     rep = build_shift(spec, tol)
     is_pi = rep.is_partial_isometric()
-    unit = True
-    for i in range(1, spec.n + 1):
-        for m in range(spec.h_dim()):
-            if spec.n * m + i > spec.trunc:
-                continue  # zero column regardless of the weight
-            if m in spec.zero_set:
-                continue
-            if not residual_holds(abs(spec.weight(i, m) - 1.0), 1.0, tol):
-                unit = False
+    # a weight the override map leaves out is exactly 1; past the window
+    # the column is zero whatever the weight
+    unit = all(
+        residual_holds(abs(w - 1.0), 1.0, tol)
+        for (i, m), w in spec.weights.items()
+        if spec.n * m + i <= spec.trunc and m not in spec.zero_set
+    )
     up_to = power_pi_up_to(rep, is_pi, spec.window_bound(power_cap))
     return ShiftCriterionReport(is_pi=is_pi, weights_unit_off_zero_set=unit, power_pi_up_to=up_to)

@@ -101,6 +101,23 @@ def test_powers_refuses_nmax_below_one(rep_file, capsys):
     assert main(["root", "--rep", rep_file, "--k", "1"]) == 2
 
 
+def test_running_out_of_memory_exits_2(rep_file, capsys, monkeypatch):
+    # an allocation that fails is an input failure like any other: a
+    # one-line error and exit 2, not a traceback
+    from pirep import powers
+
+    for exc in (MemoryError(), MemoryError("Unable to allocate 2.00 GiB")):
+
+        def exhausted(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(powers, "power_report", exhausted)
+        assert main(["powers", "--rep", rep_file, "--nmax", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(exc) or 'out of memory'}\n"
+
+
 def test_root_command(rep_file, capsys):
     code, out = run_cli(capsys, "root", "--rep", rep_file, "--k", "2")
     assert code == 0

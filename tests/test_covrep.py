@@ -465,6 +465,30 @@ def test_memoized_arrays_are_read_only(tol):
     assert rep.cokernel_subspace(1) is rep.cokernel_subspace(1)
 
 
+def test_a_rep_keeps_no_array_of_its_caller(tol):
+    # V is read from the matrix the lift is built from: writing into the
+    # arrays passed in changes neither V nor its JSON nor the lift
+    from pirep.serialize import rep_to_json
+
+    rng = rng_for(28)
+    for corr, sigma in (
+        (scalar_correspondence(2), StarRepresentation(SCALARS, [2])),
+        (diagonal_correspondence(hz.TWO_BLOCK, [0, 1], [1, 0]), StarRepresentation(hz.TWO_BLOCK, [1, 1])),
+    ):
+        x = hz.random_covariant_matrix(corr, sigma, rng, tol)
+        vs = [v.copy() for v in rep_from_tilde(corr, sigma, x, tol).v_on_basis]
+        rep = CovariantRep(corr, sigma, vs, tol)
+        before, tilde = rep_to_json(rep), rep.tilde.copy()
+        for v in vs:
+            v[0, 0] = 5.0
+        assert rep_to_json(rep) == before
+        np.testing.assert_array_equal(rep.tilde, tilde)
+        for v in rep.v_on_basis:
+            assert v[0, 0] != 5.0
+            with pytest.raises(ValueError):
+                v[0, 0] = 5.0
+
+
 def test_empty_module_rep_builds_without_sigma(monkeypatch, tol):
     # covariance and intertwining hold vacuously on a zero module: no
     # 500 x 500 sigma(a) is built

@@ -7,7 +7,7 @@ from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import serialize as sz
 from pirep.correspondence import SCALARS, StarRepresentation, diagonal_correspondence, scalar_correspondence
-from pirep.covrep import rep_from_tilde
+from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.errors import UsageError
 from pirep.harness import TrialConfig
 
@@ -152,13 +152,51 @@ def test_two_block_draws_are_masked_gaussians_on_the_intertwiner_space(tol, left
 
 
 def test_commuting_pair_construction(tol):
-    config = TrialConfig()
-    for index in range(10):
-        rep1, rep2 = hz.commuting_pi_pair(hz.rng_stream(8, index), config, tol)
-        from pirep.products import commuting_projection_test
+    from pirep.products import commuting_projection_test
 
-        res = commuting_projection_test(rep1, rep2)
-        assert res.projections_commute and res.product_is_pi, index
+    for shape in ("scalar", "mixed"):
+        config = TrialConfig(algebra_shape=shape)
+        for index in range(10):
+            rep1, rep2 = hz.commuting_pi_pair(hz.rng_stream(8, index), config, tol)
+            res = commuting_projection_test(rep1, rep2)
+            assert res.projections_commute and res.product_is_pi, (shape, index)
+
+
+def _every_trial_v(monkeypatch, tol) -> list:
+    """V of every CovariantRep that the registered trials build, 20 trials
+    per claim at master seed 2700, on the scalar and two-block algebras."""
+    built = []
+    init = CovariantRep.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.v_on_basis)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CovariantRep, "__init__", record)
+        for shape in ("scalar", "two_block"):
+            config = TrialConfig(master_seed=2700, trials=20, algebra_shape=shape)
+            for theorem_id in hz.theorem_ids():
+                for index in range(config.trials):
+                    hz.REGISTRY[theorem_id].trial(hz.rng_stream(2700, index), config, tol)
+    return built
+
+
+def test_every_trial_draws_from_the_seed_alone(tol, monkeypatch):
+    # no draw takes a frame factorization, so neither the basis a frame
+    # comes back in nor whether it is split can change an instance
+    plain = _every_trial_v(monkeypatch, tol)
+    cut_as, kernel = nx._range_frame_cut_as, nx.kernel_frame
+    for gate in (16, 2**40):
+        with monkeypatch.context() as patch:
+            patch.setattr(nx, "_range_frame_cut_as", lambda *args: cut_as(*args)[:, ::-1])
+            patch.setattr(nx, "kernel_frame", lambda *args, **kwargs: kernel(*args, **kwargs)[:, ::-1])
+            patch.setattr(nx, "_DEFLATE_MIN_SIZE", gate)
+            moved = _every_trial_v(monkeypatch, tol)
+        assert len(moved) == len(plain), gate
+        for index, (a, b) in enumerate(zip(plain, moved)):
+            assert len(a) == len(b), (gate, index)
+            assert all(np.max(np.abs(x - y), initial=0.0) <= 1e-10 for x, y in zip(a, b)), (gate, index)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +389,16 @@ def test_malformed_rep_json_is_usage_error(tol):
         # these once allocated a 10^7 x 10^7 gram and spent seconds on the algebra
         (("correspondence",), {**corr, "module_dim": 10**7, "gram": []}),
         (("correspondence", "block_sizes"), [3000]),
+        # counts are JSON integers in JSON lists, never coerced: a string,
+        # float or bool is refused even where it rounds or parses to the count
+        (("multiplicities",), "2"),
+        (("multiplicities",), [2.9]),
+        (("correspondence", "block_sizes"), "1"),
+        (("correspondence", "module_dim"), 1.5),
+        (("correspondence", "module_dim"), 2.0),
+        (("V", 0, "rows"), "2"),
+        (("V", 0, "rows"), 2.5),
+        (("V", 0, "cols"), True),
     ):
         obj = sz.rep_to_json(rep)
         target = obj

@@ -34,6 +34,19 @@ def test_run_verification_writes_every_report(tmp_path):
     assert len(list(out.glob("*.json"))) == 15
 
 
+def test_run_verification_falsifies_on_the_algebra_it_verifies(tmp_path):
+    from pirep import harness
+    from pirep.numerics import DEFAULT_TOL
+
+    out = tmp_path / "reports"
+    done = run_script("run_verification.py", "--trials", "2", "--algebra", "two_block", "--out", str(out))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert {json.loads(p.read_text())["config"]["algebra_shape"] for p in out.glob("*.json")} == {"two_block"}
+    config = harness.TrialConfig(master_seed=42, trials=100, algebra_shape="two_block")
+    found = harness.verify("T2.2", config, DEFAULT_TOL, falsify=True).equivalence_violations
+    assert done.stdout.splitlines()[-1].split()[-1] == f"counterexamples={found}/100", done.stdout
+
+
 def test_wold_shift_demo_runs():
     done = run_script("wold_shift_demo.py")
     assert done.returncode == 0, done.stdout + done.stderr
