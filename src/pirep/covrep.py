@@ -49,9 +49,12 @@ class LiftChain:
 
     One memo per chain holds each T_m and each cokernel N(T_m)^perp =
     R(T_m*) (at most dim H columns, so no more bytes than T_m), spanned
-    once however many stage conditions read it.  Its arrays are read-only,
-    so the chain is immutable apart from this idempotent memo and
-    concurrent readers are safe.  Kernels (nearly all of space(m)) and
+    once however many stage conditions read it, and each space
+    ``_space(start, stop)``, folded once and then looked up.  Its arrays
+    are read-only, so the chain is immutable apart from this idempotent
+    memo and concurrent readers are safe.  The memo forms no reference
+    cycle: a ``TensorSpace`` holds only sigma and a weak proxy of its
+    correspondence, never the chain.  Kernels (nearly all of space(m)) and
     ranges (what ``wold`` reads, redone on every rerun) are not memoized."""
 
     def __init__(self, sigma: StarRepresentation, tol: Tolerance):
@@ -87,11 +90,18 @@ class LiftChain:
         return self._space(0, m)
 
     def _space(self, start: int, stop: int) -> TensorSpace:
-        """(E_{start+1} (x) ... (x) E_stop) (x)_sigma H; start = stop is H itself."""
-        if start == stop:
-            return plain_space(self.sigma)
-        corrs = [f.corr for f in self._factors(start, stop)]
-        return functools.reduce(FdCorrespondence.tensor, corrs).space(self.sigma, self.tol)
+        """(E_{start+1} (x) ... (x) E_stop) (x)_sigma H; start = stop is H
+        itself.  Folded once per (start, stop), then read from the memo."""
+        key = ("space", start, stop)
+        space = self._memo.get(key)
+        if space is None:
+            if start == stop:
+                space = plain_space(self.sigma)
+            else:
+                corrs = [f.corr for f in self._factors(start, stop)]
+                space = functools.reduce(FdCorrespondence.tensor, corrs).space(self.sigma, self.tol)
+            self._memo[key] = space
+        return space
 
     # -- the chain -----------------------------------------------------------
 

@@ -465,6 +465,24 @@ def test_memoized_arrays_are_read_only(tol):
     assert rep.cokernel_subspace(1) is rep.cokernel_subspace(1)
 
 
+def test_each_space_is_folded_once(tol, monkeypatch):
+    # the chain memoizes the space of each segment (start, stop), so a power
+    # report folds FdCorrespondence.tensor over a segment at most once
+    # however often it reads that space
+    from pirep.powers import power_report
+
+    rep = build_shift(WeightedShiftSpec(n=2, trunc=6), tol)
+    for m in range(4):
+        assert rep.space(m) is rep.space(m)
+    segments, folds = set(), []
+    real_space, real_tensor = covrep.LiftChain._space, FdCorrespondence.tensor
+    monkeypatch.setattr(covrep.LiftChain, "_space", lambda self, a, b: segments.add((a, b)) or real_space(self, a, b))
+    monkeypatch.setattr(FdCorrespondence, "tensor", lambda e, f: folds.append((e, f)) or real_tensor(e, f))
+    power_report(rep, 4)
+    assert max(b for _, b in segments) == 4
+    assert 0 < len(folds) <= sum(max(b - a - 1, 0) for a, b in segments)
+
+
 def test_a_rep_keeps_no_array_of_its_caller(tol):
     # V is read from the matrix the lift is built from: writing into the
     # arrays passed in changes neither V nor its JSON nor the lift
