@@ -14,7 +14,7 @@ the fastest, and the largest max RSS of the three processes.  The cases:
 (2, 500, 4), (2, 1000, 3) and (2, 1000, 4); ``classify`` on the
 n = 3, trunc 216 shift; and ``wold_decompose``
 (``check_hypotheses=False``) on the forward shift of size q (+) a Haar
-unitary of size u = 20 for q = 60 and q = 200
+unitary of size u = 20 for q = 60, q = 200 and q = 400
 (``harness.shift_plus_unitary_fixture``, seed 0).  A case whose process
 fails is recorded with the last line of its error output.  To compare
 two commits, run the script in a checkout of each.
@@ -40,6 +40,7 @@ CASES = [
     {"kind": "classify", "n": 3, "trunc": 216},
     {"kind": "wold", "q": 60, "u": 20},
     {"kind": "wold", "q": 200, "u": 20},
+    {"kind": "wold", "q": 400, "u": 20},
 ]
 
 REPEATS = 3

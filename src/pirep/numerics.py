@@ -85,6 +85,26 @@ vectors stay unit vectors under products of monomial matrices, since
 each entry of such a product has at most one nonzero term, so the next
 step splits again.
 
+A range frame (:func:`_range_frame_cut_as`: every span, image and
+cokernel) of an array of at least _DEFLATE_MIN_SIZE entries whose core
+is square or wide first takes the core's singular values without
+vectors, and cuts them with the isolated entries' moduli at the stated
+shape, as the split SVD would.  When every core value clears the cut the
+core has full row rank, so its range is the whole coordinate block of
+its rows: the frame is the unit vectors of the core's rows and of the
+kept isolated entries' rows, in row order, and no singular vector is
+computed.  Otherwise the same deflation (no second scan) is factored with
+vectors and cut as before.  The error argument: that frame is exact for
+the rank the values give.  LAPACK's singular values without vectors are
+backward stable with the same bound as with them, within
+(rows + cols) * 2**-53 * ||core|| of the exact ones, so only a value
+within that bound of the cut can be counted differently, where the
+dense path's own rank is just as uncertain; otherwise the range has the
+same dimension in another orthonormal basis.  Below the gate nothing
+changes.  On a shift (+) unitary every step of the generalized range then
+factors only the unitary core's singular values, and its unit-vector
+frame makes the next product X F a gather (:func:`matmul`).
+
 The products of the partial-isometry verdict, and the gather of an
 :class:`Amplification` with a monomial block applied from the right, drop
 only the exactly-zero rows and columns (:func:`_live_lines`).  This is
@@ -626,9 +646,9 @@ class _SplitSVD:
     the k isolated entries (None when there are none: ``s`` is the
     core's)."""
 
-    def __init__(self, a: np.ndarray, full_matrices: bool = False):
+    def __init__(self, a: np.ndarray, full_matrices: bool = False, deflated: tuple | None = None):
         self.shape = a.shape
-        core, self.rows, self.cols, (self.i, self.j, self.v) = _deflate(a)
+        core, self.rows, self.cols, (self.i, self.j, self.v) = _deflate(a) if deflated is None else deflated
         if core.size:
             self.u, self.core_s, self.vh = _svd(core, full_matrices)
         else:
@@ -712,8 +732,26 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
     """Orthonormal column basis of the range of ``a``, cut as a matrix of
     ``shape``: rank_rel * max(sigma_0, scale_floor) * max(shape).  A thin
     spanning set that stands in for a wider matrix with the same range
-    keeps that matrix's cutoff."""
-    split = _SplitSVD(a)
+    keeps that matrix's cutoff.
+
+    Past _DEFLATE_MIN_SIZE entries, a square or wide core whose singular
+    values (taken without vectors) all clear the cut fills its rows, so
+    the frame is the unit vectors of the core's rows and of the kept
+    isolated entries' rows, in row order (see the module docstring);
+    otherwise the same deflation is factored with vectors and cut."""
+    deflated = _deflate(a)
+    core, rows, _, (i, _, v) = deflated
+    if a.size >= _DEFLATE_MIN_SIZE and 0 < core.shape[0] <= core.shape[1]:
+        s, moduli = _svd(core, False, compute_uv=False), np.abs(v)
+        cut = rank_threshold(np.maximum(s[:1], moduli.max(initial=0.0)), shape, tol, scale_floor)
+        if s[-1] > cut:
+            kept = np.ones(a.shape[0], dtype=bool) if rows is None else rows.copy()
+            kept[i[moduli > cut]] = True
+            kept = np.flatnonzero(kept)
+            frame = np.zeros((a.shape[0], kept.size), dtype=np.complex128)
+            frame[kept, np.arange(kept.size)] = 1.0
+            return frame
+    split = _SplitSVD(a, deflated=deflated)
     return split.left(split.cut(shape, tol, scale_floor)[1])
 
 

@@ -52,7 +52,12 @@ matrix A, by backward stability of the product and the SVD and Wedin's
 bound, for the thin and the dense form alike; at most dim H + 1 steps add
 these up (times ||X|| / sigma_min per step when X is not a partial
 isometry).  On the 80-dimensional shift (+) unitary that bound is 1.1e-12
-per subspace.
+per subspace.  A step costs the product X(I (x) F) (``numerics.matmul``)
+and one range frame of it.  When that frame's core fills its rows, as the
+unitary core of a shift (+) unitary does, the frame is the unit vectors
+of its rows and no singular vector is computed (the ``numerics``
+docstring), so the next step's product is a gather of columns of X and
+its factorization takes the core's singular values only.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -183,7 +188,7 @@ def _e_tensor_columns(rep: CovariantRep, frame: np.ndarray, x: np.ndarray | None
     n = space.module_dim
     nx.check_bytes(nx.ENTRY_BYTES * space.formal_dim * n * frame.shape[1], "a spanning set of E (x) S")
     columns = space.apply_embed(frame if n == 1 else nx.eye_kron(n, frame))
-    return columns if x is None else x @ columns
+    return columns if x is None else nx.matmul(x, columns)
 
 
 def _span_e_tensor(rep: CovariantRep, s: Subspace, x: np.ndarray | None) -> Subspace:

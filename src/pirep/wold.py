@@ -57,6 +57,11 @@ unitary conjugated by a Haar unitary, where no entry is isolated).
 
 ``wold_decompose`` takes Rinf(T) once: it decides regularity, the
 regularity that bi-regularity presupposes, and the dual side's residual.
+Rinf(T') is the primal side's.  Each step of these two iterations on a
+shift (+) unitary of size q + u gathers the columns of X that the frame
+picks and takes the singular values of the u x u unitary core, with no
+vectors, because that core fills its rows (the ``powers`` docstring);
+each step of a generated subspace factors one h x (N dim B) residual.
 """
 
 from __future__ import annotations

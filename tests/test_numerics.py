@@ -732,6 +732,85 @@ def test_isolated_entries_beside_the_cut_are_cut_as_on_the_dense_path(top, tol):
 
 
 # ---------------------------------------------------------------------------
+# range frames of a core that fills its rows
+# ---------------------------------------------------------------------------
+
+
+def record_svds(monkeypatch) -> list:
+    """(shape, compute_uv) of every LAPACK SVD from here on."""
+    seen, real = [], nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: seen.append((m.shape, compute_uv)) or real(m, full, compute_uv))
+    return seen
+
+
+def split_range_frame(a, shape, tol, floor) -> np.ndarray:
+    """The range frame of the split SVD with vectors, cut at ``shape``."""
+    split = nx._SplitSVD(a)
+    return split.left(split.cut(shape, tol, floor)[1])
+
+
+def test_a_core_that_fills_its_rows_gives_its_coordinate_block(monkeypatch, tol):
+    # square and wide cores of full row rank beside isolated entries, one of
+    # them below the cut, and a dense wide array with nothing to deflate:
+    # the frame is the unit vectors of the kept rows, in row order, and the
+    # cores' singular values are taken without vectors
+    rng = rng_for(360)
+    cases = [
+        planted_zero_lines(rng, (70, 120), (30, 30), np.linspace(1.0, 0.1, 30), [2.0, 0.3, 1e-12]),
+        planted_zero_lines(rng, (80, 90), (20, 45), np.linspace(1.0, 0.5, 20), rng.uniform(0.1, 1.0, 25)),
+        random_with_spectrum(rng, 32, 48, np.linspace(1.0, 0.2, 32)),
+    ]
+    for a in cases:
+        assert a.size >= nx._DEFLATE_MIN_SIZE
+        core, rows, _, (i, _, v) = nx._deflate(a)
+        kept = np.ones(a.shape[0], dtype=bool) if rows is None else rows.copy()
+        kept[i[np.abs(v) > 1e-6]] = True
+        for floor in (0.0, 1.0):
+            seen = record_svds(monkeypatch)
+            frame = nx.range_frame(a, tol, floor)
+            monkeypatch.undo()
+            assert seen == [(core.shape, False)]
+            assert np.array_equal(frame, np.eye(a.shape[0])[:, kept])
+            assert projector_gap(frame, dense_range_frame(a, tol, floor)) <= DEFLATED_BOUND
+
+
+def test_a_core_short_of_its_rows_is_cut_by_the_split_svd(tol):
+    # square and wide cores that do not fill their rows, and a dense 40 x 40
+    # of rank 30 with nothing to deflate: the frame is the split SVD's, bit
+    # for bit
+    rng = rng_for(361)
+    cases = [
+        planted_zero_lines(rng, (70, 120), (30, 30), np.linspace(1.0, 0.1, 25), [2.0, 0.3]),
+        planted_zero_lines(rng, (80, 90), (20, 45), np.linspace(1.0, 0.5, 12), [0.7]),
+        random_with_spectrum(rng, 40, 40, np.linspace(1.0, 0.1, 30)),
+    ]
+    for a in cases:
+        core = nx._deflate(a)[0]
+        assert a.size >= nx._DEFLATE_MIN_SIZE and 0 < core.shape[0] <= core.shape[1]
+        for floor in (0.0, 1.0):
+            frame = nx.range_frame(a, tol, floor)
+            assert np.count_nonzero(frame, axis=0).max() > 1
+            assert frame.tobytes() == split_range_frame(a, a.shape, tol, floor).tobytes()
+
+
+def test_a_core_value_exactly_at_the_cut_falls_back(tol):
+    # with rank_rel and max(shape) powers of two, an isolated entry of
+    # modulus m sets the cut to exactly m * rank_rel * 64; m is chosen so
+    # that the cut is the core's smallest singular value as LAPACK gives it
+    # without vectors, which counts as zero, so the core does not fill its
+    # rows and the frame is the split SVD's, bit for bit
+    exact = Tolerance(rank_rel=2.0**-30, eq_rel=tol.eq_rel, incl_abs=tol.incl_abs)
+    a = planted_zero_lines(rng_for(362), (64, 64), (3, 4), [1.0, 0.6, 0.3], [1.0])
+    core, _, _, (i, j, _) = nx._deflate(a)
+    s = nx._svd(core, False, compute_uv=False)
+    a[i, j] = s[-1] / (exact.rank_rel * 64)
+    assert nx.rank_threshold(np.array([abs(a[i[0], j[0]])]), a.shape, exact) == s[-1]
+    frame = nx._range_frame_cut_as(a, a.shape, exact, 0.0)
+    assert frame.tobytes() == split_range_frame(a, a.shape, exact, 0.0).tobytes()
+    assert frame.shape[1] in (3, 4) and np.count_nonzero(frame, axis=0).max() > 1
+
+
+# ---------------------------------------------------------------------------
 # the dense byte budget
 # ---------------------------------------------------------------------------
 

@@ -409,6 +409,42 @@ def test_iterated_range_matches_the_dense_oracle(tol):
     assert dims == {True, False}
 
 
+def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
+    # on the q = 60, u = 20 shift (+) unitary the 20 x 20 unitary core of
+    # every step fills its rows, so every frame of the iteration, for tilde
+    # and for its Cauchy dual, is a set of unit vectors
+    from pirep.wold import cauchy_dual
+
+    rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=60, u_dim=20)
+    frames, real = [], pw._span_e_tensor
+    monkeypatch.setattr(pw, "_span_e_tensor", lambda *args: frames.append(real(*args)) or frames[-1])
+    for x in (rep.tilde, cauchy_dual(rep)):
+        got = pw.iterated_range(rep, x)
+        want = iterated_range_by_amplification(rep, x)
+        assert got.dim == want.dim == 20
+        assert nx.opnorm(got.projector() - want.projector()) <= 1e-12
+    assert len(frames) >= 2 * 60
+    for s in frames:
+        assert np.array_equal(np.count_nonzero(s.frame, axis=0), np.ones(s.dim)) and set(s.frame[s.frame != 0]) == {1.0}
+
+
+def test_a_conjugated_shift_plus_unitary_falls_back_to_the_split_svd(tol, monkeypatch):
+    # U (S (+) W) U* has no isolated entry: with the gate lowered to its 121
+    # entries, its square 11 x 11 lift of rank 10 does not fill its rows,
+    # and the frame is the split SVD's with vectors, bit for bit
+    rep = subspace_iteration_reps(tol)[-1]
+    monkeypatch.setattr(nx, "_DEFLATE_MIN_SIZE", rep.tilde.size)
+    seen, real = [], nx._range_frame_cut_as
+    monkeypatch.setattr(nx, "_range_frame_cut_as", lambda a, *args: seen.append((a, *args)) or real(a, *args))
+    pw.iterated_range(rep, rep.tilde)
+    tried = [call for call in seen if call[0].size >= nx._DEFLATE_MIN_SIZE and call[0].shape[0] <= call[0].shape[1]]
+    assert [call[0].shape for call in tried] == [(11, 11)]
+    for a, shape, tol_, floor in tried:
+        split = nx._SplitSVD(a)
+        frame = real(a, shape, tol_, floor)
+        assert frame.shape == (11, 10) and frame.tobytes() == split.left(split.cut(shape, tol_, floor)[1]).tobytes()
+
+
 def test_e_tensor_spans_match_the_dense_amplification(tol):
     # E (x) S inside space(1), as is_regular builds it for S = R^infty, is the
     # range of the amplified projector I (x) P_S

@@ -206,14 +206,19 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
-    shapes = []
+    calls = []
     real = nx._svd
-    monkeypatch.setattr(nx, "_svd", lambda m, *args, **kwargs: shapes.append(m.shape) or real(m, *args, **kwargs))
+    monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: calls.append((m.shape, compute_uv)) or real(m, full, compute_uv))
     out = wold.wold_decompose(rep, check_hypotheses=False)
-    assert all(max(shape) <= 20 or shape == (80, 1) for shape in shapes), sorted(set(shapes))
+    assert all(max(shape) <= 20 or shape == (80, 1) for shape, _ in calls), sorted(set(calls))
+    # the unitary core fills its rows, so every range frame takes its
+    # singular values without vectors; only the Cauchy dual's pseudoinverse
+    # and the kernel N(tilde) that regularity reads factor it with them
+    assert calls.count(((20, 20), True)) == 2 and calls.count(((20, 20), False)) > 2 * 60
     # per side, 59 residuals grow the span from the wandering line to 60
-    # dimensions and one more, of rank 0, stops it
-    assert shapes.count((80, 1)) == 2 * 60
+    # dimensions and one more, of rank 0, stops it; each is factored with
+    # vectors, which are its frame
+    assert calls.count(((80, 1), True)) == 2 * 60 and ((80, 1), False) not in calls
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (60, 20)
         assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
