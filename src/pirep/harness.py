@@ -50,7 +50,7 @@ from .products import (
     pinv_factorization_test,
     single_defect_dilation,
 )
-from .serialize import rep_to_json
+from .serialize import _integers, rep_to_json
 
 TWO_BLOCK = FdCStarAlgebra([1, 1])
 
@@ -95,7 +95,7 @@ class TrialConfig(Record):
             if not (
                 isinstance(bounds, tuple)
                 and len(bounds) == 2
-                and all(isinstance(b, int) for b in bounds)
+                and all(type(b) is int for b in bounds)
                 and 0 <= bounds[0] <= bounds[1]
             ):
                 raise UsageError(f"{name} must be two integers 0 <= lo <= hi, got {bounds!r}")
@@ -103,15 +103,16 @@ class TrialConfig(Record):
     @staticmethod
     def from_dict(obj: dict) -> "TrialConfig":
         """Inverse of to_dict; keys that to_dict does not write are ignored,
-        and anything but an object with every key is a UsageError."""
+        and anything but an object with every key, each number a JSON
+        integer, is a UsageError."""
         try:
             return TrialConfig(
-                master_seed=int(obj["master_seed"]),
-                trials=int(obj["trials"]),
+                master_seed=_integers(obj, "master_seed", False),
+                trials=_integers(obj, "trials", False),
                 h_dim_range=tuple(obj["h_dim_range"]),
                 module_dim_range=tuple(obj["module_dim_range"]),
                 algebra_shape=obj["algebra_shape"],
-                n_max=int(obj["n_max"]),
+                n_max=_integers(obj, "n_max", False),
             )
         except KeyError as exc:
             raise UsageError(f"trial config lacks {exc}") from exc
@@ -124,12 +125,23 @@ class TrialConfig(Record):
 # ---------------------------------------------------------------------------
 
 
+def _module_dim(rng: np.random.Generator, config: TrialConfig) -> int:
+    return int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
+
+
+def _partner(rng: np.random.Generator, config: TrialConfig, corr: FdCorrespondence) -> FdCorrespondence:
+    """Correspondence of a further factor on the trial's (sigma, H): a fresh
+    C^n over the scalar algebra, the trial's own ``corr`` otherwise (no
+    draw)."""
+    return scalar_correspondence(_module_dim(rng, config)) if corr.algebra.is_scalar else corr
+
+
 def draw_setting(rng: np.random.Generator, config: TrialConfig):
     """Draw (correspondence, sigma) for one trial."""
     shape = config.algebra_shape
     if shape == "mixed":
         shape = "scalar" if rng.integers(0, 2) == 0 else "two_block"
-    n = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
+    n = _module_dim(rng, config)
     if shape == "scalar":
         d = int(rng.integers(config.h_dim_range[0], config.h_dim_range[1] + 1))
         return scalar_correspondence(n), StarRepresentation(SCALARS, [d])
@@ -312,16 +324,13 @@ def commuting_pi_pair(rng, config: TrialConfig, tol: Tolerance):
     """Partially isometric pair built so the two projections commute (the
     true branch of the two-factor criterion), from Gaussians alone."""
     corr2, sigma = draw_setting(rng, config)
+    corr1 = _partner(rng, config, corr2)
+    rep2 = random_pi_rep(corr2, sigma, rng, tol)
     if not corr2.algebra.is_scalar:
         # zero first factor: its initial projection commutes with anything
-        rep2 = random_pi_rep(corr2, sigma, rng, tol)
         zero = np.zeros((sigma.h_dim, rep2.space(1).dim), dtype=complex)
-        rep1 = rep_from_tilde(corr2, sigma, zero, tol)
-        return rep1, rep2
-    d = sigma.h_dim
-    n1 = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
-    corr1 = scalar_correspondence(n1)
-    rep2 = random_pi_rep(corr2, sigma, rng, tol)
+        return rep_from_tilde(corr1, sigma, zero, tol), rep2
+    d, n1 = sigma.h_dim, corr1.module_dim
     # I (x) F, F = tilde_2 tilde_2* of rank ||tilde_2||_F^2 (its singular values are 0 or 1),
     # splits E_1 (x) H: projected Gaussians span Haar subspaces of the two halves, and the
     # polar part of a Gaussian is a Haar isometry
@@ -341,13 +350,7 @@ def random_pi_pair(rng, config: TrialConfig, tol: Tolerance):
     """Two partially isometric factors on a common (sigma, H)."""
     corr_a, sigma = draw_setting(rng, config)
     rep_a = random_pi_rep(corr_a, sigma, rng, tol)
-    if corr_a.algebra.is_scalar:
-        n_b = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
-        corr_b = scalar_correspondence(n_b)
-    else:
-        corr_b = corr_a
-    rep_b = random_pi_rep(corr_b, sigma, rng, tol)
-    return rep_a, rep_b
+    return rep_a, random_pi_rep(_partner(rng, config, corr_a), sigma, rng, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +438,13 @@ def _trial_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     corr, sigma = draw_setting(rng, config)
     count = int(rng.integers(3, 5))  # chains of length 3 or 4
     factors = [random_pi_rep(corr, sigma, rng, tol)]
-    if corr.algebra.is_scalar:
-        for _ in range(count - 1):
-            n = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
-            rep = random_pi_rep(scalar_correspondence(n), sigma, rng, tol)
-            if int(rng.integers(0, 3)) == 0:
-                alt = coisometric_covariant_rep(scalar_correspondence(n), sigma, rng, tol)
-                rep = alt if alt is not None else rep
-            factors.append(rep)
-    else:
-        for _ in range(count - 1):
-            factors.append(random_pi_rep(corr, sigma, rng, tol))
+    for _ in range(count - 1):
+        partner = _partner(rng, config, corr)
+        rep = random_pi_rep(partner, sigma, rng, tol)
+        if corr.algebra.is_scalar and int(rng.integers(0, 3)) == 0:
+            alt = coisometric_covariant_rep(partner, sigma, rng, tol)
+            rep = alt if alt is not None else rep
+        factors.append(rep)
     report = chain_condition_test(factors)
     if not (report.cumulative_agree() and report.raw_agree_until_first_failure()):
         return TrialOutcome.violation(
@@ -459,14 +458,11 @@ def _trial_pinv_chain(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
     corr, sigma = draw_setting(rng, config)
     factors = [random_pi_rep(corr, sigma, rng, tol)]
     for _ in range(count - 1):
-        if corr.algebra.is_scalar:
-            n = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
-            rep = random_pi_rep(scalar_correspondence(n), sigma, rng, tol)
-            if int(rng.integers(0, 4)) == 0 and n == 1:
-                rep = unitary_fixture(rng, tol, sigma.h_dim)  # true branch
-            factors.append(rep)
-        else:
-            factors.append(random_pi_rep(corr, sigma, rng, tol))
+        partner = _partner(rng, config, corr)
+        rep = random_pi_rep(partner, sigma, rng, tol)
+        if corr.algebra.is_scalar and int(rng.integers(0, 4)) == 0 and partner.module_dim == 1:
+            rep = unitary_fixture(rng, tol, sigma.h_dim)  # true branch
+        factors.append(rep)
     res = pinv_factorization_test(factors)
     if res.is_pi != res.pinv_factors_match:
         return TrialOutcome.violation(
@@ -486,12 +482,7 @@ def _trial_defect_dilation(rng, config: TrialConfig, tol: Tolerance) -> TrialOut
         rep1 = random_pi_rep(corr, sigma, rng, tol)
     else:
         rep1 = random_contractive_rep(corr, sigma, rng, tol, force_non_pi=True)
-    if corr.algebra.is_scalar:
-        n = int(rng.integers(config.module_dim_range[0], config.module_dim_range[1] + 1))
-        corr2 = scalar_correspondence(n)
-    else:
-        corr2 = corr
-    rep2 = random_contractive_rep(corr2, sigma, rng, tol)
+    rep2 = random_contractive_rep(_partner(rng, config, corr), sigma, rng, tol)
     res = defect_dilation_test(rep1, rep2)
     single = single_defect_dilation(rep1)
     single_ok = nx.is_partial_isometry(single, tol)
@@ -608,18 +599,8 @@ def _root_instance(rng, config: TrialConfig, tol: Tolerance) -> CovariantRep:
         row = spectral_remap(row, lambda s: 1.0 if s >= cut else 0.0)
     else:
         row = row / (2.0 * max(opnorm(row), 1.0))
-    vs = []
-    for j in range(n):
-        b = row[:, j * k1 : (j + 1) * k1]
-        vs.append(
-            np.block(
-                [
-                    [np.zeros((k1, k1), dtype=complex), np.zeros((k1, k2), dtype=complex)],
-                    [b, np.zeros((k2, k2), dtype=complex)],
-                ]
-            )
-        )
-    return _scalar_rep(vs, tol)
+    # V_j = [[0, 0], [B_j, 0]] on C^k1 (+) C^k2
+    return _scalar_rep([np.pad(row[:, j * k1 : (j + 1) * k1], ((k1, 0), (0, k2))) for j in range(n)], tol)
 
 
 def _trial_root(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcome:
@@ -643,14 +624,7 @@ def _trial_kernel_match(rng, config: TrialConfig, tol: Tolerance) -> TrialOutcom
     if int(rng.integers(0, 2)) == 0:
         d = int(rng.integers(1, 4))
         pad = int(rng.integers(1, 3))
-        u = haar_unitary(rng, d)
-        v = np.block(
-            [
-                [u, np.zeros((d, pad), dtype=complex)],
-                [np.zeros((pad, d), dtype=complex), np.zeros((pad, pad), dtype=complex)],
-            ]
-        )
-        rep = _scalar_rep([v], tol)
+        rep = _scalar_rep([np.pad(haar_unitary(rng, d), ((0, pad), (0, pad)))], tol)  # U (+) 0
     else:
         rep = _root_instance(rng, config, tol)
     try:
@@ -903,11 +877,14 @@ def replay_counterexample(counterexample: dict, tol: Tolerance) -> TrialOutcome:
     missing = [k for k in ("theorem_id", "master_seed", "trial_index", "config") if k not in counterexample]
     if missing:
         raise UsageError(f"counterexample lacks {', '.join(missing)}")
-    _, fn = _claim(counterexample["theorem_id"], bool(counterexample.get("falsify")))
+    falsify = counterexample.get("falsify", False)
+    if type(falsify) is not bool:
+        raise UsageError(f"falsify must be a JSON boolean, got {falsify!r}")
+    _, fn = _claim(counterexample["theorem_id"], falsify)
     config = TrialConfig.from_dict(counterexample["config"])
-    if counterexample["master_seed"] != config.master_seed:
+    if _integers(counterexample, "master_seed", False) != config.master_seed:
         raise UsageError(f"master seed {counterexample['master_seed']!r} differs from the config's")
-    index = counterexample["trial_index"]
-    if not (isinstance(index, int) and 0 <= index < config.trials):
+    index = _integers(counterexample, "trial_index", False)
+    if not 0 <= index < config.trials:
         raise UsageError(f"trial index {index!r} is outside [0, {config.trials})")
     return fn(rng_stream(config.master_seed, index), config, tol)

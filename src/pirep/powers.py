@@ -305,6 +305,14 @@ class RootCriterionResult(Record):
     orthogonality_defect: float
 
 
+def _require_full_and_contractive(rep: CovariantRep) -> None:
+    """The hypothesis gate shared by the root criteria."""
+    if not rep.corr.is_full(rep.tol):
+        raise NotApplicable("correspondence is not full")
+    if not nx.is_contraction(rep.tilde, rep.tol):
+        raise NotApplicable("representation is not contractive")
+
+
 def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
     """Decide the root criterion at power k >= 2.
 
@@ -313,11 +321,8 @@ def root_criterion(rep: CovariantRep, k: int) -> RootCriterionResult:
     beyond tolerance is reported as a numeric inconsistency."""
     if k < 2:
         raise DimensionMismatch("root criterion needs k >= 2")
+    _require_full_and_contractive(rep)
     tol = rep.tol
-    if not rep.corr.is_full(tol):
-        raise NotApplicable("correspondence is not full")
-    if not nx.is_contraction(rep.tilde, tol):
-        raise NotApplicable("representation is not contractive")
     hypothesis_ok = nx.is_partial_isometry(rep.tilde_power(k), tol)
     w = rep.amplified(rep.tilde, k - 1, 1, 0).to_dense()  # I_{E^(k-1)} (x) tilde : space(k) -> space(k-1)
     n_k = rep.kernel_subspace(k)
@@ -359,11 +364,8 @@ def kernel_match_criterion(rep: CovariantRep, k: int) -> KernelMatchResult:
     partially isometric.  ``applicable`` reports the kernel equality."""
     if k < 2:
         raise DimensionMismatch("kernel match criterion needs k >= 2")
+    _require_full_and_contractive(rep)
     tol = rep.tol
-    if not rep.corr.is_full(tol):
-        raise NotApplicable("correspondence is not full")
-    if not nx.is_contraction(rep.tilde, tol):
-        raise NotApplicable("representation is not contractive")
     if not nx.is_partial_isometry(rep.tilde_power(k), tol):
         raise NotApplicable(f"tilde_{k} is not a partial isometry")
     amp = rep.amplified(rep.tilde, 1, 1, 0).to_dense()  # I_E (x) tilde : space(2) -> space(1)

@@ -174,14 +174,20 @@ class ChainConditionReport(Record):
         return dict(super().to_dict(), cumulative=self.cumulative())
 
 
+def _product_of_partial_isometries(factors) -> ProductRep:
+    """The product of ``factors``, refused unless each is partially isometric."""
+    prod = ProductRep(factors)
+    for i, f in enumerate(prod.factors):
+        if not f.is_partial_isometric():
+            raise NotApplicable(f"factor {i + 1} is not partially isometric")
+    return prod
+
+
 def chain_condition_test(factors) -> ChainConditionReport:
     """Evaluate the four equivalent stagewise conditions for a product of
     partially isometric factors."""
-    prod = ProductRep(factors)
+    prod = _product_of_partial_isometries(factors)
     factors, tol = prod.factors, prod.tol
-    for i, f in enumerate(factors):
-        if not f.is_partial_isometric():
-            raise NotApplicable(f"factor {i + 1} is not partially isometric")
     stage_pi, range_inv, dom_inv, idem, residuals = [], [], [], [], []
     for s in range(1, prod.n):
         t_s = prod.tilde_power(s)
@@ -209,11 +215,8 @@ class PinvFactorizationResult(Record):
 def pinv_factorization_test(factors) -> PinvFactorizationResult:
     """The product lift is a partial isometry iff its Moore-Penrose inverse
     equals the reversed chain of amplified factor pseudoinverses."""
-    prod = ProductRep(factors)
-    factors, tol = prod.factors, prod.tol
-    for i, f in enumerate(factors):
-        if not f.is_partial_isometric():
-            raise NotApplicable(f"factor {i + 1} is not partially isometric")
+    prod = _product_of_partial_isometries(factors)
+    tol = prod.tol
     t_n = prod.tilde
     direct = nx.pseudoinverse(t_n, tol)
     residual = opnorm(direct - prod.pinv_chain(prod.n))

@@ -277,6 +277,9 @@ def test_replay_refuses_a_counterexample_that_is_not_an_object_with_every_key(to
         bad.append(dict(ce, config={k: v for k, v in ce["config"].items() if k != key}))
     bad += [dict(ce, config=dict(ce["config"], trials=None)), dict(ce, config=dict(ce["config"], h_dim_range=5))]
     bad.append(dict(ce, config=dict(ce["config"], trials="ten")))
+    # numbers of the wrong JSON type are refused, not coerced
+    bad += [dict(ce, config=dict(ce["config"], **edit)) for edit in ({"trials": 10.9}, {"trials": "10"}, {"n_max": True})]
+    bad += [dict(ce, falsify="false"), dict(ce, trial_index=True), dict(ce, master_seed=21.0)]
     for counterexample in bad:
         with pytest.raises(UsageError):
             hz.replay_counterexample(counterexample, tol)
@@ -285,7 +288,15 @@ def test_replay_refuses_a_counterexample_that_is_not_an_object_with_every_key(to
 
 def test_trial_config_from_dict_refuses_what_is_not_a_config():
     config = TrialConfig(master_seed=3, trials=2).to_dict()
-    for obj in (None, [config], {k: v for k, v in config.items() if k != "n_max"}, dict(config, trials=None)):
+    for obj in (
+        None,
+        [config],
+        {k: v for k, v in config.items() if k != "n_max"},
+        dict(config, trials=None),
+        dict(config, trials=10.9),
+        dict(config, trials="10"),
+        dict(config, n_max=True),
+    ):
         with pytest.raises(UsageError):
             TrialConfig.from_dict(obj)
     assert TrialConfig.from_dict(config) == TrialConfig(master_seed=3, trials=2)
@@ -319,7 +330,7 @@ def test_trial_config_refuses_malformed_ranges(tol):
     # hand-edited counterexample, where it used to end in numpy's errors
     ce = hz.verify("T2.2", TrialConfig(master_seed=21, trials=10), tol, falsify=True).counterexamples[0]
     for name in ("h_dim_range", "module_dim_range"):
-        for bounds in ([6, 2], [1], ["a", 2], [-1, 2], [1, 2, 3], [1.5, 2]):
+        for bounds in ([6, 2], [1], ["a", 2], [-1, 2], [1, 2, 3], [1.5, 2], [True, 3]):
             with pytest.raises(UsageError, match=name):
                 TrialConfig(**{name: tuple(bounds)})
             with pytest.raises(UsageError, match=name):
@@ -341,6 +352,20 @@ def test_determinism_across_jobs(tol):
     blob = sz.dumps(one.to_dict())
     assert blob == sz.dumps(again.to_dict())
     assert blob == sz.dumps(parallel.to_dict())
+
+
+def test_every_claim_trial_is_independent_of_evaluation_order(tol):
+    # a trial is a function of (master seed, index) alone: no state may pass
+    # from one trial to the next, e.g. through a cached correspondence
+    for algebra in ("scalar", "two_block"):
+        config = TrialConfig(master_seed=29, trials=4, algebra_shape=algebra)
+        for theorem_id in hz.theorem_ids():
+            trial = hz.REGISTRY[theorem_id].trial
+            seen = {}
+            for index in (3, 2, 1, 0, 0, 1, 2, 3):
+                out = trial(hz.rng_stream(config.master_seed, index), config, tol)
+                key = (out.status, float(out.residual).hex(), sz.dumps(out.detail))
+                assert seen.setdefault(index, key) == key, (algebra, theorem_id, index)
 
 
 def test_verify_rejects_tiny_perturbation(tol):
