@@ -14,10 +14,24 @@ the interior tensor product E (x) H is the plain Kronecker ordering
 
 Correspondences are immutable (their structure arrays are read-only), so
 they carry the package's only tensor memos: ``e.tensor(f)`` builds E (x) F
-once per right factor F, and ``e.space(sigma, tol)`` builds E (x)_sigma H
-once per sigma and tolerance.  Both live exactly as long as ``e``.
+once per right factor F while F lives, and ``e.space(sigma, tol)`` builds
+E (x)_sigma H once per sigma and tolerance while ``e`` lives.
 Representations and products read their tensor powers and spaces from
 these memos; ``amplify`` builds no tensor space.
+
+``scalar_correspondence``, ``diagonal_correspondence`` and
+``algebra_correspondence`` validate their arguments and then return one
+shared correspondence per argument tuple from a process-wide table, so
+every trial, factor and representation over the same structure reads the
+same E (x) F and E (x)_sigma H.  Each memo value is a deterministic
+function of content, so sharing moves no bit.  The cost is retention: the
+table is never emptied, and its entries keep their memos, so the powers
+E^(x m) (each held by the memo of E^(x m-1), keyed by E) and their spaces
+stay until the process exits.  E^(x m) of E = C^n holds a Gram and two
+action stacks of n^(2m) entries each: a process that has run
+``power_report`` to m = 12 on an n = 2 shift keeps E^(x 12)'s three
+4096 x 4096 arrays (3 x 268 MB), and about a third as much again for the
+lower powers, after the representation is gone.
 
 sigma and the module actions are linear maps on stacks of algebra
 elements: ``StarRepresentation.apply``, ``FdCorrespondence.left``,
@@ -54,6 +68,7 @@ array, stacks included, from shapes before allocating it
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -238,7 +253,8 @@ class FdCorrespondence:
     The module inner product is conjugate-linear in the first slot.
 
     Immutable: the structure arrays are read-only copies, which is what
-    lets the tensor memos below live on the object.
+    lets the tensor memos below live on the object and the constructors
+    share one object per structure for the life of the process.
     """
 
     def __init__(self, algebra: FdCStarAlgebra, gram, left_action, right_action):
@@ -264,7 +280,7 @@ class FdCorrespondence:
         """E (x) F, built by ``tensor_product`` once per right factor F."""
         out = self._tensor_memo.get(f)
         if out is None:
-            out = self._tensor_memo[f] = tensor_product(self, f)
+            out = self._tensor_memo.setdefault(f, tensor_product(self, f))
         return out
 
     def space(self, sigma: StarRepresentation, tol: Tolerance) -> "TensorSpace":
@@ -274,7 +290,7 @@ class FdCorrespondence:
         key = (sigma.algebra, sigma.multiplicities, tol)
         out = self._space_memo.get(key)
         if out is None:
-            out = self._space_memo[key] = interior_tensor(weakref.proxy(self), sigma, tol)
+            out = self._space_memo.setdefault(key, interior_tensor(weakref.proxy(self), sigma, tol))
         return out
 
     def left(self, a) -> np.ndarray:
@@ -344,15 +360,42 @@ class FdCorrespondence:
         return int(np.sum(s > cut)) == self.algebra.dim
 
 
+# One correspondence per constructor argument tuple, shared by the whole
+# process and never dropped (see the module docstring).  Each constructor
+# validates first, so no bad key is stored, and fills the table with
+# ``setdefault``, so threads that race on a cold key get one object.
+_CONSTRUCTED: dict = {}
+
+
+def _index(value, what: str, stop: int | None = None) -> int:
+    """value as an int in [0, stop), refused unless an integer (no bool or
+    float)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DimensionMismatch(f"{what} must be an integer, got {value!r}")
+    if value < 0 or (stop is not None and value >= stop):
+        bound = "nonnegative" if stop is None else f"in [0, {stop})"
+        raise DimensionMismatch(f"{what} must be {bound}, got {value!r}")
+    return int(value)
+
+
 def scalar_correspondence(n: int) -> FdCorrespondence:
-    """E = C^n with orthonormal basis over the scalar algebra."""
+    """E = C^n with orthonormal basis over the scalar algebra; one shared
+    object per n."""
+    key = ("scalar", _index(n, "module dimension"))
+    if key in _CONSTRUCTED:
+        return _CONSTRUCTED[key]
+    n = key[1]
     gram = np.eye(n, dtype=np.complex128).reshape(n, n, 1, 1)
     action = np.eye(n, dtype=np.complex128).reshape(1, n, n)
-    return FdCorrespondence(SCALARS, gram, action, action.copy())
+    return _CONSTRUCTED.setdefault(key, FdCorrespondence(SCALARS, gram, action, action.copy()))
 
 
 def algebra_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:
-    """The algebra as the trivial correspondence over itself, <u, v> = u* v."""
+    """The algebra as the trivial correspondence over itself, <u, v> = u* v;
+    one shared object per algebra."""
+    key = ("algebra", algebra)
+    if key in _CONSTRUCTED:
+        return _CONSTRUCTED[key]
     basis = algebra.basis()
     n = algebra.dim
     k = algebra.matrix_size
@@ -366,23 +409,30 @@ def algebra_correspondence(algebra: FdCStarAlgebra) -> FdCorrespondence:
         for b, u in enumerate(basis):
             left[t, :, b] = algebra.coords(c @ u)
             right[t, :, b] = algebra.coords(u @ c)
-    return FdCorrespondence(algebra, gram, left, right)
+    return _CONSTRUCTED.setdefault(key, FdCorrespondence(algebra, gram, left, right))
 
 
 def diagonal_correspondence(algebra: FdCStarAlgebra, left_tags, right_tags) -> FdCorrespondence:
-    """Correspondence with diagonal structure over a multi-block algebra.
+    """Correspondence with diagonal structure over a multi-block algebra;
+    one shared object per (algebra, left_tags, right_tags).
 
     Basis vector xi_a carries <xi_a, xi_a> = central unit of block
     right_tags[a] and left action phi(a)xi = a_{left_tags[a]} . xi
     (scalar multiplication by the (0,0) entry of the tagged block; the
-    tagged blocks must be 1x1).
+    tagged blocks must be 1x1).  Each tag must be a block index.
     """
+    blocks = len(algebra.block_sizes)
+    left_tags = tuple(_index(tag, "block tag", blocks) for tag in left_tags)
+    right_tags = tuple(_index(tag, "block tag", blocks) for tag in right_tags)
     n = len(left_tags)
     if len(right_tags) != n:
         raise DimensionMismatch("left_tags and right_tags must have equal length")
-    for tag in tuple(left_tags) + tuple(right_tags):
+    for tag in left_tags + right_tags:
         if algebra.block_sizes[tag] != 1:
             raise InvalidCorrespondence("diagonal correspondences need 1x1 tagged blocks")
+    key = ("diagonal", algebra, left_tags, right_tags)
+    if key in _CONSTRUCTED:
+        return _CONSTRUCTED[key]
     k = algebra.matrix_size
     gram = np.zeros((n, n, k, k), dtype=np.complex128)
     left = np.zeros((algebra.dim, n, n), dtype=np.complex128)
@@ -394,7 +444,7 @@ def diagonal_correspondence(algebra: FdCStarAlgebra, left_tags, right_tags) -> F
         for a in range(n):
             left[t, a, a] = algebra.block(u, left_tags[a])[0, 0]
             right[t, a, a] = algebra.block(u, right_tags[a])[0, 0]
-    return FdCorrespondence(algebra, gram, left, right)
+    return _CONSTRUCTED.setdefault(key, FdCorrespondence(algebra, gram, left, right))
 
 
 def tensor_product(e: FdCorrespondence, f: FdCorrespondence) -> FdCorrespondence:

@@ -130,9 +130,9 @@ def _module_dim(rng: np.random.Generator, config: TrialConfig) -> int:
 
 
 def _partner(rng: np.random.Generator, config: TrialConfig, corr: FdCorrespondence) -> FdCorrespondence:
-    """Correspondence of a further factor on the trial's (sigma, H): a fresh
-    C^n over the scalar algebra, the trial's own ``corr`` otherwise (no
-    draw)."""
+    """Correspondence of a further factor on the trial's (sigma, H): the
+    shared C^n for a drawn n over the scalar algebra, the trial's own
+    ``corr`` otherwise (no draw)."""
     return scalar_correspondence(_module_dim(rng, config)) if corr.algebra.is_scalar else corr
 
 

@@ -65,20 +65,32 @@ def _corr_key(c):
     return c.algebra.block_sizes, c.gram.tobytes(), c.left_action.tobytes(), c.right_action.tobytes()
 
 
-def count_space_builds(monkeypatch) -> Counter:
+def count_space_builds(monkeypatch, structure: bool = False) -> Counter:
     """Count interior_tensor and tensor_product calls by the content of
-    their inputs.  Only the correspondence memos call them, through the
-    module's own bindings, so patching those sees every build."""
+    their inputs or, with ``structure``, by how the inputs were formed: a
+    tensor product by the keys of its factors, any other correspondence by
+    its content (so C^1 (x) C^1 and C^1 count apart).  Only the
+    correspondence memos call them, through the module's own bindings, so
+    patching those sees every build."""
     builds = Counter()
     real_interior, real_product = correspondence.interior_tensor, correspondence.tensor_product
+    # id of a product's Gram -> (the Gram, kept so that the id stays its own; the product's key)
+    formed = {}
+
+    def key(c):
+        return formed[id(c.gram)][1] if id(c.gram) in formed else _corr_key(c)
 
     def interior_tensor(e, sigma, tol=DEFAULT_TOL):
-        builds[("interior_tensor", _corr_key(e), sigma.multiplicities, tol)] += 1
+        builds[("interior_tensor", key(e), sigma.multiplicities, tol)] += 1
         return real_interior(e, sigma, tol)
 
     def tensor_product(e, f):
-        builds[("tensor_product", _corr_key(e), _corr_key(f))] += 1
-        return real_product(e, f)
+        pair = key(e), key(f)
+        builds[("tensor_product", *pair)] += 1
+        out = real_product(e, f)
+        if structure:
+            formed[id(out.gram)] = out.gram, ("product", *pair)
+        return out
 
     monkeypatch.setattr(correspondence, "interior_tensor", interior_tensor)
     monkeypatch.setattr(correspondence, "tensor_product", tensor_product)
@@ -469,6 +481,14 @@ def direct_sum(parts, tol):
 @pytest.fixture
 def tol():
     return DEFAULT_TOL
+
+
+@pytest.fixture(autouse=True)
+def fresh_correspondences():
+    """Empty the constructors' shared table before each test, so every test
+    builds its correspondences, products and spaces afresh whatever ran
+    before it."""
+    correspondence._CONSTRUCTED.clear()
 
 
 def _admit(nbytes, what):

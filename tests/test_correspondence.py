@@ -98,6 +98,24 @@ def test_diagonal_correspondence_validates(tol):
     two_block_fixture().validate(tol)
 
 
+def test_constructors_refuse_bad_arguments_before_sharing():
+    # a tag is a block index and a dimension a nonnegative integer; anything
+    # else is a typed refusal, never a negative index or a numpy error
+    for left, right in (([-1], [0]), ([0], [2]), ([True], [0]), ([0], [0.0]), ([0, 1], [1])):
+        with pytest.raises(DimensionMismatch):
+            diagonal_correspondence(TWO_BLOCK, left, right)
+    for n in (-1, 2.5, True, "2"):
+        with pytest.raises(DimensionMismatch):
+            scalar_correspondence(n)
+    with pytest.raises(InvalidCorrespondence, match="1x1 tagged blocks"):
+        diagonal_correspondence(FdCStarAlgebra([2, 1]), [0], [1])
+    # nothing refused was stored, and numpy integers name the same structure
+    assert correspondence._CONSTRUCTED == {}
+    assert scalar_correspondence(np.int64(2)) is scalar_correspondence(2)
+    tags = np.array([0, 1])
+    assert diagonal_correspondence(TWO_BLOCK, tags, tags[::-1]) is diagonal_correspondence(TWO_BLOCK, [0, 1], [1, 0])
+
+
 def test_is_full(tol):
     assert scalar_correspondence(4).is_full(tol)
     assert two_block_fixture().is_full(tol)

@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from pirep import correspondence
 from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import serialize as sz
-from pirep.correspondence import SCALARS, StarRepresentation, diagonal_correspondence, scalar_correspondence
+from pirep.correspondence import (
+    SCALARS,
+    FdCStarAlgebra,
+    StarRepresentation,
+    algebra_correspondence,
+    diagonal_correspondence,
+    scalar_correspondence,
+)
 from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.errors import UsageError
 from pirep.harness import TrialConfig
 
-from conftest import assert_verdicts_match_classify, direct_sum
+from conftest import assert_verdicts_match_classify, count_space_builds, direct_sum
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +360,39 @@ def test_determinism_across_jobs(tol):
     blob = sz.dumps(one.to_dict())
     assert blob == sz.dumps(again.to_dict())
     assert blob == sz.dumps(parallel.to_dict())
+    # every claim, each run from an empty table of shared correspondences,
+    # so the pool's threads race to build the same structures and spaces
+    config = TrialConfig(master_seed=43, trials=8, algebra_shape="mixed")
+    reports = {}
+    for jobs in (1, 4):
+        correspondence._CONSTRUCTED.clear()
+        reports[jobs] = [sz.dumps(hz.verify(tid, config, tol, jobs=jobs).to_dict()) for tid in hz.theorem_ids()]
+    assert reports[1] == reports[4]
+
+
+def test_the_claim_batteries_build_each_structure_once(tol, monkeypatch):
+    # equal constructor arguments name one correspondence, so its powers
+    # and spaces are built once per process, not once per trial
+    assert scalar_correspondence(2) is scalar_correspondence(2)
+    assert diagonal_correspondence(hz.TWO_BLOCK, [0, 1], [1, 0]) is diagonal_correspondence(
+        FdCStarAlgebra([1, 1]), (0, 1), [1, 0]
+    )
+    assert algebra_correspondence(FdCStarAlgebra([2, 1])) is algebra_correspondence(FdCStarAlgebra([2, 1]))
+    # by structure, not content: a power of C^1 has the content of C^1 but
+    # is another object, which the table does not share
+    builds = count_space_builds(monkeypatch, structure=True)
+    for algebra in ("scalar", "two_block"):
+        config = TrialConfig(master_seed=44, trials=5, algebra_shape=algebra)
+        for theorem_id in hz.theorem_ids():
+            hz.verify(theorem_id, config, tol)
+    assert sum(key[0] == "tensor_product" for key in builds) > 10
+    assert set(builds.values()) == {1}
 
 
 def test_every_claim_trial_is_independent_of_evaluation_order(tol):
-    # a trial is a function of (master seed, index) alone: no state may pass
-    # from one trial to the next, e.g. through a cached correspondence
+    # a trial is a function of (master seed, index) alone: what passes from
+    # one trial to the next, the shared correspondences and their memos,
+    # must hold only functions of content
     for algebra in ("scalar", "two_block"):
         config = TrialConfig(master_seed=29, trials=4, algebra_shape=algebra)
         for theorem_id in hz.theorem_ids():
