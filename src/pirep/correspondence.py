@@ -58,6 +58,21 @@ the per-entry loops.
 that is applied block by block and never built; only its ``to_dense``
 forms the matrix.
 
+Intertwining is decided in one place, ``intertwines``.  It forms the gaps
+X A_dom(u) - A_cod(u) X for all matrix units u as one stacked array and
+decides each slice with ``numerics.identity_holds`` at the one scale
+||X||.  ``amplify`` (then its builder ``amplification``),
+``intertwining_residual`` and the lift check of ``covrep.CovariantRep``
+all call it.  The induced actions A(u) of a space are read from
+``TensorSpace._basis_actions``, built on first use and kept with the
+immutable space, so sigma and phi are applied once per matrix unit and
+space; only this module reads them.  The memo is formed only over a
+non-scalar algebra (on the scalar algebra every X intertwines) and holds
+dim A * dim^2 entries, at most dim A / 2 times the embed and lift the
+space already keeps.  ``bimodule_covariant`` decides V(a xi c) =
+sigma(a) V(xi) sigma(c) from two stacked contractions, one
+``identity_holds`` per (u_a, u_c, xi_b) at the scale max_b ||V(xi_b)||.
+
 ``StarRepresentation``, ``FdCStarAlgebra.basis``, phi, the induced
 actions, ``tensor_product``, ``interior_tensor`` and an amplification's
 applications and ``to_dense`` each check the bytes of their largest
@@ -67,6 +82,7 @@ array, stacks included, from shapes before allocating it
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -541,6 +557,16 @@ class TensorSpace:
             return formal
         return self.embed @ formal @ self.lift
 
+    @functools.cached_property
+    def _basis_actions(self) -> np.ndarray:
+        """``induced_action`` of every matrix unit, one read-only (dim A,
+        dim, dim) stack built on first use and kept with the immutable
+        space (threads that race build equal stacks); read only by this
+        module's covariance and intertwining checks."""
+        actions = self.induced_action(self.action_source.algebra.basis())
+        actions.setflags(write=False)
+        return actions
+
 
 def plain_space(sigma: StarRepresentation) -> TensorSpace:
     """H itself, viewed as the 0-fold tensor space."""
@@ -601,21 +627,61 @@ def interior_tensor(
 # ---------------------------------------------------------------------------
 
 
-def _intertwining_gaps(x: np.ndarray, dom: TensorSpace, cod: TensorSpace):
-    """X dom.induced_action(u) - cod.induced_action(u) X over the matrix
-    units u; none on the scalar algebra and for an empty X."""
-    algebra = dom.action_source.algebra
-    if algebra.is_scalar or x.size == 0:
-        return
-    basis = algebra.basis()
-    for act_dom, act_cod in zip(dom.induced_action(basis), cod.induced_action(basis)):
-        yield x @ act_dom - act_cod @ x
+def _intertwining_gaps(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> np.ndarray:
+    """X A_dom(u) - A_cod(u) X over the matrix units u, as one (dim A,
+    cod.dim, dom.dim) stack read from the spaces' memoized basis actions;
+    empty on the scalar algebra and for an empty X."""
+    if dom.action_source.algebra.is_scalar or x.size == 0:
+        return np.zeros((0,) + x.shape, dtype=np.complex128)
+    # each product and the stack hold dim A * cod.dim * dom.dim entries, no
+    # more than the larger basis-action stack, whose bytes were checked
+    return x @ dom._basis_actions - cod._basis_actions @ x
+
+
+def intertwines(x: np.ndarray, dom: TensorSpace, cod: TensorSpace, tol: Tolerance) -> bool:
+    """X : dom -> cod intertwines the induced actions: each gap
+    X A_dom(u) - A_cod(u) X holds as an identity at the one scale ||X||.
+    The only intertwining decision of the package."""
+    return all(identity_holds(gap, lambda: opnorm(x), tol) for gap in _intertwining_gaps(x, dom, cod))
 
 
 def intertwining_residual(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> float:
     """max over the matrix units u of ||X dom.induced_action(u) - cod.induced_action(u) X||
     for X : dom -> cod; 0.0 on the scalar algebra and for an empty X."""
     return max((opnorm(gap) for gap in _intertwining_gaps(x, dom, cod)), default=0.0)
+
+
+def bimodule_covariant(corr: FdCorrespondence, h: TensorSpace, v_on_basis, tol: Tolerance) -> bool:
+    """V(a xi c) = sigma(a) V(xi) sigma(c) for V given on the module basis
+    and sigma the action of the plain space ``h``: the gaps over every
+    (u_a, u_c, xi_b) are two stacked contractions, each decided as an
+    identity at the scale max_b ||V(xi_b)||.  True on a zero module, on a
+    zero H and on the scalar algebra, where every linear V is covariant."""
+    if corr.module_dim == 0 or h.dim == 0 or corr.algebra.is_scalar:
+        return True
+    v = np.array(v_on_basis)  # (N, H, H)
+    check_bytes(ENTRY_BYTES * corr.algebra.dim**2 * v.size, f"the covariance gaps of {corr.algebra.dim} matrix units")
+    sig = h._basis_actions
+    # u_a xi_b u_c in module coordinates is column b of left_action[a] right_action[c]
+    moved = np.einsum("acyb,yij->acbij", corr.left_action[:, None] @ corr.right_action[None], v)
+    gaps = moved - sig[:, None, None] @ v @ sig[None, :, None]
+    scale = functools.cache(lambda: max(opnorm(vb) for vb in v))
+    return all(identity_holds(gap, scale, tol) for gap in gaps.reshape((-1,) + v.shape[1:]))
+
+
+def amplification(
+    x: np.ndarray, dom: TensorSpace, cod: TensorSpace, big_dom: TensorSpace, big_cod: TensorSpace
+) -> Amplification:
+    """I_F (x) X as ``amplify`` builds it, with no intertwining check: for
+    an X already decided to intertwine ``dom`` and ``cod`` (a lift checked
+    when its representation was built; see ``covrep``)."""
+    # dim F = dim(F (x) D) / dim D, read off a side whose module is nonzero
+    nf = max(big_dom.module_dim // max(dom.module_dim, 1), big_cod.module_dim // max(cod.module_dim, 1))
+    # the report bits depend on this order: (lift_cod X) embed_dom
+    y = cod.apply_lift(x)
+    if dom.embed is not None:
+        y = y @ dom.embed
+    return Amplification(y, nf, big_cod.embed, big_dom.lift)
 
 
 def amplify(
@@ -632,8 +698,9 @@ def amplify(
     builds the matrix).
 
     X must map ``dom`` to ``cod`` (either may be a tensor space or the
-    plain space H) and intertwine the induced algebra actions; otherwise
-    the amplification is ill-defined and IntertwinerError is raised.
+    plain space H) and intertwine the induced algebra actions
+    (``intertwines``); otherwise the amplification is ill-defined and
+    IntertwinerError is raised.
 
     ``big_dom`` and ``big_cod`` are the interior tensor products F (x) dom
     and F (x) cod, read by the caller from the correspondence memos; this
@@ -642,15 +709,9 @@ def amplify(
     x = as_matrix(x)
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
-    if not all(identity_holds(gap, lambda: opnorm(x), tol) for gap in _intertwining_gaps(x, dom, cod)):
+    if not intertwines(x, dom, cod, tol):
         raise IntertwinerError(
             "operator does not intertwine the algebra actions"
             f" (residual {intertwining_residual(x, dom, cod):.3e})"
         )
-    # dim F = dim(F (x) D) / dim D, read off a side whose module is nonzero
-    nf = max(big_dom.module_dim // max(dom.module_dim, 1), big_cod.module_dim // max(cod.module_dim, 1))
-    # the report bits depend on this order: (lift_cod X) embed_dom
-    y = cod.apply_lift(x)
-    if dom.embed is not None:
-        y = y @ dom.embed
-    return Amplification(y, nf, big_cod.embed, big_dom.lift)
+    return amplification(x, dom, cod, big_dom, big_cod)

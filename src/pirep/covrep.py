@@ -25,6 +25,19 @@ prefix.  Each T_m is checked against the byte budget before it is built.
 included (``numerics.Amplification``): it is applied block by block,
 from the left to a frame or from the right to a matrix, and T_m is
 T_{m-1} applied to it from the right.  ``pinv_chain`` applies it too.
+
+A representation is built only if V is bimodule covariant and its lift
+intertwines (``correspondence.bimodule_covariant`` and ``.intertwines``,
+on the chain's one plain space H, so sigma is applied once per matrix
+unit).  So a factor's lift W_i is decided once, when the factor is built:
+``amplified`` builds I (x) W_i for the factor's own lift with
+``correspondence.amplification``, without a second check.  That check
+would be the same decision: the factors share sigma and the tolerance,
+so the domain E_i (x)_sigma H is the very space the factor was checked
+on, H carries the same sigma(u), and the gaps W_i A(u) - sigma(u) W_i
+are equal bit for bit, under the same cutoff eq_rel * max(1, ||W_i||).
+Every other X (W W*, pseudoinverses, defect roots, a caller's S) goes
+through ``amplify`` and is decided.
 """
 
 from __future__ import annotations
@@ -34,10 +47,10 @@ import functools
 import numpy as np
 
 from . import numerics as nx
-from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplify, plain_space
-from .correspondence import intertwining_residual
+from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplification, amplify, plain_space
+from .correspondence import bimodule_covariant, intertwines, intertwining_residual
 from .errors import DimensionMismatch, InvalidRepresentation
-from .numerics import Subspace, Tolerance, as_matrix, herm, opnorm
+from .numerics import Subspace, Tolerance, as_matrix, herm
 
 
 class LiftChain:
@@ -79,20 +92,15 @@ class LiftChain:
 
     # -- spaces -------------------------------------------------------------
 
-    def corr_power(self, m: int) -> FdCorrespondence:
-        """E_1 (x) ... (x) E_m, folded from the left through the memos."""
-        if m < 1:
-            raise DimensionMismatch("corr_power needs m >= 1")
-        return functools.reduce(FdCorrespondence.tensor, [f.corr for f in self._factors(0, m)])
-
     def space(self, m: int) -> TensorSpace:
         """(E_1 (x) ... (x) E_m) (x)_sigma H; m = 0 is H itself."""
         return self._space(0, m)
 
     def _space(self, start: int, stop: int) -> TensorSpace:
         """(E_{start+1} (x) ... (x) E_stop) (x)_sigma H; start = stop is H
-        itself.  Folded once per (start, stop), then read from the memo."""
-        key = ("space", start, stop)
+        itself, one per chain.  Folded once per (start, stop), then read
+        from the memo."""
+        key = ("space", start, stop) if start < stop else ("space", 0, 0)
         space = self._memo.get(key)
         if space is None:
             if start == stop:
@@ -123,17 +131,16 @@ class LiftChain:
         """I_{E_1 (x) ... (x) E_m} (x) X for X : side(dom_power) -> side(cod_power),
         where side(p) is (E_{m+1} (x) ... (x) E_{m+p}) (x)_sigma H; as an
         operator space(m + dom_power) -> space(m + cod_power), applied
-        block by block (``to_dense`` builds its matrix)."""
+        block by block (``to_dense`` builds its matrix).  The factor's own
+        lift W_{m+1} (dom_power 1, cod_power 0) is not decided again (see
+        the module docstring); every other X is (``amplify``)."""
         if m == 0:
             return nx.Amplification(as_matrix(x), 1, None, None)
-        return amplify(
-            x,
-            self._space(m, m + dom_power),
-            self._space(m, m + cod_power),
-            self.space(m + dom_power),
-            self.space(m + cod_power),
-            self.tol,
-        )
+        dom, cod = m + dom_power, m + cod_power
+        spaces = (self._space(m, dom), self._space(m, cod), self.space(dom), self.space(cod))
+        if (dom_power, cod_power) == (1, 0) and x is self._factors(m, m + 1)[0].tilde:
+            return amplification(x, *spaces)
+        return amplify(x, *spaces, self.tol)
 
     def pinv_chain(self, m: int) -> np.ndarray:
         """(I_{E_1 (x) ... (x) E_{m-1}} (x) W_m^+) ... (I_{E_1} (x) W_2^+) W_1^+,
@@ -204,31 +211,17 @@ class CovariantRep(LiftChain):
     # -- the lift ---------------------------------------------------------------
 
     def _validate_covariance(self):
-        if self.corr.module_dim == 0 or self.corr.algebra.is_scalar:
-            return  # no module vectors, or the scalar algebra: every axiom holds
-        tol = self.tol
-        scale = functools.cache(lambda: max(opnorm(v) for v in self.v_on_basis))
-        basis = self.corr.algebra.basis()
-        sigma_of = self.sigma.apply(basis)
-        # left_action[t] and right_action[t] are the actions of the matrix unit u_t
-        for la, sa in zip(self.corr.left_action, sigma_of):
-            for rc, sc in zip(self.corr.right_action, sigma_of):
-                w = la @ rc
-                for b in range(self.corr.module_dim):
-                    lhs = sum(w[y, b] * self.v_on_basis[y] for y in range(self.corr.module_dim))
-                    if not nx.identity_holds(lhs - sa @ self.v_on_basis[b] @ sc, scale, tol):
-                        raise InvalidRepresentation(
-                            "bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails"
-                        )
-        for act, su in zip(self.space(1).induced_action(basis), sigma_of):
-            if not nx.identity_holds(self._tilde @ act - su @ self._tilde, scale, tol):
-                raise InvalidRepresentation(
-                    f"lift does not intertwine the left action (residual {self.intertwining_residual():.3e})"
-                )
+        # both checks read sigma(u) from the chain's one H, once per matrix unit
+        if not bimodule_covariant(self.corr, self.space(0), self.v_on_basis, self.tol):
+            raise InvalidRepresentation("bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails")
+        if not intertwines(self._tilde, self.space(1), self.space(0), self.tol):
+            raise InvalidRepresentation(
+                f"lift does not intertwine the left action (residual {self.intertwining_residual():.3e})"
+            )
 
     def intertwining_residual(self) -> float:
         """Residual of tilde (phi(a) (x) I) = sigma(a) tilde over the algebra basis."""
-        return intertwining_residual(self._tilde, self.space(1), plain_space(self.sigma))
+        return intertwining_residual(self._tilde, self.space(1), self.space(0))
 
     @property
     def tilde(self) -> np.ndarray:

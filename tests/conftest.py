@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -436,7 +437,8 @@ def product_as_rep(prod, i=None):
     """The product of the first i factors (all by default) as a single
     representation."""
     i = prod.n if i is None else i
-    return rep_from_tilde(prod.corr_power(i), prod.sigma, prod.tilde_power(i), prod.tol)
+    corr = functools.reduce(FdCorrespondence.tensor, [f.corr for f in prod.factors[:i]])
+    return rep_from_tilde(corr, prod.sigma, prod.tilde_power(i), prod.tol)
 
 
 def defining_formula_residual(prod, rng: np.random.Generator, samples: int) -> float:

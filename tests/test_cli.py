@@ -303,6 +303,25 @@ def test_only_numerics_calls_the_lapack_factorizations():
     assert {name: found for name, found in calls.items() if found} == {}
 
 
+def _basis_action_reads(path) -> list:
+    """Every read of ``induced_action`` or of the memoized basis actions
+    in a module, through any attribute."""
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("induced_action", "_basis_actions")
+    ]
+
+
+def test_only_correspondence_reads_the_induced_actions():
+    # one seam decides intertwining and covariance, so every induced
+    # action it compares is read in that one module
+    modules = sorted(pathlib.Path(pirep.__file__).parent.glob("*.py"))
+    reads = {path.name: _basis_action_reads(path) for path in modules}
+    assert sorted(set(reads.pop("correspondence.py"))) == ["_basis_actions", "induced_action"]
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
 def _classify_tree(tree, tmp_path, capsys) -> tuple:
     """(exit code, stdout, stderr) of ``classify`` on a rep tree, with
     numpy's overflow warnings silenced."""

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from pirep.correspondence import (
 )
 from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.shifts import WeightedShiftSpec, build_shift
-from pirep.errors import InvalidRepresentation, ResourceLimit
+from pirep.errors import IntertwinerError, InvalidRepresentation, ResourceLimit
 
 from conftest import (
     assert_verdicts_match_classify,
@@ -529,6 +531,99 @@ def test_building_a_rep_applies_sigma_once_per_basis_element(monkeypatch, tol):
     # sigma(u) once per matrix unit, serving as sigma(a) and sigma(c) in the
     # covariance check and as sigma(u) in the intertwining check
     assert counts["apply"] == alg.dim
+
+
+def test_a_rep_on_a_zero_h_builds(tol):
+    # every V(xi_b) is 0 x 0: covariance and intertwining hold vacuously
+    alg = FdCStarAlgebra([1, 1])
+    e = diagonal_correspondence(alg, left_tags=[0, 1], right_tags=[1, 0])
+    rep = CovariantRep(e, StarRepresentation(alg, [0, 0]), [np.zeros((0, 0))] * 2, tol)
+    assert rep.tilde.shape == (0, 0) and rep.intertwining_residual() == 0.0
+
+
+def test_a_battery_decides_each_factor_lift_once_and_every_other_x(monkeypatch):
+    # every intertwining decision goes through correspondence.intertwines;
+    # a representation's lift is decided when it is built and amplified
+    # without a second decision, and every other amplified X is decided
+    decisions = []  # (x, dom, cod) per decision, kept alive so ids stay unique
+    real_intertwines = correspondence.intertwines
+
+    def intertwines(x, dom, cod, tol):
+        decisions.append((x, dom, cod))
+        return real_intertwines(x, dom, cod, tol)
+
+    amplified = []  # (x, decisions made) per amplify call
+    real_amplify = correspondence.amplify
+
+    def amplify(x, *args):
+        before = len(decisions)
+        try:
+            return real_amplify(x, *args)
+        finally:
+            amplified.append((x, len(decisions) - before))
+
+    unchecked = []  # x of every amplification built without a decision
+    real_amplification = correspondence.amplification
+
+    def amplification(x, *args):
+        unchecked.append(x)
+        return real_amplification(x, *args)
+
+    reps = []  # every representation built
+    real_init = CovariantRep.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        reps.append(self)
+
+    for module in (correspondence, covrep):
+        monkeypatch.setattr(module, "intertwines", intertwines)
+    monkeypatch.setattr(covrep, "amplify", amplify)
+    monkeypatch.setattr(covrep, "amplification", amplification)
+    monkeypatch.setattr(CovariantRep, "__init__", init)
+    for i, claim in enumerate(hz.theorem_ids()):
+        hz.verify(claim, hz.TrialConfig(master_seed=42000 + i, trials=4, algebra_shape="two_block"), nx.DEFAULT_TOL)
+    per_key = Counter((id(x), id(dom), id(cod)) for x, dom, cod in decisions)
+    lifts = Counter(id(rep.tilde) for rep in reps)
+    assert len(reps) > 50 and unchecked and amplified
+    # each lift: one decision, at construction, on its own space(1) and H
+    assert Counter(key[0] for key in per_key if key[0] in lifts) == lifts
+    assert all(per_key[(id(rep.tilde), id(rep.space(1)), id(rep.space(0)))] == 1 for rep in reps)
+    # only lifts skip the check, and every checked X is decided once
+    assert {id(x) for x in unchecked} <= set(lifts)
+    assert all(made == 1 for _, made in amplified)
+    assert not {id(x) for x, _ in amplified} & set(lifts)
+
+
+def test_amplified_decides_every_x_but_the_factor_lift(tol):
+    # the skip covers the factor's own lift only: a generic X going down
+    # (E (x) H -> H) or across (H -> H) is still refused
+    rep = dict(amplification_reps(tol))["two_block"]
+    rng = rng_for(166)
+    h, e_h = rep.h_dim, rep.space(1).dim
+    for x, dom_power in ((crandn(rng, h, e_h), 1), (crandn(rng, h, h), 0)):
+        with pytest.raises(IntertwinerError):
+            rep.amplified(x, 1, dom_power, 0)
+    # a copy of the lift is decided, holds, and builds the same operator
+    decided = rep.amplified(rep.tilde.copy(), 1, 1, 0).to_dense()
+    np.testing.assert_array_equal(decided, rep.amplified(rep.tilde, 1, 1, 0).to_dense())
+
+
+def test_a_lift_that_intertwines_does_not_make_v_covariant(tol):
+    # xi = xi . p_1 and phi(a) xi = a_0 xi; on H = C (+) C the quotient
+    # E (x) H is spanned by xi (x) e_1, which V = e_0 e_0* sends to 0: the
+    # lift is 0 and intertwines, but V(xi c) = c_1 V(xi) != V(xi) sigma(c)
+    alg = FdCStarAlgebra([1, 1])
+    e = diagonal_correspondence(alg, left_tags=[0], right_tags=[1])
+    sigma = StarRepresentation(alg, [1, 1])
+    v = np.array([[1.0, 0.0], [0.0, 0.0]])
+    space = e.space(sigma, tol)
+    tilde = v @ space.lift
+    assert space.dim == 1 and not tilde.any()
+    assert correspondence.intertwining_residual(tilde, space, correspondence.plain_space(sigma)) == 0.0
+    assert correspondence.intertwines(tilde, space, correspondence.plain_space(sigma), tol)
+    with pytest.raises(InvalidRepresentation, match=r"^bimodule covariance V\(a xi c\) = .* fails$"):
+        CovariantRep(e, sigma, [v], tol)
 
 
 def test_classify_takes_one_factorization(monkeypatch, tol):
