@@ -70,8 +70,9 @@ space; only this module reads them.  The memo is formed only over a
 non-scalar algebra (on the scalar algebra every X intertwines) and holds
 dim A * dim^2 entries, at most dim A / 2 times the embed and lift the
 space already keeps.  ``bimodule_covariant`` decides V(a xi c) =
-sigma(a) V(xi) sigma(c) from two stacked contractions, one
-``identity_holds`` per (u_a, u_c, xi_b) at the scale max_b ||V(xi_b)||.
+sigma(a) V(xi) sigma(c) with one loop over u_a, each step two stacked
+contractions over (u_c, xi_b), one ``identity_holds`` per (u_a, u_c,
+xi_b) at the scale max_b ||V(xi_b)||.
 
 ``StarRepresentation``, ``FdCStarAlgebra.basis``, phi, the induced
 actions, ``tensor_product``, ``interior_tensor`` and an amplification's
@@ -629,10 +630,7 @@ def interior_tensor(
 
 def _intertwining_gaps(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> np.ndarray:
     """X A_dom(u) - A_cod(u) X over the matrix units u, as one (dim A,
-    cod.dim, dom.dim) stack read from the spaces' memoized basis actions;
-    empty on the scalar algebra and for an empty X."""
-    if dom.action_source.algebra.is_scalar or x.size == 0:
-        return np.zeros((0,) + x.shape, dtype=np.complex128)
+    cod.dim, dom.dim) stack read from the spaces' memoized basis actions."""
     # each product and the stack hold dim A * cod.dim * dom.dim entries, no
     # more than the larger basis-action stack, whose bytes were checked
     return x @ dom._basis_actions - cod._basis_actions @ x
@@ -640,33 +638,42 @@ def _intertwining_gaps(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> np.
 
 def intertwines(x: np.ndarray, dom: TensorSpace, cod: TensorSpace, tol: Tolerance) -> bool:
     """X : dom -> cod intertwines the induced actions: each gap
-    X A_dom(u) - A_cod(u) X holds as an identity at the one scale ||X||.
-    The only intertwining decision of the package."""
-    return all(identity_holds(gap, lambda: opnorm(x), tol) for gap in _intertwining_gaps(x, dom, cod))
+    X A_dom(u) - A_cod(u) X holds as an identity at the one scale ||X||,
+    computed at most once.  The only intertwining decision of the package.
+    True on the scalar algebra and for an empty X, before any gap is formed."""
+    if dom.action_source.algebra.is_scalar or x.size == 0:
+        return True
+    scale = functools.cache(lambda: opnorm(x))
+    return all(identity_holds(gap, scale, tol) for gap in _intertwining_gaps(x, dom, cod))
 
 
 def intertwining_residual(x: np.ndarray, dom: TensorSpace, cod: TensorSpace) -> float:
     """max over the matrix units u of ||X dom.induced_action(u) - cod.induced_action(u) X||
     for X : dom -> cod; 0.0 on the scalar algebra and for an empty X."""
-    return max((opnorm(gap) for gap in _intertwining_gaps(x, dom, cod)), default=0.0)
+    if dom.action_source.algebra.is_scalar or x.size == 0:
+        return 0.0
+    return max(opnorm(gap) for gap in _intertwining_gaps(x, dom, cod))
 
 
 def bimodule_covariant(corr: FdCorrespondence, h: TensorSpace, v_on_basis, tol: Tolerance) -> bool:
-    """V(a xi c) = sigma(a) V(xi) sigma(c) for V given on the module basis
-    and sigma the action of the plain space ``h``: the gaps over every
-    (u_a, u_c, xi_b) are two stacked contractions, each decided as an
-    identity at the scale max_b ||V(xi_b)||.  True on a zero module, on a
-    zero H and on the scalar algebra, where every linear V is covariant."""
-    if corr.module_dim == 0 or h.dim == 0 or corr.algebra.is_scalar:
-        return True
+    """V(a xi c) = sigma(a) V(xi) sigma(c) for V given on the basis of a
+    nonzero module over a non-scalar algebra (on a zero module or the
+    scalar algebra every linear V is covariant, and ``covrep`` does not
+    call this) and sigma the action of the plain space ``h``: for each u_a
+    in turn the gaps over every (u_c, xi_b) are two stacked contractions,
+    each decided as an identity at the scale max_b ||V(xi_b)||."""
     v = np.array(v_on_basis)  # (N, H, H)
-    check_bytes(ENTRY_BYTES * corr.algebra.dim**2 * v.size, f"the covariance gaps of {corr.algebra.dim} matrix units")
-    sig = h._basis_actions
+    # one u_a at a time, the largest arrays are the (u_c, xi_b) gap stack and
+    # the (u_c) stack of L_a R_c; neither is larger than the induced actions
+    # of E (x)_sigma H, dim A * (N H)^2 entries, that the lift check forms
+    check_bytes(ENTRY_BYTES * corr.algebra.dim * len(v) * max(v[0].size, len(v)), "the covariance gaps")
     # u_a xi_b u_c in module coordinates is column b of left_action[a] right_action[c]
-    moved = np.einsum("acyb,yij->acbij", corr.left_action[:, None] @ corr.right_action[None], v)
-    gaps = moved - sig[:, None, None] @ v @ sig[None, :, None]
+    stacks = (
+        np.einsum("cyb,yij->cbij", la @ corr.right_action, v) - (sa @ v)[None] @ h._basis_actions[:, None]
+        for la, sa in zip(corr.left_action, h._basis_actions)
+    )
     scale = functools.cache(lambda: max(opnorm(vb) for vb in v))
-    return all(identity_holds(gap, scale, tol) for gap in gaps.reshape((-1,) + v.shape[1:]))
+    return all(identity_holds(gap, scale, tol) for stack in stacks for gaps in stack for gap in gaps)
 
 
 def amplification(
@@ -710,8 +717,6 @@ def amplify(
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
     if not intertwines(x, dom, cod, tol):
-        raise IntertwinerError(
-            "operator does not intertwine the algebra actions"
-            f" (residual {intertwining_residual(x, dom, cod):.3e})"
-        )
+        residual = intertwining_residual(x, dom, cod)
+        raise IntertwinerError(f"operator does not intertwine the algebra actions (residual {residual:.3e})")
     return amplification(x, dom, cod, big_dom, big_cod)

@@ -29,7 +29,9 @@ T_{m-1} applied to it from the right.  ``pinv_chain`` applies it too.
 A representation is built only if V is bimodule covariant and its lift
 intertwines (``correspondence.bimodule_covariant`` and ``.intertwines``,
 on the chain's one plain space H, so sigma is applied once per matrix
-unit).  So a factor's lift W_i is decided once, when the factor is built:
+unit).  On a zero module or over the scalar algebra both hold for every
+V, and neither check is called, so H is not built for them.  So a
+factor's lift W_i is decided at most once, when the factor is built:
 ``amplified`` builds I (x) W_i for the factor's own lift with
 ``correspondence.amplification``, without a second check.  That check
 would be the same decision: the factors share sigma and the tolerance,
@@ -211,13 +213,14 @@ class CovariantRep(LiftChain):
     # -- the lift ---------------------------------------------------------------
 
     def _validate_covariance(self):
+        if self.corr.module_dim == 0 or self.corr.algebra.is_scalar:
+            return  # no module vectors, or the scalar algebra: every axiom holds
         # both checks read sigma(u) from the chain's one H, once per matrix unit
         if not bimodule_covariant(self.corr, self.space(0), self.v_on_basis, self.tol):
             raise InvalidRepresentation("bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails")
         if not intertwines(self._tilde, self.space(1), self.space(0), self.tol):
-            raise InvalidRepresentation(
-                f"lift does not intertwine the left action (residual {self.intertwining_residual():.3e})"
-            )
+            residual = self.intertwining_residual()
+            raise InvalidRepresentation(f"lift does not intertwine the left action (residual {residual:.3e})")
 
     def intertwining_residual(self) -> float:
         """Residual of tilde (phi(a) (x) I) = sigma(a) tilde over the algebra basis."""

@@ -585,10 +585,13 @@ def test_a_battery_decides_each_factor_lift_once_and_every_other_x(monkeypatch):
         hz.verify(claim, hz.TrialConfig(master_seed=42000 + i, trials=4, algebra_shape="two_block"), nx.DEFAULT_TOL)
     per_key = Counter((id(x), id(dom), id(cod)) for x, dom, cod in decisions)
     lifts = Counter(id(rep.tilde) for rep in reps)
-    assert len(reps) > 50 and unchecked and amplified
-    # each lift: one decision, at construction, on its own space(1) and H
-    assert Counter(key[0] for key in per_key if key[0] in lifts) == lifts
-    assert all(per_key[(id(rep.tilde), id(rep.space(1)), id(rep.space(0)))] == 1 for rep in reps)
+    # on a zero module or the scalar algebra every lift intertwines and
+    # construction decides nothing; every other lift is decided there
+    gapped = [rep for rep in reps if rep.corr.module_dim and not rep.corr.algebra.is_scalar]
+    assert len(reps) > 50 and len(gapped) > 40 and unchecked and amplified
+    # each lift: at most one decision, at construction, on its own space(1) and H
+    assert Counter(key[0] for key in per_key if key[0] in lifts) == Counter(id(rep.tilde) for rep in gapped)
+    assert all(per_key[(id(rep.tilde), id(rep.space(1)), id(rep.space(0)))] == 1 for rep in gapped)
     # only lifts skip the check, and every checked X is decided once
     assert {id(x) for x in unchecked} <= set(lifts)
     assert all(made == 1 for _, made in amplified)
@@ -623,6 +626,23 @@ def test_a_lift_that_intertwines_does_not_make_v_covariant(tol):
     assert correspondence.intertwining_residual(tilde, space, correspondence.plain_space(sigma)) == 0.0
     assert correspondence.intertwines(tilde, space, correspondence.plain_space(sigma), tol)
     with pytest.raises(InvalidRepresentation, match=r"^bimodule covariance V\(a xi c\) = .* fails$"):
+        CovariantRep(e, sigma, [v], tol)
+
+
+def test_the_bimodule_check_fits_the_budget_of_the_lift_check(monkeypatch, tol):
+    # one u_a at a time the covariance gaps hold dim A * N * H^2 entries,
+    # no more than the induced actions of E (x)_sigma H, dim A * (N H)^2,
+    # that the lift check forms: on one module vector over C (+) C with
+    # H = C^2 (+) C^2 both are 2 * 16 entries, 512 bytes
+    alg = FdCStarAlgebra([1, 1])
+    e = diagonal_correspondence(alg, left_tags=[0], right_tags=[0])
+    sigma = StarRepresentation(alg, [2, 2])
+    v = np.diag([1.0, 1.0, 0.0, 0.0])  # sigma(p_0), so V(a xi c) = a_0 c_0 V(xi)
+    dense_budget(monkeypatch, 512, covrep, correspondence, nx)
+    rep = CovariantRep(e, sigma, [v], tol)
+    assert rep.space(1).dim == 2 and rep.intertwining_residual() == 0.0
+    monkeypatch.setattr(nx, "DENSE_BYTES", 511)
+    with pytest.raises(ResourceLimit, match="the covariance gaps needs 512 bytes, over the budget 511"):
         CovariantRep(e, sigma, [v], tol)
 
 
