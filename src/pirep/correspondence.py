@@ -101,6 +101,7 @@ from .numerics import (
     ENTRY_BYTES,
     Amplification,
     Tolerance,
+    _as_operator,
     _eigh,
     _svd,
     as_matrix,
@@ -713,7 +714,7 @@ def amplify(
     and F (x) cod, read by the caller from the correspondence memos; this
     function allocates no tensor space.
     """
-    x = as_matrix(x)
+    x = _as_operator(x)  # an index form (identity coordinates) stays one
     if x.shape != (cod.dim, dom.dim):
         raise DimensionMismatch(f"operator shape {x.shape} != ({cod.dim}, {dom.dim})")
     if not intertwines(x, dom, cod, tol):

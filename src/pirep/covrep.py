@@ -15,11 +15,14 @@ which intertwines the induced left action with sigma.
 
 A representation is the chain whose every factor is itself (T_m is the
 power tilde_m); a product (``products.ProductRep``) is the chain of its
-factors.  Each chain memoizes its T_m and cokernels (see ``LiftChain``).
+factors.  Each chain memoizes its T_m and cokernels (see ``LiftChain``),
+as index forms on a chain of monomial lifts in identity coordinates.
 ``space(m)`` reads the space from the correspondence memos
 (``FdCorrespondence.tensor`` and ``.space``), so all chains over the same
 correspondences, sigma and tolerance share one coordinate system per
-prefix.  Each T_m is checked against the byte budget before it is built.
+prefix.  Each dense T_m is checked against the byte budget before it is
+built: on a dense chain before the product, on an index-form chain in
+``numerics.dense`` when ``tilde_power`` reads it.
 
 ``amplified`` returns I (x) X as an operator for every m, m = 0
 included (``numerics.Amplification``): it is applied block by block,
@@ -52,7 +55,7 @@ from . import numerics as nx
 from .correspondence import FdCorrespondence, StarRepresentation, TensorSpace, amplification, amplify, plain_space
 from .correspondence import bimodule_covariant, intertwines, intertwining_residual
 from .errors import DimensionMismatch, InvalidRepresentation
-from .numerics import Subspace, Tolerance, as_matrix, herm
+from .numerics import Subspace, Tolerance, as_matrix
 
 
 class LiftChain:
@@ -65,9 +68,18 @@ class LiftChain:
     One memo per chain holds each T_m and each cokernel N(T_m)^perp =
     R(T_m*) (at most dim H columns, so no more bytes than T_m), spanned
     once however many stage conditions read it, and each space
-    ``_space(start, stop)``, folded once and then looked up.  Its arrays
-    are read-only, so the chain is immutable apart from this idempotent
-    memo and concurrent readers are safe.  The memo forms no reference
+    ``_space(start, stop)``, folded once and then looked up.  When every
+    factor's lift is held as an index form (a monomial lift in identity
+    coordinates past the gate; see ``numerics``), the memo holds T_m as
+    its index form, a row index and a value per column, composed from
+    T_{m-1}'s form, and its cokernel as unit vectors by index: the
+    criteria (``powers``, ``shifts``) read these and build no dense power.
+    The dense T_m is built only on the public read ``tilde_power(m)``,
+    once, and kept on the form, so after such a read the memo retains
+    both; a ``Subspace.frame`` read of a cokernel likewise keeps its
+    array.  Its arrays are read-only and its forms immutable, so the chain
+    is immutable apart from this idempotent memo and concurrent readers
+    are safe.  The memo forms no reference
     cycle: a ``TensorSpace`` holds only sigma and a weak proxy of its
     correspondence, never the chain.  Kernels (nearly all of space(m)) and
     ranges (what ``wold`` reads, redone on every rerun) are not memoized."""
@@ -85,10 +97,13 @@ class LiftChain:
         return self.sigma.h_dim
 
     def _memoized(self, key, build):
-        """build(), once per key, with its array (a Subspace's frame) made read-only."""
+        """build(), once per key, with its array (a Subspace's frame) made
+        read-only; an index form is immutable already."""
         if key not in self._memo:
             value = build()
-            (value.frame if isinstance(value, Subspace) else value).setflags(write=False)
+            array = value._frame if isinstance(value, Subspace) else value
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
             self._memo[key] = value
         return self._memo[key]
 
@@ -119,15 +134,25 @@ class LiftChain:
         """T_m = T_{m-1} (I_{E_1 (x) ... (x) E_{m-1}} (x) W_m), T_1 = W_1,
         with the amplified factor applied block by block from the right
         (``numerics.Amplification``: over the nonzero columns of T_{m-1}
-        only)."""
+        only).  The array; on a chain of index-form lifts it is built from
+        T_m's index form on this first read (``numerics.dense``)."""
         if m < 1:
             raise DimensionMismatch("tilde_power needs m >= 1")
+        return nx.dense(self._power(m), f"the lift power T_{m}")
+
+    def _power(self, m: int):
+        """T_m as the memo holds it: an index form when T_{m-1} and W_m are
+        (see the class docstring), the array otherwise."""
         return self._memoized(("power", m), lambda: self._build_power(m))
 
-    def _build_power(self, m: int) -> np.ndarray:
-        nx.check_bytes(nx.ENTRY_BYTES * self.h_dim * self.space(m).dim, f"the lift power T_{m}")
+    def _build_power(self, m: int):
         (factor,) = self._factors(m - 1, m)
-        return factor.tilde if m == 1 else self.tilde_power(m - 1) @ self.amplified(factor.tilde, m - 1, 1, 0)
+        if m == 1:
+            return factor._lift
+        prev = self._power(m - 1)
+        if isinstance(prev, np.ndarray):  # an index form checks its own bytes, and dense() T_m's
+            nx.check_bytes(nx.ENTRY_BYTES * self.h_dim * self.space(m).dim, f"the lift power T_{m}")
+        return prev @ self._amplified_lift(m - 1)
 
     def amplified(self, x: np.ndarray, m: int, dom_power: int, cod_power: int) -> nx.Amplification:
         """I_{E_1 (x) ... (x) E_m} (x) X for X : side(dom_power) -> side(cod_power),
@@ -137,12 +162,23 @@ class LiftChain:
         lift W_{m+1} (dom_power 1, cod_power 0) is not decided again (see
         the module docstring); every other X is (``amplify``)."""
         if m == 0:
-            return nx.Amplification(as_matrix(x), 1, None, None)
-        dom, cod = m + dom_power, m + cod_power
-        spaces = (self._space(m, dom), self._space(m, cod), self.space(dom), self.space(cod))
+            return nx.Amplification(nx._as_operator(x), 1, None, None)
         if (dom_power, cod_power) == (1, 0) and x is self._factors(m, m + 1)[0].tilde:
-            return amplification(x, *spaces)
-        return amplify(x, *spaces, self.tol)
+            return amplification(x, *self._spaces(m, dom_power, cod_power))
+        return amplify(x, *self._spaces(m, dom_power, cod_power), self.tol)
+
+    def _spaces(self, m: int, dom_power: int, cod_power: int) -> tuple:
+        """(side(dom_power), side(cod_power), space(m + dom_power), space(m + cod_power))."""
+        dom, cod = m + dom_power, m + cod_power
+        return self._space(m, dom), self._space(m, cod), self.space(dom), self.space(cod)
+
+    def _amplified_lift(self, m: int) -> nx.Amplification:
+        """I_{E_1 (x) ... (x) E_m} (x) W_{m+1} on the factor's lift as it holds
+        it, an index form or the array; not decided again."""
+        (factor,) = self._factors(m, m + 1)
+        if m == 0:
+            return nx.Amplification(factor._lift, 1, None, None)
+        return amplification(factor._lift, *self._spaces(m, 1, 0))
 
     def pinv_chain(self, m: int) -> np.ndarray:
         """(I_{E_1 (x) ... (x) E_{m-1}} (x) W_m^+) ... (I_{E_1} (x) W_2^+) W_1^+,
@@ -169,13 +205,13 @@ class LiftChain:
         """N(T_m)^perp = R(T_m*), inside space(m); memoized."""
         if m == 0:
             return self._memoized(("cokernel", 0), lambda: Subspace.whole(self.h_dim))
-        return self._memoized(("cokernel", m), lambda: Subspace.span(herm(self.tilde_power(m)), self.tol))
+        return self._memoized(("cokernel", m), lambda: Subspace.span(nx._adjoint(self._power(m)), self.tol))
 
     def range_subspace(self, m: int) -> Subspace:
         """R(T_m), inside H; not memoized."""
         if m == 0:
             return Subspace.whole(self.h_dim)
-        return Subspace.span(self.tilde_power(m), self.tol)
+        return Subspace.span(self._power(m), self.tol)
 
 
 class CovariantRep(LiftChain):
@@ -206,6 +242,8 @@ class CovariantRep(LiftChain):
         self._tilde = formal if lift is None else formal @ lift
         self._tilde.setflags(write=False)
         self._validate_covariance()
+        # in identity coordinates one scan decides whether the lift is monomial
+        self._lift = (nx._index_form(self._tilde) if lift is None else None) or self._tilde
 
     def _factors(self, start: int, stop: int) -> list:
         return [self] * (stop - start)
@@ -238,7 +276,7 @@ class CovariantRep(LiftChain):
         return nx.classify_operator(self._tilde, self.tol)
 
     def is_partial_isometric(self) -> bool:
-        return nx.is_partial_isometry(self._tilde, self.tol)
+        return nx.is_partial_isometry(self._lift, self.tol)
 
 
 def rep_from_tilde(

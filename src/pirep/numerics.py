@@ -149,6 +149,44 @@ one rounded complex multiply per entry, within sqrt(5) * 2**-53 *
 same bound but may round differently (its complex kernel need not
 multiply as numpy does), so the two can differ by up to twice that.
 
+The index form (``_Monomial``): an array with at most one nonzero in each
+row and each column, held as its shape and, per column, the row and value
+of its nonzero (row 0 and value 0 for a zero column), which is what
+``Operand.single_entries`` reads off a scan.  Where it is taken: a
+``CovariantRep`` lift in identity coordinates (scalar algebra, standard
+Gram) of at least _DEFLATE_MIN_SIZE entries that the one scan at its
+construction finds monomial (``_index_form``); every lift power composed
+from such lifts (``Amplification.__rmatmul__``) and its T T*
+(``_range_gram``); the cokernel and range frames of such powers and the
+images of those frames (``_monomial_range_frame``: unit vectors of phase
+1 in the split SVD's stable order of descending modulus, so no ``herm``
+copy); and the unit-vector frames of the full-row-rank rule above
+(``_units``).  Each is a form only from _DEFLATE_MIN_SIZE entries; a
+smaller product is built as its array, since no scan would have read it.
+Why it is exact: it is taken exactly where the scan finds single-entry
+columns, and each value it holds is the one product the gather forms,
+multiplied in the same order (T_{m-1}'s entry times w_t for a lift power,
+v conj(v) for T T*, (v conj(v)) v - v for the triple defect), so no
+report byte moves.  The norm of a form is its largest modulus, as the
+split finds it on isolated entries (the Frobenius screen's band holds
+it, so the screen decides nothing else); the inclusion gap of two
+unit-vector frames is exactly F1's columns whose row F2 lacks.  A
+partial-isometry verdict whose live part (k nonzeros, k x k) is below
+the gate takes the dense path on that k x k array, as before.  The
+consumers (``is_partial_isometry``, ``partial_isometry_residual``,
+``matmul``, both ``Amplification`` products, ``image``,
+``Subspace.span``, ``is_subset``, ``_inclusion_gap``, ``opnorm`` and
+``norm_within``) read the form with no scan, finiteness sum, copy or
+dense allocation.  Its array is built by :func:`dense` alone, on a public
+read (``LiftChain.tilde_power``, ``Subspace.frame``), and kept on the
+form.  Building or applying a form checks its bytes (a row index and a
+value per column) from shapes first, and a composed form checks its
+values for finiteness once, so a power that overflowed raises
+DomainError as ``as_matrix`` does on its array.  What stays dense: a
+lift with two nonzeros in a line (Wold's shift (+) a dense unitary, a
+conjugated shift), every lift below the gate, in quotient coordinates or
+over a non-scalar algebra, and every chain with such a factor.
+
 All values are immutable after construction; nothing here mutates its
 inputs.
 """
@@ -164,8 +202,9 @@ from .errors import DimensionMismatch, DomainError, NumericFailure, ResourceLimi
 
 # Bytes one dense array may take.  The largest array a claim or the
 # benchmark builds is 20 MB (the lift power T_3 of the n = 3, M = 216
-# shift, 217 x 5,859); 2**30 admits the 61 MB T_4 of the power report on
-# that shift at n_max = 4, whose amplifications are applied block by block.
+# shift, 217 x 5,859, built only when read through ``tilde_power``: the
+# criteria hold it as an index form); 2**30 admits the 61 MB dense T_4 of
+# that shift at n_max = 4.
 DENSE_BYTES = 2**30
 
 # Bytes per complex128 entry.
@@ -369,21 +408,27 @@ class Operand:
         otherwise, below the gate, and for an operand built unscanned."""
         if self.lines is None or self.lines[1] is None:
             return None
-        nonzero, row_count, col_count = self.lines
-        by_columns = not self.adjoint  # a column of herm(a) is a row of a
-        if (col_count if by_columns else row_count).max(initial=0) > 1:
+        _, row_count, col_count = self.lines
+        if (row_count if self.adjoint else col_count).max(initial=0) > 1:
             return None
-        i, j = _coordinates(nonzero)
-        line, other = (j, i) if by_columns else (i, j)
-        index = np.zeros(nonzero.shape[1 if by_columns else 0], dtype=np.intp)
-        value = np.zeros(index.size, dtype=np.complex128)
-        index[line] = other
-        value[line] = np.conj(self.array[i, j]) if self.adjoint else self.array[i, j]
-        return index, value
+        return _single_entries(self.array, self.lines[0], self.adjoint)
 
     def columns(self, index: np.ndarray) -> np.ndarray:
         """The operand's columns at ``index``."""
         return herm(self.array[index]) if self.adjoint else self.array[:, index]
+
+
+def _single_entries(a: np.ndarray, nonzero: np.ndarray, adjoint: bool) -> tuple:
+    """(index, value) of ``a`` (of herm(a) when ``adjoint``) read off its
+    nonzero mask, for an array whose every column (row) holds at most one
+    nonzero; see ``Operand.single_entries``."""
+    i, j = _coordinates(nonzero)
+    line, other = (i, j) if adjoint else (j, i)  # a column of herm(a) is a row of a
+    index = np.zeros(nonzero.shape[0 if adjoint else 1], dtype=np.intp)
+    value = np.zeros(index.size, dtype=np.complex128)
+    index[line] = other
+    value[line] = np.conj(a[i, j]) if adjoint else a[i, j]
+    return index, value
 
 
 def _operand_of(a: np.ndarray, adjoint: bool, lines) -> Operand:
@@ -393,14 +438,156 @@ def _operand_of(a: np.ndarray, adjoint: bool, lines) -> Operand:
     return out
 
 
+# ---------------------------------------------------------------------------
+# The index form of a monomial array
+# ---------------------------------------------------------------------------
+
+# Bytes of one row index of an index form.
+_INDEX_BYTES = np.dtype(np.intp).itemsize
+
+
+def _check_form_bytes(columns: int, what: str) -> None:
+    """Refuse an index form of ``columns`` columns (a row index and a value
+    each) before it is allocated."""
+    check_bytes((ENTRY_BYTES + _INDEX_BYTES) * columns, f"the index form of {what}")
+
+
+class _Monomial:
+    """An array with at most one nonzero in each row and in each column,
+    held by index: its shape, and for each column the row and the value of
+    its nonzero (row 0 and value 0 for a zero column), as
+    ``Operand.single_entries`` reads them off a scan.  See the module
+    docstring for where it is taken.  Immutable; its dense array is built
+    by :func:`dense` alone and kept."""
+
+    __slots__ = ("shape", "_at", "_val", "_dense")
+
+    def __init__(self, shape, at: np.ndarray, val: np.ndarray):
+        """Refuses a non-finite value (one pass over the values, so a
+        composed product that overflowed ends in DomainError); a zero value
+        gets row 0, as a scan would report it."""
+        if not np.isfinite(val).all():
+            raise DomainError("matrix has non-finite entries")
+        zero = val == 0
+        if zero.any():
+            at, val = np.where(zero, 0, at), np.where(zero, 0, val)
+        at.setflags(write=False)
+        val.setflags(write=False)
+        self.shape, self._at, self._val, self._dense = (int(shape[0]), int(shape[1])), at, val, None
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def _live(self) -> tuple:
+        """(columns, rows, values) of the nonzeros, by column."""
+        cols = np.flatnonzero(self._val)
+        return cols, self._at[cols], self._val[cols]
+
+
+def _form_or_dense(shape, at: np.ndarray, val: np.ndarray):
+    """The index form of a monomial product, or its dense array below
+    _DEFLATE_MIN_SIZE entries, where no scan would have found its entries."""
+    form = _Monomial(shape, at, val)
+    return form if form.size >= _DEFLATE_MIN_SIZE else dense(form, "a small monomial product")
+
+
+def _index_form(a: np.ndarray):
+    """The index form of a matrix of at least _DEFLATE_MIN_SIZE entries in
+    which one scan finds at most one nonzero in each row and each column;
+    None otherwise."""
+    lines = _nonzero_lines(a)
+    if lines is None or lines[1] is None or max(lines[1].max(initial=0), lines[2].max(initial=0)) > 1:
+        return None
+    _check_form_bytes(a.shape[1], f"a {a.shape[0]} x {a.shape[1]} lift")
+    return _Monomial(a.shape, *_single_entries(a, lines[0], False))
+
+
+def dense(x, what: str) -> np.ndarray:
+    """The array of ``x``: an array itself; for an index form, built on the
+    first read (its bytes checked from the shape first, as ``what``), kept
+    read-only and returned on every later read.  The only place an index
+    form becomes an array."""
+    if type(x) is not _Monomial:
+        return x
+    if x._dense is None:
+        check_bytes(ENTRY_BYTES * x.size, what)
+        out = np.zeros(x.shape, dtype=np.complex128)
+        out[x._at, np.arange(x.shape[1])] = x._val
+        out.setflags(write=False)
+        x._dense = out
+    return x._dense
+
+
+def _as_operator(x):
+    """An index form as it is, and anything else through ``as_matrix``."""
+    return x if type(x) is _Monomial else as_matrix(x)
+
+
+def _adjoint(x):
+    """herm(x) for an array; for an index form, the index form of its
+    conjugate transpose, with no dense copy."""
+    if type(x) is not _Monomial:
+        return herm(x)
+    _check_form_bytes(x.shape[0], "an adjoint")
+    cols, rows, val = x._live()
+    at, out = np.zeros(x.shape[0], dtype=np.intp), np.zeros(x.shape[0], dtype=np.complex128)
+    at[rows], out[rows] = cols, np.conj(val)
+    return _Monomial(x.shape[::-1], at, out)
+
+
+def _range_gram(t):
+    """T T*, as ``matmul(Operand(t), Operand(t).H)`` forms it.  For an index
+    form it is diagonal: v conj(v) at (r, r) for the nonzero v in row r,
+    the one product that gather forms."""
+    if type(t) is not _Monomial:
+        op = Operand(t)
+        return matmul(op, op.H)
+    h = t.shape[0]
+    _check_form_bytes(h, "T T*")
+    _, rows, val = t._live()
+    at, out = np.zeros(h, dtype=np.intp), np.zeros(h, dtype=np.complex128)
+    at[rows], out[rows] = rows, val * np.conj(val)
+    return _form_or_dense((h, h), at, out)
+
+
+def _tensor_frame(s: "Subspace", n: int, embed):
+    """embed (I_n (x) F) for the frame F of ``s``, as ``eye_kron`` and the
+    embed form it (no embed is the identity).  Without an embed an index
+    form stays one: column (a, j) is F's column j in row block a, and its
+    value is 1 * F's, the product eye_kron forms.  Bytes are checked from
+    the shape first."""
+    frame = s._frame
+    if type(frame) is not _Monomial or embed is not None:
+        check_bytes(ENTRY_BYTES * n * n * frame.size, "a spanning set of E (x) S")
+        columns = s.frame if n == 1 else eye_kron(n, s.frame)
+        return columns if embed is None else embed @ columns
+    if n == 1:
+        return frame
+    h, k = frame.shape
+    _check_form_bytes(n * k, "a spanning set of E (x) S")
+    at = (np.arange(n)[:, None] * h + frame._at).ravel()
+    return _Monomial((n * h, n * k), at, np.tile(frame._val, n))
+
+
+def _units(n: int, rows: np.ndarray):
+    """The n x len(rows) frame of unit vectors e_rows[c] (phase 1), as an
+    index form from _DEFLATE_MIN_SIZE entries and as an array below."""
+    _check_form_bytes(rows.size, "a unit-vector frame")
+    return _form_or_dense((n, rows.size), rows.astype(np.intp), np.ones(rows.size, dtype=np.complex128))
+
+
 def matmul(a, b) -> np.ndarray:
     """``a @ b`` for matrices or Operands: when every column of b holds at
     most one nonzero, v_j in row r_j, the gather a[:, r] * v (see the
     module docstring), and ``np.matmul`` otherwise.  Only b is scanned,
-    and only from _DEFLATE_MIN_SIZE entries; a is never scanned."""
-    if type(b) is not Operand:
-        b = Operand(b)
-    single = b.single_entries()
+    and only from _DEFLATE_MIN_SIZE entries; a is never scanned.  An index
+    form b is gathered from its index, with no scan."""
+    if type(b) is _Monomial:
+        single = b._at, b._val
+    else:
+        b = b if type(b) is Operand else Operand(b)
+        single = b.single_entries()
     if single is not None:
         index, value = single
         out = a.columns(index) if type(a) is Operand else a[:, index]
@@ -411,6 +598,8 @@ def matmul(a, b) -> np.ndarray:
 
 def opnorm(m) -> float:
     """Spectral norm; 0.0 for empty matrices."""
+    if type(m) is _Monomial:
+        return float(np.abs(m._val).max(initial=0.0))  # what the split finds on its isolated entries
     core, _, _, (_, _, v) = _deflate(as_matrix(m))
     top = float(np.abs(v).max(initial=0.0))
     if core.size:
@@ -438,7 +627,11 @@ def _norm_bounds(a: np.ndarray) -> tuple:
 
 def norm_within(m, cutoff: float) -> bool:
     """``opnorm(m) <= cutoff``, decided from the Frobenius bounds when the
-    cutoff lies outside them and from ``opnorm`` otherwise."""
+    cutoff lies outside them and from ``opnorm`` otherwise.  For an index
+    form the two agree (its norm is its largest modulus, inside the band),
+    so it is decided from ``opnorm``."""
+    if type(m) is _Monomial:
+        return opnorm(m) <= cutoff
     a = as_matrix(m)
     lo, hi = _norm_bounds(a)
     if hi <= cutoff:
@@ -528,7 +721,9 @@ class Amplification:
     __slots__ = ("block", "n", "left", "right", "shape")
     __array_ufunc__ = None  # ndarray @ A defers to __rmatmul__
 
-    def __init__(self, block: np.ndarray, n: int, left: np.ndarray | None, right: np.ndarray | None):
+    def __init__(self, block, n: int, left: np.ndarray | None, right: np.ndarray | None):
+        if type(block) is _Monomial and (left is not None or right is not None):
+            block = dense(block, "an amplified block")  # index forms live in identity coordinates
         self.block, self.n, self.left, self.right = block, n, left, right
         p, q = block.shape
         self.shape = (n * p if left is None else left.shape[0], n * q if right is None else right.shape[1])
@@ -537,38 +732,67 @@ class Amplification:
         nbytes = ENTRY_BYTES * count * self.n * max(self.block.shape)
         check_bytes(nbytes, f"an amplification applied to {count} vectors")
 
-    def __matmul__(self, f) -> np.ndarray:
-        f = np.asarray(f)
-        if f.ndim != 2 or f.shape[0] != self.shape[1]:
+    def _dense_block(self) -> np.ndarray:
+        return dense(self.block, "an amplified block")
+
+    def __matmul__(self, f):
+        """An index form ``f`` is read from its index; with an index-form
+        block the product is an index form too (identity coordinates)."""
+        f = f if type(f) is _Monomial else np.asarray(f)
+        if len(f.shape) != 2 or f.shape[0] != self.shape[1]:
             raise DimensionMismatch(f"amplification of shape {self.shape} applied to shape {f.shape}")
         k = f.shape[1]
-        self._check_application(k)
         p, q = self.block.shape
+        if type(f) is _Monomial and self.right is not None:
+            f = dense(f, "an amplified operand")
         g = f if self.right is None else self.right @ f
-        single = Operand(g).single_entries()
+        single = (g._at, g._val) if type(g) is _Monomial else Operand(g).single_entries()
+        if single is not None and type(self.block) is _Monomial:
+            # column c of g is v_c e_(b q + t): its image is the block's
+            # entry in column t times v_c, in row b p + (that entry's row)
+            _check_form_bytes(k, f"an amplification applied to {k} vectors")
+            b, t = np.divmod(single[0], q)
+            return _form_or_dense((self.n * p, k), b * p + self.block._at[t], self.block._val[t] * single[1])
+        self._check_application(k)
         if single is None:
-            out = np.matmul(self.block, g.reshape(self.n, q, k)).reshape(self.n * p, k)
+            out = np.matmul(self._dense_block(), g.reshape(self.n, q, k)).reshape(self.n * p, k)
         else:
             # column c of g is v_c e_(b q + t): its image is v_c times
             # column t of the block, placed in row block b
             at, v = single
             b, t = np.divmod(at, q)
             out = np.zeros((self.n, p, k), dtype=np.complex128)
-            columns = self.block[:, t]
+            columns = self._dense_block()[:, t]
             columns *= v
             out[b, :, np.arange(k)] = columns.T
             out = out.reshape(self.n * p, k)
         return out if self.left is None else self.left @ out
 
-    def __rmatmul__(self, m) -> np.ndarray:
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[1] != self.shape[0]:
+    def __rmatmul__(self, m):
+        """With ``m`` and the block both index forms the product is an
+        index form (identity coordinates): column b q + t of the output is
+        w_t times column b p + s_t of m, for the block's entry w_t in row
+        s_t of column t, the product the gather below forms."""
+        m = m if type(m) is _Monomial else np.asarray(m)
+        if len(m.shape) != 2 or m.shape[1] != self.shape[0]:
             raise DimensionMismatch(f"shape {m.shape} applied to an amplification of shape {self.shape}")
         r = m.shape[0]
-        self._check_application(r)
         p, q = self.block.shape
+        if type(m) is _Monomial and type(self.block) is _Monomial:
+            _check_form_bytes(self.n * q, f"{r} rows of an amplification")
+            s, w = self.block._at, self.block._val
+            t = np.flatnonzero(w)
+            src = (np.arange(self.n)[:, None] * p + s[t]).ravel()
+            dst = (np.arange(self.n)[:, None] * q + t).ravel()
+            live = np.flatnonzero(m._val[src])  # a zero column of m adds nothing
+            at, val = np.zeros(self.n * q, dtype=np.intp), np.zeros(self.n * q, dtype=np.complex128)
+            at[dst[live]] = m._at[src[live]]
+            val[dst[live]] = m._val[src[live]] * np.tile(w[t], self.n)[live]
+            return _Monomial((r, self.n * q), at, val)
+        m = dense(m, "an amplified operand")
+        self._check_application(r)
         g = m if self.left is None else m @ self.left
-        single = Operand(self.block).single_entries()
+        single = (self.block._at, self.block._val) if type(self.block) is _Monomial else Operand(self.block).single_entries()
         if single is not None:
             # column t of the block is w_t e_s: column t of output block b is
             # w_t times column s of input block b, gathered where w_t != 0
@@ -584,7 +808,7 @@ class Amplification:
             columns *= w[t]
             out[:, b * q + t] = columns
         else:
-            blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self.block)
+            blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self._dense_block())
             out = blocks.transpose(1, 0, 2).reshape(r, self.n * q)
         return out if self.right is None else out @ self.right
 
@@ -593,7 +817,7 @@ class Amplification:
         whole map; its bytes are checked in formal coordinates first."""
         p, q = self.block.shape
         check_bytes(ENTRY_BYTES * self.n**2 * p * q, "an amplification")
-        formal = eye_kron(self.n, self.block)
+        formal = eye_kron(self.n, self._dense_block())
         if self.right is not None:
             formal = formal @ self.right
         return formal if self.left is None else self.left @ formal
@@ -725,7 +949,7 @@ def _pinv_from_svd(u, s, vh, cut: float) -> np.ndarray:
 def range_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the range of m."""
     a = as_matrix(m)
-    return _range_frame_cut_as(a, a.shape, tol, scale_floor)
+    return dense(_range_frame_cut_as(a, a.shape, tol, scale_floor), "a range frame")
 
 
 def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
@@ -738,7 +962,12 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
     values (taken without vectors) all clear the cut fills its rows, so
     the frame is the unit vectors of the core's rows and of the kept
     isolated entries' rows, in row order (see the module docstring);
-    otherwise the same deflation is factored with vectors and cut."""
+    otherwise the same deflation is factored with vectors and cut.  A
+    frame of unit vectors is returned as an index form (``_units``), and
+    an index form ``a`` is cut from its own entries
+    (``_monomial_range_frame``)."""
+    if type(a) is _Monomial:
+        return _monomial_range_frame(a, shape, tol, scale_floor)
     deflated = _deflate(a)
     core, rows, _, (i, _, v) = deflated
     if a.size >= _DEFLATE_MIN_SIZE and 0 < core.shape[0] <= core.shape[1]:
@@ -747,12 +976,23 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
         if s[-1] > cut:
             kept = np.ones(a.shape[0], dtype=bool) if rows is None else rows.copy()
             kept[i[moduli > cut]] = True
-            kept = np.flatnonzero(kept)
-            frame = np.zeros((a.shape[0], kept.size), dtype=np.complex128)
-            frame[kept, np.arange(kept.size)] = 1.0
-            return frame
+            return _units(a.shape[0], np.flatnonzero(kept))
     split = _SplitSVD(a, deflated=deflated)
     return split.left(split.cut(shape, tol, scale_floor)[1])
+
+
+def _monomial_range_frame(f: _Monomial, shape, tol: Tolerance, scale_floor: float):
+    """What the split SVD gives for the range of an index form: every
+    nonzero is isolated and the core is empty, so the frame is the unit
+    vectors (phase 1) of the rows of the nonzeros, in row order, sorted
+    stably by descending modulus and cut at ``shape``."""
+    _, rows, val = f._live()
+    by_row = np.argsort(rows)
+    rows, moduli = rows[by_row], np.abs(val[by_row])
+    order = np.argsort(-moduli, kind="stable")
+    s = moduli[order]
+    rank = int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))
+    return _units(f.shape[0], rows[order[:rank]])
 
 
 def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
@@ -807,21 +1047,29 @@ class Subspace:
     """A closed subspace of C^d, stored as an orthonormal column frame.
 
     The zero subspace is a frame with zero columns; every operation
-    accepts it.
+    accepts it.  A frame of unit vectors that this module builds (a span
+    of an index form, or the full-row-rank rule of
+    ``_range_frame_cut_as``) is held as an index form, which ``span``,
+    ``image`` and ``is_subset`` read as it is; ``frame`` is the array,
+    built on the first read.
     """
 
-    frame: np.ndarray
+    _frame: object
 
     def __post_init__(self):
-        object.__setattr__(self, "frame", as_matrix(self.frame))
+        object.__setattr__(self, "_frame", _as_operator(self._frame))
+
+    @property
+    def frame(self) -> np.ndarray:
+        return dense(self._frame, "a subspace frame")
 
     @property
     def ambient_dim(self) -> int:
-        return self.frame.shape[0]
+        return self._frame.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[1]
+        return self._frame.shape[1]
 
     def projector(self) -> np.ndarray:
         return self.frame @ herm(self.frame)
@@ -837,8 +1085,9 @@ class Subspace:
     @staticmethod
     def span(columns, tol: Tolerance) -> "Subspace":
         """Subspace spanned by the columns of a matrix (need not be
-        orthonormal or independent)."""
-        return Subspace(range_frame(columns, tol, scale_floor=1.0))
+        orthonormal or independent), a matrix or an index form."""
+        a = _as_operator(columns)
+        return Subspace(_range_frame_cut_as(a, a.shape, tol, 1.0))
 
     @staticmethod
     def kernel(m, tol: Tolerance) -> "Subspace":
@@ -859,8 +1108,16 @@ def ortho_complement(s: Subspace, tol: Tolerance) -> Subspace:
 
 def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
     """(I - P2) F1, formed from the frames as F1 - F2 (F2* F1) and never
-    through the d x d projector P2."""
+    through the d x d projector P2.  When both frames are index forms
+    (unit vectors, phase 1) every product term is 1 * 1 or 0, so the gap
+    is exactly F1's columns whose row F2 lacks, and it is an index form."""
     _check_same_ambient(s1, s2)
+    if type(s1._frame) is _Monomial and type(s2._frame) is _Monomial:
+        f1, f2 = s1._frame, s2._frame
+        _check_form_bytes(f1.shape[1], "an inclusion gap")
+        held = np.zeros(f2.shape[0], dtype=bool)
+        held[f2._at[f2._val != 0]] = True
+        return _Monomial(f1.shape, f1._at, np.where(held[f1._at], 0, f1._val))
     f2 = _operand_of(s2.frame, False, None)  # only ever a left factor: not scanned
     return s1.frame - matmul(f2, matmul(f2.H, s1.frame))
 
@@ -895,9 +1152,10 @@ def image(m, s: Subspace, tol: Tolerance) -> Subspace:
         raise DimensionMismatch(
             f"operator domain {a.shape[1]} != subspace ambient {s.ambient_dim}"
         )
-    # an amplification is applied block by block; a matrix is multiplied
-    # whole, and the span splits off the product's zero lines and isolated entries
-    return Subspace.span(a @ s.frame, tol)
+    # an amplification is applied block by block, to an index-form frame
+    # from its index; a matrix is multiplied whole, and the span splits off
+    # the product's zero lines and isolated entries
+    return Subspace.span(a @ s._frame if isinstance(a, Amplification) else a @ s.frame, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +1170,14 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     A matrix whose norm is below rank_rel on the unit scale is roundoff
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
+
+    An index form is decided from its entries (``_monomial_triple``).
     """
-    a = Operand(as_matrix(m)).live()
+    triple = _monomial_triple(m)
+    if triple is not None:
+        scale, residual = triple
+        return residual, scale <= tol.rank_rel or residual <= tol.eq_rel * scale
+    a = _live_operand(m)
     residual = opnorm(_triple_defect(a))
     return residual, _partial_isometry_verdict(a.array, (residual, residual), lambda: residual, tol)
 
@@ -921,9 +1185,47 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
 def is_partial_isometry(m, tol: Tolerance) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
-    a = Operand(as_matrix(m)).live()
+    triple = _monomial_triple(m)
+    if triple is not None:
+        scale, residual = triple
+        return scale <= tol.rank_rel or residual <= tol.eq_rel * scale
+    a = _live_operand(m)
     defect = _triple_defect(a)
     return _partial_isometry_verdict(a.array, _norm_bounds(defect), lambda: opnorm(defect), tol)
+
+
+def _monomial_triple(m) -> tuple | None:
+    """(||M||, ||M M* M - M||) of an index form whose k nonzeros make a
+    live part of at least _DEFLATE_MIN_SIZE entries (k * k); None for
+    anything else.  The triple defect's entry at v is (v conj(v)) v - v,
+    the two products the gathers of ``_triple_defect`` form, and both
+    norms are largest moduli, as the split finds them on isolated entries
+    (so the Frobenius screen, whose band holds them, decides nothing
+    else).  A defect that overflowed raises DomainError, as ``opnorm`` of
+    the dense one does."""
+    if type(m) is not _Monomial:
+        return None
+    val = m._live()[2]
+    if val.size * val.size < _DEFLATE_MIN_SIZE:
+        return None
+    defect = (val * np.conj(val)) * val - val
+    if not np.isfinite(defect).all():
+        raise DomainError("matrix has non-finite entries")
+    return float(np.abs(val).max(initial=0.0)), float(np.abs(defect).max(initial=0.0))
+
+
+def _live_operand(m) -> Operand:
+    """``Operand(m).live()``: the matrix without its exactly-zero rows and
+    columns, with its scan.  An index form's is built from its entries:
+    k x k, its rows and columns in index order, each holding one nonzero."""
+    if type(m) is not _Monomial:
+        return Operand(as_matrix(m)).live()
+    _, rows, val = m._live()
+    k = val.size
+    a = np.zeros((k, k), dtype=np.complex128)
+    a[np.argsort(np.argsort(rows)), np.arange(k)] = val
+    ones = np.ones(k, dtype=np.intp)
+    return _operand_of(a, False, (a != 0, ones, ones))
 
 
 def _triple_defect(a: Operand) -> np.ndarray:

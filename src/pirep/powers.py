@@ -28,6 +28,16 @@ associated as embed ((I (x) Y) (lift F)); README "Numeric policy" gives
 the error bound.  The root and kernel-match criteria take kernels of the
 whole amplified lift and build it (``to_dense``).
 
+Cost.  On a monomial lift in identity coordinates (a weighted shift past
+the gate) the chain holds T, T_m, T T*, the cokernels and their images
+as index forms (``numerics``): a power report reads the lift powers
+through ``LiftChain._power``, and each verdict, image and inclusion is
+O(columns) index work with no scan, no SVD and no dense power; the
+power report of the n = 2, trunc 120 shift to n_max 4 fits a 1 MB dense
+budget, where its dense T_4 alone is 3.7 MB.  Every other chain
+(conjugated shifts, Wold's shift (+) unitary, two-block and dense-JSON
+reps) forms T_m densely and factors its frames as before.
+
 The generalized range R^infty, the fixed point of S -> X(E (x) S), and
 regularity's E (x) R^infty span E (x) S from the frame F (h x k) of S:
 the N*k columns space(1).apply_embed(I_N (x) F), the coordinates of
@@ -80,8 +90,7 @@ def kernel_chain_condition(chain: LiftChain, m: int) -> bool:
     on the chain's memoized cokernels; for a representation, W_m = tilde."""
     if m < 1:
         raise DimensionMismatch("kernel_chain_condition needs m >= 1")
-    (factor,) = chain._factors(m - 1, m)
-    moved = nx.image(chain.amplified(factor.tilde, m - 1, 1, 0), chain.cokernel_subspace(m), chain.tol)
+    moved = nx.image(chain._amplified_lift(m - 1), chain.cokernel_subspace(m), chain.tol)
     return nx.is_subset(moved, chain.cokernel_subspace(m - 1), chain.tol)
 
 
@@ -107,8 +116,7 @@ def range_invariance_condition(chain: LiftChain, m: int) -> bool:
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
     (factor,) = chain._factors(m - 1, m)
-    tilde = nx.Operand(factor.tilde)
-    amp = chain.amplified(nx.matmul(tilde, tilde.H), m - 1, 0, 0)
+    amp = chain.amplified(nx._range_gram(factor._lift), m - 1, 0, 0)
     prev_cokernel = chain.cokernel_subspace(m - 1)
     return nx.is_subset(nx.image(amp, prev_cokernel, chain.tol), prev_cokernel, chain.tol)
 
@@ -143,7 +151,7 @@ def power_report(rep: CovariantRep, n_max: int) -> PowerReport:
         return PowerReport(n_max, False, [], [], [], [])
     pi_flags, chain_flags, range_flags, residuals = [], [], [], []
     for m in range(1, n_max + 1):
-        res, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), rep.tol)
+        res, is_pi = nx.partial_isometry_residual(rep._power(m), rep.tol)
         pi_flags.append(is_pi)
         chain_flags.append(kernel_chain_condition(rep, m))
         range_flags.append(range_invariance_condition(rep, m))
@@ -180,14 +188,13 @@ def _intertwiner(rep: CovariantRep, x) -> np.ndarray:
     return x
 
 
-def _e_tensor_columns(rep: CovariantRep, frame: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+def _e_tensor_columns(rep: CovariantRep, s: Subspace, x: np.ndarray | None):
     """The N*k columns space(1).apply_embed(I_N (x) F) that span E (x) S
     for the frame F (h x k) of S, or their images under X when X is
-    given."""
+    given.  In identity coordinates a unit-vector frame's columns stay an
+    index form, and X is gathered from its index."""
     space = rep.space(1)
-    n = space.module_dim
-    nx.check_bytes(nx.ENTRY_BYTES * space.formal_dim * n * frame.shape[1], "a spanning set of E (x) S")
-    columns = space.apply_embed(frame if n == 1 else nx.eye_kron(n, frame))
+    columns = nx._tensor_frame(s, space.module_dim, space.embed)
     return columns if x is None else nx.matmul(x, columns)
 
 
@@ -196,7 +203,7 @@ def _span_e_tensor(rep: CovariantRep, s: Subspace, x: np.ndarray | None) -> Subs
     spanned by ``_e_tensor_columns`` and cut as the dense X(I (x) P_S)
     with dim(E (x) H) columns (see the module docstring).  S must be
     sigma-reducing."""
-    columns = _e_tensor_columns(rep, s.frame, x)
+    columns = _e_tensor_columns(rep, s, x)
     return Subspace(nx._range_frame_cut_as(columns, (columns.shape[0], rep.space(1).dim), rep.tol, 1.0))
 
 
@@ -279,7 +286,7 @@ def power_pi_up_to(rep: CovariantRep, is_pi: bool, bound: int) -> int:
     ``is_pi`` is the caller's verdict on T_1, the lift."""
     up_to = 0
     for k in range(1, bound + 1):
-        if not (is_pi if k == 1 else nx.is_partial_isometry(rep.tilde_power(k), rep.tol)):
+        if not (is_pi if k == 1 else nx.is_partial_isometry(rep._power(k), rep.tol)):
             break
         up_to = k
     return up_to

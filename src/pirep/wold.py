@@ -123,16 +123,16 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
     x = _intertwiner(rep, x)
     if w.ambient_dim != rep.h_dim:
         raise DimensionMismatch(f"W must be a subspace of H (dim {rep.h_dim}), got ambient dim {w.ambient_dim}")
-    total = block = w.frame
+    total, block = w.frame, w
     for _ in range(rep.h_dim):
         residual = _e_tensor_columns(rep, block, x)
         for _ in range(2):  # classical Gram-Schmidt, twice
             residual = residual - total @ (herm(total) @ residual)
         stacked = (rep.h_dim, total.shape[1] + rep.space(1).dim)
-        block = nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0)
-        if block.shape[1] == 0:
+        block = Subspace(nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0))
+        if block.dim == 0:
             break
-        total = np.hstack([total, block])
+        total = np.hstack([total, block.frame])
     return Subspace(total)
 
 

@@ -303,6 +303,29 @@ def test_only_numerics_calls_the_lapack_factorizations():
     assert {name: found for name, found in calls.items() if found} == {}
 
 
+def _index_form_uses(path) -> list:
+    """Every read of an index form's fields (its row indices ``_at``, its
+    values ``_val`` and its kept array ``_dense``) and every construction
+    of one (``_Monomial(...)``) in a module, through any name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("_at", "_val", "_dense"):
+            found.append(node.attr)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_Monomial":
+            found.append("_Monomial()")
+    return found
+
+
+def test_only_numerics_builds_or_reads_the_index_form():
+    # one module holds monomial arrays by index: every gather, product and
+    # dense array of an index form is formed there, so no other module can
+    # read an index with a value that a scan would not have found
+    modules = sorted(pathlib.Path(pirep.__file__).parent.glob("*.py"))
+    uses = {path.name: _index_form_uses(path) for path in modules}
+    assert sorted(set(uses.pop("numerics.py"))) == ["_Monomial()", "_at", "_dense", "_val"]
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
 def _basis_action_reads(path) -> list:
     """Every read of ``induced_action`` or of the memoized basis actions
     in a module, through any attribute."""

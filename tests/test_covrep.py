@@ -16,7 +16,7 @@ from pirep.correspondence import (
 )
 from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.shifts import WeightedShiftSpec, build_shift
-from pirep.errors import IntertwinerError, InvalidRepresentation, ResourceLimit
+from pirep.errors import DomainError, IntertwinerError, InvalidRepresentation, ResourceLimit
 
 from conftest import (
     assert_verdicts_match_classify,
@@ -24,9 +24,11 @@ from conftest import (
     crandn,
     dense_amplified,
     dense_budget,
+    dense_tilde_power,
     empty_correspondence,
     planted_zero_lines,
     rng_for,
+    subspace_iteration_reps,
 )
 
 
@@ -592,8 +594,9 @@ def test_a_battery_decides_each_factor_lift_once_and_every_other_x(monkeypatch):
     # each lift: at most one decision, at construction, on its own space(1) and H
     assert Counter(key[0] for key in per_key if key[0] in lifts) == Counter(id(rep.tilde) for rep in gapped)
     assert all(per_key[(id(rep.tilde), id(rep.space(1)), id(rep.space(0)))] == 1 for rep in gapped)
-    # only lifts skip the check, and every checked X is decided once
-    assert {id(x) for x in unchecked} <= set(lifts)
+    # only lifts skip the check (as the array or as the lift's index form),
+    # and every checked X is decided once
+    assert {id(x) for x in unchecked} <= set(lifts) | {id(rep._lift) for rep in reps}
     assert all(made == 1 for _, made in amplified)
     assert not {id(x) for x, _ in amplified} & set(lifts)
 
@@ -679,3 +682,72 @@ def test_classify_takes_one_factorization(monkeypatch, tol):
         assert factorizations == [(217, 651)]
         assert computes_uv.count(True) == lapack_factorizations
         assert len(computes_uv) <= 10
+
+
+# ---------------------------------------------------------------------------
+# the index form of monomial lifts and their powers
+# ---------------------------------------------------------------------------
+
+
+def test_the_index_form_is_taken_only_for_a_monomial_lift_in_identity_coordinates(tol):
+    # a shift lift past the gate is held as an index form, and so are its
+    # powers; a Haar-conjugated shift (+) unitary, a two-block rep, a lift in
+    # quotient coordinates and a shift below the gate keep the array
+    shift = build_shift(WeightedShiftSpec(n=2, trunc=64), tol)
+    assert isinstance(shift._lift, nx._Monomial) and shift._lift.shape == shift.tilde.shape
+    assert all(isinstance(shift._power(m), nx._Monomial) for m in (1, 2, 3))
+    small = build_shift(WeightedShiftSpec(n=2, trunc=6), tol)
+    assert small.tilde.size < nx._DEFLATE_MIN_SIZE and small._lift is small.tilde
+    wold = hz.shift_plus_unitary_fixture(rng_for(341), tol, q=60, u_dim=20)
+    big = build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
+    u = haar_unitary(rng_for(342), 217)
+    conjugated = scalar_rep([u @ v @ nx.herm(u) for v in big.v_on_basis], tol)
+    two_block = dict(amplification_reps(tol))["two_block"]
+    dense = [small, wold, conjugated, two_block, subspace_iteration_reps(tol)[-1]]
+    dense += [rep for rep in subspace_iteration_reps(tol) if rep.space(1).embed is not None]
+    for rep in dense:
+        assert rep._lift is rep.tilde
+        assert isinstance(rep._power(2), np.ndarray)
+    assert wold.tilde.size >= nx._DEFLATE_MIN_SIZE and conjugated.tilde.size >= nx._DEFLATE_MIN_SIZE
+
+
+def test_a_power_report_past_the_dense_budget_of_its_powers(tol, monkeypatch):
+    # T_4 of the n = 2, trunc 120 shift is 121 x 1,936, 3.7 MB dense; its
+    # index form is 46 kB, so the report fits 1 MB while the public read of
+    # T_4 is refused before it allocates
+    from pirep import powers as pw
+
+    rep = build_shift(WeightedShiftSpec(n=2, trunc=120), tol)
+    want = pw.power_report(build_shift(WeightedShiftSpec(n=2, trunc=120), tol), 4).to_dict()
+    dense_budget(monkeypatch, 2**20, covrep, correspondence, nx, pw)
+    scans, real = [], nx._nonzero_lines
+    monkeypatch.setattr(nx, "_nonzero_lines", lambda a: scans.append(a.shape) or real(a))
+    assert pw.power_report(rep, 4).to_dict() == want
+    # five scans where the dense path took 55: the identity frame of H (the
+    # cokernel of T_0) and both inclusions into it, at m = 1
+    assert len(scans) == 5
+    with pytest.raises(ResourceLimit, match="the lift power T_4 needs 3748096 bytes"):
+        rep.tilde_power(4)
+
+
+def test_a_composed_power_that_overflows_is_a_domain_error(tol):
+    # weights 1e200 on one orbit: T_1 is finite, its triple defect and T_2
+    # overflow; every path ends in DomainError, never in a NaN verdict
+    from pirep import powers as pw
+
+    spec = WeightedShiftSpec(n=2, weights={(1, 3): 1e200, (1, 7): 1e200}, trunc=64)
+    runs = (
+        lambda rep: rep.is_partial_isometric(),
+        lambda rep: pw.power_report(rep, 3),
+        lambda rep: pw.power_pi_up_to(rep, True, 3),
+        lambda rep: rep.tilde_power(2),
+        lambda rep: nx.partial_isometry_residual(rep._lift, tol),
+        # the dense path refuses T_2 too
+        lambda rep: nx.is_partial_isometry(dense_tilde_power(rep, 2), tol),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in runs:
+            rep = build_shift(spec, tol)
+            assert isinstance(rep._lift, nx._Monomial)
+            with pytest.raises(DomainError, match="non-finite"):
+                run(rep)

@@ -197,7 +197,7 @@ def test_every_trial_draws_from_the_seed_alone(tol, monkeypatch):
     cut_as, kernel = nx._range_frame_cut_as, nx.kernel_frame
     for gate in (16, 2**40):
         with monkeypatch.context() as patch:
-            patch.setattr(nx, "_range_frame_cut_as", lambda *args: cut_as(*args)[:, ::-1])
+            patch.setattr(nx, "_range_frame_cut_as", lambda *args: nx.Subspace(cut_as(*args)).frame[:, ::-1])
             patch.setattr(nx, "kernel_frame", lambda *args, **kwargs: kernel(*args, **kwargs)[:, ::-1])
             patch.setattr(nx, "_DEFLATE_MIN_SIZE", gate)
             moved = _every_trial_v(monkeypatch, tol)

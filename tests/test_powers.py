@@ -283,7 +283,9 @@ def record_spans(monkeypatch) -> list:
 
 
 def cokernel_span_counts(rep, spanned: list, n: int) -> list:
-    """How often herm(tilde_m) was spanned, for m = 1..n."""
+    """How often herm(tilde_m) was spanned, for m = 1..n (as an array or
+    as its index form)."""
+    spanned = [nx.dense(a, "a spanned set") for a in spanned]
     counts = []
     for m in range(1, n + 1):
         target = nx.herm(rep.tilde_power(m))

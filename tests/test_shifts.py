@@ -251,7 +251,8 @@ def test_shift_lift_powers_and_verdicts_are_the_dense_ones(tol):
 
 def test_shift_criterion_factors_no_array_wider_than_the_rank(tol, monkeypatch):
     # the n = 3, trunc 216 shift: T_3 is 217 x 5859 with 204 nonzero columns;
-    # no SVD and no partial-isometry product sees more than 217 columns
+    # the lift and its powers are index forms, so no SVD and no dense
+    # partial-isometry verdict sees any of them
     widths = []
     real_svd, real_verdict = np.linalg.svd, nx._partial_isometry_verdict
 
@@ -269,7 +270,9 @@ def test_shift_criterion_factors_no_array_wider_than_the_rank(tol, monkeypatch):
     spec = WeightedShiftSpec(n=3, trunc=216)
     res = sh.shift_pi_criterion(spec, tol, power_cap=3)
     assert res.is_pi and res.power_pi_up_to == 3
-    assert widths and max(widths) <= 217
+    # the lift and its powers are index forms, decided from their entries:
+    # nothing is factored and no dense verdict is taken
+    assert widths == []
 
 
 def test_shift_lifts_take_no_svd(tol, monkeypatch):
@@ -349,8 +352,11 @@ def test_shift_lifts_powers_and_frames_take_the_gather_at_every_site(tol, monkey
         assert not gap.any()
         assert site(2, lambda: nx.partial_isometry_residual(tm, tol)) == (dense_pi_residual(tm), True)
         assert site(2, lambda: nx.is_partial_isometry(tm, tol))
-        # T T*, the image of the cokernel under I (x) T T*, and its inclusion
-        assert site(4, lambda: pw.range_invariance_condition(rep, m))
+        # T T* is read off the lift's index form, and the image of the
+        # cokernel under I (x) T T* and its inclusion are index forms too,
+        # except at m = 1, where the cokernel of T_0 is the identity frame of
+        # H, an array, scanned once, and the inclusion into it is dense
+        assert site(3 if m == 1 else 0, lambda: pw.range_invariance_condition(rep, m))
     # the lift's classification: T*T and T T* (2), F F* for its two frames
     # (2), the two frame Grams F* X* X F (6) and the triple product (2)
     report = site(12, lambda: nx.classify_operator(rep.tilde, tol))
@@ -445,3 +451,101 @@ def test_row_pi_iff_each_direction_pi(tol):
                 assert nx.opnorm(nx.herm(rep.v_on_basis[i]) @ rep.v_on_basis[j]) <= 1e-14
         each = all(nx.is_partial_isometry(v, tol) for v in rep.v_on_basis)
         assert rep.is_partial_isometric() == each, trial
+
+
+# ---------------------------------------------------------------------------
+# the index path against the public dense path
+# ---------------------------------------------------------------------------
+
+
+def index_path_specs() -> list:
+    """Shifts with n = 1, 2 and 3 past the gate: unit weights, weights 0.5
+    and 2.0, and nonempty zero sets; trunc 24 at n = 2 leaves a live part
+    of 24 x 24 entries, below the gate."""
+    return [
+        WeightedShiftSpec(n=1, trunc=40),
+        WeightedShiftSpec(n=1, zero_set={3, 17}, trunc=40),
+        WeightedShiftSpec(n=1, weights={(1, 5): 0.5}, trunc=40),
+        WeightedShiftSpec(n=2, trunc=24),
+        WeightedShiftSpec(n=2, zero_set={0, 4, 9}, trunc=64),
+        WeightedShiftSpec(n=2, weights={(1, 2): 0.5, (2, 7): 2.0}, trunc=64),
+        WeightedShiftSpec(n=2, weights={(2, 30): 2.0}, trunc=64),
+        WeightedShiftSpec(n=3, trunc=39),
+        WeightedShiftSpec(n=3, zero_set={1, 5}, weights={(3, 2): 0.5}, trunc=120),
+    ]
+
+
+def phased_monomial_rep(tol, n: int, d: int, zero_set=()):
+    """A monomial rep through CovariantRep itself: V_i e_m = w e_(n m + i)
+    with w a unit phase exp(i theta), -1 or a complex number of modulus one
+    up to rounding, and 0 on the zero set."""
+    from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
+    from pirep.covrep import CovariantRep
+
+    rng = rng_for(340)
+    vs = [np.zeros((d, d), dtype=np.complex128) for _ in range(n)]
+    for i in range(n):
+        for m in range(d):
+            t = n * m + i + 1
+            if t < d and m not in zero_set:
+                vs[i][t, m] = rng.choice([-1.0, 1j, np.exp(1j * rng.uniform(0, 2 * np.pi))])
+    return CovariantRep(scalar_correspondence(n), StarRepresentation(SCALARS, [d]), vs, tol)
+
+
+def dense_power_report(rep, n_max: int):
+    """power_report on the public dense path: T_m from tilde_power, the
+    cokernels from Subspace.span(herm(T_m)), I (x) T from the dense lift,
+    T T* by the scanned gather, and is_subset on the arrays."""
+    from pirep import powers as pw
+
+    tol = rep.tol
+    if not nx.is_partial_isometry(rep.tilde, tol):
+        return pw.PowerReport(n_max, False, [], [], [], [])
+
+    def dense_span(a):
+        return Subspace(Subspace.span(a, tol).frame)
+
+    cokernels = [Subspace.whole(rep.h_dim)] + [dense_span(nx.herm(rep.tilde_power(m))) for m in range(1, n_max + 1)]
+    tilde = nx.Operand(rep.tilde)
+    final = nx.matmul(tilde, tilde.H)
+    pi_flags, chain_flags, range_flags, residuals = [], [], [], []
+    for m in range(1, n_max + 1):
+        residual, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), tol)
+        moved = dense_span(rep.amplified(rep.tilde, m - 1, 1, 0) @ cokernels[m].frame)
+        kept = dense_span(rep.amplified(final, m - 1, 0, 0) @ cokernels[m - 1].frame)
+        pi_flags.append(is_pi)
+        chain_flags.append(nx.is_subset(moved, cokernels[m - 1], tol))
+        range_flags.append(nx.is_subset(kept, cokernels[m - 1], tol))
+        residuals.append(residual)
+    return pw.PowerReport(n_max, True, pi_flags, chain_flags, range_flags, residuals)
+
+
+def test_the_index_path_is_the_dense_path_bit_for_bit(tol):
+    # every report byte, verdict and cokernel frame of the chains of
+    # index-form lifts equals the public dense path's
+    from pirep import powers as pw
+    from pirep import serialize as sz
+
+    reps = [(spec, sh.build_shift(spec, tol)) for spec in index_path_specs()]
+    reps += [(None, phased_monomial_rep(tol, 2, 48)), (None, phased_monomial_rep(tol, 3, 40, zero_set={2, 7}))]
+    applicable = 0
+    for spec, rep in reps:
+        assert isinstance(rep._lift, nx._Monomial), spec
+        fresh = sh.build_shift(spec, tol) if spec is not None else rep
+        got = pw.power_report(fresh, 4)
+        want = dense_power_report(rep, 4)
+        assert sz.dumps(got.to_dict()) == sz.dumps(want.to_dict()), spec
+        applicable += got.applicable
+        is_pi = nx.is_partial_isometry(rep.tilde, tol)
+        dense_flags = [nx.is_partial_isometry(rep.tilde_power(k), tol) for k in range(1, 5)]
+        dense_up_to = (dense_flags + [False]).index(False)
+        assert pw.power_pi_up_to(fresh, is_pi, 4) == dense_up_to, spec
+        for m in range(1, 5):
+            frame = Subspace.span(nx.herm(rep.tilde_power(m)), tol).frame
+            assert np.array_equal(fresh.cokernel_subspace(m).frame, frame), (spec, m)
+            assert np.array_equal(fresh.range_subspace(m).frame, Subspace.span(rep.tilde_power(m), tol).frame)
+        if spec is not None:
+            criterion = sh.shift_pi_criterion(spec, tol, power_cap=3)
+            assert criterion.is_pi == is_pi, spec
+            assert criterion.power_pi_up_to == (min(dense_up_to, spec.window_bound(3)) if is_pi else 0), spec
+    assert applicable >= 6
