@@ -101,9 +101,24 @@ backward stable with the same bound as with them, within
 within that bound of the cut can be counted differently, where the
 dense path's own rank is just as uncertain; otherwise the range has the
 same dimension in another orthonormal basis.  Below the gate nothing
-changes.  On a shift (+) unitary every step of the generalized range then
-factors only the unitary core's singular values, and its unit-vector
-frame makes the next product X F a gather (:func:`matmul`).
+changes.
+
+The steps of a subspace iteration S -> X(E (x) S) (``_ColumnRanges``):
+where S is held as unit vectors of value 1 (an index form in identity
+coordinates), X F is X's columns at F's rows times 1, and X is fixed
+through the iteration.  X is scanned once per iteration, and a step cuts
+the deflation of X F from that scan restricted to F's columns (times 1,
+a zero stays zero and a nonzero stays nonzero), gathers only the core,
+multiplied by F's values as the gather does, and takes its singular
+values once per distinct (core rows, core columns) pair.  Reusing them is
+exact: an equal pair is an equal array, and LAPACK returns equal values
+for it.  So each frame is the product's ``_range_frame_cut_as`` byte for
+byte; where the full-row-rank rule does not decide, the product is built
+and cut as before.  The scan (a byte per entry of X) and X's nonzeros (an
+index each) are checked before they are built.  What stays dense: S held
+as an array, quotient coordinates and X below the gate (every claim
+battery's).  On a shift (+) unitary a step is then O(nonzeros of X), and
+the unitary core's values are taken once per iteration.
 
 The products of the partial-isometry verdict, and the gather of an
 :class:`Amplification` with a monomial block applied from the right, drop
@@ -161,7 +176,8 @@ from such lifts (``Amplification.__rmatmul__``) and its T T*
 images of those frames (``_monomial_range_frame``: unit vectors of phase
 1 in the split SVD's stable order of descending modulus, so no ``herm``
 copy); and the unit-vector frames of the full-row-rank rule above
-(``_units``).  Each is a form only from _DEFLATE_MIN_SIZE entries; a
+(``_units``) and of C^d (``Subspace.whole``).  Each is a form only from
+_DEFLATE_MIN_SIZE entries; a
 smaller product is built as its array, since no scan would have read it.
 Why it is exact: it is taken exactly where the scan finds single-entry
 columns, and each value it holds is the one product the gather forms,
@@ -995,6 +1011,74 @@ def _monomial_range_frame(f: _Monomial, shape, tol: Tolerance, scale_floor: floa
     return _units(f.shape[0], rows[order[:rank]])
 
 
+def _unit_rows(frame) -> np.ndarray | None:
+    """The rows of a frame, an array or an index form, whose every column
+    is a unit vector of value exactly 1 + 0j, in column order; None
+    otherwise."""
+    if type(frame) is _Monomial:
+        rows, val = frame._at, frame._val
+    else:
+        nonzero = frame != 0
+        if (nonzero.sum(axis=0) != 1).any():
+            return None
+        rows = nonzero.argmax(axis=0)
+        val = frame[rows, np.arange(rows.size)]
+    return rows if (val == 1).all() and not np.signbit(val.imag).any() else None
+
+
+class _ColumnRanges:
+    """The range frames of X F, for the steps of one subspace iteration: X
+    fixed, of at least _DEFLATE_MIN_SIZE entries, and scanned once; F unit
+    vectors (see the module docstring).  Each core's singular values are
+    kept by (core rows, core columns)."""
+
+    __slots__ = ("x", "nonzeros", "values")
+
+    def __init__(self, x: np.ndarray):
+        check_bytes(x.size, "the scan of X")  # a mask of one byte per entry
+        self.x = Operand(x)
+        nonzero = self.x.lines[0]
+        check_bytes(_INDEX_BYTES * int(np.count_nonzero(nonzero)), "the nonzeros of X")
+        self.nonzeros = np.flatnonzero(nonzero)
+        self.values = {}
+
+    def frame(self, f: _Monomial, shape, tol: Tolerance, scale_floor: float):
+        """``_range_frame_cut_as(matmul(X, F), shape, tol, scale_floor)``
+        byte for byte, for an index form F of unit vectors (``_unit_rows``);
+        the product is built only where the full-row-rank rule does not
+        decide."""
+        x = self.x.array
+        (h, n), k = x.shape, f.shape[1]
+        if h * k >= _DEFLATE_MIN_SIZE:
+            check_bytes(_INDEX_BYTES * n, "the columns of X F")
+            column = np.full(n, -1, dtype=np.intp)
+            column[f._at] = np.arange(k)
+            c = column[self.nonzeros % n]  # the column of X F of each nonzero of X
+            i, c = self.nonzeros[c >= 0] // n, c[c >= 0]
+            row_count, col_count = np.bincount(i, minlength=h), np.bincount(c, minlength=k)
+            of_row = np.zeros(h, dtype=np.intp)
+            of_row[i] = c
+            single = np.flatnonzero(row_count == 1)
+            alone = single[col_count[of_row[single]] == 1]  # the rows of the isolated entries
+            rows, cols = row_count > 0, col_count > 0
+            rows[alone] = False
+            cols[of_row[alone]] = False
+            core_rows, core_cols = np.flatnonzero(rows), f._at[cols]
+            if 0 < core_rows.size <= core_cols.size:
+                key = (core_rows.tobytes(), core_cols.tobytes())
+                s = self.values.get(key)
+                if s is None:
+                    core = x[np.ix_(core_rows, core_cols)]
+                    core *= f._val[cols]
+                    s = self.values[key] = _svd(core, False, compute_uv=False)
+                moduli = np.abs(x[alone, f._at[of_row[alone]]])
+                cut = rank_threshold(np.maximum(s[:1], moduli.max(initial=0.0)), shape, tol, scale_floor)
+                if s[-1] > cut:
+                    rows[alone[moduli > cut]] = True
+                    return _units(h, np.flatnonzero(rows))
+        return _range_frame_cut_as(matmul(self.x, f), shape, tol, scale_floor)
+
+
 def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal column basis of the kernel of m."""
     a = as_matrix(m)
@@ -1076,7 +1160,9 @@ class Subspace:
 
     @staticmethod
     def whole(d: int) -> "Subspace":
-        return Subspace(eye(d))
+        """C^d, its frame the unit vectors of every row: an index form
+        from _DEFLATE_MIN_SIZE entries and the identity below."""
+        return Subspace(_units(d, np.arange(d)) if d * d >= _DEFLATE_MIN_SIZE else eye(d))
 
     @staticmethod
     def zero(d: int) -> "Subspace":

@@ -63,11 +63,12 @@ bound, for the thin and the dense form alike; at most dim H + 1 steps add
 these up (times ||X|| / sigma_min per step when X is not a partial
 isometry).  On the 80-dimensional shift (+) unitary that bound is 1.1e-12
 per subspace.  A step costs the product X(I (x) F) (``numerics.matmul``)
-and one range frame of it.  When that frame's core fills its rows, as the
-unitary core of a shift (+) unitary does, the frame is the unit vectors
-of its rows and no singular vector is computed (the ``numerics``
-docstring), so the next step's product is a gather of columns of X and
-its factorization takes the core's singular values only.
+and one range frame of it.  Where S is unit vectors held by index
+(``Subspace.whole`` past the gate, and every frame the full-row-rank rule
+gives), the step is cut from one scan of X per iteration with no product,
+and each distinct core's singular values are taken once
+(``numerics._ColumnRanges``): on a shift (+) unitary, whose unitary core
+fills its rows at every step, a step is O(nonzeros of X) index work.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -170,13 +171,28 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     ranges are decreasing.  X must intertwine the left action with sigma
     (tilde and its Cauchy dual do), so that every S is sigma-reducing."""
     x = _intertwiner(rep, x)
-    current = Subspace.whole(rep.h_dim)
+    current, ranges = Subspace.whole(rep.h_dim), None
     for _ in range(rep.h_dim + 1):
-        nxt = _span_e_tensor(rep, current, x)
+        units = _unit_e_tensor_columns(rep, current)
+        if units is None:
+            nxt = _span_e_tensor(rep, current, x)
+        else:
+            ranges = ranges or nx._ColumnRanges(x)  # X is scanned once per iteration
+            nxt = Subspace(ranges.frame(units, (rep.h_dim, rep.space(1).dim), rep.tol, 1.0))
         if nxt.dim == current.dim:
             return nxt
         current = nxt
     return current
+
+
+def _unit_e_tensor_columns(rep: CovariantRep, s: Subspace):
+    """``_e_tensor_columns(rep, s, None)`` when S is an index form of unit
+    vectors (values 1) in identity coordinates, itself such a form; None
+    otherwise."""
+    if type(s._frame) is not nx._Monomial or nx._unit_rows(s._frame) is None:
+        return None
+    space = rep.space(1)
+    return None if space.embed is not None else nx._tensor_frame(s, space.module_dim, None)
 
 
 def _intertwiner(rep: CovariantRep, x) -> np.ndarray:

@@ -57,11 +57,17 @@ unitary conjugated by a Haar unitary, where no entry is isolated).
 
 ``wold_decompose`` takes Rinf(T) once: it decides regularity, the
 regularity that bi-regularity presupposes, and the dual side's residual.
-Rinf(T') is the primal side's.  Each step of these two iterations on a
-shift (+) unitary of size q + u gathers the columns of X that the frame
-picks and takes the singular values of the u x u unitary core, with no
-vectors, because that core fills its rows (the ``powers`` docstring);
-each step of a generated subspace factors one h x (N dim B) residual.
+Rinf(T') is the primal side's.  On a shift (+) unitary of size q + u
+every frame of these two iterations is unit vectors: each step is cut
+from the iteration's one scan of X, and the u x u unitary core's
+singular values are taken once per iteration (the ``numerics``
+docstring).  A generated subspace whose W and blocks are unit vectors of
+value 1 (identity coordinates, X past _DEFLATE_MIN_SIZE entries) is held
+as its set of rows: a step gathers X at the last block's rows and sets
+the held rows to zero, which is the dense R - Q (Q* R) in value (Q* R is
+R on Q's rows, and Q times it adds exact zeros elsewhere), then factors
+the h x (N dim B) residual as the dense path does.  From the first block
+that is not unit vectors the frame is built and the dense path goes on.
 """
 
 from __future__ import annotations
@@ -123,17 +129,48 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
     x = _intertwiner(rep, x)
     if w.ambient_dim != rep.h_dim:
         raise DimensionMismatch(f"W must be a subspace of H (dim {rep.h_dim}), got ambient dim {w.ambient_dim}")
-    total, block = w.frame, w
-    for _ in range(rep.h_dim):
-        residual = _e_tensor_columns(rep, block, x)
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            residual = residual - total @ (herm(total) @ residual)
-        stacked = (rep.h_dim, total.shape[1] + rep.space(1).dim)
+    h = rep.h_dim
+    rows = _unit_rows_of(rep, x, w)
+    if rows is not None:
+        space, last = rep.space(1), rows
+        nx.check_bytes((1 + nx._INDEX_BYTES) * h, "the held rows of a generated subspace")
+        held = np.zeros(h, dtype=bool)
+        held[rows] = True
+    total, block = (w.frame if rows is None else None), w
+    for _ in range(h):
+        if rows is None:
+            residual = _e_tensor_columns(rep, block, x)
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                residual = residual - total @ (herm(total) @ residual)
+            stacked = (h, total.shape[1] + rep.space(1).dim)
+        else:
+            # X (I (x) F_B) gathered at the rows of B, and Gram-Schmidt
+            # against the unit vectors held so far: their rows set to zero
+            residual = x[:, (np.arange(space.module_dim)[:, None] * h + last).ravel()]
+            residual[held] = 0
+            stacked = (h, rows.size + space.dim)
         block = Subspace(nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0))
         if block.dim == 0:
             break
+        if rows is not None:
+            last = nx._unit_rows(block._frame)
+            if last is not None and not held[last].any():
+                held[last] = True
+                rows = np.concatenate([rows, last])
+                continue
+            total, rows = nx.dense(nx._units(h, rows), "a generated frame"), None  # dense from this block on
         total = np.hstack([total, block.frame])
-    return Subspace(total)
+    return Subspace(total if rows is None else nx._units(h, rows))
+
+
+def _unit_rows_of(rep: CovariantRep, x: np.ndarray, w: Subspace) -> np.ndarray | None:
+    """The rows of W's unit vectors (values 1) when X has at least
+    _DEFLATE_MIN_SIZE entries and acts in identity coordinates; None
+    otherwise, where the frame is kept dense."""
+    if x.size < nx._DEFLATE_MIN_SIZE:
+        return None
+    rows = nx._unit_rows(w._frame)
+    return None if rows is None or rep.space(1).embed is not None else rows
 
 
 @dataclass(frozen=True)

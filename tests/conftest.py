@@ -302,6 +302,26 @@ def subspace_iteration_reps(tol) -> list:
     return reps
 
 
+def gated_iteration_reps(tol) -> list:
+    """Representations whose X(E (x) H) has at least _DEFLATE_MIN_SIZE
+    entries, for the oracle comparisons of the index paths: a shift (+)
+    unitary (unit-vector frames at every step), weighted shifts with
+    n = 2 (a unit-vector start whose later frames are not), a weighted
+    shift (+) coisometric row with n = 2, and a conjugated shift (+)
+    unitary (no isolated entry: the dense path from the first step)."""
+    rng = rng_for(97)
+    reps = [
+        hz.shift_plus_unitary_fixture(rng, tol, q=40, u_dim=8),
+        shifts.build_shift(shifts.WeightedShiftSpec(n=2, trunc=40), tol),
+        shifts.build_shift(shifts.WeightedShiftSpec(n=2, weights={(1, 3): 0.5}, zero_set=frozenset({5}), trunc=40), tol),
+        direct_sum([shifts.build_shift(shifts.WeightedShiftSpec(n=2, trunc=30), tol), hz.coisometric_row_fixture(rng, tol, 2, 4)], tol),
+    ]
+    u = hz.haar_unitary(rng, 36)
+    v = u @ hz.shift_plus_unitary_fixture(rng, tol, q=30, u_dim=6).tilde @ nx.herm(u)
+    reps.append(rep_from_tilde(scalar_correspondence(1), StarRepresentation(SCALARS, [36]), v, tol))
+    return reps
+
+
 # ---------------------------------------------------------------------------
 # dense oracles: the numerics primitives and the lift power on the whole
 # array, with no exactly-zero row or column dropped

@@ -151,6 +151,15 @@ def _coordinate_subspace(d, indices):
     return Subspace(frame)
 
 
+def test_the_whole_space_is_an_index_form_from_the_gate():
+    # C^d is framed by the unit vectors of every row: an index form from
+    # 32 x 32 = 1,024 entries and the identity below, the same bytes either way
+    for d in (31, 32, 100):
+        whole = Subspace.whole(d)
+        assert (type(whole._frame) is nx._Monomial) == (d * d >= nx._DEFLATE_MIN_SIZE)
+        assert whole.frame.tobytes() == np.eye(d, dtype=np.complex128).tobytes()
+
+
 def test_intersect_coordinate_planes(tol):
     s1 = _coordinate_subspace(3, [0, 1])
     s2 = _coordinate_subspace(3, [1, 2])
@@ -808,6 +817,115 @@ def test_a_core_value_exactly_at_the_cut_falls_back(tol):
     frame = nx._range_frame_cut_as(a, a.shape, exact, 0.0)
     assert frame.tobytes() == split_range_frame(a, a.shape, exact, 0.0).tobytes()
     assert frame.shape[1] in (3, 4) and np.count_nonzero(frame, axis=0).max() > 1
+
+
+# ---------------------------------------------------------------------------
+# range frames of a fixed X's columns at unit vectors
+# ---------------------------------------------------------------------------
+
+
+def unit_columns(n: int, at) -> "nx._Monomial":
+    """The n x len(at) frame of unit vectors e_at[c], values 1."""
+    at = np.asarray(at, dtype=np.intp)
+    return nx._Monomial((n, at.size), at, np.ones(at.size, dtype=np.complex128))
+
+
+def blocks_and_monomial(rng, h, n, blocks, moduli) -> np.ndarray:
+    """An h x n matrix: dense blocks (rows, cols, singular values) on rows
+    and columns of their own, then one isolated entry per modulus on rows
+    and columns left over, and every other column zero.  A modulus given
+    as a complex number is the entry itself; a float gets a random phase."""
+    x = np.zeros((h, n), dtype=np.complex128)
+    rows, cols = rng.permutation(h), rng.permutation(n)
+    for r, c, values in blocks:
+        x[np.ix_(rows[:r], cols[:c])] = random_with_spectrum(rng, r, c, values)
+        rows, cols = rows[r:], cols[c:]
+    for value, i, j in zip(moduli, rows, cols):
+        x[i, j] = value if isinstance(value, complex) else value * np.exp(2j * np.pi * rng.random())
+    return x
+
+
+def check_column_ranges(x, index_sets, tol) -> list:
+    """Step one X's column ranges through the index sets at X's shape, and
+    require every frame to be the product's, byte for byte, and each core's
+    singular values to be taken once and to be the product core's; returns
+    whether each step was decided by the full-row-rank rule."""
+    h, n = x.shape
+    ranges, keys, decided = nx._ColumnRanges(x), set(), []
+    for at in index_sets:
+        f = unit_columns(n, at)
+        product = nx.matmul(x, f)
+        for floor in (1.0, 0.0):
+            got = ranges.frame(f, x.shape, tol, floor)
+            want = nx._range_frame_cut_as(product, x.shape, tol, floor)
+            assert type(got) is type(want)
+            assert nx.dense(got, "a frame").tobytes() == nx.dense(want, "a frame").tobytes()
+        core, rows, cols, _ = nx._deflate(product)
+        tried = product.size >= nx._DEFLATE_MIN_SIZE and 0 < core.shape[0] <= core.shape[1]
+        if tried:
+            key = (np.flatnonzero(rows).tobytes() if rows is not None else np.arange(h).tobytes(), f._at[cols].tobytes() if cols is not None else f._at.tobytes())
+            keys.add(key)
+            assert ranges.values[key].tobytes() == nx._svd(core, False, compute_uv=False).tobytes()
+        decided.append(tried and nx._unit_rows(want) is not None)
+    assert len(ranges.values) == len(keys)
+    return decided
+
+
+@st.composite
+def column_iterations(draw):
+    """X as dense blocks beside a monomial part and zero columns, with
+    isolated moduli one ulp either side of the cut at X's shape on the unit
+    scale (the blocks' singular values are at most 0.9), and index sets that keep the blocks'
+    columns, repeat, reorder them, drop some of them mid-way and fall below
+    the gate."""
+    h = draw(st.integers(32, 48))
+    n = draw(st.integers(h, 2 * h))
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        r, c = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        values = draw(st.sampled_from([np.linspace(0.9, 0.2, 8), np.array([0.9, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])]))
+        blocks.append((r, c, values))
+    cut = nx.rank_threshold(np.ones(1), (h, n), nx.DEFAULT_TOL, 1.0)
+    below, above = np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)
+    exact = [complex(below), complex(0.0, above), complex(-above), complex(0.0, -below), complex(cut)]
+    moduli = draw(st.lists(st.sampled_from(exact + [0.3, 0.9, 1.0]), min_size=0, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = blocks_and_monomial(rng, h, n, blocks, moduli)
+    live = np.flatnonzero(x.any(axis=0))
+    keep = np.union1d(live, rng.choice(n, size=n // 2, replace=False))
+    dropped = np.setdiff1d(keep, rng.choice(live, size=max(1, live.size // 3), replace=False))
+    small = rng.choice(n, size=(nx._DEFLATE_MIN_SIZE - 1) // h, replace=False)
+    return x, [np.arange(n), np.arange(n), keep, rng.permutation(keep), dropped, keep, small]
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_iterations())
+def test_column_ranges_are_the_range_frames_of_the_products(case):
+    x, index_sets = case
+    check_column_ranges(x, index_sets, nx.DEFAULT_TOL)
+
+
+def test_column_ranges_fall_back_for_a_tall_core_and_follow_a_core_that_changes(tol):
+    # one 12 x 6 block (tall: the product is built and cut as before), a
+    # 6 x 10 block of full row rank (the rule decides from its values), and
+    # isolated entries one ulp either side of the cut: the frame keeps the
+    # row of the one above it and not the one below
+    rng = rng_for(364)
+    h, n = 48, 64
+    cut = nx.rank_threshold(np.ones(1), (h, n), tol, 1.0)
+    below, above = complex(np.nextafter(cut, 0.0)), complex(0.0, np.nextafter(cut, 1.0))
+    x = blocks_and_monomial(rng, h, n, [(6, 10, np.linspace(0.9, 0.5, 6)), (12, 6, np.linspace(0.9, 0.5, 6))], [below, above, 0.5j, -1.0])
+    wide = np.flatnonzero(np.count_nonzero(x, axis=0) == 6)  # the wide block's columns
+    tall = np.flatnonzero(np.count_nonzero(x, axis=0) == 12)
+    (i_below,), (i_above,) = np.flatnonzero(np.abs(x).max(axis=1) == abs(below)), np.flatnonzero(np.abs(x).max(axis=1) == abs(above))
+    rest = np.setdiff1d(np.arange(n), tall)
+    decided = check_column_ranges(x, [np.arange(n), rest, rest[::-1], np.setdiff1d(rest, wide[:5]), rest], tol)
+    # with the tall block the core has 18 rows and 16 columns: built; without
+    # it the wide core decides, again when its columns come back, and a core
+    # of 6 x 5 (half the wide block dropped) is tall again
+    assert decided == [False, True, True, False, True]
+    frame = nx.dense(nx._ColumnRanges(x).frame(unit_columns(n, rest), x.shape, tol, 1.0), "a frame")
+    assert frame[i_above].any() and not frame[i_below].any()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from conftest import (
     count_space_builds,
     crandn,
     dense_pi_residual,
+    gated_iteration_reps,
     iterated_range_by_amplification,
     range_invariance_by_kernels,
     rng_for,
@@ -411,23 +412,54 @@ def test_iterated_range_matches_the_dense_oracle(tol):
     assert dims == {True, False}
 
 
+def test_iterated_range_past_the_gate_matches_the_dense_oracle(tol, monkeypatch):
+    # the same comparison on representations whose X(E (x) H) is scanned:
+    # unit-vector steps go through X's one scan (nx._ColumnRanges), the
+    # others through the product, and both meet the oracle
+    from pirep.wold import cauchy_dual
+
+    steps, real = [], nx._ColumnRanges.frame
+    monkeypatch.setattr(nx._ColumnRanges, "frame", lambda self, *args: steps.append(1) or real(self, *args))
+    for index, rep in enumerate(gated_iteration_reps(tol)):
+        assert rep.tilde.size >= nx._DEFLATE_MIN_SIZE
+        for x in (rep.tilde, cauchy_dual(rep)):
+            got = pw.iterated_range(rep, x)
+            want = iterated_range_by_amplification(rep, x)
+            assert got.dim == want.dim, index
+            assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+    assert len(steps) > 2 * 5
+
+
+def unit_vector_frame(frame) -> bool:
+    """Every column of the frame holds one nonzero, and it is 1."""
+    f = nx.dense(frame, "a frame")
+    return np.array_equal(np.count_nonzero(f, axis=0), np.ones(f.shape[1])) and set(f[f != 0]) == {1.0}
+
+
 def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
     # on the q = 60, u = 20 shift (+) unitary the 20 x 20 unitary core of
     # every step fills its rows, so every frame of the iteration, for tilde
-    # and for its Cauchy dual, is a set of unit vectors
+    # and for its Cauchy dual, is a set of unit vectors; each of the 61
+    # steps is cut from the iteration's one scan of X, and the core, the
+    # same at every step, has its singular values taken once per iteration
     from pirep.wold import cauchy_dual
 
     rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=60, u_dim=20)
-    frames, real = [], pw._span_e_tensor
-    monkeypatch.setattr(pw, "_span_e_tensor", lambda *args: frames.append(real(*args)) or frames[-1])
-    for x in (rep.tilde, cauchy_dual(rep)):
+    t_dual = cauchy_dual(rep)
+    svds, real_svd = [], nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: svds.append((m.shape, compute_uv)) or real_svd(m, full, compute_uv))
+    steps, real = [], nx._ColumnRanges.frame
+    monkeypatch.setattr(nx._ColumnRanges, "frame", lambda self, *args: steps.append((self, real(self, *args))) or steps[-1][1])
+    for x in (rep.tilde, t_dual):
+        svds.clear()
+        steps.clear()
         got = pw.iterated_range(rep, x)
+        assert svds == [((20, 20), False)]
+        assert len(steps) == 61 and len({id(scan) for scan, _ in steps}) == 1
+        assert all(type(frame) is nx._Monomial and unit_vector_frame(frame) for _, frame in steps)
         want = iterated_range_by_amplification(rep, x)
         assert got.dim == want.dim == 20
         assert nx.opnorm(got.projector() - want.projector()) <= 1e-12
-    assert len(frames) >= 2 * 60
-    for s in frames:
-        assert np.array_equal(np.count_nonzero(s.frame, axis=0), np.ones(s.dim)) and set(s.frame[s.frame != 0]) == {1.0}
 
 
 def test_a_conjugated_shift_plus_unitary_falls_back_to_the_split_svd(tol, monkeypatch):

@@ -5,12 +5,14 @@ from pirep import numerics as nx
 from pirep import wold
 from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from pirep.covrep import CovariantRep
-from pirep.errors import DimensionMismatch, NotApplicable
+from pirep.errors import DimensionMismatch, NotApplicable, ResourceLimit
 from pirep.numerics import Subspace
 
 from conftest import (
     adjoint_regularity_check,
     crandn,
+    dense_budget,
+    gated_iteration_reps,
     generated_subspace_by_amplification,
     rng_for,
     subspace_iteration_reps,
@@ -197,24 +199,73 @@ def test_subspace_iterations_refuse_operands_of_the_wrong_shape(tol):
         wold.generated_invariant_subspace(rep, rep.tilde, Subspace.whole(h + 1))
 
 
+def test_generated_past_the_gate_matches_the_dense_oracle(tol):
+    # the same comparison on representations whose X has at least
+    # _DEFLATE_MIN_SIZE entries: unit-vector blocks are held by their rows,
+    # and the first block that is not moves the span to the dense frame
+    for index, rep in enumerate(gated_iteration_reps(tol)):
+        w = nx.ortho_complement(rep.range_subspace(1), tol)
+        for x in (rep.tilde, wold.cauchy_dual(rep)):
+            got = wold.generated_invariant_subspace(rep, x, w)
+            want = generated_subspace_by_amplification(rep, x, w)
+            assert got.dim == want.dim, index
+            assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+
+
+def test_a_span_held_by_rows_drops_what_returns_into_it(tol):
+    # X e_j = e_(j+1) + e_0 / 2 on a 40-dimensional H, from W = e_0: every
+    # image returns into the held row 0, and setting the held rows to zero
+    # (Gram-Schmidt against unit vectors) leaves the unit vector e_(j+1), so
+    # the span is held by its rows up to all of H, as the oracle has it
+    from pirep import harness as hz
+
+    rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=32, u_dim=8)
+    x = np.diag(np.ones(39), -1).astype(complex)
+    x[0] += 0.5
+    w = Subspace(np.eye(40, 1, dtype=complex))
+    got = wold.generated_invariant_subspace(rep, x, w)
+    want = generated_subspace_by_amplification(rep, x, w)
+    assert type(got._frame) is nx._Monomial and got.dim == want.dim == 40
+    assert nx.opnorm(got.projector() - want.projector()) <= 1e-12
+
+
 def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch):
     # on the q = 60, u = 20 shift (+) unitary every shift direction is an
     # isolated entry of its frame, so LAPACK sees only the 20 x 20 unitary
-    # core, and each generated step factors only the residual of its new
-    # columns: one column here (N = 1, and the span grows one dimension per
-    # step), never the stacked 80 x k frame
+    # core and the thin residuals of the generated steps.  Each R^infty
+    # iteration steps through one scan of X and takes the singular values
+    # of the core, the same at every step, once; each generated step factors
+    # only the residual of its new columns: one column here (N = 1, and the
+    # span grows one dimension per step), never the stacked 80 x k frame
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
-    calls = []
-    real = nx._svd
-    monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: calls.append((m.shape, compute_uv)) or real(m, full, compute_uv))
+    calls, real_svd = [], nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: calls.append((m.shape, compute_uv)) or real_svd(m, full, compute_uv))
+    steps, real = [], nx._ColumnRanges.frame
+
+    def frame(self, *args):
+        before = len(calls)
+        out = real(self, *args)
+        steps.append((self, calls[before:], out))
+        return out
+
+    monkeypatch.setattr(nx._ColumnRanges, "frame", frame)
     out = wold.wold_decompose(rep, check_hypotheses=False)
     assert all(max(shape) <= 20 or shape == (80, 1) for shape, _ in calls), sorted(set(calls))
-    # the unitary core fills its rows, so every range frame takes its
-    # singular values without vectors; only the Cauchy dual's pseudoinverse
-    # and the kernel N(tilde) that regularity reads factor it with them
-    assert calls.count(((20, 20), True)) == 2 and calls.count(((20, 20), False)) > 2 * 60
+    # two iterations, R^infty of tilde and of its Cauchy dual, 61 steps each,
+    # with one values-only SVD of the core between them, and every frame a
+    # set of unit vectors of value 1
+    scans = {id(scan) for scan, _, _ in steps}
+    assert len(scans) == 2 and len(steps) == 2 * 61
+    for scan in scans:
+        assert [call for s, svds, _ in steps if id(s) == scan for call in svds] == [((20, 20), False)]
+    for _, _, f in steps:
+        f = nx.dense(f, "a frame")
+        assert np.array_equal(np.count_nonzero(f, axis=0), np.ones(f.shape[1])) and set(f[f != 0]) == {1.0}
+    # only the Cauchy dual's pseudoinverse and the kernel N(tilde) that
+    # regularity reads factor the core with vectors
+    assert calls.count(((20, 20), True)) == 2
     # per side, 59 residuals grow the span from the wandering line to 60
     # dimensions and one more, of rank 0, stops it; each is factored with
     # vectors, which are its frame
@@ -222,6 +273,31 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (60, 20)
         assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
+
+
+def test_wold_iterations_check_the_scan_of_x_before_building_it(tol, monkeypatch):
+    # the iterations of the q = 60, u = 20 shift (+) unitary scan X, 80 x 80,
+    # once each: a mask of 6,400 bytes, the largest array they build (the
+    # generated span holds its rows, no dense frame); one byte less refuses
+    # the scan before it is taken, and at the scan's size both iterations
+    # run, with the budgeted numpy refusing any unchecked array past it
+    from pirep import harness as hz
+    from pirep import powers as pw
+
+    rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
+    xs = (rep.tilde, wold.cauchy_dual(rep))
+    w = nx.ortho_complement(rep.range_subspace(1), tol)
+    want = [(pw.iterated_range(rep, x), wold.generated_invariant_subspace(rep, x, w)) for x in xs]
+    scan = rep.tilde.size
+    dense_budget(monkeypatch, scan - 1, nx, pw, wold)
+    with pytest.raises(ResourceLimit, match=f"the scan of X needs {scan} bytes, over the budget {scan - 1}"):
+        pw.iterated_range(rep, rep.tilde)
+    monkeypatch.setattr(nx, "DENSE_BYTES", scan)
+    got = [(pw.iterated_range(rep, x), wold.generated_invariant_subspace(rep, x, w)) for x in xs]
+    monkeypatch.undo()
+    for pair, want_pair in zip(got, want):
+        for s, t in zip(pair, want_pair):
+            assert s.frame.tobytes() == t.frame.tobytes()
 
 
 # ---------------------------------------------------------------------------
