@@ -277,7 +277,7 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
 
 def test_wold_iterations_check_the_scan_of_x_before_building_it(tol, monkeypatch):
     # the iterations of the q = 60, u = 20 shift (+) unitary scan X, 80 x 80,
-    # once each: a mask of 6,400 bytes, the largest array they build (the
+    # once each: a mask of 6,400 bytes, as large as anything they build (the
     # generated span holds its rows, no dense frame); one byte less refuses
     # the scan before it is taken, and at the scan's size both iterations
     # run, with the budgeted numpy refusing any unchecked array past it
