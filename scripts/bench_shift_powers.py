@@ -8,8 +8,9 @@ Usage:
 
 Each case runs in its own Python process, with one BLAS thread, against the
 package in this checkout's ``src``, three times; the record keeps every
-wall time (of the call alone, not of the import or of building the shift),
-the fastest, and the largest max RSS of the three processes.  The cases:
+wall time of the call alone (``wall_s``) and of building its
+representation (``build_s``), neither with the import, the fastest call,
+and the largest max RSS of the three processes.  The cases:
 ``power_report`` on (n, trunc, n_max) = (2, 120, 4), (3, 216, 4),
 (2, 500, 4), (2, 1000, 3) and (2, 1000, 4); ``classify`` on the
 n = 3, trunc 216 shift; and ``wold_decompose``
@@ -45,17 +46,19 @@ CASES = [
 
 REPEATS = 3
 
-# Runs in the child: builds the shift, times the call, prints one JSON line.
+# Runs in the child: times the build and the call, prints one JSON line.
 CHILD = """
 import json, resource, sys, time
 import numpy as np
 from pirep import harness, powers, shifts, wold
 from pirep.numerics import DEFAULT_TOL
 case = json.loads(sys.argv[1])
+start = time.perf_counter()
 if case["kind"] == "wold":
     rep = harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
 else:
     rep = shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
+build = time.perf_counter() - start
 start = time.perf_counter()
 if case["kind"] == "power_report":
     result = powers.power_report(rep, case["n_max"]).to_dict()
@@ -65,7 +68,7 @@ else:
     result = rep.classify().to_dict()
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"wall_s": wall, "max_rss_mb": rss, "result": result}))
+print(json.dumps({"build_s": build, "wall_s": wall, "max_rss_mb": rss, "result": result}))
 """
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -90,6 +93,7 @@ def measure(case: dict, repeats: int) -> dict:
         raise RuntimeError(f"{case}: the repeats disagree")
     return {
         "case": case,
+        "build_s": [round(run["build_s"], 4) for run in runs],
         "wall_s": [round(run["wall_s"], 4) for run in runs],
         "best_wall_s": round(min(run["wall_s"] for run in runs), 4),
         "max_rss_mb": round(max(run["max_rss_mb"] for run in runs), 1),

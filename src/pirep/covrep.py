@@ -3,7 +3,8 @@ pseudoinverse chains.  ``classify`` reads the lift's classification from
 ``numerics.classify_operator``.
 
 A covariant pair (sigma, V) is stored through the matrices V(xi_a) on the
-module basis.  Its working avatar is the lift
+module basis, or through the lift's index form when it is built as one
+(``shifts.build_shift``).  Its working avatar is the lift
 
     tilde :  E (x)_sigma H  ->  H,     tilde(xi (x) h) = V(xi) h,
 
@@ -216,7 +217,15 @@ class LiftChain:
 
 class CovariantRep(LiftChain):
     """The pair (sigma, V) with its lift; as a chain, every factor is the
-    representation itself, so ``tilde_power(m)`` is the m-th power."""
+    representation itself, so ``tilde_power(m)`` is the m-th power.
+
+    ``v_on_basis`` is the list of the matrices V(xi_b) or, in identity
+    coordinates, the lift's index form (``numerics._Monomial``, as
+    ``shifts.build_shift`` builds it): the lift is then held as that form,
+    and ``tilde`` and ``v_on_basis`` are built from it on their first read
+    (``numerics.dense``).  Otherwise V is stacked into the lift, and in
+    identity coordinates one scan decides whether the lift is monomial and
+    so held as its index form (see ``numerics``)."""
 
     def __init__(
         self,
@@ -230,6 +239,14 @@ class CovariantRep(LiftChain):
         super().__init__(sigma, tol)
         self.corr = corr
         d = sigma.h_dim
+        lift = self.space(1).lift
+        if type(v_on_basis) is nx._Monomial:
+            shape = (d, corr.module_dim * d)
+            if lift is not None or v_on_basis.shape != shape:
+                raise DimensionMismatch(f"a lift held by index needs identity coordinates and shape {shape}")
+            self._formal = self._tilde = self._lift = v_on_basis
+            self._validate_covariance()
+            return
         vs = [as_matrix(v) for v in v_on_basis]
         if len(vs) != corr.module_dim or any(v.shape != (d, d) for v in vs):
             raise DimensionMismatch(
@@ -237,8 +254,7 @@ class CovariantRep(LiftChain):
             )
         formal = np.hstack(vs) if vs else np.zeros((d, 0), dtype=np.complex128)  # column (b, j) is V(xi_b) e_j
         formal.setflags(write=False)
-        self.v_on_basis = tuple(formal[:, b * d : (b + 1) * d] for b in range(len(vs)))  # not the caller's arrays
-        lift = self.space(1).lift
+        self._formal = formal  # not the caller's arrays
         self._tilde = formal if lift is None else formal @ lift
         self._tilde.setflags(write=False)
         self._validate_covariance()
@@ -256,24 +272,34 @@ class CovariantRep(LiftChain):
         # both checks read sigma(u) from the chain's one H, once per matrix unit
         if not bimodule_covariant(self.corr, self.space(0), self.v_on_basis, self.tol):
             raise InvalidRepresentation("bimodule covariance V(a xi c) = sigma(a) V(xi) sigma(c) fails")
-        if not intertwines(self._tilde, self.space(1), self.space(0), self.tol):
+        if not intertwines(self.tilde, self.space(1), self.space(0), self.tol):
             residual = self.intertwining_residual()
             raise InvalidRepresentation(f"lift does not intertwine the left action (residual {residual:.3e})")
 
     def intertwining_residual(self) -> float:
         """Residual of tilde (phi(a) (x) I) = sigma(a) tilde over the algebra basis."""
-        return intertwining_residual(self._tilde, self.space(1), self.space(0))
+        return intertwining_residual(self.tilde, self.space(1), self.space(0))
 
     @property
     def tilde(self) -> np.ndarray:
-        return self._tilde
+        """The lift as an array, read-only; for a lift held by index, built
+        on the first read and the same object on every read
+        (``numerics.dense``)."""
+        return nx.dense(self._tilde, "the lift")
+
+    @functools.cached_property
+    def v_on_basis(self) -> tuple:
+        """The matrices V(xi_b), read-only views of the stacked V (for a
+        lift held by index, of ``tilde``); the same tuple on every read."""
+        formal, d = nx.dense(self._formal, "the lift"), self.h_dim
+        return tuple(formal[:, b * d : (b + 1) * d] for b in range(self.corr.module_dim))
 
     # -- classification -------------------------------------------------------
 
     def classify(self) -> nx.ClassificationReport:
         """The full six-way diagnostic; verdict-only callers use
         is_partial_isometric or nx.is_contraction instead."""
-        return nx.classify_operator(self._tilde, self.tol)
+        return nx.classify_operator(self.tilde, self.tol)
 
     def is_partial_isometric(self) -> bool:
         return nx.is_partial_isometry(self._lift, self.tol)

@@ -170,7 +170,8 @@ of its nonzero (row 0 and value 0 for a zero column), which is what
 ``Operand.single_entries`` reads off a scan.  Where it is taken: a
 ``CovariantRep`` lift in identity coordinates (scalar algebra, standard
 Gram) of at least _DEFLATE_MIN_SIZE entries that the one scan at its
-construction finds monomial (``_index_form``); every lift power composed
+construction finds monomial (``_index_form``), or that
+``shifts.build_shift`` builds as its form with no scan; every lift power composed
 from such lifts (``Amplification.__rmatmul__``) and its T T*
 (``_range_gram``); the cokernel and range frames of such powers and the
 images of those frames (``_monomial_range_frame``: unit vectors of phase

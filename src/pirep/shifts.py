@@ -14,23 +14,39 @@ the faithful window W_k = { m : the whole orbit of e_m under k
 applications stays <= M }; outside it the truncated matrix no longer
 models the untruncated operator, and no claim is made there.
 
-A spec checks the bytes of its n shift matrices against the dense budget
-(``numerics.check_bytes``) from n and M alone, so building one allocates
-nothing; the lift powers its criteria build are checked where they are
-built.
+One vectorized source gives each column's target row and value
+(``_shift_columns``).  ``build_shift`` builds the lift from it as its
+index form, n (M+1) rows and values checked from the shape first, with no
+dense V_i, stack or scan; ``shift_matrices`` and the oracle
+``brute_force_kernel`` scatter the same data into dense V_i.  A spec
+checks the bytes of the n dense V_i against the budget
+(``numerics.check_bytes``) from n and M alone, before it allocates
+anything: that check guards the dense reads (``shift_matrices``, a
+representation's ``tilde`` and ``v_on_basis``); the lift powers the
+criteria build are checked where they are built.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
 from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes, defect_within, residual_holds
 from .powers import power_pi_up_to
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, refused unless an integer: numpy integers pass,
+    bools and floats (which int() would cut) do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DimensionMismatch(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def minimal_trunc(n: int, k: int) -> int:
@@ -56,23 +72,26 @@ class WeightedShiftSpec:
     trunc: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
+        n = _integer(self.n, "the number of directions n")
+        if n < 1:
             raise DimensionMismatch("need n >= 1 shift directions")
-        object.__setattr__(self, "zero_set", frozenset(int(m) for m in self.zero_set))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zero_set", frozenset(_integer(m, "a zero set index") for m in self.zero_set))
         if any(m < 0 for m in self.zero_set):
             raise DimensionMismatch(f"zero set index {min(self.zero_set)} out of range")
         clean = {}
         for (i, m), w in dict(self.weights).items():
-            if not (1 <= int(i) <= self.n) or int(m) < 0:
+            i, m = (_integer(x, f"weight index ({i!r}, {m!r})") for x in (i, m))
+            if not (1 <= i <= n) or m < 0:
                 raise DimensionMismatch(f"weight index ({i}, {m}) out of range")
             if not 0 <= w < float("inf"):
                 raise DimensionMismatch("weights must be finite and nonnegative")
-            clean[(int(i), int(m))] = float(w)
+            clean[(i, m)] = float(w)
         object.__setattr__(self, "weights", clean)
-        if self.trunc is None:
-            object.__setattr__(self, "trunc", minimal_trunc(self.n, 3))
-        elif self.trunc < 1:
+        trunc = minimal_trunc(n, 3) if self.trunc is None else _integer(self.trunc, "the truncation level")
+        if trunc < 1:
             raise DimensionMismatch("truncation level must be >= 1")
+        object.__setattr__(self, "trunc", trunc)
         # n complex (M+1)^2 matrices and the n x n structure arrays of C^n
         check_bytes(ENTRY_BYTES * self.n * (self.h_dim() ** 2 + 3 * self.n), "the shift")
 
@@ -114,21 +133,46 @@ def shift_matrices(spec: WeightedShiftSpec) -> list:
     return [_shift_matrix(spec, i) for i in range(1, spec.n + 1)]
 
 
+def _shift_columns(spec: WeightedShiftSpec) -> tuple:
+    """(rows, values), each n x (M+1): column m of V_i holds its one entry
+    w_{i,m} * alpha_m (the float product) at row rows[i-1, m] = n m + i; a
+    column whose target passes the truncation has row 0 and value 0."""
+    d, n = spec.h_dim(), spec.n
+    rows = n * np.arange(d, dtype=np.intp) + np.arange(1, n + 1, dtype=np.intp)[:, None]
+    weights = np.ones((n, d))
+    kept = [(i - 1, m, w) for (i, m), w in spec.weights.items() if m < d]
+    if kept:
+        i, m, w = zip(*kept)
+        weights[i, m] = w
+    alpha = np.ones(d)
+    alpha[[m for m in spec.zero_set if m < d]] = 0.0
+    past = rows > spec.trunc
+    return np.where(past, 0, rows), np.where(past, 0.0, weights * alpha)
+
+
 def _shift_matrix(spec: WeightedShiftSpec, i: int) -> np.ndarray:
-    """The truncated matrix V_i."""
+    """The truncated matrix V_i: one scatter of its column data."""
+    rows, values = _shift_columns(spec)
     d = spec.h_dim()
     v = np.zeros((d, d), dtype=np.complex128)
-    for m in range(d):
-        t = spec.n * m + i
-        if t <= spec.trunc:
-            v[t, m] = spec.weight(i, m) * spec.alpha(m)
+    v[rows[i - 1], np.arange(d)] = values[i - 1]
     return v
 
 
 def build_shift(spec: WeightedShiftSpec, tol: Tolerance) -> CovariantRep:
-    """The covariant representation of E = C^n on C^{M+1} given by the data."""
-    sigma = StarRepresentation(SCALARS, [spec.h_dim()])
-    return CovariantRep(scalar_correspondence(spec.n), sigma, shift_matrices(spec), tol)
+    """The covariant representation of E = C^n on C^{M+1} given by the data.
+    Its lift is built as its index form from the column data, with no dense
+    V_i (``numerics._form_or_dense``: the array below the gate, where the
+    representation's scan would not look); a weight of -0.0 keeps its sign
+    only in the dense V_i, so such a spec is built from them."""
+    d, n = spec.h_dim(), spec.n
+    sigma, corr = StarRepresentation(SCALARS, [d]), scalar_correspondence(n)
+    nx._check_form_bytes(n * d, f"a {d} x {n * d} lift")
+    rows, values = _shift_columns(spec)
+    if np.signbit(values).any():
+        return CovariantRep(corr, sigma, shift_matrices(spec), tol)
+    lift = nx._form_or_dense((d, n * d), rows.ravel(), values.ravel().astype(np.complex128))
+    return CovariantRep(corr, sigma, lift if type(lift) is nx._Monomial else np.hsplit(lift, n), tol)
 
 
 def _faithful_window(spec: WeightedShiftSpec, k: int) -> range:
@@ -178,7 +222,7 @@ def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance) 
     power = v[:, window]
     for _ in range(k - 1):
         power = v @ power
-    return [m for m, column in zip(window, power.T) if defect_within(np.linalg.norm(column), tol)]
+    return [m for m, norm in zip(window, np.linalg.norm(power, axis=0)) if defect_within(norm, tol)]
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,13 @@ value 1 (identity coordinates, X past _DEFLATE_MIN_SIZE entries) is held
 as its set of rows: a step gathers X at the last block's rows and sets
 the held rows to zero, which is the dense R - Q (Q* R) in value (Q* R is
 R on Q's rows, and Q times it adds exact zeros elsewhere), then factors
-the h x (N dim B) residual as the dense path does.  From the first block
-that is not unit vectors the frame is built and the dense path goes on.
+the h x (N dim B) residual as the dense path does, with two exceptions
+that give its frame without an SVD: an exactly zero residual has rank 0
+and ends the growth, and one column that is a unit vector e_r of value 1
+is its own block, row r, since the SVD's frame of it is +e_r
+(``tests/test_wold.py`` pins that).  So on a shift (+) unitary no
+residual is factored.  From the first block that is not unit vectors the
+frame is built and the dense path goes on.
 """
 
 from __future__ import annotations
@@ -149,6 +154,14 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
             residual = x[:, (np.arange(space.module_dim)[:, None] * h + last).ravel()]
             residual[held] = 0
             stacked = (h, rows.size + space.dim)
+            if not residual.any():
+                break  # rank 0
+            lone = nx._unit_rows(residual) if residual.shape[1] == 1 else None
+            if lone is not None and 1.0 > nx.rank_threshold(np.ones(1), stacked, rep.tol, 1.0):
+                # one unit column of value 1 is its own frame, as the SVD gives it
+                held[lone] = True
+                rows, last = np.concatenate([rows, lone]), lone
+                continue
         block = Subspace(nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0))
         if block.dim == 0:
             break

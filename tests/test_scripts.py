@@ -141,7 +141,8 @@ def test_bench_shift_powers_times_the_smallest_case():
     smallest = script.CASES[0]
     assert smallest == {"kind": "power_report", "n": 2, "trunc": 120, "n_max": 4}
     record = script.measure(smallest, 1)
-    assert record["case"] == smallest and len(record["wall_s"]) == 1
+    assert record["case"] == smallest and len(record["wall_s"]) == len(record["build_s"]) == 1
+    assert record["build_s"][0] > 0
     assert 0 < record["best_wall_s"] == record["wall_s"][0] and record["max_rss_mb"] > 0
     assert record["result"]["applicable"] and record["result"]["pi_flags"] == [True] * 4
     wold = {"kind": "wold", "q": 60, "u": 20}

@@ -66,6 +66,25 @@ def test_spec_validation(monkeypatch):
     for w in (math.nan, math.inf):
         with pytest.raises(DimensionMismatch):
             WeightedShiftSpec(n=1, weights={(1, 0): w})
+    # indices are integers: a float is refused, not cut by int(), and so is a bool
+    for bad in (
+        dict(n=2, trunc=10.5),
+        dict(n=2, weights={(1.9, 0): 0.5}),
+        dict(n=2, weights={(1, 2.0): 0.5}),
+        dict(n=2, zero_set={2.7}),
+        dict(n=2.5),
+        dict(n=2.0),
+        dict(n=True),
+        dict(n=2, trunc=True),
+        dict(n=2, weights={(True, 0): 0.5}),
+        dict(n=2, zero_set={False}),
+    ):
+        with pytest.raises(DimensionMismatch, match="must be an integer"):
+            WeightedShiftSpec(**bad)
+    # numpy integers are accepted, as ints
+    spec = WeightedShiftSpec(n=np.int64(2), weights={(np.int32(1), np.uint8(3)): 0.5}, zero_set={np.int16(4)}, trunc=np.int64(20))
+    assert spec == WeightedShiftSpec(n=2, weights={(1, 3): 0.5}, zero_set={4}, trunc=20)
+    assert all(type(x) is int for x in (spec.n, spec.trunc, *spec.zero_set, *next(iter(spec.weights))))
     # the byte budget is checked from n and M alone: a spec allocates nothing
     dense_budget(monkeypatch, 2**16, sh)
     d = math.isqrt(2**16 // 16 - 3)
@@ -97,6 +116,107 @@ def test_lift_columns_match_shift_formula(tol):
             if target <= spec.trunc:
                 expected[target] = spec.weight(i, m) * spec.alpha(m)
             np.testing.assert_array_equal(column, expected)
+
+
+def construction_specs() -> list:
+    """A seeded sweep of shifts: n = 1..3 with the n = 1, trunc 24 shift
+    below the gate, zero sets, weights of exactly 0, weights on the zero set,
+    overrides past the truncation and a weight of -0.0."""
+    rng = rng_for(73)
+    specs = [
+        WeightedShiftSpec(n=1, trunc=24),
+        WeightedShiftSpec(n=1, weights={(1, 3): 0.0, (1, 30): 2.0}, zero_set={5, 40}, trunc=60),
+        WeightedShiftSpec(n=2, weights={(1, 0): 7.5, (2, 4): 0.0}, zero_set={0, 9}, trunc=64),
+        WeightedShiftSpec(n=3, weights={(3, 12): 0.5, (2, 30): 3.0, (1, 90): 0.0}, trunc=40),
+        WeightedShiftSpec(n=2, weights={(1, 2): -0.0}, trunc=40),
+    ]
+    for _ in range(12):
+        n = int(rng.integers(1, 4))
+        trunc = int(rng.integers(8, 64))
+        zero_set = frozenset(int(m) for m in rng.integers(0, trunc + 10, size=rng.integers(0, 6)))
+        weights = {}
+        for _ in range(int(rng.integers(0, 8))):
+            m = int(rng.choice(sorted(zero_set))) if zero_set and rng.random() < 0.3 else int(rng.integers(0, trunc + 10))
+            weights[(int(rng.integers(1, n + 1)), m)] = float(rng.choice([0.0, 1.0, rng.uniform(0.1, 2.0)]))
+        specs.append(WeightedShiftSpec(n=n, weights=weights, zero_set=zero_set, trunc=trunc))
+    return specs
+
+
+def shift_matrices_by_loop(spec) -> list:
+    """V_1..V_n written one column at a time: V_i e_m = w_{i,m} alpha_m e_{n m + i}."""
+    d = spec.h_dim()
+    vs = [np.zeros((d, d), dtype=np.complex128) for _ in range(spec.n)]
+    for i in range(1, spec.n + 1):
+        for m in range(d):
+            if spec.n * m + i <= spec.trunc:
+                vs[i - 1][spec.n * m + i, m] = spec.weight(i, m) * spec.alpha(m)
+    return vs
+
+
+def test_the_lift_is_born_as_the_index_form_the_scan_finds(tol):
+    # build_shift writes no dense V_i, stacks nothing and scans nothing:
+    # its form, its public arrays and its JSON are those of the stacked V_i,
+    # and the scattered V_i are the ones written column by column
+    from pirep import serialize as sz
+    from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
+    from pirep.covrep import CovariantRep
+
+    gated = 0
+    for spec in construction_specs():
+        rep = sh.build_shift(spec, tol)
+        stacked = np.hstack(sh.shift_matrices(spec))
+        assert stacked.tobytes() == np.hstack(shift_matrices_by_loop(spec)).tobytes(), spec
+        form = nx._index_form(stacked)
+        if form is None:
+            assert type(rep._lift) is np.ndarray and rep._lift.size < nx._DEFLATE_MIN_SIZE, spec
+        else:
+            gated += 1
+            assert rep._lift._at.tobytes() == form._at.tobytes(), spec
+            assert rep._lift._val.tobytes() == form._val.tobytes(), spec
+        tilde, vs = rep.tilde, rep.v_on_basis
+        assert tilde.tobytes() == stacked.tobytes() and not tilde.flags.writeable, spec
+        assert rep.tilde is tilde and rep.v_on_basis is vs, spec
+        assert all(v.tobytes() == w.tobytes() and not v.flags.writeable for v, w in zip(vs, sh.shift_matrices(spec)))
+        old = CovariantRep(scalar_correspondence(spec.n), StarRepresentation(SCALARS, [spec.h_dim()]), sh.shift_matrices(spec), tol)
+        assert sz.dumps(sz.rep_to_json(rep)) == sz.dumps(sz.rep_to_json(old)), spec
+    assert gated >= 10
+
+
+class _RecordingNumpy:
+    """numpy whose functions record the size of every array they return."""
+
+    def __init__(self, sizes: list):
+        self.sizes = sizes
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def recorded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.sizes += [a.size for a in (out if isinstance(out, (list, tuple)) else [out]) if isinstance(a, np.ndarray)]
+            return out
+
+        return recorded
+
+
+def test_the_shift_criterion_and_power_report_build_no_dense_lift(tol, monkeypatch):
+    # the n = 3, trunc 216 shift: neither shifts nor covrep builds an array of
+    # h^2 entries, a dense V_i, or the stacked lift
+    from pirep import covrep
+    from pirep import powers as pw
+
+    spec = WeightedShiftSpec(n=3, trunc=216)
+    sizes = []
+    for module in (sh, covrep):
+        monkeypatch.setattr(module, "np", _RecordingNumpy(sizes))
+    res = sh.shift_pi_criterion(spec, tol, power_cap=3)
+    report = pw.power_report(sh.build_shift(spec, tol), 4)
+    monkeypatch.undo()
+    assert res.is_pi and res.power_pi_up_to == 3
+    assert report.applicable and all(report.pi_flags + report.chain_flags + report.range_flags)
+    assert sizes and max(sizes) < spec.h_dim() ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,11 @@ def test_a_span_held_by_rows_drops_what_returns_into_it(tol):
 def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch):
     # on the q = 60, u = 20 shift (+) unitary every shift direction is an
     # isolated entry of its frame, so LAPACK sees only the 20 x 20 unitary
-    # core and the thin residuals of the generated steps.  Each R^infty
-    # iteration steps through one scan of X and takes the singular values
-    # of the core, the same at every step, once; each generated step factors
-    # only the residual of its new columns: one column here (N = 1, and the
-    # span grows one dimension per step), never the stacked 80 x k frame
+    # core.  Each R^infty iteration steps through one scan of X and takes
+    # the singular values of the core, the same at every step, once; each
+    # generated step takes only the residual of its new columns: one unit
+    # column here (N = 1, and the span grows one dimension per step), which
+    # is its own frame, never the stacked 80 x k frame
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
@@ -252,7 +252,7 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
 
     monkeypatch.setattr(nx._ColumnRanges, "frame", frame)
     out = wold.wold_decompose(rep, check_hypotheses=False)
-    assert all(max(shape) <= 20 or shape == (80, 1) for shape, _ in calls), sorted(set(calls))
+    assert all(max(shape) <= 20 for shape, _ in calls), sorted(set(calls))
     # two iterations, R^infty of tilde and of its Cauchy dual, 61 steps each,
     # with one values-only SVD of the core between them, and every frame a
     # set of unit vectors of value 1
@@ -267,12 +267,28 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
     # regularity reads factor the core with vectors
     assert calls.count(((20, 20), True)) == 2
     # per side, 59 residuals grow the span from the wandering line to 60
-    # dimensions and one more, of rank 0, stops it; each is factored with
-    # vectors, which are its frame
-    assert calls.count(((80, 1), True)) == 2 * 60 and ((80, 1), False) not in calls
+    # dimensions and one more, exactly zero, stops it; each of the 59 is one
+    # unit column of value 1, its own frame, so no residual is factored
+    assert not any(shape == (80, 1) for shape, _ in calls) and len(calls) == 6
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (60, 20)
         assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
+
+
+def test_one_unit_column_is_its_own_range_frame(tol):
+    # the premise of the generated span's shortcut: the range frame of one
+    # column e_r of value 1, cut as the stacked matrix it stands in for, is
+    # +e_r (LAPACK's zeros may carry a sign; past the gate the split SVD
+    # keeps an isolated entry's unit vector of phase 1), so the rows the
+    # held span reads off it are [r]; an exactly zero column has rank 0
+    for h in (2, 7, 80, 421, 1500):
+        for r in sorted({0, h // 3, h - 1}):
+            column = np.zeros((h, 1), dtype=np.complex128)
+            column[r] = 1.0
+            frame = nx.dense(nx._range_frame_cut_as(column, (h, h + 5), tol, 1.0), "a frame")
+            assert np.array_equal(frame, column) and list(nx._unit_rows(frame)) == [r], (h, r)
+        zero = nx._range_frame_cut_as(np.zeros((h, 1), dtype=np.complex128), (h, h + 5), tol, 1.0)
+        assert zero.shape == (h, 0)
 
 
 def test_wold_iterations_check_the_scan_of_x_before_building_it(tol, monkeypatch):
