@@ -103,22 +103,42 @@ dense path's own rank is just as uncertain; otherwise the range has the
 same dimension in another orthonormal basis.  Below the gate nothing
 changes.
 
-The steps of a subspace iteration S -> X(E (x) S) (``_ColumnRanges``):
+The steps of a subspace iteration S -> X(E (x) S) (``_RowSteps``):
 where S is held as unit vectors of value 1 (an index form in identity
-coordinates), X F is X's columns at F's rows times 1, and X is fixed
-through the iteration.  X is scanned once per iteration, and a step cuts
-the deflation of X F from that scan restricted to F's columns (times 1,
-a zero stays zero and a nonzero stays nonzero), gathers only the core,
-multiplied by F's values as the gather does, and takes its singular
-values once per distinct (core rows, core columns) pair.  Reusing them is
+coordinates), the iteration holds it as its rows, X F is X's columns at
+those rows times 1, and X is fixed through the iteration.  X is scanned
+once per iteration into its nonzeros, by column.  A step keeps the
+deflation's counts of X F from the step before (times 1, a zero stays
+zero and a nonzero stays nonzero): per row the number of nonzeros and
+the sum of their columns, which is the column of a row's only nonzero;
+whether that nonzero is isolated (its column has no other), its modulus;
+and the core rows.  It moves them by the columns whose rows came or
+went, a few integer operations per nonzero of those columns, and settles
+only the rows they touch; a step that moves no core row and no column
+with a second nonzero keeps the core, so its singular values are not
+looked up again.  The rows of the frame are then decided by index: past
+the gate a square or wide core whose values clear the cut keeps its rows
+and the kept isolated entries' rows, ascending, and a product with no
+core (every nonzero isolated, as a weighted shift's) keeps the isolated
+entries' rows stably by descending modulus, the split SVD's order, whose
+frame is the unit vectors of those rows.  Each distinct (core rows, core
+columns in F's order) pair gathers the core, multiplied by F's values
+as the gather does, and takes its singular values once.  Reusing them is
 exact: an equal pair is an equal array, and LAPACK returns equal values
-for it.  So each frame is the product's ``_range_frame_cut_as`` byte for
-byte; where the full-row-rank rule does not decide, the product is built
-and cut as before.  The scan (a byte per entry of X) and X's nonzeros (an
-index each) are checked before they are built.  What stays dense: S held
-as an array, quotient coordinates and X below the gate (every claim
-battery's).  On a shift (+) unitary a step is then O(nonzeros of X), and
-the unitary core's values are taken once per iteration.
+for it.  So each step's rows are those of the product's
+``_range_frame_cut_as``, byte for byte; where neither rule decides (a
+tall core, a core short of its rows, a product below the gate), the
+product is built and cut as before.  A step builds no product, frame or
+Subspace, and the iteration builds one Subspace at its end.  The same
+index serves a generated span held by rows (``_RowSteps.residual``): X's
+nonzeros in the last block's columns outside the held rows are the
+Gram-Schmidt residual, decided by the same two rules, or by its being
+exactly zero or one unit column of value 1.  The scan (a byte per entry
+of X) and X's nonzeros (an index each) are checked before they are
+built.  What stays dense: S held as an array, quotient coordinates and X
+below the gate (every claim battery's).  On a shift (+) unitary a step
+is then O(1) integer work on the rows that left plus a few O(h) numpy
+passes, and the unitary core's values are taken once per iteration.
 
 The products of the partial-isometry verdict, and the gather of an
 :class:`Amplification` with a monomial block applied from the right, drop
@@ -196,10 +216,11 @@ consumers (``is_partial_isometry``, ``partial_isometry_residual``,
 ``norm_within``) read the form with no scan, finiteness sum, copy or
 dense allocation.  Its array is built by :func:`dense` alone, on a public
 read (``LiftChain.tilde_power``, ``Subspace.frame``), and kept on the
-form.  Building or applying a form checks its bytes (a row index and a
-value per column) from shapes first, and a composed form checks its
-values for finiteness once, so a power that overflowed raises
-DomainError as ``as_matrix`` does on its array.  What stays dense: a
+form; a form scanned from a read-only array (a lift's ``tilde``) keeps
+that array, so T_1 is ``tilde`` itself.  Building or applying a form
+checks its bytes (a row index and a value per column) from shapes first,
+and a composed form checks its values for finiteness once, so a power
+that overflowed raises DomainError as ``as_matrix`` does on its array.  What stays dense: a
 lift with two nonzeros in a line (Wold's shift (+) a dense unitary, a
 conjugated shift), every lift below the gate, in quotient coordinates or
 over a non-scalar algebra, and every chain with such a factor.
@@ -512,12 +533,16 @@ def _form_or_dense(shape, at: np.ndarray, val: np.ndarray):
 def _index_form(a: np.ndarray):
     """The index form of a matrix of at least _DEFLATE_MIN_SIZE entries in
     which one scan finds at most one nonzero in each row and each column;
-    None otherwise."""
+    None otherwise.  A read-only ``a`` is kept as the form's array, so
+    ``dense`` returns it and builds no copy."""
     lines = _nonzero_lines(a)
     if lines is None or lines[1] is None or max(lines[1].max(initial=0), lines[2].max(initial=0)) > 1:
         return None
     _check_form_bytes(a.shape[1], f"a {a.shape[0]} x {a.shape[1]} lift")
-    return _Monomial(a.shape, *_single_entries(a, lines[0], False))
+    form = _Monomial(a.shape, *_single_entries(a, lines[0], False))
+    if not a.flags.writeable:
+        form._dense = a  # the array it was read from, kept as its array
+    return form
 
 
 def dense(x, what: str) -> np.ndarray:
@@ -1001,15 +1026,21 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
 def _monomial_range_frame(f: _Monomial, shape, tol: Tolerance, scale_floor: float):
     """What the split SVD gives for the range of an index form: every
     nonzero is isolated and the core is empty, so the frame is the unit
-    vectors (phase 1) of the rows of the nonzeros, in row order, sorted
-    stably by descending modulus and cut at ``shape``."""
+    vectors (phase 1) of the rows of the nonzeros by descending modulus
+    (``_by_modulus``)."""
     _, rows, val = f._live()
     by_row = np.argsort(rows)
-    rows, moduli = rows[by_row], np.abs(val[by_row])
+    return _units(f.shape[0], _by_modulus(rows[by_row], np.abs(val[by_row]), shape, tol, scale_floor))
+
+
+def _by_modulus(rows: np.ndarray, moduli: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
+    """The rows of the split SVD's range frame of isolated entries alone,
+    given in row order with their moduli: sorted stably by descending
+    modulus and cut at ``shape``.  Each column of that frame is the unit
+    vector of value 1 of its row."""
     order = np.argsort(-moduli, kind="stable")
     s = moduli[order]
-    rank = int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))
-    return _units(f.shape[0], rows[order[:rank]])
+    return rows[order[: int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))]]
 
 
 def _unit_rows(frame) -> np.ndarray | None:
@@ -1027,57 +1058,206 @@ def _unit_rows(frame) -> np.ndarray | None:
     return rows if (val == 1).all() and not np.signbit(val.imag).any() else None
 
 
-class _ColumnRanges:
-    """The range frames of X F, for the steps of one subspace iteration: X
-    fixed, of at least _DEFLATE_MIN_SIZE entries, and scanned once; F unit
-    vectors (see the module docstring).  Each core's singular values are
+# The singular values of an empty core.
+_NO_VALUES = np.zeros(0)
+_NO_VALUES.setflags(write=False)
+
+
+class _RowSteps:
+    """The range frames of X F for the steps of one subspace iteration, with
+    F held as a set of rows (see the module docstring).  X (h x blocks * m)
+    is fixed, of at least _DEFLATE_MIN_SIZE entries, and scanned once into
+    its nonzeros by column; F's columns are the unit vectors e_(b m + r) of
+    value 1 for each block b and, within a block, each given row r of C^m
+    in its order (I_blocks (x) the unit frame of those rows).  ``step`` and
+    ``residual`` return the rows of a frame of unit vectors, or None where
+    the frame is not decided by index.  ``step`` keeps the counts of X F
+    from one call to the next: per row its nonzeros and the sum of their
+    columns (the column of a row's only nonzero), whether that nonzero is
+    isolated and its modulus, and the core rows, and it moves them by the
+    columns whose membership changed.  Each core's singular values are
     kept by (core rows, core columns)."""
 
-    __slots__ = ("x", "nonzeros", "values")
+    __slots__ = ("x", "blocks", "row", "col", "col_count", "start", "values", "held", "last",
+                 "count", "sums", "core", "mod", "n_core", "stale", "ascending", "s")
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, blocks: int):
         check_bytes(x.size, "the scan of X")  # a mask of one byte per entry
-        self.x = Operand(x)
-        nonzero = self.x.lines[0]
-        check_bytes(_INDEX_BYTES * int(np.count_nonzero(nonzero)), "the nonzeros of X")
-        self.nonzeros = np.flatnonzero(nonzero)
-        self.values = {}
+        nonzero = (x != 0).T  # column by column
+        check_bytes(_INDEX_BYTES * int(np.count_nonzero(nonzero)), "the nonzeros of X")  # each index array
+        (h, n), self.x, self.blocks = x.shape, x, blocks
+        self.col, self.row = np.divmod(np.flatnonzero(nonzero), h)  # by column, then by row
+        self.col_count = np.bincount(self.col, minlength=n)
+        self.start = np.concatenate([[0], np.cumsum(self.col_count)])  # column c: start[c]:start[c + 1]
+        self.values, self.held, self.last = {}, None, None
 
-    def frame(self, f: _Monomial, shape, tol: Tolerance, scale_floor: float):
-        """``_range_frame_cut_as(matmul(X, F), shape, tol, scale_floor)``
-        byte for byte, for an index form F of unit vectors (``_unit_rows``);
-        the product is built only where the full-row-rank rule does not
-        decide."""
-        x = self.x.array
-        (h, n), k = x.shape, f.shape[1]
-        if h * k >= _DEFLATE_MIN_SIZE:
-            check_bytes(_INDEX_BYTES * n, "the columns of X F")
-            column = np.full(n, -1, dtype=np.intp)
-            column[f._at] = np.arange(k)
-            c = column[self.nonzeros % n]  # the column of X F of each nonzero of X
-            i, c = self.nonzeros[c >= 0] // n, c[c >= 0]
-            row_count, col_count = np.bincount(i, minlength=h), np.bincount(c, minlength=k)
-            of_row = np.zeros(h, dtype=np.intp)
-            of_row[i] = c
-            single = np.flatnonzero(row_count == 1)
-            alone = single[col_count[of_row[single]] == 1]  # the rows of the isolated entries
-            rows, cols = row_count > 0, col_count > 0
-            rows[alone] = False
-            cols[of_row[alone]] = False
-            core_rows, core_cols = np.flatnonzero(rows), f._at[cols]
-            if 0 < core_rows.size <= core_cols.size:
-                key = (core_rows.tobytes(), core_cols.tobytes())
-                s = self.values.get(key)
-                if s is None:
-                    core = x[np.ix_(core_rows, core_cols)]
-                    core *= f._val[cols]
-                    s = self.values[key] = _svd(core, False, compute_uv=False)
-                moduli = np.abs(x[alone, f._at[of_row[alone]]])
-                cut = rank_threshold(np.maximum(s[:1], moduli.max(initial=0.0)), shape, tol, scale_floor)
-                if s[-1] > cut:
-                    rows[alone[moduli > cut]] = True
-                    return _units(h, np.flatnonzero(rows))
-        return _range_frame_cut_as(matmul(self.x, f), shape, tol, scale_floor)
+    def _columns(self, rows: np.ndarray) -> np.ndarray:
+        """The columns of X that F picks, in F's column order."""
+        if self.blocks == 1:
+            return rows
+        return (np.arange(self.blocks)[:, None] * (self.x.shape[1] // self.blocks) + rows).ravel()
+
+    def product(self, rows: np.ndarray) -> np.ndarray:
+        """X F, gathered by ``matmul`` from F's index form."""
+        cols = self._columns(rows)
+        return matmul(self.x, _Monomial((self.x.shape[1], cols.size), cols, np.ones(cols.size, dtype=np.complex128)))
+
+    def step(self, rows: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
+        """The rows, in column order, of
+        ``_range_frame_cut_as(self.product(rows), shape, tol, scale_floor)``
+        when that frame is unit vectors decided by index: the full-row-rank
+        rule (rows ascending) or a product with no core (the isolated
+        entries' rows by descending modulus).  None otherwise."""
+        h, n = self.x.shape
+        m = n // self.blocks
+        mine = rows is self.last
+        want = np.zeros(m, dtype=bool)
+        want[rows] = True
+        if self.held is None:
+            self._count_all(want)
+        else:
+            self._count_changes((want != self.held).nonzero()[0], want)
+        self.held, self.last = want, None
+        if h * self.blocks * rows.size < _DEFLATE_MIN_SIZE:
+            return None
+        ascending = mine or rows.size < 2 or bool(np.all(rows[1:] > rows[:-1]))
+        if self.stale or not (ascending and self.ascending):
+            self.s = self._core_values(rows)
+            self.stale, self.ascending = False, ascending
+        if self.s is None:
+            return None  # a tall core
+        out = _decided_rows(self.core, self.mod, self.s, shape, tol, scale_floor)
+        if out is not None and self.s.size and m == h:
+            self.last = out  # ascending, and fed back as the next step's rows
+        return out
+
+    def _core_values(self, rows: np.ndarray) -> np.ndarray | None:
+        """The singular values of X F's core (none without a core), or None
+        for a tall core.  The core's columns in F's order: a column of X F
+        is in the core iff it has two nonzeros or its one nonzero is in a
+        core row."""
+        core_rows = np.flatnonzero(self.core)
+        if core_rows.size == 0:
+            return _NO_VALUES
+        cols = self._columns(rows)
+        count = self.col_count[cols]
+        first = self.row[np.minimum(self.start[cols], self.row.size - 1)]
+        cols = cols[(count > 1) | ((count == 1) & self.core[first])]
+        return None if core_rows.size > cols.size else self._values(core_rows, cols, True)
+
+    def _count_all(self, want: np.ndarray) -> None:
+        """The counts of X F from X's nonzeros, for F's rows ``want``."""
+        h = self.x.shape[0]
+        on = want[self.col % want.size]
+        i, c = self.row[on], self.col[on]
+        count = np.bincount(i, minlength=h)
+        sums = np.bincount(i, weights=c, minlength=h).astype(np.intp)  # integers below 2**53: exact
+        single = count == 1
+        lone = single & (self.col_count[np.where(single, sums, 0)] == 1)
+        at = np.flatnonzero(lone)
+        self.core, self.mod = (count > 0) & ~lone, np.zeros(h)
+        self.mod[at] = np.abs(self.x[at, sums[at]])
+        self.count, self.sums, self.n_core, self.stale = count.tolist(), sums.tolist(), int(self.core.sum()), True
+
+    def _count_changes(self, flips: np.ndarray, want: np.ndarray) -> None:
+        """Move the counts by the rows of F in ``flips``, which came
+        (``want``) or went: a few integer operations per nonzero of their
+        columns, then each touched row settled."""
+        count, sums, row, start, n = self.count, self.sums, self.row, self.start, self.x.shape[1]
+        touched, moved = set(), False
+        for r in flips.tolist():
+            d = 1 if want[r] else -1
+            for c in range(r, n, want.size):  # row r's column in each block
+                for i in row[start[c] : start[c + 1]].tolist():
+                    before = count[i]
+                    count[i], sums[i] = before + d, sums[i] + d * c
+                    moved = moved or before > 1 or before + d > 1  # a core column came or went
+                    touched.add(i)
+        for i in touched:
+            lone = count[i] == 1 and self.col_count[sums[i]] == 1
+            self.mod[i] = np.abs(self.x[i, sums[i]]) if lone else 0.0
+            core = count[i] > 0 and not lone
+            if core != self.core[i]:
+                self.core[i], self.n_core, moved = core, self.n_core + (1 if core else -1), True
+        self.stale = self.stale or moved
+
+    def _values(self, core_rows: np.ndarray, core_cols: np.ndarray, scaled: bool) -> np.ndarray:
+        """The core's singular values, taken once per (core rows, core
+        columns); ``scaled`` multiplies the core by F's values, as the
+        gather of X F does."""
+        key = (core_rows.tobytes(), core_cols.tobytes(), scaled)
+        s = self.values.get(key)
+        if s is None:
+            core = self.x[np.ix_(core_rows, core_cols)]
+            if scaled:
+                core *= np.ones(core_cols.size, dtype=np.complex128)
+            s = self.values[key] = _svd(core, False, compute_uv=False)
+        return s
+
+    def residual_product(self, block: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """R = X F_block with the rows of ``held`` set to zero: the two
+        classical Gram-Schmidt passes against the unit vectors of those
+        rows, in value (Q* R is R on Q's rows, and Q times it adds exact
+        zeros elsewhere)."""
+        out = self.x[:, self._columns(block)]
+        out[held] = 0
+        return out
+
+    def residual(self, block: np.ndarray, held: np.ndarray, shape, tol: Tolerance) -> np.ndarray | None:
+        """The rows, in column order, of
+        ``_range_frame_cut_as(self.residual_product(block, held), shape, tol, 1.0)``
+        when that frame is unit vectors decided by index, read off X's
+        nonzeros in the block's columns: no rows when R is exactly zero
+        (rank 0), the row of a one-column R that is a unit vector of value
+        1 (at any size: its SVD's frame is +e_r), and past the gate the
+        full-row-rank rule or the no-core order.  None otherwise."""
+        h = self.x.shape[0]
+        cols = self._columns(block)
+        if cols.size == 1:
+            i = self.row[self.start[cols[0]] : self.start[cols[0] + 1]]
+            i = i[~held[i]]
+            if i.size == 1:
+                v = self.x[i[0], cols[0]]
+                if v == 1 and not np.signbit(v.imag) and 1.0 > rank_threshold(np.ones(1), shape, tol, 1.0):
+                    return i
+            t = np.zeros(i.size, dtype=np.intp)
+        else:
+            lo, hi = self.start[cols], self.start[cols + 1]
+            length = hi - lo
+            at = np.arange(int(length.sum())) + np.repeat(lo - np.cumsum(length) + length, length)
+            t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of R, and row
+            live = ~held[i]
+            t, i = t[live], i[live]
+        if i.size == 0:
+            return i
+        if h * cols.size < _DEFLATE_MIN_SIZE:
+            return None
+        row_count, col_count = np.bincount(i, minlength=h), np.bincount(t, minlength=cols.size)
+        lone = (row_count[i] == 1) & (col_count[t] == 1)
+        rows, kept = row_count > 0, col_count > 0
+        rows[i[lone]] = False
+        kept[t[lone]] = False
+        mod = np.zeros(h)
+        mod[i[lone]] = np.abs(self.x[i[lone], cols[t[lone]]])
+        core_rows, core_cols = np.flatnonzero(rows), cols[kept]
+        if core_rows.size > core_cols.size:
+            return None
+        s = self._values(core_rows, core_cols, False) if core_rows.size else _NO_VALUES
+        return _decided_rows(rows, mod, s, shape, tol, 1.0)
+
+
+def _decided_rows(core: np.ndarray, mod: np.ndarray, s: np.ndarray, shape, tol: Tolerance, scale_floor: float):
+    """The rows of the range frame that a deflation decides from its core
+    rows (a mask), the moduli of its isolated entries by row (0 elsewhere)
+    and its square or wide core's singular values ``s``: with no core (no
+    values) the isolated entries' rows by descending modulus
+    (``_by_modulus``); when every core value clears the cut, the core rows
+    and the kept isolated entries' rows, ascending; None otherwise."""
+    if s.size == 0:
+        at = np.flatnonzero(mod)
+        return _by_modulus(at, mod[at], shape, tol, scale_floor)
+    cut = rank_threshold(np.maximum(s[:1], mod.max()), shape, tol, scale_floor)
+    return (core | (mod > cut)).nonzero()[0] if s[-1] > cut else None
 
 
 def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
@@ -1207,6 +1387,25 @@ def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
         return _Monomial(f1.shape, f1._at, np.where(held[f1._at], 0, f1._val))
     f2 = _operand_of(s2.frame, False, None)  # only ever a left factor: not scanned
     return s1.frame - matmul(f2, matmul(f2.H, s1.frame))
+
+
+def _unit_frame_defects(s1: Subspace, s2: Subspace) -> tuple:
+    """(||F1* F2||, ||P1 + P2 - I||) where the frames decide them by their
+    rows, each None otherwise.  For two index forms of unit vectors of
+    value 1 on disjoint rows F1* F2 is an exact zero matrix, and when the
+    rows also cover C^d, P1 + P2 - I is one: the dense opnorm of either is
+    0.0.  Shared rows, or frames held as arrays, decide nothing here."""
+    _check_same_ambient(s1, s2)
+    if type(s1._frame) is not _Monomial or type(s2._frame) is not _Monomial:
+        return None, None
+    r1, r2 = _unit_rows(s1._frame), _unit_rows(s2._frame)
+    if r1 is None or r2 is None:
+        return None, None
+    seen = np.zeros(s1.ambient_dim, dtype=bool)
+    seen[r1] = True
+    if seen[r2].any():
+        return None, None
+    return 0.0, (0.0 if r1.size + r2.size == s1.ambient_dim else None)
 
 
 def inclusion_defect(s1: Subspace, s2: Subspace) -> float:

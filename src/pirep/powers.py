@@ -63,12 +63,20 @@ bound, for the thin and the dense form alike; at most dim H + 1 steps add
 these up (times ||X|| / sigma_min per step when X is not a partial
 isometry).  On the 80-dimensional shift (+) unitary that bound is 1.1e-12
 per subspace.  A step costs the product X(I (x) F) (``numerics.matmul``)
-and one range frame of it.  Where S is unit vectors held by index
-(``Subspace.whole`` past the gate, and every frame the full-row-rank rule
-gives), the step is cut from one scan of X per iteration with no product,
-and each distinct core's singular values are taken once
-(``numerics._ColumnRanges``): on a shift (+) unitary, whose unitary core
-fills its rows at every step, a step is O(nonzeros of X) index work.
+and one range frame of it.  Where S is unit vectors held by index in
+identity coordinates (``Subspace.whole`` past the gate, every frame the
+full-row-rank rule gives and every frame of a product with no core, as a
+weighted shift's), ``iterated_range`` holds S as its rows and steps
+``numerics._RowSteps``: X is scanned once per iteration, a step moves
+the counts of X F by the rows of S that left or came and returns the
+rows of the next frame, with no product, frame or Subspace, and each
+distinct core's singular values are taken once.  On a shift (+) unitary,
+whose unitary core fills its rows at every step, a step is a few integer
+operations on the row that left and a few O(dim H) numpy passes, and the
+iteration builds one Subspace, at its end.  A step that the rules do
+not decide builds its product and cuts it as above, and from a frame
+that is not unit vectors (or below the gate) the iteration goes on
+densely.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -169,30 +177,39 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     """Intersection of the nested ranges R(X_m), computed by the fixed-point
     iteration S -> X(E (x) S); stabilizes within dim H steps because the
     ranges are decreasing.  X must intertwine the left action with sigma
-    (tilde and its Cauchy dual do), so that every S is sigma-reducing."""
+    (tilde and its Cauchy dual do), so that every S is sigma-reducing.
+    While S is unit vectors held by index in identity coordinates, it is
+    held as its rows and stepped by ``numerics._RowSteps`` (X scanned once
+    per iteration); every other step spans X(E (x) S) densely."""
     x = _intertwiner(rep, x)
-    current, ranges = Subspace.whole(rep.h_dim), None
-    for _ in range(rep.h_dim + 1):
-        units = _unit_e_tensor_columns(rep, current)
-        if units is None:
+    h, space, tol = rep.h_dim, rep.space(1), rep.tol
+    shape, steps = (h, space.dim), None
+    rows = np.arange(h) if space.embed is None and h * h >= nx._DEFLATE_MIN_SIZE else None  # Subspace.whole(h) by index
+    current = Subspace.whole(h) if rows is None else None
+    for _ in range(h + 1):
+        if rows is None:
             nxt = _span_e_tensor(rep, current, x)
         else:
-            ranges = ranges or nx._ColumnRanges(x)  # X is scanned once per iteration
-            nxt = Subspace(ranges.frame(units, (rep.h_dim, rep.space(1).dim), rep.tol, 1.0))
-        if nxt.dim == current.dim:
+            steps = steps or nx._RowSteps(x, space.module_dim)
+            got = steps.step(rows, shape, tol, 1.0)
+            if got is not None and h * got.size >= nx._DEFLATE_MIN_SIZE:  # an index form: held
+                if got.size == rows.size:
+                    return Subspace(nx._units(h, got))
+                rows = got
+                continue
+            nxt = Subspace(nx._range_frame_cut_as(steps.product(rows), shape, tol, 1.0) if got is None else nx._units(h, got))
+        if nxt.dim == (current.dim if rows is None else rows.size):
             return nxt
-        current = nxt
-    return current
+        current, rows = nxt, _held_rows(rep, nxt)
+    return current if rows is None else Subspace(nx._units(h, rows))
 
 
-def _unit_e_tensor_columns(rep: CovariantRep, s: Subspace):
-    """``_e_tensor_columns(rep, s, None)`` when S is an index form of unit
-    vectors (values 1) in identity coordinates, itself such a form; None
-    otherwise."""
-    if type(s._frame) is not nx._Monomial or nx._unit_rows(s._frame) is None:
+def _held_rows(rep: CovariantRep, s: Subspace) -> np.ndarray | None:
+    """The rows of S when its frame is an index form of unit vectors (values
+    1) in identity coordinates; None otherwise."""
+    if type(s._frame) is not nx._Monomial or rep.space(1).embed is not None:
         return None
-    space = rep.space(1)
-    return None if space.embed is not None else nx._tensor_frame(s, space.module_dim, None)
+    return nx._unit_rows(s._frame)
 
 
 def _intertwiner(rep: CovariantRep, x) -> np.ndarray:

@@ -58,21 +58,28 @@ unitary conjugated by a Haar unitary, where no entry is isolated).
 ``wold_decompose`` takes Rinf(T) once: it decides regularity, the
 regularity that bi-regularity presupposes, and the dual side's residual.
 Rinf(T') is the primal side's.  On a shift (+) unitary of size q + u
-every frame of these two iterations is unit vectors: each step is cut
-from the iteration's one scan of X, and the u x u unitary core's
-singular values are taken once per iteration (the ``numerics``
+every frame of these two iterations is unit vectors: each is held as its
+rows and stepped on the iteration's one scan of X, and the u x u unitary
+core's singular values are taken once per iteration (the ``numerics``
 docstring).  A generated subspace whose W and blocks are unit vectors of
 value 1 (identity coordinates, X past _DEFLATE_MIN_SIZE entries) is held
-as its set of rows: a step gathers X at the last block's rows and sets
-the held rows to zero, which is the dense R - Q (Q* R) in value (Q* R is
-R on Q's rows, and Q times it adds exact zeros elsewhere), then factors
-the h x (N dim B) residual as the dense path does, with two exceptions
-that give its frame without an SVD: an exactly zero residual has rank 0
-and ends the growth, and one column that is a unit vector e_r of value 1
-is its own block, row r, since the SVD's frame of it is +e_r
-(``tests/test_wold.py`` pins that).  So on a shift (+) unitary no
-residual is factored.  From the first block that is not unit vectors the
-frame is built and the dense path goes on.
+as its set of rows on one scan of X (``numerics._RowSteps.residual``): a
+step reads X's nonzeros in the last block's columns outside the held
+rows, which is the dense R - Q (Q* R) in value (Q* R is R on Q's rows,
+and Q times it adds exact zeros elsewhere), and gives the frame of that
+residual without gathering it where its rows decide it: an exactly zero
+residual has rank 0 and ends the growth, one column that is a unit
+vector e_r of value 1 is its own block, row r, since the SVD's frame of
+it is +e_r (``tests/test_wold.py`` pins that), and past the gate the
+full-row-rank rule and the no-core order of the ``numerics`` docstring.
+Otherwise the h x (N dim B) residual is gathered and factored as the
+dense path does.  So on a shift (+) unitary no residual is built or
+factored, and the span builds one Subspace, at its end.  From the first
+block that is not unit vectors the frame is built and the dense path
+goes on.  When both frames of a side are unit vectors held by index on
+disjoint rows, its orthogonality defect is 0.0, the opnorm of their
+exact zero product, and when the rows also cover H so is its direct-sum
+residual; otherwise both are dense opnorms.
 """
 
 from __future__ import annotations
@@ -137,11 +144,12 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
     h = rep.h_dim
     rows = _unit_rows_of(rep, x, w)
     if rows is not None:
-        space, last = rep.space(1), rows
+        space, last, parts = rep.space(1), rows, [rows]
+        steps = nx._RowSteps(x, space.module_dim)
         nx.check_bytes((1 + nx._INDEX_BYTES) * h, "the held rows of a generated subspace")
         held = np.zeros(h, dtype=bool)
         held[rows] = True
-    total, block = (w.frame if rows is None else None), w
+    total, block, dim = (w.frame if rows is None else None), w, w.dim
     for _ in range(h):
         if rows is None:
             residual = _e_tensor_columns(rep, block, x)
@@ -149,18 +157,18 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
                 residual = residual - total @ (herm(total) @ residual)
             stacked = (h, total.shape[1] + rep.space(1).dim)
         else:
-            # X (I (x) F_B) gathered at the rows of B, and Gram-Schmidt
-            # against the unit vectors held so far: their rows set to zero
-            residual = x[:, (np.arange(space.module_dim)[:, None] * h + last).ravel()]
-            residual[held] = 0
-            stacked = (h, rows.size + space.dim)
-            if not residual.any():
+            # X (I (x) F_B) at the rows of B, against the unit vectors held
+            # so far, read off X's nonzeros; built only where that does not decide
+            stacked = (h, dim + space.dim)
+            last = steps.residual(last, held, stacked, rep.tol)
+            if last is None:
+                residual = steps.residual_product(parts[-1], held)
+            elif last.size == 0:
                 break  # rank 0
-            lone = nx._unit_rows(residual) if residual.shape[1] == 1 else None
-            if lone is not None and 1.0 > nx.rank_threshold(np.ones(1), stacked, rep.tol, 1.0):
-                # one unit column of value 1 is its own frame, as the SVD gives it
-                held[lone] = True
-                rows, last = np.concatenate([rows, lone]), lone
+            else:
+                held[last] = True
+                parts.append(last)
+                dim += last.size
                 continue
         block = Subspace(nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0))
         if block.dim == 0:
@@ -169,11 +177,12 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
             last = nx._unit_rows(block._frame)
             if last is not None and not held[last].any():
                 held[last] = True
-                rows = np.concatenate([rows, last])
+                parts.append(last)
+                dim += last.size
                 continue
-            total, rows = nx.dense(nx._units(h, rows), "a generated frame"), None  # dense from this block on
+            total, rows = nx.dense(nx._units(h, np.concatenate(parts)), "a generated frame"), None  # dense from this block on
         total = np.hstack([total, block.frame])
-    return Subspace(total if rows is None else nx._units(h, rows))
+    return Subspace(total if rows is None else nx._units(h, np.concatenate(parts)))
 
 
 def _unit_rows_of(rep: CovariantRep, x: np.ndarray, w: Subspace) -> np.ndarray | None:
@@ -220,14 +229,17 @@ class WoldDecomposition(Record):
 
 def _wold_side(rep: CovariantRep, generator: np.ndarray, residual: Subspace, w: Subspace) -> WoldResult:
     generated = generated_invariant_subspace(rep, generator, w)
-    ortho = opnorm(herm(generated.frame) @ residual.frame)
-    total = generated.projector() + residual.projector()
+    ortho, complete = nx._unit_frame_defects(generated, residual)
+    if ortho is None:
+        ortho = opnorm(herm(generated.frame) @ residual.frame)
+    if complete is None:
+        complete = opnorm(generated.projector() + residual.projector() - eye(rep.h_dim))
     return WoldResult(
         wandering=w,
         generated=generated,
         residual=residual,
         orthogonality_defect=ortho,
-        direct_sum_residual=opnorm(total - eye(rep.h_dim)),
+        direct_sum_residual=complete,
     )
 
 

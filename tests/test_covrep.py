@@ -711,6 +711,22 @@ def test_the_index_form_is_taken_only_for_a_monomial_lift_in_identity_coordinate
     assert wold.tilde.size >= nx._DEFLATE_MIN_SIZE and conjugated.tilde.size >= nx._DEFLATE_MIN_SIZE
 
 
+def test_a_scanned_monomial_lift_keeps_its_array(tol):
+    # a rep built from the dense lift of the n = 2, trunc 64 shift scans it
+    # as monomial and holds the index form; the form keeps the read-only
+    # array it was read from, so T_1 is tilde itself, in the same memory,
+    # and reading the kernel N(T_1) fills no second h x nh array
+    shift = build_shift(WeightedShiftSpec(n=2, trunc=64), tol)
+    rep = rep_from_tilde(shift.corr, shift.sigma, np.array(shift.tilde), tol)
+    assert type(rep._lift) is nx._Monomial and not rep.tilde.flags.writeable
+    assert rep.tilde_power(1) is rep.tilde and np.shares_memory(rep.tilde_power(1), rep.tilde)
+    assert rep.kernel_subspace(1).frame.tobytes() == shift.kernel_subspace(1).frame.tobytes()
+    assert rep._lift._dense is rep.tilde
+    # a writable array is not kept: the form builds its own on a read
+    form = nx._index_form(np.array(shift.tilde))
+    assert form._dense is None and nx.dense(form, "a lift").tobytes() == shift.tilde.tobytes()
+
+
 def test_a_power_report_past_the_dense_budget_of_its_powers(tol, monkeypatch):
     # T_4 of the n = 2, trunc 120 shift is 121 x 1,936, 3.7 MB dense; its
     # index form is 46 kB, so the report fits 1 MB while the public read of

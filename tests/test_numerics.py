@@ -845,29 +845,48 @@ def blocks_and_monomial(rng, h, n, blocks, moduli) -> np.ndarray:
     return x
 
 
-def check_column_ranges(x, index_sets, tol) -> list:
-    """Step one X's column ranges through the index sets at X's shape, and
-    require every frame to be the product's, byte for byte, and each core's
-    singular values to be taken once and to be the product core's; returns
+def decided_by_index(product, shape, tol, floor) -> bool:
+    """Whether the range frame of the product is unit vectors that the
+    deflation decides without singular vectors: past the gate, a product
+    with no core, or a square or wide core whose values all clear the cut."""
+    if product.size < nx._DEFLATE_MIN_SIZE:
+        return False
+    core, _, _, (_, _, v) = nx._deflate(product)
+    if core.shape[0] == 0 or core.shape[0] > core.shape[1]:
+        return core.shape[0] == 0
+    s = np.linalg.svd(core, compute_uv=False)
+    return s[-1] > nx.rank_threshold(np.maximum(s[:1], np.abs(v).max(initial=0.0)), shape, tol, floor)
+
+
+def check_row_steps(x, row_sets, tol) -> list:
+    """Step one X through the row sets of F at X's shape, on both scale
+    floors, and require every frame to be the product's, byte for byte:
+    rows where the deflation decides it, None where it does not.  A row
+    set of None is the rows of the frame just taken (the iteration's
+    nested step), fed back as the stepper returned them.  Each core's
+    singular values are taken once, and are the product core's.  Returns
     whether each step was decided by the full-row-rank rule."""
     h, n = x.shape
-    ranges, keys, decided = nx._ColumnRanges(x), set(), []
-    for at in index_sets:
-        f = unit_columns(n, at)
-        product = nx.matmul(x, f)
+    steps, keys, decided, last = nx._RowSteps(x, 1), set(), [], np.arange(n)
+    for at in row_sets:
+        at = last if at is None else np.asarray(at, dtype=np.intp)
+        product = nx.matmul(x, unit_columns(n, at))
         for floor in (1.0, 0.0):
-            got = ranges.frame(f, x.shape, tol, floor)
+            got = steps.step(at, x.shape, tol, floor)
             want = nx._range_frame_cut_as(product, x.shape, tol, floor)
-            assert type(got) is type(want)
-            assert nx.dense(got, "a frame").tobytes() == nx.dense(want, "a frame").tobytes()
+            assert (got is not None) == decided_by_index(product, x.shape, tol, floor)
+            if got is not None:
+                assert nx.dense(nx._units(h, got), "a frame").tobytes() == nx.dense(want, "a frame").tobytes()
         core, rows, cols, _ = nx._deflate(product)
         tried = product.size >= nx._DEFLATE_MIN_SIZE and 0 < core.shape[0] <= core.shape[1]
         if tried:
-            key = (np.flatnonzero(rows).tobytes() if rows is not None else np.arange(h).tobytes(), f._at[cols].tobytes() if cols is not None else f._at.tobytes())
+            key = (np.flatnonzero(rows).tobytes() if rows is not None else np.arange(h).tobytes(), at[cols].tobytes() if cols is not None else at.tobytes(), True)
             keys.add(key)
-            assert ranges.values[key].tobytes() == nx._svd(core, False, compute_uv=False).tobytes()
-        decided.append(tried and nx._unit_rows(want) is not None)
-    assert len(ranges.values) == len(keys)
+            assert steps.values[key].tobytes() == nx._svd(core, False, compute_uv=False).tobytes()
+        decided.append(tried and got is not None)
+        rows = got if got is not None else nx._unit_rows(nx.dense(want, "a frame"))
+        last = rows if rows is not None and rows.size and n == h else np.arange(n)
+    assert len(steps.values) == len(keys)
     return decided
 
 
@@ -901,8 +920,27 @@ def column_iterations(draw):
 @settings(max_examples=60, deadline=None)
 @given(column_iterations())
 def test_column_ranges_are_the_range_frames_of_the_products(case):
+    # the stepper's counts, moved by the columns that came and went, give
+    # the product's frame at every step of a sequence that is not nested
     x, index_sets = case
-    check_column_ranges(x, index_sets, nx.DEFAULT_TOL)
+    check_row_steps(x, index_sets, nx.DEFAULT_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_iterations())
+def test_row_steps_follow_nested_iterations_and_jumps(case):
+    # on the square X of the same draw, the iteration S -> X S from all of
+    # C^h, each decided frame fed back as its rows (the counts move by the
+    # rows that left; a row can come back once the largest isolated modulus
+    # leaves and the cut drops), broken by the draw's sets, which are not
+    # nested, and iterated again from each
+    x, index_sets = case
+    h = x.shape[0]
+    x = np.ascontiguousarray(x[:, :h])
+    sets = [np.arange(h), None, None, None]
+    for at in index_sets[2:]:
+        sets += [at[at < h], None, None]
+    check_row_steps(x, sets, nx.DEFAULT_TOL)
 
 
 def test_column_ranges_fall_back_for_a_tall_core_and_follow_a_core_that_changes(tol):
@@ -919,13 +957,30 @@ def test_column_ranges_fall_back_for_a_tall_core_and_follow_a_core_that_changes(
     tall = np.flatnonzero(np.count_nonzero(x, axis=0) == 12)
     (i_below,), (i_above,) = np.flatnonzero(np.abs(x).max(axis=1) == abs(below)), np.flatnonzero(np.abs(x).max(axis=1) == abs(above))
     rest = np.setdiff1d(np.arange(n), tall)
-    decided = check_column_ranges(x, [np.arange(n), rest, rest[::-1], np.setdiff1d(rest, wide[:5]), rest], tol)
+    decided = check_row_steps(x, [np.arange(n), rest, rest[::-1], np.setdiff1d(rest, wide[:5]), rest], tol)
     # with the tall block the core has 18 rows and 16 columns: built; without
     # it the wide core decides, again when its columns come back, and a core
     # of 6 x 5 (half the wide block dropped) is tall again
     assert decided == [False, True, True, False, True]
-    frame = nx.dense(nx._ColumnRanges(x).frame(unit_columns(n, rest), x.shape, tol, 1.0), "a frame")
-    assert frame[i_above].any() and not frame[i_below].any()
+    rows = nx._RowSteps(x, 1).step(rest, x.shape, tol, 1.0)
+    assert i_above in rows and i_below not in rows
+
+
+def test_a_row_comes_back_when_the_largest_isolated_modulus_leaves(tol):
+    # on the scale floor 0 the cut follows the largest modulus: while the
+    # isolated entry of modulus 2 is in X F, the one of modulus 5e-9 is below
+    # the cut (2 * 40 * rank_rel = 8e-9) and its row is dropped; once the
+    # column of the first leaves, the cut drops to 0.9 * 40 * rank_rel and
+    # the row comes back, and it goes again when that column returns
+    h = 40
+    x = np.zeros((h, h), dtype=np.complex128)
+    x[:4, :4] = random_with_spectrum(rng_for(365), 4, 4, [0.9, 0.9, 0.9, 0.9])
+    x[20, 30], x[21, 31] = 2.0, 5e-9
+    every, without = np.arange(h), np.setdiff1d(np.arange(h), [30])
+    assert check_row_steps(x, [every, without, every, without], tol) == [True] * 4
+    steps = nx._RowSteps(x, 1)
+    kept = [21 in steps.step(at, x.shape, tol, 0.0) for at in (every, without, every)]
+    assert kept == [False, True, False]
 
 
 # ---------------------------------------------------------------------------

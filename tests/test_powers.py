@@ -414,20 +414,42 @@ def test_iterated_range_matches_the_dense_oracle(tol):
 
 def test_iterated_range_past_the_gate_matches_the_dense_oracle(tol, monkeypatch):
     # the same comparison on representations whose X(E (x) H) is scanned:
-    # unit-vector steps go through X's one scan (nx._ColumnRanges), the
-    # others through the product, and both meet the oracle
+    # steps on unit vectors held as rows go through X's one scan
+    # (nx._RowSteps), the others through the product, and both meet the
+    # oracle; each iteration scans its X at most once
     from pirep.wold import cauchy_dual
 
-    steps, real = [], nx._ColumnRanges.frame
-    monkeypatch.setattr(nx._ColumnRanges, "frame", lambda self, *args: steps.append(1) or real(self, *args))
+    scans, steps = spy_row_steps(monkeypatch)
     for index, rep in enumerate(gated_iteration_reps(tol)):
         assert rep.tilde.size >= nx._DEFLATE_MIN_SIZE
         for x in (rep.tilde, cauchy_dual(rep)):
+            scans.clear()
             got = pw.iterated_range(rep, x)
             want = iterated_range_by_amplification(rep, x)
             assert got.dim == want.dim, index
             assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+            assert len(scans) <= 1, index
     assert len(steps) > 2 * 5
+
+
+def spy_row_steps(monkeypatch) -> tuple:
+    """Record every scan of X (one per ``nx._RowSteps``) and every step as
+    (stepper, rows in, rows out)."""
+    scans, steps = [], []
+    real_init, real_step = nx._RowSteps.__init__, nx._RowSteps.step
+
+    def init(self, *args):
+        scans.append(self)
+        real_init(self, *args)
+
+    def step(self, rows, *args):
+        out = real_step(self, rows, *args)
+        steps.append((self, rows, out))
+        return out
+
+    monkeypatch.setattr(nx._RowSteps, "__init__", init)
+    monkeypatch.setattr(nx._RowSteps, "step", step)
+    return scans, steps
 
 
 def unit_vector_frame(frame) -> bool:
@@ -439,27 +461,61 @@ def unit_vector_frame(frame) -> bool:
 def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
     # on the q = 60, u = 20 shift (+) unitary the 20 x 20 unitary core of
     # every step fills its rows, so every frame of the iteration, for tilde
-    # and for its Cauchy dual, is a set of unit vectors; each of the 61
-    # steps is cut from the iteration's one scan of X, and the core, the
-    # same at every step, has its singular values taken once per iteration
+    # and for its Cauchy dual, is a set of unit vectors held as its rows;
+    # each of the 61 steps moves the counts of the iteration's one scan of
+    # X, the core, the same at every step, has its singular values taken
+    # once per iteration, and one Subspace is built, at the end
     from pirep.wold import cauchy_dual
 
     rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=60, u_dim=20)
     t_dual = cauchy_dual(rep)
     svds, real_svd = [], nx._svd
     monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: svds.append((m.shape, compute_uv)) or real_svd(m, full, compute_uv))
-    steps, real = [], nx._ColumnRanges.frame
-    monkeypatch.setattr(nx._ColumnRanges, "frame", lambda self, *args: steps.append((self, real(self, *args))) or steps[-1][1])
+    scans, steps = spy_row_steps(monkeypatch)
+    built, real_post = [], nx.Subspace.__post_init__
+    monkeypatch.setattr(nx.Subspace, "__post_init__", lambda self: built.append(self) or real_post(self))
     for x in (rep.tilde, t_dual):
         svds.clear()
         steps.clear()
+        scans.clear()
+        built.clear()
         got = pw.iterated_range(rep, x)
         assert svds == [((20, 20), False)]
-        assert len(steps) == 61 and len({id(scan) for scan, _ in steps}) == 1
-        assert all(type(frame) is nx._Monomial and unit_vector_frame(frame) for _, frame in steps)
+        assert len(steps) == 61 and len(scans) == 1
+        assert all(out is not None and unit_vector_frame(nx._units(rep.h_dim, out)) for _, _, out in steps)
+        assert [s.dim for s in built] == [20] and built[0] is got and type(got._frame) is nx._Monomial
         want = iterated_range_by_amplification(rep, x)
         assert got.dim == want.dim == 20
         assert nx.opnorm(got.projector() - want.projector()) <= 1e-12
+
+
+def test_iterated_range_on_a_shift_stays_on_the_index_path_past_the_gate(tol, monkeypatch):
+    # the n = 2, trunc 40 shift: X F has no core (every entry is isolated),
+    # so each step's frame is the kept rows by descending modulus, byte for
+    # byte the split SVD's unit vectors, and the next step is taken from
+    # those rows; the iteration leaves the rows only where a frame has
+    # fewer than _DEFLATE_MIN_SIZE entries (41 x 10 and below), where every
+    # range frame is the dense one, and meets the oracle
+    from pirep.wold import cauchy_dual
+
+    rep = next(r for r in gated_iteration_reps(tol) if r.h_dim == 41 and r.corr.module_dim == 2)
+    assert rep.tilde.shape == (41, 82)
+    scans, steps = spy_row_steps(monkeypatch)
+    dense, real = [], pw._span_e_tensor
+    monkeypatch.setattr(pw, "_span_e_tensor", lambda rep_, s, x_: dense.append(s.dim) or real(rep_, s, x_))
+    for x in (rep.tilde, cauchy_dual(rep)):
+        steps.clear()
+        dense.clear()
+        got = pw.iterated_range(rep, x)
+        sizes = [(rows.size, out.size) for _, rows, out in steps]
+        assert sizes == [(41, 40), (40, 38), (38, 34), (34, 26), (26, 10)]
+        assert all(41 * out.size >= nx._DEFLATE_MIN_SIZE for _, _, out in steps[:-1]) and 41 * 10 < nx._DEFLATE_MIN_SIZE
+        assert dense == [10, 0] and got.dim == 0
+        for _, rows, out in steps:
+            product = nx.matmul(x, nx._Monomial((82, 2 * rows.size), np.concatenate([rows, 41 + rows]), np.ones(2 * rows.size, dtype=complex)))
+            want = nx._range_frame_cut_as(product, (41, 82), tol, 1.0)
+            assert type(want) is np.ndarray and want.tobytes() == nx.dense(nx._units(41, out), "a frame").tobytes()
+        assert iterated_range_by_amplification(rep, x).dim == 0
 
 
 def test_a_conjugated_shift_plus_unitary_falls_back_to_the_split_svd(tol, monkeypatch):

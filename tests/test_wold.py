@@ -212,67 +212,168 @@ def test_generated_past_the_gate_matches_the_dense_oracle(tol):
             assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
 
 
-def test_a_span_held_by_rows_drops_what_returns_into_it(tol):
+def test_a_span_held_by_rows_drops_what_returns_into_it(tol, monkeypatch):
     # X e_j = e_(j+1) + e_0 / 2 on a 40-dimensional H, from W = e_0: every
     # image returns into the held row 0, and setting the held rows to zero
     # (Gram-Schmidt against unit vectors) leaves the unit vector e_(j+1), so
-    # the span is held by its rows up to all of H, as the oracle has it
+    # the span is held by its rows up to all of H, as the oracle has it,
+    # each step read off X's nonzeros with no dense residual
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=32, u_dim=8)
     x = np.diag(np.ones(39), -1).astype(complex)
     x[0] += 0.5
     w = Subspace(np.eye(40, 1, dtype=complex))
-    got = wold.generated_invariant_subspace(rep, x, w)
+    with monkeypatch.context() as patch:
+        patch.setattr(nx._RowSteps, "residual_product", None)
+        got = wold.generated_invariant_subspace(rep, x, w)
     want = generated_subspace_by_amplification(rep, x, w)
     assert type(got._frame) is nx._Monomial and got.dim == want.dim == 40
     assert nx.opnorm(got.projector() - want.projector()) <= 1e-12
 
 
+def spy_iterations(monkeypatch) -> dict:
+    """Record, for one ``wold_decompose``: every scan of X (one per
+    ``nx._RowSteps``), each ``step`` and ``residual`` as (stepper, rows in,
+    rows out), each dense residual and product a stepper builds, and the
+    ``_range_frame_cut_as`` calls and Subspaces made inside the two
+    subspace iterations, with how many iterations ran."""
+    from pirep import powers as pw
+
+    seen = {name: [] for name in ("scans", "steps", "residuals", "dense", "cuts", "built", "iterations")}
+    inside = []
+
+    def record(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen[key].append((args[0], args[1], out) if key in ("steps", "residuals") else args[0])
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def iteration(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            seen["iterations"].append(name)
+            inside.append(1)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(nx._RowSteps, "__init__", "scans")
+    record(nx._RowSteps, "step", "steps")
+    record(nx._RowSteps, "residual", "residuals")
+    record(nx._RowSteps, "product", "dense")
+    record(nx._RowSteps, "residual_product", "dense")
+    real_cut, real_post = nx._range_frame_cut_as, nx.Subspace.__post_init__
+    monkeypatch.setattr(nx, "_range_frame_cut_as", lambda a, *args: (seen["cuts"].append(a.shape) if inside else None) or real_cut(a, *args))
+    monkeypatch.setattr(nx.Subspace, "__post_init__", lambda self: (seen["built"].append(self) if inside else None) or real_post(self))
+    for module in (pw, wold):
+        iteration(module, "iterated_range")
+    iteration(wold, "generated_invariant_subspace")
+    return seen
+
+
 def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch):
     # on the q = 60, u = 20 shift (+) unitary every shift direction is an
     # isolated entry of its frame, so LAPACK sees only the 20 x 20 unitary
-    # core.  Each R^infty iteration steps through one scan of X and takes
-    # the singular values of the core, the same at every step, once; each
-    # generated step takes only the residual of its new columns: one unit
-    # column here (N = 1, and the span grows one dimension per step), which
-    # is its own frame, never the stacked 80 x k frame
+    # core.  Each of the four subspace iterations (R^infty and the generated
+    # span, of tilde and of its Cauchy dual) scans its X once and steps
+    # rows; each R^infty iteration takes the singular values of the core,
+    # the same at every step, once; each generated step reads one unit
+    # column of X, which is its own frame, and no residual is factored
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
     calls, real_svd = [], nx._svd
     monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: calls.append((m.shape, compute_uv)) or real_svd(m, full, compute_uv))
-    steps, real = [], nx._ColumnRanges.frame
-
-    def frame(self, *args):
-        before = len(calls)
-        out = real(self, *args)
-        steps.append((self, calls[before:], out))
-        return out
-
-    monkeypatch.setattr(nx._ColumnRanges, "frame", frame)
+    seen = spy_iterations(monkeypatch)
     out = wold.wold_decompose(rep, check_hypotheses=False)
     assert all(max(shape) <= 20 for shape, _ in calls), sorted(set(calls))
-    # two iterations, R^infty of tilde and of its Cauchy dual, 61 steps each,
-    # with one values-only SVD of the core between them, and every frame a
-    # set of unit vectors of value 1
-    scans = {id(scan) for scan, _, _ in steps}
-    assert len(scans) == 2 and len(steps) == 2 * 61
-    for scan in scans:
-        assert [call for s, svds, _ in steps if id(s) == scan for call in svds] == [((20, 20), False)]
-    for _, _, f in steps:
-        f = nx.dense(f, "a frame")
-        assert np.array_equal(np.count_nonzero(f, axis=0), np.ones(f.shape[1])) and set(f[f != 0]) == {1.0}
+    assert sorted(seen["iterations"]) == ["generated_invariant_subspace"] * 2 + ["iterated_range"] * 2
+    assert len(seen["scans"]) == 4 and not seen["dense"] and not seen["cuts"]
+    # two R^infty iterations of 61 steps, each on its own scan with one
+    # values-only SVD of the core, every frame a set of unit-vector rows
+    steppers = {id(stepper) for stepper, _, _ in seen["steps"]}
+    assert len(steppers) == 2 and len(seen["steps"]) == 2 * 61
+    assert all(rows is not None and 80 * rows.size >= nx._DEFLATE_MIN_SIZE for _, _, rows in seen["steps"])
+    for stepper in seen["scans"]:
+        assert [s.shape for s in stepper.values.values()] == ([(20,)] if id(stepper) in steppers else [])
     # only the Cauchy dual's pseudoinverse and the kernel N(tilde) that
     # regularity reads factor the core with vectors
-    assert calls.count(((20, 20), True)) == 2
+    assert calls.count(((20, 20), True)) == 2 and len(calls) == 6
     # per side, 59 residuals grow the span from the wandering line to 60
-    # dimensions and one more, exactly zero, stops it; each of the 59 is one
-    # unit column of value 1, its own frame, so no residual is factored
-    assert not any(shape == (80, 1) for shape, _ in calls) and len(calls) == 6
+    # dimensions, one row each, and one more, exactly zero, stops it
+    sizes = [rows.size for _, _, rows in seen["residuals"]]
+    assert len(sizes) == 2 * 60 and sizes.count(1) == 2 * 59 and sizes.count(0) == 2
+    # one Subspace per iteration, at its end
+    assert len(seen["built"]) == 4 and all(type(s._frame) is nx._Monomial for s in seen["built"])
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (60, 20)
         assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
+
+
+def test_wold_scales_to_q_400_with_one_scan_per_iteration(tol, monkeypatch):
+    # the q = 400, u = 20 shift (+) unitary: each of the four iterations
+    # scans its X (420 x 420) once, no step on unit vectors builds a
+    # Subspace or calls _range_frame_cut_as, and the held span reads X's
+    # nonzeros with no dense h-row gather; one Subspace per iteration
+    from pirep import harness as hz
+
+    rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=400, u_dim=20)
+    seen = spy_iterations(monkeypatch)
+    out = wold.wold_decompose(rep, check_hypotheses=False)
+    assert len(seen["iterations"]) == 4 and len(seen["scans"]) == 4
+    assert not seen["cuts"] and not seen["dense"] and len(seen["built"]) == 4
+    assert len(seen["steps"]) == 2 * 401 and len(seen["residuals"]) == 2 * 400
+    for side in (out.primal, out.dual):
+        assert (side.generated.dim, side.residual.dim) == (400, 20)
+        assert side.orthogonality_defect == 0.0 and side.direct_sum_residual == 0.0
+
+
+def test_held_rows_grow_the_span_as_dense_gram_schmidt(tol, monkeypatch):
+    # the span held as rows and grown from X's nonzeros equals the dense
+    # Gram-Schmidt growth of the same W and X (to 1e-12), on the gated
+    # representations and the q = 60 shift (+) unitary
+    from pirep import harness as hz
+
+    reps = gated_iteration_reps(tol) + [hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)]
+    held = []
+    for index, rep in enumerate(reps):
+        w = nx.ortho_complement(rep.range_subspace(1), tol)
+        for x in (rep.tilde, wold.cauchy_dual(rep)):
+            got = wold.generated_invariant_subspace(rep, x, w)
+            with monkeypatch.context() as patch:
+                patch.setattr(wold, "_unit_rows_of", lambda *args: None)
+                want = wold.generated_invariant_subspace(rep, x, w)
+            assert got.dim == want.dim, index
+            assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
+            held.append(type(got._frame) is nx._Monomial)
+    assert sum(held) >= 2
+
+
+def test_wold_defects_of_unit_frames_are_read_from_their_rows(tol):
+    # frames of unit vectors on disjoint rows: the orthogonality defect is
+    # the 0.0 the dense opnorm gives, and the direct-sum residual too when
+    # the rows cover H; shared rows or dense frames keep the dense norms
+    h = 120
+    units = lambda rows: Subspace(nx._units(h, np.asarray(rows, dtype=np.intp)))
+    low, high, rest = units(range(0, 90)), units(range(90, 120)), units(range(90, 110))
+    assert all(type(s._frame) is nx._Monomial for s in (low, high, rest))
+    for a, b in ((low, high), (low, rest), (low, low), (high, low)):
+        ortho, complete = nx._unit_frame_defects(a, b)
+        dense_ortho = nx.opnorm(nx.herm(a.frame) @ b.frame)
+        dense_complete = nx.opnorm(a.projector() + b.projector() - np.eye(h))
+        assert ortho in (None, dense_ortho) and complete in (None, dense_complete)
+        assert (ortho is None) == (a is b) and (complete is None) == (b is not high and a is not high)
+    dense = Subspace(np.eye(h)[:, 90:])
+    assert nx._unit_frame_defects(low, dense) == (None, None)
 
 
 def test_one_unit_column_is_its_own_range_frame(tol):
