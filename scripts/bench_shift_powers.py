@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time ``power_report`` and ``classify`` on weighted shifts, and
-``wold_decompose`` on shift (+) unitary models, and write the numbers,
-with the machine and numpy/BLAS configuration, as JSON.
+"""Time ``power_report`` and ``classify`` on weighted shifts, a whole
+shift case, and ``wold_decompose`` on shift (+) unitary models, and write
+the numbers, with the machine and numpy/BLAS configuration, as JSON.
 
 Usage:
     python scripts/bench_shift_powers.py OUT.json
@@ -13,7 +13,11 @@ representation (``build_s``), neither with the import, the fastest call,
 and the largest max RSS of the three processes.  The cases:
 ``power_report`` on (n, trunc, n_max) = (2, 120, 4), (3, 216, 4),
 (2, 500, 4), (2, 1000, 3) and (2, 1000, 4); ``classify`` on the
-n = 3, trunc 216 shift; and ``wold_decompose``
+n = 3, trunc 216 shift; a shift case (``shift_pi_criterion`` with
+power_cap 3, then ``kernel_formula`` and the oracle ``brute_force_kernel``
+for every direction i and power k <= 3, which must agree) on the
+n = 3, trunc 216 and n = 2, trunc 64 shifts with zero set {1, 4}, its
+``build_s`` the spec alone; and ``wold_decompose``
 (``check_hypotheses=False``) on the forward shift of size q (+) a Haar
 unitary of size u = 20 for q = 60, q = 200 and q = 400
 (``harness.shift_plus_unitary_fixture``, seed 0).  A case whose process
@@ -39,6 +43,8 @@ CASES = [
     {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 3},
     {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 4},
     {"kind": "classify", "n": 3, "trunc": 216},
+    {"kind": "shift_case", "n": 3, "trunc": 216, "zero_set": [1, 4]},
+    {"kind": "shift_case", "n": 2, "trunc": 64, "zero_set": [1, 4]},
     {"kind": "wold", "q": 60, "u": 20},
     {"kind": "wold", "q": 200, "u": 20},
     {"kind": "wold", "q": 400, "u": 20},
@@ -56,6 +62,8 @@ case = json.loads(sys.argv[1])
 start = time.perf_counter()
 if case["kind"] == "wold":
     rep = harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
+elif case["kind"] == "shift_case":
+    spec = shifts.WeightedShiftSpec(n=case["n"], zero_set=case["zero_set"], trunc=case["trunc"])
 else:
     rep = shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
 build = time.perf_counter() - start
@@ -64,6 +72,14 @@ if case["kind"] == "power_report":
     result = powers.power_report(rep, case["n_max"]).to_dict()
 elif case["kind"] == "wold":
     result = wold.wold_decompose(rep, check_hypotheses=False).to_dict()
+elif case["kind"] == "shift_case":
+    result = {"criterion": shifts.shift_pi_criterion(spec, DEFAULT_TOL, power_cap=3).to_dict(), "kernels": {}}
+    for k in (1, 2, 3):
+        for i in range(1, spec.n + 1):
+            formula = shifts.kernel_formula(spec, i, k)
+            if formula != shifts.brute_force_kernel(spec, i, k, DEFAULT_TOL):
+                raise AssertionError(f"i={i}, k={k}: the formula and the oracle disagree")
+            result["kernels"][f"i={i},k={k}"] = formula
 else:
     result = rep.classify().to_dict()
 wall = time.perf_counter() - start

@@ -17,9 +17,11 @@ models the untruncated operator, and no claim is made there.
 One vectorized source gives each column's target row and value
 (``_shift_columns``).  ``build_shift`` builds the lift from it as its
 index form, n (M+1) rows and values checked from the shape first, with no
-dense V_i, stack or scan; ``shift_matrices`` and the oracle
-``brute_force_kernel`` scatter the same data into dense V_i.  A spec
-checks the bytes of the n dense V_i against the budget
+dense V_i, stack or scan; ``shift_matrices`` scatters the same data into
+the n dense V_i at once.  The oracle ``brute_force_kernel`` steps one
+direction's column data through the window: a column of V_i^k holds one
+entry, so it is held as one (row, value) pair, and no dense V_i or power
+is built.  A spec checks the bytes of the n dense V_i against the budget
 (``numerics.check_bytes``) from n and M alone, before it allocates
 anything: that check guards the dense reads (``shift_matrices``, a
 representation's ``tilde`` and ``v_on_basis``); the lift powers the
@@ -127,10 +129,13 @@ class WeightedShiftSpec:
 
 
 def shift_matrices(spec: WeightedShiftSpec) -> list:
-    """The truncated matrices V_1..V_n.  Source indices whose image falls
-    beyond the truncation give zero columns (tracked by the window, not
-    errors)."""
-    return [_shift_matrix(spec, i) for i in range(1, spec.n + 1)]
+    """The truncated matrices V_1..V_n, one scatter of their column data.
+    Source indices whose image falls beyond the truncation give zero
+    columns (tracked by the window, not errors)."""
+    rows, values = _shift_columns(spec)
+    vs = np.zeros(rows.shape + rows.shape[-1:], dtype=np.complex128)
+    np.put_along_axis(vs, rows[:, None], values[:, None], axis=1)
+    return list(vs)
 
 
 def _shift_columns(spec: WeightedShiftSpec) -> tuple:
@@ -148,15 +153,6 @@ def _shift_columns(spec: WeightedShiftSpec) -> tuple:
     alpha[[m for m in spec.zero_set if m < d]] = 0.0
     past = rows > spec.trunc
     return np.where(past, 0, rows), np.where(past, 0.0, weights * alpha)
-
-
-def _shift_matrix(spec: WeightedShiftSpec, i: int) -> np.ndarray:
-    """The truncated matrix V_i: one scatter of its column data."""
-    rows, values = _shift_columns(spec)
-    d = spec.h_dim()
-    v = np.zeros((d, d), dtype=np.complex128)
-    v[rows[i - 1], np.arange(d)] = values[i - 1]
-    return v
 
 
 def build_shift(spec: WeightedShiftSpec, tol: Tolerance) -> CovariantRep:
@@ -187,42 +183,76 @@ def _faithful_window(spec: WeightedShiftSpec, k: int) -> range:
     return window
 
 
+def _power_window(spec: WeightedShiftSpec, i, k) -> tuple:
+    """(i, k, W_k) for the power V_i^k, as ints, after refusing a direction
+    outside 1..n or a power below 1 (V_i^0 = I has no kernel)."""
+    i, k = _integer(i, "the direction i"), _integer(k, "the power k")
+    if not (1 <= i <= spec.n):
+        raise DimensionMismatch(f"direction {i} out of 1..{spec.n}")
+    if k < 1:
+        raise DimensionMismatch("a kernel of V_i^k needs k >= 1")
+    return i, k, _faithful_window(spec, k)
+
+
 def kernel_formula(spec: WeightedShiftSpec, i: int, k: int) -> list:
     """Predicted kernel indices of V_i^k on the faithful window:
 
         { m in W_k : exists p <= k with
           n^(p-1) m + sum_{l=2}^{p} n^(p-l) i  in  B }.
 
-    Valid when the weights off B are nonzero (zero weights enlarge the
-    kernel beyond the alpha pattern).  Raises WindowError when the window
-    is empty.
+    The p-th index is the orbit's: idx_1 = m and idx_(p+1) = n idx_p + i,
+    which is that closed form exactly (Python ints), so each m walks its
+    orbit until it meets B or has taken k indices.  Valid when the weights
+    off B are nonzero (zero weights enlarge the kernel beyond the alpha
+    pattern).  Raises WindowError when the window is empty.
     """
-    if not (1 <= i <= spec.n):
-        raise DimensionMismatch(f"direction {i} out of 1..{spec.n}")
-    if k < 1:
-        raise DimensionMismatch("kernel formula needs k >= 1")
-    window = _faithful_window(spec, k)
+    i, k, window = _power_window(spec, i, k)
     hits = []
     for m in window:
-        for p in range(1, k + 1):
-            idx = spec.n ** (p - 1) * m + sum(spec.n ** (p - l) * i for l in range(2, p + 1))
+        idx = m
+        for _ in range(k):
             if idx in spec.zero_set:
                 hits.append(m)
                 break
+            idx = spec.n * idx + i
     return hits
 
 
-def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance) -> list:
-    """Oracle: kernel indices of the truncated matrix power V_i^k on W_k,
-    from its window columns V_i(...(V_i V_i[:, W_k])).  Every entry of a
-    product of shift matrices is a single product of weights, so these
-    columns are those of the dense power up to the order of that product."""
-    window = _faithful_window(spec, k)
-    v = _shift_matrix(spec, i)
-    power = v[:, window]
+def _power_columns(spec: WeightedShiftSpec, i: int, k: int) -> tuple:
+    """(window, rows, values): column m of the truncated V_i^k, for m in
+    the faithful window W_k, holds its one entry values[m] at rows[m] (a
+    zero value where the column is zero)."""
+    i, k, window = _power_window(spec, i, k)
+    rows, values = (a[i - 1] for a in _shift_columns(spec))
+    row, value = rows[: len(window)], values[: len(window)]
     for _ in range(k - 1):
-        power = v @ power
-    return [m for m, norm in zip(window, np.linalg.norm(power, axis=0)) if defect_within(norm, tol)]
+        value = values[row] * value
+        row = rows[row]
+    return window, row, value
+
+
+def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance) -> list:
+    """Oracle: kernel indices of the truncated matrix power V_i^k on W_k.
+
+    It is a numeric product of the truncated matrix: it reads V_i only as
+    its column data (``_shift_columns``, which the dense V_i scatter), and
+    neither the formula nor the zero set's index arithmetic.  Every column
+    of V_i holds at most one entry, so each window column of V_i^k is held
+    as one (row, value) pair and stepped k - 1 times, value = values[row] *
+    value and then row = rows[row]: the product V_i(...(V_i V_i[:, W_k])),
+    multiplied in that order.  Its values are the nonzeros of that dense
+    product's columns bit for bit: a real weight times a complex number with
+    zero imaginary part is exact, and the dense sum only adds exact zeros.
+
+    A column is in the kernel when ``defect_within(|value|)``.  The dense
+    norm of a one-entry column is sqrt(fl(a^2)), which is |a| unless a^2
+    under- or overflows: below 2^-511 (about 1.5e-154) both are at most
+    2^-511, and from about 2^512 (1.3e154) the dense norm is inf, so for
+    every cut 2^-511 <= incl_abs < 2^511 (the default is 1e-8) the two fall
+    on the same side of it.
+    """
+    window, _, value = _power_columns(spec, i, k)
+    return [m for m, a in zip(window, np.abs(value).tolist()) if defect_within(a, tol)]
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,13 @@ def test_bench_shift_powers_times_the_smallest_case():
     assert wold in script.CASES
     primal = script.measure(wold, 1)["result"]["primal"]
     assert (primal["wandering_dim"], primal["generated_dim"], primal["residual_dim"]) == (1, 60, 20)
+    case = {"kind": "shift_case", "n": 2, "trunc": 64, "zero_set": [1, 4]}
+    assert case in script.CASES
+    shift = script.measure(case, 1)
+    assert shift["build_s"][0] >= 0 and shift["wall_s"][0] > 0
+    assert shift["result"]["criterion"] == {"is_pi": True, "weights_unit_off_zero_set": True, "power_pi_up_to": 3}
+    assert len(shift["result"]["kernels"]) == 6
+    assert shift["result"]["kernels"]["i=1,k=1"] == [1, 4] and shift["result"]["kernels"]["i=1,k=2"] == [0, 1, 4]
     env = script.environment()
     assert env["numpy"] == np.__version__ and env["blas_threads"] == 1 and env["machine"]["cpu_count"]
     usage = run_script("bench_shift_powers.py")

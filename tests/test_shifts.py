@@ -264,10 +264,45 @@ def test_kernel_formula_matches_bruteforce(tol):
                 )
 
 
+def _assert_power_columns_are_dense(spec, tol, where):
+    """The oracle's stepped window columns of every V_i^k, k <= 3, against
+    np.linalg.matrix_power of the dense V_i: its kernel is the dense columns'
+    norm test, and each column holds one entry, at the stepped row.  The
+    entry equals the stepped value bit for bit (and its norm is |value|)
+    where the orbit meets a zero or at most one factor other than 1, since
+    a product with 1 or 0 is exact in any order; otherwise matrix_power
+    multiplies (V V) V and the weights round in another order."""
+    vs = sh.shift_matrices(spec)
+    for k in (1, 2, 3):
+        window = list(spec.window(k))
+        for i in range(1, spec.n + 1):
+            dense = np.linalg.matrix_power(vs[i - 1], k)[:, window]
+            want = [m for m, column in zip(window, dense.T) if np.linalg.norm(column) <= tol.incl_abs]
+            assert sh.brute_force_kernel(spec, i, k, tol) == want, (where, i, k)
+            got, rows, values = sh._power_columns(spec, i, k)
+            assert list(got) == window and rows.shape == values.shape == (len(window),), (where, i, k)
+            for m, column in zip(window, dense.T):
+                orbit = [m]
+                for _ in range(k - 1):
+                    orbit.append(spec.n * orbit[-1] + i)
+                factors = [spec.weight(i, j) * spec.alpha(j) for j in orbit]
+                row, value = int(rows[m]), values[m]
+                assert row == spec.n * orbit[-1] + i, (where, i, k, m)
+                assert set(np.flatnonzero(column).tolist()) <= {row} and not column.imag.any()
+                if 0.0 in factors or sum(f != 1.0 for f in factors) <= 1:
+                    assert column[row].real.tobytes() == value.tobytes(), (where, i, k, m)
+                    assert np.linalg.norm(column) == abs(value), (where, i, k, m)
+                else:
+                    np.testing.assert_allclose(column[row].real, value, rtol=4 * 2.0**-53, atol=0.0)
+
+
 def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
-    # the window columns of V_i^k equal those of np.linalg.matrix_power bit
-    # for bit when each orbit meets at most one weight other than 1 (a product
-    # with 1 is exact); with more, the weights multiply in another order
+    # weights at the cut and one ulp above it: a column is in the kernel
+    # when its norm is <= incl_abs, as the dense norm test decides
+    at, above = tol.incl_abs, float(np.nextafter(tol.incl_abs, 1.0))
+    spec = WeightedShiftSpec(n=2, weights={(1, 2): at, (1, 3): above, (2, 2): above}, trunc=40)
+    _assert_power_columns_are_dense(spec, tol, "cut")
+    assert sh.brute_force_kernel(spec, 1, 1, tol) == [2] and sh.brute_force_kernel(spec, 2, 1, tol) == []
     rng = rng_for(72)
     for trial in range(40):
         n = int(rng.integers(1, 4))
@@ -276,19 +311,92 @@ def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
         for _ in range(1 if trial % 2 else int(rng.integers(2, 30))):
             weights[(int(rng.integers(1, n + 1)), int(rng.integers(0, 20)))] = float(rng.uniform(0.0, 1.7))
         spec = WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=max(sh.minimal_trunc(n, 3), n**3 * 8))
-        for k in (1, 2, 3):
-            window = list(spec.window(k))
-            for i in range(1, n + 1):
-                dense = np.linalg.matrix_power(sh.shift_matrices(spec)[i - 1], k)[:, window]
-                want = [m for m, column in zip(window, dense.T) if np.linalg.norm(column) <= tol.incl_abs]
-                assert sh.brute_force_kernel(spec, i, k, tol) == want, (trial, i, k)
-                power = sh._shift_matrix(spec, i)[:, window]
-                for _ in range(k - 1):
-                    power = sh._shift_matrix(spec, i) @ power
-                if len(weights) == 1:
-                    assert power.tobytes() == dense.tobytes(), (trial, i, k)
-                else:
-                    np.testing.assert_allclose(power, dense, rtol=4 * 2.0**-53, atol=0.0)
+        _assert_power_columns_are_dense(spec, tol, trial)
+    # n up to 4, zero weights, weights over the zero set and overrides whose
+    # column or whose index lies past the truncation
+    rng = rng_for(73)
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        trunc = sh.minimal_trunc(n, 3) + int(rng.integers(0, 3 * n**3))
+        b = frozenset(int(x) for x in rng.integers(0, 2 * n * n, size=rng.integers(0, 6)))
+        weights = {(int(rng.integers(1, n + 1)), m): 0.0 for m in rng.integers(0, 2 * n * n, size=2)}
+        weights.update({(int(rng.integers(1, n + 1)), m): float(rng.uniform(0.1, 1.7)) for m in sorted(b)[:2]})
+        for m in (trunc // n, trunc + int(rng.integers(1, 9))):
+            weights[(int(rng.integers(1, n + 1)), m)] = float(rng.uniform(0.1, 1.7))
+        for _ in range(int(rng.integers(0, 12))):
+            weights[(int(rng.integers(1, n + 1)), int(rng.integers(0, trunc + 1)))] = float(rng.uniform(0.1, 1.7))
+        spec = WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=trunc)
+        _assert_power_columns_are_dense(spec, tol, ("wide", trial))
+
+
+def test_the_kernel_oracle_builds_no_dense_power(tol, monkeypatch):
+    # the n = 3, trunc 216 shift: for every direction and power up to 3 the
+    # oracle returns no numpy array of h |W_k| entries (so neither a dense
+    # V_i nor a dense window of V_i^k) and allocates less than a tenth of
+    # one dense V_i
+    import tracemalloc
+
+    spec = WeightedShiftSpec(n=3, trunc=216, zero_set={0, 5, 17})
+    h = spec.h_dim()
+    for k in (1, 2, 3):
+        for i in (1, 2, 3):
+            sizes = []
+            monkeypatch.setattr(sh, "np", _RecordingNumpy(sizes))
+            tracemalloc.start()
+            try:
+                got = sh.brute_force_kernel(spec, i, k, tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert got == sh.kernel_formula(spec, i, k) and (k > 1 or got == [0, 5, 17]), (i, k)
+            assert sizes and max(sizes) < h * len(spec.window(k)), (i, k)
+            assert peak < nx.ENTRY_BYTES * h * h / 10, (i, k, peak)
+
+
+def test_the_oracle_refuses_what_the_formula_refuses(tol):
+    # a direction outside 1..n (0 would wrap round to direction n, n + 1
+    # would index past the column data), a power below 1 (V^0 = I has no
+    # kernel) and a non-integral index are refused by both sides
+    spec = WeightedShiftSpec(n=2, zero_set={1}, trunc=40)
+    for i, k in ((0, 1), (3, 1), (-1, 2), (1, 0), (2, -1), (True, 1), (1.0, 1), (1, 2.0)):
+        with pytest.raises(DimensionMismatch):
+            sh.kernel_formula(spec, i, k)
+        with pytest.raises(DimensionMismatch):
+            sh.brute_force_kernel(spec, i, k, tol)
+    assert sh.brute_force_kernel(spec, np.int64(2), np.int64(2), tol) == sh.kernel_formula(spec, 2, 2) == [1]
+
+
+def _closed_form_kernel(spec, i: int, k: int) -> list:
+    """The formula's closed form: m in W_k is a kernel index when some
+    n^(p-1) m + sum_{l=2}^{p} n^(p-l) i, p <= k, lies in the zero set."""
+    return [
+        m
+        for m in spec.window(k)
+        if any(
+            spec.n ** (p - 1) * m + sum(spec.n ** (p - l) * i for l in range(2, p + 1)) in spec.zero_set
+            for p in range(1, k + 1)
+        )
+    ]
+
+
+def test_kernel_formula_follows_the_closed_form():
+    rng = rng_for(74)
+    compared = 0
+    for draw in range(2000):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        trunc = int(rng.integers(1, 401))
+        b = frozenset(int(x) for x in rng.integers(0, trunc + 1, size=rng.integers(0, 9)))
+        spec = WeightedShiftSpec(n=n, zero_set=b, trunc=trunc)
+        i = int(rng.integers(1, n + 1))
+        if len(spec.window(k)) == 0:
+            with pytest.raises(WindowError):
+                sh.kernel_formula(spec, i, k)
+            continue
+        got = sh.kernel_formula(spec, i, k)
+        assert got == _closed_form_kernel(spec, i, k) and all(type(m) is int for m in got), (draw, n, i, k)
+        compared += 1
+    assert compared >= 1000
 
 
 def test_kernel_formula_window_error():
