@@ -298,8 +298,9 @@ class CovariantRep(LiftChain):
 
     def classify(self) -> nx.ClassificationReport:
         """The full six-way diagnostic; verdict-only callers use
-        is_partial_isometric or nx.is_contraction instead."""
-        return nx.classify_operator(self.tilde, self.tol)
+        is_partial_isometric or nx.is_contraction instead.  A lift held as
+        an index form is classified from its index."""
+        return nx.classify_operator(self._lift, self.tol)
 
     def is_partial_isometric(self) -> bool:
         return nx.is_partial_isometry(self._lift, self.tol)

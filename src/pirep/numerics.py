@@ -140,90 +140,75 @@ below the gate (every claim battery's).  On a shift (+) unitary a step
 is then O(1) integer work on the rows that left plus a few O(h) numpy
 passes, and the unitary core's values are taken once per iteration.
 
-The products of the partial-isometry verdict, and the gather of an
-:class:`Amplification` with a monomial block applied from the right, drop
-only the exactly-zero rows and columns (:func:`_live_lines`).  This is
-exact: it changes no norm or defect T T* T - T (zero wherever T has a
-zero row or column).  A floating-point product only loses exact-zero
-terms, so where each entry is a sum of at most one nonzero term, as in
-every product of weighted-shift matrices, the product is the dense one
-bit for bit, and the shift verdicts and power-report residuals with it;
-elsewhere it may round in another order, within the dense product's own
-error bound.  The Frobenius screen's lower bound
-``||A||_F / sqrt(min(shape))`` stays valid for the compressed shape.
-Below the gate nothing is scanned and the dense path runs as it is.  On
-a 2-core x86 host with one BLAS thread the zero-line scan costs about
-7 us at 72 entries (11% of a thin SVD), and the split's scan of a dense
-array 20-30 us at 1,024 entries: 7-10% of the thin SVD of a 32 x 32
-matrix and 29% of that of an 80 x 13 frame.  A thin frame whose entries
-are isolated (a weighted shift's, down to 80 x 13) saves its SVD
-outright, and about 2% of the arrays of a claim battery have 1,024 to
-4,095 entries, so the gate sits at 1,024.
+The partial-isometry verdict drops the exactly-zero rows and columns of
+its operand (``_live_part``).  This is exact: it changes no norm or
+defect T T* T - T (zero wherever T has a zero row or column), and the
+Frobenius screen's lower bound ``||A||_F / sqrt(min(shape))`` stays
+valid for the compressed shape.  Below the gate nothing is scanned and
+the dense path runs as it is.  On a 2-core x86 host with one BLAS thread
+the zero-line scan costs about 7 us at 72 entries (11% of a thin SVD),
+and the split's scan of a dense array 20-30 us at 1,024 entries: 7-10%
+of the thin SVD of a 32 x 32 matrix and 29% of that of an 80 x 13
+frame.  A thin frame whose entries are isolated (a weighted shift's,
+down to 80 x 13) saves its SVD outright, and about 2% of the arrays of
+a claim battery have 1,024 to 4,095 entries, so the gate sits at 1,024.
 
-A product whose right factor has at most one nonzero per column is a
-gather (:func:`matmul`): when every column of B holds at most one
-nonzero, v_j in row r_j, A B is A[:, r] * v; otherwise it is
-``np.matmul``.  Only the right factor is ever scanned.  The sites: both
-products of the inclusion gap, the triple product of the
-partial-isometry verdict and residual, T T* in the range-invariance
-condition, the products of :func:`classify_operator`, and an
-:class:`Amplification` applied to a frame with such columns or with such
-a block.  The same gate applies: only an operand of at least
-_DEFLATE_MIN_SIZE entries is scanned, once (``_nonzero_lines``, the scan
-of the deflation; an ``Operand`` and its adjoint share it), so below the
-gate every product is the dense one as before.  The scan counts the
-nonzeros of each line only when there are at most max(rows, cols) of
-them: an array with more has a column with two.  The error argument: each
-entry of such a product has at most one nonzero term.  For real-valued
-entries (complex128 with zero imaginary parts: every shift, its lift,
-powers and frames) a product of two entries is correctly rounded and
-the zero terms add exact zeros, so the gather equals the GEMM bit for
-bit, up to the sign of an exact zero.  For complex entries the gather is
-one rounded complex multiply per entry, within sqrt(5) * 2**-53 *
-|a_ir| |v_j| of the exact product; BLAS's one-term sum is within the
-same bound but may round differently (its complex kernel need not
-multiply as numpy does), so the two can differ by up to twice that.
+The index form (``_Monomial``) is the one sparse carrier: an array with
+at most one nonzero in each row and each column, held as its shape and,
+per column, the row and value of its nonzero (row 0 and value 0 for a
+zero column).  A product whose right factor B is an index form is a
+gather (:func:`matmul`): column j of B is v_j e_(r_j), so A B is
+A[:, r] * v, and with A a form too it is the form whose column j holds
+A's entry in column r_j times v_j.  Every other product is
+``np.matmul``: no array is scanned to find a gather.  The error
+argument: each entry of such a product has at most one nonzero term.
+For real-valued entries (complex128 with zero imaginary parts: every
+shift, its lift, powers and frames) a product of two entries is
+correctly rounded and the zero terms add exact zeros, so the gather
+equals the GEMM bit for bit, up to the sign of an exact zero.  For
+complex entries the gather is one rounded complex multiply per entry,
+within sqrt(5) * 2**-53 * |a_ir| |v_j| of the exact product; BLAS's
+one-term sum is within the same bound but may round differently (its
+complex kernel need not multiply as numpy does), so the two can differ
+by up to twice that.
 
-The index form (``_Monomial``): an array with at most one nonzero in each
-row and each column, held as its shape and, per column, the row and value
-of its nonzero (row 0 and value 0 for a zero column), which is what
-``Operand.single_entries`` reads off a scan.  Where it is taken: a
+An array becomes a form once, where it enters, by the one scan of
+``_index_form`` (past the gate, when the scan finds it monomial): a
 ``CovariantRep`` lift in identity coordinates (scalar algebra, standard
-Gram) of at least _DEFLATE_MIN_SIZE entries that the one scan at its
-construction finds monomial (``_index_form``), or that
-``shifts.build_shift`` builds as its form with no scan; every lift power composed
-from such lifts (``Amplification.__rmatmul__``) and its T T*
-(``_range_gram``); the cokernel and range frames of such powers and the
-images of those frames (``_monomial_range_frame``: unit vectors of phase
-1 in the split SVD's stable order of descending modulus, so no ``herm``
-copy); and the unit-vector frames of the full-row-rank rule above
-(``_units``) and of C^d (``Subspace.whole``).  Each is a form only from
-_DEFLATE_MIN_SIZE entries; a
-smaller product is built as its array, since no scan would have read it.
-Why it is exact: it is taken exactly where the scan finds single-entry
-columns, and each value it holds is the one product the gather forms,
-multiplied in the same order (T_{m-1}'s entry times w_t for a lift power,
-v conj(v) for T T*, (v conj(v)) v - v for the triple defect), so no
-report byte moves.  The norm of a form is its largest modulus, as the
-split finds it on isolated entries (the Frobenius screen's band holds
-it, so the screen decides nothing else); the inclusion gap of two
+Gram), unless ``shifts.build_shift`` builds it as its form with no scan;
+the operator of :func:`classify_operator` and its two split-SVD frames;
+and the operand of the partial-isometry verdict, whose live part (its k
+nonzeros) is then the k x k form of those entries at any size.  Forms
+beget forms: the lift powers composed from form lifts
+(``Amplification.__rmatmul__``) and their T T*; the cokernel and range
+frames of such powers and the images of those frames
+(``_monomial_range_frame``: unit vectors of phase 1 in the split SVD's
+stable order of descending modulus, so no ``herm`` copy); and the
+unit-vector frames of the full-row-rank rule above (``_units``) and of
+C^d (``Subspace.whole``).  A product is a form only from
+_DEFLATE_MIN_SIZE entries and is built as its array below.  Why it is
+exact: each value a form holds is the one product the gather forms,
+multiplied in the same order (T_{m-1}'s entry times w_t for a lift
+power, v conj(v) for T T*, (v conj(v)) v - v for the triple defect), so
+no report byte moves.  The norm of a form is its largest modulus, as
+the split finds it on isolated entries (the Frobenius screen's band
+holds it, so the screen decides nothing else), and its split SVD has no
+core (``_deflate`` reads its entries); the inclusion gap of two
 unit-vector frames is exactly F1's columns whose row F2 lacks.  A
-partial-isometry verdict whose live part (k nonzeros, k x k) is below
-the gate takes the dense path on that k x k array, as before.  The
-consumers (``is_partial_isometry``, ``partial_isometry_residual``,
-``matmul``, both ``Amplification`` products, ``image``,
-``Subspace.span``, ``is_subset``, ``_inclusion_gap``, ``opnorm`` and
-``norm_within``) read the form with no scan, finiteness sum, copy or
-dense allocation.  Its array is built by :func:`dense` alone, on a public
-read (``LiftChain.tilde_power``, ``Subspace.frame``), and kept on the
-form; a form scanned from a read-only array (a lift's ``tilde``) keeps
-that array, so T_1 is ``tilde`` itself.  Building or applying a form
-checks its bytes (a row index and a value per column) from shapes first,
-and a composed form checks its values for finiteness once, so a power
-that overflowed raises DomainError as ``as_matrix`` does on its array.  What stays dense: a
-lift with two nonzeros in a line (Wold's shift (+) a dense unitary, a
-conjugated shift), every lift below the gate, in quotient coordinates or
-over a non-scalar algebra, and every chain with such a factor.
+partial-isometry verdict whose live part is below the gate takes its
+norms from the k x k arrays, as before.  The consumers read a form with
+no scan, finiteness sum, copy or dense allocation.  Its array is built
+by :func:`dense` alone, on a public read (``LiftChain.tilde_power``,
+``Subspace.frame``), and kept on the form; a form scanned from a
+read-only array (a lift's ``tilde``) keeps that array, so T_1 is
+``tilde`` itself.  Building or applying a form checks its bytes (a row
+index and a value per column) from shapes first, and a composed form
+checks its values for finiteness once, so a power that overflowed
+raises DomainError as ``as_matrix`` does on its array.  What stays
+dense: a lift with two nonzeros in a line (Wold's shift (+) a dense
+unitary, a conjugated shift), every lift below the gate, in quotient
+coordinates or over a non-scalar algebra, every chain with such a
+factor, and every product whose right factor is such an array.
 
 All values are immutable after construction; nothing here mutates its
 inputs.
@@ -330,7 +315,7 @@ def _nonzero_lines(a: np.ndarray) -> tuple | None:
     each row and in each column, counted only when there are at most
     max(rows, cols) of them (so every monomial array is counted) and None
     otherwise; None below the gate, where nothing is scanned.  The one
-    scan behind _live_lines, _deflate and Operand."""
+    scan behind _live_lines, _deflate and _index_form."""
     if a.size < _DEFLATE_MIN_SIZE:
         return None
     nonzero = a != 0
@@ -378,7 +363,13 @@ def _deflate(a: np.ndarray) -> tuple:
     their row and of their column (a view of all of ``a`` when nothing is
     dropped); the masks of the core's rows and columns, each None when it
     keeps every line; and the rows, columns and values of the isolated
-    entries.  Below _DEFLATE_MIN_SIZE entries ``a`` is not scanned."""
+    entries.  Below _DEFLATE_MIN_SIZE entries ``a`` is not scanned.  An
+    index form is read with no scan: every nonzero is isolated."""
+    if type(a) is _Monomial:
+        cols, rows, val = a._live()
+        by_row = np.argsort(rows)  # the scan's order
+        none = np.zeros(a.shape[0], dtype=bool), np.zeros(a.shape[1], dtype=bool)
+        return np.zeros((0, 0), dtype=np.complex128), *none, (rows[by_row], cols[by_row], val[by_row])
     lines = _nonzero_lines(a)
     if lines is None:
         return a, None, None, _NO_ENTRIES
@@ -406,76 +397,6 @@ def _scatter(x: np.ndarray, shape, rows, cols) -> np.ndarray:
     return out
 
 
-class Operand:
-    """A factor of :func:`matmul`: a matrix, or its conjugate transpose
-    ``Operand(a).H``, which is formed only where a dense product needs it.
-    Past _DEFLATE_MIN_SIZE entries the array is scanned once, on
-    construction (``_nonzero_lines``), and an operand and its adjoint
-    share that scan: the column counts of herm(a) are the row counts of a."""
-
-    __slots__ = ("array", "adjoint", "lines")
-
-    def __init__(self, a: np.ndarray):
-        self.array, self.adjoint, self.lines = a, False, _nonzero_lines(a)
-
-    @property
-    def H(self) -> "Operand":
-        return _operand_of(self.array, not self.adjoint, self.lines)
-
-    def dense(self) -> np.ndarray:
-        return herm(self.array) if self.adjoint else self.array
-
-    def live(self) -> "Operand":
-        """The matrix without its exactly-zero rows and columns, its scan
-        cut from this one's (``_live_lines``); not for an adjoint."""
-        if self.lines is None:
-            return self
-        rows, cols = _live_lines(self.array, self.lines)
-        if rows is None and cols is None:
-            return self
-        nonzero, row_count, col_count = self.lines
-        if row_count is not None:
-            row_count = row_count if rows is None else row_count[rows]
-            col_count = col_count if cols is None else col_count[cols]
-        return _operand_of(self.array[_ix(rows, cols)], False, (nonzero[_ix(rows, cols)], row_count, col_count))
-
-    def single_entries(self) -> tuple | None:
-        """(index, value) when every column of the operand holds at most
-        one nonzero: column l has its nonzero at row index[l] with value
-        value[l], and a zero column has index 0 and value 0.  None
-        otherwise, below the gate, and for an operand built unscanned."""
-        if self.lines is None or self.lines[1] is None:
-            return None
-        _, row_count, col_count = self.lines
-        if (row_count if self.adjoint else col_count).max(initial=0) > 1:
-            return None
-        return _single_entries(self.array, self.lines[0], self.adjoint)
-
-    def columns(self, index: np.ndarray) -> np.ndarray:
-        """The operand's columns at ``index``."""
-        return herm(self.array[index]) if self.adjoint else self.array[:, index]
-
-
-def _single_entries(a: np.ndarray, nonzero: np.ndarray, adjoint: bool) -> tuple:
-    """(index, value) of ``a`` (of herm(a) when ``adjoint``) read off its
-    nonzero mask, for an array whose every column (row) holds at most one
-    nonzero; see ``Operand.single_entries``."""
-    i, j = _coordinates(nonzero)
-    line, other = (i, j) if adjoint else (j, i)  # a column of herm(a) is a row of a
-    index = np.zeros(nonzero.shape[0 if adjoint else 1], dtype=np.intp)
-    value = np.zeros(index.size, dtype=np.complex128)
-    index[line] = other
-    value[line] = np.conj(a[i, j]) if adjoint else a[i, j]
-    return index, value
-
-
-def _operand_of(a: np.ndarray, adjoint: bool, lines) -> Operand:
-    """An Operand with its scan given, not taken."""
-    out = object.__new__(Operand)
-    out.array, out.adjoint, out.lines = a, adjoint, lines
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The index form of a monomial array
 # ---------------------------------------------------------------------------
@@ -493,8 +414,7 @@ def _check_form_bytes(columns: int, what: str) -> None:
 class _Monomial:
     """An array with at most one nonzero in each row and in each column,
     held by index: its shape, and for each column the row and the value of
-    its nonzero (row 0 and value 0 for a zero column), as
-    ``Operand.single_entries`` reads them off a scan.  See the module
+    its nonzero (row 0 and value 0 for a zero column).  See the module
     docstring for where it is taken.  Immutable; its dense array is built
     by :func:`dense` alone and kept."""
 
@@ -530,16 +450,20 @@ def _form_or_dense(shape, at: np.ndarray, val: np.ndarray):
     return form if form.size >= _DEFLATE_MIN_SIZE else dense(form, "a small monomial product")
 
 
-def _index_form(a: np.ndarray):
+def _index_form(a: np.ndarray, lines: tuple | None = None):
     """The index form of a matrix of at least _DEFLATE_MIN_SIZE entries in
-    which one scan finds at most one nonzero in each row and each column;
-    None otherwise.  A read-only ``a`` is kept as the form's array, so
-    ``dense`` returns it and builds no copy."""
-    lines = _nonzero_lines(a)
+    which one scan (``lines``, when it is already taken) finds at most one
+    nonzero in each row and each column; None otherwise.  A read-only
+    ``a`` is kept as the form's array, so ``dense`` returns it and builds
+    no copy."""
+    lines = _nonzero_lines(a) if lines is None else lines
     if lines is None or lines[1] is None or max(lines[1].max(initial=0), lines[2].max(initial=0)) > 1:
         return None
-    _check_form_bytes(a.shape[1], f"a {a.shape[0]} x {a.shape[1]} lift")
-    form = _Monomial(a.shape, *_single_entries(a, lines[0], False))
+    _check_form_bytes(a.shape[1], f"a {a.shape[0]} x {a.shape[1]} matrix")
+    i, j = _coordinates(lines[0])
+    at, val = np.zeros(a.shape[1], dtype=np.intp), np.zeros(a.shape[1], dtype=np.complex128)
+    at[j], val[j] = i, a[i, j]
+    form = _Monomial(a.shape, at, val)
     if not a.flags.writeable:
         form._dense = a  # the array it was read from, kept as its array
     return form
@@ -578,21 +502,6 @@ def _adjoint(x):
     return _Monomial(x.shape[::-1], at, out)
 
 
-def _range_gram(t):
-    """T T*, as ``matmul(Operand(t), Operand(t).H)`` forms it.  For an index
-    form it is diagonal: v conj(v) at (r, r) for the nonzero v in row r,
-    the one product that gather forms."""
-    if type(t) is not _Monomial:
-        op = Operand(t)
-        return matmul(op, op.H)
-    h = t.shape[0]
-    _check_form_bytes(h, "T T*")
-    _, rows, val = t._live()
-    at, out = np.zeros(h, dtype=np.intp), np.zeros(h, dtype=np.complex128)
-    at[rows], out[rows] = rows, val * np.conj(val)
-    return _form_or_dense((h, h), at, out)
-
-
 def _tensor_frame(s: "Subspace", n: int, embed):
     """embed (I_n (x) F) for the frame F of ``s``, as ``eye_kron`` and the
     embed form it (no embed is the identity).  Without an embed an index
@@ -619,23 +528,19 @@ def _units(n: int, rows: np.ndarray):
     return _form_or_dense((n, rows.size), rows.astype(np.intp), np.ones(rows.size, dtype=np.complex128))
 
 
-def matmul(a, b) -> np.ndarray:
-    """``a @ b`` for matrices or Operands: when every column of b holds at
-    most one nonzero, v_j in row r_j, the gather a[:, r] * v (see the
-    module docstring), and ``np.matmul`` otherwise.  Only b is scanned,
-    and only from _DEFLATE_MIN_SIZE entries; a is never scanned.  An index
-    form b is gathered from its index, with no scan."""
-    if type(b) is _Monomial:
-        single = b._at, b._val
-    else:
-        b = b if type(b) is Operand else Operand(b)
-        single = b.single_entries()
-    if single is not None:
-        index, value = single
-        out = a.columns(index) if type(a) is Operand else a[:, index]
-        out *= value  # the gather is a fresh array
-        return out
-    return np.matmul(a.dense() if type(a) is Operand else a, b.dense())
+def matmul(a, b):
+    """``a @ b`` for matrices and index forms.  For an index form b, whose
+    column j is v_j e_(r_j), the gather a[:, r] * v (see the module
+    docstring), composed as an index form when a is one too; otherwise
+    ``np.matmul``.  Nothing is scanned."""
+    if type(b) is not _Monomial:
+        return np.matmul(dense(a, "a left factor"), b)
+    if type(a) is _Monomial:
+        _check_form_bytes(b.shape[1], "a product of index forms")
+        return _form_or_dense((a.shape[0], b.shape[1]), a._at[b._at], a._val[b._at] * b._val)
+    out = a[:, b._at]
+    out *= b._val  # the gather is a fresh array
+    return out
 
 
 def opnorm(m) -> float:
@@ -748,13 +653,9 @@ class Amplification:
     then left.  ``M @ A`` is left, then one stacked product of the n
     column blocks with ``block``, then right.  A stacked product runs the
     same BLAS kernel per block as a loop of block products, so the two
-    equal each other bit for bit.  When the vectors of ``A @ F`` (or the
-    columns of ``block`` in ``M @ A``) hold at most one nonzero each, the
-    product is a gather instead, as in :func:`matmul`: each column of F
-    picks one column of ``block`` and scales it into its row block, and
-    each column of ``block`` picks one column of each column block of M,
-    skipping the exactly-zero columns (``_live_lines``), whose terms are
-    exact zeros.
+    equal each other bit for bit.  When F is an index form, ``A @ F`` is a
+    gather instead, as in :func:`matmul`: each column of F picks one
+    column of ``block`` and scales it into its row block.
     Each application checks the bytes of its largest array from shapes
     before allocating it; ``to_dense`` is the only place the matrix is
     built.
@@ -788,21 +689,20 @@ class Amplification:
         if type(f) is _Monomial and self.right is not None:
             f = dense(f, "an amplified operand")
         g = f if self.right is None else self.right @ f
-        single = (g._at, g._val) if type(g) is _Monomial else Operand(g).single_entries()
-        if single is not None and type(self.block) is _Monomial:
+        if type(g) is _Monomial and type(self.block) is _Monomial:
             # column c of g is v_c e_(b q + t): its image is the block's
             # entry in column t times v_c, in row b p + (that entry's row)
             _check_form_bytes(k, f"an amplification applied to {k} vectors")
-            b, t = np.divmod(single[0], q)
-            return _form_or_dense((self.n * p, k), b * p + self.block._at[t], self.block._val[t] * single[1])
+            b, t = np.divmod(g._at, q)
+            return _form_or_dense((self.n * p, k), b * p + self.block._at[t], self.block._val[t] * g._val)
         self._check_application(k)
-        if single is None:
+        if type(g) is not _Monomial:
             out = np.matmul(self._dense_block(), g.reshape(self.n, q, k)).reshape(self.n * p, k)
         else:
             # column c of g is v_c e_(b q + t): its image is v_c times
             # column t of the block, placed in row block b
-            at, v = single
-            b, t = np.divmod(at, q)
+            b, t = np.divmod(g._at, q)
+            v = g._val
             out = np.zeros((self.n, p, k), dtype=np.complex128)
             columns = self._dense_block()[:, t]
             columns *= v
@@ -834,24 +734,8 @@ class Amplification:
         m = dense(m, "an amplified operand")
         self._check_application(r)
         g = m if self.left is None else m @ self.left
-        single = (self.block._at, self.block._val) if type(self.block) is _Monomial else Operand(self.block).single_entries()
-        if single is not None:
-            # column t of the block is w_t e_s: column t of output block b is
-            # w_t times column s of input block b, gathered where w_t != 0
-            # and that column is live
-            s, w = single
-            _, live = _live_lines(g)
-            live = np.ones(self.n * p, dtype=bool) if live is None else live
-            t = np.flatnonzero(w)
-            b, at = np.nonzero(live.reshape(self.n, p)[:, s[t]])
-            t = t[at]
-            out = np.zeros((r, self.n * q), dtype=np.complex128)
-            columns = g[:, b * p + s[t]]
-            columns *= w[t]
-            out[:, b * q + t] = columns
-        else:
-            blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self._dense_block())
-            out = blocks.transpose(1, 0, 2).reshape(r, self.n * q)
+        blocks = np.matmul(g.reshape(r, self.n, p).transpose(1, 0, 2), self._dense_block())
+        out = blocks.transpose(1, 0, 2).reshape(r, self.n * q)
         return out if self.right is None else out @ self.right
 
     def to_dense(self) -> np.ndarray:
@@ -1028,9 +912,8 @@ def _monomial_range_frame(f: _Monomial, shape, tol: Tolerance, scale_floor: floa
     nonzero is isolated and the core is empty, so the frame is the unit
     vectors (phase 1) of the rows of the nonzeros by descending modulus
     (``_by_modulus``)."""
-    _, rows, val = f._live()
-    by_row = np.argsort(rows)
-    return _units(f.shape[0], _by_modulus(rows[by_row], np.abs(val[by_row]), shape, tol, scale_floor))
+    _, _, _, (rows, _, val) = _deflate(f)
+    return _units(f.shape[0], _by_modulus(rows, np.abs(val), shape, tol, scale_floor))
 
 
 def _by_modulus(rows: np.ndarray, moduli: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
@@ -1385,8 +1268,7 @@ def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
         held = np.zeros(f2.shape[0], dtype=bool)
         held[f2._at[f2._val != 0]] = True
         return _Monomial(f1.shape, f1._at, np.where(held[f1._at], 0, f1._val))
-    f2 = _operand_of(s2.frame, False, None)  # only ever a left factor: not scanned
-    return s1.frame - matmul(f2, matmul(f2.H, s1.frame))
+    return s1.frame - matmul(s2.frame, matmul(herm(s2.frame), s1._frame))
 
 
 def _unit_frame_defects(s1: Subspace, s2: Subspace) -> tuple:
@@ -1457,66 +1339,68 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
 
-    An index form is decided from its entries (``_monomial_triple``).
+    A monomial M is decided from its entries (``_monomial_triple``).
     """
-    triple = _monomial_triple(m)
+    a = _live_part(m)
+    triple = _monomial_triple(a)
     if triple is not None:
         scale, residual = triple
         return residual, scale <= tol.rank_rel or residual <= tol.eq_rel * scale
-    a = _live_operand(m)
     residual = opnorm(_triple_defect(a))
-    return residual, _partial_isometry_verdict(a.array, (residual, residual), lambda: residual, tol)
+    return residual, _partial_isometry_verdict(dense(a, "a live part"), (residual, residual), lambda: residual, tol)
 
 
 def is_partial_isometry(m, tol: Tolerance) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
-    triple = _monomial_triple(m)
+    a = _live_part(m)
+    triple = _monomial_triple(a)
     if triple is not None:
         scale, residual = triple
         return scale <= tol.rank_rel or residual <= tol.eq_rel * scale
-    a = _live_operand(m)
     defect = _triple_defect(a)
-    return _partial_isometry_verdict(a.array, _norm_bounds(defect), lambda: opnorm(defect), tol)
+    return _partial_isometry_verdict(dense(a, "a live part"), _norm_bounds(defect), lambda: opnorm(defect), tol)
 
 
-def _monomial_triple(m) -> tuple | None:
-    """(||M||, ||M M* M - M||) of an index form whose k nonzeros make a
-    live part of at least _DEFLATE_MIN_SIZE entries (k * k); None for
-    anything else.  The triple defect's entry at v is (v conj(v)) v - v,
-    the two products the gathers of ``_triple_defect`` form, and both
-    norms are largest moduli, as the split finds them on isolated entries
-    (so the Frobenius screen, whose band holds them, decides nothing
-    else).  A defect that overflowed raises DomainError, as ``opnorm`` of
-    the dense one does."""
+def _live_part(m):
+    """M without its exactly-zero rows and columns (``_live_lines``), which
+    change no norm and no triple defect.  An index form, or an array that
+    one scan finds monomial (``_index_form``), gives the k x k index form
+    of its k nonzeros, rows and columns in index order, at any size, so
+    the products of ``_triple_defect`` are gathers; an array of fewer than
+    _DEFLATE_MIN_SIZE entries is returned as it is."""
     if type(m) is not _Monomial:
+        a = as_matrix(m)
+        lines = _nonzero_lines(a)
+        if lines is None:
+            return a
+        m = _index_form(a, lines)
+        if m is None:
+            return a[_ix(*_live_lines(a, lines))]
+    _, rows, val = m._live()
+    return _Monomial((val.size, val.size), np.argsort(np.argsort(rows)), val)
+
+
+def _monomial_triple(a) -> tuple | None:
+    """(||A||, ||A A* A - A||) of a live part held as an index form of at
+    least _DEFLATE_MIN_SIZE entries; None for anything else.  The triple
+    defect's entry at v is (v conj(v)) v - v, the two products the gathers
+    of ``_triple_defect`` form, and both norms are largest moduli, as the
+    split finds them on isolated entries (so the Frobenius screen, whose
+    band holds them, decides nothing else).  A defect that overflowed
+    raises DomainError, as ``opnorm`` of the dense one does."""
+    if type(a) is not _Monomial or a.size < _DEFLATE_MIN_SIZE:
         return None
-    val = m._live()[2]
-    if val.size * val.size < _DEFLATE_MIN_SIZE:
-        return None
+    val = a._val
     defect = (val * np.conj(val)) * val - val
     if not np.isfinite(defect).all():
         raise DomainError("matrix has non-finite entries")
     return float(np.abs(val).max(initial=0.0)), float(np.abs(defect).max(initial=0.0))
 
 
-def _live_operand(m) -> Operand:
-    """``Operand(m).live()``: the matrix without its exactly-zero rows and
-    columns, with its scan.  An index form's is built from its entries:
-    k x k, its rows and columns in index order, each holding one nonzero."""
-    if type(m) is not _Monomial:
-        return Operand(as_matrix(m)).live()
-    _, rows, val = m._live()
-    k = val.size
-    a = np.zeros((k, k), dtype=np.complex128)
-    a[np.argsort(np.argsort(rows)), np.arange(k)] = val
-    ones = np.ones(k, dtype=np.intp)
-    return _operand_of(a, False, (a != 0, ones, ones))
-
-
-def _triple_defect(a: Operand) -> np.ndarray:
+def _triple_defect(a) -> np.ndarray:
     """A A* A - A, multiplied in that order."""
-    return matmul(matmul(a, a.H), a) - a.array
+    return dense(matmul(matmul(a, _adjoint(a)), a), "a triple product") - dense(a, "a live part")
 
 
 def _partial_isometry_verdict(a: np.ndarray, residual_bounds: tuple, residual, tol: Tolerance) -> bool:
@@ -1589,18 +1473,24 @@ class ClassificationReport(Record):
     consistent: bool
 
 
-def _frame_gram_residual(x: Operand, f: Operand) -> float:
-    """||F* X* X F - I|| for an orthonormal frame F of N(X)^perp."""
-    k = f.array.shape[1]
+def _frame_gram_residual(x, x_h, f) -> float:
+    """||F* X* X F - I|| for an orthonormal frame F of N(X)^perp, given
+    X* as ``x_h``."""
+    k = f.shape[1]
     if k == 0:
         return 0.0
-    return opnorm(matmul(matmul(matmul(f.H, x.H), x), f) - eye(k))
+    return opnorm(dense(matmul(matmul(matmul(_adjoint(f), x_h), x), f), "a frame Gram") - eye(k))
 
 
-def _frames_and_pinv(a: np.ndarray, tol: Tolerance) -> tuple:
+def _outer(f) -> np.ndarray:
+    """F F*, an array."""
+    return dense(matmul(f, _adjoint(f)), "F F*")
+
+
+def _frames_and_pinv(a, tol: Tolerance) -> tuple:
     """Orthonormal frames of R(A) and R(A*) and the pseudoinverse of a
-    nonempty A, all from one thin SVD cut as ``range_frame`` and
-    ``pseudoinverse`` cut it."""
+    nonempty A, an array or an index form, all from one thin SVD cut as
+    ``range_frame`` and ``pseudoinverse`` cut it."""
     split = _SplitSVD(a)
     cut, r = split.cut(a.shape, tol)
     return split.left(r), split.right(r), split.pinv(cut)
@@ -1612,28 +1502,33 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
     ||M|| is computed once.  The frames of R(M) and R(M*), the rank and
     the pseudoinverse all come from one thin SVD of M, cut at the same
     ``rank_threshold`` as ``range_frame`` and ``pseudoinverse``; the
-    verdict itself is ``partial_isometry_residual``.
+    verdict itself is ``partial_isometry_residual``.  M, an array or an
+    index form, and the two frames are taken as index forms where one
+    scan finds them monomial (``_index_form``), so every product with
+    such a right factor is a gather; an index form M is not scanned, and
+    its array is not built.
     """
-    a = as_matrix(m)
-    norm = opnorm(a)
-    op = Operand(a)
-    gram = matmul(op.H, op)
-    iso_res = opnorm(gram - eye(a.shape[1]))
+    t = _as_operator(m)
+    t = t if type(t) is _Monomial else (_index_form(t) or t)
+    t_h = _adjoint(t)
+    norm = opnorm(t)
+    gram = dense(matmul(t_h, t), "T* T")
+    iso_res = opnorm(gram - eye(t.shape[1]))
     if norm <= tol.rank_rel:
         # numerically the zero operator: every characterization holds
         residuals = dict.fromkeys(_CONDITIONS, 0.0)
         verdicts = dict.fromkeys(_CONDITIONS, True)
     else:
-        final, initial, pinv = _frames_and_pinv(a, tol)  # initial spans R(M*) = N(M)^perp
-        triple, triple_ok = partial_isometry_residual(a, tol)
-        final, initial = Operand(final), Operand(initial)
+        final, initial, pinv = _frames_and_pinv(t, tol)  # initial spans R(M*) = N(M)^perp
+        final, initial = (_index_form(f) or f for f in (final, initial))
+        triple, triple_ok = partial_isometry_residual(t, tol)
         residuals = {
-            "norm_on_cokernel": _frame_gram_residual(op, initial),
-            "adjoint_norm": _frame_gram_residual(op.H, final),
+            "norm_on_cokernel": _frame_gram_residual(t, t_h, initial),
+            "adjoint_norm": _frame_gram_residual(t_h, t, final),
             "triple_product": triple,
-            "initial_projection": opnorm(gram - matmul(initial, initial.H)),
-            "final_projection": opnorm(matmul(op, op.H) - matmul(final, final.H)),
-            "pinv_is_adjoint": opnorm(pinv - herm(a)),
+            "initial_projection": opnorm(gram - _outer(initial)),
+            "final_projection": opnorm(dense(matmul(t, t_h), "T T*") - _outer(final)),
+            "pinv_is_adjoint": opnorm(pinv - dense(t_h, "M*")),
         }
         verdicts = {key: residual_holds(residuals[key], norm, tol) for key in residuals}
         verdicts["triple_product"] = triple_ok

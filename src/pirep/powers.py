@@ -125,7 +125,8 @@ def range_invariance_condition(chain: LiftChain, m: int) -> bool:
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
     (factor,) = chain._factors(m - 1, m)
-    amp = chain.amplified(nx._range_gram(factor._lift), m - 1, 0, 0)
+    lift = factor._lift
+    amp = chain.amplified(nx.matmul(lift, nx._adjoint(lift)), m - 1, 0, 0)
     prev_cokernel = chain.cokernel_subspace(m - 1)
     return nx.is_subset(nx.image(amp, prev_cokernel, chain.tol), prev_cokernel, chain.tol)
 

@@ -1013,16 +1013,14 @@ def test_kernel_frame_checks_its_full_svd(monkeypatch, tol):
 UNIT_ROUNDOFF = 2.0**-53
 
 
-def monomial(rng, rows, cols, by_columns, complex_entries=False) -> np.ndarray:
-    """A rows x cols matrix with at most one nonzero in every column
-    (by_columns) or in every row, some lines left zero."""
-    a = np.zeros((rows, cols), dtype=np.complex128)
-    lines, slots = (cols, rows) if by_columns else (rows, cols)
-    for line in rng.choice(lines, size=lines * 3 // 4, replace=False):
-        value = rng.standard_normal() + (1j * rng.standard_normal() if complex_entries else 0.0)
-        at = (rng.integers(slots), line) if by_columns else (line, rng.integers(slots))
-        a[at] = value
-    return a
+def monomial(rng, rows, cols, complex_entries=False) -> "nx._Monomial":
+    """The index form of a rows x cols matrix with at most one nonzero in
+    each row and each column, some lines left zero."""
+    at, val = np.zeros(cols, dtype=np.intp), np.zeros(cols, dtype=np.complex128)
+    live = rng.choice(cols, size=min(rows, cols) * 3 // 4, replace=False)
+    at[live] = rng.choice(rows, size=live.size, replace=False)
+    val[live] = rng.standard_normal(live.size) + (1j * rng.standard_normal(live.size) if complex_entries else 0.0)
+    return nx._Monomial((rows, cols), at, val)
 
 
 def real_valued(rng, rows, cols) -> np.ndarray:
@@ -1031,6 +1029,7 @@ def real_valued(rng, rows, cols) -> np.ndarray:
 
 def same_bits_up_to_zero_sign(got, want) -> bool:
     # adding +0.0 turns -0.0 into +0.0 and leaves every other value alone
+    got = nx.dense(got, "a product")
     return got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
@@ -1055,27 +1054,30 @@ def count_scans(monkeypatch) -> list:
 
 
 def test_matmul_gathers_real_monomial_operands_bit_for_bit(monkeypatch):
+    # an index-form right factor is gathered, and composed with an
+    # index-form left factor into an index form
     rng = rng_for(330)
     dense = count_dense_products(monkeypatch)
     for _ in range(3):
-        right = monomial(rng, 120, 90, by_columns=True)  # zero columns and rows included
-        left = monomial(rng, 90, 120, by_columns=False)
-        assert right.size >= nx._DEFLATE_MIN_SIZE and not right[:, ~right.any(axis=0)].any()
+        right = monomial(rng, 120, 90)  # zero columns and rows included
+        left = monomial(rng, 90, 120)
+        r, l = nx.dense(right, "right"), nx.dense(left, "left")
         wide, tall = real_valued(rng, 40, 120), real_valued(rng, 120, 40)
         cases = [
-            (wide, right, wide @ right),  # columns of the right factor
-            (nx.Operand(tall).H, right, nx.herm(tall) @ right),
-            (wide, nx.Operand(left).H, wide @ nx.herm(left)),
-            (nx.Operand(right).H, right, nx.herm(right) @ right),
-            (left, nx.Operand(left).H, left @ nx.herm(left)),
+            (wide, right, wide @ r),  # columns of the right factor
+            (nx.herm(tall), right, nx.herm(tall) @ r),
+            (wide, nx._adjoint(left), wide @ nx.herm(l)),
+            (nx._adjoint(right), right, nx.herm(r) @ r),
+            (left, nx._adjoint(left), l @ nx.herm(l)),
         ]
         for a, b, want in cases:
             assert same_bits_up_to_zero_sign(nx.matmul(a, b), want)
+        assert type(nx.matmul(nx._adjoint(right), right)) is nx._Monomial
         assert dense == []
-        # a monomial left factor is not gathered: the product is the GEMM
-        for a, b, want in ((left, tall, left @ tall), (nx.Operand(right).H, tall, nx.herm(right) @ tall)):
-            assert nx.matmul(a, b).tobytes() == want.tobytes()
-        assert len(dense) == 2
+        # a right factor held as an array is the GEMM, monomial or not
+        for a, b in ((l, tall), (nx._adjoint(right), tall), (wide, r)):
+            assert nx.matmul(a, b).tobytes() == (nx.dense(a, "a") @ b).tobytes()
+        assert len(dense) == 3
         dense.clear()
 
 
@@ -1086,12 +1088,13 @@ def test_matmul_on_complex_monomial_operands_rounds_once_per_entry():
     from fractions import Fraction
 
     rng = rng_for(331)
-    right = monomial(rng, 100, 60, by_columns=True, complex_entries=True)
-    left = monomial(rng, 60, 100, by_columns=False, complex_entries=True)
+    right = monomial(rng, 100, 60, complex_entries=True)
+    left = monomial(rng, 60, 100, complex_entries=True)
     other = crandn(rng, 30, 100)
     bound = math.sqrt(5.0) * UNIT_ROUNDOFF
-    for a, b in ((other, right), (left, other.T.copy())):
-        got, gemm, scale = nx.matmul(a, b), a @ b, np.abs(a) @ np.abs(b)
+    for a, b in ((other, right), (nx.dense(left, "left"), nx._adjoint(left)), (left, nx._adjoint(left))):
+        got, a, b = nx.dense(nx.matmul(a, b), "a product"), nx.dense(a, "a"), nx.dense(b, "b")
+        gemm, scale = a @ b, np.abs(a) @ np.abs(b)
         assert np.all(np.abs(got - gemm) <= 2 * bound * scale)
         for i, j in zip(*np.nonzero(scale)):
             exact = [0, 0]
@@ -1109,36 +1112,40 @@ def test_matmul_takes_np_matmul_for_dense_operands_and_below_the_gate(monkeypatc
     rng = rng_for(332)
     dense = count_dense_products(monkeypatch)
     scans = count_scans(monkeypatch)
-    # b is just past the gate (1,040 entries) and just below it (1,000)
+    # b is past the gate (1,040 entries) and is not scanned
     a, b = crandn(rng, 70, 40), crandn(rng, 40, 26)
     assert b.size >= nx._DEFLATE_MIN_SIZE
     assert nx.matmul(a, b).tobytes() == (a @ b).tobytes() and len(dense) == 1
-    assert scans == [(40, 26)]  # b once; a is never scanned
-    # below the gate nothing is scanned, monomial or not
-    small = monomial(rng, 40, 25, by_columns=True)
-    assert small.size < nx._DEFLATE_MIN_SIZE
-    scans.clear()
+    # a monomial array is not read as one: nothing is scanned
+    small = nx.dense(monomial(rng, 40, 25), "small")
+    big = nx.dense(monomial(rng, 40, 60), "big")
+    assert small.size < nx._DEFLATE_MIN_SIZE <= big.size
     assert nx.matmul(a, small).tobytes() == (a @ small).tobytes()
-    assert len(dense) == 2 and scans == []
+    assert nx.matmul(a, big).tobytes() == (a @ big).tobytes()
+    assert len(dense) == 3 and scans == []
 
 
-def test_inclusion_gap_scans_only_its_right_factors(monkeypatch):
-    # F1 - F2 (F2* F1): F1 and F2* F1 are right factors and are scanned;
-    # F2 is only ever a left factor and is not
+def test_inclusion_gap_scans_neither_frame(monkeypatch):
+    # F1 - F2 (F2* F1) on frames held as arrays is two GEMMs, monomial or
+    # not; with F1 an index form, F2* F1 is its gather
     rng = rng_for(335)
     rows = rng.permutation(120)
     f1, f2 = np.eye(120, dtype=complex)[:, rows[:80]], np.eye(120, dtype=complex)[:, rows[30:]]
     scans = count_scans(monkeypatch)
-    gap = nx._inclusion_gap(nx.Subspace(f1), nx.Subspace(f2))
-    assert scans == [(120, 80), (90, 80)]
-    assert same_bits_up_to_zero_sign(gap, f1 - f2 @ (nx.herm(f2) @ f1))
+    want = f1 - f2 @ (nx.herm(f2) @ f1)
+    assert nx._inclusion_gap(nx.Subspace(f1), nx.Subspace(f2)).tobytes() == want.tobytes()
+    form = nx._units(120, rows[:80])
+    assert same_bits_up_to_zero_sign(nx._inclusion_gap(nx.Subspace(form), nx.Subspace(f2)), want)
+    assert scans == []
 
 
-def test_an_operand_and_its_adjoint_share_one_scan(monkeypatch):
-    rng = rng_for(333)
-    a = monomial(rng, 90, 120, by_columns=False)
-    scans = count_scans(monkeypatch)
-    op = nx.Operand(a)
-    assert same_bits_up_to_zero_sign(nx.matmul(op, op.H), a @ nx.herm(a))
-    assert same_bits_up_to_zero_sign(nx.matmul(op.H, op), nx.herm(a) @ a)
-    assert scans == [(90, 120)]
+def test_amplification_products_refuse_a_mismatched_shape():
+    # A @ F needs F's rows to be A's columns, and M @ A M's columns to be
+    # A's rows, for arrays and index forms alike
+    amp = nx.Amplification(nx.eye(3), 2, None, None)  # 6 x 6
+    for f in (np.ones((5, 2)), np.ones(6), monomial(rng_for(336), 40, 30)):
+        with pytest.raises(DimensionMismatch, match="applied to shape"):
+            amp @ f
+    for m in (np.ones((2, 5)), np.ones(6), monomial(rng_for(337), 30, 40)):
+        with pytest.raises(DimensionMismatch, match="applied to an amplification of shape"):
+            m @ amp

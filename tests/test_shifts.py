@@ -535,25 +535,25 @@ def test_shift_criterion_takes_the_lift_verdict_once(tol, monkeypatch):
 
 
 def count_gathers(monkeypatch) -> tuple:
-    """(gathers, dense): the monomial operands matmul and the amplifications
-    found, and the np.matmul calls made."""
+    """(gathers, dense): the shapes of the index-form right factors that
+    matmul gathers from, and the np.matmul calls made."""
     gathers, dense = [], []
-    real_single, real_matmul = nx.Operand.single_entries, np.matmul
+    real_gather, real_matmul = nx.matmul, np.matmul
 
-    def single_entries(self):
-        out = real_single(self)
-        if out is not None:
-            gathers.append(self.array.shape)
-        return out
+    def gather(a, b):
+        if type(b) is nx._Monomial:
+            gathers.append(b.shape)
+        return real_gather(a, b)
 
-    monkeypatch.setattr(nx.Operand, "single_entries", single_entries)
+    monkeypatch.setattr(nx, "matmul", gather)
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: dense.append(1) or real_matmul(*args, **kwargs))
     return gathers, dense
 
 
 def test_shift_lifts_powers_and_frames_take_the_gather_at_every_site(tol, monkeypatch):
     # the n = 3, trunc 216 shift: the lift, T_2, T_3 and their cokernel frames
-    # are monomial, so every listed product is a gather and none a GEMM
+    # are index forms, so every listed product is read from the index and
+    # none is a GEMM
     from pirep import powers as pw
 
     rep = sh.build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
@@ -569,25 +569,45 @@ def test_shift_lifts_powers_and_frames_take_the_gather_at_every_site(tol, monkey
         return out
 
     for m in (1, 2, 3):
-        tm, frame = powers[m], frames[m].frame
-        amp = rep.amplified(rep.tilde, m - 1, 1, 0)
+        tm, frame = powers[m], frames[m]._frame
+        amp = rep._amplified_lift(m - 1)
+        assert isinstance(amp.block, nx._Monomial) and isinstance(frame, nx._Monomial)
         if m > 1:
-            built = site(1, lambda: powers[m - 1] @ amp)  # __rmatmul__: the block
-            assert built.tobytes() == tm.tobytes()
-        moved = site(1, lambda: amp @ frame)  # __matmul__: the frame
-        assert np.array_equal(moved, dense_amplified(rep, rep.tilde, m - 1, 1, 0) @ frame)
-        gap = site(2, lambda: nx._inclusion_gap(Subspace(moved), frames[m - 1]))
-        assert not gap.any()
-        assert site(2, lambda: nx.partial_isometry_residual(tm, tol)) == (dense_pi_residual(tm), True)
-        assert site(2, lambda: nx.is_partial_isometry(tm, tol))
-        # T T* is read off the lift's index form, and the image of the
+            built = site(0, lambda: rep._power(m - 1) @ amp)  # __rmatmul__ on two forms
+            assert nx.dense(built, "T_m").tobytes() == tm.tobytes()
+        moved = site(0, lambda: amp @ frame)  # __matmul__ on two forms
+        assert np.array_equal(nx.dense(moved, "moved"), dense_amplified(rep, rep.tilde, m - 1, 1, 0) @ frames[m].frame)
+        assert not site(0, lambda: nx._inclusion_gap(Subspace(moved), frames[m - 1]))._val.any()
+        assert site(0, lambda: nx.partial_isometry_residual(rep._power(m), tol)) == (dense_pi_residual(tm), True)
+        assert site(0, lambda: nx.is_partial_isometry(rep._power(m), tol))
+        # T T* is composed from the lift's index form, and the image of the
         # cokernel under I (x) T T* and its inclusion are index forms too, at
         # m = 1 as well, where the cokernel of T_0 is the identity frame of H
-        assert site(0, lambda: pw.range_invariance_condition(rep, m))
+        assert site(1, lambda: pw.range_invariance_condition(rep, m))
     # the lift's classification: T*T and T T* (2), F F* for its two frames
-    # (2), the two frame Grams F* X* X F (6) and the triple product (2)
-    report = site(12, lambda: nx.classify_operator(rep.tilde, tol))
+    # (2) and the two frame Grams F* X* X F (6); the triple product is
+    # decided from the entries
+    report = site(10, lambda: rep.classify())
     assert report.is_partial_isometric and report.consistent
+
+
+def test_classify_reads_a_held_lift_by_index_to_the_dense_report(tol, monkeypatch):
+    # rep.classify() on the n = 3, trunc 216 shift makes no GEMM, neither
+    # builds nor scans the lift's array, and its report is the dense
+    # path's (every product a GEMM) byte for byte
+    from pirep import serialize as sz
+
+    rep = sh.build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
+    lift = rep._lift
+    assert isinstance(lift, nx._Monomial) and lift._dense is None
+    gathers, dense = count_gathers(monkeypatch)
+    scans, real_scan = [], nx._nonzero_lines
+    monkeypatch.setattr(nx, "_nonzero_lines", lambda a: scans.append(a.shape) or real_scan(a))
+    got = sz.dumps(rep.classify().to_dict())
+    assert dense == [] and lift.shape not in scans and lift._dense is None
+    monkeypatch.setattr(nx, "_index_form", lambda *args: None)  # no operand is read as a form
+    want = sz.dumps(nx.classify_operator(np.array(rep.tilde), tol).to_dict())
+    assert len(dense) > 0 and got == want
 
 
 def test_a_conjugated_shift_takes_the_dense_path_to_the_same_power_flags(tol, monkeypatch):
@@ -719,10 +739,22 @@ def phased_monomial_rep(tol, n: int, d: int, zero_set=()):
     return CovariantRep(scalar_correspondence(n), StarRepresentation(SCALARS, [d]), vs, tol)
 
 
+def entrywise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for factors whose product has at most one nonzero term per
+    entry, each entry formed as that term alone: a[i, l] * b[l, j]."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
+    for i, l in zip(*np.nonzero(a)):
+        for j in np.flatnonzero(b[l]):
+            assert out[i, j] == 0
+            out[i, j] = a[i, l] * b[l, j]
+    return out
+
+
 def dense_power_report(rep, n_max: int):
     """power_report on the public dense path: T_m from tilde_power, the
     cokernels from Subspace.span(herm(T_m)), I (x) T from the dense lift,
-    T T* by the scanned gather, and is_subset on the arrays."""
+    T T* as its entries' products (each entry of T T* has at most one
+    nonzero term), and is_subset on the arrays."""
     from pirep import powers as pw
 
     tol = rep.tol
@@ -733,8 +765,7 @@ def dense_power_report(rep, n_max: int):
         return Subspace(Subspace.span(a, tol).frame)
 
     cokernels = [Subspace.whole(rep.h_dim)] + [dense_span(nx.herm(rep.tilde_power(m))) for m in range(1, n_max + 1)]
-    tilde = nx.Operand(rep.tilde)
-    final = nx.matmul(tilde, tilde.H)
+    final = entrywise_product(rep.tilde, nx.herm(rep.tilde))
     pi_flags, chain_flags, range_flags, residuals = [], [], [], []
     for m in range(1, n_max + 1):
         residual, is_pi = nx.partial_isometry_residual(rep.tilde_power(m), tol)
