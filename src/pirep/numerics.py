@@ -1301,11 +1301,11 @@ def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
 
 
 def ominus(s1: Subspace, s2: Subspace, tol: Tolerance) -> Subspace:
-    """S1 (-) S2 for nested S2 <= S1."""
-    _check_same_ambient(s1, s2)
+    """S1 (-) S2 for nested S2 <= S1: the span of the inclusion gap
+    (I - P2) F1, so two index-form frames give an index form."""
     if not is_subset(s2, s1, tol):
         raise DomainError("ominus: second subspace is not contained in the first")
-    return Subspace.span(s1.frame - s2.projector() @ s1.frame, tol)
+    return Subspace.span(_inclusion_gap(s1, s2), tol)
 
 
 def image(m, s: Subspace, tol: Tolerance) -> Subspace:
