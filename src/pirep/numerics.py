@@ -368,8 +368,8 @@ def _deflate(a: np.ndarray) -> tuple:
     if type(a) is _Monomial:
         cols, rows, val = a._live()
         by_row = np.argsort(rows)  # the scan's order
-        none = np.zeros(a.shape[0], dtype=bool), np.zeros(a.shape[1], dtype=bool)
-        return np.zeros((0, 0), dtype=np.complex128), *none, (rows[by_row], cols[by_row], val[by_row])
+        no_core = np.zeros(a.shape[0], dtype=bool), np.zeros(a.shape[1], dtype=bool)
+        return np.zeros((0, 0), dtype=np.complex128), *no_core, (rows[by_row], cols[by_row], val[by_row])
     lines = _nonzero_lines(a)
     if lines is None:
         return a, None, None, _NO_ENTRIES
@@ -912,8 +912,9 @@ def _monomial_range_frame(f: _Monomial, shape, tol: Tolerance, scale_floor: floa
     nonzero is isolated and the core is empty, so the frame is the unit
     vectors (phase 1) of the rows of the nonzeros by descending modulus
     (``_by_modulus``)."""
-    _, _, _, (rows, _, val) = _deflate(f)
-    return _units(f.shape[0], _by_modulus(rows, np.abs(val), shape, tol, scale_floor))
+    _, rows, val = f._live()
+    by_row = np.argsort(rows)
+    return _units(f.shape[0], _by_modulus(rows[by_row], np.abs(val[by_row]), shape, tol, scale_floor))
 
 
 def _by_modulus(rows: np.ndarray, moduli: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
@@ -1339,10 +1340,9 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
 
-    A monomial M is decided from its entries (``_monomial_triple``).
+    A monomial M is decided from its entries (``_live_part``).
     """
-    a = _live_part(m)
-    triple = _monomial_triple(a)
+    a, triple = _live_part(m)
     if triple is not None:
         scale, residual = triple
         return residual, scale <= tol.rank_rel or residual <= tol.eq_rel * scale
@@ -1353,8 +1353,7 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
 def is_partial_isometry(m, tol: Tolerance) -> bool:
     """The verdict of partial_isometry_residual, with the residual screened
     like ||M||."""
-    a = _live_part(m)
-    triple = _monomial_triple(a)
+    a, triple = _live_part(m)
     if triple is not None:
         scale, residual = triple
         return scale <= tol.rank_rel or residual <= tol.eq_rel * scale
@@ -1362,40 +1361,38 @@ def is_partial_isometry(m, tol: Tolerance) -> bool:
     return _partial_isometry_verdict(dense(a, "a live part"), _norm_bounds(defect), lambda: opnorm(defect), tol)
 
 
-def _live_part(m):
-    """M without its exactly-zero rows and columns (``_live_lines``), which
-    change no norm and no triple defect.  An index form, or an array that
-    one scan finds monomial (``_index_form``), gives the k x k index form
-    of its k nonzeros, rows and columns in index order, at any size, so
-    the products of ``_triple_defect`` are gathers; an array of fewer than
-    _DEFLATE_MIN_SIZE entries is returned as it is."""
+def _live_part(m) -> tuple:
+    """(A, None): M without its exactly-zero rows and columns
+    (``_live_lines``), which change no norm and no triple defect; or
+    (None, (||M||, ||M M* M - M||)) when M is decided from its entries.
+
+    An index form, or an array that one scan finds monomial
+    (``_index_form``), is read from its k nonzeros.  When its live part
+    has at least _DEFLATE_MIN_SIZE entries (k * k) it is decided: the
+    triple defect's entry at v is (v conj(v)) v - v, the two products the
+    gathers of ``_triple_defect`` form, and both norms are largest moduli,
+    as the split finds them on isolated entries (so the Frobenius screen,
+    whose band holds them, decides nothing else); a defect that overflowed
+    raises DomainError, as ``opnorm`` of the dense one does.  Below that
+    its live part is the k x k index form of those nonzeros, rows and
+    columns in index order, so the products of ``_triple_defect`` are
+    gathers.  An array of fewer than _DEFLATE_MIN_SIZE entries is returned
+    as it is."""
     if type(m) is not _Monomial:
         a = as_matrix(m)
         lines = _nonzero_lines(a)
         if lines is None:
-            return a
+            return a, None
         m = _index_form(a, lines)
         if m is None:
-            return a[_ix(*_live_lines(a, lines))]
+            return a[_ix(*_live_lines(a, lines))], None
     _, rows, val = m._live()
-    return _Monomial((val.size, val.size), np.argsort(np.argsort(rows)), val)
-
-
-def _monomial_triple(a) -> tuple | None:
-    """(||A||, ||A A* A - A||) of a live part held as an index form of at
-    least _DEFLATE_MIN_SIZE entries; None for anything else.  The triple
-    defect's entry at v is (v conj(v)) v - v, the two products the gathers
-    of ``_triple_defect`` form, and both norms are largest moduli, as the
-    split finds them on isolated entries (so the Frobenius screen, whose
-    band holds them, decides nothing else).  A defect that overflowed
-    raises DomainError, as ``opnorm`` of the dense one does."""
-    if type(a) is not _Monomial or a.size < _DEFLATE_MIN_SIZE:
-        return None
-    val = a._val
+    if val.size * val.size < _DEFLATE_MIN_SIZE:
+        return _Monomial((val.size, val.size), np.argsort(np.argsort(rows)), val), None
     defect = (val * np.conj(val)) * val - val
     if not np.isfinite(defect).all():
         raise DomainError("matrix has non-finite entries")
-    return float(np.abs(val).max(initial=0.0)), float(np.abs(defect).max(initial=0.0))
+    return None, (float(np.abs(val).max(initial=0.0)), float(np.abs(defect).max(initial=0.0)))
 
 
 def _triple_defect(a) -> np.ndarray:
