@@ -238,9 +238,8 @@ def test_amplification_operator_matches_the_dense_matrix(label, tol):
 
 
 def test_amplification_applied_from_the_right_skips_zero_columns(tol):
-    # the exactly-zero columns of M contribute exact zeros to M @ A: a
-    # monomial block's gather skips them, and a dense block, as here, takes
-    # the stacked product over all columns; both stay within the dense bound
+    # the exactly-zero columns of M contribute exact zeros to M @ A, and
+    # the stacked product over all columns stays within the dense bound
     rep = dict(amplification_reps(tol))["scalar"]
     amp = rep.amplified(rep.tilde, 3, 1, 0)  # 8 blocks of 3 x 6
     g = planted_zero_lines(rng_for(164), (200, amp.shape[0]), (150, 10), np.ones(10))
@@ -250,8 +249,8 @@ def test_amplification_applied_from_the_right_skips_zero_columns(tol):
 
 
 def test_amplification_with_a_dense_block_scans_no_live_columns(tol, monkeypatch):
-    # only the monomial-block gather reads the live columns of M: with a
-    # dense block M @ A is the stacked product, and M is not scanned
+    # with a dense block M @ A is the stacked product, and M is not
+    # scanned for its live columns
     rep = dict(amplification_reps(tol))["scalar"]
     amp = rep.amplified(rep.tilde, 3, 1, 0)
     g = planted_zero_lines(rng_for(165), (200, amp.shape[0]), (150, 10), np.ones(10))

@@ -160,3 +160,30 @@ def test_bench_shift_powers_times_the_smallest_case():
     assert env["numpy"] == np.__version__ and env["blas_threads"] == 1 and env["machine"]["cpu_count"]
     usage = run_script("bench_shift_powers.py")
     assert usage.returncode == 2 and "Usage" in usage.stderr
+
+
+def test_code_lines_counts_no_blank_comment_or_docstring_line(tmp_path):
+    # code lines 3, 6, 8 and 9 (a two-line call), 11 and 14: the module,
+    # class and function docstrings, the comments and the blank lines do
+    # not count, and a string that is not a docstring does
+    source = '''"""Module docstring,
+over two lines."""
+import math
+
+# a comment
+class Box:
+    """One line."""
+    size = max(1,
+               2)  # a trailing comment is on a code line
+
+    def area(self):
+        """Two
+        lines."""
+        return "not a docstring"
+'''
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "box.py").write_text(source)
+    (tmp_path / "pkg" / "empty.py").write_text('"""Only a docstring."""\n\n# and a comment\n')
+    done = run_script("code_lines.py", str(tmp_path / "pkg"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"6 {tmp_path / 'pkg' / 'box.py'}", f"0 {tmp_path / 'pkg' / 'empty.py'}", "6 total"]
