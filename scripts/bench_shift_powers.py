@@ -8,9 +8,14 @@ Usage:
 
 Each case runs in its own Python process, with one BLAS thread, against the
 package in this checkout's ``src``, three times; the record keeps every
-wall time of the call alone (``wall_s``) and of building its
-representation (``build_s``), neither with the import, the fastest call,
-and the largest max RSS of the three processes.  The cases:
+wall time of the first, cold call alone (``wall_s``) and of building its
+representation (``build_s``), neither with the import, the fastest cold
+call, and the largest max RSS of the three processes.  Each process then
+builds the input afresh and calls it ``WARM_CALLS`` more times, and the
+record keeps each process's fastest warm call (``warm_s``) and the
+fastest of them (``best_warm_s``): a cold call of a few milliseconds is
+mostly first-use work (imports inside numpy, caches), which the warm
+calls do not repeat.  The cases:
 ``power_report`` on (n, trunc, n_max) = (2, 120, 4), (3, 216, 4),
 (2, 500, 4), (2, 1000, 3) and (2, 1000, 4); ``classify`` on the
 n = 3, trunc 216 shift; a shift case (``shift_pi_criterion`` with
@@ -52,39 +57,58 @@ CASES = [
 
 REPEATS = 3
 
-# Runs in the child: times the build and the call, prints one JSON line.
+# Calls of a case timed warm in each process after its first, cold call,
+# each on a freshly built input; the record keeps the fastest.
+WARM_CALLS = 15
+
+# Runs in the child: times the build and the cold call, then the warm
+# calls, and prints one JSON line.
 CHILD = """
 import json, resource, sys, time
 import numpy as np
 from pirep import harness, powers, shifts, wold
 from pirep.numerics import DEFAULT_TOL
-case = json.loads(sys.argv[1])
+case, warm_calls = json.loads(sys.argv[1]), int(sys.argv[2])
+
+def build():
+    if case["kind"] == "wold":
+        return harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
+    if case["kind"] == "shift_case":
+        return shifts.WeightedShiftSpec(n=case["n"], zero_set=case["zero_set"], trunc=case["trunc"])
+    return shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
+
+def call(arg):
+    if case["kind"] == "power_report":
+        return powers.power_report(arg, case["n_max"]).to_dict()
+    if case["kind"] == "wold":
+        return wold.wold_decompose(arg, check_hypotheses=False).to_dict()
+    if case["kind"] == "shift_case":
+        result = {"criterion": shifts.shift_pi_criterion(arg, DEFAULT_TOL, power_cap=3).to_dict(), "kernels": {}}
+        for k in (1, 2, 3):
+            for i in range(1, arg.n + 1):
+                formula = shifts.kernel_formula(arg, i, k)
+                if formula != shifts.brute_force_kernel(arg, i, k, DEFAULT_TOL):
+                    raise AssertionError(f"i={i}, k={k}: the formula and the oracle disagree")
+                result["kernels"][f"i={i},k={k}"] = formula
+        return result
+    return arg.classify().to_dict()
+
 start = time.perf_counter()
-if case["kind"] == "wold":
-    rep = harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
-elif case["kind"] == "shift_case":
-    spec = shifts.WeightedShiftSpec(n=case["n"], zero_set=case["zero_set"], trunc=case["trunc"])
-else:
-    rep = shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
-build = time.perf_counter() - start
+arg = build()
+build_s = time.perf_counter() - start
 start = time.perf_counter()
-if case["kind"] == "power_report":
-    result = powers.power_report(rep, case["n_max"]).to_dict()
-elif case["kind"] == "wold":
-    result = wold.wold_decompose(rep, check_hypotheses=False).to_dict()
-elif case["kind"] == "shift_case":
-    result = {"criterion": shifts.shift_pi_criterion(spec, DEFAULT_TOL, power_cap=3).to_dict(), "kernels": {}}
-    for k in (1, 2, 3):
-        for i in range(1, spec.n + 1):
-            formula = shifts.kernel_formula(spec, i, k)
-            if formula != shifts.brute_force_kernel(spec, i, k, DEFAULT_TOL):
-                raise AssertionError(f"i={i}, k={k}: the formula and the oracle disagree")
-            result["kernels"][f"i={i},k={k}"] = formula
-else:
-    result = rep.classify().to_dict()
+result = call(arg)
 wall = time.perf_counter() - start
+warm = []
+for _ in range(warm_calls):
+    arg = build()
+    start = time.perf_counter()
+    again = call(arg)
+    warm.append(time.perf_counter() - start)
+    if again != result:
+        raise AssertionError("a warm call disagrees with the cold one")
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"build_s": build, "wall_s": wall, "max_rss_mb": rss, "result": result}))
+print(json.dumps({"build_s": build_s, "wall_s": wall, "warm_s": min(warm), "max_rss_mb": rss, "result": result}))
 """
 
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -94,7 +118,7 @@ def run_once(case: dict) -> dict:
     """One process running ``case``: its wall time, max RSS and result, or
     the last line of its error output."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_THREAD)
-    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case)], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case), str(WARM_CALLS)], capture_output=True, text=True, env=env)
     if done.returncode != 0:
         return {"error": (done.stderr.strip().splitlines() or ["exit %d" % done.returncode])[-1]}
     return json.loads(done.stdout)
@@ -112,6 +136,8 @@ def measure(case: dict, repeats: int) -> dict:
         "build_s": [round(run["build_s"], 4) for run in runs],
         "wall_s": [round(run["wall_s"], 4) for run in runs],
         "best_wall_s": round(min(run["wall_s"] for run in runs), 4),
+        "warm_s": [round(run["warm_s"], 5) for run in runs],
+        "best_warm_s": round(min(run["warm_s"] for run in runs), 5),
         "max_rss_mb": round(max(run["max_rss_mb"] for run in runs), 1),
         "result": runs[0]["result"],
     }
@@ -152,7 +178,7 @@ def main(argv: list) -> int:
         if "error" in record:
             print(record["case"], record["error"])
         else:
-            print(record["case"], f"{record['best_wall_s']:.3f} s", f"{record['max_rss_mb']:.0f} MB")
+            print(record["case"], f"{record['best_wall_s']:.3f} s cold", f"{record['best_warm_s'] * 1e3:.2f} ms warm", f"{record['max_rss_mb']:.0f} MB")
     return 0
 
 

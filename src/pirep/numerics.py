@@ -136,9 +136,43 @@ Gram-Schmidt residual, decided by the same two rules, or by its being
 exactly zero or one unit column of value 1.  The scan (a byte per entry
 of X) and X's nonzeros (an index each) are checked before they are
 built.  What stays dense: S held as an array, quotient coordinates and X
-below the gate (every claim battery's).  On a shift (+) unitary a step
-is then O(1) integer work on the rows that left plus a few O(h) numpy
-passes, and the unitary core's values are taken once per iteration.
+below the gate (every claim battery's).
+
+The R^infty iteration takes only its first step, from every row, and
+then peels (``_RowSteps.peel``): it drops each row that no nonzero of X
+reaches from the columns of the rows still kept, until none is left to
+drop, in one pass over the nonzeros of the dropped columns (Python
+lists, O(nnz)), and decides that greatest fixed point's rows by
+``_decided_rows``, as a step at that point would.  Why it is the
+iteration's answer: a step whose every core value and isolated modulus
+clears the cut keeps exactly the rows of X F with a nonzero, the rows
+that F's columns reach; that map is monotone in F's rows, so from every
+row the steps descend to its greatest fixed point, the peel's.  Three
+conditions, all checked from the first step's counts, make every step
+such a step.  (1) No column the peel drops holds a core entry: then no
+core row loses a nonzero, the core and its columns (ascending, as every
+step with a core feeds its rows back) are the first step's, and so are
+its cached values, while an isolated entry stays isolated until its
+column goes.  (2) Every isolated modulus clears the first step's cut;
+the core values do, or that step would not be decided.  The cut,
+rank_rel * max(sigma_0, largest modulus, scale_floor) * max(shape), only
+falls as entries leave, so the first step's bounds every later one.
+(3) The fixed point is past both gates, h * |S| and h * blocks * |S| >=
+_DEFLATE_MIN_SIZE (blocks >= 1, so the first implies the second), and so
+is every step before it, whose S is larger.  Where a condition fails
+the peel answers None and the iteration steps as before.  Its rows are
+then those of the stepped iteration byte for byte: ascending with a
+core, by descending modulus without one.  A generated span held by
+rows walks its chain of one-column residuals the same way
+(``_RowSteps.walk``): while the last block is one row of a one-block X
+whose column has exactly one nonzero outside the held rows, of value
+exactly 1 + 0j, and 1 clears the cut at the stacked shape, that row is
+the next block; an empty column ends the growth; any other residual
+goes to ``residual`` at that point.  The three tests are
+``residual``'s, read off lists built once from the scan.  So on a shift
+(+) unitary each iteration is one scan, one step or none, and one pass
+over the shift chain, whatever q is, and the unitary core's values are
+taken once per iteration.
 
 The partial-isometry verdict drops the exactly-zero rows and columns of
 its operand (``_live_part``).  This is exact: it changes no norm or
@@ -611,7 +645,12 @@ def residual_holds(residual: float, scale: float, tol: Tolerance) -> bool:
 def defect_within(defect: float, tol: Tolerance) -> bool:
     """A computed inclusion or orthogonality defect is negligible:
     ``defect <= incl_abs``."""
-    return bool(defect <= tol.incl_abs)
+    return bool(defects_within(defect, tol))
+
+
+def defects_within(defects: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``defect_within`` of each entry, as one array comparison."""
+    return defects <= tol.incl_abs
 
 
 def materially_negative(lowest: float, scale: float, tol: Tolerance) -> bool:
@@ -942,9 +981,10 @@ def _unit_rows(frame) -> np.ndarray | None:
     return rows if (val == 1).all() and not np.signbit(val.imag).any() else None
 
 
-# The singular values of an empty core.
-_NO_VALUES = np.zeros(0)
+# The singular values of an empty core, and the one of a unit column.
+_NO_VALUES, _ONE = np.zeros(0), np.ones(1)
 _NO_VALUES.setflags(write=False)
+_ONE.setflags(write=False)
 
 
 class _RowSteps:
@@ -960,10 +1000,12 @@ class _RowSteps:
     columns (the column of a row's only nonzero), whether that nonzero is
     isolated and its modulus, and the core rows, and it moves them by the
     columns whose membership changed.  Each core's singular values are
-    kept by (core rows, core columns)."""
+    kept by (core rows, core columns).  ``peel`` and ``walk`` take an
+    iteration's remaining steps in one pass where the module docstring
+    shows that exact."""
 
-    __slots__ = ("x", "blocks", "row", "col", "col_count", "start", "values", "held", "last",
-                 "count", "sums", "core", "mod", "n_core", "stale", "ascending", "s")
+    __slots__ = ("x", "blocks", "row", "col", "col_count", "start", "at", "first", "unit", "values", "held",
+                 "last", "count", "sums", "core", "mod", "n_core", "stale", "ascending", "s")
 
     def __init__(self, x: np.ndarray, blocks: int):
         check_bytes(x.size, "the scan of X")  # a mask of one byte per entry
@@ -973,7 +1015,8 @@ class _RowSteps:
         self.col, self.row = np.divmod(np.flatnonzero(nonzero), h)  # by column, then by row
         self.col_count = np.bincount(self.col, minlength=n)
         self.start = np.concatenate([[0], np.cumsum(self.col_count)])  # column c: start[c]:start[c + 1]
-        self.values, self.held, self.last = {}, None, None
+        self.at, self.first = self.row.tolist(), self.start.tolist()  # the same, as lists for the Python loops
+        self.values, self.held, self.last, self.unit = {}, None, None, None
 
     def _columns(self, rows: np.ndarray) -> np.ndarray:
         """The columns of X that F picks, in F's column order."""
@@ -1015,6 +1058,36 @@ class _RowSteps:
             self.last = out  # ascending, and fed back as the next step's rows
         return out
 
+    def peel(self, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
+        """The rows, in column order, of the iteration's last frame, read off
+        the counts of a ``step`` from every row: X's support peeled to its
+        greatest fixed point (drop each row that no nonzero of X reaches
+        from the columns of the rows still kept), then decided by
+        ``_decided_rows`` as the step at that point decides it.  None where
+        the peel need not be the iteration's answer (see the module
+        docstring): a dropped column holds a core entry, an isolated
+        modulus does not clear this step's cut, or the fixed point is below
+        the gate."""
+        h, n = self.x.shape
+        mod = self.mod
+        cut = rank_threshold(np.array([max(self.s[:1].max(initial=0.0), mod.max())]), shape, tol, scale_floor)
+        if ((mod > 0) & (mod <= cut)).any():
+            return None
+        count, core, at, first, step = list(self.count), self.core.tolist(), self.at, self.first, n // self.blocks
+        todo = [i for i, k in enumerate(count) if k == 0]
+        while todo:
+            for c in range(todo.pop(), n, step):  # the dropped row's column in each block
+                for i in at[first[c] : first[c + 1]]:
+                    if core[i]:
+                        return None
+                    count[i] -= 1
+                    if count[i] == 0:
+                        todo.append(i)
+        keep = np.array(count) > 0
+        if h * np.count_nonzero(keep) < _DEFLATE_MIN_SIZE:  # and so h * blocks * |S|: blocks >= 1
+            return None
+        return _decided_rows(self.core, np.where(keep, mod, 0.0), self.s, shape, tol, scale_floor)
+
     def _core_values(self, rows: np.ndarray) -> np.ndarray | None:
         """The singular values of X F's core (none without a core), or None
         for a tall core.  The core's columns in F's order: a column of X F
@@ -1047,12 +1120,12 @@ class _RowSteps:
         """Move the counts by the rows of F in ``flips``, which came
         (``want``) or went: a few integer operations per nonzero of their
         columns, then each touched row settled."""
-        count, sums, row, start, n = self.count, self.sums, self.row, self.start, self.x.shape[1]
+        count, sums, at, first, n = self.count, self.sums, self.at, self.first, self.x.shape[1]
         touched, moved = set(), False
         for r in flips.tolist():
             d = 1 if want[r] else -1
             for c in range(r, n, want.size):  # row r's column in each block
-                for i in row[start[c] : start[c + 1]].tolist():
+                for i in at[first[c] : first[c + 1]]:
                     before = count[i]
                     count[i], sums[i] = before + d, sums[i] + d * c
                     moved = moved or before > 1 or before + d > 1  # a core column came or went
@@ -1087,31 +1160,47 @@ class _RowSteps:
         out[held] = 0
         return out
 
+    def walk(self, r: int, held: np.ndarray, dim: int, width: int, tol: Tolerance) -> tuple:
+        """Grow a span held by rows from the one-row block [r] (one block of
+        X) over the lists of X's nonzeros: while column r has exactly one
+        nonzero outside the held rows, its value is exactly 1 + 0j and 1
+        clears the cut at the stacked shape (h, dim + width), with dim the
+        held rows, that row is the next block (the one-column R is a unit
+        vector of value 1, and its SVD's frame is +e_r at any size) and is
+        held.  Returns (the rows added, in order, an index array; whether
+        the last block's residual is exactly zero, which ends the growth);
+        otherwise that residual is left to ``residual``."""
+        h = self.x.shape[0]
+        if self.unit is None:  # per nonzero of X, whether its value is exactly 1 + 0j
+            v = self.x[self.row, self.col]
+            self.unit = ((v == 1) & ~np.signbit(v.imag)).tolist()
+        at, first, unit, mine, out = self.at, self.first, self.unit, held.tolist(), []
+        clear = 1.0 > rank_threshold(_ONE, (h, h + width), tol, 1.0)  # at the widest stacked shape: at every one
+        while True:
+            outside = [k for k in range(first[r], first[r + 1]) if not mine[at[k]]]
+            decided = len(outside) == 1 and unit[outside[0]]
+            if not (decided and (clear or 1.0 > rank_threshold(_ONE, (h, dim + len(out) + width), tol, 1.0))):
+                return np.array(out, dtype=np.intp), not outside
+            r = at[outside[0]]
+            mine[r] = True
+            out.append(r)
+
     def residual(self, block: np.ndarray, held: np.ndarray, shape, tol: Tolerance) -> np.ndarray | None:
         """The rows, in column order, of
         ``_range_frame_cut_as(self.residual_product(block, held), shape, tol, 1.0)``
         when that frame is unit vectors decided by index, read off X's
         nonzeros in the block's columns: no rows when R is exactly zero
-        (rank 0), the row of a one-column R that is a unit vector of value
-        1 (at any size: its SVD's frame is +e_r), and past the gate the
-        full-row-rank rule or the no-core order.  None otherwise."""
+        (rank 0), and past the gate the full-row-rank rule or the no-core
+        order.  None otherwise.  A one-column R that is a unit vector of
+        value 1 is ``walk``'s, which takes it first."""
         h = self.x.shape[0]
         cols = self._columns(block)
-        if cols.size == 1:
-            i = self.row[self.start[cols[0]] : self.start[cols[0] + 1]]
-            i = i[~held[i]]
-            if i.size == 1:
-                v = self.x[i[0], cols[0]]
-                if v == 1 and not np.signbit(v.imag) and 1.0 > rank_threshold(np.ones(1), shape, tol, 1.0):
-                    return i
-            t = np.zeros(i.size, dtype=np.intp)
-        else:
-            lo, hi = self.start[cols], self.start[cols + 1]
-            length = hi - lo
-            at = np.arange(int(length.sum())) + np.repeat(lo - np.cumsum(length) + length, length)
-            t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of R, and row
-            live = ~held[i]
-            t, i = t[live], i[live]
+        lo, hi = self.start[cols], self.start[cols + 1]
+        length = hi - lo
+        at = np.arange(int(length.sum())) + np.repeat(lo - np.cumsum(length) + length, length)
+        t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of R, and row
+        live = ~held[i]
+        t, i = t[live], i[live]
         if i.size == 0:
             return i
         if h * cols.size < _DEFLATE_MIN_SIZE:

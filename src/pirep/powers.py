@@ -70,13 +70,19 @@ weighted shift's), ``iterated_range`` holds S as its rows and steps
 ``numerics._RowSteps``: X is scanned once per iteration, a step moves
 the counts of X F by the rows of S that left or came and returns the
 rows of the next frame, with no product, frame or Subspace, and each
-distinct core's singular values are taken once.  On a shift (+) unitary,
-whose unitary core fills its rows at every step, a step is a few integer
-operations on the row that left and a few O(dim H) numpy passes, and the
-iteration builds one Subspace, at its end.  A step that the rules do
-not decide builds its product and cuts it as above, and from a frame
-that is not unit vectors (or below the gate) the iteration goes on
-densely.
+distinct core's singular values are taken once.  After the first step,
+from every row, the iteration peels X's support to its greatest fixed
+point in one pass over the nonzeros of the columns it drops
+(``_RowSteps.peel``), which is the stepped iteration's answer byte for
+byte wherever no dropped column holds a core entry, every isolated
+modulus clears the first step's cut and the fixed point is past the gate
+(the ``numerics`` docstring gives why); otherwise it steps on.  On a
+shift (+) unitary, whose unitary core fills its rows and takes no entry
+of a shift column, that is one step and one pass over the shift chain
+at any q, and the iteration builds one Subspace, at its end.  A step
+that the rules do not decide builds its product and cuts it as above,
+and from a frame that is not unit vectors (or below the gate) the
+iteration goes on densely.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -181,7 +187,10 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     (tilde and its Cauchy dual do), so that every S is sigma-reducing.
     While S is unit vectors held by index in identity coordinates, it is
     held as its rows and stepped by ``numerics._RowSteps`` (X scanned once
-    per iteration); every other step spans X(E (x) S) densely."""
+    per iteration), and after the first step from every row the remaining
+    steps are one peel of X's support to its fixed point where that is
+    exact (``_RowSteps.peel``); every other step spans X(E (x) S)
+    densely."""
     x = _intertwiner(rep, x)
     h, space, tol = rep.h_dim, rep.space(1), rep.tol
     shape, steps = (h, space.dim), None
@@ -196,6 +205,9 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
             if got is not None and h * got.size >= nx._DEFLATE_MIN_SIZE:  # an index form: held
                 if got.size == rows.size:
                     return Subspace(nx._units(h, got))
+                fixed = steps.peel(shape, tol, 1.0) if rows.size == h else None  # from the step from every row
+                if fixed is not None:
+                    return Subspace(nx._units(h, fixed))
                 rows = got
                 continue
             nxt = Subspace(nx._range_frame_cut_as(steps.product(rows), shape, tol, 1.0) if got is None else nx._units(h, got))

@@ -15,10 +15,12 @@ applications stays <= M }; outside it the truncated matrix no longer
 models the untruncated operator, and no claim is made there.
 
 One vectorized source gives each column's target row and value
-(``_shift_columns``).  ``build_shift`` builds the lift from it as its
-index form, n (M+1) rows and values checked from the shape first, with no
-dense V_i, stack or scan; ``shift_matrices`` scatters the same data into
-the n dense V_i at once.  The oracle ``brute_force_kernel`` steps one
+(``_shift_columns``), built once per spec: a spec is immutable, its
+``weights`` a read-only view, and it keeps that data read-only
+(``WeightedShiftSpec._columns``).  ``build_shift`` builds the lift from
+it as its index form, n (M+1) rows and values checked from the shape
+first, with no dense V_i, stack or scan; ``shift_matrices`` scatters the
+same data into the n dense V_i at once.  The oracle ``brute_force_kernel`` steps one
 direction's column data through the window: a column of V_i^k holds one
 entry, so it is held as one (row, value) pair, and no dense V_i or power
 is built.  A spec checks the bytes of the n dense V_i against the budget
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from . import numerics as nx
 from .correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from .covrep import CovariantRep
 from .errors import DimensionMismatch, WindowError
-from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes, defect_within, residual_holds
+from .numerics import ENTRY_BYTES, Record, Tolerance, check_bytes, defects_within, residual_holds
 from .powers import power_pi_up_to
 
 
@@ -65,7 +69,9 @@ class WeightedShiftSpec:
 
     ``weights`` is a sparse override map (i, m) -> w >= 0; unspecified
     weights are 1.  ``trunc`` defaults to the minimal level supporting
-    three-fold powers.
+    three-fold powers.  The spec is immutable (``weights`` is held as a
+    read-only view of its own dict), so its column data is built once, on
+    first use, and kept read-only (``_columns``).
     """
 
     n: int
@@ -89,7 +95,7 @@ class WeightedShiftSpec:
             if not 0 <= w < float("inf"):
                 raise DimensionMismatch("weights must be finite and nonnegative")
             clean[(i, m)] = float(w)
-        object.__setattr__(self, "weights", clean)
+        object.__setattr__(self, "weights", MappingProxyType(clean))
         trunc = minimal_trunc(n, 3) if self.trunc is None else _integer(self.trunc, "the truncation level")
         if trunc < 1:
             raise DimensionMismatch("truncation level must be >= 1")
@@ -127,12 +133,20 @@ class WeightedShiftSpec:
             "trunc": self.trunc,
         }
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """``_shift_columns`` of this spec, built on first use, read-only."""
+        rows, values = _shift_columns(self)
+        rows.setflags(write=False)
+        values.setflags(write=False)
+        return rows, values
+
 
 def shift_matrices(spec: WeightedShiftSpec) -> list:
     """The truncated matrices V_1..V_n, one scatter of their column data.
     Source indices whose image falls beyond the truncation give zero
     columns (tracked by the window, not errors)."""
-    rows, values = _shift_columns(spec)
+    rows, values = spec._columns
     vs = np.zeros(rows.shape + rows.shape[-1:], dtype=np.complex128)
     np.put_along_axis(vs, rows[:, None], values[:, None], axis=1)
     return list(vs)
@@ -164,7 +178,7 @@ def build_shift(spec: WeightedShiftSpec, tol: Tolerance) -> CovariantRep:
     d, n = spec.h_dim(), spec.n
     sigma, corr = StarRepresentation(SCALARS, [d]), scalar_correspondence(n)
     nx._check_form_bytes(n * d, f"a {d} x {n * d} lift")
-    rows, values = _shift_columns(spec)
+    rows, values = spec._columns
     if np.signbit(values).any():
         return CovariantRep(corr, sigma, shift_matrices(spec), tol)
     lift = nx._form_or_dense((d, n * d), rows.ravel(), values.ravel().astype(np.complex128))
@@ -223,7 +237,7 @@ def _power_columns(spec: WeightedShiftSpec, i: int, k: int) -> tuple:
     the faithful window W_k, holds its one entry values[m] at rows[m] (a
     zero value where the column is zero)."""
     i, k, window = _power_window(spec, i, k)
-    rows, values = (a[i - 1] for a in _shift_columns(spec))
+    rows, values = (a[i - 1] for a in spec._columns)
     row, value = rows[: len(window)], values[: len(window)]
     for _ in range(k - 1):
         value = values[row] * value
@@ -235,24 +249,27 @@ def brute_force_kernel(spec: WeightedShiftSpec, i: int, k: int, tol: Tolerance) 
     """Oracle: kernel indices of the truncated matrix power V_i^k on W_k.
 
     It is a numeric product of the truncated matrix: it reads V_i only as
-    its column data (``_shift_columns``, which the dense V_i scatter), and
-    neither the formula nor the zero set's index arithmetic.  Every column
-    of V_i holds at most one entry, so each window column of V_i^k is held
-    as one (row, value) pair and stepped k - 1 times, value = values[row] *
-    value and then row = rows[row]: the product V_i(...(V_i V_i[:, W_k])),
-    multiplied in that order.  Its values are the nonzeros of that dense
-    product's columns bit for bit: a real weight times a complex number with
-    zero imaginary part is exact, and the dense sum only adds exact zeros.
+    its column data (``_shift_columns``, which the dense V_i scatter, built
+    once per spec), and neither the formula nor the zero set's index
+    arithmetic.  Every column of V_i holds at most one entry, so each
+    window column of V_i^k is held as one (row, value) pair and stepped
+    k - 1 times, value = values[row] * value and then row = rows[row]: the
+    product V_i(...(V_i V_i[:, W_k])), multiplied in that order.  Its
+    values are the nonzeros of that dense product's columns bit for bit: a
+    real weight times a complex number with zero imaginary part is exact,
+    and the dense sum only adds exact zeros.
 
-    A column is in the kernel when ``defect_within(|value|)``.  The dense
-    norm of a one-entry column is sqrt(fl(a^2)), which is |a| unless a^2
-    under- or overflows: below 2^-511 (about 1.5e-154) both are at most
-    2^-511, and from about 2^512 (1.3e154) the dense norm is inf, so for
-    every cut 2^-511 <= incl_abs < 2^511 (the default is 1e-8) the two fall
-    on the same side of it.
+    A column is in the kernel when ``defect_within(|value|)``, |value| <=
+    incl_abs, taken as one comparison over the window
+    (``numerics.defects_within``; the window starts at 0, so a column's
+    position is its index m).  The dense norm of a one-entry column is
+    sqrt(fl(a^2)), which is |a| unless a^2 under- or overflows: below
+    2^-511 (about 1.5e-154) both are at most 2^-511, and from about 2^512
+    (1.3e154) the dense norm is inf, so for every cut 2^-511 <= incl_abs <
+    2^511 (the default is 1e-8) the two fall on the same side of it.
     """
-    window, _, value = _power_columns(spec, i, k)
-    return [m for m, a in zip(window, np.abs(value).tolist()) if defect_within(a, tol)]
+    _, _, value = _power_columns(spec, i, k)
+    return np.flatnonzero(defects_within(np.abs(value), tol)).tolist()
 
 
 @dataclass(frozen=True)

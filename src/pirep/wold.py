@@ -59,22 +59,28 @@ unitary conjugated by a Haar unitary, where no entry is isolated).
 regularity that bi-regularity presupposes, and the dual side's residual.
 Rinf(T') is the primal side's.  On a shift (+) unitary of size q + u
 every frame of these two iterations is unit vectors: each is held as its
-rows and stepped on the iteration's one scan of X, and the u x u unitary
-core's singular values are taken once per iteration (the ``numerics``
-docstring).  A generated subspace whose W and blocks are unit vectors of
-value 1 (identity coordinates, X past _DEFLATE_MIN_SIZE entries) is held
-as its set of rows on one scan of X (``numerics._RowSteps.residual``): a
-step reads X's nonzeros in the last block's columns outside the held
-rows, which is the dense R - Q (Q* R) in value (Q* R is R on Q's rows,
-and Q times it adds exact zeros elsewhere), and gives the frame of that
-residual without gathering it where its rows decide it: an exactly zero
-residual has rank 0 and ends the growth, one column that is a unit
-vector e_r of value 1 is its own block, row r, since the SVD's frame of
-it is +e_r (``tests/test_wold.py`` pins that), and past the gate the
-full-row-rank rule and the no-core order of the ``numerics`` docstring.
-Otherwise the h x (N dim B) residual is gathered and factored as the
-dense path does.  So on a shift (+) unitary no residual is built or
-factored, and the span builds one Subspace, at its end.  From the first
+rows on the iteration's one scan of X, takes one step from every row and
+peels the shift chain to the core rows in one pass (the ``numerics``
+docstring gives why that is the stepped answer), and the u x u unitary
+core's singular values are taken once per iteration.  A generated
+subspace whose W and blocks are unit vectors of value 1 (identity
+coordinates, X past _DEFLATE_MIN_SIZE entries) is held as its set of
+rows on one scan of X (``numerics._RowSteps.residual``): a step reads
+X's nonzeros in the last block's columns outside the held rows, which is
+the dense R - Q (Q* R) in value (Q* R is R on Q's rows, and Q times it
+adds exact zeros elsewhere), and gives the frame of that residual
+without gathering it where its rows decide it: an exactly zero residual
+has rank 0 and ends the growth, one column that is a unit vector e_r of
+value 1 is its own block, row r, since the SVD's frame of it is +e_r
+(``tests/test_wold.py`` pins that), and past the gate the full-row-rank
+rule and the no-core order of the ``numerics`` docstring.  A chain of
+such one-row blocks is walked in one pass over lists of X's nonzeros
+(``numerics._RowSteps.walk``), with the same three tests at each link,
+up to the first residual the walk does not decide, which goes to the
+step above.  Otherwise the h x (N dim B) residual is gathered and
+factored as the dense path does.  So on a shift (+) unitary no residual
+is built or factored, the span is one walk of q - 1 links, and it builds
+one Subspace, at its end.  From the first
 block that is not unit vectors the frame is built and the dense path
 goes on.  When both frames of a side are unit vectors held by index on
 disjoint rows, its orthogonality defect is 0.0, the opnorm of their
@@ -159,10 +165,17 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
         else:
             # X (I (x) F_B) at the rows of B, against the unit vectors held
             # so far, read off X's nonzeros; built only where that does not decide
+            if last.size == 1 and steps.blocks == 1:  # a chain of unit columns, walked
+                added, ended = steps.walk(int(last[0]), held, dim, space.dim, rep.tol)
+                held[added] = True
+                parts.append(added)
+                dim, last = dim + added.size, (added[-1:] if added.size else last)
+                if ended:
+                    break  # rank 0
             stacked = (h, dim + space.dim)
-            last = steps.residual(last, held, stacked, rep.tol)
+            block_rows, last = last, steps.residual(last, held, stacked, rep.tol)
             if last is None:
-                residual = steps.residual_product(parts[-1], held)
+                residual = steps.residual_product(block_rows, held)
             elif last.size == 0:
                 break  # rank 0
             else:

@@ -419,7 +419,7 @@ def test_iterated_range_past_the_gate_matches_the_dense_oracle(tol, monkeypatch)
     # oracle; each iteration scans its X at most once
     from pirep.wold import cauchy_dual
 
-    scans, steps = spy_row_steps(monkeypatch)
+    scans, steps, _ = spy_row_steps(monkeypatch)
     for index, rep in enumerate(gated_iteration_reps(tol)):
         assert rep.tilde.size >= nx._DEFLATE_MIN_SIZE
         for x in (rep.tilde, cauchy_dual(rep)):
@@ -433,10 +433,10 @@ def test_iterated_range_past_the_gate_matches_the_dense_oracle(tol, monkeypatch)
 
 
 def spy_row_steps(monkeypatch) -> tuple:
-    """Record every scan of X (one per ``nx._RowSteps``) and every step as
-    (stepper, rows in, rows out)."""
-    scans, steps = [], []
-    real_init, real_step = nx._RowSteps.__init__, nx._RowSteps.step
+    """Record every scan of X (one per ``nx._RowSteps``), every step as
+    (stepper, rows in, rows out) and every peel as (stepper, rows out)."""
+    scans, steps, peels = [], [], []
+    real_init, real_step, real_peel = nx._RowSteps.__init__, nx._RowSteps.step, nx._RowSteps.peel
 
     def init(self, *args):
         scans.append(self)
@@ -447,9 +447,15 @@ def spy_row_steps(monkeypatch) -> tuple:
         steps.append((self, rows, out))
         return out
 
+    def peel(self, *args):
+        out = real_peel(self, *args)
+        peels.append((self, out))
+        return out
+
     monkeypatch.setattr(nx._RowSteps, "__init__", init)
     monkeypatch.setattr(nx._RowSteps, "step", step)
-    return scans, steps
+    monkeypatch.setattr(nx._RowSteps, "peel", peel)
+    return scans, steps, peels
 
 
 def unit_vector_frame(frame) -> bool:
@@ -459,30 +465,29 @@ def unit_vector_frame(frame) -> bool:
 
 
 def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
-    # on the q = 60, u = 20 shift (+) unitary the 20 x 20 unitary core of
-    # every step fills its rows, so every frame of the iteration, for tilde
-    # and for its Cauchy dual, is a set of unit vectors held as its rows;
-    # each of the 61 steps moves the counts of the iteration's one scan of
-    # X, the core, the same at every step, has its singular values taken
-    # once per iteration, and one Subspace is built, at the end
+    # on the q = 60, u = 20 shift (+) unitary the 20 x 20 unitary core
+    # fills its rows, and no shift column holds a core entry, so the
+    # iteration, for tilde and for its Cauchy dual, takes one step from
+    # every row on its one scan of X and peels the shift chain to the core
+    # rows: the core's singular values are taken once, every frame is a set
+    # of unit vectors held as its rows, and one Subspace is built, at the end
     from pirep.wold import cauchy_dual
 
     rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=60, u_dim=20)
     t_dual = cauchy_dual(rep)
     svds, real_svd = [], nx._svd
     monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: svds.append((m.shape, compute_uv)) or real_svd(m, full, compute_uv))
-    scans, steps = spy_row_steps(monkeypatch)
+    scans, steps, peels = spy_row_steps(monkeypatch)
     built, real_post = [], nx.Subspace.__post_init__
     monkeypatch.setattr(nx.Subspace, "__post_init__", lambda self: built.append(self) or real_post(self))
     for x in (rep.tilde, t_dual):
-        svds.clear()
-        steps.clear()
-        scans.clear()
-        built.clear()
+        for seen in (svds, steps, peels, scans, built):
+            seen.clear()
         got = pw.iterated_range(rep, x)
         assert svds == [((20, 20), False)]
-        assert len(steps) == 61 and len(scans) == 1
-        assert all(out is not None and unit_vector_frame(nx._units(rep.h_dim, out)) for _, _, out in steps)
+        assert len(scans) == 1 and [(rows.size, out.size) for _, rows, out in steps] == [(80, 79)]
+        assert [out.tolist() for _, out in peels] == [list(range(60, 80))]
+        assert all(unit_vector_frame(nx._units(rep.h_dim, out)) for out in [steps[0][2], peels[0][1]])
         assert [s.dim for s in built] == [20] and built[0] is got and type(got._frame) is nx._Monomial
         want = iterated_range_by_amplification(rep, x)
         assert got.dim == want.dim == 20
@@ -500,7 +505,7 @@ def test_iterated_range_on_a_shift_stays_on_the_index_path_past_the_gate(tol, mo
 
     rep = next(r for r in gated_iteration_reps(tol) if r.h_dim == 41 and r.corr.module_dim == 2)
     assert rep.tilde.shape == (41, 82)
-    scans, steps = spy_row_steps(monkeypatch)
+    scans, steps, _ = spy_row_steps(monkeypatch)
     dense, real = [], pw._span_e_tensor
     monkeypatch.setattr(pw, "_span_e_tensor", lambda rep_, s, x_: dense.append(s.dim) or real(rep_, s, x_))
     for x in (rep.tilde, cauchy_dual(rep)):

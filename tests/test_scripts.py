@@ -144,6 +144,7 @@ def test_bench_shift_powers_times_the_smallest_case():
     assert record["case"] == smallest and len(record["wall_s"]) == len(record["build_s"]) == 1
     assert record["build_s"][0] > 0
     assert 0 < record["best_wall_s"] == record["wall_s"][0] and record["max_rss_mb"] > 0
+    assert len(record["warm_s"]) == 1 and 0 < record["best_warm_s"] == record["warm_s"][0]
     assert record["result"]["applicable"] and record["result"]["pi_flags"] == [True] * 4
     wold = {"kind": "wold", "q": 60, "u": 20}
     assert wold in script.CASES
@@ -152,7 +153,7 @@ def test_bench_shift_powers_times_the_smallest_case():
     case = {"kind": "shift_case", "n": 2, "trunc": 64, "zero_set": [1, 4]}
     assert case in script.CASES
     shift = script.measure(case, 1)
-    assert shift["build_s"][0] >= 0 and shift["wall_s"][0] > 0
+    assert shift["build_s"][0] >= 0 and shift["wall_s"][0] > 0 and shift["best_warm_s"] > 0
     assert shift["result"]["criterion"] == {"is_pi": True, "weights_unit_off_zero_set": True, "power_pi_up_to": 3}
     assert len(shift["result"]["kernels"]) == 6
     assert shift["result"]["kernels"]["i=1,k=1"] == [1, 4] and shift["result"]["kernels"]["i=1,k=2"] == [0, 1, 4]

@@ -296,13 +296,13 @@ def _assert_power_columns_are_dense(spec, tol, where):
                     np.testing.assert_allclose(column[row].real, value, rtol=4 * 2.0**-53, atol=0.0)
 
 
-def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
-    # weights at the cut and one ulp above it: a column is in the kernel
-    # when its norm is <= incl_abs, as the dense norm test decides
+def oracle_specs(tol):
+    """(where, spec) for the oracle comparisons: weights at the cut and one
+    ulp above it; 40 draws with n up to 3 and weights in [0, 1.7); and 40
+    with n up to 4, zero weights, weights over the zero set and overrides
+    whose column or whose index lies past the truncation."""
     at, above = tol.incl_abs, float(np.nextafter(tol.incl_abs, 1.0))
-    spec = WeightedShiftSpec(n=2, weights={(1, 2): at, (1, 3): above, (2, 2): above}, trunc=40)
-    _assert_power_columns_are_dense(spec, tol, "cut")
-    assert sh.brute_force_kernel(spec, 1, 1, tol) == [2] and sh.brute_force_kernel(spec, 2, 1, tol) == []
+    yield "cut", WeightedShiftSpec(n=2, weights={(1, 2): at, (1, 3): above, (2, 2): above}, trunc=40)
     rng = rng_for(72)
     for trial in range(40):
         n = int(rng.integers(1, 4))
@@ -310,10 +310,7 @@ def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
         weights = {}
         for _ in range(1 if trial % 2 else int(rng.integers(2, 30))):
             weights[(int(rng.integers(1, n + 1)), int(rng.integers(0, 20)))] = float(rng.uniform(0.0, 1.7))
-        spec = WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=max(sh.minimal_trunc(n, 3), n**3 * 8))
-        _assert_power_columns_are_dense(spec, tol, trial)
-    # n up to 4, zero weights, weights over the zero set and overrides whose
-    # column or whose index lies past the truncation
+        yield trial, WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=max(sh.minimal_trunc(n, 3), n**3 * 8))
     rng = rng_for(73)
     for trial in range(40):
         n = int(rng.integers(1, 5))
@@ -325,8 +322,54 @@ def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
             weights[(int(rng.integers(1, n + 1)), m)] = float(rng.uniform(0.1, 1.7))
         for _ in range(int(rng.integers(0, 12))):
             weights[(int(rng.integers(1, n + 1)), int(rng.integers(0, trunc + 1)))] = float(rng.uniform(0.1, 1.7))
-        spec = WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=trunc)
-        _assert_power_columns_are_dense(spec, tol, ("wide", trial))
+        yield ("wide", trial), WeightedShiftSpec(n=n, weights=weights, zero_set=b, trunc=trunc)
+
+
+def test_brute_force_kernel_matches_the_dense_matrix_power(tol):
+    # weights at the cut and one ulp above it: a column is in the kernel
+    # when its norm is <= incl_abs, as the dense norm test decides; then the
+    # seeded draws
+    for where, spec in oracle_specs(tol):
+        _assert_power_columns_are_dense(spec, tol, where)
+        if where == "cut":
+            assert sh.brute_force_kernel(spec, 1, 1, tol) == [2] and sh.brute_force_kernel(spec, 2, 1, tol) == []
+
+
+def _oracle_rebuilding_its_columns(spec, i: int, k: int, tol) -> list:
+    """The oracle with the column data of all n directions built on every
+    call and its window decided one column at a time by defect_within."""
+    window = spec.window(k)
+    rows, values = (a[i - 1] for a in sh._shift_columns(spec))
+    row, value = rows[: len(window)], values[: len(window)]
+    for _ in range(k - 1):
+        value = values[row] * value
+        row = rows[row]
+    return [m for m, a in zip(window, np.abs(value).tolist()) if nx.defect_within(a, tol)]
+
+
+def test_the_oracle_builds_the_column_data_once_per_spec(tol, monkeypatch):
+    # the nine oracle calls of an n = 3 shift case (and the lift and the
+    # dense V_i of the same spec) build its column data once; the spec that
+    # keeps it is immutable, with its weights read-only and its equality
+    # and dict unchanged; and on the seeded draws the oracle answers as when
+    # it rebuilt the data per call and decided per column
+    builds, real = [], sh._shift_columns
+    monkeypatch.setattr(sh, "_shift_columns", lambda spec: builds.append(spec) or real(spec))
+    spec = WeightedShiftSpec(n=3, weights={(2, 5): 0.5}, zero_set={1, 4}, trunc=216)
+    kernels = [sh.brute_force_kernel(spec, i, k, tol) for k in (1, 2, 3) for i in (1, 2, 3)]
+    sh.build_shift(spec, tol)
+    sh.shift_matrices(spec)
+    assert builds == [spec] and kernels == [sh.kernel_formula(spec, i, k) for k in (1, 2, 3) for i in (1, 2, 3)]
+    monkeypatch.undo()
+    assert not any(a.flags.writeable for a in spec._columns)
+    with pytest.raises(TypeError):
+        spec.weights[(1, 0)] = 2.0
+    same = WeightedShiftSpec(n=3, weights={(2, 5): 0.5}, zero_set={4, 1}, trunc=216)
+    assert same == spec and same.to_dict() == spec.to_dict() == {"n": 3, "weights": {"2,5": 0.5}, "zero_set": [1, 4], "trunc": 216}
+    for where, spec in oracle_specs(tol):
+        for k in (1, 2, 3):
+            for i in range(1, spec.n + 1):
+                assert sh.brute_force_kernel(spec, i, k, tol) == _oracle_rebuilding_its_columns(spec, i, k, tol), (where, i, k)
 
 
 def test_the_kernel_oracle_builds_no_dense_power(tol, monkeypatch):

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pirep import numerics as nx
 from pirep import wold
@@ -234,13 +238,14 @@ def test_a_span_held_by_rows_drops_what_returns_into_it(tol, monkeypatch):
 
 def spy_iterations(monkeypatch) -> dict:
     """Record, for one ``wold_decompose``: every scan of X (one per
-    ``nx._RowSteps``), each ``step`` and ``residual`` as (stepper, rows in,
-    rows out), each dense residual and product a stepper builds, and the
+    ``nx._RowSteps``), each ``step``, ``residual`` and ``walk`` as (stepper,
+    rows in, what it returned), each ``peel`` as (stepper, rows out), each
+    dense residual and product a stepper builds, and the
     ``_range_frame_cut_as`` calls and Subspaces made inside the two
     subspace iterations, with how many iterations ran."""
     from pirep import powers as pw
 
-    seen = {name: [] for name in ("scans", "steps", "residuals", "dense", "cuts", "built", "iterations")}
+    seen = {name: [] for name in ("scans", "steps", "peels", "residuals", "walks", "dense", "cuts", "built", "iterations")}
     inside = []
 
     def record(owner, name, key):
@@ -248,7 +253,10 @@ def spy_iterations(monkeypatch) -> dict:
 
         def wrapper(*args, **kwargs):
             out = real(*args, **kwargs)
-            seen[key].append((args[0], args[1], out) if key in ("steps", "residuals") else args[0])
+            if key in ("steps", "residuals", "walks"):
+                seen[key].append((args[0], args[1], out))
+            else:
+                seen[key].append((args[0], out) if key == "peels" else args[0])
             return out
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -268,7 +276,9 @@ def spy_iterations(monkeypatch) -> dict:
 
     record(nx._RowSteps, "__init__", "scans")
     record(nx._RowSteps, "step", "steps")
+    record(nx._RowSteps, "peel", "peels")
     record(nx._RowSteps, "residual", "residuals")
+    record(nx._RowSteps, "walk", "walks")
     record(nx._RowSteps, "product", "dense")
     record(nx._RowSteps, "residual_product", "dense")
     real_cut, real_post = nx._range_frame_cut_as, nx.Subspace.__post_init__
@@ -280,14 +290,33 @@ def spy_iterations(monkeypatch) -> dict:
     return seen
 
 
+def assert_one_pass_per_iteration(seen: dict, q: int, u: int) -> None:
+    """The four iterations of a ``wold_decompose`` on the q + u shift (+)
+    unitary, as ``spy_iterations`` saw them: each scans its X once; each
+    R^infty iteration takes one step, from every row, and peels the rest to
+    the u core rows; each generated span is one walk of q - 1 unit columns
+    from the wandering line, which ends at an exactly zero residual; no
+    residual step, no dense product or residual, no cut, and one Subspace
+    per iteration, at its end."""
+    h = q + u
+    assert sorted(seen["iterations"]) == ["generated_invariant_subspace"] * 2 + ["iterated_range"] * 2
+    assert len(seen["scans"]) == 4 and not seen["dense"] and not seen["cuts"]
+    assert [(rows.tolist(), out.size) for _, rows, out in seen["steps"]] == [(list(range(h)), h - 1)] * 2
+    assert [(stepper, out.tolist()) for stepper, out in seen["peels"]] == [(stepper, list(range(q, h))) for stepper, _, _ in seen["steps"]]
+    assert [(row, out[0].tolist(), out[1]) for _, row, out in seen["walks"]] == [(0, list(range(1, q)), True)] * 2
+    assert not seen["residuals"]
+    assert len(seen["built"]) == 4 and all(type(s._frame) is nx._Monomial for s in seen["built"])
+
+
 def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch):
     # on the q = 60, u = 20 shift (+) unitary every shift direction is an
     # isolated entry of its frame, so LAPACK sees only the 20 x 20 unitary
     # core.  Each of the four subspace iterations (R^infty and the generated
-    # span, of tilde and of its Cauchy dual) scans its X once and steps
-    # rows; each R^infty iteration takes the singular values of the core,
-    # the same at every step, once; each generated step reads one unit
-    # column of X, which is its own frame, and no residual is factored
+    # span, of tilde and of its Cauchy dual) makes one pass over its X's
+    # nonzeros on one scan: each R^infty iteration steps once and peels the
+    # shift chain, taking the singular values of the core once; each
+    # generated span walks the chain of unit columns, and no residual is
+    # factored
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
@@ -296,24 +325,13 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
     seen = spy_iterations(monkeypatch)
     out = wold.wold_decompose(rep, check_hypotheses=False)
     assert all(max(shape) <= 20 for shape, _ in calls), sorted(set(calls))
-    assert sorted(seen["iterations"]) == ["generated_invariant_subspace"] * 2 + ["iterated_range"] * 2
-    assert len(seen["scans"]) == 4 and not seen["dense"] and not seen["cuts"]
-    # two R^infty iterations of 61 steps, each on its own scan with one
-    # values-only SVD of the core, every frame a set of unit-vector rows
+    assert_one_pass_per_iteration(seen, 60, 20)
     steppers = {id(stepper) for stepper, _, _ in seen["steps"]}
-    assert len(steppers) == 2 and len(seen["steps"]) == 2 * 61
-    assert all(rows is not None and 80 * rows.size >= nx._DEFLATE_MIN_SIZE for _, _, rows in seen["steps"])
     for stepper in seen["scans"]:
         assert [s.shape for s in stepper.values.values()] == ([(20,)] if id(stepper) in steppers else [])
     # only the Cauchy dual's pseudoinverse and the kernel N(tilde) that
     # regularity reads factor the core with vectors
     assert calls.count(((20, 20), True)) == 2 and len(calls) == 6
-    # per side, 59 residuals grow the span from the wandering line to 60
-    # dimensions, one row each, and one more, exactly zero, stops it
-    sizes = [rows.size for _, _, rows in seen["residuals"]]
-    assert len(sizes) == 2 * 60 and sizes.count(1) == 2 * 59 and sizes.count(0) == 2
-    # one Subspace per iteration, at its end
-    assert len(seen["built"]) == 4 and all(type(s._frame) is nx._Monomial for s in seen["built"])
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (60, 20)
         assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
@@ -321,17 +339,15 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
 
 def test_wold_scales_to_q_400_with_one_scan_per_iteration(tol, monkeypatch):
     # the q = 400, u = 20 shift (+) unitary: each of the four iterations
-    # scans its X (420 x 420) once, no step on unit vectors builds a
-    # Subspace or calls _range_frame_cut_as, and the held span reads X's
-    # nonzeros with no dense h-row gather; one Subspace per iteration
+    # scans its X (420 x 420) once and makes as many steps, peels and walks
+    # as at q = 60 (no step count grows with q), with no dense product or
+    # residual, no cut and one Subspace per iteration
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=400, u_dim=20)
     seen = spy_iterations(monkeypatch)
     out = wold.wold_decompose(rep, check_hypotheses=False)
-    assert len(seen["iterations"]) == 4 and len(seen["scans"]) == 4
-    assert not seen["cuts"] and not seen["dense"] and len(seen["built"]) == 4
-    assert len(seen["steps"]) == 2 * 401 and len(seen["residuals"]) == 2 * 400
+    assert_one_pass_per_iteration(seen, 400, 20)
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (400, 20)
         assert side.orthogonality_defect == 0.0 and side.direct_sum_residual == 0.0
@@ -415,6 +431,172 @@ def test_wold_iterations_check_the_scan_of_x_before_building_it(tol, monkeypatch
     for pair, want_pair in zip(got, want):
         for s, t in zip(pair, want_pair):
             assert s.frame.tobytes() == t.frame.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the peel and the walk against the stepped iterations
+# ---------------------------------------------------------------------------
+
+
+def iteration_x(h, blocks, core, cycles, chains, end, kind, seed, near=None, tol=nx.DEFAULT_TOL) -> tuple:
+    """(X, chain starts): an h x (blocks * h) X on disjoint rows drawn from
+    ``seed``: a Haar unitary on ``core`` rows (their columns in block 0;
+    none below 2 rows), cycles and chains of the given lengths whose edge
+    r -> s puts one entry at row s of row r's column in a drawn block, and
+    each chain's last column empty (``end`` "open") or holding one entry
+    in a core row ("core") or a cycle row ("cycle").  Edge values by
+    ``kind``: exactly 1, weights in [0.3, 1) or unit phases.  With ``near``
+    (-1, 0 or 1) the first cycle's first edge is set one ulp below, at or
+    one ulp above the cut of the step from every row."""
+    rng = np.random.default_rng(seed)
+    free = rng.permutation(h).tolist()
+    x = np.zeros((h, blocks * h), dtype=complex)
+    values = {"one": lambda: 1.0, "weights": lambda: rng.uniform(0.3, 1.0), "phases": lambda: np.exp(2j * np.pi * rng.uniform())}[kind]
+    edges = []
+
+    def edge(r, s):
+        edges.append((s, int(rng.integers(blocks)) * h + r))
+        x[edges[-1]] = values()
+
+    core_rows = [free.pop() for _ in range(core if core >= 2 else 0)]
+    x[np.ix_(core_rows, core_rows)] = haar_unitary(rng, len(core_rows))
+    cycle_rows, starts = [], []
+    for n in cycles:
+        ring = [free.pop() for _ in range(n)]
+        for r, s in zip(ring, ring[1:] + ring[:1]):
+            edge(r, s)
+        cycle_rows += ring
+    first_cycle_edge = edges[0] if cycles else None
+    for n in chains:
+        path = [free.pop() for _ in range(n)]
+        for r, s in zip(path, path[1:]):
+            edge(r, s)
+        target = {"core": core_rows, "cycle": cycle_rows}.get(end, [])
+        if target:
+            edge(path[-1], target[int(rng.integers(len(target)))])
+        starts.append(path[0])
+    if near is not None and first_cycle_edge is not None:
+        x[first_cycle_edge] = 1e-300  # a placeholder that is no largest value
+        steps = nx._RowSteps(x, blocks)
+        steps.step(np.arange(h), (h, blocks * h), tol, 1.0)
+        top = max(0.0 if steps.s is None else steps.s[:1].max(initial=0.0), steps.mod.max())
+        cut = nx.rank_threshold(np.array([top]), (h, blocks * h), tol, 1.0)
+        x[first_cycle_edge] = cut if near == 0 else np.nextafter(cut, np.inf * near)
+    return x, starts
+
+
+def stepped_and_peeled(x, blocks, starts, tol) -> dict:
+    """The R^infty iteration and the generated span of X from the unit
+    vector of the first of ``starts`` (or e_0), each with the peel and the walk and
+    with both refused (the stepped iterations), and what the peels and
+    walks returned."""
+    from pirep import powers as pw
+
+    h = x.shape[0]
+    rep = scalar_rep([np.zeros((h, h))] * blocks, tol)
+    w = Subspace(nx._units(h, np.array(starts[:1] or [0], dtype=np.intp)))
+    seen = {"peels": [], "walks": []}
+    real_peel, real_walk = nx._RowSteps.peel, nx._RowSteps.walk
+    with mock.patch.object(nx._RowSteps, "peel", lambda self, *a: seen["peels"].append(real_peel(self, *a)) or seen["peels"][-1]):
+        with mock.patch.object(nx._RowSteps, "walk", lambda self, *a: seen["walks"].append(real_walk(self, *a)) or seen["walks"][-1]):
+            seen["got"] = (pw.iterated_range(rep, x), wold.generated_invariant_subspace(rep, x, w))
+    with mock.patch.object(nx._RowSteps, "peel", lambda self, *a: None):
+        with mock.patch.object(nx._RowSteps, "walk", lambda self, *a: (np.zeros(0, dtype=np.intp), False)):
+            seen["want"] = (pw.iterated_range(rep, x), wold.generated_invariant_subspace(rep, x, w))
+    for got, want in zip(seen["got"], seen["want"]):
+        assert got.frame.shape == want.frame.shape and got.frame.tobytes() == want.frame.tobytes()
+    return seen
+
+
+@st.composite
+def iteration_draws(draw) -> tuple:
+    h, blocks = draw(st.sampled_from([40, 64])), draw(st.sampled_from([1, 2]))
+    core = draw(st.sampled_from([0, 2, 8, 12]))
+    cycles = draw(st.lists(st.integers(1, 20), max_size=3))
+    chains = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    while core + sum(cycles) + sum(chains) > h:
+        (chains if len(chains) > 1 or not cycles else cycles).pop()
+        chains = chains or [1]
+    if draw(st.booleans()):  # the rows left over, as one more chain
+        chains += [h - core - sum(cycles) - sum(chains)] if core + sum(cycles) + sum(chains) < h else []
+    end = draw(st.sampled_from(["open", "open", "core", "cycle"]))
+    kind = draw(st.sampled_from(["one", "weights", "phases"]))
+    near = draw(st.sampled_from([None, None, None, -1, 0, 1]))
+    tol = nx.Tolerance(rank_rel=draw(st.sampled_from([1e-10, 1 / 90])))
+    return (h, blocks, core, cycles, chains, end, kind, draw(st.integers(0, 2**16)), near), tol
+
+
+# (h, blocks, core, cycles, chains, end, kind, seed, near): one draw per
+# outcome of the peel, past the gate of 16 rows at h = 64
+PEELED = {
+    "a chain to a fixed core and cycle": ((64, 1, 8, [8], [20, 10], "open", "weights", 1, None), True),
+    "two blocks": ((64, 2, 8, [8, 3], [25, 10], "open", "phases", 2, None), True),
+    "no core": ((64, 1, 0, [12, 5], [30], "open", "weights", 3, None), True),
+    "a chain into the core": ((64, 1, 8, [8], [20, 10], "core", "weights", 4, None), False),
+    "a chain into a cycle": ((64, 1, 0, [20], [10], "cycle", "weights", 5, None), False),
+    "a modulus one ulp below the cut": ((64, 1, 0, [20, 4], [10], "open", "weights", 6, -1), False),
+    "a modulus at the cut": ((64, 2, 8, [10], [10], "open", "one", 7, 0), False),
+    "a modulus one ulp above the cut": ((64, 1, 0, [20, 4], [10], "open", "weights", 6, 1), True),
+    "a fixed point one row below the gate": ((64, 1, 8, [7], [20, 10], "open", "weights", 8, None), False),
+    "a fixed point at the gate": ((64, 2, 8, [8], [20, 10], "open", "weights", 8, None), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEELED))
+def test_the_peel_refuses_where_the_steps_would_differ(case, tol):
+    # each kind of refusal (a dropped column with a core entry, an isolated
+    # modulus not clearing the first step's cut, a fixed point below the
+    # gate) and each acceptance, against the stepped iteration byte for byte
+    args, peeled = PEELED[case]
+    x, starts = iteration_x(*args)
+    seen = stepped_and_peeled(x, args[1], starts, tol)
+    assert len(seen["peels"]) == 1 and (seen["peels"][0] is not None) == peeled
+    if peeled:
+        assert seen["got"][0].dim == seen["peels"][0].size >= -(-nx._DEFLATE_MIN_SIZE // 64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(iteration_draws())
+def test_the_peel_and_the_walk_are_the_stepped_iterations(draw):
+    # random chains, cycles and unitary cores over one or two blocks, with
+    # chains running into the core, moduli at the cut and fixed points on
+    # either side of the gate: the frames are the stepped ones, byte for byte
+    args, tol = draw
+    x, starts = iteration_x(*args, tol=tol)
+    stepped_and_peeled(x, args[1], starts, tol)
+
+
+def unit_chain(h, values, tail=()) -> np.ndarray:
+    """X e_j = values[j] e_(j+1) for the given values, and the (row,
+    column, value) entries of ``tail``."""
+    x = np.zeros((h, h), dtype=complex)
+    for j, v in enumerate(values):
+        x[j + 1, j] = v
+    for r, c, v in tail:
+        x[r, c] = v
+    return x
+
+
+WALKS = {
+    # name: (X, tolerance, the walk's (rows added, ended))
+    "a chain to a zero column": (unit_chain(40, [1.0] * 30), nx.DEFAULT_TOL, (list(range(1, 31)), True)),
+    "a chain back into a held row": (unit_chain(40, [1.0] * 30, [(0, 30, 1.0)]), nx.DEFAULT_TOL, (list(range(1, 31)), True)),
+    "a weight": (unit_chain(40, [1.0] * 10 + [0.5] + [1.0] * 5), nx.DEFAULT_TOL, (list(range(1, 11)), False)),
+    "a signed zero": (unit_chain(40, [1.0] * 12 + [complex(1.0, -0.0)]), nx.DEFAULT_TOL, (list(range(1, 13)), False)),
+    "two rows outside the held": (unit_chain(40, [1.0] * 7, [(20, 7, 1.0), (21, 7, 1.0)]), nx.DEFAULT_TOL, (list(range(1, 8)), False)),
+    "the cut": (unit_chain(40, [1.0] * 30), nx.Tolerance(rank_rel=1 / 50.5), (list(range(1, 11)), False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALKS))
+def test_the_walk_hands_back_each_residual_it_does_not_decide(case):
+    # from W = e_0 on h = 40 (a 1,600-entry X): a unit column of value
+    # exactly 1 whose stacked cut 1 clears is its own block; an exactly zero
+    # residual ends the growth; any other residual goes to the residual
+    # step, and the span is the stepped one byte for byte
+    x, tol, walked = WALKS[case]
+    seen = stepped_and_peeled(x, 1, [0], tol)
+    assert (seen["walks"][0][0].tolist(), seen["walks"][0][1]) == walked
 
 
 # ---------------------------------------------------------------------------
