@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time ``power_report`` and ``classify`` on weighted shifts, a whole
-shift case, and ``wold_decompose`` on shift (+) unitary models, and write
-the numbers, with the machine and numpy/BLAS configuration, as JSON.
+"""Time ``power_report``, ``classify`` and the generalized range on
+weighted shifts, a whole shift case, and ``wold_decompose`` on shift (+)
+unitary models, and write the numbers, with the machine and numpy/BLAS
+configuration, as JSON.
 
 Usage:
     python scripts/bench_shift_powers.py OUT.json
@@ -18,13 +19,14 @@ mostly first-use work (imports inside numpy, caches), which the warm
 calls do not repeat.  The cases:
 ``power_report`` on (n, trunc, n_max) = (2, 120, 4), (3, 216, 4),
 (2, 500, 4), (2, 1000, 3) and (2, 1000, 4); ``classify`` on the
-n = 3, trunc 216 shift; a shift case (``shift_pi_criterion`` with
-power_cap 3, then ``kernel_formula`` and the oracle ``brute_force_kernel``
-for every direction i and power k <= 3, which must agree) on the
-n = 3, trunc 216 and n = 2, trunc 64 shifts with zero set {1, 4}, its
-``build_s`` the spec alone; and ``wold_decompose``
-(``check_hypotheses=False``) on the forward shift of size q (+) a Haar
-unitary of size u = 20 for q = 60, q = 200 and q = 400
+n = 3, trunc 216 shift; ``generalized_range`` (R^infty, recorded as its
+dim) on the n = 1, trunc 216 and n = 2, trunc 1000 shifts; a shift case
+(``shift_pi_criterion`` with power_cap 3, then ``kernel_formula`` and the
+oracle ``brute_force_kernel`` for every direction i and power k <= 3,
+which must agree) on the n = 3, trunc 216 and n = 2, trunc 64 shifts
+with zero set {1, 4}, its ``build_s`` the spec alone; and
+``wold_decompose`` (``check_hypotheses=False``) on the forward shift of
+size q (+) a Haar unitary of size u = 20 for q = 60, q = 200 and q = 400
 (``harness.shift_plus_unitary_fixture``, seed 0).  A case whose process
 fails is recorded with the last line of its error output.  To compare
 two commits, run the script in a checkout of each.
@@ -48,6 +50,8 @@ CASES = [
     {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 3},
     {"kind": "power_report", "n": 2, "trunc": 1000, "n_max": 4},
     {"kind": "classify", "n": 3, "trunc": 216},
+    {"kind": "generalized_range", "n": 1, "trunc": 216},
+    {"kind": "generalized_range", "n": 2, "trunc": 1000},
     {"kind": "shift_case", "n": 3, "trunc": 216, "zero_set": [1, 4]},
     {"kind": "shift_case", "n": 2, "trunc": 64, "zero_set": [1, 4]},
     {"kind": "wold", "q": 60, "u": 20},
@@ -82,6 +86,8 @@ def call(arg):
         return powers.power_report(arg, case["n_max"]).to_dict()
     if case["kind"] == "wold":
         return wold.wold_decompose(arg, check_hypotheses=False).to_dict()
+    if case["kind"] == "generalized_range":
+        return {"dim": powers.generalized_range(arg).dim}
     if case["kind"] == "shift_case":
         result = {"criterion": shifts.shift_pi_criterion(arg, DEFAULT_TOL, power_cap=3).to_dict(), "kernels": {}}
         for k in (1, 2, 3):

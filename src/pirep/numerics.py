@@ -107,30 +107,27 @@ The steps of a subspace iteration S -> X(E (x) S) (``_RowSteps``):
 where S is held as unit vectors of value 1 (an index form in identity
 coordinates), the iteration holds it as its rows, X F is X's columns at
 those rows times 1, and X is fixed through the iteration.  X is scanned
-once per iteration into its nonzeros, by column.  A step keeps the
-deflation's counts of X F from the step before (times 1, a zero stays
-zero and a nonzero stays nonzero): per row the number of nonzeros and
-the sum of their columns, which is the column of a row's only nonzero;
-whether that nonzero is isolated (its column has no other), its modulus;
-and the core rows.  It moves them by the columns whose rows came or
-went, a few integer operations per nonzero of those columns, and settles
-only the rows they touch; a step that moves no core row and no column
-with a second nonzero keeps the core, so its singular values are not
-looked up again.  The rows of the frame are then decided by index: past
-the gate a square or wide core whose values clear the cut keeps its rows
-and the kept isolated entries' rows, ascending, and a product with no
-core (every nonzero isolated, as a weighted shift's) keeps the isolated
-entries' rows stably by descending modulus, the split SVD's order, whose
-frame is the unit vectors of those rows.  Each distinct (core rows, core
-columns in F's order) pair gathers the core, multiplied by F's values
-as the gather does, and takes its singular values once.  Reusing them is
-exact: an equal pair is an equal array, and LAPACK returns equal values
-for it.  So each step's rows are those of the product's
-``_range_frame_cut_as``, byte for byte; where neither rule decides (a
-tall core, a core short of its rows, a product below the gate), the
-product is built and cut as before.  A step builds no product, frame or
-Subspace, and the iteration builds one Subspace at its end.  The same
-index serves a generated span held by rows (``_RowSteps.residual``): X's
+once per iteration into its nonzeros, by column, and each step counts
+X F from that scan (``_RowSteps._decided``): it reads X's nonzeros in
+F's columns, a few integer operations each, and takes the deflation's
+counts of X F (times 1, a zero stays zero and a nonzero stays nonzero):
+per row the number of nonzeros, whether a row's one nonzero is isolated
+(its column of X F has no other) and its modulus, and the core rows.
+The rows of the frame are then decided by index: past the gate a square
+or wide core whose values clear the cut keeps its rows and the kept
+isolated entries' rows, ascending, and a product with no core (every
+nonzero isolated, as a weighted shift's) keeps the isolated entries'
+rows stably by descending modulus, the split SVD's order, whose frame is
+the unit vectors of those rows.  Each distinct (core rows, core columns
+in F's order) pair gathers the core, multiplied by F's values as the
+gather does, and takes its singular values once.  Reusing them is exact:
+an equal pair is an equal array, and LAPACK returns equal values for it.
+So each step's rows are those of the product's ``_range_frame_cut_as``,
+byte for byte; where neither rule decides (a tall core, a core short of
+its rows, a product below the gate, exactly zero or not), the product is
+built and cut as before.  A step builds no product, frame or Subspace,
+and the iteration builds one Subspace at its end.  The same count
+serves a generated span held by rows (``_RowSteps.residual``): X's
 nonzeros in the last block's columns outside the held rows are the
 Gram-Schmidt residual, decided by the same two rules, or by its being
 exactly zero or one unit column of value 1.  The scan (a byte per entry
@@ -157,22 +154,28 @@ column goes.  (2) Every isolated modulus clears the first step's cut;
 the core values do, or that step would not be decided.  The cut,
 rank_rel * max(sigma_0, largest modulus, scale_floor) * max(shape), only
 falls as entries leave, so the first step's bounds every later one.
-(3) The fixed point is past both gates, h * |S| and h * blocks * |S| >=
-_DEFLATE_MIN_SIZE (blocks >= 1, so the first implies the second), and so
-is every step before it, whose S is larger.  Where a condition fails
-the peel answers None and the iteration steps as before.  Its rows are
-then those of the stepped iteration byte for byte: ascending with a
-core, by descending modulus without one.  A generated span held by
-rows walks its chain of one-column residuals the same way
-(``_RowSteps.walk``): while the last block is one row of a one-block X
-whose column has exactly one nonzero outside the held rows, of value
-exactly 1 + 0j, and 1 clears the cut at the stacked shape, that row is
-the next block; an empty column ends the growth; any other residual
-goes to ``residual`` at that point.  The three tests are
+(3) The fixed point is empty, or past both gates, h * |S| and
+h * blocks * |S| >= _DEFLATE_MIN_SIZE (blocks >= 1, so the first implies
+the second), and so is every step before it, whose S is larger.  An
+empty fixed point needs no gate: with no row kept there is no frame
+order to match, the zero subspace's one frame is h x 0, and by (1) and
+(2) each step below the gate, which builds its product, spans no more
+than the rows the map keeps (rounding dust stays below the cut), so the
+stepped iteration ends at 0 too.  Where a condition fails
+the peel answers None and the iteration steps on, each step counted
+from the scan.  Its rows are then those of the stepped iteration byte
+for byte: ascending with a core, by descending modulus without one.  A
+generated span held by rows walks its chain of one-column residuals the
+same way (``_RowSteps.walk``): while the last block is one row of a
+one-block X whose column has exactly one nonzero outside the held rows,
+of value exactly 1 + 0j, and 1 clears the cut at the stacked shape,
+that row is the next block; an empty column ends the growth; any other
+residual goes to ``residual`` at that point.  The three tests are
 ``residual``'s, read off lists built once from the scan.  So on a shift
 (+) unitary each iteration is one scan, one step or none, and one pass
 over the shift chain, whatever q is, and the unitary core's values are
-taken once per iteration.
+taken once per iteration; on a weighted shift, whose chains all run out
+at the truncation, R^infty is one step and one peel to no rows.
 
 The partial-isometry verdict drops the exactly-zero rows and columns of
 its operand (``_live_part``).  This is exact: it changes no norm or
@@ -995,17 +998,13 @@ class _RowSteps:
     value 1 for each block b and, within a block, each given row r of C^m
     in its order (I_blocks (x) the unit frame of those rows).  ``step`` and
     ``residual`` return the rows of a frame of unit vectors, or None where
-    the frame is not decided by index.  ``step`` keeps the counts of X F
-    from one call to the next: per row its nonzeros and the sum of their
-    columns (the column of a row's only nonzero), whether that nonzero is
-    isolated and its modulus, and the core rows, and it moves them by the
-    columns whose membership changed.  Each core's singular values are
-    kept by (core rows, core columns).  ``peel`` and ``walk`` take an
-    iteration's remaining steps in one pass where the module docstring
-    shows that exact."""
+    the frame is not decided by index; both count X F from the scan
+    (``_decided``), which keeps the counts ``peel`` reads.  Each core's
+    singular values are kept by (core rows, core columns).  ``peel`` and
+    ``walk`` take an iteration's remaining steps in one pass where the
+    module docstring shows that exact."""
 
-    __slots__ = ("x", "blocks", "row", "col", "col_count", "start", "at", "first", "unit", "values", "held",
-                 "last", "count", "sums", "core", "mod", "n_core", "stale", "ascending", "s")
+    __slots__ = ("x", "blocks", "row", "col", "start", "at", "first", "unit", "values", "count", "core", "mod", "s")
 
     def __init__(self, x: np.ndarray, blocks: int):
         check_bytes(x.size, "the scan of X")  # a mask of one byte per entry
@@ -1013,10 +1012,9 @@ class _RowSteps:
         check_bytes(_INDEX_BYTES * int(np.count_nonzero(nonzero)), "the nonzeros of X")  # each index array
         (h, n), self.x, self.blocks = x.shape, x, blocks
         self.col, self.row = np.divmod(np.flatnonzero(nonzero), h)  # by column, then by row
-        self.col_count = np.bincount(self.col, minlength=n)
-        self.start = np.concatenate([[0], np.cumsum(self.col_count)])  # column c: start[c]:start[c + 1]
+        self.start = np.concatenate([[0], np.cumsum(np.bincount(self.col, minlength=n))])  # column c: start[c]:start[c + 1]
         self.at, self.first = self.row.tolist(), self.start.tolist()  # the same, as lists for the Python loops
-        self.values, self.held, self.last, self.unit = {}, None, None, None
+        self.values, self.unit = {}, None
 
     def _columns(self, rows: np.ndarray) -> np.ndarray:
         """The columns of X that F picks, in F's column order."""
@@ -1034,29 +1032,11 @@ class _RowSteps:
         ``_range_frame_cut_as(self.product(rows), shape, tol, scale_floor)``
         when that frame is unit vectors decided by index: the full-row-rank
         rule (rows ascending) or a product with no core (the isolated
-        entries' rows by descending modulus).  None otherwise."""
-        h, n = self.x.shape
-        m = n // self.blocks
-        mine = rows is self.last
-        want = np.zeros(m, dtype=bool)
-        want[rows] = True
-        if self.held is None:
-            self._count_all(want)
-        else:
-            self._count_changes((want != self.held).nonzero()[0], want)
-        self.held, self.last = want, None
-        if h * self.blocks * rows.size < _DEFLATE_MIN_SIZE:
+        entries' rows by descending modulus).  None otherwise, and below
+        the gate even where X F is exactly zero."""
+        if self.x.shape[0] * self.blocks * rows.size < _DEFLATE_MIN_SIZE:
             return None
-        ascending = mine or rows.size < 2 or bool(np.all(rows[1:] > rows[:-1]))
-        if self.stale or not (ascending and self.ascending):
-            self.s = self._core_values(rows)
-            self.stale, self.ascending = False, ascending
-        if self.s is None:
-            return None  # a tall core
-        out = _decided_rows(self.core, self.mod, self.s, shape, tol, scale_floor)
-        if out is not None and self.s.size and m == h:
-            self.last = out  # ascending, and fed back as the next step's rows
-        return out
+        return self._decided(rows, None, shape, tol, scale_floor)
 
     def peel(self, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
         """The rows, in column order, of the iteration's last frame, read off
@@ -1066,14 +1046,14 @@ class _RowSteps:
         ``_decided_rows`` as the step at that point decides it.  None where
         the peel need not be the iteration's answer (see the module
         docstring): a dropped column holds a core entry, an isolated
-        modulus does not clear this step's cut, or the fixed point is below
-        the gate."""
+        modulus does not clear this step's cut, or the fixed point is not
+        empty and below the gate."""
         h, n = self.x.shape
         mod = self.mod
         cut = rank_threshold(np.array([max(self.s[:1].max(initial=0.0), mod.max())]), shape, tol, scale_floor)
         if ((mod > 0) & (mod <= cut)).any():
             return None
-        count, core, at, first, step = list(self.count), self.core.tolist(), self.at, self.first, n // self.blocks
+        count, core, at, first, step = self.count.tolist(), self.core.tolist(), self.at, self.first, n // self.blocks
         todo = [i for i, k in enumerate(count) if k == 0]
         while todo:
             for c in range(todo.pop(), n, step):  # the dropped row's column in each block
@@ -1084,64 +1064,52 @@ class _RowSteps:
                     if count[i] == 0:
                         todo.append(i)
         keep = np.array(count) > 0
-        if h * np.count_nonzero(keep) < _DEFLATE_MIN_SIZE:  # and so h * blocks * |S|: blocks >= 1
+        if 0 < h * np.count_nonzero(keep) < _DEFLATE_MIN_SIZE:  # and so h * blocks * |S|: blocks >= 1
             return None
         return _decided_rows(self.core, np.where(keep, mod, 0.0), self.s, shape, tol, scale_floor)
 
-    def _core_values(self, rows: np.ndarray) -> np.ndarray | None:
-        """The singular values of X F's core (none without a core), or None
-        for a tall core.  The core's columns in F's order: a column of X F
-        is in the core iff it has two nonzeros or its one nonzero is in a
-        core row."""
-        core_rows = np.flatnonzero(self.core)
-        if core_rows.size == 0:
-            return _NO_VALUES
-        cols = self._columns(rows)
-        count = self.col_count[cols]
-        first = self.row[np.minimum(self.start[cols], self.row.size - 1)]
-        cols = cols[(count > 1) | ((count == 1) & self.core[first])]
-        return None if core_rows.size > cols.size else self._values(core_rows, cols, True)
-
-    def _count_all(self, want: np.ndarray) -> None:
-        """The counts of X F from X's nonzeros, for F's rows ``want``."""
+    def _decided(self, rows: np.ndarray, held: np.ndarray | None, shape, tol: Tolerance, scale_floor: float):
+        """The rows, in column order, of the range frame of X F for F's rows
+        ``rows``, with the rows of ``held`` set to zero when given, read
+        off X's nonzeros in F's columns: no rows when none is left (rank
+        0); past the gate, ``_decided_rows`` of the deflation's counts
+        (None for a tall core or an undecided one); None below the gate.
+        Keeps per row the number of nonzeros (``count``), the core rows,
+        the isolated moduli and the core's values (``s``) for ``peel``.  A
+        column of X F is in the core iff it has two nonzeros or its one
+        nonzero is in a core row."""
         h = self.x.shape[0]
-        on = want[self.col % want.size]
-        i, c = self.row[on], self.col[on]
-        count = np.bincount(i, minlength=h)
-        sums = np.bincount(i, weights=c, minlength=h).astype(np.intp)  # integers below 2**53: exact
-        single = count == 1
-        lone = single & (self.col_count[np.where(single, sums, 0)] == 1)
-        at = np.flatnonzero(lone)
-        self.core, self.mod = (count > 0) & ~lone, np.zeros(h)
-        self.mod[at] = np.abs(self.x[at, sums[at]])
-        self.count, self.sums, self.n_core, self.stale = count.tolist(), sums.tolist(), int(self.core.sum()), True
-
-    def _count_changes(self, flips: np.ndarray, want: np.ndarray) -> None:
-        """Move the counts by the rows of F in ``flips``, which came
-        (``want``) or went: a few integer operations per nonzero of their
-        columns, then each touched row settled."""
-        count, sums, at, first, n = self.count, self.sums, self.at, self.first, self.x.shape[1]
-        touched, moved = set(), False
-        for r in flips.tolist():
-            d = 1 if want[r] else -1
-            for c in range(r, n, want.size):  # row r's column in each block
-                for i in at[first[c] : first[c + 1]]:
-                    before = count[i]
-                    count[i], sums[i] = before + d, sums[i] + d * c
-                    moved = moved or before > 1 or before + d > 1  # a core column came or went
-                    touched.add(i)
-        for i in touched:
-            lone = count[i] == 1 and self.col_count[sums[i]] == 1
-            self.mod[i] = np.abs(self.x[i, sums[i]]) if lone else 0.0
-            core = count[i] > 0 and not lone
-            if core != self.core[i]:
-                self.core[i], self.n_core, moved = core, self.n_core + (1 if core else -1), True
-        self.stale = self.stale or moved
+        cols = self._columns(rows)
+        lo = self.start[cols]
+        length = self.start[cols + 1] - lo
+        at = np.arange(int(length.sum())) + np.repeat(lo - np.cumsum(length) + length, length)
+        t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of X F, and row
+        if held is not None:
+            live = ~held[i]
+            t, i = t[live], i[live]
+        if i.size == 0:
+            return i
+        if h * cols.size < _DEFLATE_MIN_SIZE:
+            return None
+        count, col_count = np.bincount(i, minlength=h), np.bincount(t, minlength=cols.size)
+        lone = (count[i] == 1) & (col_count[t] == 1)
+        core, kept = count > 0, col_count > 0
+        core[i[lone]] = False
+        kept[t[lone]] = False
+        mod = np.zeros(h)
+        mod[i[lone]] = np.abs(self.x[i[lone], cols[t[lone]]])
+        core_rows, core_cols = np.flatnonzero(core), cols[kept]
+        # None for a tall core; a step's core is scaled, as X F's gather is
+        s = None if core_rows.size > core_cols.size else self._values(core_rows, core_cols, held is None)
+        self.count, self.core, self.mod, self.s = count, core, mod, s
+        return None if s is None else _decided_rows(core, mod, s, shape, tol, scale_floor)
 
     def _values(self, core_rows: np.ndarray, core_cols: np.ndarray, scaled: bool) -> np.ndarray:
-        """The core's singular values, taken once per (core rows, core
-        columns); ``scaled`` multiplies the core by F's values, as the
-        gather of X F does."""
+        """The core's singular values (none for no core), taken once per
+        (core rows, core columns); ``scaled`` multiplies the core by F's
+        values, as the gather of X F does."""
+        if core_rows.size == 0:
+            return _NO_VALUES
         key = (core_rows.tobytes(), core_cols.tobytes(), scaled)
         s = self.values.get(key)
         if s is None:
@@ -1193,30 +1161,7 @@ class _RowSteps:
         (rank 0), and past the gate the full-row-rank rule or the no-core
         order.  None otherwise.  A one-column R that is a unit vector of
         value 1 is ``walk``'s, which takes it first."""
-        h = self.x.shape[0]
-        cols = self._columns(block)
-        lo, hi = self.start[cols], self.start[cols + 1]
-        length = hi - lo
-        at = np.arange(int(length.sum())) + np.repeat(lo - np.cumsum(length) + length, length)
-        t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of R, and row
-        live = ~held[i]
-        t, i = t[live], i[live]
-        if i.size == 0:
-            return i
-        if h * cols.size < _DEFLATE_MIN_SIZE:
-            return None
-        row_count, col_count = np.bincount(i, minlength=h), np.bincount(t, minlength=cols.size)
-        lone = (row_count[i] == 1) & (col_count[t] == 1)
-        rows, kept = row_count > 0, col_count > 0
-        rows[i[lone]] = False
-        kept[t[lone]] = False
-        mod = np.zeros(h)
-        mod[i[lone]] = np.abs(self.x[i[lone], cols[t[lone]]])
-        core_rows, core_cols = np.flatnonzero(rows), cols[kept]
-        if core_rows.size > core_cols.size:
-            return None
-        s = self._values(core_rows, core_cols, False) if core_rows.size else _NO_VALUES
-        return _decided_rows(rows, mod, s, shape, tol, 1.0)
+        return self._decided(block, held, shape, tol, 1.0)
 
 
 def _decided_rows(core: np.ndarray, mod: np.ndarray, s: np.ndarray, shape, tol: Tolerance, scale_floor: float):

@@ -67,22 +67,23 @@ and one range frame of it.  Where S is unit vectors held by index in
 identity coordinates (``Subspace.whole`` past the gate, every frame the
 full-row-rank rule gives and every frame of a product with no core, as a
 weighted shift's), ``iterated_range`` holds S as its rows and steps
-``numerics._RowSteps``: X is scanned once per iteration, a step moves
-the counts of X F by the rows of S that left or came and returns the
+``numerics._RowSteps``: X is scanned once per iteration, a step counts
+X F from that scan (X's nonzeros in the columns of S) and returns the
 rows of the next frame, with no product, frame or Subspace, and each
 distinct core's singular values are taken once.  After the first step,
 from every row, the iteration peels X's support to its greatest fixed
 point in one pass over the nonzeros of the columns it drops
 (``_RowSteps.peel``), which is the stepped iteration's answer byte for
 byte wherever no dropped column holds a core entry, every isolated
-modulus clears the first step's cut and the fixed point is past the gate
-(the ``numerics`` docstring gives why); otherwise it steps on.  On a
-shift (+) unitary, whose unitary core fills its rows and takes no entry
-of a shift column, that is one step and one pass over the shift chain
-at any q, and the iteration builds one Subspace, at its end.  A step
-that the rules do not decide builds its product and cuts it as above,
-and from a frame that is not unit vectors (or below the gate) the
-iteration goes on densely.
+modulus clears the first step's cut and the fixed point is empty or
+past the gate (the ``numerics`` docstring gives why); otherwise it steps
+on, each step counted from the scan.  On a shift (+) unitary, whose
+unitary core fills its rows and takes no entry of a shift column, that
+is one step and one pass over the shift chain at any q, and on a
+weighted shift one step and a peel to no rows; the iteration builds one
+Subspace, at its end.  A step that the rules do not decide builds its
+product and cuts it as above, and from a frame that is not unit vectors
+(or below the gate) the iteration goes on densely.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -187,10 +188,12 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     (tilde and its Cauchy dual do), so that every S is sigma-reducing.
     While S is unit vectors held by index in identity coordinates, it is
     held as its rows and stepped by ``numerics._RowSteps`` (X scanned once
-    per iteration), and after the first step from every row the remaining
-    steps are one peel of X's support to its fixed point where that is
-    exact (``_RowSteps.peel``); every other step spans X(E (x) S)
-    densely."""
+    per iteration, each step counted from the scan), and after the first
+    step from every row the remaining steps are one peel of X's support
+    to its fixed point where that is exact (``_RowSteps.peel``: no dropped
+    column holds a core entry, every isolated modulus clears the first
+    step's cut, and the fixed point is empty or past the gate); every
+    other step spans X(E (x) S) densely."""
     x = _intertwiner(rep, x)
     h, space, tol = rep.h_dim, rep.space(1), rep.tol
     shape, steps = (h, space.dim), None

@@ -920,8 +920,8 @@ def column_iterations(draw):
 @settings(max_examples=60, deadline=None)
 @given(column_iterations())
 def test_column_ranges_are_the_range_frames_of_the_products(case):
-    # the stepper's counts, moved by the columns that came and went, give
-    # the product's frame at every step of a sequence that is not nested
+    # the stepper's counts, taken from the scan at each step, give the
+    # product's frame at every step of a sequence that is not nested
     x, index_sets = case
     check_row_steps(x, index_sets, nx.DEFAULT_TOL)
 
@@ -930,10 +930,9 @@ def test_column_ranges_are_the_range_frames_of_the_products(case):
 @given(column_iterations())
 def test_row_steps_follow_nested_iterations_and_jumps(case):
     # on the square X of the same draw, the iteration S -> X S from all of
-    # C^h, each decided frame fed back as its rows (the counts move by the
-    # rows that left; a row can come back once the largest isolated modulus
-    # leaves and the cut drops), broken by the draw's sets, which are not
-    # nested, and iterated again from each
+    # C^h, each decided frame fed back as its rows (a row can come back
+    # once the largest isolated modulus leaves and the cut drops), broken
+    # by the draw's sets, which are not nested, and iterated again from each
     x, index_sets = case
     h = x.shape[0]
     x = np.ascontiguousarray(x[:, :h])

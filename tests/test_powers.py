@@ -495,32 +495,35 @@ def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
 
 
 def test_iterated_range_on_a_shift_stays_on_the_index_path_past_the_gate(tol, monkeypatch):
-    # the n = 2, trunc 40 shift: X F has no core (every entry is isolated),
-    # so each step's frame is the kept rows by descending modulus, byte for
-    # byte the split SVD's unit vectors, and the next step is taken from
-    # those rows; the iteration leaves the rows only where a frame has
-    # fewer than _DEFLATE_MIN_SIZE entries (41 x 10 and below), where every
-    # range frame is the dense one, and meets the oracle
+    # weighted shifts with n = 2, trunc 40 and n = 1 and 3, trunc 216: X F
+    # has no core (every entry is isolated), so the step from every row
+    # keeps the rows of the range, all but the root, by descending modulus,
+    # byte for byte the split SVD's unit vectors; the peel then drops every
+    # row (each chain runs out at the truncation), and an empty fixed point
+    # has no frame order to match, so it answers no rows below the gate
+    # too: no dense step, and R^infty is 0, as the oracle finds
     from pirep.wold import cauchy_dual
 
-    rep = next(r for r in gated_iteration_reps(tol) if r.h_dim == 41 and r.corr.module_dim == 2)
-    assert rep.tilde.shape == (41, 82)
-    scans, steps, _ = spy_row_steps(monkeypatch)
+    reps = [next(r for r in gated_iteration_reps(tol) if r.h_dim == 41 and r.corr.module_dim == 2)]
+    reps += [sh.build_shift(sh.WeightedShiftSpec(n=n, trunc=216), tol) for n in (1, 3)]
+    assert [rep.tilde.shape for rep in reps] == [(41, 82), (217, 217), (217, 651)]
+    _, steps, peels = spy_row_steps(monkeypatch)
     dense, real = [], pw._span_e_tensor
     monkeypatch.setattr(pw, "_span_e_tensor", lambda rep_, s, x_: dense.append(s.dim) or real(rep_, s, x_))
-    for x in (rep.tilde, cauchy_dual(rep)):
-        steps.clear()
-        dense.clear()
-        got = pw.iterated_range(rep, x)
-        sizes = [(rows.size, out.size) for _, rows, out in steps]
-        assert sizes == [(41, 40), (40, 38), (38, 34), (34, 26), (26, 10)]
-        assert all(41 * out.size >= nx._DEFLATE_MIN_SIZE for _, _, out in steps[:-1]) and 41 * 10 < nx._DEFLATE_MIN_SIZE
-        assert dense == [10, 0] and got.dim == 0
-        for _, rows, out in steps:
-            product = nx.matmul(x, nx._Monomial((82, 2 * rows.size), np.concatenate([rows, 41 + rows]), np.ones(2 * rows.size, dtype=complex)))
-            want = nx._range_frame_cut_as(product, (41, 82), tol, 1.0)
-            assert type(want) is np.ndarray and want.tobytes() == nx.dense(nx._units(41, out), "a frame").tobytes()
-        assert iterated_range_by_amplification(rep, x).dim == 0
+    for rep in reps:
+        h, n = rep.h_dim, rep.corr.module_dim
+        for x in (rep.tilde, cauchy_dual(rep)):
+            steps.clear()
+            peels.clear()
+            got = pw.iterated_range(rep, x)
+            assert [(rows.size, out.size) for _, rows, out in steps] == [(h, h - 1)]
+            assert [out.tolist() for _, out in peels] == [[]] and not dense and got.dim == 0
+            (_, rows, out), = steps
+            columns = np.concatenate([rows + b * h for b in range(n)])
+            product = nx.matmul(x, nx._Monomial((n * h, columns.size), columns, np.ones(columns.size, dtype=complex)))
+            want = nx._range_frame_cut_as(product, (h, n * h), tol, 1.0)
+            assert nx.dense(want, "a frame").tobytes() == nx.dense(nx._units(h, out), "a frame").tobytes()
+            assert iterated_range_by_amplification(rep, x).dim == 0
 
 
 def test_a_conjugated_shift_plus_unitary_falls_back_to_the_split_svd(tol, monkeypatch):

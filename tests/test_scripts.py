@@ -56,12 +56,23 @@ def test_wold_shift_demo_runs():
 # says why in CHANGES.md; a change that removes some may lower it.
 SETTABLE_VALUES_CEILING = 72
 
+# A ratchet: a change that adds code lines to src/pirep raises this
+# ceiling and says why in CHANGES.md; a change that removes some may lower it.
+CODE_LINES_CEILING = 3043
+
 
 def test_settable_values_prints_a_total():
     done = run_script("settable_values.py")
     assert done.returncode == 0, done.stdout + done.stderr
     label, count = done.stdout.strip().splitlines()[-1].split(": ")
     assert label == "total" and 0 < int(count) <= SETTABLE_VALUES_CEILING, count
+
+
+def test_code_lines_of_the_package_stay_under_the_ceiling():
+    done = run_script("code_lines.py", str(ROOT / "src" / "pirep"))
+    assert done.returncode == 0, done.stderr
+    count, label = done.stdout.splitlines()[-1].split()
+    assert label == "total" and 0 < int(count) <= CODE_LINES_CEILING, count
 
 
 def test_report_diff_allows_only_float_leaves_to_move(tmp_path):
@@ -157,6 +168,9 @@ def test_bench_shift_powers_times_the_smallest_case():
     assert shift["result"]["criterion"] == {"is_pi": True, "weights_unit_off_zero_set": True, "power_pi_up_to": 3}
     assert len(shift["result"]["kernels"]) == 6
     assert shift["result"]["kernels"]["i=1,k=1"] == [1, 4] and shift["result"]["kernels"]["i=1,k=2"] == [0, 1, 4]
+    r_infty = {"kind": "generalized_range", "n": 1, "trunc": 216}
+    assert r_infty in script.CASES
+    assert script.measure(r_infty, 1)["result"] == {"dim": 0}
     env = script.environment()
     assert env["numpy"] == np.__version__ and env["blas_threads"] == 1 and env["machine"]["cpu_count"]
     usage = run_script("bench_shift_powers.py")

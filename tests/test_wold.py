@@ -539,6 +539,7 @@ PEELED = {
     "a modulus one ulp above the cut": ((64, 1, 0, [20, 4], [10], "open", "weights", 6, 1), True),
     "a fixed point one row below the gate": ((64, 1, 8, [7], [20, 10], "open", "weights", 8, None), False),
     "a fixed point at the gate": ((64, 2, 8, [8], [20, 10], "open", "weights", 8, None), True),
+    "no fixed point": ((64, 1, 0, [], [40, 24], "open", "weights", 9, None), True),
 }
 
 
@@ -546,13 +547,16 @@ PEELED = {
 def test_the_peel_refuses_where_the_steps_would_differ(case, tol):
     # each kind of refusal (a dropped column with a core entry, an isolated
     # modulus not clearing the first step's cut, a fixed point below the
-    # gate) and each acceptance, against the stepped iteration byte for byte
+    # gate but not empty) and each acceptance, an empty fixed point among
+    # them, against the stepped iteration byte for byte
     args, peeled = PEELED[case]
     x, starts = iteration_x(*args)
     seen = stepped_and_peeled(x, args[1], starts, tol)
     assert len(seen["peels"]) == 1 and (seen["peels"][0] is not None) == peeled
     if peeled:
-        assert seen["got"][0].dim == seen["peels"][0].size >= -(-nx._DEFLATE_MIN_SIZE // 64)
+        size = seen["peels"][0].size
+        assert seen["got"][0].dim == size
+        assert size == 0 if case == "no fixed point" else size >= -(-nx._DEFLATE_MIN_SIZE // 64)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
