@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time ``power_report``, ``classify`` and the generalized range on
-weighted shifts, a whole shift case, and ``wold_decompose`` on shift (+)
-unitary models, and write the numbers, with the machine and numpy/BLAS
+weighted shifts, a whole shift case, ``wold_decompose`` on shift (+)
+unitary models, and bi-regularity and the generalized-inverse check on a
+coisometric row, and write the numbers, with the machine and numpy/BLAS
 configuration, as JSON.
 
 Usage:
@@ -27,7 +28,11 @@ which must agree) on the n = 3, trunc 216 and n = 2, trunc 64 shifts
 with zero set {1, 4}, its ``build_s`` the spec alone; and
 ``wold_decompose`` (``check_hypotheses=False``) on the forward shift of
 size q (+) a Haar unitary of size u = 20 for q = 60, q = 200 and q = 400
-(``harness.shift_plus_unitary_fixture``, seed 0).  A case whose process
+(``harness.shift_plus_unitary_fixture``, seed 0); ``is_bi_regular`` and
+``generalized_inverse_check`` (S the pseudoinverse of the lift, m_bound 3)
+on the row of n = 3 Haar unitaries on C^4 scaled by 1/sqrt(3)
+(``harness.coisometric_row_fixture``, seed 0), whose kernels of
+I_(E^m) (x) T^+ and of tilde_4 are 324 columns wide.  A case whose process
 fails is recorded with the last line of its error output.  To compare
 two commits, run the script in a checkout of each.
 """
@@ -57,6 +62,8 @@ CASES = [
     {"kind": "wold", "q": 60, "u": 20},
     {"kind": "wold", "q": 200, "u": 20},
     {"kind": "wold", "q": 400, "u": 20},
+    {"kind": "bi_regular", "n": 3, "d": 4},
+    {"kind": "gen_inverse", "n": 3, "d": 4, "m_bound": 3},
 ]
 
 REPEATS = 3
@@ -71,12 +78,14 @@ CHILD = """
 import json, resource, sys, time
 import numpy as np
 from pirep import harness, powers, shifts, wold
-from pirep.numerics import DEFAULT_TOL
+from pirep.numerics import DEFAULT_TOL, pseudoinverse
 case, warm_calls = json.loads(sys.argv[1]), int(sys.argv[2])
 
 def build():
     if case["kind"] == "wold":
         return harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
+    if case["kind"] in ("bi_regular", "gen_inverse"):
+        return harness.coisometric_row_fixture(np.random.default_rng(0), DEFAULT_TOL, case["n"], case["d"])
     if case["kind"] == "shift_case":
         return shifts.WeightedShiftSpec(n=case["n"], zero_set=case["zero_set"], trunc=case["trunc"])
     return shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
@@ -88,6 +97,10 @@ def call(arg):
         return wold.wold_decompose(arg, check_hypotheses=False).to_dict()
     if case["kind"] == "generalized_range":
         return {"dim": powers.generalized_range(arg).dim}
+    if case["kind"] == "bi_regular":
+        return {"bi_regular": wold.is_bi_regular(arg)}
+    if case["kind"] == "gen_inverse":
+        return powers.generalized_inverse_check(arg, pseudoinverse(arg.tilde, DEFAULT_TOL), case["m_bound"]).to_dict()
     if case["kind"] == "shift_case":
         result = {"criterion": shifts.shift_pi_criterion(arg, DEFAULT_TOL, power_cap=3).to_dict(), "kernels": {}}
         for k in (1, 2, 3):

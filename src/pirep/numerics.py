@@ -15,6 +15,8 @@ kind of decision:
 * inclusion -- :func:`is_subset`, or :func:`defect_within` on a defect
   already computed: ``S1 <= S2`` iff ``||(I - P2) F1|| <= incl_abs`` for
   an orthonormal frame F1 of S1;
+* orthogonality -- :func:`is_orthogonal`: ``S1 _|_ S2`` iff
+  ``||F2* F1|| <= incl_abs``;
 * negativity floor -- :func:`materially_negative`: a matrix meant to be
   positive semidefinite is refused iff its lowest eigenvalue is below
   ``-10 * eq_rel * max(1, scale)``;
@@ -30,12 +32,33 @@ ones (:func:`as_matrix`).  The norms are spectral unless a caller states
 otherwise.
 
 Every dense array that grows with a tensor power (Grams, lifts, the
-products an :class:`Amplification` forms and its ``to_dense``, full
-kernel frames, sigma(a) and stacks of it and of the induced actions) is
-checked against one byte budget, ``DENSE_BYTES``, from its shape and
-before it is allocated: the site that builds it calls :func:`check_bytes`.
+products an :class:`Amplification` forms and its ``to_dense``, the U or
+V of a kernel frame's full SVD, whichever is larger, sigma(a) and stacks
+of it and of the induced actions) is checked against one byte budget,
+``DENSE_BYTES``, from its shape and before it is allocated: the site
+that builds it calls :func:`check_bytes`.
 An amplification I (x) X is an operator applied block by block, so no
-caller builds it unless it takes a kernel or span of the whole map.
+caller builds it unless it takes a span of the whole map, or a kernel
+with coordinates.
+
+The kernel of I_n (x) Y in identity coordinates (:func:`kernel_frame`)
+is I_n (x) F for the kernel frame F of the p x q block Y, cut at the
+amplified shape, rank_rel * max(sigma_0, scale_floor) * max(n p, n q):
+I_n (x) Y has Y's singular values, each n times.  The error argument: by
+backward stability a computed value is within (n p + n q) * 2**-53 *
+||Y|| of the exact one on the dense matrix and within (p + q) * 2**-53 *
+||Y|| on the block, so the ranks differ only for a value that close to
+the cut, where the dense rank is just as uncertain, and F obeys Wedin's
+bound in the block's smaller dimensions.  With coordinates the matrix
+is built and factored whole.
+
+:func:`is_orthogonal` is ``is_subset`` of S1 in the complement of S2
+(its gap F2 F2* F1 has the norm of F2* F1).  The kernel-step lemma
+decides (I (x) S) N(T_m) <= N(T_(m+1)) so, against the cokernel
+R(T_(m+1)*): kernel and cokernel come from two factorizations with the
+same cut, each frame within a principal-angle sine of
+O(2**-53 ||T|| / gap) of the exact subspace, so the defects differ by
+that much and the verdicts split only that close to incl_abs.
 
 :func:`classify_operator` is the one classification of an operator: the
 contraction and isometry verdicts plus the six-way partial-isometry
@@ -1179,11 +1202,23 @@ def _decided_rows(core: np.ndarray, mod: np.ndarray, s: np.ndarray, shape, tol: 
 
 
 def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
-    """Orthonormal column basis of the kernel of m."""
-    a = as_matrix(m)
-    check_bytes(ENTRY_BYTES * a.shape[1] ** 2, "a kernel frame's full SVD")
+    """Orthonormal column basis of the kernel of m, a matrix or an
+    ``Amplification``, whose kernel in identity coordinates is I_n (x) F
+    from its block (see the module docstring)."""
+    if isinstance(m, Amplification) and m.left is None and m.right is None:
+        inner = _kernel_frame_cut_as(as_matrix(m._dense_block()), m.shape, tol, scale_floor)
+        check_bytes(ENTRY_BYTES * m.n**2 * inner.size, "an amplified kernel frame")
+        return eye_kron(m.n, inner)
+    a = as_matrix(m.to_dense() if isinstance(m, Amplification) else m)
+    return _kernel_frame_cut_as(a, a.shape, tol, scale_floor)
+
+
+def _kernel_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
+    """Orthonormal column basis of the kernel of ``a``, cut as a matrix of
+    ``shape``; the larger of the full SVD's U and V is checked first."""
+    check_bytes(ENTRY_BYTES * max(a.shape) ** 2, "a kernel frame's full SVD")
     split = _SplitSVD(a, full_matrices=True)
-    cut, _ = split.cut(a.shape, tol, scale_floor)
+    cut, _ = split.cut(shape, tol, scale_floor)
     # an empty core's vh is the identity of its columns, the whole kernel
     inner = herm(split.vh[int(np.sum(split.core_s > cut)) :]) if split.core_s.size else split.vh
     if split.cols is None:
@@ -1276,7 +1311,8 @@ class Subspace:
 
     @staticmethod
     def kernel(m, tol: Tolerance) -> "Subspace":
-        """Kernel of an operator, with the same unit scale floor as span."""
+        """Kernel of an operator, a matrix or an ``Amplification``, with the
+        same unit scale floor as span."""
         return Subspace(kernel_frame(m, tol, scale_floor=1.0))
 
 
@@ -1333,6 +1369,13 @@ def inclusion_defect(s1: Subspace, s2: Subspace) -> float:
 def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
     """S1 <= S2 iff ||(I - P2) F1|| <= incl_abs."""
     return norm_within(_inclusion_gap(s1, s2), tol.incl_abs)
+
+
+def is_orthogonal(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
+    """S1 _|_ S2 iff ||F2* F1|| <= incl_abs: ``is_subset`` of S1 in the
+    complement of S2."""
+    _check_same_ambient(s1, s2)
+    return norm_within(matmul(_adjoint(s2._frame), s1._frame), tol.incl_abs)
 
 
 def ominus(s1: Subspace, s2: Subspace, tol: Tolerance) -> Subspace:

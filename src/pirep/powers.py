@@ -25,8 +25,13 @@ applied to the cokernel frames block by block, so a power report builds
 no amplification either: in identity coordinates each block product
 drops only exact-zero terms, and in quotient coordinates the product is
 associated as embed ((I (x) Y) (lift F)); README "Numeric policy" gives
-the error bound.  The root and kernel-match criteria take kernels of the
-whole amplified lift and build it (``to_dense``).
+the error bound.  The root criterion builds the whole amplified lift
+(``to_dense``); the kernel-match criterion takes N(I_E (x) T) from the
+block T in identity coordinates (``numerics.kernel_frame``).  The
+kernel-step lemma of ``generalized_inverse_check`` is decided as
+orthogonality to the memoized cokernel R(T_(m+1)*), at most dim H
+columns (``numerics.is_orthogonal``, whose module bounds the split), so
+N(T_(m+1)) is not factored.
 
 Cost.  On a monomial lift in identity coordinates (a weighted shift past
 the gate) the chain holds T, T_m, T T*, the cokernels and their images
@@ -285,7 +290,8 @@ def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) ->
 
         (I_{E^(x m)} (x) S) N(tilde_m) <= N(tilde_{m+1}),  m <= m_bound,
 
-    reporting the largest verified m."""
+    each as orthogonality to the memoized R(tilde_{m+1}*), reporting the
+    largest verified m."""
     tol = rep.tol
     s = nx.as_matrix(s)
     space1 = rep.space(1)
@@ -304,7 +310,7 @@ def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) ->
         for m in range(1, m_bound + 1):
             amp_s = rep.amplified(s, m, 0, 1)
             moved = nx.image(amp_s, rep.kernel_subspace(m), tol)
-            if not nx.is_subset(moved, rep.kernel_subspace(m + 1), tol):
+            if not nx.is_orthogonal(moved, rep.cokernel_subspace(m + 1), tol):
                 break
             up_to = m
     return GeneralizedInverseReport(
@@ -424,7 +430,7 @@ def kernel_match_criterion(rep: CovariantRep, k: int) -> KernelMatchResult:
     tol = rep.tol
     if not nx.is_partial_isometry(rep.tilde_power(k), tol):
         raise NotApplicable(f"tilde_{k} is not a partial isometry")
-    amp = rep.amplified(rep.tilde, 1, 1, 0).to_dense()  # I_E (x) tilde : space(2) -> space(1)
+    amp = rep.amplified(rep.tilde, 1, 1, 0)  # I_E (x) tilde : space(2) -> space(1)
     n_amp = Subspace.kernel(amp, tol)
     n_2 = rep.kernel_subspace(2)
     applicable = nx.is_subset(n_amp, n_2, tol) and nx.is_subset(n_2, n_amp, tol)

@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -235,6 +236,29 @@ def test_amplification_operator_matches_the_dense_matrix(label, tol):
                 assert nx.opnorm(got - want) <= bound, key
                 if label == "scalar":
                     assert np.array_equal(got, blockwise), key
+
+
+@pytest.mark.parametrize("label", ["scalar", "two_block", "complex_gram"])
+def test_amplified_kernel_is_the_kernel_of_the_dense_matrix(label, tol):
+    # in identity coordinates (scalar) the kernel is I_n (x) F from the
+    # block, factored with no SVD past the block's size; with coordinates
+    # the matrix is built; either way it is the subspace to_dense()'s
+    # kernel gives, for m = 0..3 and X going down, up and across
+    rep = dict(amplification_reps(tol))[label]
+    t = rep.tilde
+    cases = [(t, 1, 0), (rep.tilde_power(2), 2, 0), (nx.herm(t), 0, 1), (t @ nx.herm(t), 0, 0)]
+    dims = []
+    for m in range(4):
+        for x, dom_power, cod_power in cases:
+            amp = rep.amplified(x, m, dom_power, cod_power)
+            want = nx.Subspace.kernel(amp.to_dense(), tol)
+            with mock.patch.object(nx, "_svd", side_effect=nx._svd) as svd:
+                got = nx.Subspace.kernel(amp, tol)
+            if label == "scalar":
+                assert all(call.args[0].size <= amp.block.size for call in svd.call_args_list), (m, dom_power)
+            assert got.dim == want.dim and nx.is_subset(got, want, tol) and nx.is_subset(want, got, tol), (m, dom_power)
+            dims.append(got.dim)
+    assert max(dims) > 0
 
 
 def test_amplification_applied_from_the_right_skips_zero_columns(tol):

@@ -1005,6 +1005,46 @@ def test_kernel_frame_checks_its_full_svd(monkeypatch, tol):
             nx.kernel_frame(np.ones((rows, 5)), tol)
 
 
+def test_kernel_frame_checks_the_u_of_a_tall_array(monkeypatch, tol):
+    # the full SVD of a 400 x 8 array builds a 400 x 400 U (2.56 MB), refused
+    # before it is allocated; and an amplified kernel I_50 (x) F of a zero
+    # 2 x 8 block, 400 x 400, is refused from its shape before it is built
+    dense_budget(monkeypatch, 2**20, nx)
+    with pytest.raises(ResourceLimit, match="full SVD needs 2560000 bytes"):
+        nx.kernel_frame(np.ones((400, 8)), tol)
+    with pytest.raises(ResourceLimit, match="an amplified kernel frame needs 2560000 bytes"):
+        nx.kernel_frame(nx.Amplification(np.zeros((2, 8)), 50, None, None), tol)
+
+
+def test_an_amplified_kernel_is_cut_at_the_amplified_shape(tol):
+    # the singular value 8e-10 of Y lies above Y's own cut (4 * rank_rel) and
+    # below that of I_3 (x) Y (12 * rank_rel): the dense kernel of I_3 (x) Y
+    # keeps its direction in each block, and so does the kernel from the block
+    y = random_with_spectrum(rng_for(338), 4, 4, [1.0, 0.5, 8e-10, 0.0])
+    amp = nx.Amplification(y, 3, None, None)
+    assert Subspace.kernel(y, tol).dim == 1
+    got, want = Subspace.kernel(amp, tol), Subspace.kernel(amp.to_dense(), tol)
+    assert got.dim == want.dim == 6
+    assert nx.is_subset(got, want, tol) and nx.is_subset(want, got, tol)
+
+
+def test_is_orthogonal_is_inclusion_in_the_complement(tol):
+    # a line tilted by eps from e_0 towards e_1, against span(e_1, e_2):
+    # ||F2* F1|| = sin(eps), so eps = 1e-9 is accepted and 1e-7 refused, as
+    # is_subset of the line in the complement span(e_0) decides; index-form
+    # frames are read as they are
+    other = Subspace(nx.eye(3)[:, 1:])
+    for eps, ok in ((1e-9, True), (1e-7, False)):
+        line = Subspace(np.array([[np.cos(eps)], [np.sin(eps)], [0.0]], dtype=np.complex128))
+        assert nx.is_orthogonal(line, other, tol) is ok
+        assert nx.is_subset(line, nx.ortho_complement(other, tol), tol) is ok
+    rows = rng_for(339).permutation(64)
+    first, second = Subspace(nx._units(64, rows[:20])), Subspace(nx._units(64, rows[20:]))
+    assert nx.is_orthogonal(first, second, tol) and not nx.is_orthogonal(first, Subspace.whole(64), tol)
+    with pytest.raises(DimensionMismatch):
+        nx.is_orthogonal(line, Subspace.whole(4), tol)
+
+
 # ---------------------------------------------------------------------------
 # products with monomial operands
 # ---------------------------------------------------------------------------

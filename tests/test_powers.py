@@ -12,7 +12,7 @@ from pirep.correspondence import (
     diagonal_correspondence,
     scalar_correspondence,
 )
-from pirep.covrep import CovariantRep
+from pirep.covrep import CovariantRep, rep_from_tilde
 from pirep.errors import NotApplicable
 from pirep.numerics import Subspace
 from pirep.products import chain_condition_test
@@ -630,6 +630,62 @@ def test_gen_inverse_lemma_on_regular_pi(tol):
     assert res.is_gen_inverse and res.lemma_holds_up_to == 3
 
 
+def lemma_holds_up_to_by_kernels(rep, s, m_bound: int) -> int:
+    """The kernel-step loop of generalized_inverse_check with no regularity
+    gate, each inclusion decided against the kernel N(tilde_(m+1))."""
+    up_to = 0
+    for m in range(1, m_bound + 1):
+        moved = nx.image(rep.amplified(s, m, 0, 1), rep.kernel_subspace(m), rep.tol)
+        if not nx.is_subset(moved, rep.kernel_subspace(m + 1), rep.tol):
+            break
+        up_to = m
+    return up_to
+
+
+def reflexive_generalized_inverse(rng, t, tol):
+    """S = (T^+ + (I - T^+ T) Y) T (T^+ + Z (I - T T^+)) for random Y and Z:
+    S T S = S and T S T = T, since T (I - T^+ T) = 0 = (I - T T^+) T."""
+    p = nx.pseudoinverse(t, tol)
+    k = (np.eye(t.shape[1]) - p @ t) @ crandn(rng, t.shape[1], t.shape[0])
+    return (p + k) @ t @ (p + crandn(rng, t.shape[1], t.shape[0]) @ (np.eye(t.shape[0]) - t @ p))
+
+
+def test_gen_inverse_lemma_matches_the_kernel_inclusions(tol, monkeypatch):
+    # 50 regular fixtures, 50 root instances and 30 lifts of rank below
+    # dim H, each with a random reflexive generalized inverse S; the gate is
+    # lifted so that the reps that are not regular reach the lemma too,
+    # where it may fail at some m (the regular fixtures' hold throughout)
+    rng = rng_for(70)
+    reps = [hz.regular_fixture(rng, tol, want_pi=bool(index % 2)) for index in range(50)]
+    reps += [hz._root_instance(rng, hz.TrialConfig(), tol) for _ in range(50)]
+    for _ in range(30):
+        d, n = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        tilde = crandn(rng, d, d - 1) @ crandn(rng, d - 1, n * d)
+        reps.append(rep_from_tilde(scalar_correspondence(n), StarRepresentation(SCALARS, [d]), tilde / nx.opnorm(tilde), tol))
+    monkeypatch.setattr(pw, "is_regular", lambda rep: True)
+    got, want = [], []
+    for rep in reps:
+        s = reflexive_generalized_inverse(rng, rep.tilde, tol)
+        res = pw.generalized_inverse_check(rep, s, m_bound=3)
+        assert res.is_gen_inverse
+        got.append(res.lemma_holds_up_to)
+        want.append(lemma_holds_up_to_by_kernels(rep, s, 3))
+    assert got == want
+    assert set(got[:50]) == {3} and {0, 3} < set(got[50:])
+
+
+def test_gen_inverse_lemma_takes_no_kernel_of_the_next_power(tol, monkeypatch):
+    # on the n = 3 coisometric row over C^4 the inclusion at m = 3 is read
+    # against the memoized cokernel of tilde_4 (324 x 4, a thin SVD), so
+    # the 4 x 324 tilde_4 is not factored with a full 324 x 324 V
+    rep = hz.coisometric_row_fixture(np.random.default_rng(0), tol, 3, 4)
+    calls, real = [], nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, full, *args, **kwargs: calls.append((m.shape, full)) or real(m, full, *args, **kwargs))
+    assert pw.generalized_inverse_check(rep, nx.pseudoinverse(rep.tilde, tol), m_bound=3).lemma_holds_up_to == 3
+    assert ((324, 4), False) in calls
+    assert max(cols for (_, cols), full in calls if full) == 108
+
+
 # ---------------------------------------------------------------------------
 # regular <=> power criterion
 # ---------------------------------------------------------------------------
@@ -770,6 +826,31 @@ def test_kernel_match_padded_isometries(tol):
         rep = scalar_rep([v], tol)
         res = pw.kernel_match_criterion(rep, 2)
         assert res.applicable and res.rep_is_pi, trial
+
+
+def kernel_match_by_dense_kernels(rep) -> bool:
+    """``applicable`` of kernel_match_criterion with I_E (x) tilde built
+    (``to_dense``) and its kernel taken from the whole matrix."""
+    n_amp = Subspace.kernel(rep.amplified(rep.tilde, 1, 1, 0).to_dense(), rep.tol)
+    n_2 = rep.kernel_subspace(2)
+    return nx.is_subset(n_amp, n_2, rep.tol) and nx.is_subset(n_2, n_amp, rep.tol)
+
+
+def test_kernel_match_matches_the_dense_kernels(tol):
+    # 50 regular fixtures and 50 root instances; the criterion's own
+    # refusals (not full, not contractive, tilde_2 not a partial isometry)
+    # are left out
+    rng = rng_for(71)
+    reps = [hz.regular_fixture(rng, tol, want_pi=bool(index % 2)) for index in range(50)]
+    reps += [hz._root_instance(rng, hz.TrialConfig(), tol) for _ in range(50)]
+    got, want = [], []
+    for rep in reps:
+        try:
+            got.append(pw.kernel_match_criterion(rep, 2).applicable)
+        except NotApplicable:
+            continue
+        want.append(kernel_match_by_dense_kernels(rep))
+    assert got == want and len(got) >= 50 and True in got and False in got
 
 
 # ---------------------------------------------------------------------------

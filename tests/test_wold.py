@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pirep import harness as hz
 from pirep import numerics as nx
 from pirep import wold
 from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
@@ -637,6 +638,43 @@ def test_bi_regular_takes_one_pseudoinverse(tol, monkeypatch):
     monkeypatch.setattr(nx, "pseudoinverse", counting)
     assert wold.is_bi_regular(rep)
     assert calls == [(3, 6)]
+
+
+def pinv_chain_inclusions_by_dense_kernels(rep, n_max: int) -> bool:
+    """wold._pinv_chain_inclusions with each amplification I (x) T^+ built
+    (``to_dense``): its kernel from the whole matrix, and the chain
+    extended by a dense product."""
+    dagger = nx.pseudoinverse(rep.tilde, rep.tol)
+    chain = dagger
+    for n in range(1, n_max + 1):
+        amp = rep.amplified(dagger, n, 0, 1).to_dense()
+        if not nx.is_subset(Subspace.kernel(amp, rep.tol), Subspace.span(chain, rep.tol), rep.tol):
+            return False
+        chain = amp @ chain
+    return True
+
+
+def test_bi_regular_inclusions_match_the_dense_kernels(tol):
+    # 50 regular fixtures (T^+ injective, so the kernels are zero) and 50
+    # root instances (nilpotent rows and power-PI models, whose T^+ has a
+    # kernel that the chain's range may or may not hold)
+    rng = rng_for(90)
+    reps = [hz.regular_fixture(rng, tol, want_pi=bool(index % 2)) for index in range(50)]
+    reps += [hz._root_instance(rng, hz.TrialConfig(), tol) for _ in range(50)]
+    verdicts = [wold._pinv_chain_inclusions(rep, 3) for rep in reps]
+    assert verdicts == [pinv_chain_inclusions_by_dense_kernels(rep, 3) for rep in reps]
+    assert all(verdicts[:50]) and True in verdicts[50:] and False in verdicts[50:]
+
+
+def test_bi_regular_inclusions_factor_only_the_block(tol, monkeypatch):
+    # on the n = 3 coisometric row over C^4 the kernels of I_(E^m) (x) T^+,
+    # up to 324 x 108, come from the 12 x 4 block T^+, and a zero kernel
+    # spans no chain: no SVD has more than N h = 12 rows
+    rep = hz.coisometric_row_fixture(np.random.default_rng(0), tol, 3, 4)
+    shapes, real = [], nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, *args, **kwargs: shapes.append(m.shape) or real(m, *args, **kwargs))
+    assert wold._pinv_chain_inclusions(rep, 3)
+    assert shapes and max(rows for rows, _ in shapes) <= 12
 
 
 def test_wold_takes_the_generalized_range_once(tol, monkeypatch):
