@@ -15,8 +15,6 @@ kind of decision:
 * inclusion -- :func:`is_subset`, or :func:`defect_within` on a defect
   already computed: ``S1 <= S2`` iff ``||(I - P2) F1|| <= incl_abs`` for
   an orthonormal frame F1 of S1;
-* orthogonality -- :func:`is_orthogonal`: ``S1 _|_ S2`` iff
-  ``||F2* F1|| <= incl_abs``;
 * negativity floor -- :func:`materially_negative`: a matrix meant to be
   positive semidefinite is refused iff its lowest eigenvalue is below
   ``-10 * eq_rel * max(1, scale)``;
@@ -39,7 +37,7 @@ of it and of the induced actions) is checked against one byte budget,
 that builds it calls :func:`check_bytes`.
 An amplification I (x) X is an operator applied block by block, so no
 caller builds it unless it takes a span of the whole map, or a kernel
-with coordinates.
+or cokernel with coordinates.
 
 The kernel of I_n (x) Y in identity coordinates (:func:`kernel_frame`)
 is I_n (x) F for the kernel frame F of the p x q block Y, cut at the
@@ -49,16 +47,9 @@ backward stability a computed value is within (n p + n q) * 2**-53 *
 ||Y|| of the exact one on the dense matrix and within (p + q) * 2**-53 *
 ||Y|| on the block, so the ranks differ only for a value that close to
 the cut, where the dense rank is just as uncertain, and F obeys Wedin's
-bound in the block's smaller dimensions.  With coordinates the matrix
-is built and factored whole.
-
-:func:`is_orthogonal` is ``is_subset`` of S1 in the complement of S2
-(its gap F2 F2* F1 has the norm of F2* F1).  The kernel-step lemma
-decides (I (x) S) N(T_m) <= N(T_(m+1)) so, against the cokernel
-R(T_(m+1)*): kernel and cokernel come from two factorizations with the
-same cut, each frame within a principal-angle sine of
-O(2**-53 ||T|| / gap) of the exact subspace, so the defects differ by
-that much and the verdicts split only that close to incl_abs.
+bound in the block's smaller dimensions; the cokernel I_n (x) R(Y*) is
+cut the same way (``powers._amplified_cokernel``).  With coordinates the
+matrix is built and factored whole.
 
 :func:`classify_operator` is the one classification of an operator: the
 contraction and isometry verdicts plus the six-way partial-isometry
@@ -1369,13 +1360,6 @@ def inclusion_defect(s1: Subspace, s2: Subspace) -> float:
 def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
     """S1 <= S2 iff ||(I - P2) F1|| <= incl_abs."""
     return norm_within(_inclusion_gap(s1, s2), tol.incl_abs)
-
-
-def is_orthogonal(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
-    """S1 _|_ S2 iff ||F2* F1|| <= incl_abs: ``is_subset`` of S1 in the
-    complement of S2."""
-    _check_same_ambient(s1, s2)
-    return norm_within(matmul(_adjoint(s2._frame), s1._frame), tol.incl_abs)
 
 
 def ominus(s1: Subspace, s2: Subspace, tol: Tolerance) -> Subspace:

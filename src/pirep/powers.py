@@ -11,9 +11,13 @@ with T_0 = I_H, so the m = 1 instances are vacuous.  (b) and (c) are
 equivalent for every m unconditionally; (a) and (b) are equivalent as
 conjunctions over m.  Both are decided on cokernels N(T_j)^perp =
 R(T_j*), frames of at most dim H columns: (c) through the equivalent
-A N^perp <= N^perp for the self-adjoint A = I (x) T T*, so a power
-report builds no kernel frame; each is spanned once per chain, in its
-memo (``covrep.LiftChain``).  T_m is the product of m copies of T, so (b)
+A* N^perp <= N^perp for A = I (x) T T* (``_cokernel_invariant``), so a
+power report builds no kernel frame; each is spanned once per chain, in
+its memo (``covrep.LiftChain``).  A N <= N iff A* N^perp <= N^perp for
+any A, and beta = ||P_(N^perp) A P_N|| = ||P_N A* P_(N^perp)|| is the
+same on both sides, so the two verdicts split only in the band from the
+image's rank cut up to incl_abs (``range_invariance_condition``), A
+self-adjoint or not.  T_m is the product of m copies of T, so (b)
 and (c) take any chain, its m-th factor in place of T: (c) on a product
 is the range-invariance stage of ``products.chain_condition_test``.  The
 root side goes the other way: from a partial isometry T_k, k >= 2, back
@@ -26,12 +30,15 @@ no amplification either: in identity coordinates each block product
 drops only exact-zero terms, and in quotient coordinates the product is
 associated as embed ((I (x) Y) (lift F)); README "Numeric policy" gives
 the error bound.  The root criterion builds the whole amplified lift
-(``to_dense``); the kernel-match criterion takes N(I_E (x) T) from the
-block T in identity coordinates (``numerics.kernel_frame``).  The
-kernel-step lemma of ``generalized_inverse_check`` is decided as
-orthogonality to the memoized cokernel R(T_(m+1)*), at most dim H
-columns (``numerics.is_orthogonal``, whose module bounds the split), so
-N(T_(m+1)) is not factored.
+(``to_dense``).  The kernel-match criterion decides N(I_E (x) T) =
+N(T_2) as R((I_E (x) T)*) = R(T_2*) (S1 <= S2 has the defect of
+S2^perp <= S1^perp, ||(I - P2) P1|| = ||P1 (I - P2)||), taking
+I_N (x) R(T*) from the block T in identity coordinates, cut at the
+amplified shape as ``numerics.kernel_frame`` cuts kernels.  The
+kernel-step lemma of ``generalized_inverse_check``, (I (x) S) N(T_m) <=
+N(T_(m+1)), holds iff N(T_m) is invariant under I (x) T S, since
+T_(m+1) (I (x) S) = T_m (I (x) T S): it is decided on R(T_m*) with
+X = (T S)*.  Neither criterion factors a kernel of a power.
 
 Cost.  On a monomial lift in identity coordinates (a weighted shift past
 the gate) the chain holds T, T_m, T T*, the cokernels and their images
@@ -117,12 +124,13 @@ def kernel_chain_condition(chain: LiftChain, m: int) -> bool:
 
 def range_invariance_condition(chain: LiftChain, m: int) -> bool:
     """(I_{E_1 (x) ... (x) E_{m-1}} (x) W_m W_m*) N(T_{m-1}) <= N(T_{m-1}),
-    decided on the memoized cokernel: A = I (x) W_m W_m* is self-adjoint,
-    so A N <= N iff A N^perp <= N^perp, and N^perp = R(T_{m-1}*) has at
-    most dim H columns where N has nearly all of space(m-1).
+    decided on the memoized cokernel (``_cokernel_invariant``): A N <= N
+    iff A* N^perp <= N^perp, here with A* = A = I (x) W_m W_m*, and
+    N^perp = R(T_{m-1}*) has at most dim H columns where N has nearly all
+    of space(m-1).
 
-    Error argument.  Let beta = ||(I - P_N) A P_N|| = ||P_N A (I - P_N)||
-    (A is self-adjoint).  Either side's verdict compares with incl_abs
+    Error argument, for any A.  Let beta = ||(I - P_N) A P_N|| =
+    ||P_N A* (I - P_N)||.  Either side's verdict compares with incl_abs
     the sine of the largest principal angle between an image and its
     subspace.  That sine is at most beta / s, with s the smallest
     singular value the image keeps (above its rank cut rank_rel *
@@ -136,11 +144,16 @@ def range_invariance_condition(chain: LiftChain, m: int) -> bool:
     eps, almost inside N, once eps is past the cut 4e-10)."""
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
-    (factor,) = chain._factors(m - 1, m)
-    lift = factor._lift
-    amp = chain.amplified(nx.matmul(lift, nx._adjoint(lift)), m - 1, 0, 0)
-    prev_cokernel = chain.cokernel_subspace(m - 1)
-    return nx.is_subset(nx.image(amp, prev_cokernel, chain.tol), prev_cokernel, chain.tol)
+    lift = chain._factors(m - 1, m)[0]._lift
+    return _cokernel_invariant(chain, m - 1, nx.matmul(lift, nx._adjoint(lift)))
+
+
+def _cokernel_invariant(chain: LiftChain, m: int, x) -> bool:
+    """(I_{E_1 (x) ... (x) E_m} (x) X) R(T_m*) <= R(T_m*) for X : H -> H, on
+    the memoized cokernel; equivalently N(T_m) is invariant under
+    I (x) X* (see the module docstring)."""
+    cokernel = chain.cokernel_subspace(m)
+    return nx.is_subset(nx.image(chain.amplified(x, m, 0, 0), cokernel, chain.tol), cokernel, chain.tol)
 
 
 @dataclass(frozen=True)
@@ -290,12 +303,12 @@ def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) ->
 
         (I_{E^(x m)} (x) S) N(tilde_m) <= N(tilde_{m+1}),  m <= m_bound,
 
-    each as orthogonality to the memoized R(tilde_{m+1}*), reporting the
-    largest verified m."""
+    each as (I (x) (tilde S)*) R(tilde_m*) <= R(tilde_m*) (see the module
+    docstring), reporting the largest verified m; S's intertwining, which
+    I (x) S needs, is decided once."""
     tol = rep.tol
     s = nx.as_matrix(s)
-    space1 = rep.space(1)
-    if s.shape != (space1.dim, rep.h_dim):
+    if s.shape != (rep.space(1).dim, rep.h_dim):
         raise DimensionMismatch(f"S must map H to E (x) H, got shape {s.shape}")
     t = rep.tilde
     res_s = opnorm(s @ t @ s - s)
@@ -306,11 +319,11 @@ def generalized_inverse_check(rep: CovariantRep, s: np.ndarray, m_bound: int) ->
         for res, m in ((res_s, s), (res_t, t))
     )
     up_to = 0
-    if ok and is_regular(rep):
+    if ok and m_bound > 0 and is_regular(rep):
+        rep.amplified(s, 1, 0, 1)  # refuses an S that does not intertwine
+        x = herm(t @ s)
         for m in range(1, m_bound + 1):
-            amp_s = rep.amplified(s, m, 0, 1)
-            moved = nx.image(amp_s, rep.kernel_subspace(m), tol)
-            if not nx.is_orthogonal(moved, rep.cokernel_subspace(m + 1), tol):
+            if not _cokernel_invariant(rep, m, x):
                 break
             up_to = m
     return GeneralizedInverseReport(
@@ -423,18 +436,28 @@ class KernelMatchResult(Record):
 def kernel_match_criterion(rep: CovariantRep, k: int) -> KernelMatchResult:
     """Simplified root test: if N(I_E (x) tilde) = N(tilde_2) and some
     tilde_k (k >= 2) is a partial isometry, the representation is
-    partially isometric.  ``applicable`` reports the kernel equality."""
+    partially isometric.  ``applicable`` reports the kernel equality,
+    decided on cokernels (see the module docstring)."""
     if k < 2:
         raise DimensionMismatch("kernel match criterion needs k >= 2")
     _require_full_and_contractive(rep)
     tol = rep.tol
     if not nx.is_partial_isometry(rep.tilde_power(k), tol):
         raise NotApplicable(f"tilde_{k} is not a partial isometry")
-    amp = rep.amplified(rep.tilde, 1, 1, 0)  # I_E (x) tilde : space(2) -> space(1)
-    n_amp = Subspace.kernel(amp, tol)
-    n_2 = rep.kernel_subspace(2)
-    applicable = nx.is_subset(n_amp, n_2, tol) and nx.is_subset(n_2, n_amp, tol)
+    c_amp = _amplified_cokernel(rep.amplified(rep.tilde, 1, 1, 0), tol)  # of I_E (x) tilde : space(2) -> space(1)
+    c_2 = rep.cokernel_subspace(2)
+    applicable = nx.is_subset(c_amp, c_2, tol) and nx.is_subset(c_2, c_amp, tol)
     return KernelMatchResult(applicable=applicable, rep_is_pi=rep.is_partial_isometric())
+
+
+def _amplified_cokernel(amp: nx.Amplification, tol) -> Subspace:
+    """R(A*) for A = left (I_n (x) Y) right: in identity coordinates (no
+    left, no right) I_n (x) R(Y*) from the block Y, cut at A's shape as
+    ``numerics.kernel_frame`` cuts I_n (x) N(Y); otherwise the span of the
+    built adjoint."""
+    plain = amp.left is None and amp.right is None
+    inner = nx._range_frame_cut_as(nx._adjoint(amp.block if plain else amp.to_dense()), amp.shape[::-1], tol, 1.0)
+    return Subspace(nx._tensor_frame(Subspace(inner), amp.n if plain else 1, None))
 
 
 def orthogonality_from_chain(rep: CovariantRep, k: int) -> dict:

@@ -1028,23 +1028,6 @@ def test_an_amplified_kernel_is_cut_at_the_amplified_shape(tol):
     assert nx.is_subset(got, want, tol) and nx.is_subset(want, got, tol)
 
 
-def test_is_orthogonal_is_inclusion_in_the_complement(tol):
-    # a line tilted by eps from e_0 towards e_1, against span(e_1, e_2):
-    # ||F2* F1|| = sin(eps), so eps = 1e-9 is accepted and 1e-7 refused, as
-    # is_subset of the line in the complement span(e_0) decides; index-form
-    # frames are read as they are
-    other = Subspace(nx.eye(3)[:, 1:])
-    for eps, ok in ((1e-9, True), (1e-7, False)):
-        line = Subspace(np.array([[np.cos(eps)], [np.sin(eps)], [0.0]], dtype=np.complex128))
-        assert nx.is_orthogonal(line, other, tol) is ok
-        assert nx.is_subset(line, nx.ortho_complement(other, tol), tol) is ok
-    rows = rng_for(339).permutation(64)
-    first, second = Subspace(nx._units(64, rows[:20])), Subspace(nx._units(64, rows[20:]))
-    assert nx.is_orthogonal(first, second, tol) and not nx.is_orthogonal(first, Subspace.whole(64), tol)
-    with pytest.raises(DimensionMismatch):
-        nx.is_orthogonal(line, Subspace.whole(4), tol)
-
-
 # ---------------------------------------------------------------------------
 # products with monomial operands
 # ---------------------------------------------------------------------------

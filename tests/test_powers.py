@@ -13,7 +13,7 @@ from pirep.correspondence import (
     scalar_correspondence,
 )
 from pirep.covrep import CovariantRep, rep_from_tilde
-from pirep.errors import NotApplicable
+from pirep.errors import IntertwinerError, NotApplicable
 from pirep.numerics import Subspace
 from pirep.products import chain_condition_test
 
@@ -675,15 +675,50 @@ def test_gen_inverse_lemma_matches_the_kernel_inclusions(tol, monkeypatch):
 
 
 def test_gen_inverse_lemma_takes_no_kernel_of_the_next_power(tol, monkeypatch):
-    # on the n = 3 coisometric row over C^4 the inclusion at m = 3 is read
-    # against the memoized cokernel of tilde_4 (324 x 4, a thin SVD), so
-    # the 4 x 324 tilde_4 is not factored with a full 324 x 324 V
+    # on the n = 3 coisometric row over C^4 the lemma at m = 3 moves the
+    # memoized cokernel of tilde_3 (108 x 4) by I (x) (tilde S)*: no SVD
+    # has more columns than the lift's 12, where a kernel frame of tilde_3
+    # or tilde_4 has 108 or 324
     rep = hz.coisometric_row_fixture(np.random.default_rng(0), tol, 3, 4)
     calls, real = [], nx._svd
-    monkeypatch.setattr(nx, "_svd", lambda m, full, *args, **kwargs: calls.append((m.shape, full)) or real(m, full, *args, **kwargs))
+    monkeypatch.setattr(nx, "_svd", lambda m, full, *args, **kwargs: calls.append(m.shape) or real(m, full, *args, **kwargs))
     assert pw.generalized_inverse_check(rep, nx.pseudoinverse(rep.tilde, tol), m_bound=3).lemma_holds_up_to == 3
-    assert ((324, 4), False) in calls
-    assert max(cols for (_, cols), full in calls if full) == 108
+    assert (108, 4) in calls
+    assert max(cols for _, cols in calls) == 12
+
+
+def test_range_invariance_and_the_lemma_share_the_cokernel_test(tol, monkeypatch):
+    # both move R(T_j*) by I (x) X and test the inclusion in one helper:
+    # X = tilde tilde* at j = m - 1, and X = (tilde S)* at j = m
+    rep = hz.coisometric_row_fixture(np.random.default_rng(1), tol, 2, 3)
+    s = nx.pseudoinverse(rep.tilde, tol)
+    calls, real = [], pw._cokernel_invariant
+    monkeypatch.setattr(pw, "_cokernel_invariant", lambda chain, m, x: calls.append((m, x)) or real(chain, m, x))
+    assert all(pw.range_invariance_condition(rep, m) for m in (1, 2, 3))
+    assert [m for m, _ in calls] == [0, 1, 2]
+    assert all(np.allclose(x, rep.tilde @ nx.herm(rep.tilde)) for _, x in calls)
+    calls.clear()
+    assert pw.generalized_inverse_check(rep, s, m_bound=3).lemma_holds_up_to == 3
+    assert [m for m, _ in calls] == [1, 2, 3]
+    assert all(np.array_equal(x, nx.herm(rep.tilde @ s)) for _, x in calls)
+
+
+def test_gen_inverse_lemma_refuses_an_s_that_does_not_intertwine(tol):
+    # S = tilde^+ + (I - tilde^+ tilde) Y tilde tilde^+ is a generalized
+    # inverse of the onto lift, and tilde S = I intertwines, so only the
+    # decision on S itself refuses it, inside the regular branch
+    alg = FdCStarAlgebra([1, 1])
+    corr = diagonal_correspondence(alg, left_tags=[0, 1, 1], right_tags=[1, 0, 1])
+    rng = rng_for(72)
+    rep = hz.random_contractive_rep(corr, StarRepresentation(alg, [2, 2]), rng, tol)
+    t, p = rep.tilde, nx.pseudoinverse(rep.tilde, tol)
+    s = p + (np.eye(t.shape[1]) - p @ t) @ crandn(rng, t.shape[1], t.shape[0]) @ t @ p
+    assert pw.is_regular(rep) and rep.space(1).embed is not None
+    assert np.allclose(t @ s, np.eye(t.shape[0]))
+    assert pw.generalized_inverse_check(rep, p, m_bound=3).lemma_holds_up_to == 3
+    with pytest.raises(IntertwinerError):
+        pw.generalized_inverse_check(rep, s, m_bound=3)
+    assert pw.generalized_inverse_check(rep, s, m_bound=0).is_gen_inverse  # the lemma is vacuous
 
 
 # ---------------------------------------------------------------------------
@@ -837,20 +872,69 @@ def kernel_match_by_dense_kernels(rep) -> bool:
 
 
 def test_kernel_match_matches_the_dense_kernels(tol):
-    # 50 regular fixtures and 50 root instances; the criterion's own
-    # refusals (not full, not contractive, tilde_2 not a partial isometry)
-    # are left out
+    # 50 regular fixtures, 50 root instances and 400 two-block draws, of
+    # which those the criterion takes have quotient coordinates on space(1)
+    # (R((I_E (x) tilde)*) spanned from the built adjoint); the criterion's
+    # own refusals (not full, not contractive, tilde_2 not a partial
+    # isometry) are left out
     rng = rng_for(71)
     reps = [hz.regular_fixture(rng, tol, want_pi=bool(index % 2)) for index in range(50)]
     reps += [hz._root_instance(rng, hz.TrialConfig(), tol) for _ in range(50)]
-    got, want = [], []
+    config = hz.TrialConfig(algebra_shape="two_block")
+    for index in range(400):
+        draw = hz.rng_stream(90, index)
+        reps.append(hz.random_pi_rep(*hz.draw_setting(draw, config), draw, tol))
+    got, want, with_coordinates = [], [], set()
     for rep in reps:
         try:
             got.append(pw.kernel_match_criterion(rep, 2).applicable)
         except NotApplicable:
             continue
         want.append(kernel_match_by_dense_kernels(rep))
+        if rep.space(1).embed is not None:
+            with_coordinates.add(got[-1])
     assert got == want and len(got) >= 50 and True in got and False in got
+    assert with_coordinates == {True, False}
+
+
+def test_amplified_cokernel_keeps_the_dense_rank_cut(tol):
+    # the singular value 8e-10 of Y lies above Y's own cut (4 * rank_rel) and
+    # below that of I_3 (x) Y (12 * rank_rel): the dense R((I_3 (x) Y)*)
+    # drops its direction in each block, and so does the cokernel from the block
+    rng = rng_for(74)
+    u, _ = np.linalg.qr(crandn(rng, 4, 4))
+    v, _ = np.linalg.qr(crandn(rng, 4, 4))
+    y = u @ np.diag([1.0, 0.5, 8e-10, 0.0]) @ nx.herm(v)
+    amp = nx.Amplification(y, 3, None, None)
+    assert Subspace.span(nx.herm(y), tol).dim == 3
+    got, want = pw._amplified_cokernel(amp, tol), Subspace.span(nx.herm(amp.to_dense()), tol)
+    assert got.dim == want.dim == 6
+    assert nx.is_subset(got, want, tol) and nx.is_subset(want, got, tol)
+
+
+def test_kernel_match_takes_no_kernel_frame(tol, monkeypatch):
+    # the kernel equality is read on cokernels: in identity coordinates
+    # I_N (x) R(tilde*) from the block, with no dense amplification
+    rng = rng_for(73)
+    reps = [scalar_rep([haar_unitary(rng, 3)], tol), scalar_rep([np.pad(haar_unitary(rng, 2), ((0, 1), (0, 1)))], tol)]
+    reps += [hz._root_instance(rng, hz.TrialConfig(), tol) for _ in range(20)]
+
+    def verdicts() -> list:
+        out = []
+        for rep in reps:
+            try:
+                out.append(pw.kernel_match_criterion(rep, 2).applicable)
+            except NotApplicable:
+                out.append(None)
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel frame or a dense amplification was built")
+
+    want = verdicts()
+    monkeypatch.setattr(nx, "kernel_frame", refuse)
+    monkeypatch.setattr(nx.Amplification, "to_dense", refuse)
+    assert verdicts() == want and True in want and False in want
 
 
 # ---------------------------------------------------------------------------
