@@ -151,7 +151,7 @@ class LiftChain:
         if m == 1:
             return factor._lift
         prev = self._power(m - 1)
-        if isinstance(prev, np.ndarray):  # an index form checks its own bytes, and dense() T_m's
+        if not nx._is_form(prev):  # an index form checks its own bytes, and dense() T_m's
             nx.check_bytes(nx.ENTRY_BYTES * self.h_dim * self.space(m).dim, f"the lift power T_{m}")
         return prev @ self._amplified_lift(m - 1)
 
@@ -200,7 +200,7 @@ class LiftChain:
         """N(T_m), inside space(m); not memoized."""
         if m == 0:
             return Subspace.zero(self.h_dim)
-        return Subspace.kernel(self.tilde_power(m), self.tol)
+        return Subspace.kernel(self._power(m), self.tol)
 
     def cokernel_subspace(self, m: int) -> Subspace:
         """N(T_m)^perp = R(T_m*), inside space(m); memoized."""
@@ -259,7 +259,8 @@ class CovariantRep(LiftChain):
         self._tilde.setflags(write=False)
         self._validate_covariance()
         # in identity coordinates one scan decides whether the lift is monomial
-        self._lift = (nx._index_form(self._tilde) if lift is None else None) or self._tilde
+        # or isolated entries beside one core
+        self._lift = (nx._index_form(self._tilde, split=True) if lift is None else None) or self._tilde
 
     def _factors(self, start: int, stop: int) -> list:
         return [self] * (stop - start)

@@ -115,13 +115,22 @@ backward stable with the same bound as with them, within
 within that bound of the cut can be counted differently, where the
 dense path's own rank is just as uncertain; otherwise the range has the
 same dimension in another orthonormal basis.  Below the gate nothing
-changes.
+changes.  A kernel frame (:func:`_kernel_frame_cut_as`) of such an array
+whose core is square or tall does the same on the columns: when every
+core value clears the cut the core has full column rank, its kernel is
+the zero vector, and the frame is the unit vectors of the zero columns
+and of the columns of the isolated entries cut as zero, with no singular
+vector.  The orthocomplement of a frame of unit vectors of value 1 held
+by index is the unit vectors of the other rows, ascending: F* has only
+isolated entries of modulus 1, and that is the split SVD's kernel frame.
 
 The steps of a subspace iteration S -> X(E (x) S) (``_RowSteps``):
 where S is held as unit vectors of value 1 (an index form in identity
 coordinates), the iteration holds it as its rows, X F is X's columns at
-those rows times 1, and X is fixed through the iteration.  X is scanned
-once per iteration into its nonzeros, by column, and each step counts
+those rows times 1, and X is fixed through the iteration.  X's nonzeros
+are read by column (``_column_nonzeros``): an array by one scan per
+iteration, a form off its parts once and kept on it, so the iterations
+of one operator read them once; each step counts
 X F from that scan (``_RowSteps._decided``): it reads X's nonzeros in
 F's columns, a few integer operations each, and takes the deflation's
 counts of X F (times 1, a zero stays zero and a nonzero stays nonzero):
@@ -186,9 +195,10 @@ of value exactly 1 + 0j, and 1 clears the cut at the stacked shape,
 that row is the next block; an empty column ends the growth; any other
 residual goes to ``residual`` at that point.  The three tests are
 ``residual``'s, read off lists built once from the scan.  So on a shift
-(+) unitary each iteration is one scan, one step or none, and one pass
+(+) unitary, held as a split form, each operator's nonzeros are read
+once, off its parts, and each iteration is one step or none and one pass
 over the shift chain, whatever q is, and the unitary core's values are
-taken once per iteration; on a weighted shift, whose chains all run out
+taken once per operator; on a weighted shift, whose chains all run out
 at the truncation, R^infty is one step and one peel to no rows.
 
 The partial-isometry verdict drops the exactly-zero rows and columns of
@@ -255,11 +265,48 @@ read-only array (a lift's ``tilde``) keeps that array, so T_1 is
 ``tilde`` itself.  Building or applying a form checks its bytes (a row
 index and a value per column) from shapes first, and a composed form
 checks its values for finiteness once, so a power that overflowed
-raises DomainError as ``as_matrix`` does on its array.  What stays
-dense: a lift with two nonzeros in a line (Wold's shift (+) a dense
-unitary, a conjugated shift), every lift below the gate, in quotient
-coordinates or over a non-scalar algebra, every chain with such a
-factor, and every product whose right factor is such an array.
+raises DomainError as ``as_matrix`` does on its array.
+
+A split form is the same carrier with one dense core beside its index
+part: the core's rows R and columns K, ascending, and its block C, on
+lines that hold no entry of the index part (``_Monomial._core``).  It is
+taken where a lift enters ``CovariantRep`` in identity coordinates past
+the gate, when the construction scan's ``_deflate`` finds isolated
+entries beside a core (Wold's shift (+) unitary); a conjugated shift (+)
+unitary has no isolated entry and stays an array.  Write T = S + C, S
+the isolated entries (values v).  Then T* = S* + C* on the swapped
+lines, and two split forms compose by parts when no cross term lives
+(the right factor's isolated entries avoid the left's core columns, and
+its core rows avoid the left's isolated entries): A B = S_A S_B + C_A C_B,
+the index parts composed as above and the cores multiplied over the
+lines they share (``_compose``).  So T*T = S*S + C*C, and T T* and
+(T T*) T likewise, multiplied in the order ``_triple_defect`` multiplies;
+(T*T)^+ is 1/|v|^2 at S's places plus (C*C)^+, cut at the full shape
+(``_SplitSVD.pinv``); T' = T (T*T)^+ is v (1/|v|^2) at S's places plus
+C (C*C)^+; T' - T has T's support and is subtracted by parts
+(``_difference``); and ||T|| = max(max |v|, ||C||).  Every factorization
+reads the split from its parts (``_deflate_form``: the core alone is
+scanned for its own zero lines and isolated entries, so the deflation is
+the array's, bit for bit), as do ``opnorm``, ``pseudoinverse`` and the
+range and kernel frames, and ``_RowSteps`` reads X's nonzeros off the
+parts.  The error argument: a core GEMM adds the same nonzero terms as
+the full-width GEMM, whose other terms are exact zeros, and each isolated
+value is the one product the full GEMM forms (bit for bit for real v, as
+every shift's; within the gather's bound above for complex v).  On every
+shift (+) unitary checked (q from 40 to 400, u = 2 and 20, and the
+benchmark's eight) the core products gave the dense T' and ||T' - T|| bit
+for bit.  The partial-isometry verdict of a split form screens both norms
+from their parts (the Frobenius norm of a split form is the hypot of its
+values' and its core's); the reported residual
+(``partial_isometry_residual``) and ``classify_operator`` stay on the
+array, since the live part's wider GEMM can round otherwise (about 1e-15
+on those reps).  Public results stay arrays through ``dense``: ``tilde``,
+``cauchy_dual`` and ``pseudoinverse``.  An amplification, a product with
+any other factor and a frame read take a split form's array.  What stays
+dense: a lift with two nonzeros in a line and no isolated entry (a
+conjugated shift), every lift below the gate, in quotient coordinates or
+over a non-scalar algebra, every power of a split lift, and every
+product whose right factor is such an array.
 
 All values are immutable after construction; nothing here mutates its
 inputs.
@@ -408,25 +455,31 @@ def _ix(rows, cols) -> tuple:
 _NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128))
 
 
-def _deflate(a: np.ndarray) -> tuple:
+def _deflate(a, lines: tuple | None = None) -> tuple:
     """(core, rows, cols, (i, j, v)): ``a`` without its exactly-zero rows
     and columns and without its isolated entries, the only nonzero of
     their row and of their column (a view of all of ``a`` when nothing is
     dropped); the masks of the core's rows and columns, each None when it
     keeps every line; and the rows, columns and values of the isolated
-    entries.  Below _DEFLATE_MIN_SIZE entries ``a`` is not scanned.  An
-    index form is read with no scan: every nonzero is isolated."""
+    entries, by row.  Below _DEFLATE_MIN_SIZE entries ``a`` is not
+    scanned; ``lines`` is its scan when it is already taken.  An index
+    form is read with no scan of its array (``_deflate_form``)."""
     if type(a) is _Monomial:
-        cols, rows, val = a._live()
-        by_row = np.argsort(rows)  # the scan's order
-        no_core = np.zeros(a.shape[0], dtype=bool), np.zeros(a.shape[1], dtype=bool)
-        return np.zeros((0, 0), dtype=np.complex128), *no_core, (rows[by_row], cols[by_row], val[by_row])
-    lines = _nonzero_lines(a)
+        return _deflate_form(a)
+    lines = _nonzero_lines(a) if lines is None else lines
     if lines is None:
         return a, None, None, _NO_ENTRIES
     nonzero, row_count, col_count = lines
     if row_count is None:
         row_count, col_count = nonzero.sum(axis=1), nonzero.sum(axis=0)
+    i, j, rows, cols = _isolated(nonzero, row_count, col_count)
+    rows, cols = (None if rows.all() else rows), (None if cols.all() else cols)
+    return a[_ix(rows, cols)], rows, cols, (i, j, a[i, j])
+
+
+def _isolated(nonzero: np.ndarray, row_count: np.ndarray, col_count: np.ndarray) -> tuple:
+    """(i, j, rows, cols): the isolated entries of a nonzero mask with the
+    given line counts, by row, and the masks of the other nonzero lines."""
     single = np.flatnonzero(row_count == 1)
     j = nonzero[single].argmax(axis=1)
     alone = col_count[j] == 1
@@ -434,8 +487,34 @@ def _deflate(a: np.ndarray) -> tuple:
     rows, cols = row_count > 0, col_count > 0
     rows[i] = False
     cols[j] = False
-    rows, cols = (None if rows.all() else rows), (None if cols.all() else cols)
-    return a[_ix(rows, cols)], rows, cols, (i, j, a[i, j])
+    return i, j, rows, cols
+
+
+def _deflate_form(a: "_Monomial") -> tuple:
+    """``_deflate`` of a form, taken once and kept on it: every entry of
+    its index part is isolated, and its core is scanned alone for its
+    zero lines and its own isolated entries (a few hundred entries, where
+    the whole array has h x w), so the result is the scan's of the array,
+    bit for bit."""
+    if a._parts is not None:
+        return a._parts
+    cols, rows, val = a._live()
+    row_mask, col_mask = np.zeros(a.shape[0], dtype=bool), np.zeros(a.shape[1], dtype=bool)
+    core = np.zeros((0, 0), dtype=np.complex128)
+    if a._core is not None:
+        r, k, block = a._core
+        nonzero = block != 0
+        i, j, keep_r, keep_c = _isolated(nonzero, nonzero.sum(axis=1), nonzero.sum(axis=0))
+        rows, cols, val = np.concatenate([rows, r[i]]), np.concatenate([cols, k[j]]), np.concatenate([val, block[i, j]])
+        core = block if keep_r.all() and keep_c.all() else block[np.ix_(keep_r, keep_c)]
+        row_mask[r[keep_r]] = True
+        col_mask[k[keep_c]] = True
+    by_row = np.argsort(rows)  # the scan's order
+    a._parts = core, (None if row_mask.all() else row_mask), (None if col_mask.all() else col_mask), (rows[by_row], cols[by_row], val[by_row])
+    for array in (core, *a._parts[1:3], *a._parts[3]):
+        if array is not None:
+            array.setflags(write=False)  # kept on the form and shared by its readers
+    return a._parts
 
 
 def _scatter(x: np.ndarray, shape, rows, cols) -> np.ndarray:
@@ -463,94 +542,124 @@ def _check_form_bytes(columns: int, what: str) -> None:
 
 
 class _Monomial:
-    """An array with at most one nonzero in each row and in each column,
-    held by index: its shape, and for each column the row and the value of
-    its nonzero (row 0 and value 0 for a zero column).  See the module
-    docstring for where it is taken.  Immutable; its dense array is built
-    by :func:`dense` alone and kept."""
+    """An array held by index: its shape, and for each column the row and
+    the value of its nonzero (row 0 and value 0 for a zero column), at
+    most one in each row and in each column; optionally beside one dense
+    core, ``_core`` = (rows, columns, block): ascending rows R and columns
+    K that hold no entry of the index part, and the block of the array on
+    R x K.  Without a core it is a monomial array (an index form); with
+    one, an array of isolated entries beside one core (a split form).  See
+    the module docstring for where each is taken.  Immutable; its dense
+    array is built by :func:`dense` alone and kept, and so are its
+    deflation (``_deflate_form``) and the nonzeros that ``_RowSteps``
+    reads (``_column_nonzeros``)."""
 
-    __slots__ = ("shape", "_at", "_val", "_dense")
+    __slots__ = ("shape", "_at", "_val", "_core", "_dense", "_scan", "_parts")
 
-    def __init__(self, shape, at: np.ndarray, val: np.ndarray):
-        """Refuses a non-finite value (one pass over the values, so a
-        composed product that overflowed ends in DomainError); a zero value
-        gets row 0, as a scan would report it."""
-        if not np.isfinite(val).all():
+    def __init__(self, shape, at: np.ndarray, val: np.ndarray, core: tuple | None = None):
+        """Refuses a non-finite value (one pass over the values and the
+        core, so a composed product that overflowed ends in DomainError);
+        a zero value gets row 0, as a scan would report it."""
+        if not np.isfinite(val).all() or (core is not None and not np.isfinite(core[2]).all()):
             raise DomainError("matrix has non-finite entries")
         zero = val == 0
         if zero.any():
             at, val = np.where(zero, 0, at), np.where(zero, 0, val)
-        at.setflags(write=False)
-        val.setflags(write=False)
-        self.shape, self._at, self._val, self._dense = (int(shape[0]), int(shape[1])), at, val, None
+        for array in (at, val) + (() if core is None else core):
+            array.setflags(write=False)
+        self.shape, self._at, self._val, self._core = (int(shape[0]), int(shape[1])), at, val, core
+        self._dense = self._scan = self._parts = None
 
     @property
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
 
     def _live(self) -> tuple:
-        """(columns, rows, values) of the nonzeros, by column."""
+        """(columns, rows, values) of the index part's nonzeros, by column."""
         cols = np.flatnonzero(self._val)
         return cols, self._at[cols], self._val[cols]
 
 
-def _form_or_dense(shape, at: np.ndarray, val: np.ndarray):
-    """The index form of a monomial product, or its dense array below
-    _DEFLATE_MIN_SIZE entries, where no scan would have found its entries."""
-    form = _Monomial(shape, at, val)
-    return form if form.size >= _DEFLATE_MIN_SIZE else dense(form, "a small monomial product")
+def _is_form(x) -> bool:
+    """``x`` is an index form with no core: a monomial array."""
+    return type(x) is _Monomial and x._core is None
 
 
-def _index_form(a: np.ndarray, lines: tuple | None = None):
+def _has_core(x) -> bool:
+    """``x`` is a split form: isolated entries beside one dense core."""
+    return type(x) is _Monomial and x._core is not None
+
+
+def _form_or_dense(shape, at: np.ndarray, val: np.ndarray, core: tuple | None = None):
+    """The form of a product, or its dense array below _DEFLATE_MIN_SIZE
+    entries, where no scan would have found its entries."""
+    form = _Monomial(shape, at, val, core)
+    return form if form.size >= _DEFLATE_MIN_SIZE else dense(form, "a small product of forms")
+
+
+def _index_form(a: np.ndarray, lines: tuple | None = None, split: bool = False):
     """The index form of a matrix of at least _DEFLATE_MIN_SIZE entries in
     which one scan (``lines``, when it is already taken) finds at most one
-    nonzero in each row and each column; None otherwise.  A read-only
-    ``a`` is kept as the form's array, so ``dense`` returns it and builds
-    no copy."""
+    nonzero in each row and each column; with ``split``, also the split
+    form of one in which ``_deflate`` finds isolated entries beside a
+    core; None otherwise.  A read-only ``a`` is kept as the form's array,
+    so ``dense`` returns it and builds no copy."""
     lines = _nonzero_lines(a) if lines is None else lines
-    if lines is None or lines[1] is None or max(lines[1].max(initial=0), lines[2].max(initial=0)) > 1:
+    if lines is None:
+        return None
+    core = None
+    if lines[1] is not None and max(lines[1].max(initial=0), lines[2].max(initial=0)) <= 1:
+        i, j = _coordinates(lines[0])
+    elif split:
+        block, rows, cols, (i, j, _) = _deflate(a, lines)
+        if i.size == 0:
+            return None
+        core = (np.flatnonzero(rows), np.flatnonzero(cols), block)
+    else:
         return None
     _check_form_bytes(a.shape[1], f"a {a.shape[0]} x {a.shape[1]} matrix")
-    i, j = _coordinates(lines[0])
     at, val = np.zeros(a.shape[1], dtype=np.intp), np.zeros(a.shape[1], dtype=np.complex128)
     at[j], val[j] = i, a[i, j]
-    form = _Monomial(a.shape, at, val)
+    form = _Monomial(a.shape, at, val, core)
     if not a.flags.writeable:
         form._dense = a  # the array it was read from, kept as its array
     return form
 
 
 def dense(x, what: str) -> np.ndarray:
-    """The array of ``x``: an array itself; for an index form, built on the
-    first read (its bytes checked from the shape first, as ``what``), kept
-    read-only and returned on every later read.  The only place an index
-    form becomes an array."""
+    """The array of ``x``: an array itself; for a form, built on the first
+    read (its bytes checked from the shape first, as ``what``), kept
+    read-only and returned on every later read.  The only place a form
+    becomes an array."""
     if type(x) is not _Monomial:
         return x
     if x._dense is None:
         check_bytes(ENTRY_BYTES * x.size, what)
         out = np.zeros(x.shape, dtype=np.complex128)
         out[x._at, np.arange(x.shape[1])] = x._val
+        if x._core is not None:
+            out[np.ix_(x._core[0], x._core[1])] = x._core[2]
         out.setflags(write=False)
         x._dense = out
     return x._dense
 
 
 def _as_operator(x):
-    """An index form as it is, and anything else through ``as_matrix``."""
+    """A form as it is, and anything else through ``as_matrix``."""
     return x if type(x) is _Monomial else as_matrix(x)
 
 
 def _adjoint(x):
-    """herm(x) for an array; for an index form, the index form of its
-    conjugate transpose, with no dense copy."""
+    """herm(x) for an array; for a form, the form of its conjugate
+    transpose (the core's herm on the swapped lines), with no dense copy."""
     if type(x) is not _Monomial:
         return herm(x)
     _check_form_bytes(x.shape[0], "an adjoint")
     cols, rows, val = x._live()
     at, out = np.zeros(x.shape[0], dtype=np.intp), np.zeros(x.shape[0], dtype=np.complex128)
     at[rows], out[rows] = cols, np.conj(val)
-    return _Monomial(x.shape[::-1], at, out)
+    core = None if x._core is None else (x._core[1], x._core[0], herm(x._core[2]))
+    return _Monomial(x.shape[::-1], at, out, core)
 
 
 def _tensor_frame(s: "Subspace", n: int, embed):
@@ -560,7 +669,7 @@ def _tensor_frame(s: "Subspace", n: int, embed):
     value is 1 * F's, the product eye_kron forms.  Bytes are checked from
     the shape first."""
     frame = s._frame
-    if type(frame) is not _Monomial or embed is not None:
+    if not _is_form(frame) or embed is not None:
         check_bytes(ENTRY_BYTES * n * n * frame.size, "a spanning set of E (x) S")
         columns = s.frame if n == 1 else eye_kron(n, s.frame)
         return columns if embed is None else embed @ columns
@@ -579,26 +688,85 @@ def _units(n: int, rows: np.ndarray):
     return _form_or_dense((n, rows.size), rows.astype(np.intp), np.ones(rows.size, dtype=np.complex128))
 
 
+def _take(x, rows: np.ndarray | None, cols: np.ndarray) -> np.ndarray:
+    """The array x[rows][:, cols] of an array or a form (``rows`` None for
+    every row): a copy of a split form's core when those are its core
+    lines, with no array built, and otherwise read from its array."""
+    if _has_core(x) and rows is not None and np.array_equal(rows, x._core[0]) and np.array_equal(cols, x._core[1]):
+        return x._core[2].copy()
+    x = dense(x, "X")
+    return x[:, cols] if rows is None else x[np.ix_(rows, cols)]
+
+
 def matmul(a, b):
-    """``a @ b`` for matrices and index forms.  For an index form b, whose
-    column j is v_j e_(r_j), the gather a[:, r] * v (see the module
-    docstring), composed as an index form when a is one too; otherwise
+    """``a @ b`` for matrices and forms.  For an index form b, whose column
+    j is v_j e_(r_j), the gather a[:, r] * v (see the module docstring);
+    for two forms, their composition (``_compose``); otherwise
     ``np.matmul``.  Nothing is scanned."""
     if type(b) is not _Monomial:
         return np.matmul(dense(a, "a left factor"), b)
     if type(a) is _Monomial:
-        _check_form_bytes(b.shape[1], "a product of index forms")
-        return _form_or_dense((a.shape[0], b.shape[1]), a._at[b._at], a._val[b._at] * b._val)
+        return _compose(a, b)
+    if b._core is not None:
+        return np.matmul(a, dense(b, "a right factor"))
     out = a[:, b._at]
     out *= b._val  # the gather is a fresh array
     return out
 
 
+def _compose(a: _Monomial, b: _Monomial):
+    """a b for two forms.  Two index forms compose into the form whose
+    column j holds a's entry in column r_j times v_j.  A split form times
+    an index form is a gather of its columns.  Two split forms compose by
+    parts when no cross term lives (b's isolated entries avoid a's core
+    columns, and b's core rows avoid a's isolated entries): the index
+    parts compose as above and the cores multiply over the lines they
+    share, C_a C_b on a's core rows and b's core columns (see the module
+    docstring).  Any other pair is multiplied as arrays."""
+    shape = (a.shape[0], b.shape[1])
+    if b._core is None and a._core is not None:
+        return matmul(dense(a, "a left factor"), b)
+    if b._core is None:
+        _check_form_bytes(b.shape[1], "a product of index forms")
+        return _form_or_dense(shape, a._at[b._at], a._val[b._at] * b._val)
+    if a._core is None or _crossed(a, b):
+        return np.matmul(dense(a, "a left factor"), dense(b, "a right factor"))
+    (ra, ka, ca), (rb, kb, cb) = a._core, b._core
+    _check_form_bytes(b.shape[1], "a product of split forms")
+    check_bytes(ENTRY_BYTES * ra.size * kb.size, "the core of a product of split forms")
+    if not np.array_equal(ka, rb):
+        _, pa, pb = np.intersect1d(ka, rb, assume_unique=True, return_indices=True)
+        ca, cb = ca[:, pa], cb[pb]
+    return _form_or_dense(shape, a._at[b._at], a._val[b._at] * b._val, (ra, kb, np.matmul(ca, cb)))
+
+
+def _crossed(a: _Monomial, b: _Monomial) -> bool:
+    """A cross term of a b lives, for two split forms: one of b's isolated
+    entries sits in a core column of a, or a core row of b in a column of
+    one of a's isolated entries."""
+    in_core = np.zeros(a.shape[1], dtype=bool)
+    in_core[a._core[1]] = True
+    return bool(in_core[b._at[b._val != 0]].any() or a._val[b._core[0]].any())
+
+
+def _difference(a, b):
+    """a - b; by parts for two split forms of one support (the same core
+    lines, and index parts whose nonzeros sit on the same places), each
+    value the dense subtraction's; otherwise of the arrays."""
+    if _has_core(a) and _has_core(b) and a.shape == b.shape:
+        (ra, ka, ca), (rb, kb, cb) = a._core, b._core
+        places = np.where(a._val != 0, a._at, -1), np.where(b._val != 0, b._at, -1)
+        if np.array_equal(ra, rb) and np.array_equal(ka, kb) and np.array_equal(*places):
+            return _Monomial(a.shape, a._at, a._val - b._val, (ra, ka, ca - cb))
+    return dense(a, "a difference") - dense(b, "a difference")
+
+
 def opnorm(m) -> float:
-    """Spectral norm; 0.0 for empty matrices."""
-    if type(m) is _Monomial:
+    """Spectral norm; 0.0 for empty matrices.  A split form's is the larger
+    of its isolated moduli and its core's, read off its parts."""
+    if _is_form(m):
         return float(np.abs(m._val).max(initial=0.0))  # what the split finds on its isolated entries
-    core, _, _, (_, _, v) = _deflate(as_matrix(m))
+    core, _, _, (_, _, v) = _deflate(_as_operator(m))
     top = float(np.abs(v).max(initial=0.0))
     if core.size:
         top = max(top, float(_svd(core, False, compute_uv=False)[0]))
@@ -610,24 +778,26 @@ def opnorm(m) -> float:
 NORM_SLACK = 1e-6
 
 
-def _norm_bounds(a: np.ndarray) -> tuple:
+def _norm_bounds(a) -> tuple:
     """(lo, hi) around the computed opnorm(a): the Frobenius bounds, each
     widened by NORM_SLACK (see the module docstring); (0.0, 0.0)
     for a zero or empty matrix, and (0.0, inf) when the sum of squares
-    may have under- or overflowed."""
-    fro = float(np.linalg.norm(a))
+    may have under- or overflowed.  A split form's Frobenius norm is the
+    hypot of its index values' and its core's."""
+    split = type(a) is _Monomial
+    fro = math.hypot(float(np.linalg.norm(a._val)), float(np.linalg.norm(a._core[2]))) if split else float(np.linalg.norm(a))
     if 1e-140 <= fro <= 1e140:
         return fro * (1.0 - NORM_SLACK) / math.sqrt(min(a.shape)), fro * (1.0 + NORM_SLACK)
-    if not a.any():
+    if not (a._val.any() or a._core[2].any() if split else a.any()):
         return 0.0, 0.0
     return 0.0, math.inf
 
 
 def norm_within(m, cutoff: float) -> bool:
     """``opnorm(m) <= cutoff``, decided from the Frobenius bounds when the
-    cutoff lies outside them and from ``opnorm`` otherwise.  For an index
-    form the two agree (its norm is its largest modulus, inside the band),
-    so it is decided from ``opnorm``."""
+    cutoff lies outside them and from ``opnorm`` otherwise.  A form is
+    decided from ``opnorm``: an index form's norm is its largest modulus,
+    inside the band, and a split form's takes one SVD of its core."""
     if type(m) is _Monomial:
         return opnorm(m) <= cutoff
     a = as_matrix(m)
@@ -721,7 +891,7 @@ class Amplification:
     __array_ufunc__ = None  # ndarray @ A defers to __rmatmul__
 
     def __init__(self, block, n: int, left: np.ndarray | None, right: np.ndarray | None):
-        if type(block) is _Monomial and (left is not None or right is not None):
+        if type(block) is _Monomial and (block._core is not None or left is not None or right is not None):
             block = dense(block, "an amplified block")  # index forms live in identity coordinates
         self.block, self.n, self.left, self.right = block, n, left, right
         p, q = block.shape
@@ -737,7 +907,7 @@ class Amplification:
     def __matmul__(self, f):
         """An index form ``f`` is read from its index; with an index-form
         block the product is an index form too (identity coordinates)."""
-        f = f if type(f) is _Monomial else np.asarray(f)
+        f = f if _is_form(f) else np.asarray(dense(f, "an amplified operand"))
         if len(f.shape) != 2 or f.shape[0] != self.shape[1]:
             raise DimensionMismatch(f"amplification of shape {self.shape} applied to shape {f.shape}")
         k = f.shape[1]
@@ -771,7 +941,7 @@ class Amplification:
         index form (identity coordinates): column b q + t of the output is
         w_t times column b p + s_t of m, for the block's entry w_t in row
         s_t of column t, the product the gather below forms."""
-        m = m if type(m) is _Monomial else np.asarray(m)
+        m = m if _is_form(m) else np.asarray(dense(m, "an amplified operand"))
         if len(m.shape) != 2 or m.shape[1] != self.shape[0]:
             raise DimensionMismatch(f"shape {m.shape} applied to an amplification of shape {self.shape}")
         r = m.shape[0]
@@ -853,7 +1023,7 @@ class _SplitSVD:
     core's)."""
 
     def __init__(self, a: np.ndarray, full_matrices: bool = False, deflated: tuple | None = None):
-        self.shape = a.shape
+        self.shape, self.split = a.shape, _has_core(a)
         core, self.rows, self.cols, (self.i, self.j, self.v) = _deflate(a) if deflated is None else deflated
         if core.size:
             self.u, self.core_s, self.vh = _svd(core, full_matrices)
@@ -886,11 +1056,19 @@ class _SplitSVD:
         phases = np.conj(self.v) / np.abs(self.v)
         return _frame(self.shape[1], self.j, phases, self.cols, herm(self.vh), self.order[:r])
 
-    def pinv(self, cut: float) -> np.ndarray:
+    def pinv(self, cut: float):
         """The pseudoinverse over the singular values above ``cut``: the
         core's V diag(1/s) U* scattered back, and 1/v at (j, i) for each
-        kept isolated entry."""
-        out = _scatter(_pinv_from_svd(self.u, self.core_s, self.vh, cut), self.shape[::-1], self.cols, self.rows)
+        kept isolated entry; for a split form, the split form of those
+        parts (the same values, unscattered)."""
+        core = _pinv_from_svd(self.u, self.core_s, self.vh, cut)
+        if self.split:
+            kept = np.abs(self.v) > cut
+            at, val = np.zeros(self.shape[0], dtype=np.intp), np.zeros(self.shape[0], dtype=np.complex128)
+            at[self.i[kept]], val[self.i[kept]] = self.j[kept], 1.0 / self.v[kept]
+            lines = [np.arange(n) if mask is None else np.flatnonzero(mask) for mask, n in ((self.cols, self.shape[1]), (self.rows, self.shape[0]))]
+            return _Monomial(self.shape[::-1], at, val, (*lines, core))
+        out = _scatter(core, self.shape[::-1], self.cols, self.rows)
         if self.order is not None:
             kept = np.abs(self.v) > cut
             out[self.j[kept], self.i[kept]] = 1.0 / self.v[kept]
@@ -917,7 +1095,12 @@ def pseudoinverse(m, tol: Tolerance) -> np.ndarray:
     ``A X A = A``, ``X A X = X``, ``(A X)* = A X``, ``(X A)* = X A``
     up to roundoff on the retained singular values.
     """
-    a = as_matrix(m)
+    return dense(_pinv(_as_operator(m), tol), "a pseudoinverse")
+
+
+def _pinv(a, tol: Tolerance):
+    """``pseudoinverse`` of an array or a form; a split form's is a split
+    form, with no array built."""
     split = _SplitSVD(a)
     return split.pinv(split.cut(a.shape, tol)[0])
 
@@ -947,8 +1130,8 @@ def _range_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float
     otherwise the same deflation is factored with vectors and cut.  A
     frame of unit vectors is returned as an index form (``_units``), and
     an index form ``a`` is cut from its own entries
-    (``_monomial_range_frame``)."""
-    if type(a) is _Monomial:
+    (``_monomial_range_frame``); a split form is deflated from its parts."""
+    if _is_form(a):
         return _monomial_range_frame(a, shape, tol, scale_floor)
     deflated = _deflate(a)
     core, rows, _, (i, _, v) = deflated
@@ -987,9 +1170,10 @@ def _unit_rows(frame) -> np.ndarray | None:
     """The rows of a frame, an array or an index form, whose every column
     is a unit vector of value exactly 1 + 0j, in column order; None
     otherwise."""
-    if type(frame) is _Monomial:
+    if _is_form(frame):
         rows, val = frame._at, frame._val
     else:
+        frame = dense(frame, "a frame")
         nonzero = frame != 0
         if (nonzero.sum(axis=0) != 1).any():
             return None
@@ -1007,28 +1191,24 @@ _ONE.setflags(write=False)
 class _RowSteps:
     """The range frames of X F for the steps of one subspace iteration, with
     F held as a set of rows (see the module docstring).  X (h x blocks * m)
-    is fixed, of at least _DEFLATE_MIN_SIZE entries, and scanned once into
-    its nonzeros by column; F's columns are the unit vectors e_(b m + r) of
+    is fixed, of at least _DEFLATE_MIN_SIZE entries, an array or a form,
+    and read once into its nonzeros by column (``_column_nonzeros``: kept
+    on a form, so every iteration of one operator reads them once); F's columns are the unit vectors e_(b m + r) of
     value 1 for each block b and, within a block, each given row r of C^m
     in its order (I_blocks (x) the unit frame of those rows).  ``step`` and
     ``residual`` return the rows of a frame of unit vectors, or None where
     the frame is not decided by index; both count X F from the scan
     (``_decided``), which keeps the counts ``peel`` reads.  Each core's
-    singular values are kept by (core rows, core columns).  ``peel`` and
+    singular values are kept by (core rows, core columns), with the
+    nonzeros.  ``peel`` and
     ``walk`` take an iteration's remaining steps in one pass where the
     module docstring shows that exact."""
 
-    __slots__ = ("x", "blocks", "row", "col", "start", "at", "first", "unit", "values", "count", "core", "mod", "s")
+    __slots__ = ("x", "blocks", "row", "col", "val", "start", "at", "first", "unit", "values", "count", "core", "mod", "s")
 
-    def __init__(self, x: np.ndarray, blocks: int):
-        check_bytes(x.size, "the scan of X")  # a mask of one byte per entry
-        nonzero = (x != 0).T  # column by column
-        check_bytes(_INDEX_BYTES * int(np.count_nonzero(nonzero)), "the nonzeros of X")  # each index array
-        (h, n), self.x, self.blocks = x.shape, x, blocks
-        self.col, self.row = np.divmod(np.flatnonzero(nonzero), h)  # by column, then by row
-        self.start = np.concatenate([[0], np.cumsum(np.bincount(self.col, minlength=n))])  # column c: start[c]:start[c + 1]
-        self.at, self.first = self.row.tolist(), self.start.tolist()  # the same, as lists for the Python loops
-        self.values, self.unit = {}, None
+    def __init__(self, x, blocks: int):
+        self.x, self.blocks, self.unit = x, blocks, None
+        self.row, self.col, self.val, self.start, self.at, self.first, self.values = _column_nonzeros(x)
 
     def _columns(self, rows: np.ndarray) -> np.ndarray:
         """The columns of X that F picks, in F's column order."""
@@ -1037,9 +1217,10 @@ class _RowSteps:
         return (np.arange(self.blocks)[:, None] * (self.x.shape[1] // self.blocks) + rows).ravel()
 
     def product(self, rows: np.ndarray) -> np.ndarray:
-        """X F, gathered by ``matmul`` from F's index form."""
-        cols = self._columns(rows)
-        return matmul(self.x, _Monomial((self.x.shape[1], cols.size), cols, np.ones(cols.size, dtype=np.complex128)))
+        """X F, gathered as ``matmul`` gathers it from F's index form."""
+        out = _take(self.x, None, self._columns(rows))
+        out *= np.ones(out.shape[1], dtype=np.complex128)
+        return out
 
     def step(self, rows: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
         """The rows, in column order, of
@@ -1100,7 +1281,7 @@ class _RowSteps:
         t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of X F, and row
         if held is not None:
             live = ~held[i]
-            t, i = t[live], i[live]
+            t, i, at = t[live], i[live], at[live]
         if i.size == 0:
             return i
         if h * cols.size < _DEFLATE_MIN_SIZE:
@@ -1111,7 +1292,7 @@ class _RowSteps:
         core[i[lone]] = False
         kept[t[lone]] = False
         mod = np.zeros(h)
-        mod[i[lone]] = np.abs(self.x[i[lone], cols[t[lone]]])
+        mod[i[lone]] = np.abs(self.val[at[lone]])
         core_rows, core_cols = np.flatnonzero(core), cols[kept]
         # None for a tall core; a step's core is scaled, as X F's gather is
         s = None if core_rows.size > core_cols.size else self._values(core_rows, core_cols, held is None)
@@ -1127,7 +1308,7 @@ class _RowSteps:
         key = (core_rows.tobytes(), core_cols.tobytes(), scaled)
         s = self.values.get(key)
         if s is None:
-            core = self.x[np.ix_(core_rows, core_cols)]
+            core = _take(self.x, core_rows, core_cols)
             if scaled:
                 core *= np.ones(core_cols.size, dtype=np.complex128)
             s = self.values[key] = _svd(core, False, compute_uv=False)
@@ -1138,7 +1319,7 @@ class _RowSteps:
         classical Gram-Schmidt passes against the unit vectors of those
         rows, in value (Q* R is R on Q's rows, and Q times it adds exact
         zeros elsewhere)."""
-        out = self.x[:, self._columns(block)]
+        out = _take(self.x, None, self._columns(block))
         out[held] = 0
         return out
 
@@ -1154,8 +1335,7 @@ class _RowSteps:
         otherwise that residual is left to ``residual``."""
         h = self.x.shape[0]
         if self.unit is None:  # per nonzero of X, whether its value is exactly 1 + 0j
-            v = self.x[self.row, self.col]
-            self.unit = ((v == 1) & ~np.signbit(v.imag)).tolist()
+            self.unit = ((self.val == 1) & ~np.signbit(self.val.imag)).tolist()
         at, first, unit, mine, out = self.at, self.first, self.unit, held.tolist(), []
         clear = 1.0 > rank_threshold(_ONE, (h, h + width), tol, 1.0)  # at the widest stacked shape: at every one
         while True:
@@ -1176,6 +1356,37 @@ class _RowSteps:
         order.  None otherwise.  A one-column R that is a unit vector of
         value 1 is ``walk``'s, which takes it first."""
         return self._decided(block, held, shape, tol, 1.0)
+
+
+def _column_nonzeros(x) -> tuple:
+    """(row, col, val, start, row list, start list, core values): X's
+    nonzeros by column, then by row (column c holds start[c]:start[c + 1]),
+    the rows and starts again as lists for the Python loops, and the cache
+    of core singular values that ``_RowSteps`` fills.  An array is scanned
+    (a byte per entry and an index per nonzero, each checked first); a
+    form's are read off its parts on the first call and kept on it."""
+    if type(x) is _Monomial and x._scan is not None:
+        return x._scan
+    if type(x) is _Monomial:
+        col, row, val = x._live()
+        if x._core is not None:
+            r, k, block = x._core
+            at, c = np.nonzero(block)
+            check_bytes(_INDEX_BYTES * (col.size + at.size), "the nonzeros of X")
+            row, col, val = np.concatenate([row, r[at]]), np.concatenate([col, k[c]]), np.concatenate([val, block[at, c]])
+            by_column = np.lexsort((row, col))
+            row, col, val = row[by_column], col[by_column], val[by_column]
+    else:
+        check_bytes(x.size, "the scan of X")  # a mask of one byte per entry
+        nonzero = (x != 0).T  # column by column
+        check_bytes(_INDEX_BYTES * int(np.count_nonzero(nonzero)), "the nonzeros of X")  # each index array
+        col, row = np.divmod(np.flatnonzero(nonzero), x.shape[0])
+        val = x[row, col]
+    start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=x.shape[1]))])
+    scan = row, col, val, start, row.tolist(), start.tolist(), {}
+    if type(x) is _Monomial:
+        x._scan = scan
+    return scan
 
 
 def _decided_rows(core: np.ndarray, mod: np.ndarray, s: np.ndarray, shape, tol: Tolerance, scale_floor: float):
@@ -1200,27 +1411,41 @@ def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
         inner = _kernel_frame_cut_as(as_matrix(m._dense_block()), m.shape, tol, scale_floor)
         check_bytes(ENTRY_BYTES * m.n**2 * inner.size, "an amplified kernel frame")
         return eye_kron(m.n, inner)
-    a = as_matrix(m.to_dense() if isinstance(m, Amplification) else m)
+    a = _as_operator(m.to_dense() if isinstance(m, Amplification) else m)
     return _kernel_frame_cut_as(a, a.shape, tol, scale_floor)
 
 
-def _kernel_frame_cut_as(a: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
-    """Orthonormal column basis of the kernel of ``a``, cut as a matrix of
-    ``shape``; the larger of the full SVD's U and V is checked first."""
+def _kernel_frame_cut_as(a, shape, tol: Tolerance, scale_floor: float) -> np.ndarray:
+    """Orthonormal column basis of the kernel of ``a``, an array or a
+    form, cut as a matrix of ``shape``; the larger of the full SVD's U and
+    V is checked first.  Past _DEFLATE_MIN_SIZE entries, a square or tall
+    core whose singular values (taken without vectors) all clear the cut,
+    with the isolated entries' moduli, has full column rank and adds no
+    kernel vector, so no singular vector is computed (the full-row-rank
+    rule of ``_range_frame_cut_as``, on the columns, with its error
+    argument); otherwise the same deflation is factored in full."""
     check_bytes(ENTRY_BYTES * max(a.shape) ** 2, "a kernel frame's full SVD")
-    split = _SplitSVD(a, full_matrices=True)
-    cut, _ = split.cut(shape, tol, scale_floor)
-    # an empty core's vh is the identity of its columns, the whole kernel
-    inner = herm(split.vh[int(np.sum(split.core_s > cut)) :]) if split.core_s.size else split.vh
-    if split.cols is None:
+    deflated = _deflate(a)
+    core, _, cols, (_, j, v) = deflated
+    inner = None
+    if a.size >= _DEFLATE_MIN_SIZE and 0 < core.shape[1] <= core.shape[0]:
+        s = _svd(core, False, compute_uv=False)
+        cut = rank_threshold(np.maximum(s[:1], np.abs(v).max(initial=0.0)), shape, tol, scale_floor)
+        inner = np.zeros((core.shape[1], 0), dtype=np.complex128) if s[-1] > cut else None
+    if inner is None:
+        split = _SplitSVD(a, full_matrices=True, deflated=deflated)
+        cut, _ = split.cut(shape, tol, scale_floor)
+        # an empty core's vh is the identity of its columns, the whole kernel
+        inner = herm(split.vh[int(np.sum(split.core_s > cut)) :]) if split.core_s.size else split.vh
+    if cols is None:
         return inner
     # the kernel of the core on its columns, then the unit vectors of the
     # zero columns and of the columns of isolated entries cut as zero
-    dead = ~split.cols
-    dead[split.j[np.abs(split.v) > cut]] = False
+    dead = ~cols
+    dead[j[np.abs(v) > cut]] = False
     dead = np.flatnonzero(dead)
     frame = np.zeros((a.shape[1], inner.shape[1] + dead.size), dtype=np.complex128)
-    frame[split.cols, : inner.shape[1]] = inner
+    frame[cols, : inner.shape[1]] = inner
     frame[dead, inner.shape[1] + np.arange(dead.size)] = 1.0
     return frame
 
@@ -1281,6 +1506,8 @@ class Subspace:
         return self._frame.shape[1]
 
     def projector(self) -> np.ndarray:
+        """F F*, its d x d bytes checked first."""
+        check_bytes(ENTRY_BYTES * self.ambient_dim**2, "a projector")
         return self.frame @ herm(self.frame)
 
     @staticmethod
@@ -1315,6 +1542,16 @@ def _check_same_ambient(s1: Subspace, s2: Subspace):
 
 
 def ortho_complement(s: Subspace, tol: Tolerance) -> Subspace:
+    """N(F*) for the frame F of S.  When F is an index form of unit vectors
+    (value 1) on distinct rows, every entry of F* is isolated with modulus
+    1, so the kernel frame is the unit vectors of the other rows,
+    ascending, as the split SVD gives it, read off F's rows."""
+    rows = _unit_rows(s._frame) if _is_form(s._frame) else None
+    if rows is not None and 1.0 > tol.rank_rel * max(s._frame.shape):
+        rest = np.ones(s.ambient_dim, dtype=bool)
+        rest[rows] = False
+        if rows.size + np.count_nonzero(rest) == s.ambient_dim:
+            return Subspace(_units(s.ambient_dim, np.flatnonzero(rest)))
     return Subspace(kernel_frame(herm(s.frame), tol))
 
 
@@ -1324,7 +1561,7 @@ def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
     (unit vectors, phase 1) every product term is 1 * 1 or 0, so the gap
     is exactly F1's columns whose row F2 lacks, and it is an index form."""
     _check_same_ambient(s1, s2)
-    if type(s1._frame) is _Monomial and type(s2._frame) is _Monomial:
+    if _is_form(s1._frame) and _is_form(s2._frame):
         f1, f2 = s1._frame, s2._frame
         _check_form_bytes(f1.shape[1], "an inclusion gap")
         held = np.zeros(f2.shape[0], dtype=bool)
@@ -1340,7 +1577,7 @@ def _unit_frame_defects(s1: Subspace, s2: Subspace) -> tuple:
     rows also cover C^d, P1 + P2 - I is one: the dense opnorm of either is
     0.0.  Shared rows, or frames held as arrays, decide nothing here."""
     _check_same_ambient(s1, s2)
-    if type(s1._frame) is not _Monomial or type(s2._frame) is not _Monomial:
+    if not (_is_form(s1._frame) and _is_form(s2._frame)):
         return None, None
     r1, r2 = _unit_rows(s1._frame), _unit_rows(s2._frame)
     if r1 is None or r2 is None:
@@ -1401,9 +1638,10 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     dust left by a cancellation; it is indistinguishable from the zero
     operator, which is a partial isometry.
 
-    A monomial M is decided from its entries (``_live_part``).
+    A monomial M is decided from its entries (``_live_part``); a split
+    form's residual is reported on its live part, as an array.
     """
-    a, triple = _live_part(m)
+    a, triple = _live_part(dense(m, "an operator") if _has_core(m) else m)
     if triple is not None:
         scale, residual = triple
         return residual, scale <= tol.rank_rel or residual <= tol.eq_rel * scale
@@ -1419,13 +1657,17 @@ def is_partial_isometry(m, tol: Tolerance) -> bool:
         scale, residual = triple
         return scale <= tol.rank_rel or residual <= tol.eq_rel * scale
     defect = _triple_defect(a)
-    return _partial_isometry_verdict(dense(a, "a live part"), _norm_bounds(defect), lambda: opnorm(defect), tol)
+    a = a if _has_core(a) else dense(a, "a live part")
+    return _partial_isometry_verdict(a, _norm_bounds(defect), lambda: opnorm(defect), tol)
 
 
 def _live_part(m) -> tuple:
     """(A, None): M without its exactly-zero rows and columns
     (``_live_lines``), which change no norm and no triple defect; or
     (None, (||M||, ||M M* M - M||)) when M is decided from its entries.
+    A split form is its own live part, since it stores no zero line: its
+    triple defect is formed by parts (``_triple_defect``), and the norms
+    of both are screened and taken from their parts.
 
     An index form, or an array that one scan finds monomial
     (``_index_form``), is read from its k nonzeros.  When its live part
@@ -1439,6 +1681,8 @@ def _live_part(m) -> tuple:
     columns in index order, so the products of ``_triple_defect`` are
     gathers.  An array of fewer than _DEFLATE_MIN_SIZE entries is returned
     as it is."""
+    if _has_core(m):
+        return m, None
     if type(m) is not _Monomial:
         a = as_matrix(m)
         lines = _nonzero_lines(a)
@@ -1456,12 +1700,12 @@ def _live_part(m) -> tuple:
     return None, (float(np.abs(val).max(initial=0.0)), float(np.abs(defect).max(initial=0.0)))
 
 
-def _triple_defect(a) -> np.ndarray:
-    """A A* A - A, multiplied in that order."""
-    return dense(matmul(matmul(a, _adjoint(a)), a), "a triple product") - dense(a, "a live part")
+def _triple_defect(a):
+    """A A* A - A, multiplied in that order; a split form's by parts."""
+    return _difference(matmul(matmul(a, _adjoint(a)), a), a)
 
 
-def _partial_isometry_verdict(a: np.ndarray, residual_bounds: tuple, residual, tol: Tolerance) -> bool:
+def _partial_isometry_verdict(a, residual_bounds: tuple, residual, tol: Tolerance) -> bool:
     """``scale <= rank_rel or residual() <= eq_rel * scale`` for scale =
     opnorm(a), decided from the bounds on both norms where they settle it
     and from the exact norms otherwise."""
@@ -1567,6 +1811,7 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
     its array is not built.
     """
     t = _as_operator(m)
+    t = dense(t, "the operator") if _has_core(t) else t  # its report is the array's
     t = t if type(t) is _Monomial else (_index_form(t) or t)
     t_h = _adjoint(t)
     norm = opnorm(t)

@@ -219,7 +219,7 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     current = Subspace.whole(h) if rows is None else None
     for _ in range(h + 1):
         if rows is None:
-            nxt = _span_e_tensor(rep, current, x)
+            nxt = _span_e_tensor(rep, current, nx.dense(x, "X"))
         else:
             steps = steps or nx._RowSteps(x, space.module_dim)
             got = steps.step(rows, shape, tol, 1.0)
@@ -246,9 +246,9 @@ def _held_rows(rep: CovariantRep, s: Subspace) -> np.ndarray | None:
     return nx._unit_rows(s._frame)
 
 
-def _intertwiner(rep: CovariantRep, x) -> np.ndarray:
-    """``x`` as a matrix, refused unless it maps E (x) H to H."""
-    x = nx.as_matrix(x)
+def _intertwiner(rep: CovariantRep, x):
+    """``x`` as a matrix or a form, refused unless it maps E (x) H to H."""
+    x = nx._as_operator(x)
     want = (rep.h_dim, rep.space(1).dim)
     if x.shape != want:
         raise DimensionMismatch(f"X must map E (x) H to H, shape {want}, got shape {x.shape}")
@@ -276,7 +276,7 @@ def _span_e_tensor(rep: CovariantRep, s: Subspace, x: np.ndarray | None) -> Subs
 
 def generalized_range(rep: CovariantRep) -> Subspace:
     """R^infty: the intersection of the ranges of all tensor powers."""
-    return iterated_range(rep, rep.tilde)
+    return iterated_range(rep, rep._lift)
 
 
 def is_regular(rep: CovariantRep) -> bool:

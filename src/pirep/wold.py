@@ -62,15 +62,23 @@ coisometric row over C^4 no SVD has more than N h = 12 rows.
 
 ``wold_decompose`` takes Rinf(T) once: it decides regularity, the
 regularity that bi-regularity presupposes, and the dual side's residual.
-Rinf(T') is the primal side's.  On a shift (+) unitary of size q + u
-every frame of these two iterations is unit vectors: each is held as its
-rows on the iteration's one scan of X, takes one step from every row and
-peels the shift chain to the core rows in one pass (the ``numerics``
-docstring gives why that is the stepped answer), and the u x u unitary
-core's singular values are taken once per iteration.  A generated
-subspace whose W and blocks are unit vectors of value 1 (identity
-coordinates, X past _DEFLATE_MIN_SIZE entries) is held as its set of
-rows on one scan of X (``numerics._RowSteps.residual``): a step reads
+Rinf(T') is the primal side's.  It works on the lift as the
+representation holds it: on a shift (+) unitary past the gate that is a
+split form, the shift entries beside the u x u unitary core, so the
+Cauchy dual (``_dual``), the partial-isometry verdict and the dual gap
+are composed by parts in ``numerics`` (its docstring gives the algebra
+and the error argument), and T' is a split form too; this module has no
+by-parts code of its own.  On a shift (+) unitary of size q + u every
+frame of the two R^infty iterations is unit vectors: each is held as
+its rows on X's nonzeros, read once per operator off its parts, takes
+one step from every row and peels the shift chain to the core rows in
+one pass (the ``numerics`` docstring gives why that is the stepped
+answer), and the unitary core's singular values are taken once per
+operator.  The wandering part is read off the rows of R(T)'s unit
+vectors (``numerics.ortho_complement``).  A generated subspace whose W
+and blocks are unit vectors of value 1 (identity coordinates, X past
+_DEFLATE_MIN_SIZE entries) is held as its set of rows on X's nonzeros
+(``numerics._RowSteps.residual``): a step reads
 X's nonzeros in the last block's columns outside the held rows, which is
 the dense R - Q (Q* R) in value (Q* R is R on Q's rows, and Q times it
 adds exact zeros elsewhere), and gives the frame of that residual
@@ -112,12 +120,17 @@ _BI_REGULAR_N_MAX = 3
 def cauchy_dual(rep: CovariantRep) -> np.ndarray:
     """T' = T (T* T)^+.  Involutive on closed-range operators; equals T for
     partially isometric representations."""
-    return cauchy_dual_of_matrix(rep.tilde, rep.tol)
+    return nx.dense(_dual(rep._lift, rep.tol), "the Cauchy dual")
 
 
 def cauchy_dual_of_matrix(t: np.ndarray, tol: Tolerance) -> np.ndarray:
-    t = nx.as_matrix(t)
-    return t @ nx.pseudoinverse(herm(t) @ t, tol)
+    return _dual(nx.as_matrix(t), tol)
+
+
+def _dual(t, tol: Tolerance):
+    """T (T* T)^+ of a lift as it is held: for a split form, a split form
+    composed by parts (see ``numerics``), with no array built."""
+    return nx.matmul(t, nx._pinv(nx.matmul(nx._adjoint(t), t), tol))
 
 
 def is_bi_regular(rep: CovariantRep) -> bool:
@@ -163,7 +176,7 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
     total, block, dim = (w.frame if rows is None else None), w, w.dim
     for _ in range(h):
         if rows is None:
-            residual = _e_tensor_columns(rep, block, x)
+            residual = _e_tensor_columns(rep, block, nx.dense(x, "X"))
             for _ in range(2):  # classical Gram-Schmidt, twice
                 residual = residual - total @ (herm(total) @ residual)
             stacked = (h, total.shape[1] + rep.space(1).dim)
@@ -271,8 +284,8 @@ def wold_decompose(rep: CovariantRep, *, check_hypotheses: bool = True) -> WoldD
     and the hypothesis flags are reported in the result (see the module
     docstring for why truncated shift models need this)."""
     tol = rep.tol
-    t = rep.tilde
-    t_dual = cauchy_dual(rep)
+    t = rep._lift
+    t_dual = _dual(t, tol)
     pi = rep.is_partial_isometric()
     rinf = generalized_range(rep)  # R^infty(T): regularity and the dual side's residual
     regular = _is_regular_over(rep, rinf)
@@ -295,5 +308,5 @@ def wold_decompose(rep: CovariantRep, *, check_hypotheses: bool = True) -> WoldD
         is_partial_isometric=pi,
         regular=regular,
         bi_regular=bi_regular,
-        dual_gap=opnorm(t_dual - t),
+        dual_gap=opnorm(nx._difference(t_dual, t)),
     )

@@ -1016,6 +1016,18 @@ def test_kernel_frame_checks_the_u_of_a_tall_array(monkeypatch, tol):
         nx.kernel_frame(nx.Amplification(np.zeros((2, 8)), 50, None, None), tol)
 
 
+def test_a_projector_checks_its_bytes_before_it_is_built(monkeypatch, tol):
+    # the projector of a 400 x 3 frame is a 400 x 400 array (2.56 MB): under
+    # a 1 MB budget it is refused from its shape, with the budgeted numpy
+    # refusing any unchecked array past it; a 200 x 3 frame's (640 kB) fits
+    frame = np.linalg.qr(crandn(rng_for(343), 400, 3))[0]
+    dense_budget(monkeypatch, 2**20, nx)
+    with pytest.raises(ResourceLimit, match="a projector needs 2560000 bytes, over the budget 1048576"):
+        Subspace(frame).projector()
+    small = Subspace(frame[:200])
+    assert small.projector().shape == (200, 200)
+
+
 def test_an_amplified_kernel_is_cut_at_the_amplified_shape(tol):
     # the singular value 8e-10 of Y lies above Y's own cut (4 * rank_rel) and
     # below that of I_3 (x) Y (12 * rank_rel): the dense kernel of I_3 (x) Y

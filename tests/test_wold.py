@@ -238,15 +238,17 @@ def test_a_span_held_by_rows_drops_what_returns_into_it(tol, monkeypatch):
 
 
 def spy_iterations(monkeypatch) -> dict:
-    """Record, for one ``wold_decompose``: every scan of X (one per
-    ``nx._RowSteps``), each ``step``, ``residual`` and ``walk`` as (stepper,
+    """Record, for one ``wold_decompose``: every stepper (``nx._RowSteps``),
+    every read of X's nonzeros that is not kept from an earlier one (a
+    scan of an array, or a form read off its parts) and every scan of an
+    array for its zero lines, each ``step``, ``residual`` and ``walk`` as (stepper,
     rows in, what it returned), each ``peel`` as (stepper, rows out), each
     dense residual and product a stepper builds, and the
     ``_range_frame_cut_as`` calls and Subspaces made inside the two
     subspace iterations, with how many iterations ran."""
     from pirep import powers as pw
 
-    seen = {name: [] for name in ("scans", "steps", "peels", "residuals", "walks", "dense", "cuts", "built", "iterations")}
+    seen = {name: [] for name in ("steppers", "scans", "lines", "steps", "peels", "residuals", "walks", "dense", "cuts", "built", "iterations")}
     inside = []
 
     def record(owner, name, key):
@@ -275,7 +277,11 @@ def spy_iterations(monkeypatch) -> dict:
 
         monkeypatch.setattr(module, name, wrapper)
 
-    record(nx._RowSteps, "__init__", "scans")
+    record(nx._RowSteps, "__init__", "steppers")
+    real_nonzeros, real_lines = nx._column_nonzeros, nx._nonzero_lines
+    fresh = lambda x: type(x) is not nx._Monomial or x._scan is None
+    monkeypatch.setattr(nx, "_column_nonzeros", lambda x: (seen["scans"].append(x) if fresh(x) else None) or real_nonzeros(x))
+    monkeypatch.setattr(nx, "_nonzero_lines", lambda a: seen["lines"].append(a.shape) or real_lines(a))
     record(nx._RowSteps, "step", "steps")
     record(nx._RowSteps, "peel", "peels")
     record(nx._RowSteps, "residual", "residuals")
@@ -293,15 +299,18 @@ def spy_iterations(monkeypatch) -> dict:
 
 def assert_one_pass_per_iteration(seen: dict, q: int, u: int) -> None:
     """The four iterations of a ``wold_decompose`` on the q + u shift (+)
-    unitary, as ``spy_iterations`` saw them: each scans its X once; each
-    R^infty iteration takes one step, from every row, and peels the rest to
-    the u core rows; each generated span is one walk of q - 1 unit columns
-    from the wandering line, which ends at an exactly zero residual; no
-    residual step, no dense product or residual, no cut, and one Subspace
-    per iteration, at its end."""
+    unitary, as ``spy_iterations`` saw them: the lift and its Cauchy dual
+    are split forms, and the nonzeros of each are read once, off its parts,
+    and shared by its two iterations (two reads, four steppers), and no
+    array is scanned; each R^infty iteration takes one step, from every
+    row, and peels the rest to the u core rows; each generated span is one
+    walk of q - 1 unit columns from the wandering line, which ends at an
+    exactly zero residual; no residual step, no dense product or residual,
+    no cut, and one Subspace per iteration, at its end."""
     h = q + u
     assert sorted(seen["iterations"]) == ["generated_invariant_subspace"] * 2 + ["iterated_range"] * 2
-    assert len(seen["scans"]) == 4 and not seen["dense"] and not seen["cuts"]
+    assert len(seen["steppers"]) == 4 and len(seen["scans"]) == 2 and all(nx._has_core(x) for x in seen["scans"])
+    assert not seen["lines"] and not seen["dense"] and not seen["cuts"]
     assert [(rows.tolist(), out.size) for _, rows, out in seen["steps"]] == [(list(range(h)), h - 1)] * 2
     assert [(stepper, out.tolist()) for stepper, out in seen["peels"]] == [(stepper, list(range(q, h))) for stepper, _, _ in seen["steps"]]
     assert [(row, out[0].tolist(), out[1]) for _, row, out in seen["walks"]] == [(0, list(range(1, q)), True)] * 2
@@ -310,14 +319,14 @@ def assert_one_pass_per_iteration(seen: dict, q: int, u: int) -> None:
 
 
 def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch):
-    # on the q = 60, u = 20 shift (+) unitary every shift direction is an
-    # isolated entry of its frame, so LAPACK sees only the 20 x 20 unitary
-    # core.  Each of the four subspace iterations (R^infty and the generated
-    # span, of tilde and of its Cauchy dual) makes one pass over its X's
-    # nonzeros on one scan: each R^infty iteration steps once and peels the
-    # shift chain, taking the singular values of the core once; each
-    # generated span walks the chain of unit columns, and no residual is
-    # factored
+    # on the q = 60, u = 20 shift (+) unitary the lift is a split form, the
+    # shift entries beside the 20 x 20 unitary core, and its Cauchy dual is
+    # composed by parts, so LAPACK sees only that core.  Each of the four
+    # subspace iterations (R^infty and the generated span, of tilde and of
+    # its Cauchy dual) makes one pass over its X's nonzeros, read once per
+    # operator: each R^infty iteration steps once and peels the shift chain,
+    # taking the singular values of the core once; each generated span
+    # walks the chain of unit columns, and no residual is factored
     from pirep import harness as hz
 
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=60, u_dim=20)
@@ -327,12 +336,13 @@ def test_wold_factors_only_the_unitary_core_and_thin_residuals(tol, monkeypatch)
     out = wold.wold_decompose(rep, check_hypotheses=False)
     assert all(max(shape) <= 20 for shape, _ in calls), sorted(set(calls))
     assert_one_pass_per_iteration(seen, 60, 20)
-    steppers = {id(stepper) for stepper, _, _ in seen["steps"]}
-    for stepper in seen["scans"]:
-        assert [s.shape for s in stepper.values.values()] == ([(20,)] if id(stepper) in steppers else [])
-    # only the Cauchy dual's pseudoinverse and the kernel N(tilde) that
-    # regularity reads factor the core with vectors
-    assert calls.count(((20, 20), True)) == 2 and len(calls) == 6
+    # the two steppers of one operator share its cache of core values
+    assert len({id(stepper.values) for stepper in seen["steppers"]}) == 2
+    assert all([s.shape for s in stepper.values.values()] == [(20,)] for stepper in seen["steppers"])
+    # only the Cauchy dual's pseudoinverse factors the core with vectors; the
+    # kernel N(tilde) that regularity reads, the range R(tilde), the two
+    # first steps and the dual gap take its values alone
+    assert calls.count(((20, 20), True)) == 1 and len(calls) == 6
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (60, 20)
         assert side.orthogonality_defect <= 1e-12 and side.direct_sum_residual <= 1e-12
@@ -352,6 +362,93 @@ def test_wold_scales_to_q_400_with_one_scan_per_iteration(tol, monkeypatch):
     for side in (out.primal, out.dual):
         assert (side.generated.dim, side.residual.dim) == (400, 20)
         assert side.orthogonality_defect == 0.0 and side.direct_sum_residual == 0.0
+
+
+def benchmark_wold_reps(tol) -> list:
+    """The shift (+) unitary reps (q = 60, u = 20) of four ``large_window``
+    rounds of the benchmark at seeds 42 and 7: each round's generator first
+    draws its four shift specs (n = 2 and 3, with and without a broken
+    weight), as ``perfbench/workloads.py`` does, then the rep."""
+    reps = []
+    for seed in (42, 7):
+        for r in range(4):
+            rng = np.random.default_rng([seed, r])
+            for n in (2, 3):
+                for broken in (False, True):
+                    zero_set = frozenset(int(x) for x in rng.integers(0, 12, size=rng.integers(0, 5)))
+                    weights = {}
+                    if broken:
+                        m = int(rng.choice([m for m in range(6) if m not in zero_set]))
+                        weights[(int(rng.integers(1, n + 1)), m)] = float(rng.uniform(0.3, 0.9))
+            reps.append(hz.shift_plus_unitary_fixture(rng, tol, q=60, u_dim=20))
+    return reps
+
+
+def test_split_lifts_decide_as_the_dense_lifts(tol):
+    # the shift (+) unitary past the gate is held as a split form and
+    # composed by parts; against the same lift held as an array (a
+    # read-only copy that ``CovariantRep`` does not split), for q in
+    # {40, 60, 200} and u in {2, 20}: the Cauchy dual and the dual gap to
+    # 1e-15, the partial-isometry verdict, and the frames of R(T) and N(T)
+    # byte for byte; on the benchmark's eight Wold reps the Cauchy dual and
+    # the dual gap are the dense ones bit for bit
+    def dense_side(rep):
+        t = rep.tilde
+        t_dual = wold.cauchy_dual_of_matrix(t, tol)
+        frames = nx.range_frame(t, tol, 1.0), nx.kernel_frame(t, tol, 1.0)
+        return t_dual, nx.opnorm(t_dual - t), nx.is_partial_isometry(t, tol), frames
+
+    def split_side(rep):
+        t_dual = wold._dual(rep._lift, tol)
+        frames = rep.range_subspace(1).frame, rep.kernel_subspace(1).frame
+        return nx.dense(t_dual, "T'"), nx.opnorm(nx._difference(t_dual, rep._lift)), rep.is_partial_isometric(), frames
+
+    rng = rng_for(344)
+    grid = [hz.shift_plus_unitary_fixture(rng, tol, q=q, u_dim=u) for q in (40, 60, 200) for u in (2, 20)]
+    for index, rep in enumerate(grid + benchmark_wold_reps(tol)):
+        assert nx._has_core(rep._lift), index
+        got, want = split_side(rep), dense_side(rep)
+        if index < len(grid):
+            assert nx.opnorm(got[0] - want[0]) <= 1e-15 and abs(got[1] - want[1]) <= 1e-15, index
+        else:
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], index
+        assert got[2] == want[2] is True, index
+        for frame, dense_frame in zip(got[3], want[3]):
+            assert frame.tobytes() == dense_frame.tobytes(), index
+
+
+def test_a_conjugated_shift_plus_unitary_stays_dense(tol):
+    # U (S (+) W) U* for a Haar U past the gate has no isolated entry, so
+    # its lift is kept as the array, and the decomposition is the dense one
+    rng = rng_for(345)
+    u = haar_unitary(rng, 36)
+    v = u @ hz.shift_plus_unitary_fixture(rng, tol, q=30, u_dim=6).tilde @ nx.herm(u)
+    rep = scalar_rep([v], tol)
+    assert v.size >= nx._DEFLATE_MIN_SIZE and rep._lift is rep.tilde and nx._index_form(v, split=True) is None
+    out = wold.wold_decompose(rep, check_hypotheses=False)
+    assert out.primal.generated.dim == 30 and out.dual.residual.dim == 6
+    assert out.dual_gap == nx.opnorm(wold.cauchy_dual(rep) - rep.tilde)
+
+
+def test_wold_at_q_400_multiplies_only_the_core(tol, monkeypatch):
+    # on the q = 400, u = 20 shift (+) unitary the partial-isometry verdict,
+    # the Cauchy dual and the dual gap multiply no operand wider than the
+    # 20-column core, and build no 420 x 420 array; no array the size of
+    # the lift is scanned in the whole decomposition
+    rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=400, u_dim=20)
+    t = rep._lift
+    assert nx._has_core(t) and t._core[2].shape == (20, 20)
+    shapes, real_matmul = [], np.matmul
+    monkeypatch.setattr(nx.np, "matmul", lambda a, b: shapes.append((np.shape(a), np.shape(b))) or real_matmul(a, b))
+    t_dual = wold._dual(t, tol)
+    gap = nx.opnorm(nx._difference(t_dual, t))
+    assert rep.is_partial_isometric() and gap <= 1e-14
+    monkeypatch.setattr(nx.np, "matmul", real_matmul)
+    assert shapes and all(max(a[1], b[1]) <= 20 for a, b in shapes), shapes
+    assert nx._has_core(t_dual) and t_dual._dense is None and t._dense is rep.tilde
+    seen = spy_iterations(monkeypatch)
+    wold.wold_decompose(rep, check_hypotheses=False)
+    assert all(max(shape) < 420 for shape in seen["lines"]) and all(nx._has_core(x) for x in seen["scans"])
 
 
 def test_held_rows_grow_the_span_as_dense_gram_schmidt(tol, monkeypatch):
