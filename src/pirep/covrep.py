@@ -224,8 +224,9 @@ class CovariantRep(LiftChain):
     ``shifts.build_shift`` builds it): the lift is then held as that form,
     and ``tilde`` and ``v_on_basis`` are built from it on their first read
     (``numerics.dense``).  Otherwise V is stacked into the lift, and in
-    identity coordinates one scan decides whether the lift is monomial and
-    so held as its index form (see ``numerics``)."""
+    identity coordinates one scan decides whether the lift is monomial, and
+    so held as its index form, or isolated entries beside one dense core,
+    and so held as a split form (see ``numerics``)."""
 
     def __init__(
         self,

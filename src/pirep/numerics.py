@@ -1192,17 +1192,17 @@ class _RowSteps:
     """The range frames of X F for the steps of one subspace iteration, with
     F held as a set of rows (see the module docstring).  X (h x blocks * m)
     is fixed, of at least _DEFLATE_MIN_SIZE entries, an array or a form,
-    and read once into its nonzeros by column (``_column_nonzeros``: kept
-    on a form, so every iteration of one operator reads them once); F's columns are the unit vectors e_(b m + r) of
-    value 1 for each block b and, within a block, each given row r of C^m
-    in its order (I_blocks (x) the unit frame of those rows).  ``step`` and
-    ``residual`` return the rows of a frame of unit vectors, or None where
-    the frame is not decided by index; both count X F from the scan
-    (``_decided``), which keeps the counts ``peel`` reads.  Each core's
-    singular values are kept by (core rows, core columns), with the
-    nonzeros.  ``peel`` and
-    ``walk`` take an iteration's remaining steps in one pass where the
-    module docstring shows that exact."""
+    and read into its nonzeros by column (``_column_nonzeros``: kept on a
+    form, so the iterations of one operator read them once); F's columns
+    are the unit vectors e_(b m + r) of value 1 for each block b and,
+    within a block, each given row r of C^m in its order (I_blocks (x) the
+    unit frame of those rows).  ``step`` and ``residual`` return the rows
+    of a frame of unit vectors, or None where the frame is not decided by
+    index; both count X F from the scan (``_decided``), which keeps the
+    counts ``peel`` reads, so each iteration makes its own stepper.  Each
+    core's singular values are kept by (core rows, core columns), with the
+    nonzeros.  ``peel`` and ``walk`` take an iteration's remaining steps in
+    one pass where the module docstring shows that exact."""
 
     __slots__ = ("x", "blocks", "row", "col", "val", "start", "at", "first", "unit", "values", "count", "core", "mod", "s")
 
