@@ -71,8 +71,8 @@ non-scalar algebra (on the scalar algebra every X intertwines) and holds
 dim A * dim^2 entries, at most dim A / 2 times the embed and lift the
 space already keeps.  ``bimodule_covariant`` decides V(a xi c) =
 sigma(a) V(xi) sigma(c) with one loop over u_a, each step two stacked
-contractions over (u_c, xi_b), one ``identity_holds`` per (u_a, u_c,
-xi_b) at the scale max_b ||V(xi_b)||.
+contractions over (u_c, xi_b), their identities screened in one pass
+per u_a at the scale max_b ||V(xi_b)|| (``numerics.identities_hold``).
 
 ``StarRepresentation``, ``FdCStarAlgebra.basis``, phi, the induced
 actions, ``tensor_product``, ``interior_tensor`` and an amplification's
@@ -109,6 +109,7 @@ from .numerics import (
     eye,
     eye_kron,
     herm,
+    identities_hold,
     identity_holds,
     kron_eye,
     materially_negative,
@@ -375,7 +376,7 @@ class FdCorrespondence:
             return self.algebra.dim == 0
         s = _svd(rows, False, compute_uv=False)
         cut = rank_threshold(s, rows.shape, tol)
-        return int(np.sum(s > cut)) == self.algebra.dim
+        return np.count_nonzero(s > cut) == self.algebra.dim
 
 
 # One correspondence per constructor argument tuple, shared by the whole
@@ -662,7 +663,8 @@ def bimodule_covariant(corr: FdCorrespondence, h: TensorSpace, v_on_basis, tol: 
     scalar algebra every linear V is covariant, and ``covrep`` does not
     call this) and sigma the action of the plain space ``h``: for each u_a
     in turn the gaps over every (u_c, xi_b) are two stacked contractions,
-    each decided as an identity at the scale max_b ||V(xi_b)||."""
+    decided as identities at the scale max_b ||V(xi_b)|| in one screened
+    pass (``numerics.identities_hold``)."""
     v = np.array(v_on_basis)  # (N, H, H)
     # one u_a at a time, the largest arrays are the (u_c, xi_b) gap stack and
     # the (u_c) stack of L_a R_c; neither is larger than the induced actions
@@ -674,7 +676,7 @@ def bimodule_covariant(corr: FdCorrespondence, h: TensorSpace, v_on_basis, tol: 
         for la, sa in zip(corr.left_action, h._basis_actions)
     )
     scale = functools.cache(lambda: max(opnorm(vb) for vb in v))
-    return all(identity_holds(gap, scale, tol) for stack in stacks for gaps in stack for gap in gaps)
+    return all(identities_hold(stack, scale, tol) for stack in stacks)
 
 
 def amplification(

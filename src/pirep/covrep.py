@@ -307,6 +307,11 @@ class CovariantRep(LiftChain):
     def is_partial_isometric(self) -> bool:
         return nx.is_partial_isometry(self._lift, self.tol)
 
+    def _lift_outer(self):
+        """W W* for the lift W as it is held, formed once (every stage of the
+        range-invariance condition reads it)."""
+        return self._memoized(("outer",), lambda: nx.matmul(self._lift, nx._adjoint(self._lift)))
+
 
 def rep_from_tilde(
     corr: FdCorrespondence,

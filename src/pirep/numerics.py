@@ -9,8 +9,9 @@ kind of decision:
 * rank cut -- :func:`rank_threshold` (``_SplitSVD.cut``): a singular
   value sigma counts as zero iff
   ``sigma <= rank_rel * max(sigma_max, scale_floor) * max(rows, cols)``;
-* identity -- :func:`identity_holds` on the gap A - B, or
-  :func:`residual_holds` on a residual already computed: accepted iff
+* identity -- :func:`identity_holds` on the gap A - B (a stack of gaps:
+  :func:`identities_hold`), or :func:`residual_holds` on a residual
+  already computed: accepted iff
   ``||A - B|| <= eq_rel * max(1, scale)``;
 * inclusion -- :func:`is_subset`, or :func:`defect_within` on a defect
   already computed: ``S1 <= S2`` iff ``||(I - P2) F1|| <= incl_abs`` for
@@ -25,8 +26,13 @@ kind of decision:
 
 The seams on values already computed (``residual_holds``,
 ``defect_within``, ``materially_negative``) accept no NaN and no cutoff
-that overflowed to infinity; the seams on matrices take only finite
-ones (:func:`as_matrix`).  The norms are spectral unless a caller states
+that overflowed to infinity.  A matrix is checked finite by
+:func:`as_matrix` at every public entry point, and so is every composed
+product or difference that can overflow (or the frame spanned from it)
+before a verdict reads it.  A frame computed here from checked operands
+(singular or unit vectors, finite by construction) enters
+:class:`Subspace` by ``Subspace._of`` with no second check; a caller's
+frame is checked.  The norms are spectral unless a caller states
 otherwise.
 
 Every dense array that grows with a tensor power (Grams, lifts, the
@@ -61,10 +67,11 @@ bounds ``||A||_F / sqrt(min(rows, cols)) <= ||A||_2 <= ||A||_F``.  Both
 bounds are widened by the relative slack ``NORM_SLACK`` (1e-6), and the
 exact ``opnorm`` is taken only when the cutoff falls inside the widened
 band.  The error argument: the computed Frobenius norm is the square
-root of a dot product of n <= 2 * DENSE_BYTES / ENTRY_BYTES real terms,
-so its relative error is at most n * 2**-53 / 2, below 1e-8 for any
-array the byte budget admits and below 1e-9 for the largest array a
-claim or the benchmark builds (20 MB); LAPACK's largest singular value
+root of one complex dot product over the n <= DENSE_BYTES / ENTRY_BYTES
+entries, whose real part sums 2n real products, so its relative error is
+at most 2n * 2**-53 / 2, below 1e-8 for any array the byte budget admits
+and below 1e-9 for the largest array a claim or the benchmark builds
+(20 MB); LAPACK's largest singular value
 is backward stable, with a relative error of at most rows * cols *
 2**-53, below 1e-8 for any array the budget admits.  Outside the band
 the screened verdict is therefore the exact one.  A Frobenius norm
@@ -314,6 +321,7 @@ inputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -383,15 +391,16 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
+    """Coerce to a finite 2-d complex128 array; a 2-d complex128 ndarray
+    is returned as it is."""
+    a = m if type(m) is np.ndarray and m.dtype == np.complex128 else np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={a.ndim}")
+        if a.ndim != 1:
+            raise DimensionMismatch(f"expected a matrix, got ndim={a.ndim}")
+        a = a.reshape(1, -1)
     # the sum is finite unless an entry is not or the sum overflows;
     # only then is every entry tested
-    if a.size and not np.isfinite(a.sum()) and not np.isfinite(a).all():
+    if a.size and not cmath.isfinite(np.add.reduce(a, axis=None)) and not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     return a
 
@@ -551,10 +560,10 @@ class _Monomial:
     one, an array of isolated entries beside one core (a split form).  See
     the module docstring for where each is taken.  Immutable; its dense
     array is built by :func:`dense` alone and kept, and so are its
-    deflation (``_deflate_form``) and the nonzeros that ``_RowSteps``
-    reads (``_column_nonzeros``)."""
+    deflation (``_deflate_form``), the nonzeros that ``_RowSteps`` reads
+    (``_column_nonzeros``) and its adjoint (``_adjoint``)."""
 
-    __slots__ = ("shape", "_at", "_val", "_core", "_dense", "_scan", "_parts")
+    __slots__ = ("shape", "_at", "_val", "_core", "_dense", "_scan", "_parts", "_adj")
 
     def __init__(self, shape, at: np.ndarray, val: np.ndarray, core: tuple | None = None):
         """Refuses a non-finite value (one pass over the values and the
@@ -568,7 +577,7 @@ class _Monomial:
         for array in (at, val) + (() if core is None else core):
             array.setflags(write=False)
         self.shape, self._at, self._val, self._core = (int(shape[0]), int(shape[1])), at, val, core
-        self._dense = self._scan = self._parts = None
+        self._dense = self._scan = self._parts = self._adj = None
 
     @property
     def size(self) -> int:
@@ -651,15 +660,18 @@ def _as_operator(x):
 
 def _adjoint(x):
     """herm(x) for an array; for a form, the form of its conjugate
-    transpose (the core's herm on the swapped lines), with no dense copy."""
+    transpose (the core's herm on the swapped lines), with no dense copy,
+    built once and kept on the form."""
     if type(x) is not _Monomial:
         return herm(x)
-    _check_form_bytes(x.shape[0], "an adjoint")
-    cols, rows, val = x._live()
-    at, out = np.zeros(x.shape[0], dtype=np.intp), np.zeros(x.shape[0], dtype=np.complex128)
-    at[rows], out[rows] = cols, np.conj(val)
-    core = None if x._core is None else (x._core[1], x._core[0], herm(x._core[2]))
-    return _Monomial(x.shape[::-1], at, out, core)
+    if x._adj is None:
+        _check_form_bytes(x.shape[0], "an adjoint")
+        cols, rows, val = x._live()
+        at, out = np.zeros(x.shape[0], dtype=np.intp), np.zeros(x.shape[0], dtype=np.complex128)
+        at[rows], out[rows] = cols, np.conj(val)
+        core = None if x._core is None else (x._core[1], x._core[0], herm(x._core[2]))
+        x._adj = _Monomial(x.shape[::-1], at, out, core)
+    return x._adj
 
 
 def _tensor_frame(s: "Subspace", n: int, embed):
@@ -778,6 +790,13 @@ def opnorm(m) -> float:
 NORM_SLACK = 1e-6
 
 
+def _fro(a: np.ndarray) -> float:
+    """The Frobenius norm as one complex dot product over the entries in
+    memory order (``ravel(order="K")`` copies no transposed view)."""
+    v = a.ravel(order="K")
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _norm_bounds(a) -> tuple:
     """(lo, hi) around the computed opnorm(a): the Frobenius bounds, each
     widened by NORM_SLACK (see the module docstring); (0.0, 0.0)
@@ -785,12 +804,19 @@ def _norm_bounds(a) -> tuple:
     may have under- or overflowed.  A split form's Frobenius norm is the
     hypot of its index values' and its core's."""
     split = type(a) is _Monomial
-    fro = math.hypot(float(np.linalg.norm(a._val)), float(np.linalg.norm(a._core[2]))) if split else float(np.linalg.norm(a))
+    fro = math.hypot(_fro(a._val), _fro(a._core[2])) if split else _fro(a)
     if 1e-140 <= fro <= 1e140:
         return fro * (1.0 - NORM_SLACK) / math.sqrt(min(a.shape)), fro * (1.0 + NORM_SLACK)
     if not (a._val.any() or a._core[2].any() if split else a.any()):
         return 0.0, 0.0
     return 0.0, math.inf
+
+
+def _within(bounds: tuple, cutoff: float, norm) -> bool:
+    """``opnorm <= cutoff`` from the bounds (lo, hi) where they decide it,
+    and from ``norm()`` inside them."""
+    lo, hi = bounds
+    return hi <= cutoff or (lo <= cutoff and norm() <= cutoff)
 
 
 def norm_within(m, cutoff: float) -> bool:
@@ -801,21 +827,42 @@ def norm_within(m, cutoff: float) -> bool:
     if type(m) is _Monomial:
         return opnorm(m) <= cutoff
     a = as_matrix(m)
-    lo, hi = _norm_bounds(a)
-    if hi <= cutoff:
-        return True
-    if lo > cutoff:
-        return False
-    return opnorm(a) <= cutoff
+    return _within(_norm_bounds(a), cutoff, lambda: opnorm(a))
 
 
 def identity_holds(gap, scale, tol: Tolerance) -> bool:
     """An operator identity whose sides differ by ``gap`` holds:
     ``opnorm(gap) <= eq_rel * max(1.0, scale())``.  The cutoff is at least
     eq_rel, so ``scale`` (a callable, often a norm) is called only when
-    ||gap|| > eq_rel."""
+    ||gap|| > eq_rel.  The gap is coerced and bounded once, and ``opnorm``
+    is taken at most once, inside the band of either cutoff."""
     a = as_matrix(gap)
-    return norm_within(a, tol.eq_rel) or norm_within(a, tol.eq_rel * max(1.0, scale()))
+    bounds, taken = _norm_bounds(a), []
+
+    def norm() -> float:
+        if not taken:
+            taken.append(opnorm(a))
+        return taken[0]
+
+    return _within(bounds, tol.eq_rel, norm) or _within(bounds, tol.eq_rel * max(1.0, scale()), norm)
+
+
+def identities_hold(gaps: np.ndarray, scale, tol: Tolerance) -> bool:
+    """``all(identity_holds(gap, scale, tol) for gap in gaps)`` over a stack
+    (..., p, q) in C order, screened in one pass: a gap that is exactly
+    zero, or whose widened Frobenius bound is at most eq_rel, holds with no
+    scale; the others go to ``identity_holds`` one at a time in stack
+    order, so the same gap fails first, a non-finite one raises the same
+    DomainError and ``scale`` is called at the same gap."""
+    k, (p, q) = math.prod(gaps.shape[:-2]), gaps.shape[-2:]
+    gaps = np.ascontiguousarray(gaps).reshape(k, p, q)
+    flat = gaps.reshape(k, p * q).view(np.float64)
+    fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    # a finite sum of squares did not overflow; below 1e-140 it may have
+    # underflowed, so only an exact zero is taken there
+    held = fro * (1.0 + NORM_SLACK) <= tol.eq_rel
+    held &= (fro >= 1e-140) | ~flat.any(axis=1)
+    return bool(held.all()) or all(identity_holds(gaps[i], scale, tol) for i in np.flatnonzero(~held))
 
 
 # The seams below decide on values already computed.  None accepts a NaN
@@ -1041,7 +1088,7 @@ class _SplitSVD:
         """(cutoff, rank): ``rank_threshold`` over every singular value,
         at ``shape``."""
         cut = rank_threshold(self.s, shape, tol, scale_floor)
-        return cut, int(np.sum(self.s > cut))
+        return cut, int(np.count_nonzero(self.s > cut))
 
     def left(self, r: int) -> np.ndarray:
         """The first r left singular vectors, a frame of R(A) at rank r."""
@@ -1163,7 +1210,7 @@ def _by_modulus(rows: np.ndarray, moduli: np.ndarray, shape, tol: Tolerance, sca
     vector of value 1 of its row."""
     order = np.argsort(-moduli, kind="stable")
     s = moduli[order]
-    return rows[order[: int(np.sum(s > rank_threshold(s, shape, tol, scale_floor)))]]
+    return rows[order[: np.count_nonzero(s > rank_threshold(s, shape, tol, scale_floor))]]
 
 
 def _unit_rows(frame) -> np.ndarray | None:
@@ -1436,7 +1483,7 @@ def _kernel_frame_cut_as(a, shape, tol: Tolerance, scale_floor: float) -> np.nda
         split = _SplitSVD(a, full_matrices=True, deflated=deflated)
         cut, _ = split.cut(shape, tol, scale_floor)
         # an empty core's vh is the identity of its columns, the whole kernel
-        inner = herm(split.vh[int(np.sum(split.core_s > cut)) :]) if split.core_s.size else split.vh
+        inner = herm(split.vh[np.count_nonzero(split.core_s > cut) :]) if split.core_s.size else split.vh
     if cols is None:
         return inner
     # the kernel of the core on its columns, then the unit vectors of the
@@ -1485,13 +1532,23 @@ class Subspace:
     of an index form, or the full-row-rank rule of
     ``_range_frame_cut_as``) is held as an index form, which ``span``,
     ``image`` and ``is_subset`` read as it is; ``frame`` is the array,
-    built on the first read.
+    built on the first read.  A caller's frame is checked like any matrix
+    (``as_matrix``); a frame this module computes enters by ``_of``.
     """
 
     _frame: object
 
     def __post_init__(self):
         object.__setattr__(self, "_frame", _as_operator(self._frame))
+
+    @classmethod
+    def _of(cls, frame) -> "Subspace":
+        """The subspace of a frame computed from checked operands: singular
+        vectors, unit vectors, or stacks of checked frames, finite by
+        construction, so its entries are not summed a second time."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_frame", frame)
+        return s
 
     @property
     def frame(self) -> np.ndarray:
@@ -1514,24 +1571,24 @@ class Subspace:
     def whole(d: int) -> "Subspace":
         """C^d, its frame the unit vectors of every row: an index form
         from _DEFLATE_MIN_SIZE entries and the identity below."""
-        return Subspace(_units(d, np.arange(d)) if d * d >= _DEFLATE_MIN_SIZE else eye(d))
+        return Subspace._of(_units(d, np.arange(d)) if d * d >= _DEFLATE_MIN_SIZE else eye(d))
 
     @staticmethod
     def zero(d: int) -> "Subspace":
-        return Subspace(np.zeros((d, 0), dtype=np.complex128))
+        return Subspace._of(np.zeros((d, 0), dtype=np.complex128))
 
     @staticmethod
     def span(columns, tol: Tolerance) -> "Subspace":
         """Subspace spanned by the columns of a matrix (need not be
         orthonormal or independent), a matrix or an index form."""
         a = _as_operator(columns)
-        return Subspace(_range_frame_cut_as(a, a.shape, tol, 1.0))
+        return Subspace._of(_range_frame_cut_as(a, a.shape, tol, 1.0))
 
     @staticmethod
     def kernel(m, tol: Tolerance) -> "Subspace":
         """Kernel of an operator, a matrix or an ``Amplification``, with the
         same unit scale floor as span."""
-        return Subspace(kernel_frame(m, tol, scale_floor=1.0))
+        return Subspace._of(kernel_frame(m, tol, scale_floor=1.0))
 
 
 def _check_same_ambient(s1: Subspace, s2: Subspace):
@@ -1551,8 +1608,8 @@ def ortho_complement(s: Subspace, tol: Tolerance) -> Subspace:
         rest = np.ones(s.ambient_dim, dtype=bool)
         rest[rows] = False
         if rows.size + np.count_nonzero(rest) == s.ambient_dim:
-            return Subspace(_units(s.ambient_dim, np.flatnonzero(rest)))
-    return Subspace(kernel_frame(herm(s.frame), tol))
+            return Subspace._of(_units(s.ambient_dim, np.flatnonzero(rest)))
+    return Subspace._of(kernel_frame(herm(s.frame), tol))
 
 
 def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
@@ -1562,12 +1619,17 @@ def _inclusion_gap(s1: Subspace, s2: Subspace) -> np.ndarray:
     is exactly F1's columns whose row F2 lacks, and it is an index form."""
     _check_same_ambient(s1, s2)
     if _is_form(s1._frame) and _is_form(s2._frame):
-        f1, f2 = s1._frame, s2._frame
-        _check_form_bytes(f1.shape[1], "an inclusion gap")
-        held = np.zeros(f2.shape[0], dtype=bool)
-        held[f2._at[f2._val != 0]] = True
-        return _Monomial(f1.shape, f1._at, np.where(held[f1._at], 0, f1._val))
+        _check_form_bytes(s1.dim, "an inclusion gap")
+        return _Monomial(s1._frame.shape, s1._frame._at, _outside(s1._frame, s2._frame))
     return s1.frame - matmul(s2.frame, matmul(herm(s2.frame), s1._frame))
+
+
+def _outside(f1: _Monomial, f2: _Monomial) -> np.ndarray:
+    """The values of the index-form gap (I - P2) F1 of two unit-vector
+    frames: F1's value where F2 lacks its row, 0 where F2 holds it."""
+    held = np.zeros(f2.shape[0], dtype=bool)
+    held[f2._at[f2._val != 0]] = True
+    return np.where(held[f1._at], 0, f1._val)
 
 
 def _unit_frame_defects(s1: Subspace, s2: Subspace) -> tuple:
@@ -1595,7 +1657,12 @@ def inclusion_defect(s1: Subspace, s2: Subspace) -> float:
 
 
 def is_subset(s1: Subspace, s2: Subspace, tol: Tolerance) -> bool:
-    """S1 <= S2 iff ||(I - P2) F1|| <= incl_abs."""
+    """S1 <= S2 iff ||(I - P2) F1|| <= incl_abs.  For two index-form frames
+    that norm is the largest modulus of the gap's values, read off their
+    rows with no gap form built, as ``opnorm`` reads it off the form."""
+    if _is_form(s1._frame) and _is_form(s2._frame):
+        _check_same_ambient(s1, s2)
+        return float(np.abs(_outside(s1._frame, s2._frame)).max(initial=0.0)) <= tol.incl_abs
     return norm_within(_inclusion_gap(s1, s2), tol.incl_abs)
 
 

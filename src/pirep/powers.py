@@ -144,8 +144,7 @@ def range_invariance_condition(chain: LiftChain, m: int) -> bool:
     eps, almost inside N, once eps is past the cut 4e-10)."""
     if m < 1:
         raise DimensionMismatch("range_invariance_condition needs m >= 1")
-    lift = chain._factors(m - 1, m)[0]._lift
-    return _cokernel_invariant(chain, m - 1, nx.matmul(lift, nx._adjoint(lift)))
+    return _cokernel_invariant(chain, m - 1, chain._factors(m - 1, m)[0]._lift_outer())
 
 
 def _cokernel_invariant(chain: LiftChain, m: int, x) -> bool:
@@ -225,17 +224,18 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
             got = steps.step(rows, shape, tol, 1.0)
             if got is not None and h * got.size >= nx._DEFLATE_MIN_SIZE:  # an index form: held
                 if got.size == rows.size:
-                    return Subspace(nx._units(h, got))
+                    return Subspace._of(nx._units(h, got))
                 fixed = steps.peel(shape, tol, 1.0) if rows.size == h else None  # from the step from every row
                 if fixed is not None:
-                    return Subspace(nx._units(h, fixed))
+                    return Subspace._of(nx._units(h, fixed))
                 rows = got
                 continue
-            nxt = Subspace(nx._range_frame_cut_as(steps.product(rows), shape, tol, 1.0) if got is None else nx._units(h, got))
+            # X's columns times 1: the span of checked entries
+            nxt = Subspace._of(nx._range_frame_cut_as(steps.product(rows), shape, tol, 1.0) if got is None else nx._units(h, got))
         if nxt.dim == (current.dim if rows is None else rows.size):
             return nxt
         current, rows = nxt, _held_rows(rep, nxt)
-    return current if rows is None else Subspace(nx._units(h, rows))
+    return current if rows is None else Subspace._of(nx._units(h, rows))
 
 
 def _held_rows(rep: CovariantRep, s: Subspace) -> np.ndarray | None:
@@ -457,7 +457,7 @@ def _amplified_cokernel(amp: nx.Amplification, tol) -> Subspace:
     built adjoint."""
     plain = amp.left is None and amp.right is None
     inner = nx._range_frame_cut_as(nx._adjoint(amp.block if plain else amp.to_dense()), amp.shape[::-1], tol, 1.0)
-    return Subspace(nx._tensor_frame(Subspace(inner), amp.n if plain else 1, None))
+    return Subspace._of(nx._tensor_frame(Subspace(inner), amp.n if plain else 1, None))
 
 
 def orthogonality_from_chain(rep: CovariantRep, k: int) -> dict:

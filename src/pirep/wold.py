@@ -213,7 +213,8 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
                 continue
             total, rows = nx.dense(nx._units(h, np.concatenate(parts)), "a generated frame"), None  # dense from this block on
         total = np.hstack([total, block.frame])
-    return Subspace(total if rows is None else nx._units(h, np.concatenate(parts)))
+    # W's frame beside the checked blocks' frames, or unit vectors
+    return Subspace._of(total if rows is None else nx._units(h, np.concatenate(parts)))
 
 
 def _unit_rows_of(rep: CovariantRep, x: np.ndarray, w: Subspace) -> np.ndarray | None:

@@ -66,6 +66,15 @@ def _corr_key(c):
     return c.algebra.block_sizes, c.gram.tobytes(), c.left_action.tobytes(), c.right_action.tobytes()
 
 
+def spy_subspaces(monkeypatch, seen) -> None:
+    """Call seen(s) for every Subspace s built, by the public constructor
+    (a caller's frame, checked) or by ``Subspace._of`` (a frame the
+    package computed)."""
+    real_post, real_of = Subspace.__post_init__, Subspace._of
+    monkeypatch.setattr(Subspace, "__post_init__", lambda self: seen(self) or real_post(self))
+    monkeypatch.setattr(Subspace, "_of", staticmethod(lambda frame: (lambda s: seen(s) or s)(real_of(frame))))
+
+
 def count_space_builds(monkeypatch, structure: bool = False) -> Counter:
     """Count interior_tensor and tensor_product calls by the content of
     their inputs or, with ``structure``, by how the inputs were formed: a

@@ -655,6 +655,46 @@ def test_a_lift_that_intertwines_does_not_make_v_covariant(tol):
         CovariantRep(e, sigma, [v], tol)
 
 
+def covariant_by_slices(corr, h, v, tol) -> bool:
+    """bimodule_covariant one identity_holds per (u_a, u_c, xi_b), in that
+    order: the loop the screened pass replaces."""
+    v = np.array(v)
+    scale = lambda: max(nx.opnorm(vb) for vb in v)
+    for la, sa in zip(corr.left_action, h._basis_actions):
+        stack = np.einsum("cyb,yij->cbij", la @ corr.right_action, v) - (sa @ v)[None] @ h._basis_actions[:, None]
+        if not all(nx.identity_holds(gap, scale, tol) for gaps in stack for gap in gaps):
+            return False
+    return True
+
+
+def test_bimodule_covariance_is_the_slice_by_slice_verdict(tol):
+    # V(xi_b) masked to sigma(p_l) V sigma(p_r) is covariant; moved off the
+    # mask by t * eq_rel, around the cutoff where the exact norm decides,
+    # the screened pass gives the per-slice verdict, and a NaN raises the
+    # same DomainError
+    alg = FdCStarAlgebra([1, 1])
+    e = diagonal_correspondence(alg, left_tags=[0, 1], right_tags=[1, 1])
+    sigma = StarRepresentation(alg, [2, 3])
+    h = correspondence.plain_space(sigma)
+    p = [sigma.apply(alg.central_projection(i)) for i in range(2)]
+    rng = rng_for(660)
+    v, off = [p[0] @ crandn(rng, 5, 5) @ p[1], p[1] @ crandn(rng, 5, 5) @ p[1]], p[1] @ crandn(rng, 5, 5) @ p[0]
+    v, off = [v[0] / nx.opnorm(v[0]), 0.25 * v[1] / nx.opnorm(v[1])], off / nx.opnorm(off)  # scale max(1, ||V(xi_0)||)
+    verdicts = []
+    for t in (0.0, 0.5, 0.999, 1.0 - 1e-7, 1.0 + 1e-7, 1.001, 2.0):
+        for scale in (0.5, 3.0):
+            moved = [scale * v[0] + t * tol.eq_rel * max(1.0, scale) * off, v[1]]
+            want = covariant_by_slices(e, h, moved, tol)
+            assert correspondence.bimodule_covariant(e, h, moved, tol) == want, (t, scale)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+    bad = [v[0].copy(), v[1]]
+    bad[0][4, 0] = np.nan
+    for decide in (covariant_by_slices, correspondence.bimodule_covariant):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+            decide(e, h, bad, tol)
+
+
 def test_the_bimodule_check_fits_the_budget_of_the_lift_check(monkeypatch, tol):
     # one u_a at a time the covariance gaps hold dim A * N * H^2 entries,
     # no more than the induced actions of E (x)_sigma H, dim A * (N H)^2,
@@ -774,6 +814,50 @@ def test_a_power_report_past_the_dense_budget_of_its_powers(tol, monkeypatch):
     assert len(scans) == 0
     with pytest.raises(ResourceLimit, match="the lift power T_4 needs 3748096 bytes"):
         rep.tilde_power(4)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_a_rep_refuses_non_finite_matrices(tol):
+    # below the gate, and past it on a monomial lift that the scan would
+    # hold as an index form
+    for d in (3, 40):
+        sigma = StarRepresentation(SCALARS, [d])
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.eye(d, dtype=complex)
+            v[1, 1] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                CovariantRep(scalar_correspondence(1), sigma, [v], tol)
+            with pytest.raises(DomainError, match="non-finite"):
+                rep_from_tilde(scalar_correspondence(1), sigma, v, tol)
+
+
+def test_a_composed_dense_power_that_overflows_is_a_domain_error(tol):
+    # the dense twin of the test below: a Gaussian lift with one entry 1e200
+    # has no isolated entry, so it is held as an array below and past the
+    # gate; its triple defect, T T* and T_2 overflow, and every path ends in
+    # DomainError, never in a NaN verdict
+    from pirep import powers as pw
+
+    runs = (
+        lambda rep: rep.is_partial_isometric(),
+        lambda rep: pw.power_report(rep, 3),
+        lambda rep: nx.partial_isometry_residual(rep._lift, tol),
+        lambda rep: nx.is_partial_isometry(rep.tilde_power(2), tol),
+        lambda rep: pw.power_pi_up_to(rep, True, 3),
+        lambda rep: pw.kernel_chain_condition(rep, 2),
+        lambda rep: pw.range_invariance_condition(rep, 1),
+        lambda rep: rep.classify(),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in (4, 24):
+            rng = rng_for(779, d)
+            v = [crandn(rng, d, d) for _ in range(2)]
+            v[0][0, 0] = 1e200
+            for run in runs:
+                rep = scalar_rep(v, tol)
+                assert type(rep._lift) is np.ndarray
+                with pytest.raises(DomainError, match="non-finite"):
+                    run(rep)
 
 
 def test_a_composed_power_that_overflows_is_a_domain_error(tol):

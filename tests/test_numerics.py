@@ -429,18 +429,54 @@ def test_norm_within_is_the_exact_comparison(monkeypatch, tol):
             assert nx.is_contraction(m, tol) == want, (kind, t)
 
 
-def test_identity_holds_takes_the_scale_only_past_eq_rel(tol):
+def test_identity_holds_takes_the_scale_only_past_eq_rel(monkeypatch, tol):
     # opnorm(gap) <= eq_rel * max(1, scale), with scale() called exactly when
-    # the gap is past eq_rel
-    unit = _shapes(rng_for(407))["wide"]
-    for scale in (0.5, 3.0):
-        cutoff = tol.eq_rel * max(1.0, scale)
-        for t in FAR + NEAR:
-            gap = t * cutoff * unit
-            calls = []
-            got = nx.identity_holds(gap, lambda: calls.append(1) or scale, tol)
-            assert got == (nx.opnorm(gap) <= cutoff), (scale, t)
-            assert bool(calls) == (nx.opnorm(gap) > tol.eq_rel), (scale, t)
+    # the gap is past eq_rel, and at most one opnorm and one factorization
+    # per identity, also for gaps whose Frobenius band holds both cutoffs
+    rng = rng_for(407)
+    unit = _shapes(rng)["wide"]
+    cases = [(scale, t, t * tol.eq_rel * max(1.0, scale) * unit, False) for scale in (0.5, 3.0) for t in FAR + NEAR]
+    # ||gap|| 1.3 and 1.6 eq_rel at scale 1.5: lo <= eq_rel and hi >= 1.5 eq_rel
+    for top, spectrum in ((1.3, [1.0, 0.5, 0.5]), (1.6, [1.0, 0.1, 0.1])):
+        gap = top * tol.eq_rel * random_with_spectrum(rng, 3, 9, spectrum)
+        lo, hi = nx._norm_bounds(gap)
+        assert lo <= tol.eq_rel and hi >= 1.5 * tol.eq_rel, top
+        cases.append((1.5, top, gap, True))
+    wants = [(nx.opnorm(gap) <= tol.eq_rel * max(1.0, scale), nx.opnorm(gap) > tol.eq_rel) for scale, _, gap, _ in cases]
+    norms = _count_opnorm(monkeypatch)
+    svds, real_svd = [], nx._svd
+    monkeypatch.setattr(nx, "_svd", lambda m, *args, **kwargs: svds.append(m.shape) or real_svd(m, *args, **kwargs))
+    for (scale, t, gap, in_both), (want, past) in zip(cases, wants):
+        calls = []
+        norms.clear()
+        svds.clear()
+        got = nx.identity_holds(gap, lambda: calls.append(1) or scale, tol)
+        assert got == want and bool(calls) == past, (scale, t)
+        assert len(norms) <= 1 and len(svds) <= 1, (scale, t)
+        if in_both:
+            assert len(norms) == len(svds) == 1 and calls == [1], t
+
+
+def test_identities_hold_is_identity_holds_in_stack_order(tol):
+    # the screened stack decides every gap as identity_holds does: the same
+    # gap fails first, a non-finite gap raises unless an earlier one fails,
+    # and scale() is called once and only where a gap is past eq_rel
+    rng = rng_for(408)
+    zero, dust, past = np.zeros((3, 4), dtype=complex), 1e-12 * crandn(rng, 3, 4), 2.0 * tol.eq_rel * _shapes(rng)["wide"][:, :4]
+    bad = np.full((3, 4), np.nan, dtype=complex)
+    for stack, want, scaled in (
+        ([zero, dust, zero], True, False),
+        ([zero, past, dust], True, True),
+        ([dust, past, zero], False, True),
+        ([zero, 1e3 * past, bad], False, True),
+        ([np.zeros((3, 0), dtype=complex)] * 2, True, False),
+    ):
+        calls = []
+        scale = lambda: calls.append(1) or (2.5 if want else 1.0)
+        assert nx.identities_hold(np.array(stack)[None], scale, tol) is want, (want, scaled)
+        assert calls == ([1] if scaled else []), (want, scaled)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        nx.identities_hold(np.array([dust, bad, past]), lambda: 1.0, tol)
 
 
 # Each scalar seam as (accepts(value, scale, tol), its cutoff at a scale
@@ -531,6 +567,34 @@ def test_finite_entries_whose_sum_overflows_pass():
     for row in ([1e308, 1e308], [-1e308, -1e308], [complex(1.0, 1e308), complex(1.0, 1e308)]):
         a = nx.as_matrix(np.array([row]))
         assert a.shape == (1, 2) and np.isfinite(a).all()
+
+
+# Each public entry point on a matrix, as a call on that matrix.
+ENTRY_POINTS = {
+    "as_matrix": lambda a, tol: nx.as_matrix(a),
+    "Subspace": lambda a, tol: Subspace(a),
+    "range_frame": nx.range_frame,
+    "kernel_frame": nx.kernel_frame,
+    "image": lambda a, tol: nx.image(a, Subspace.whole(a.shape[1]), tol),
+    "pseudoinverse": nx.pseudoinverse,
+    "psd_sqrt": nx.psd_sqrt,
+    "is_partial_isometry": nx.is_partial_isometry,
+    "is_contraction": nx.is_contraction,
+    "classify_operator": nx.classify_operator,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@np.errstate(over="ignore", invalid="ignore")
+def test_every_entry_point_refuses_a_non_finite_matrix(entry, tol):
+    # below the gate, and past it on a monomial matrix that the scan would
+    # hold as an index form: no frame or verdict is reached unchecked
+    for n in (3, 40):
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.eye(n, dtype=complex)
+            a[1, 1] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                ENTRY_POINTS[entry](a, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from conftest import (
     iterated_range_by_amplification,
     range_invariance_by_kernels,
     rng_for,
+    spy_subspaces,
     subspace_iteration_reps,
 )
 
@@ -478,8 +479,8 @@ def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
     svds, real_svd = [], nx._svd
     monkeypatch.setattr(nx, "_svd", lambda m, full, compute_uv=True: svds.append((m.shape, compute_uv)) or real_svd(m, full, compute_uv))
     scans, steps, peels = spy_row_steps(monkeypatch)
-    built, real_post = [], nx.Subspace.__post_init__
-    monkeypatch.setattr(nx.Subspace, "__post_init__", lambda self: built.append(self) or real_post(self))
+    built = []
+    spy_subspaces(monkeypatch, built.append)
     for x in (rep.tilde, t_dual):
         for seen in (svds, steps, peels, scans, built):
             seen.clear()

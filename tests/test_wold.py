@@ -20,6 +20,7 @@ from conftest import (
     gated_iteration_reps,
     generated_subspace_by_amplification,
     rng_for,
+    spy_subspaces,
     subspace_iteration_reps,
 )
 
@@ -288,9 +289,9 @@ def spy_iterations(monkeypatch) -> dict:
     record(nx._RowSteps, "walk", "walks")
     record(nx._RowSteps, "product", "dense")
     record(nx._RowSteps, "residual_product", "dense")
-    real_cut, real_post = nx._range_frame_cut_as, nx.Subspace.__post_init__
+    real_cut = nx._range_frame_cut_as
     monkeypatch.setattr(nx, "_range_frame_cut_as", lambda a, *args: (seen["cuts"].append(a.shape) if inside else None) or real_cut(a, *args))
-    monkeypatch.setattr(nx.Subspace, "__post_init__", lambda self: (seen["built"].append(self) if inside else None) or real_post(self))
+    spy_subspaces(monkeypatch, lambda s: seen["built"].append(s) if inside else None)
     for module in (pw, wold):
         iteration(module, "iterated_range")
     iteration(wold, "generated_invariant_subspace")
