@@ -72,16 +72,11 @@ REPEATS = 3
 # each on a freshly built input; the record keeps the fastest.
 WARM_CALLS = 15
 
-# Runs in the child: times the build and the cold call, then the warm
-# calls, and prints one JSON line.
-CHILD = """
-import json, resource, sys, time
-import numpy as np
-from pirep import harness, powers, shifts, wold
-from pirep.numerics import DEFAULT_TOL, pseudoinverse
-case, warm_calls = json.loads(sys.argv[1]), int(sys.argv[2])
+def build(case: dict):
+    """The input of ``case``, built afresh."""
+    from pirep import harness, shifts
+    from pirep.numerics import DEFAULT_TOL
 
-def build():
     if case["kind"] == "wold":
         return harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
     if case["kind"] in ("bi_regular", "gen_inverse"):
@@ -90,7 +85,12 @@ def build():
         return shifts.WeightedShiftSpec(n=case["n"], zero_set=case["zero_set"], trunc=case["trunc"])
     return shifts.build_shift(shifts.WeightedShiftSpec(n=case["n"], trunc=case["trunc"]), DEFAULT_TOL)
 
-def call(arg):
+
+def call(case: dict, arg) -> dict:
+    """Run ``case`` on its input ``arg``; its result as JSON data."""
+    from pirep import powers, shifts, wold
+    from pirep.numerics import DEFAULT_TOL, pseudoinverse
+
     if case["kind"] == "power_report":
         return powers.power_report(arg, case["n_max"]).to_dict()
     if case["kind"] == "wold":
@@ -112,17 +112,27 @@ def call(arg):
         return result
     return arg.classify().to_dict()
 
+
+# Runs in the child, with this directory and the checkout's ``src`` on its
+# path: times the build and the cold call, then the warm calls, and prints
+# one JSON line.
+CHILD = """
+import json, resource, sys, time
+from pirep import harness, powers, shifts, wold
+from bench_shift_powers import build, call
+case, warm_calls = json.loads(sys.argv[1]), int(sys.argv[2])
+
 start = time.perf_counter()
-arg = build()
+arg = build(case)
 build_s = time.perf_counter() - start
 start = time.perf_counter()
-result = call(arg)
+result = call(case, arg)
 wall = time.perf_counter() - start
 warm = []
 for _ in range(warm_calls):
-    arg = build()
+    arg = build(case)
     start = time.perf_counter()
-    again = call(arg)
+    again = call(case, arg)
     warm.append(time.perf_counter() - start)
     if again != result:
         raise AssertionError("a warm call disagrees with the cold one")
@@ -136,7 +146,7 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", 
 def run_once(case: dict) -> dict:
     """One process running ``case``: its wall time, max RSS and result, or
     the last line of its error output."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_THREAD)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")]), **ONE_THREAD)
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case), str(WARM_CALLS)], capture_output=True, text=True, env=env)
     if done.returncode != 0:
         return {"error": (done.stderr.strip().splitlines() or ["exit %d" % done.returncode])[-1]}

@@ -131,82 +131,82 @@ vector.  The orthocomplement of a frame of unit vectors of value 1 held
 by index is the unit vectors of the other rows, ascending: F* has only
 isolated entries of modulus 1, and that is the split SVD's kernel frame.
 
-The steps of a subspace iteration S -> X(E (x) S) (``_RowSteps``):
-where S is held as unit vectors of value 1 (an index form in identity
-coordinates), the iteration holds it as its rows, X F is X's columns at
-those rows times 1, and X is fixed through the iteration.  X's nonzeros
-are read by column (``_column_nonzeros``): an array by one scan per
-iteration, a form off its parts once and kept on it, so the iterations
-of one operator read them once; each step counts
-X F from that scan (``_RowSteps._decided``): it reads X's nonzeros in
-F's columns, a few integer operations each, and takes the deflation's
-counts of X F (times 1, a zero stays zero and a nonzero stays nonzero):
-per row the number of nonzeros, whether a row's one nonzero is isolated
-(its column of X F has no other) and its modulus, and the core rows.
-The rows of the frame are then decided by index: past the gate a square
+The two subspace iterations in identity coordinates (``_RowSteps``), each
+one index path beside the dense one.  A frame of unit vectors of value 1
+is held as its rows, and X F is then X's columns at those rows times 1.
+X's nonzeros are read by column (``_column_nonzeros``): an array by one
+scan per iteration, a form off its parts once and kept on it, so the
+iterations of one operator read them once.  The scan (a byte per entry
+of X) and X's nonzeros (an index each) are checked before they are
+built.
+
+R^infty starts from S = H, all rows, past the gate h * h >=
+_DEFLATE_MIN_SIZE.  Its one ``step`` counts X F = X's columns times 1
+from the scan: per row the number of nonzeros, whether a row's one
+nonzero is isolated (its column has no other) and its modulus, and the
+core rows (a zero stays zero and a nonzero stays nonzero under the
+factor 1).  The rows of the frame are then decided by index: a square
 or wide core whose values clear the cut keeps its rows and the kept
 isolated entries' rows, ascending, and a product with no core (every
 nonzero isolated, as a weighted shift's) keeps the isolated entries'
 rows stably by descending modulus, the split SVD's order, whose frame is
-the unit vectors of those rows.  Each distinct (core rows, core columns
-in F's order) pair gathers the core, multiplied by F's values as the
-gather does, and takes its singular values once.  Reusing them is exact:
-an equal pair is an equal array, and LAPACK returns equal values for it.
-So each step's rows are those of the product's ``_range_frame_cut_as``,
-byte for byte; where neither rule decides (a tall core, a core short of
-its rows, a product below the gate, exactly zero or not), the product is
-built and cut as before.  A step builds no product, frame or Subspace,
-and the iteration builds one Subspace at its end.  The same count
-serves a generated span held by rows (``_RowSteps.residual``): X's
-nonzeros in the last block's columns outside the held rows are the
-Gram-Schmidt residual, decided by the same two rules, or by its being
-exactly zero or one unit column of value 1.  The scan (a byte per entry
-of X) and X's nonzeros (an index each) are checked before they are
-built.  What stays dense: S held as an array, quotient coordinates and X
-below the gate (every claim battery's).
-
-The R^infty iteration takes only its first step, from every row, and
-then peels (``_RowSteps.peel``): it drops each row that no nonzero of X
-reaches from the columns of the rows still kept, until none is left to
+the unit vectors of those rows.  The core, multiplied by 1 as the gather
+multiplies it, takes its singular values once per (core rows, core
+columns), kept with the nonzeros.  Reusing them is exact: an equal pair
+is an equal array, and LAPACK returns equal values for it.  So the
+step's rows are those of the product's ``_range_frame_cut_as``, byte for
+byte; where neither rule decides (a tall core, or a core short of its
+rows) the step refuses.  Then ``peel`` drops each row that no nonzero of
+X reaches from the columns of the rows still kept, until none is left to
 drop, in one pass over the nonzeros of the dropped columns (Python
 lists, O(nnz)), and decides that greatest fixed point's rows by
-``_decided_rows``, as a step at that point would.  Why it is the
-iteration's answer: a step whose every core value and isolated modulus
-clears the cut keeps exactly the rows of X F with a nonzero, the rows
-that F's columns reach; that map is monotone in F's rows, so from every
-row the steps descend to its greatest fixed point, the peel's.  Three
-conditions, all checked from the first step's counts, make every step
+``_decided_rows``, as a step at that point would.
+
+Why the peel is the iteration's answer.  The dense iteration from H
+feeds each frame of unit vectors back as an index form, so its next
+product is again X's columns at those rows times 1, cut by
+``_range_frame_cut_as``; a step whose every core value and isolated
+modulus clears the cut keeps exactly the rows of X F with a nonzero, the
+rows that F's columns reach.  That map is monotone in F's rows, so from
+every row the steps descend to its greatest fixed point, the peel's.
+Three conditions, all checked from the step's counts, make every step
 such a step.  (1) No column the peel drops holds a core entry: then no
 core row loses a nonzero, the core and its columns (ascending, as every
 step with a core feeds its rows back) are the first step's, and so are
-its cached values, while an isolated entry stays isolated until its
-column goes.  (2) Every isolated modulus clears the first step's cut;
-the core values do, or that step would not be decided.  The cut,
-rank_rel * max(sigma_0, largest modulus, scale_floor) * max(shape), only
-falls as entries leave, so the first step's bounds every later one.
-(3) The fixed point is empty, or past both gates, h * |S| and
-h * blocks * |S| >= _DEFLATE_MIN_SIZE (blocks >= 1, so the first implies
-the second), and so is every step before it, whose S is larger.  An
-empty fixed point needs no gate: with no row kept there is no frame
-order to match, the zero subspace's one frame is h x 0, and by (1) and
-(2) each step below the gate, which builds its product, spans no more
-than the rows the map keeps (rounding dust stays below the cut), so the
-stepped iteration ends at 0 too.  Where a condition fails
-the peel answers None and the iteration steps on, each step counted
-from the scan.  Its rows are then those of the stepped iteration byte
-for byte: ascending with a core, by descending modulus without one.  A
-generated span held by rows walks its chain of one-column residuals the
-same way (``_RowSteps.walk``): while the last block is one row of a
-one-block X whose column has exactly one nonzero outside the held rows,
-of value exactly 1 + 0j, and 1 clears the cut at the stacked shape,
-that row is the next block; an empty column ends the growth; any other
-residual goes to ``residual`` at that point.  The three tests are
-``residual``'s, read off lists built once from the scan.  So on a shift
-(+) unitary, held as a split form, each operator's nonzeros are read
-once, off its parts, and each iteration is one step or none and one pass
-over the shift chain, whatever q is, and the unitary core's values are
-taken once per operator; on a weighted shift, whose chains all run out
-at the truncation, R^infty is one step and one peel to no rows.
+its values, while an isolated entry stays isolated until its column
+goes.  (2) Every isolated modulus clears the first step's cut; the core
+values do, or that step would not be decided.  The cut, rank_rel *
+max(sigma_0, largest modulus, scale_floor) * max(shape), only falls as
+entries leave, so the first step's bounds every later one.  (3) The
+fixed point is empty, or past both gates, h * |S| and h * blocks * |S|
+>= _DEFLATE_MIN_SIZE (blocks >= 1, so the first implies the second),
+and so is every step before it, whose S is larger.  An empty fixed point
+needs no gate: with no row kept there is no frame order to match, the
+zero subspace's one frame is h x 0, and by (1) and (2) each step below
+the gate spans no more than the rows the map keeps (rounding dust stays
+below the cut), so the dense iteration ends at 0 too.  Where the step or
+a condition refuses, the iteration runs densely from H, its first step
+the product the step counted.
+
+A generated span whose W is one unit vector of value 1, for a one-block
+X past the gate, is one ``walk``: while the last block's column has
+exactly one nonzero outside the held rows, of value exactly 1 + 0j, and
+1 clears the cut at the stacked shape, that row is the next block (the
+one-column residual is a unit vector of value 1, and its SVD's frame is
++e_r at any size), read off lists built once from the scan.  A column
+with no nonzero outside the held rows is an exactly zero residual and
+ends the growth at the held rows.  Otherwise, and for any other W of
+unit vectors, the last block's residual is gathered once
+(``residual_product``: X's columns at the block's rows with the held
+rows set to zero, which is the dense R - Q (Q* R) in value) and the span
+goes on densely from that block.  So on a shift (+) unitary, held as a
+split form, each operator's nonzeros are read once, off its parts, each
+R^infty is one step and one pass over the shift chain and each span one
+walk, whatever q is, and the unitary core's values are taken once per
+operator; on a weighted shift, whose chains all run out at the
+truncation, R^infty is one step and one peel to no rows.  What stays
+dense: S held as an array, quotient coordinates and X below the gate
+(every claim battery's).
 
 The partial-isometry verdict drops the exactly-zero rows and columns of
 its operand (``_live_part``).  This is exact: it changes no norm or
@@ -1023,10 +1023,17 @@ class Amplification:
 
 
 def _svd(m: np.ndarray, full_matrices: bool, compute_uv: bool = True):
+    """LAPACK's SVD; a finite product whose SVD overflows (its largest
+    singular value is not finite) raises DomainError, as ``as_matrix``
+    does on a non-finite array, so no rank cut sees a NaN."""
     try:
-        return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+        out = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}", shape=m.shape) from exc
+    s = out[1] if compute_uv else out
+    if s.size and not math.isfinite(s[0]):
+        raise DomainError("matrix has non-finite singular values")
+    return out
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -1236,20 +1243,16 @@ _ONE.setflags(write=False)
 
 
 class _RowSteps:
-    """The range frames of X F for the steps of one subspace iteration, with
-    F held as a set of rows (see the module docstring).  X (h x blocks * m)
-    is fixed, of at least _DEFLATE_MIN_SIZE entries, an array or a form,
-    and read into its nonzeros by column (``_column_nonzeros``: kept on a
-    form, so the iterations of one operator read them once); F's columns
-    are the unit vectors e_(b m + r) of value 1 for each block b and,
-    within a block, each given row r of C^m in its order (I_blocks (x) the
-    unit frame of those rows).  ``step`` and ``residual`` return the rows
-    of a frame of unit vectors, or None where the frame is not decided by
-    index; both count X F from the scan (``_decided``), which keeps the
-    counts ``peel`` reads, so each iteration makes its own stepper.  Each
-    core's singular values are kept by (core rows, core columns), with the
-    nonzeros.  ``peel`` and ``walk`` take an iteration's remaining steps in
-    one pass where the module docstring shows that exact."""
+    """One subspace iteration's reads of a fixed X (h x blocks * m, at least
+    _DEFLATE_MIN_SIZE entries, an array or a form) in identity coordinates,
+    with S held as a set of rows (see the module docstring).  X is read
+    into its nonzeros by column (``_column_nonzeros``: kept on a form, so
+    the iterations of one operator read them once), and the unit vectors
+    e_(b m + r) of value 1, for each block b and each row r of S in its
+    order, are the columns of I_blocks (x) F.  R^infty takes one ``step``,
+    from every row, and one ``peel``; a generated span one ``walk`` and at
+    most one ``residual_product``.  Each core's singular values are kept
+    by (core rows, core columns), with the nonzeros."""
 
     __slots__ = ("x", "blocks", "row", "col", "val", "start", "at", "first", "unit", "values", "count", "core", "mod", "s")
 
@@ -1257,28 +1260,30 @@ class _RowSteps:
         self.x, self.blocks, self.unit = x, blocks, None
         self.row, self.col, self.val, self.start, self.at, self.first, self.values = _column_nonzeros(x)
 
-    def _columns(self, rows: np.ndarray) -> np.ndarray:
-        """The columns of X that F picks, in F's column order."""
-        if self.blocks == 1:
-            return rows
-        return (np.arange(self.blocks)[:, None] * (self.x.shape[1] // self.blocks) + rows).ravel()
-
-    def product(self, rows: np.ndarray) -> np.ndarray:
-        """X F, gathered as ``matmul`` gathers it from F's index form."""
-        out = _take(self.x, None, self._columns(rows))
-        out *= np.ones(out.shape[1], dtype=np.complex128)
-        return out
-
-    def step(self, rows: np.ndarray, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
-        """The rows, in column order, of
-        ``_range_frame_cut_as(self.product(rows), shape, tol, scale_floor)``
-        when that frame is unit vectors decided by index: the full-row-rank
-        rule (rows ascending) or a product with no core (the isolated
-        entries' rows by descending modulus).  None otherwise, and below
-        the gate even where X F is exactly zero."""
-        if self.x.shape[0] * self.blocks * rows.size < _DEFLATE_MIN_SIZE:
-            return None
-        return self._decided(rows, None, shape, tol, scale_floor)
+    def step(self, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
+        """The rows, in column order, of ``_range_frame_cut_as`` of X's
+        columns times 1 (X F from every row, gathered as ``matmul`` gathers
+        it) when that frame is unit vectors decided by index: the
+        full-row-rank rule (rows ascending) or a product with no core (the
+        isolated entries' rows by descending modulus, none where X is
+        zero).  None for a tall core or an undecided one.  Keeps per row
+        the number of nonzeros (``count``), the core rows, the isolated
+        moduli and the core's values (``s``) for ``peel``.  A column of X
+        is in the core iff it has two nonzeros or its one nonzero is in a
+        core row."""
+        h = self.x.shape[0]
+        i, t = self.row, self.col
+        count, col_count = np.bincount(i, minlength=h), np.diff(self.start)
+        lone = (count[i] == 1) & (col_count[t] == 1)
+        core, kept = count > 0, col_count > 0
+        core[i[lone]] = False
+        kept[t[lone]] = False
+        mod = np.zeros(h)
+        mod[i[lone]] = np.abs(self.val[lone])
+        core_rows, core_cols = np.flatnonzero(core), np.flatnonzero(kept)
+        s = None if core_rows.size > core_cols.size else self._values(core_rows, core_cols)
+        self.count, self.core, self.mod, self.s = count, core, mod, s
+        return None if s is None else _decided_rows(core, mod, s, shape, tol, scale_floor)
 
     def peel(self, shape, tol: Tolerance, scale_floor: float) -> np.ndarray | None:
         """The rows, in column order, of the iteration's last frame, read off
@@ -1310,63 +1315,27 @@ class _RowSteps:
             return None
         return _decided_rows(self.core, np.where(keep, mod, 0.0), self.s, shape, tol, scale_floor)
 
-    def _decided(self, rows: np.ndarray, held: np.ndarray | None, shape, tol: Tolerance, scale_floor: float):
-        """The rows, in column order, of the range frame of X F for F's rows
-        ``rows``, with the rows of ``held`` set to zero when given, read
-        off X's nonzeros in F's columns: no rows when none is left (rank
-        0); past the gate, ``_decided_rows`` of the deflation's counts
-        (None for a tall core or an undecided one); None below the gate.
-        Keeps per row the number of nonzeros (``count``), the core rows,
-        the isolated moduli and the core's values (``s``) for ``peel``.  A
-        column of X F is in the core iff it has two nonzeros or its one
-        nonzero is in a core row."""
-        h = self.x.shape[0]
-        cols = self._columns(rows)
-        lo = self.start[cols]
-        length = self.start[cols + 1] - lo
-        at = np.arange(int(length.sum())) + np.repeat(lo - np.cumsum(length) + length, length)
-        t, i = np.repeat(np.arange(cols.size), length), self.row[at]  # each nonzero's column of X F, and row
-        if held is not None:
-            live = ~held[i]
-            t, i, at = t[live], i[live], at[live]
-        if i.size == 0:
-            return i
-        if h * cols.size < _DEFLATE_MIN_SIZE:
-            return None
-        count, col_count = np.bincount(i, minlength=h), np.bincount(t, minlength=cols.size)
-        lone = (count[i] == 1) & (col_count[t] == 1)
-        core, kept = count > 0, col_count > 0
-        core[i[lone]] = False
-        kept[t[lone]] = False
-        mod = np.zeros(h)
-        mod[i[lone]] = np.abs(self.val[at[lone]])
-        core_rows, core_cols = np.flatnonzero(core), cols[kept]
-        # None for a tall core; a step's core is scaled, as X F's gather is
-        s = None if core_rows.size > core_cols.size else self._values(core_rows, core_cols, held is None)
-        self.count, self.core, self.mod, self.s = count, core, mod, s
-        return None if s is None else _decided_rows(core, mod, s, shape, tol, scale_floor)
-
-    def _values(self, core_rows: np.ndarray, core_cols: np.ndarray, scaled: bool) -> np.ndarray:
+    def _values(self, core_rows: np.ndarray, core_cols: np.ndarray) -> np.ndarray:
         """The core's singular values (none for no core), taken once per
-        (core rows, core columns); ``scaled`` multiplies the core by F's
-        values, as the gather of X F does."""
+        (core rows, core columns), of the core times 1, as the gather of
+        X's columns scales it."""
         if core_rows.size == 0:
             return _NO_VALUES
-        key = (core_rows.tobytes(), core_cols.tobytes(), scaled)
+        key = (core_rows.tobytes(), core_cols.tobytes())
         s = self.values.get(key)
         if s is None:
             core = _take(self.x, core_rows, core_cols)
-            if scaled:
-                core *= np.ones(core_cols.size, dtype=np.complex128)
+            core *= np.ones(core_cols.size, dtype=np.complex128)
             s = self.values[key] = _svd(core, False, compute_uv=False)
         return s
 
     def residual_product(self, block: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """R = X F_block with the rows of ``held`` set to zero: the two
-        classical Gram-Schmidt passes against the unit vectors of those
-        rows, in value (Q* R is R on Q's rows, and Q times it adds exact
-        zeros elsewhere)."""
-        out = _take(self.x, None, self._columns(block))
+        """R = X (I_blocks (x) F_block) with the rows of ``held`` set to
+        zero: the two classical Gram-Schmidt passes against the unit
+        vectors of those rows, in value (Q* R is R on Q's rows, and Q times
+        it adds exact zeros elsewhere)."""
+        cols = np.arange(self.blocks)[:, None] * (self.x.shape[1] // self.blocks) + block
+        out = _take(self.x, None, cols.ravel())
         out[held] = 0
         return out
 
@@ -1379,7 +1348,7 @@ class _RowSteps:
         vector of value 1, and its SVD's frame is +e_r at any size) and is
         held.  Returns (the rows added, in order, an index array; whether
         the last block's residual is exactly zero, which ends the growth);
-        otherwise that residual is left to ``residual``."""
+        otherwise that residual is gathered (``residual_product``)."""
         h = self.x.shape[0]
         if self.unit is None:  # per nonzero of X, whether its value is exactly 1 + 0j
             self.unit = ((self.val == 1) & ~np.signbit(self.val.imag)).tolist()
@@ -1393,16 +1362,6 @@ class _RowSteps:
             r = at[outside[0]]
             mine[r] = True
             out.append(r)
-
-    def residual(self, block: np.ndarray, held: np.ndarray, shape, tol: Tolerance) -> np.ndarray | None:
-        """The rows, in column order, of
-        ``_range_frame_cut_as(self.residual_product(block, held), shape, tol, 1.0)``
-        when that frame is unit vectors decided by index, read off X's
-        nonzeros in the block's columns: no rows when R is exactly zero
-        (rank 0), and past the gate the full-row-rank rule or the no-core
-        order.  None otherwise.  A one-column R that is a unit vector of
-        value 1 is ``walk``'s, which takes it first."""
-        return self._decided(block, held, shape, tol, 1.0)
 
 
 def _column_nonzeros(x) -> tuple:

@@ -75,27 +75,21 @@ bound, for the thin and the dense form alike; at most dim H + 1 steps add
 these up (times ||X|| / sigma_min per step when X is not a partial
 isometry).  On the 80-dimensional shift (+) unitary that bound is 1.1e-12
 per subspace.  A step costs the product X(I (x) F) (``numerics.matmul``)
-and one range frame of it.  Where S is unit vectors held by index in
-identity coordinates (``Subspace.whole`` past the gate, every frame the
-full-row-rank rule gives and every frame of a product with no core, as a
-weighted shift's), ``iterated_range`` holds S as its rows and steps
-``numerics._RowSteps``: X is scanned once per iteration, a step counts
-X F from that scan (X's nonzeros in the columns of S) and returns the
-rows of the next frame, with no product, frame or Subspace, and each
-distinct core's singular values are taken once.  After the first step,
-from every row, the iteration peels X's support to its greatest fixed
-point in one pass over the nonzeros of the columns it drops
-(``_RowSteps.peel``), which is the stepped iteration's answer byte for
+and one range frame of it.  In identity coordinates past the gate
+``iterated_range`` starts from S = H, unit vectors held by index, and
+reads X once (``numerics._RowSteps``): one step from every row, counted
+from X's nonzeros with no product, frame or Subspace (each distinct
+core's singular values taken once), then one peel of X's support to its
+greatest fixed point, in one pass over the nonzeros of the columns it
+drops (``_RowSteps.peel``).  That is the iteration's answer byte for
 byte wherever no dropped column holds a core entry, every isolated
-modulus clears the first step's cut and the fixed point is empty or
-past the gate (the ``numerics`` docstring gives why); otherwise it steps
-on, each step counted from the scan.  On a shift (+) unitary, whose
-unitary core fills its rows and takes no entry of a shift column, that
-is one step and one pass over the shift chain at any q, and on a
+modulus clears the step's cut and the fixed point is empty or past the
+gate (the ``numerics`` docstring gives why).  On a shift (+) unitary,
+whose unitary core fills its rows and takes no entry of a shift column,
+that is one step and one pass over the shift chain at any q, and on a
 weighted shift one step and a peel to no rows; the iteration builds one
-Subspace, at its end.  A step that the rules do not decide builds its
-product and cuts it as above, and from a frame that is not unit vectors
-(or below the gate) the iteration goes on densely.
+Subspace, at its end.  Where the step or the peel refuses, and in every
+other case, the iteration takes its steps densely from S = H.
 
 Certification is finite and explicit: a report states the bound it was
 computed to.
@@ -203,47 +197,28 @@ def iterated_range(rep: CovariantRep, x: np.ndarray) -> Subspace:
     iteration S -> X(E (x) S); stabilizes within dim H steps because the
     ranges are decreasing.  X must intertwine the left action with sigma
     (tilde and its Cauchy dual do), so that every S is sigma-reducing.
-    While S is unit vectors held by index in identity coordinates, it is
-    held as its rows and stepped by ``numerics._RowSteps`` (X scanned once
-    per iteration, each step counted from the scan), and after the first
-    step from every row the remaining steps are one peel of X's support
-    to its fixed point where that is exact (``_RowSteps.peel``: no dropped
-    column holds a core entry, every isolated modulus clears the first
-    step's cut, and the fixed point is empty or past the gate); every
-    other step spans X(E (x) S) densely."""
+    In identity coordinates past the gate, where S = H is unit vectors
+    held by index, X is read once (``numerics._RowSteps``): one step from
+    every row, counted from X's nonzeros, and one peel of X's support to
+    its fixed point (``_RowSteps.peel``) give the answer where that is
+    exact: no dropped column holds a core entry, every isolated modulus
+    clears the step's cut, and the fixed point is empty or past the gate.
+    Where the step or the peel refuses, and everywhere else, the
+    iteration spans X(E (x) S) densely from S = H."""
     x = _intertwiner(rep, x)
     h, space, tol = rep.h_dim, rep.space(1), rep.tol
-    shape, steps = (h, space.dim), None
-    rows = np.arange(h) if space.embed is None and h * h >= nx._DEFLATE_MIN_SIZE else None  # Subspace.whole(h) by index
-    current = Subspace.whole(h) if rows is None else None
+    if space.embed is None and h * h >= nx._DEFLATE_MIN_SIZE:
+        steps, shape = nx._RowSteps(x, space.module_dim), (h, space.dim)
+        fixed = None if steps.step(shape, tol, 1.0) is None else steps.peel(shape, tol, 1.0)
+        if fixed is not None:
+            return Subspace._of(nx._units(h, fixed))
+    current = Subspace.whole(h)
     for _ in range(h + 1):
-        if rows is None:
-            nxt = _span_e_tensor(rep, current, nx.dense(x, "X"))
-        else:
-            steps = steps or nx._RowSteps(x, space.module_dim)
-            got = steps.step(rows, shape, tol, 1.0)
-            if got is not None and h * got.size >= nx._DEFLATE_MIN_SIZE:  # an index form: held
-                if got.size == rows.size:
-                    return Subspace._of(nx._units(h, got))
-                fixed = steps.peel(shape, tol, 1.0) if rows.size == h else None  # from the step from every row
-                if fixed is not None:
-                    return Subspace._of(nx._units(h, fixed))
-                rows = got
-                continue
-            # X's columns times 1: the span of checked entries
-            nxt = Subspace._of(nx._range_frame_cut_as(steps.product(rows), shape, tol, 1.0) if got is None else nx._units(h, got))
-        if nxt.dim == (current.dim if rows is None else rows.size):
-            return nxt
-        current, rows = nxt, _held_rows(rep, nxt)
-    return current if rows is None else Subspace._of(nx._units(h, rows))
-
-
-def _held_rows(rep: CovariantRep, s: Subspace) -> np.ndarray | None:
-    """The rows of S when its frame is an index form of unit vectors (values
-    1) in identity coordinates; None otherwise."""
-    if type(s._frame) is not nx._Monomial or rep.space(1).embed is not None:
-        return None
-    return nx._unit_rows(s._frame)
+        nxt = _span_e_tensor(rep, current, nx.dense(x, "X"))
+        if nxt.dim == current.dim:
+            break
+        current = nxt
+    return nxt
 
 
 def _intertwiner(rep: CovariantRep, x):

@@ -69,36 +69,31 @@ Cauchy dual (``_dual``), the partial-isometry verdict and the dual gap
 are composed by parts in ``numerics`` (its docstring gives the algebra
 and the error argument), and T' is a split form too; this module has no
 by-parts code of its own.  On a shift (+) unitary of size q + u every
-frame of the two R^infty iterations is unit vectors: each is held as
-its rows on X's nonzeros, read once per operator off its parts, takes
-one step from every row and peels the shift chain to the core rows in
-one pass (the ``numerics`` docstring gives why that is the stepped
-answer), and the unitary core's singular values are taken once per
-operator.  The wandering part is read off the rows of R(T)'s unit
-vectors (``numerics.ortho_complement``).  A generated subspace whose W
-and blocks are unit vectors of value 1 (identity coordinates, X past
-_DEFLATE_MIN_SIZE entries) is held as its set of rows on X's nonzeros
-(``numerics._RowSteps.residual``): a step reads
-X's nonzeros in the last block's columns outside the held rows, which is
-the dense R - Q (Q* R) in value (Q* R is R on Q's rows, and Q times it
-adds exact zeros elsewhere), and gives the frame of that residual
-without gathering it where its rows decide it: an exactly zero residual
-has rank 0 and ends the growth, one column that is a unit vector e_r of
-value 1 is its own block, row r, since the SVD's frame of it is +e_r
-(``tests/test_wold.py`` pins that), and past the gate the full-row-rank
-rule and the no-core order of the ``numerics`` docstring.  A chain of
-such one-row blocks is walked in one pass over lists of X's nonzeros
-(``numerics._RowSteps.walk``), with the same three tests at each link,
-up to the first residual the walk does not decide, which goes to the
-step above.  Otherwise the h x (N dim B) residual is gathered and
-factored as the dense path does.  So on a shift (+) unitary no residual
-is built or factored, the span is one walk of q - 1 links, and it builds
-one Subspace, at its end.  From the first
-block that is not unit vectors the frame is built and the dense path
-goes on.  When both frames of a side are unit vectors held by index on
-disjoint rows, its orthogonality defect is 0.0, the opnorm of their
-exact zero product, and when the rows also cover H so is its direct-sum
-residual; otherwise both are dense opnorms.
+frame of the two R^infty iterations is unit vectors: each reads X's
+nonzeros once per operator, off its parts, takes one step from every
+row and peels the shift chain to the core rows in one pass (the
+``numerics`` docstring gives why that is the iteration's answer), and
+the unitary core's singular values are taken once per operator.  The
+wandering part is read off the rows of R(T)'s unit vectors
+(``numerics.ortho_complement``).  A generated subspace whose W is unit
+vectors of value 1 (identity coordinates, X past _DEFLATE_MIN_SIZE
+entries) is held as its set of rows on X's nonzeros.  For one row and a
+one-block X the span is one walk (``numerics._RowSteps.walk``): while
+the last block's column has exactly one nonzero outside the held rows,
+of value exactly 1 + 0j, and 1 clears the stacked cut, that row is the
+next block, since the SVD's frame of a unit column of value 1 is +e_r
+(``tests/test_wold.py`` pins that); an exactly zero residual ends the
+growth, and the span is the held rows.  Otherwise the last block's
+residual is gathered once with the held rows set to zero
+(``_RowSteps.residual_product``), which is the dense R - Q (Q* R) in
+value (Q* R is R on Q's rows, and Q times it adds exact zeros
+elsewhere), and the span goes on densely from the block it spans.  So
+on a shift (+) unitary no residual is built or factored, the span is
+one walk of q - 1 links, and it builds one Subspace, at its end.  When
+both frames of a side are unit vectors held by index on disjoint rows,
+its orthogonality defect is 0.0, the opnorm of their exact zero
+product, and when the rows also cover H so is its direct-sum residual;
+otherwise both are dense opnorms.
 """
 
 from __future__ import annotations
@@ -165,56 +160,32 @@ def generated_invariant_subspace(rep: CovariantRep, x: np.ndarray, w: Subspace) 
     x = _intertwiner(rep, x)
     if w.ambient_dim != rep.h_dim:
         raise DimensionMismatch(f"W must be a subspace of H (dim {rep.h_dim}), got ambient dim {w.ambient_dim}")
-    h = rep.h_dim
-    rows = _unit_rows_of(rep, x, w)
-    if rows is not None:
-        space, last, parts = rep.space(1), rows, [rows]
-        steps = nx._RowSteps(x, space.module_dim)
+    h, tol, width = rep.h_dim, rep.tol, rep.space(1).dim
+    block, residual, rows = w, None, _unit_rows_of(rep, x, w)
+    total = w.frame if rows is None else None
+    if rows is not None:  # W's rows held on X's nonzeros, then one gathered residual
+        steps, last = nx._RowSteps(x, rep.space(1).module_dim), rows
         nx.check_bytes((1 + nx._INDEX_BYTES) * h, "the held rows of a generated subspace")
         held = np.zeros(h, dtype=bool)
         held[rows] = True
-    total, block, dim = (w.frame if rows is None else None), w, w.dim
+        if rows.size == 1 and steps.blocks == 1:  # a chain of unit columns, walked
+            added, ended = steps.walk(int(rows[0]), held, 1, width, tol)
+            held[added] = True
+            rows, last = np.concatenate([rows, added]), (added[-1:] if added.size else rows)
+            if ended:
+                return Subspace._of(nx._units(h, rows))  # rank 0
+        total, residual = nx._units(h, rows), steps.residual_product(last, held)
     for _ in range(h):
-        if rows is None:
+        if residual is None:
             residual = _e_tensor_columns(rep, block, nx.dense(x, "X"))
             for _ in range(2):  # classical Gram-Schmidt, twice
                 residual = residual - total @ (herm(total) @ residual)
-            stacked = (h, total.shape[1] + rep.space(1).dim)
-        else:
-            # X (I (x) F_B) at the rows of B, against the unit vectors held
-            # so far, read off X's nonzeros; built only where that does not decide
-            if last.size == 1 and steps.blocks == 1:  # a chain of unit columns, walked
-                added, ended = steps.walk(int(last[0]), held, dim, space.dim, rep.tol)
-                held[added] = True
-                parts.append(added)
-                dim, last = dim + added.size, (added[-1:] if added.size else last)
-                if ended:
-                    break  # rank 0
-            stacked = (h, dim + space.dim)
-            block_rows, last = last, steps.residual(last, held, stacked, rep.tol)
-            if last is None:
-                residual = steps.residual_product(block_rows, held)
-            elif last.size == 0:
-                break  # rank 0
-            else:
-                held[last] = True
-                parts.append(last)
-                dim += last.size
-                continue
-        block = Subspace(nx._range_frame_cut_as(residual, stacked, rep.tol, 1.0))
+        block = Subspace(nx._range_frame_cut_as(residual, (h, total.shape[1] + width), tol, 1.0))
         if block.dim == 0:
             break
-        if rows is not None:
-            last = nx._unit_rows(block._frame)
-            if last is not None and not held[last].any():
-                held[last] = True
-                parts.append(last)
-                dim += last.size
-                continue
-            total, rows = nx.dense(nx._units(h, np.concatenate(parts)), "a generated frame"), None  # dense from this block on
-        total = np.hstack([total, block.frame])
-    # W's frame beside the checked blocks' frames, or unit vectors
-    return Subspace._of(total if rows is None else nx._units(h, np.concatenate(parts)))
+        total, residual = np.hstack([nx.dense(total, "a generated frame"), block.frame]), None
+    # W's frame or its held rows, beside the checked blocks' frames
+    return Subspace._of(total)
 
 
 def _unit_rows_of(rep: CovariantRep, x: np.ndarray, w: Subspace) -> np.ndarray | None:

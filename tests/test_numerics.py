@@ -922,36 +922,48 @@ def decided_by_index(product, shape, tol, floor) -> bool:
     return s[-1] > nx.rank_threshold(np.maximum(s[:1], np.abs(v).max(initial=0.0)), shape, tol, floor)
 
 
-def check_row_steps(x, row_sets, tol) -> list:
-    """Step one X through the row sets of F at X's shape, on both scale
-    floors, and require every frame to be the product's, byte for byte:
-    rows where the deflation decides it, None where it does not.  A row
-    set of None is the rows of the frame just taken (the iteration's
-    nested step), fed back as the stepper returned them.  Each core's
-    singular values are taken once, and are the product core's.  Returns
+def check_row_steps(x, column_sets, tol) -> list:
+    """For each set of X's columns, past the gate, step from every row of
+    the X that set picks (X F for F the unit vectors of those columns: X's
+    columns times 1), on both scale floors, and require the frame to be
+    the product's, byte for byte: rows where the deflation decides it,
+    None where it does not.  The core's singular values are taken once,
+    on the stepper's first step, and are the product core's.  Returns
     whether each step was decided by the full-row-rank rule."""
     h, n = x.shape
-    steps, keys, decided, last = nx._RowSteps(x, 1), set(), [], np.arange(n)
-    for at in row_sets:
-        at = last if at is None else np.asarray(at, dtype=np.intp)
+    decided = []
+    for at in column_sets:
+        at = np.asarray(at, dtype=np.intp)
         product = nx.matmul(x, unit_columns(n, at))
+        if product.size < nx._DEFLATE_MIN_SIZE:  # the iterations hold no rows below the gate
+            continue
+        steps = nx._RowSteps(np.ascontiguousarray(x[:, at]), 1)
         for floor in (1.0, 0.0):
-            got = steps.step(at, x.shape, tol, floor)
+            got = steps.step(x.shape, tol, floor)
             want = nx._range_frame_cut_as(product, x.shape, tol, floor)
             assert (got is not None) == decided_by_index(product, x.shape, tol, floor)
             if got is not None:
                 assert nx.dense(nx._units(h, got), "a frame").tobytes() == nx.dense(want, "a frame").tobytes()
         core, rows, cols, _ = nx._deflate(product)
-        tried = product.size >= nx._DEFLATE_MIN_SIZE and 0 < core.shape[0] <= core.shape[1]
+        tried = 0 < core.shape[0] <= core.shape[1]
         if tried:
-            key = (np.flatnonzero(rows).tobytes() if rows is not None else np.arange(h).tobytes(), at[cols].tobytes() if cols is not None else at.tobytes(), True)
-            keys.add(key)
+            key = (np.arange(h) if rows is None else np.flatnonzero(rows)).tobytes(), (np.arange(at.size) if cols is None else np.flatnonzero(cols)).tobytes()
+            assert list(steps.values) == [key]
             assert steps.values[key].tobytes() == nx._svd(core, False, compute_uv=False).tobytes()
         decided.append(tried and got is not None)
-        rows = got if got is not None else nx._unit_rows(nx.dense(want, "a frame"))
-        last = rows if rows is not None and rows.size and n == h else np.arange(n)
-    assert len(steps.values) == len(keys)
     return decided
+
+
+def stepped_frame(x, tol):
+    """The last frame of the iteration S -> X S from all of C^h, X square:
+    each frame the product's ``_range_frame_cut_as`` at X's shape, fed
+    back as it is (an index form is gathered, an array multiplied)."""
+    frame = nx._units(x.shape[0], np.arange(x.shape[0]))
+    while True:
+        nxt = nx._range_frame_cut_as(nx.matmul(x, frame), x.shape, tol, 1.0)
+        if nxt.shape[1] == frame.shape[1]:
+            return nxt
+        frame = nxt
 
 
 @st.composite
@@ -960,7 +972,7 @@ def column_iterations(draw):
     isolated moduli one ulp either side of the cut at X's shape on the unit
     scale (the blocks' singular values are at most 0.9), and index sets that keep the blocks'
     columns, repeat, reorder them, drop some of them mid-way and fall below
-    the gate."""
+    the gate (where no stepper is taken)."""
     h = draw(st.integers(32, 48))
     n = draw(st.integers(h, 2 * h))
     blocks = []
@@ -984,8 +996,8 @@ def column_iterations(draw):
 @settings(max_examples=60, deadline=None)
 @given(column_iterations())
 def test_column_ranges_are_the_range_frames_of_the_products(case):
-    # the stepper's counts, taken from the scan at each step, give the
-    # product's frame at every step of a sequence that is not nested
+    # the stepper's counts, taken from the scan of the X that each of a
+    # sequence of column sets picks (not nested), give the product's frame
     x, index_sets = case
     check_row_steps(x, index_sets, nx.DEFAULT_TOL)
 
@@ -993,17 +1005,30 @@ def test_column_ranges_are_the_range_frames_of_the_products(case):
 @settings(max_examples=60, deadline=None)
 @given(column_iterations())
 def test_row_steps_follow_nested_iterations_and_jumps(case):
-    # on the square X of the same draw, the iteration S -> X S from all of
-    # C^h, each decided frame fed back as its rows (a row can come back
-    # once the largest isolated modulus leaves and the cut drops), broken
-    # by the draw's sets, which are not nested, and iterated again from each
+    # on the square X of the draw, and on it with the columns outside each
+    # of the draw's sets set to zero (a jump to another X), the iteration
+    # S -> X S from all of C^h: its first step is the step from every row,
+    # and where the peel accepts, its rows give the stepped iteration's
+    # last frame byte for byte (a row can come back once the largest
+    # isolated modulus leaves and the cut drops, so the peel refuses there)
     x, index_sets = case
     h = x.shape[0]
-    x = np.ascontiguousarray(x[:, :h])
-    sets = [np.arange(h), None, None, None]
+    square = np.ascontiguousarray(x[:, :h])
+    xs = [square]
     for at in index_sets[2:]:
-        sets += [at[at < h], None, None]
-    check_row_steps(x, sets, nx.DEFAULT_TOL)
+        jumped = np.zeros_like(square)
+        jumped[:, at[at < h]] = square[:, at[at < h]]
+        xs.append(jumped)
+    for x in xs:
+        check_row_steps(x, [np.arange(h)], nx.DEFAULT_TOL)
+        steps = nx._RowSteps(x, 1)
+        if steps.step(x.shape, nx.DEFAULT_TOL, 1.0) is None:
+            continue
+        fixed = steps.peel(x.shape, nx.DEFAULT_TOL, 1.0)
+        if fixed is not None:
+            want = nx.dense(stepped_frame(x, nx.DEFAULT_TOL), "a frame")
+            got = nx.dense(nx._units(h, fixed), "a frame")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_column_ranges_fall_back_for_a_tall_core_and_follow_a_core_that_changes(tol):
@@ -1025,15 +1050,15 @@ def test_column_ranges_fall_back_for_a_tall_core_and_follow_a_core_that_changes(
     # it the wide core decides, again when its columns come back, and a core
     # of 6 x 5 (half the wide block dropped) is tall again
     assert decided == [False, True, True, False, True]
-    rows = nx._RowSteps(x, 1).step(rest, x.shape, tol, 1.0)
+    rows = nx._RowSteps(np.ascontiguousarray(x[:, rest]), 1).step(x.shape, tol, 1.0)
     assert i_above in rows and i_below not in rows
 
 
 def test_a_row_comes_back_when_the_largest_isolated_modulus_leaves(tol):
     # on the scale floor 0 the cut follows the largest modulus: while the
-    # isolated entry of modulus 2 is in X F, the one of modulus 5e-9 is below
-    # the cut (2 * 40 * rank_rel = 8e-9) and its row is dropped; once the
-    # column of the first leaves, the cut drops to 0.9 * 40 * rank_rel and
+    # isolated entry of modulus 2 is in X, the one of modulus 5e-9 is below
+    # the cut (2 * 40 * rank_rel = 8e-9) and its row is dropped; without
+    # the column of the first, the cut drops to 0.9 * 40 * rank_rel and
     # the row comes back, and it goes again when that column returns
     h = 40
     x = np.zeros((h, h), dtype=np.complex128)
@@ -1041,9 +1066,12 @@ def test_a_row_comes_back_when_the_largest_isolated_modulus_leaves(tol):
     x[20, 30], x[21, 31] = 2.0, 5e-9
     every, without = np.arange(h), np.setdiff1d(np.arange(h), [30])
     assert check_row_steps(x, [every, without, every, without], tol) == [True] * 4
-    steps = nx._RowSteps(x, 1)
-    kept = [21 in steps.step(at, x.shape, tol, 0.0) for at in (every, without, every)]
+    kept = [21 in nx._RowSteps(np.ascontiguousarray(x[:, at]), 1).step(x.shape, tol, 0.0) for at in (every, without, every)]
     assert kept == [False, True, False]
+    # on the scale floor 1 the modulus 5e-9 is below the cut of the step
+    # from every row, so the peel refuses
+    steps = nx._RowSteps(x, 1)
+    assert steps.step(x.shape, tol, 1.0) is not None and steps.peel(x.shape, tol, 1.0) is None
 
 
 # ---------------------------------------------------------------------------

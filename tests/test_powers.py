@@ -415,27 +415,30 @@ def test_iterated_range_matches_the_dense_oracle(tol):
 
 def test_iterated_range_past_the_gate_matches_the_dense_oracle(tol, monkeypatch):
     # the same comparison on representations whose X(E (x) H) is scanned:
-    # steps on unit vectors held as rows go through X's one scan
-    # (nx._RowSteps), the others through the product, and both meet the
-    # oracle; each iteration scans its X at most once
+    # each iteration scans its X once and takes exactly one step, from
+    # every row (nx._RowSteps), then the peel or, where either refuses, the
+    # dense steps from H; both meet the oracle
     from pirep.wold import cauchy_dual
 
-    scans, steps, _ = spy_row_steps(monkeypatch)
+    scans, steps, peels = spy_row_steps(monkeypatch)
+    refused = 0
     for index, rep in enumerate(gated_iteration_reps(tol)):
-        assert rep.tilde.size >= nx._DEFLATE_MIN_SIZE
+        assert rep.tilde.size >= nx._DEFLATE_MIN_SIZE and rep.h_dim**2 >= nx._DEFLATE_MIN_SIZE
         for x in (rep.tilde, cauchy_dual(rep)):
-            scans.clear()
+            for seen in (scans, steps, peels):
+                seen.clear()
             got = pw.iterated_range(rep, x)
             want = iterated_range_by_amplification(rep, x)
             assert got.dim == want.dim, index
             assert nx.opnorm(got.projector() - want.projector()) <= 1e-12, index
-            assert len(scans) <= 1, index
-    assert len(steps) > 2 * 5
+            assert len(scans) == 1 and len(steps) == 1 and len(peels) <= 1, index
+            refused += steps[0][1] is None or peels[0][1] is None
+    assert 0 < refused < 2 * 5
 
 
 def spy_row_steps(monkeypatch) -> tuple:
     """Record every scan of X (one per ``nx._RowSteps``), every step as
-    (stepper, rows in, rows out) and every peel as (stepper, rows out)."""
+    (stepper, rows out) and every peel as (stepper, rows out)."""
     scans, steps, peels = [], [], []
     real_init, real_step, real_peel = nx._RowSteps.__init__, nx._RowSteps.step, nx._RowSteps.peel
 
@@ -443,9 +446,9 @@ def spy_row_steps(monkeypatch) -> tuple:
         scans.append(self)
         real_init(self, *args)
 
-    def step(self, rows, *args):
-        out = real_step(self, rows, *args)
-        steps.append((self, rows, out))
+    def step(self, *args):
+        out = real_step(self, *args)
+        steps.append((self, out))
         return out
 
     def peel(self, *args):
@@ -486,9 +489,9 @@ def test_shift_plus_unitary_ranges_are_unit_vectors(tol, monkeypatch):
             seen.clear()
         got = pw.iterated_range(rep, x)
         assert svds == [((20, 20), False)]
-        assert len(scans) == 1 and [(rows.size, out.size) for _, rows, out in steps] == [(80, 79)]
+        assert len(scans) == 1 and [out.size for _, out in steps] == [79]
         assert [out.tolist() for _, out in peels] == [list(range(60, 80))]
-        assert all(unit_vector_frame(nx._units(rep.h_dim, out)) for out in [steps[0][2], peels[0][1]])
+        assert all(unit_vector_frame(nx._units(rep.h_dim, out)) for out in [steps[0][1], peels[0][1]])
         assert [s.dim for s in built] == [20] and built[0] is got and type(got._frame) is nx._Monomial
         want = iterated_range_by_amplification(rep, x)
         assert got.dim == want.dim == 20
@@ -517,14 +520,32 @@ def test_iterated_range_on_a_shift_stays_on_the_index_path_past_the_gate(tol, mo
             steps.clear()
             peels.clear()
             got = pw.iterated_range(rep, x)
-            assert [(rows.size, out.size) for _, rows, out in steps] == [(h, h - 1)]
+            assert [out.size for _, out in steps] == [h - 1]
             assert [out.tolist() for _, out in peels] == [[]] and not dense and got.dim == 0
-            (_, rows, out), = steps
-            columns = np.concatenate([rows + b * h for b in range(n)])
+            (_, out), = steps
+            columns = np.arange(n * h)
             product = nx.matmul(x, nx._Monomial((n * h, columns.size), columns, np.ones(columns.size, dtype=complex)))
             want = nx._range_frame_cut_as(product, (h, n * h), tol, 1.0)
             assert nx.dense(want, "a frame").tobytes() == nx.dense(nx._units(h, out), "a frame").tobytes()
             assert iterated_range_by_amplification(rep, x).dim == 0
+
+
+def test_a_chain_into_the_core_refuses_the_peel_and_goes_dense(tol, monkeypatch):
+    # the q = 60, u = 20 shift (+) unitary with its chain's last column
+    # sent into the core (x[q, q - 1] = 1): the peel would drop that column,
+    # which holds a core entry, so it refuses after the one step, and the
+    # dense iteration from H walks the chain off step by step to the 20
+    # core rows, unit vectors in row order, as the oracle finds
+    q, u = 60, 20
+    rep = hz.shift_plus_unitary_fixture(rng_for(99), tol, q=q, u_dim=u)
+    x = np.array(rep.tilde)
+    x[q, q - 1] = 1.0
+    _, steps, peels = spy_row_steps(monkeypatch)
+    got = pw.iterated_range(rep, x)
+    assert len(steps) == 1 and [out for _, out in peels] == [None]
+    assert type(got._frame) is nx._Monomial and nx._unit_rows(got._frame).tolist() == list(range(q, q + u))
+    want = iterated_range_by_amplification(rep, x)
+    assert want.dim == u and nx.opnorm(got.projector() - want.projector()) <= 1e-12
 
 
 def test_a_conjugated_shift_plus_unitary_falls_back_to_the_split_svd(tol, monkeypatch):

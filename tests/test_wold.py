@@ -10,7 +10,7 @@ from pirep import numerics as nx
 from pirep import wold
 from pirep.correspondence import SCALARS, StarRepresentation, scalar_correspondence
 from pirep.covrep import CovariantRep
-from pirep.errors import DimensionMismatch, NotApplicable, ResourceLimit
+from pirep.errors import DimensionMismatch, DomainError, NotApplicable, ResourceLimit
 from pirep.numerics import Subspace
 
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     dense_budget,
     gated_iteration_reps,
     generated_subspace_by_amplification,
+    iterated_range_by_amplification,
     rng_for,
     spy_subspaces,
     subspace_iteration_reps,
@@ -205,6 +206,22 @@ def test_subspace_iterations_refuse_operands_of_the_wrong_shape(tol):
         wold.generated_invariant_subspace(rep, rep.tilde, Subspace.whole(h + 1))
 
 
+def test_subspace_iterations_refuse_a_product_whose_svd_overflows(tol):
+    # on the C^6 shift every X intertwines; X = 1e308 everywhere is finite,
+    # but the singular values of its products are not, so neither iteration
+    # may cut a NaN spectrum to rank 0 (R^infty = 0, [W]_X = W): both raise
+    from pirep import powers
+
+    rep = scalar_rep([forward_shift(6)], tol)
+    x = np.full((6, 6), 1e308, dtype=complex)
+    w = Subspace(np.eye(6, 1, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            powers.iterated_range(rep, x)
+        with pytest.raises(DomainError, match="non-finite"):
+            wold.generated_invariant_subspace(rep, x, w)
+
+
 def test_generated_past_the_gate_matches_the_dense_oracle(tol):
     # the same comparison on representations whose X has at least
     # _DEFLATE_MIN_SIZE entries: unit-vector blocks are held by their rows,
@@ -242,14 +259,14 @@ def spy_iterations(monkeypatch) -> dict:
     """Record, for one ``wold_decompose``: every stepper (``nx._RowSteps``),
     every read of X's nonzeros that is not kept from an earlier one (a
     scan of an array, or a form read off its parts) and every scan of an
-    array for its zero lines, each ``step``, ``residual`` and ``walk`` as (stepper,
-    rows in, what it returned), each ``peel`` as (stepper, rows out), each
-    dense residual and product a stepper builds, and the
-    ``_range_frame_cut_as`` calls and Subspaces made inside the two
-    subspace iterations, with how many iterations ran."""
+    array for its zero lines, each ``step`` and ``peel`` as (stepper, rows
+    out), each ``walk`` as (stepper, row in, what it returned), each dense
+    residual a stepper gathers, and the ``_range_frame_cut_as`` calls and
+    Subspaces made inside the two subspace iterations, with how many
+    iterations ran."""
     from pirep import powers as pw
 
-    seen = {name: [] for name in ("steppers", "scans", "lines", "steps", "peels", "residuals", "walks", "dense", "cuts", "built", "iterations")}
+    seen = {name: [] for name in ("steppers", "scans", "lines", "steps", "peels", "walks", "dense", "cuts", "built", "iterations")}
     inside = []
 
     def record(owner, name, key):
@@ -257,10 +274,10 @@ def spy_iterations(monkeypatch) -> dict:
 
         def wrapper(*args, **kwargs):
             out = real(*args, **kwargs)
-            if key in ("steps", "residuals", "walks"):
+            if key == "walks":
                 seen[key].append((args[0], args[1], out))
             else:
-                seen[key].append((args[0], out) if key == "peels" else args[0])
+                seen[key].append((args[0], out) if key in ("steps", "peels") else args[0])
             return out
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -285,9 +302,7 @@ def spy_iterations(monkeypatch) -> dict:
     monkeypatch.setattr(nx, "_nonzero_lines", lambda a: seen["lines"].append(a.shape) or real_lines(a))
     record(nx._RowSteps, "step", "steps")
     record(nx._RowSteps, "peel", "peels")
-    record(nx._RowSteps, "residual", "residuals")
     record(nx._RowSteps, "walk", "walks")
-    record(nx._RowSteps, "product", "dense")
     record(nx._RowSteps, "residual_product", "dense")
     real_cut = nx._range_frame_cut_as
     monkeypatch.setattr(nx, "_range_frame_cut_as", lambda a, *args: (seen["cuts"].append(a.shape) if inside else None) or real_cut(a, *args))
@@ -306,16 +321,15 @@ def assert_one_pass_per_iteration(seen: dict, q: int, u: int) -> None:
     array is scanned; each R^infty iteration takes one step, from every
     row, and peels the rest to the u core rows; each generated span is one
     walk of q - 1 unit columns from the wandering line, which ends at an
-    exactly zero residual; no residual step, no dense product or residual,
-    no cut, and one Subspace per iteration, at its end."""
+    exactly zero residual; no dense residual, no cut, and one Subspace per
+    iteration, at its end."""
     h = q + u
     assert sorted(seen["iterations"]) == ["generated_invariant_subspace"] * 2 + ["iterated_range"] * 2
     assert len(seen["steppers"]) == 4 and len(seen["scans"]) == 2 and all(nx._has_core(x) for x in seen["scans"])
     assert not seen["lines"] and not seen["dense"] and not seen["cuts"]
-    assert [(rows.tolist(), out.size) for _, rows, out in seen["steps"]] == [(list(range(h)), h - 1)] * 2
-    assert [(stepper, out.tolist()) for stepper, out in seen["peels"]] == [(stepper, list(range(q, h))) for stepper, _, _ in seen["steps"]]
+    assert [out.size for _, out in seen["steps"]] == [h - 1] * 2
+    assert [(stepper, out.tolist()) for stepper, out in seen["peels"]] == [(stepper, list(range(q, h))) for stepper, _ in seen["steps"]]
     assert [(row, out[0].tolist(), out[1]) for _, row, out in seen["walks"]] == [(0, list(range(1, q)), True)] * 2
-    assert not seen["residuals"]
     assert len(seen["built"]) == 4 and all(type(s._frame) is nx._Monomial for s in seen["built"])
 
 
@@ -533,7 +547,7 @@ def test_wold_iterations_check_the_scan_of_x_before_building_it(tol, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# the peel and the walk against the stepped iterations
+# the peel and the walk against the dense iterations
 # ---------------------------------------------------------------------------
 
 
@@ -577,7 +591,7 @@ def iteration_x(h, blocks, core, cycles, chains, end, kind, seed, near=None, tol
     if near is not None and first_cycle_edge is not None:
         x[first_cycle_edge] = 1e-300  # a placeholder that is no largest value
         steps = nx._RowSteps(x, blocks)
-        steps.step(np.arange(h), (h, blocks * h), tol, 1.0)
+        steps.step((h, blocks * h), tol, 1.0)
         top = max(0.0 if steps.s is None else steps.s[:1].max(initial=0.0), steps.mod.max())
         cut = nx.rank_threshold(np.array([top]), (h, blocks * h), tol, 1.0)
         x[first_cycle_edge] = cut if near == 0 else np.nextafter(cut, np.inf * near)
@@ -586,15 +600,16 @@ def iteration_x(h, blocks, core, cycles, chains, end, kind, seed, near=None, tol
 
 def stepped_and_peeled(x, blocks, starts, tol) -> dict:
     """The R^infty iteration and the generated span of X from the unit
-    vector of the first of ``starts`` (or e_0), each with the peel and the walk and
-    with both refused (the stepped iterations), and what the peels and
-    walks returned."""
+    vector of the first of ``starts`` (or e_0), each with the peel and the
+    walk and with both refused (the dense iterations, which step as the
+    peel and the walk stand for), the representation and W, and what the
+    peels and walks returned."""
     from pirep import powers as pw
 
     h = x.shape[0]
     rep = scalar_rep([np.zeros((h, h))] * blocks, tol)
     w = Subspace(nx._units(h, np.array(starts[:1] or [0], dtype=np.intp)))
-    seen = {"peels": [], "walks": []}
+    seen = {"peels": [], "walks": [], "rep": rep, "w": w}
     real_peel, real_walk = nx._RowSteps.peel, nx._RowSteps.walk
     with mock.patch.object(nx._RowSteps, "peel", lambda self, *a: seen["peels"].append(real_peel(self, *a)) or seen["peels"][-1]):
         with mock.patch.object(nx._RowSteps, "walk", lambda self, *a: seen["walks"].append(real_walk(self, *a)) or seen["walks"][-1]):
@@ -647,7 +662,7 @@ def test_the_peel_refuses_where_the_steps_would_differ(case, tol):
     # each kind of refusal (a dropped column with a core entry, an isolated
     # modulus not clearing the first step's cut, a fixed point below the
     # gate but not empty) and each acceptance, an empty fixed point among
-    # them, against the stepped iteration byte for byte
+    # them, against the dense iteration byte for byte
     args, peeled = PEELED[case]
     x, starts = iteration_x(*args)
     seen = stepped_and_peeled(x, args[1], starts, tol)
@@ -656,6 +671,16 @@ def test_the_peel_refuses_where_the_steps_would_differ(case, tol):
         size = seen["peels"][0].size
         assert seen["got"][0].dim == size
         assert size == 0 if case == "no fixed point" else size >= -(-nx._DEFLATE_MIN_SIZE // 64)
+    # a refused peel runs the dense iteration on both sides of that
+    # comparison, so every result also meets references on other paths:
+    # the dense amplification for R^infty, and dense Gram-Schmidt from W's
+    # frame for the generated span
+    rep, w = seen["rep"], seen["w"]
+    with mock.patch.object(wold, "_unit_rows_of", lambda *a: None):
+        spans = (iterated_range_by_amplification(rep, x), wold.generated_invariant_subspace(rep, x, w))
+    for got, want in zip(seen["got"], spans):
+        assert got.dim == want.dim
+        assert nx.opnorm(got.projector() - want.projector()) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -663,7 +688,8 @@ def test_the_peel_refuses_where_the_steps_would_differ(case, tol):
 def test_the_peel_and_the_walk_are_the_stepped_iterations(draw):
     # random chains, cycles and unitary cores over one or two blocks, with
     # chains running into the core, moduli at the cut and fixed points on
-    # either side of the gate: the frames are the stepped ones, byte for byte
+    # either side of the gate: the frames are the dense iterations', byte
+    # for byte
     args, tol = draw
     x, starts = iteration_x(*args, tol=tol)
     stepped_and_peeled(x, args[1], starts, tol)
@@ -695,8 +721,8 @@ WALKS = {
 def test_the_walk_hands_back_each_residual_it_does_not_decide(case):
     # from W = e_0 on h = 40 (a 1,600-entry X): a unit column of value
     # exactly 1 whose stacked cut 1 clears is its own block; an exactly zero
-    # residual ends the growth; any other residual goes to the residual
-    # step, and the span is the stepped one byte for byte
+    # residual ends the growth; any other residual is gathered and the span
+    # goes on densely, the same span as the dense iteration's byte for byte
     x, tol, walked = WALKS[case]
     seen = stepped_and_peeled(x, 1, [0], tol)
     assert (seen["walks"][0][0].tolist(), seen["walks"][0][1]) == walked
