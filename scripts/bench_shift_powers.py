@@ -28,8 +28,12 @@ which must agree) on the n = 3, trunc 216 and n = 2, trunc 64 shifts
 with zero set {1, 4}, its ``build_s`` the spec alone; and
 ``wold_decompose`` (``check_hypotheses=False``) on the forward shift of
 size q (+) a Haar unitary of size u = 20 for q = 60, q = 200 and q = 400
-(``harness.shift_plus_unitary_fixture``, seed 0); ``is_bi_regular`` and
-``generalized_inverse_check`` (S the pseudoinverse of the lift, m_bound 3)
+(``harness.shift_plus_unitary_fixture``, seed 0), and on the q = 400
+model ``power_report`` with n_max 4, ``classify`` and the pseudoinverse
+chain inclusions of bi-regularity with n 3, all on its lift held as a
+split form (``wold._pinv_chain_inclusions``, called directly, since the
+model is not regular and ``is_bi_regular`` refuses it); and
+``is_bi_regular`` and ``generalized_inverse_check`` (S the pseudoinverse of the lift, m_bound 3)
 on the row of n = 3 Haar unitaries on C^4 scaled by 1/sqrt(3)
 (``harness.coisometric_row_fixture``, seed 0), whose kernels of
 I_(E^m) (x) T^+ and of tilde_4 are 324 columns wide.  A case whose process
@@ -62,6 +66,9 @@ CASES = [
     {"kind": "wold", "q": 60, "u": 20},
     {"kind": "wold", "q": 200, "u": 20},
     {"kind": "wold", "q": 400, "u": 20},
+    {"kind": "power_report", "q": 400, "u": 20, "n_max": 4},
+    {"kind": "classify", "q": 400, "u": 20},
+    {"kind": "pinv_chain", "q": 400, "u": 20, "n": 3},
     {"kind": "bi_regular", "n": 3, "d": 4},
     {"kind": "gen_inverse", "n": 3, "d": 4, "m_bound": 3},
 ]
@@ -77,7 +84,7 @@ def build(case: dict):
     from pirep import harness, shifts
     from pirep.numerics import DEFAULT_TOL
 
-    if case["kind"] == "wold":
+    if "q" in case:
         return harness.shift_plus_unitary_fixture(np.random.default_rng(0), DEFAULT_TOL, q=case["q"], u_dim=case["u"])
     if case["kind"] in ("bi_regular", "gen_inverse"):
         return harness.coisometric_row_fixture(np.random.default_rng(0), DEFAULT_TOL, case["n"], case["d"])
@@ -97,6 +104,8 @@ def call(case: dict, arg) -> dict:
         return wold.wold_decompose(arg, check_hypotheses=False).to_dict()
     if case["kind"] == "generalized_range":
         return {"dim": powers.generalized_range(arg).dim}
+    if case["kind"] == "pinv_chain":
+        return {"inclusions": wold._pinv_chain_inclusions(arg, case["n"])}
     if case["kind"] == "bi_regular":
         return {"bi_regular": wold.is_bi_regular(arg)}
     if case["kind"] == "gen_inverse":

@@ -17,7 +17,9 @@ which intertwines the induced left action with sigma.
 A representation is the chain whose every factor is itself (T_m is the
 power tilde_m); a product (``products.ProductRep``) is the chain of its
 factors.  Each chain memoizes its T_m and cokernels (see ``LiftChain``),
-as index forms on a chain of monomial lifts in identity coordinates.
+as index forms on a chain of monomial lifts in identity coordinates, and
+T_m as a split form on a representation whose lift is a split form over
+a module with one basis vector.
 ``space(m)`` reads the space from the correspondence memos
 (``FdCorrespondence.tensor`` and ``.space``), so all chains over the same
 correspondences, sigma and tolerance share one coordinate system per
@@ -75,6 +77,10 @@ class LiftChain:
     its index form, a row index and a value per column, composed from
     T_{m-1}'s form, and its cokernel as unit vectors by index: the
     criteria (``powers``, ``shifts``) read these and build no dense power.
+    When the lift is a split form and I (x) W is W itself (one basis
+    vector, so every amplification has n = 1), T_m is the split form
+    composed by parts from T_{m-1}'s (``numerics._compose``), and its
+    residual is read by parts.
     The dense T_m is built only on the public read ``tilde_power(m)``,
     once, and kept on the form, so after such a read the memo retains
     both; a ``Subspace.frame`` read of a cokernel likewise keeps its
@@ -175,7 +181,7 @@ class LiftChain:
 
     def _amplified_lift(self, m: int) -> nx.Amplification:
         """I_{E_1 (x) ... (x) E_m} (x) W_{m+1} on the factor's lift as it holds
-        it, an index form or the array; not decided again."""
+        it, a form or the array; not decided again."""
         (factor,) = self._factors(m, m + 1)
         if m == 0:
             return nx.Amplification(factor._lift, 1, None, None)
@@ -226,7 +232,10 @@ class CovariantRep(LiftChain):
     (``numerics.dense``).  Otherwise V is stacked into the lift, and in
     identity coordinates one scan decides whether the lift is monomial, and
     so held as its index form, or isolated entries beside one dense core,
-    and so held as a split form (see ``numerics``)."""
+    and so held as a split form (see ``numerics``).  A split lift's
+    verdict, powers, residuals and pseudoinverse chain are taken by parts,
+    and so are ``classify``'s products with it except its frames'; it
+    becomes an array on a public read (``tilde``, ``tilde_power``)."""
 
     def __init__(
         self,

@@ -282,12 +282,13 @@ the gate, when the construction scan's ``_deflate`` finds isolated
 entries beside a core (Wold's shift (+) unitary); a conjugated shift (+)
 unitary has no isolated entry and stays an array.  Write T = S + C, S
 the isolated entries (values v).  Then T* = S* + C* on the swapped
-lines, and two split forms compose by parts when no cross term lives
-(the right factor's isolated entries avoid the left's core columns, and
-its core rows avoid the left's isolated entries): A B = S_A S_B + C_A C_B,
-the index parts composed as above and the cores multiplied over the
-lines they share (``_compose``).  So T*T = S*S + C*C, and T T* and
-(T T*) T likewise, multiplied in the order ``_triple_defect`` multiplies;
+lines, and two split forms compose by parts when the left's core columns
+are the right's core rows and no cross term lives (the right factor's
+isolated entries avoid the left's core columns, and its core rows avoid
+the left's isolated entries): A B = S_A S_B + C_A C_B, the index parts
+composed as above and the cores multiplied (``_compose``).  So
+T*T = S*S + C*C, and T T* and (T T*) T likewise, multiplied in the order
+``_triple_defect`` multiplies;
 (T*T)^+ is 1/|v|^2 at S's places plus (C*C)^+, cut at the full shape
 (``_SplitSVD.pinv``); T' = T (T*T)^+ is v (1/|v|^2) at S's places plus
 C (C*C)^+; T' - T has T's support and is subtracted by parts
@@ -302,18 +303,29 @@ value is the one product the full GEMM forms (bit for bit for real v, as
 every shift's; within the gather's bound above for complex v).  On every
 shift (+) unitary checked (q from 40 to 400, u = 2 and 20, and the
 benchmark's eight) the core products gave the dense T' and ||T' - T|| bit
-for bit.  The partial-isometry verdict of a split form screens both norms
-from their parts (the Frobenius norm of a split form is the hypot of its
-values' and its core's); the reported residual
-(``partial_isometry_residual``) and ``classify_operator`` stay on the
-array, since the live part's wider GEMM can round otherwise (about 1e-15
-on those reps).  Public results stay arrays through ``dense``: ``tilde``,
-``cauchy_dual`` and ``pseudoinverse``.  An amplification, a product with
-any other factor and a frame read take a split form's array.  What stays
-dense: a lift with two nonzeros in a line and no isolated entry (a
+for bit.  The partial-isometry verdict of a split form and its reported
+residual (``partial_isometry_residual``) come from one triple defect by
+parts, its norms screened from their parts (the Frobenius norm of a
+split form is the hypot of its values' and its core's); so do
+``classify_operator``'s products with T, its triple residual and its
+pseudoinverse gap.  In identity coordinates I_1 (x) T is T itself: an
+``Amplification`` of a split block with n = 1 applies it through
+``matmul``, so the powers T_2 ... T_m of a split lift compose by parts;
+I_n (x) T for n > 1 takes the block's array.  Against the array's GEMM
+over the live part a reported residual can round otherwise, within the
+product-rounding bound in the core's inner dimension k: every product
+sums at most k nonzero terms (a zero term adds an exact zero), so each
+side of a residual of T_m (m - 1 products for the power, two for its
+triple defect) is within (4 m - 2) gamma_k k + 2**-53 of the exact one,
+gamma_k = sqrt(2) (k + 2) 2**-53, about 1e-12 at k = 20 and m = 4.
+Public results stay arrays through ``dense``: ``tilde``,
+``tilde_power``, ``cauchy_dual`` and ``pseudoinverse``; the pseudoinverse
+chain of bi-regularity starts from ``_pinv``'s split form.  A product
+with any other factor and a frame read take a split form's array.  What
+stays dense: a lift with two nonzeros in a line and no isolated entry (a
 conjugated shift), every lift below the gate, in quotient coordinates or
-over a non-scalar algebra, every power of a split lift, and every
-product whose right factor is such an array.
+over a non-scalar algebra, the amplifications I_n (x) T of a split lift
+for n > 1, and every product whose right factor is such an array.
 
 All values are immutable after construction; nothing here mutates its
 inputs.
@@ -676,21 +688,14 @@ def _adjoint(x):
 
 def _tensor_frame(s: "Subspace", n: int, embed):
     """embed (I_n (x) F) for the frame F of ``s``, as ``eye_kron`` and the
-    embed form it (no embed is the identity).  Without an embed an index
-    form stays one: column (a, j) is F's column j in row block a, and its
-    value is 1 * F's, the product eye_kron forms.  Bytes are checked from
-    the shape first."""
+    embed form it (no embed is the identity).  With n = 1 and no embed an
+    index form stays one.  Bytes are checked from the shape first."""
     frame = s._frame
-    if not _is_form(frame) or embed is not None:
-        check_bytes(ENTRY_BYTES * n * n * frame.size, "a spanning set of E (x) S")
-        columns = s.frame if n == 1 else eye_kron(n, s.frame)
-        return columns if embed is None else embed @ columns
-    if n == 1:
+    if _is_form(frame) and embed is None and n == 1:
         return frame
-    h, k = frame.shape
-    _check_form_bytes(n * k, "a spanning set of E (x) S")
-    at = (np.arange(n)[:, None] * h + frame._at).ravel()
-    return _Monomial((n * h, n * k), at, np.tile(frame._val, n))
+    check_bytes(ENTRY_BYTES * n * n * frame.size, "a spanning set of E (x) S")
+    columns = s.frame if n == 1 else eye_kron(n, s.frame)
+    return columns if embed is None else embed @ columns
 
 
 def _units(n: int, rows: np.ndarray):
@@ -730,25 +735,22 @@ def _compose(a: _Monomial, b: _Monomial):
     """a b for two forms.  Two index forms compose into the form whose
     column j holds a's entry in column r_j times v_j.  A split form times
     an index form is a gather of its columns.  Two split forms compose by
-    parts when no cross term lives (b's isolated entries avoid a's core
-    columns, and b's core rows avoid a's isolated entries): the index
-    parts compose as above and the cores multiply over the lines they
-    share, C_a C_b on a's core rows and b's core columns (see the module
-    docstring).  Any other pair is multiplied as arrays."""
+    parts when a's core columns are b's core rows and no cross term lives
+    (b's isolated entries avoid a's core columns, and b's core rows avoid
+    a's isolated entries): the index parts compose as above and the cores
+    multiply, C_a C_b on a's core rows and b's core columns (see the
+    module docstring).  Any other pair is multiplied as arrays."""
     shape = (a.shape[0], b.shape[1])
     if b._core is None and a._core is not None:
         return matmul(dense(a, "a left factor"), b)
     if b._core is None:
         _check_form_bytes(b.shape[1], "a product of index forms")
         return _form_or_dense(shape, a._at[b._at], a._val[b._at] * b._val)
-    if a._core is None or _crossed(a, b):
+    if a._core is None or not np.array_equal(a._core[1], b._core[0]) or _crossed(a, b):
         return np.matmul(dense(a, "a left factor"), dense(b, "a right factor"))
-    (ra, ka, ca), (rb, kb, cb) = a._core, b._core
+    (ra, _, ca), (_, kb, cb) = a._core, b._core
     _check_form_bytes(b.shape[1], "a product of split forms")
     check_bytes(ENTRY_BYTES * ra.size * kb.size, "the core of a product of split forms")
-    if not np.array_equal(ka, rb):
-        _, pa, pb = np.intersect1d(ka, rb, assume_unique=True, return_indices=True)
-        ca, cb = ca[:, pa], cb[pb]
     return _form_or_dense(shape, a._at[b._at], a._val[b._at] * b._val, (ra, kb, np.matmul(ca, cb)))
 
 
@@ -928,7 +930,9 @@ class Amplification:
     same BLAS kernel per block as a loop of block products, so the two
     equal each other bit for bit.  When F is an index form, ``A @ F`` is a
     gather instead, as in :func:`matmul`: each column of F picks one
-    column of ``block`` and scales it into its row block.
+    column of ``block`` and scales it into its row block.  A split-form
+    block (identity coordinates, n = 1) is the map itself, and both
+    products are :func:`matmul`'s, by parts where it composes two forms.
     Each application checks the bytes of its largest array from shapes
     before allocating it; ``to_dense`` is the only place the matrix is
     built.
@@ -938,8 +942,8 @@ class Amplification:
     __array_ufunc__ = None  # ndarray @ A defers to __rmatmul__
 
     def __init__(self, block, n: int, left: np.ndarray | None, right: np.ndarray | None):
-        if type(block) is _Monomial and (block._core is not None or left is not None or right is not None):
-            block = dense(block, "an amplified block")  # index forms live in identity coordinates
+        if type(block) is _Monomial and (left is not None or right is not None or block._core is not None and n > 1):
+            block = dense(block, "an amplified block")  # forms live in identity coordinates
         self.block, self.n, self.left, self.right = block, n, left, right
         p, q = block.shape
         self.shape = (n * p if left is None else left.shape[0], n * q if right is None else right.shape[1])
@@ -953,14 +957,16 @@ class Amplification:
 
     def __matmul__(self, f):
         """An index form ``f`` is read from its index; with an index-form
-        block the product is an index form too (identity coordinates)."""
-        f = f if _is_form(f) else np.asarray(dense(f, "an amplified operand"))
+        block the product is an index form too (identity coordinates).  A
+        split-form block is ``matmul``-ed with ``f`` as it is held."""
+        keep = type(f) is _Monomial and (_has_core(self.block) or _is_form(f) and self.right is None)
+        f = f if keep else np.asarray(dense(f, "an amplified operand"))
         if len(f.shape) != 2 or f.shape[0] != self.shape[1]:
             raise DimensionMismatch(f"amplification of shape {self.shape} applied to shape {f.shape}")
+        if _has_core(self.block):  # n = 1 in identity coordinates: the block is the map
+            return matmul(self.block, f)
         k = f.shape[1]
         p, q = self.block.shape
-        if type(f) is _Monomial and self.right is not None:
-            f = dense(f, "an amplified operand")
         g = f if self.right is None else self.right @ f
         if type(g) is _Monomial and type(self.block) is _Monomial:
             # column c of g is v_c e_(b q + t): its image is the block's
@@ -988,9 +994,12 @@ class Amplification:
         index form (identity coordinates): column b q + t of the output is
         w_t times column b p + s_t of m, for the block's entry w_t in row
         s_t of column t, the product the gather below forms."""
-        m = m if _is_form(m) else np.asarray(dense(m, "an amplified operand"))
+        keep = type(m) is _Monomial and (_has_core(self.block) or _is_form(m))
+        m = m if keep else np.asarray(dense(m, "an amplified operand"))
         if len(m.shape) != 2 or m.shape[1] != self.shape[0]:
             raise DimensionMismatch(f"shape {m.shape} applied to an amplification of shape {self.shape}")
+        if _has_core(self.block):
+            return matmul(m, self.block)
         r = m.shape[0]
         p, q = self.block.shape
         if type(m) is _Monomial and type(self.block) is _Monomial:
@@ -1414,7 +1423,7 @@ def kernel_frame(m, tol: Tolerance, scale_floor: float = 0.0) -> np.ndarray:
     ``Amplification``, whose kernel in identity coordinates is I_n (x) F
     from its block (see the module docstring)."""
     if isinstance(m, Amplification) and m.left is None and m.right is None:
-        inner = _kernel_frame_cut_as(as_matrix(m._dense_block()), m.shape, tol, scale_floor)
+        inner = _kernel_frame_cut_as(_as_operator(m.block), m.shape, tol, scale_floor)
         check_bytes(ENTRY_BYTES * m.n**2 * inner.size, "an amplified kernel frame")
         return eye_kron(m.n, inner)
     a = _as_operator(m.to_dense() if isinstance(m, Amplification) else m)
@@ -1665,14 +1674,14 @@ def partial_isometry_residual(m, tol: Tolerance) -> tuple:
     operator, which is a partial isometry.
 
     A monomial M is decided from its entries (``_live_part``); a split
-    form's residual is reported on its live part, as an array.
+    form's residual is taken by parts (``_triple_defect``).
     """
-    a, triple = _live_part(dense(m, "an operator") if _has_core(m) else m)
+    a, triple = _live_part(m)
     if triple is not None:
         scale, residual = triple
         return residual, scale <= tol.rank_rel or residual <= tol.eq_rel * scale
     residual = opnorm(_triple_defect(a))
-    return residual, _partial_isometry_verdict(dense(a, "a live part"), (residual, residual), lambda: residual, tol)
+    return residual, _partial_isometry_verdict(a, (residual, residual), lambda: residual, tol)
 
 
 def is_partial_isometry(m, tol: Tolerance) -> bool:
@@ -1683,7 +1692,6 @@ def is_partial_isometry(m, tol: Tolerance) -> bool:
         scale, residual = triple
         return scale <= tol.rank_rel or residual <= tol.eq_rel * scale
     defect = _triple_defect(a)
-    a = a if _has_core(a) else dense(a, "a live part")
     return _partial_isometry_verdict(a, _norm_bounds(defect), lambda: opnorm(defect), tol)
 
 
@@ -1734,7 +1742,9 @@ def _triple_defect(a):
 def _partial_isometry_verdict(a, residual_bounds: tuple, residual, tol: Tolerance) -> bool:
     """``scale <= rank_rel or residual() <= eq_rel * scale`` for scale =
     opnorm(a), decided from the bounds on both norms where they settle it
-    and from the exact norms otherwise."""
+    and from the exact norms otherwise; a live part held as a k x k index
+    form is read as its array."""
+    a = a if _has_core(a) else dense(a, "a live part")
     lo, hi = _norm_bounds(a)
     r_lo, r_hi = residual_bounds
     if hi <= tol.rank_rel or r_hi <= tol.eq_rel * lo:
@@ -1834,10 +1844,11 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
     index form, and the two frames are taken as index forms where one
     scan finds them monomial (``_index_form``), so every product with
     such a right factor is a gather; an index form M is not scanned, and
-    its array is not built.
+    its array is not built.  A split form M is kept: T* T, T T*, the
+    triple residual and pinv(T) - T* are taken by parts, and only the
+    frames' products read its array.
     """
     t = _as_operator(m)
-    t = dense(t, "the operator") if _has_core(t) else t  # its report is the array's
     t = t if type(t) is _Monomial else (_index_form(t) or t)
     t_h = _adjoint(t)
     norm = opnorm(t)
@@ -1857,7 +1868,7 @@ def classify_operator(m, tol: Tolerance) -> ClassificationReport:
             "triple_product": triple,
             "initial_projection": opnorm(gram - _outer(initial)),
             "final_projection": opnorm(dense(matmul(t, t_h), "T T*") - _outer(final)),
-            "pinv_is_adjoint": opnorm(pinv - dense(t_h, "M*")),
+            "pinv_is_adjoint": opnorm(_difference(pinv, t_h)),
         }
         verdicts = {key: residual_holds(residuals[key], norm, tol) for key in residuals}
         verdicts["triple_product"] = triple_ok

@@ -46,9 +46,16 @@ as index forms (``numerics``): a power report reads the lift powers
 through ``LiftChain._power``, and each verdict, image and inclusion is
 O(columns) index work with no scan, no SVD and no dense power; the
 power report of the n = 2, trunc 120 shift to n_max 4 fits a 1 MB dense
-budget, where its dense T_4 alone is 3.7 MB.  Every other chain
-(conjugated shifts, Wold's shift (+) unitary, two-block and dense-JSON
-reps) forms T_m densely and factors its frames as before.
+budget, where its dense T_4 alone is 3.7 MB.  On a split lift (Wold's
+shift (+) unitary past the gate, scalar algebra with one basis vector)
+T_m is a split form composed by parts, each product of its cores a
+k x k GEMM for the k x k unitary core, and its residual is taken by
+parts; its cokernels are unit vectors, and their images under T and
+T T* are gathers of those operators' columns.  At q = 400, u = 20 no
+GEMM of a power report multiplies two operands wider and taller than
+the core.  Every other chain (conjugated shifts, a split lift amplified
+over more than one basis vector, two-block and dense-JSON reps) forms
+T_m densely and factors its frames as before.
 
 The generalized range R^infty, the fixed point of S -> X(E (x) S), and
 regularity's E (x) R^infty span E (x) S from the frame F (h x k) of S:

@@ -139,7 +139,7 @@ def is_bi_regular(rep: CovariantRep) -> bool:
 def _pinv_chain_inclusions(rep: CovariantRep, n_max: int) -> bool:
     """The inclusions of is_bi_regular past regularity."""
     tol = rep.tol
-    dagger = nx.pseudoinverse(rep.tilde, tol)
+    dagger = nx._pinv(rep._lift, tol)  # a split lift's is a split form
     chain = dagger  # rep.pinv_chain(n), extended by one amplified factor per step
     for n in range(1, n_max + 1):
         amp = rep.amplified(dagger, n, 0, 1)

@@ -755,10 +755,11 @@ def test_classify_takes_one_factorization(monkeypatch, tol):
 def test_the_index_form_is_taken_only_for_a_monomial_lift_in_identity_coordinates(tol):
     # a shift lift past the gate is held as an index form, and so are its
     # powers; the shift (+) unitary past the gate is held as a split form
-    # (its shift entries beside the unitary core), and its powers are
-    # arrays; a Haar-conjugated shift (+) unitary, which has no isolated
-    # entry, a two-block rep, a lift in quotient coordinates and a shift
-    # below the gate keep the array
+    # (its shift entries beside the unitary core), and so are its powers,
+    # composed by parts, whose arrays are the dense products; a
+    # Haar-conjugated shift (+) unitary, which has no isolated entry, a
+    # two-block rep, a lift in quotient coordinates and a shift below the
+    # gate keep the array
     shift = build_shift(WeightedShiftSpec(n=2, trunc=64), tol)
     assert nx._is_form(shift._lift) and shift._lift.shape == shift.tilde.shape
     assert all(nx._is_form(shift._power(m)) for m in (1, 2, 3))
@@ -767,7 +768,8 @@ def test_the_index_form_is_taken_only_for_a_monomial_lift_in_identity_coordinate
     wold = hz.shift_plus_unitary_fixture(rng_for(341), tol, q=60, u_dim=20)
     rows, cols, block = wold._lift._core
     assert rows.tolist() == cols.tolist() == list(range(60, 80)) and np.array_equal(block, wold.tilde[60:, 60:])
-    assert nx.dense(wold._lift, "a lift") is wold.tilde and isinstance(wold._power(2), np.ndarray)
+    assert nx.dense(wold._lift, "a lift") is wold.tilde and nx._has_core(wold._power(2))
+    assert nx.opnorm(wold.tilde_power(2) - wold.tilde @ wold.tilde) <= 1e-14
     big = build_shift(WeightedShiftSpec(n=3, trunc=216), tol)
     u = haar_unitary(rng_for(342), 217)
     conjugated = scalar_rep([u @ v @ nx.herm(u) for v in big.v_on_basis], tol)

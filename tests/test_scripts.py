@@ -58,7 +58,7 @@ SETTABLE_VALUES_CEILING = 72
 
 # A ratchet: a change that adds code lines to src/pirep raises this
 # ceiling and says why in CHANGES.md; a change that removes some may lower it.
-CODE_LINES_CEILING = 3139
+CODE_LINES_CEILING = 3134
 
 
 def test_settable_values_prints_a_total():

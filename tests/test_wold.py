@@ -399,14 +399,69 @@ def benchmark_wold_reps(tol) -> list:
     return reps
 
 
+def held_as_array(rep):
+    """The same representation with its lift held as the array, as no
+    split form is: its powers, residuals, classification and pseudoinverse
+    chain then take the dense path."""
+    twin = CovariantRep(rep.corr, rep.sigma, rep.v_on_basis, rep.tol)
+    twin._lift = twin.tilde
+    return twin
+
+
+def split_residual_bound(rep) -> float:
+    """An a priori bound on |split - dense| for a residual that the power
+    report (m <= 4) or the classification reports on a split lift.  Every
+    product sums at most k nonzero terms, k the core's larger side (a zero
+    term adds an exact zero; an isolated entry's product is one term), so
+    each computed product is within gamma_k |A| |B| of the exact one,
+    gamma_k = sqrt(2) (k + 2) 2**-53 for complex entries, and within
+    gamma_k k in spectral norm for factors of norm at most 1 (each core
+    block has Frobenius norm at most sqrt(k)).  T_m takes m - 1 products
+    and its triple defect two more, each error in T_m counting at most 4
+    times, so either side is within (4 m - 2) gamma_k k + 2**-53 of the
+    exact residual: 14 gamma_k k + 2**-53 at m = 4, which also covers the
+    three products of a frame Gram."""
+    k = max(len(rep._lift._core[0]), len(rep._lift._core[1]))
+    gamma = np.sqrt(2) * (k + 2) * 2.0**-53 / (1 - (k + 2) * 2.0**-53)
+    return 2 * (14 * gamma * k + 2.0**-53)
+
+
+def assert_split_decides_as_dense(rep, label) -> None:
+    """The power report to n_max 4, the classification and the
+    pseudoinverse chain inclusions to n 3 of a split lift: every flag and
+    verdict that of the same lift held as an array, every residual within
+    ``split_residual_bound``, and the report's first flag the lift's own
+    verdict."""
+    from pirep import powers
+
+    dense = held_as_array(rep)
+    assert nx._has_core(rep._lift) and type(dense._lift) is np.ndarray, label
+    bound = split_residual_bound(rep)
+    got, want = powers.power_report(rep, 4), powers.power_report(dense, 4)
+    assert (got.applicable, got.pi_flags, got.chain_flags, got.range_flags) == (
+        want.applicable, want.pi_flags, want.chain_flags, want.range_flags), label
+    assert got.pi_flags[:1] == [rep.is_partial_isometric()] == [dense.is_partial_isometric()], label
+    assert all(abs(a - b) <= bound for a, b in zip(got.residuals, want.residuals)), (label, bound)
+    got, want = rep.classify(), dense.classify()
+    for key in ("is_contractive", "is_isometric", "is_partial_isometric", "condition_verdicts", "consistent"):
+        assert getattr(got, key) == getattr(want, key), (label, key)
+    assert got.norm == want.norm and abs(got.isometry_residual - want.isometry_residual) <= bound, label
+    for key, residual in got.condition_residuals.items():
+        assert abs(residual - want.condition_residuals[key]) <= bound, (label, key, bound)
+    assert wold._pinv_chain_inclusions(rep, 3) == wold._pinv_chain_inclusions(dense, 3), label
+
+
 def test_split_lifts_decide_as_the_dense_lifts(tol):
     # the shift (+) unitary past the gate is held as a split form and
     # composed by parts; against the same lift held as an array (a
     # read-only copy that ``CovariantRep`` does not split), for q in
-    # {40, 60, 200} and u in {2, 20}: the Cauchy dual and the dual gap to
-    # 1e-15, the partial-isometry verdict, and the frames of R(T) and N(T)
-    # byte for byte; on the benchmark's eight Wold reps the Cauchy dual and
-    # the dual gap are the dense ones bit for bit
+    # {40, 60, 200} and u in {2, 20} and for a lift over two basis
+    # vectors: the Cauchy dual and the dual gap to 1e-15, the
+    # partial-isometry verdict, and the frames of R(T) and N(T) byte for
+    # byte; on the benchmark's eight Wold reps the Cauchy dual and
+    # the dual gap are the dense ones bit for bit.  On all of them the
+    # power report, the classification and the pseudoinverse chain decide
+    # as the lift held as an array does (``assert_split_decides_as_dense``)
     def dense_side(rep):
         t = rep.tilde
         t_dual = wold.cauchy_dual_of_matrix(t, tol)
@@ -420,16 +475,26 @@ def test_split_lifts_decide_as_the_dense_lifts(tol):
 
     rng = rng_for(344)
     grid = [hz.shift_plus_unitary_fixture(rng, tol, q=q, u_dim=u) for q in (40, 60, 200) for u in (2, 20)]
-    for index, rep in enumerate(grid + benchmark_wold_reps(tol)):
+    # V_1 = shift_40 (+) a Haar U_6 and V_2 = 0: the 46 x 92 lift is split,
+    # its amplifications I_2 (x) T (n = 2) take the block's array, and its
+    # Cauchy dual is held to the product-rounding bound
+    v1 = np.zeros((46, 46), dtype=complex)
+    v1[np.arange(1, 40), np.arange(39)] = 1.0
+    v1[40:, 40:] = haar_unitary(rng, 6)
+    two = scalar_rep([v1, np.zeros_like(v1)], tol)
+    assert type(two._amplified_lift(1).block) is np.ndarray and two._amplified_lift(1).n == 2
+    for index, rep in enumerate(grid + [two] + benchmark_wold_reps(tol)):
         assert nx._has_core(rep._lift), index
         got, want = split_side(rep), dense_side(rep)
-        if index < len(grid):
-            assert nx.opnorm(got[0] - want[0]) <= 1e-15 and abs(got[1] - want[1]) <= 1e-15, index
+        if index <= len(grid):
+            bound = 1e-15 if rep is not two else split_residual_bound(rep)
+            assert nx.opnorm(got[0] - want[0]) <= bound and abs(got[1] - want[1]) <= bound, index
         else:
             assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], index
         assert got[2] == want[2] is True, index
         for frame, dense_frame in zip(got[3], want[3]):
             assert frame.tobytes() == dense_frame.tobytes(), index
+        assert_split_decides_as_dense(rep, index)
 
 
 def test_a_conjugated_shift_plus_unitary_stays_dense(tol):
@@ -449,7 +514,12 @@ def test_wold_at_q_400_multiplies_only_the_core(tol, monkeypatch):
     # on the q = 400, u = 20 shift (+) unitary the partial-isometry verdict,
     # the Cauchy dual and the dual gap multiply no operand wider than the
     # 20-column core, and build no 420 x 420 array; no array the size of
-    # the lift is scanned in the whole decomposition
+    # the lift is scanned in the whole decomposition.  The powers T_2 ...
+    # T_4 stay split forms, and no GEMM of the power report to n_max 4 or
+    # of the pseudoinverse chain inclusions to n 3 multiplies two operands
+    # that are each wider and taller than the core
+    from pirep import powers
+
     rep = hz.shift_plus_unitary_fixture(rng_for(98), tol, q=400, u_dim=20)
     t = rep._lift
     assert nx._has_core(t) and t._core[2].shape == (20, 20)
@@ -464,6 +534,14 @@ def test_wold_at_q_400_multiplies_only_the_core(tol, monkeypatch):
     seen = spy_iterations(monkeypatch)
     wold.wold_decompose(rep, check_hypotheses=False)
     assert all(max(shape) < 420 for shape in seen["lines"]) and all(nx._has_core(x) for x in seen["scans"])
+    shapes.clear()
+    monkeypatch.setattr(nx.np, "matmul", lambda a, b: shapes.append((np.shape(a), np.shape(b))) or real_matmul(a, b))
+    report = powers.power_report(rep, 4)
+    inclusions = wold._pinv_chain_inclusions(rep, 3)
+    monkeypatch.setattr(nx.np, "matmul", real_matmul)
+    assert shapes and not any(min(a) > 20 and min(b) > 20 for a, b in shapes), shapes
+    assert report.applicable and all(report.pi_flags) and all(nx._has_core(rep._power(m)) for m in (1, 2, 3, 4))
+    assert inclusions == wold._pinv_chain_inclusions(held_as_array(rep), 3)
 
 
 def test_held_rows_grow_the_span_as_dense_gram_schmidt(tol, monkeypatch):
@@ -753,13 +831,13 @@ def test_bi_regular_takes_one_pseudoinverse(tol, monkeypatch):
         [haar_unitary(rng, 3) / np.sqrt(2), haar_unitary(rng, 3) / np.sqrt(2)], tol
     )
     calls = []
-    real = nx.pseudoinverse
+    real = nx._pinv
 
-    def counting(m, tol=nx.DEFAULT_TOL):
-        calls.append(np.shape(m))
+    def counting(m, tol):
+        calls.append(m.shape)
         return real(m, tol)
 
-    monkeypatch.setattr(nx, "pseudoinverse", counting)
+    monkeypatch.setattr(nx, "_pinv", counting)
     assert wold.is_bi_regular(rep)
     assert calls == [(3, 6)]
 
